@@ -16,8 +16,8 @@ use std::time::Instant;
 
 use setrules_query::incremental::{analyze, CondVerdict, IncMemo, IncrState};
 use setrules_query::{
-    compile_cached, eval_compiled_predicate, execute_op_ext, execute_query_ext, ExecMode,
-    ExecOpts, ExecStats, NoTransitionTables, OpEffect, PlanCache, QueryError, Relation, StatsCell,
+    compile_cached, eval_compiled_predicate, execute_op, execute_query, ExecMode, ExecOpts,
+    ExecStats, NoTransitionTables, OpEffect, PlanCache, QueryError, Relation, StatsCell,
 };
 use setrules_sql::ast::{CreateRule, DmlOp, Statement, TransitionKind};
 use setrules_sql::{parse_op_block, parse_statement, parse_statements};
@@ -639,7 +639,7 @@ impl RuleSystem {
         let Statement::Dml(DmlOp::Select(sel)) = stmt else {
             return Err(RuleError::Unsupported("query() accepts only select statements".into()));
         };
-        Ok(execute_query_ext(
+        Ok(execute_query(
             &self.db,
             &NoTransitionTables,
             &sel,
@@ -885,7 +885,7 @@ impl RuleSystem {
         }
         let before = self.qstats.snapshot();
         let threads = self.threads();
-        let result = execute_op_ext(
+        let result = execute_op(
             &mut self.db,
             &NoTransitionTables,
             op,
@@ -1069,7 +1069,7 @@ impl RuleSystem {
         let threads = self.threads();
         for op in &ops {
             let before = self.qstats.snapshot();
-            let result = execute_op_ext(
+            let result = execute_op(
                 &mut self.db,
                 &NoTransitionTables,
                 op,
@@ -1632,12 +1632,14 @@ impl RuleSystem {
         let txn = self.txn.as_ref().expect("transaction open");
         let provider = RuleWindowRef { info: &txn.rule_infos[rid.0], licensed: &rule.licensed };
         let cache = setrules_query::SubqueryCache::new();
-        let ctx = setrules_query::QueryCtx::with_provider(&self.db, &provider)
-            .with_cache(&cache)
-            .with_stats(Some(&self.qstats))
-            .with_mode(self.config.exec_mode)
-            .with_plans(self.rule_plans.get(&rid))
-            .with_threads(self.threads());
+        let opts = ExecOpts {
+            stats: Some(&self.qstats),
+            mode: self.config.exec_mode,
+            plans: self.rule_plans.get(&rid),
+            threads: self.threads(),
+            op_stats: None,
+        };
+        let ctx = opts.ctx(&self.db, &provider, &cache);
         let mut bindings = setrules_query::bindings::Bindings::new();
         match self.config.exec_mode {
             ExecMode::Compiled => {
@@ -1679,7 +1681,7 @@ impl RuleSystem {
                     // same AST addresses on every firing.
                     let plans = self.rule_plans.get(&rid);
                     for op in ops.iter() {
-                        let eff = execute_op_ext(
+                        let eff = execute_op(
                             &mut self.db,
                             &provider,
                             op,

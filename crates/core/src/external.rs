@@ -11,7 +11,7 @@
 //! tables. Errors abort and roll back the transaction (the §5.2 error
 //! semantics we adopt).
 
-use setrules_query::{OpEffect, QueryError, Relation};
+use setrules_query::{ExecOpts, OpEffect, QueryError, Relation};
 use setrules_sql::ast::DmlOp;
 use setrules_sql::parse_op_block;
 use setrules_storage::Database;
@@ -54,7 +54,7 @@ impl ActionCtx<'_> {
     /// Execute one SQL operation; its affected set joins the rule's
     /// transition. Returns the rows for `select` operations.
     pub fn run(&mut self, op: &DmlOp) -> Result<Option<Relation>, RuleError> {
-        let eff = setrules_query::execute_op(self.db, &self.provider, op)?;
+        let eff = setrules_query::execute_op(self.db, &self.provider, op, &ExecOpts::default())?;
         let out = match &eff {
             OpEffect::Select { output, .. } => Some(output.clone()),
             _ => None,

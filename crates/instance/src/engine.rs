@@ -7,8 +7,8 @@
 //! through the same path, so cascades happen one row at a time.
 
 use setrules_query::{
-    eval_predicate, execute_op_with_stats, execute_query_with_stats, ExecStats,
-    NoTransitionTables, OpEffect, QueryCtx, QueryError, Relation, StatsCell,
+    eval_predicate, execute_op, execute_query, ExecOpts, ExecStats, NoTransitionTables, OpEffect,
+    QueryCtx, QueryError, Relation, StatsCell,
 };
 use setrules_sql::ast::{DmlOp, Expr, Statement};
 use setrules_sql::{parse_expr, parse_op_block, parse_statement, SqlError};
@@ -207,11 +207,11 @@ impl InstanceEngine {
     /// Run a read-only query.
     pub fn query(&self, sql: &str) -> Result<Relation, InstanceError> {
         match parse_statement(sql)? {
-            Statement::Dml(DmlOp::Select(sel)) => Ok(execute_query_with_stats(
+            Statement::Dml(DmlOp::Select(sel)) => Ok(execute_query(
                 &self.db,
                 &NoTransitionTables,
                 &sel,
-                Some(&self.qstats),
+                &ExecOpts { stats: Some(&self.qstats), ..Default::default() },
             )?),
             _ => Err(InstanceError::Unsupported("query() accepts only select".into())),
         }
@@ -236,7 +236,12 @@ impl InstanceEngine {
         // Plan set-oriented-ly (one statement = one logical change set),
         // then apply + fire per row.
         self.stats.statements_executed += 1;
-        let eff = execute_op_with_stats(&mut self.db, &NoTransitionTables, op, Some(&self.qstats))?;
+        let eff = execute_op(
+            &mut self.db,
+            &NoTransitionTables,
+            op,
+            &ExecOpts { stats: Some(&self.qstats), ..Default::default() },
+        )?;
         match eff {
             OpEffect::Insert { table, handles } => {
                 let n = handles.len();
@@ -287,7 +292,7 @@ impl InstanceEngine {
             let env = RowEnv { schema: &schema, old: old.as_ref(), new: new.as_ref() };
             if let Some(cond) = &trig.condition {
                 let bound = crate::subst::bind_expr(cond, env)?;
-                let ctx = QueryCtx::plain(&self.db).with_stats(Some(&self.qstats));
+                let ctx = QueryCtx { stats: Some(&self.qstats), ..QueryCtx::plain(&self.db) };
                 let mut b = setrules_query::bindings::Bindings::new();
                 if !eval_predicate(ctx, &mut b, None, &bound)? {
                     self.stats.conditions_false += 1;

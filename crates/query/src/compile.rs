@@ -6,8 +6,7 @@
 //! against a [`Layout`] — a snapshot of the name-resolution scopes — and
 //! lowers the AST into a [`CompiledExpr`] whose column references are
 //! `(level, from-item, column)` slots and whose constant subtrees are
-//! folded. [`eval_compiled`] then evaluates rows with array indexing
-//! instead of hash/string lookups.
+//! folded.
 //!
 //! Compilation **never fails** and never changes semantics:
 //!
@@ -18,8 +17,20 @@
 //! * constant folding only replaces a subtree when its evaluation
 //!   *succeeds* — `1 / 0` stays unfolded so the error remains lazy and
 //!   `false and 1/0 = 1` still short-circuits to `false`;
-//! * aggregates stay interpreted (they evaluate over group context, not
-//!   rows).
+//! * aggregate calls lower to numbered [`CompiledExpr::Agg`] leaves; what
+//!   a leaf evaluates to is the environment's business.
+//!
+//! # One walk, three environments
+//!
+//! Exactly one function — `eval` — gives a [`CompiledExpr`] its meaning
+//! (Kleene short-circuit order, NULL handling, error text). It is generic
+//! over an `Env`, which supplies only what differs between the places a
+//! tree can run: `Scoped` (behind [`eval_compiled`]) has the [`QueryCtx`]
+//! and the [`Bindings`] scope stack; `RowEnv` has the innermost frames as
+//! bare slices and nothing else, for pool workers and memo probes (only
+//! trees passing `parallel::is_rowlocal` may be handed to it); the group
+//! environment in `exec::aggregate` has a group's representative row
+//! plus its merged per-leaf accumulators.
 //!
 //! A [`PlanCache`] memoizes compiled forms keyed by AST-node address plus a
 //! layout fingerprint; the rule engine keeps one per rule so repeatedly
@@ -30,13 +41,14 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use setrules_sql::ast::{BinaryOp, Expr, SelectStmt, UnaryOp};
-use setrules_storage::Value;
+use setrules_sql::ast::{AggFunc, BinaryOp, Expr, SelectStmt, UnaryOp};
+use setrules_storage::{Database, TableId, Value};
 
 use crate::bindings::{Bindings, Level};
 use crate::ctx::QueryCtx;
 use crate::error::QueryError;
 use crate::eval;
+use crate::relation::Relation;
 
 // ----------------------------------------------------------------------
 // Layout: the compile-time shadow of a Bindings stack.
@@ -69,6 +81,18 @@ impl Layout {
     /// Enter a query scope: push its frames (innermost last).
     pub fn push_level(&mut self, level: Vec<LayoutFrame>) {
         self.levels.push(level);
+    }
+
+    /// The one-frame layout a statement over stored table `table` (bound
+    /// as `binding`) evaluates in, with the column names its frames share.
+    pub(crate) fn of_table(
+        db: &Database,
+        table: TableId,
+        binding: &str,
+    ) -> (Arc<Vec<String>>, Layout) {
+        let columns = Arc::new(db.schema(table).columns.iter().map(|c| c.name.clone()).collect());
+        let frame = LayoutFrame { name: binding.to_string(), columns: Arc::clone(&columns) };
+        (columns, Layout { levels: vec![vec![frame]] })
     }
 
     /// A stable fingerprint of the scope shape (frame and column names),
@@ -244,73 +268,92 @@ pub enum CompiledExpr {
     },
     /// A scalar subquery.
     ScalarSubquery(Box<SelectStmt>),
-    /// Fallback to the interpreter: aggregates, and references the layout
-    /// cannot resolve (the interpreter raises the proper error, lazily).
+    /// An aggregate call. Leaves are numbered in the order lowering
+    /// reaches them; a grouped statement numbers `having`, then the
+    /// projections, then the `order by` keys with one counter, so `leaf`
+    /// indexes the per-group accumulators.
+    Agg {
+        /// This call's number.
+        leaf: usize,
+        /// The fold to run.
+        func: AggFunc,
+        /// `agg(distinct …)` when true.
+        distinct: bool,
+        /// The per-row argument (`None` is `count(*)`).
+        arg: Option<Box<CompiledExpr>>,
+    },
+    /// A reference the layout cannot resolve: the interpreter raises the
+    /// proper `UnknownColumn` / `AmbiguousColumn` error, lazily.
     Interp(Expr),
 }
 
 impl CompiledExpr {
-    /// Whether any node delegates to the interpreter or runs a subquery —
-    /// i.e. evaluation may consult state beyond the row slots. Predicate
-    /// pushdown requires this to be false.
-    pub fn slots_only(&self) -> bool {
+    /// Visit the direct sub-expressions in evaluation order. Subquery
+    /// bodies are not children (they compile in their own scope); an
+    /// `in (select …)` needle and an aggregate's argument are.
+    pub(crate) fn for_each_child<'a>(&'a self, f: &mut impl FnMut(&'a CompiledExpr)) {
         match self {
-            CompiledExpr::Const(_) | CompiledExpr::Slot { .. } => true,
-            CompiledExpr::Unary { expr, .. } | CompiledExpr::IsNull { expr, .. } => {
-                expr.slots_only()
-            }
-            CompiledExpr::Binary { left, right, .. } => left.slots_only() && right.slots_only(),
-            CompiledExpr::InList { expr, list, .. } => {
-                expr.slots_only() && list.iter().all(|e| e.slots_only())
-            }
-            CompiledExpr::Between { expr, low, high, .. } => {
-                expr.slots_only() && low.slots_only() && high.slots_only()
-            }
-            CompiledExpr::Like { expr, pattern, escape, .. } => {
-                expr.slots_only()
-                    && pattern.slots_only()
-                    && escape.as_ref().is_none_or(|e| e.slots_only())
-            }
-            CompiledExpr::InSubquery { .. }
+            CompiledExpr::Const(_)
+            | CompiledExpr::Slot { .. }
             | CompiledExpr::Exists { .. }
             | CompiledExpr::ScalarSubquery(_)
-            | CompiledExpr::Interp(_) => false,
+            | CompiledExpr::Interp(_) => {}
+            CompiledExpr::Unary { expr, .. }
+            | CompiledExpr::IsNull { expr, .. }
+            | CompiledExpr::InSubquery { expr, .. } => f(expr),
+            CompiledExpr::Binary { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+            CompiledExpr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter().for_each(f);
+            }
+            CompiledExpr::Between { expr, low, high, .. } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
+            CompiledExpr::Like { expr, pattern, escape, .. } => {
+                f(expr);
+                f(pattern);
+                if let Some(e) = escape {
+                    f(e);
+                }
+            }
+            CompiledExpr::Agg { arg, .. } => {
+                if let Some(a) = arg {
+                    f(a);
+                }
+            }
         }
+    }
+
+    /// Whether evaluation consults nothing beyond the row slots — no
+    /// subquery, aggregate, or interpreter fallback anywhere in the tree.
+    /// Predicate pushdown requires this.
+    pub fn slots_only(&self) -> bool {
+        if matches!(
+            self,
+            CompiledExpr::InSubquery { .. }
+                | CompiledExpr::Exists { .. }
+                | CompiledExpr::ScalarSubquery(_)
+                | CompiledExpr::Agg { .. }
+                | CompiledExpr::Interp(_)
+        ) {
+            return false;
+        }
+        let mut ok = true;
+        self.for_each_child(&mut |c| ok = ok && c.slots_only());
+        ok
     }
 
     /// Visit every resolved slot.
     pub fn for_each_slot(&self, f: &mut impl FnMut(usize, usize, usize)) {
-        match self {
-            CompiledExpr::Const(_) | CompiledExpr::Interp(_) => {}
-            CompiledExpr::Slot { level_up, frame, col } => f(*level_up, *frame, *col),
-            CompiledExpr::Unary { expr, .. } | CompiledExpr::IsNull { expr, .. } => {
-                expr.for_each_slot(f)
-            }
-            CompiledExpr::Binary { left, right, .. } => {
-                left.for_each_slot(f);
-                right.for_each_slot(f);
-            }
-            CompiledExpr::InList { expr, list, .. } => {
-                expr.for_each_slot(f);
-                for e in list {
-                    e.for_each_slot(f);
-                }
-            }
-            CompiledExpr::Between { expr, low, high, .. } => {
-                expr.for_each_slot(f);
-                low.for_each_slot(f);
-                high.for_each_slot(f);
-            }
-            CompiledExpr::Like { expr, pattern, escape, .. } => {
-                expr.for_each_slot(f);
-                pattern.for_each_slot(f);
-                if let Some(e) = escape {
-                    e.for_each_slot(f);
-                }
-            }
-            CompiledExpr::InSubquery { expr, .. } => expr.for_each_slot(f),
-            CompiledExpr::Exists { .. } | CompiledExpr::ScalarSubquery(_) => {}
+        if let CompiledExpr::Slot { level_up, frame, col } = self {
+            f(*level_up, *frame, *col);
         }
+        self.for_each_child(&mut |c| c.for_each_slot(f));
     }
 }
 
@@ -318,47 +361,49 @@ impl CompiledExpr {
 // Compilation
 // ----------------------------------------------------------------------
 
-/// Lower `e` against `layout`. Infallible: whatever cannot be resolved or
-/// folded stays interpreted, preserving the interpreter's semantics
-/// (including its error behaviour) exactly.
+/// Lower `e` against `layout`. Infallible: whatever cannot be resolved
+/// stays interpreted, preserving the interpreter's semantics (including
+/// its error behaviour) exactly.
 pub fn compile(e: &Expr, layout: &Layout) -> CompiledExpr {
+    lower(e, layout, &mut 0)
+}
+
+/// [`compile`] with the aggregate-leaf counter threaded through, so the
+/// expressions of one grouped statement number their leaves jointly.
+pub(crate) fn lower(e: &Expr, layout: &Layout, next_leaf: &mut usize) -> CompiledExpr {
+    let mut sub = |e: &Expr| Box::new(lower(e, layout, next_leaf));
     match e {
         Expr::Literal(v) => CompiledExpr::Const(v.clone()),
         Expr::Column { qualifier, name } => match layout.resolve(qualifier.as_deref(), name) {
             Ok((level_up, frame, col)) => CompiledExpr::Slot { level_up, frame, col },
             Err(()) => CompiledExpr::Interp(e.clone()),
         },
-        Expr::Unary { op, expr } => {
-            fold(CompiledExpr::Unary { op: *op, expr: Box::new(compile(expr, layout)) })
+        Expr::Unary { op, expr } => fold(CompiledExpr::Unary { op: *op, expr: sub(expr) }),
+        Expr::Binary { left, op, right } => {
+            fold(CompiledExpr::Binary { left: sub(left), op: *op, right: sub(right) })
         }
-        Expr::Binary { left, op, right } => fold(CompiledExpr::Binary {
-            left: Box::new(compile(left, layout)),
-            op: *op,
-            right: Box::new(compile(right, layout)),
-        }),
-        Expr::IsNull { expr, negated } => fold(CompiledExpr::IsNull {
-            expr: Box::new(compile(expr, layout)),
-            negated: *negated,
-        }),
+        Expr::IsNull { expr, negated } => {
+            fold(CompiledExpr::IsNull { expr: sub(expr), negated: *negated })
+        }
         Expr::InList { expr, list, negated } => fold(CompiledExpr::InList {
-            expr: Box::new(compile(expr, layout)),
-            list: list.iter().map(|i| compile(i, layout)).collect(),
+            expr: sub(expr),
+            list: list.iter().map(|i| lower(i, layout, next_leaf)).collect(),
             negated: *negated,
         }),
         Expr::Between { expr, low, high, negated } => fold(CompiledExpr::Between {
-            expr: Box::new(compile(expr, layout)),
-            low: Box::new(compile(low, layout)),
-            high: Box::new(compile(high, layout)),
+            expr: sub(expr),
+            low: sub(low),
+            high: sub(high),
             negated: *negated,
         }),
         Expr::Like { expr, pattern, escape, negated } => fold(CompiledExpr::Like {
-            expr: Box::new(compile(expr, layout)),
-            pattern: Box::new(compile(pattern, layout)),
-            escape: escape.as_ref().map(|e| Box::new(compile(e, layout))),
+            expr: sub(expr),
+            pattern: sub(pattern),
+            escape: escape.as_deref().map(sub),
             negated: *negated,
         }),
         Expr::InSubquery { expr, subquery, negated } => CompiledExpr::InSubquery {
-            expr: Box::new(compile(expr, layout)),
+            expr: sub(expr),
             subquery: subquery.clone(),
             negated: *negated,
         },
@@ -366,50 +411,31 @@ pub fn compile(e: &Expr, layout: &Layout) -> CompiledExpr {
             CompiledExpr::Exists { subquery: subquery.clone(), negated: *negated }
         }
         Expr::ScalarSubquery(s) => CompiledExpr::ScalarSubquery(s.clone()),
-        // Aggregates evaluate over group context; stay interpreted.
-        Expr::Aggregate { .. } => CompiledExpr::Interp(e.clone()),
+        Expr::Aggregate { func, arg, distinct } => {
+            let leaf = *next_leaf;
+            *next_leaf += 1;
+            CompiledExpr::Agg {
+                leaf,
+                func: *func,
+                distinct: *distinct,
+                arg: arg.as_deref().map(|a| Box::new(lower(a, layout, next_leaf))),
+            }
+        }
     }
 }
 
-/// Constant-fold a freshly built node: when every child is `Const` and the
-/// node evaluates *successfully* with no scope at all, replace it with the
+/// Constant-fold a freshly built structural node: when every child is
+/// `Const` and the node evaluates *successfully*, replace it with the
 /// result. Failed evaluation (e.g. `1 / 0`) keeps the node so the error
 /// stays lazy, exactly like the interpreter.
 fn fold(node: CompiledExpr) -> CompiledExpr {
-    fn all_const(node: &CompiledExpr) -> bool {
-        match node {
-            CompiledExpr::Unary { expr, .. } | CompiledExpr::IsNull { expr, .. } => {
-                matches!(**expr, CompiledExpr::Const(_))
-            }
-            CompiledExpr::Binary { left, right, .. } => {
-                matches!(**left, CompiledExpr::Const(_))
-                    && matches!(**right, CompiledExpr::Const(_))
-            }
-            CompiledExpr::InList { expr, list, .. } => {
-                matches!(**expr, CompiledExpr::Const(_))
-                    && list.iter().all(|e| matches!(e, CompiledExpr::Const(_)))
-            }
-            CompiledExpr::Between { expr, low, high, .. } => {
-                matches!(**expr, CompiledExpr::Const(_))
-                    && matches!(**low, CompiledExpr::Const(_))
-                    && matches!(**high, CompiledExpr::Const(_))
-            }
-            CompiledExpr::Like { expr, pattern, escape, .. } => {
-                matches!(**expr, CompiledExpr::Const(_))
-                    && matches!(**pattern, CompiledExpr::Const(_))
-                    && escape.as_ref().is_none_or(|e| matches!(**e, CompiledExpr::Const(_)))
-            }
-            _ => false,
-        }
-    }
-    if !all_const(&node) {
+    let mut all_const = true;
+    node.for_each_child(&mut |c| all_const = all_const && matches!(c, CompiledExpr::Const(_)));
+    if !all_const {
         return node;
     }
-    // Constant nodes never touch the database, bindings, or stats; an
-    // empty context is sufficient.
-    let db = setrules_storage::Database::new();
-    let ctx = QueryCtx::plain(&db);
-    match eval_compiled(ctx, &mut Bindings::new(), None, &node) {
+    // Constant children never reach an environment hook.
+    match eval(&node, &mut RowEnv(&[])) {
         Ok(v) => CompiledExpr::Const(v),
         Err(_) => node,
     }
@@ -419,81 +445,107 @@ fn fold(node: CompiledExpr) -> CompiledExpr {
 // Evaluation
 // ----------------------------------------------------------------------
 
-/// Evaluate a compiled expression. The innermost level of `bindings` must
-/// have the shape of the [`Layout`] the expression was compiled against.
-pub fn eval_compiled(
-    ctx: QueryCtx<'_>,
-    bindings: &mut Bindings,
-    group: Option<&[Level]>,
-    e: &CompiledExpr,
-) -> Result<Value, QueryError> {
+/// What [`eval`] asks of the place a tree runs in. The defaults are the
+/// worker-side answer: a pool worker has no scope stack, subquery memo or
+/// group, so reaching any of these hooks there means a tree that is not
+/// row-local crossed threads.
+pub(crate) trait Env {
+    /// The value of slot `(level_up, frame, col)`.
+    fn slot(&mut self, level_up: usize, frame: usize, col: usize) -> Result<Value, QueryError>;
+
+    /// The value of aggregate call `leaf`.
+    fn agg(
+        &mut self,
+        _leaf: usize,
+        _func: AggFunc,
+        _distinct: bool,
+        _arg: Option<&CompiledExpr>,
+    ) -> Result<Value, QueryError> {
+        Err(not_rowlocal())
+    }
+
+    /// The result of a subquery in the current scope.
+    fn subquery(&mut self, _stmt: &SelectStmt) -> Result<Relation, QueryError> {
+        Err(not_rowlocal())
+    }
+
+    /// An unresolvable reference: raise the interpreter's error.
+    fn interp(&mut self, _src: &Expr) -> Result<Value, QueryError> {
+        Err(not_rowlocal())
+    }
+}
+
+fn not_rowlocal() -> QueryError {
+    QueryError::Type("internal: non-row-local expression reached a pool worker".into())
+}
+
+/// The one evaluator of compiled expressions: every environment shares
+/// this walk, so Kleene short-circuiting, NULL propagation and error
+/// selection cannot differ between the serial path, pool workers, memo
+/// probes and per-group evaluation.
+pub(crate) fn eval<E: Env>(e: &CompiledExpr, env: &mut E) -> Result<Value, QueryError> {
     match e {
         CompiledExpr::Const(v) => Ok(v.clone()),
-        CompiledExpr::Slot { level_up, frame, col } => bindings.slot(*level_up, *frame, *col),
-        CompiledExpr::Unary { op, expr } => {
-            let v = eval_compiled(ctx, bindings, group, expr)?;
-            eval::apply_unary(*op, &v)
-        }
+        CompiledExpr::Slot { level_up, frame, col } => env.slot(*level_up, *frame, *col),
+        CompiledExpr::Unary { op, expr } => eval::apply_unary(*op, &eval(expr, env)?),
         CompiledExpr::Binary { left, op, right } => {
             if matches!(op, BinaryOp::And | BinaryOp::Or) {
-                let l = eval::truth(&eval_compiled(ctx, bindings, group, left)?)?;
+                let l = eval::truth(&eval(left, env)?)?;
                 match (op, l) {
                     (BinaryOp::And, Some(false)) => return Ok(Value::Bool(false)),
                     (BinaryOp::Or, Some(true)) => return Ok(Value::Bool(true)),
                     _ => {}
                 }
-                let r = eval::truth(&eval_compiled(ctx, bindings, group, right)?)?;
+                let r = eval::truth(&eval(right, env)?)?;
                 let out = match op {
                     BinaryOp::And => eval::kleene_and(l, r),
                     _ => eval::kleene_or(l, r),
                 };
                 return Ok(out.map_or(Value::Null, Value::Bool));
             }
-            let l = eval_compiled(ctx, bindings, group, left)?;
-            let r = eval_compiled(ctx, bindings, group, right)?;
+            let l = eval(left, env)?;
+            let r = eval(right, env)?;
             eval::apply_binary(&l, *op, &r)
         }
         CompiledExpr::IsNull { expr, negated } => {
-            let v = eval_compiled(ctx, bindings, group, expr)?;
-            Ok(Value::Bool(v.is_null() != *negated))
+            Ok(Value::Bool(eval(expr, env)?.is_null() != *negated))
         }
         CompiledExpr::InList { expr, list, negated } => {
-            let needle = eval_compiled(ctx, bindings, group, expr)?;
+            let needle = eval(expr, env)?;
             let mut vals = Vec::with_capacity(list.len());
             for item in list {
-                vals.push(eval_compiled(ctx, bindings, group, item)?);
+                vals.push(eval(item, env)?);
             }
             eval::in_semantics(&needle, vals.iter(), *negated)
         }
         CompiledExpr::Between { expr, low, high, negated } => {
-            let v = eval_compiled(ctx, bindings, group, expr)?;
-            let lo = eval_compiled(ctx, bindings, group, low)?;
-            let hi = eval_compiled(ctx, bindings, group, high)?;
+            let v = eval(expr, env)?;
+            let lo = eval(low, env)?;
+            let hi = eval(high, env)?;
             eval::between_semantics(&v, &lo, &hi, *negated)
         }
         CompiledExpr::Like { expr, pattern, escape, negated } => {
-            let v = eval_compiled(ctx, bindings, group, expr)?;
-            let p = eval_compiled(ctx, bindings, group, pattern)?;
-            let e = match escape {
-                Some(ex) => Some(eval_compiled(ctx, bindings, group, ex)?),
+            let v = eval(expr, env)?;
+            let p = eval(pattern, env)?;
+            let esc = match escape {
+                Some(ex) => Some(eval(ex, env)?),
                 None => None,
             };
-            eval::like_semantics(&v, &p, e.as_ref(), *negated)
+            eval::like_semantics(&v, &p, esc.as_ref(), *negated)
         }
         CompiledExpr::InSubquery { expr, subquery, negated } => {
-            let needle = eval_compiled(ctx, bindings, group, expr)?;
-            let rel = eval::eval_subquery(ctx, bindings, subquery)?;
+            let needle = eval(expr, env)?;
+            let rel = env.subquery(subquery)?;
             if rel.columns.len() != 1 {
                 return Err(QueryError::SubqueryColumns(rel.columns.len()));
             }
             eval::in_semantics(&needle, rel.column0(), *negated)
         }
         CompiledExpr::Exists { subquery, negated } => {
-            let rel = eval::eval_subquery(ctx, bindings, subquery)?;
-            Ok(Value::Bool(rel.is_empty() == *negated))
+            Ok(Value::Bool(env.subquery(subquery)?.is_empty() == *negated))
         }
         CompiledExpr::ScalarSubquery(subquery) => {
-            let rel = eval::eval_subquery(ctx, bindings, subquery)?;
+            let rel = env.subquery(subquery)?;
             if rel.columns.len() != 1 {
                 return Err(QueryError::SubqueryColumns(rel.columns.len()));
             }
@@ -503,8 +555,85 @@ pub fn eval_compiled(
                 n => Err(QueryError::ScalarSubqueryRows(n)),
             }
         }
-        CompiledExpr::Interp(src) => eval::eval_expr(ctx, bindings, group, src),
+        CompiledExpr::Agg { leaf, func, distinct, arg } => {
+            env.agg(*leaf, *func, *distinct, arg.as_deref())
+        }
+        CompiledExpr::Interp(src) => env.interp(src),
     }
+}
+
+/// [`eval`] under SQL `where` semantics: a row qualifies only when the
+/// result is *true*.
+pub(crate) fn holds<E: Env>(e: &CompiledExpr, env: &mut E) -> Result<bool, QueryError> {
+    Ok(eval::truth(&eval(e, env)?)? == Some(true))
+}
+
+/// The worker-side environment: the innermost scope's frames as bare
+/// slices (`frames[f][c]` is slot `(0, f, c)`) and nothing else.
+pub(crate) struct RowEnv<'a>(pub(crate) &'a [&'a [Value]]);
+
+impl Env for RowEnv<'_> {
+    fn slot(&mut self, level_up: usize, frame: usize, col: usize) -> Result<Value, QueryError> {
+        if level_up != 0 {
+            return Err(not_rowlocal());
+        }
+        self.0.get(frame).and_then(|f| f.get(col)).cloned().ok_or_else(|| {
+            QueryError::Type(format!(
+                "internal: row-local slot ({level_up}, {frame}, {col}) out of range for {} frames",
+                self.0.len()
+            ))
+        })
+    }
+}
+
+/// The serial environment: the full scope stack, the context's subquery
+/// memo, and (for aggregate leaves) an explicit group of rows.
+struct Scoped<'a, 'b> {
+    ctx: QueryCtx<'a>,
+    bindings: &'b mut Bindings,
+    group: Option<&'b [Level]>,
+}
+
+impl Env for Scoped<'_, '_> {
+    fn slot(&mut self, level_up: usize, frame: usize, col: usize) -> Result<Value, QueryError> {
+        self.bindings.slot(level_up, frame, col)
+    }
+
+    fn agg(
+        &mut self,
+        _leaf: usize,
+        func: AggFunc,
+        distinct: bool,
+        arg: Option<&CompiledExpr>,
+    ) -> Result<Value, QueryError> {
+        let Some(rows) = self.group else {
+            return Err(eval::aggregate_outside_group(func));
+        };
+        let ctx = self.ctx;
+        let arg = arg.map(|a| move |b: &mut Bindings| eval_compiled(ctx, b, None, a));
+        eval::aggregate_over(self.bindings, rows, func, distinct, arg)
+    }
+
+    fn subquery(&mut self, stmt: &SelectStmt) -> Result<Relation, QueryError> {
+        eval::eval_subquery(self.ctx, self.bindings, stmt)
+    }
+
+    fn interp(&mut self, src: &Expr) -> Result<Value, QueryError> {
+        eval::eval_expr(self.ctx, self.bindings, self.group, src)
+    }
+}
+
+/// Evaluate a compiled expression in the serial environment. The
+/// innermost level of `bindings` must have the shape of the [`Layout`]
+/// the expression was compiled against; `group` carries the rows of the
+/// current aggregation group, if any.
+pub fn eval_compiled(
+    ctx: QueryCtx<'_>,
+    bindings: &mut Bindings,
+    group: Option<&[Level]>,
+    e: &CompiledExpr,
+) -> Result<Value, QueryError> {
+    eval(e, &mut Scoped { ctx, bindings, group })
 }
 
 /// Evaluate a compiled predicate; a row qualifies only when the result is
@@ -515,8 +644,7 @@ pub fn eval_compiled_predicate(
     group: Option<&[Level]>,
     e: &CompiledExpr,
 ) -> Result<bool, QueryError> {
-    let v = eval_compiled(ctx, bindings, group, e)?;
-    Ok(eval::truth(&v)? == Some(true))
+    holds(e, &mut Scoped { ctx, bindings, group })
 }
 
 // ----------------------------------------------------------------------
@@ -717,7 +845,7 @@ mod tests {
         let e = parse_expr("salary > 100").unwrap();
         let cache = PlanCache::new();
         let db = Database::new();
-        let ctx = QueryCtx::plain(&db).with_plans(Some(&cache));
+        let ctx = QueryCtx { plans: Some(&cache), ..QueryCtx::plain(&db) };
         let l1 = layout(&[("emp", &["name", "salary"])]);
         let l2 = layout(&[("emp", &["salary", "name"])]);
         let c1 = compile_cached(ctx, &e, &l1);

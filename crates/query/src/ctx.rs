@@ -93,7 +93,10 @@ pub struct QueryCtx<'a> {
 }
 
 impl<'a> QueryCtx<'a> {
-    /// Context for plain user queries: no transition tables, no cache.
+    /// Context for plain user queries: no transition tables, no cache,
+    /// serial, uninstrumented. Statement execution builds its context from
+    /// [`crate::ExecOpts::ctx`]; anything else overrides fields of this
+    /// one with struct-update syntax.
     pub fn plain(db: &'a Database) -> Self {
         QueryCtx {
             db,
@@ -105,41 +108,5 @@ impl<'a> QueryCtx<'a> {
             plans: None,
             threads: 1,
         }
-    }
-
-    /// Context with an explicit transition-table provider (no cache).
-    pub fn with_provider(db: &'a Database, virt: &'a dyn TransitionTableProvider) -> Self {
-        QueryCtx { db, virt, ..QueryCtx::plain(db) }
-    }
-
-    /// Attach a per-statement subquery cache.
-    pub fn with_cache(self, cache: &'a SubqueryCache) -> Self {
-        QueryCtx { cache: Some(cache), ..self }
-    }
-
-    /// Attach an execution-stats accumulator (pass `None` to detach).
-    pub fn with_stats(self, stats: Option<&'a StatsCell>) -> Self {
-        QueryCtx { stats, ..self }
-    }
-
-    /// Attach a per-operator counter map (pass `None` to detach).
-    pub fn with_op_stats(self, op_stats: Option<&'a OpStatsCell>) -> Self {
-        QueryCtx { op_stats, ..self }
-    }
-
-    /// Select the execution mode (compiled pipeline vs interpreter).
-    pub fn with_mode(self, mode: ExecMode) -> Self {
-        QueryCtx { mode, ..self }
-    }
-
-    /// Attach a compiled-expression plan cache (pass `None` to detach).
-    pub fn with_plans(self, plans: Option<&'a PlanCache>) -> Self {
-        QueryCtx { plans, ..self }
-    }
-
-    /// Set the worker-thread budget for parallel query phases (clamped to
-    /// at least 1; `1` means fully serial).
-    pub fn with_threads(self, threads: usize) -> Self {
-        QueryCtx { threads: threads.max(1), ..self }
     }
 }

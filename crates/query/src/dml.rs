@@ -21,21 +21,24 @@
 //! `docs/query-pipeline.md`); this module owns only the mutation phase
 //! and the effect capture around it.
 
-use setrules_sql::ast::{DeleteStmt, DmlOp, InsertSource, InsertStmt, SelectStmt, UpdateStmt};
+use std::sync::Arc;
+
+use setrules_sql::ast::{DeleteStmt, DmlOp, Expr, InsertSource, InsertStmt, SelectStmt, UpdateStmt};
 use setrules_storage::{ColumnId, Database, TableId, Tuple, TupleHandle, Value};
 
-use crate::bindings::{Bindings, Frame, Level};
-use crate::compile::{compile_cached, eval_compiled_predicate, Layout, LayoutFrame, PlanCache};
-use crate::ctx::{ExecMode, QueryCtx};
+use crate::bindings::{Bindings, Frame};
+use crate::compile::{
+    compile_cached, eval_compiled, eval_compiled_predicate, holds, Layout, PlanCache, RowEnv,
+};
+use crate::ctx::{ExecMode, QueryCtx, SubqueryCache};
 use crate::error::QueryError;
 use crate::eval::{eval_expr, eval_predicate};
 use crate::exec::exchange::Exchange;
-use crate::planner::{choose_access, scan_handles};
+use crate::planner::{choose_access, scan_handles, Access};
 use crate::provider::TransitionTableProvider;
-use crate::planner::Access;
 use crate::refs::referenced_columns;
 use crate::relation::Relation;
-use crate::select::run_select_traced;
+use crate::select::{run_select, run_select_traced};
 use crate::stats::{self, OpStatsCell, StatsCell};
 
 /// The affected set of one executed operation, with captured old values.
@@ -87,9 +90,10 @@ impl OpEffect {
     }
 }
 
-/// Options for the `_ext` entry points: stats sink, execution mode,
-/// plan cache, and the thread budget for deterministic intra-query
-/// parallelism (see [`crate::parallel`]).
+/// How a statement executes: stats sinks, execution mode, plan cache, and
+/// the thread budget for deterministic intra-query parallelism (see
+/// [`crate::parallel`]). `ExecOpts::default()` is a plain serial compiled
+/// run with no instrumentation.
 #[derive(Clone, Copy)]
 pub struct ExecOpts<'a> {
     /// Optional statistics accumulator.
@@ -113,45 +117,36 @@ impl Default for ExecOpts<'_> {
     }
 }
 
+impl<'a> ExecOpts<'a> {
+    /// The evaluation context for one statement under these options —
+    /// the only place options become a [`QueryCtx`], so no execution path
+    /// can drop one of them. `cache` is the statement's subquery memo.
+    pub fn ctx<'c>(
+        &self,
+        db: &'c Database,
+        virt: &'c dyn TransitionTableProvider,
+        cache: &'c SubqueryCache,
+    ) -> QueryCtx<'c>
+    where
+        'a: 'c,
+    {
+        QueryCtx {
+            db,
+            virt,
+            cache: Some(cache),
+            stats: self.stats,
+            op_stats: self.op_stats,
+            mode: self.mode,
+            plans: self.plans,
+            threads: self.threads.max(1),
+        }
+    }
+}
+
 /// Execute one SQL operation against the database, returning its effect.
+/// Only the read-only phases (identification scans, select evaluation)
+/// ever use more than one thread; mutation is always applied serially.
 pub fn execute_op(
-    db: &mut Database,
-    virt: &dyn TransitionTableProvider,
-    op: &DmlOp,
-) -> Result<OpEffect, QueryError> {
-    execute_op_with_stats(db, virt, op, None)
-}
-
-/// [`execute_op`] with an optional [`StatsCell`] accumulating the
-/// execution work performed.
-pub fn execute_op_with_stats(
-    db: &mut Database,
-    virt: &dyn TransitionTableProvider,
-    op: &DmlOp,
-    st: Option<&StatsCell>,
-) -> Result<OpEffect, QueryError> {
-    execute_op_with_opts(db, virt, op, st, ExecMode::default(), None)
-}
-
-/// [`execute_op_with_stats`] with an explicit execution mode and an
-/// optional [`PlanCache`] (the rule engine attaches one per rule so
-/// repeated firings compile their statements once).
-pub fn execute_op_with_opts(
-    db: &mut Database,
-    virt: &dyn TransitionTableProvider,
-    op: &DmlOp,
-    st: Option<&StatsCell>,
-    mode: ExecMode,
-    plans: Option<&PlanCache>,
-) -> Result<OpEffect, QueryError> {
-    execute_op_ext(db, virt, op, &ExecOpts { stats: st, mode, plans, ..Default::default() })
-}
-
-/// [`execute_op_with_opts`] generalized over [`ExecOpts`], adding the
-/// thread budget for deterministic intra-query parallelism. Only the
-/// read-only phases (identification scans, select evaluation) ever use
-/// more than one thread; mutation is always applied serially.
-pub fn execute_op_ext(
     db: &mut Database,
     virt: &dyn TransitionTableProvider,
     op: &DmlOp,
@@ -170,51 +165,10 @@ pub fn execute_query(
     db: &Database,
     virt: &dyn TransitionTableProvider,
     stmt: &SelectStmt,
-) -> Result<Relation, QueryError> {
-    execute_query_with_stats(db, virt, stmt, None)
-}
-
-/// [`execute_query`] with an optional [`StatsCell`] accumulating the
-/// execution work performed.
-pub fn execute_query_with_stats(
-    db: &Database,
-    virt: &dyn TransitionTableProvider,
-    stmt: &SelectStmt,
-    st: Option<&StatsCell>,
-) -> Result<Relation, QueryError> {
-    execute_query_with_opts(db, virt, stmt, st, ExecMode::default(), None)
-}
-
-/// [`execute_query_with_stats`] with an explicit execution mode and an
-/// optional [`PlanCache`].
-pub fn execute_query_with_opts(
-    db: &Database,
-    virt: &dyn TransitionTableProvider,
-    stmt: &SelectStmt,
-    st: Option<&StatsCell>,
-    mode: ExecMode,
-    plans: Option<&PlanCache>,
-) -> Result<Relation, QueryError> {
-    execute_query_ext(db, virt, stmt, &ExecOpts { stats: st, mode, plans, ..Default::default() })
-}
-
-/// [`execute_query_with_opts`] generalized over [`ExecOpts`], adding the
-/// thread budget for deterministic intra-query parallelism.
-pub fn execute_query_ext(
-    db: &Database,
-    virt: &dyn TransitionTableProvider,
-    stmt: &SelectStmt,
     opts: &ExecOpts,
 ) -> Result<Relation, QueryError> {
-    let cache = crate::SubqueryCache::new();
-    let ctx = QueryCtx::with_provider(db, virt)
-        .with_cache(&cache)
-        .with_stats(opts.stats)
-        .with_mode(opts.mode)
-        .with_plans(opts.plans)
-        .with_threads(opts.threads)
-        .with_op_stats(opts.op_stats);
-    crate::select::run_select(ctx, stmt, &mut Bindings::new())
+    let cache = SubqueryCache::new();
+    run_select(opts.ctx(db, virt, &cache), stmt, &mut Bindings::new())
 }
 
 /// Run the apply phase of a statement under a statement-level savepoint:
@@ -248,14 +202,9 @@ fn execute_insert(
     let arity = db.schema(table).arity();
 
     // Phase 1: compute the rows to insert.
-    let cache = crate::SubqueryCache::new();
+    let cache = SubqueryCache::new();
     let rows: Vec<Tuple> = {
-        let ctx = QueryCtx::with_provider(db, virt)
-            .with_cache(&cache)
-            .with_stats(opts.stats)
-            .with_mode(opts.mode)
-            .with_plans(opts.plans)
-            .with_threads(opts.threads);
+        let ctx = opts.ctx(db, virt, &cache);
         match &stmt.source {
             InsertSource::Values(rows) => {
                 let mut out = Vec::with_capacity(rows.len());
@@ -269,6 +218,8 @@ fn execute_insert(
                     }
                     let mut vals = Vec::with_capacity(row.len());
                     for e in row {
+                        // One-shot constants: each expression is evaluated
+                        // exactly once, so there is nothing to compile for.
                         vals.push(eval_expr(ctx, &mut Bindings::new(), None, e)?);
                     }
                     out.push(Tuple(vals));
@@ -276,7 +227,7 @@ fn execute_insert(
                 out
             }
             InsertSource::Select(sel) => {
-                let rel = run_select_traced(ctx, sel, &mut Bindings::new(), None)?;
+                let rel = run_select(ctx, sel, &mut Bindings::new())?;
                 if rel.columns.len() != arity {
                     return Err(QueryError::InsertArity {
                         table: stmt.table.clone(),
@@ -305,24 +256,13 @@ fn execute_insert(
 /// mode the predicate is lowered once (through the plan cache when one is
 /// attached) instead of resolving names per scanned row.
 fn identify(
-    db: &Database,
-    virt: &dyn TransitionTableProvider,
+    ctx: QueryCtx<'_>,
     table: TableId,
     table_name: &str,
-    predicate: Option<&setrules_sql::ast::Expr>,
-    opts: &ExecOpts,
+    predicate: Option<&Expr>,
 ) -> Result<Vec<TupleHandle>, QueryError> {
-    let st = opts.stats;
-    let cache = crate::SubqueryCache::new();
-    let ctx = QueryCtx::with_provider(db, virt)
-        .with_cache(&cache)
-        .with_stats(st)
-        .with_mode(opts.mode)
-        .with_plans(opts.plans)
-        .with_threads(opts.threads);
-    let schema = db.schema(table);
-    let columns =
-        std::sync::Arc::new(schema.columns.iter().map(|c| c.name.clone()).collect::<Vec<_>>());
+    let (db, st) = (ctx.db, ctx.stats);
+    let (columns, layout) = Layout::of_table(db, table, table_name);
     let access = choose_access(ctx, table, table_name, true, predicate);
     stats::bump(st, |s| match access {
         Access::FullScan => s.full_scans += 1,
@@ -330,15 +270,8 @@ fn identify(
         Access::IndexRange { .. } => s.range_scans += 1,
         Access::Empty => s.empty_scans += 1,
     });
-    let compiled = match (predicate, opts.mode) {
-        (Some(p), ExecMode::Compiled) => {
-            let mut layout = Layout::new();
-            layout.push_level(vec![LayoutFrame {
-                name: table_name.to_string(),
-                columns: std::sync::Arc::clone(&columns),
-            }]);
-            Some(compile_cached(ctx, p, &layout))
-        }
+    let compiled = match (predicate, ctx.mode) {
+        (Some(p), ExecMode::Compiled) => Some(compile_cached(ctx, p, &layout)),
         _ => None,
     };
     let mut bindings = Bindings::new();
@@ -358,8 +291,7 @@ fn identify(
             let handles_ref = &handles;
             let verdicts = ex.judge(ctx, |i| {
                 let tuple = db.get(table, handles_ref[i]).expect("scanned handle is live");
-                Ok(crate::parallel::eval_rowlocal_predicate(cp, &[tuple.0.as_slice()])?
-                    .then_some(handles_ref[i]))
+                Ok(holds(cp, &mut RowEnv(&[tuple.0.as_slice()]))?.then_some(handles_ref[i]))
             });
             for v in verdicts {
                 stats::bump(st, |s| {
@@ -383,12 +315,11 @@ fn identify(
         let keep = match predicate {
             None => true,
             Some(p) => {
-                let level: Level = vec![Frame {
+                bindings.push_level(vec![Frame {
                     name: table_name.to_string(),
-                    columns: std::sync::Arc::clone(&columns),
+                    columns: Arc::clone(&columns),
                     row: tuple.0.clone(),
-                }];
-                bindings.push_level(level);
+                }]);
                 let r = match &compiled {
                     Some(cp) => eval_compiled_predicate(ctx, &mut bindings, None, cp),
                     None => eval_predicate(ctx, &mut bindings, None, p),
@@ -412,7 +343,9 @@ fn execute_delete(
     opts: &ExecOpts,
 ) -> Result<OpEffect, QueryError> {
     let table = db.table_id(&stmt.table)?;
-    let handles = identify(db, virt, table, &stmt.table, stmt.predicate.as_ref(), opts)?;
+    let cache = SubqueryCache::new();
+    let handles =
+        identify(opts.ctx(db, virt, &cache), table, &stmt.table, stmt.predicate.as_ref())?;
     // Phase 2: delete (statement-atomic).
     let tuples = apply_atomically(db, |db| {
         let mut tuples = Vec::with_capacity(handles.len());
@@ -445,31 +378,33 @@ fn execute_update(
 
     // Phase 1: identify tuples and compute per-tuple assignments against
     // the pre-update state.
-    let handles = identify(db, virt, table, &stmt.table, stmt.predicate.as_ref(), opts)?;
-    let mut planned: Vec<(TupleHandle, Vec<(ColumnId, Value)>)> = Vec::with_capacity(handles.len());
-    let cache = crate::SubqueryCache::new();
-    {
-        let ctx = QueryCtx::with_provider(db, virt)
-            .with_cache(&cache)
-            .with_stats(opts.stats)
-            .with_mode(opts.mode)
-            .with_plans(opts.plans)
-            .with_threads(opts.threads);
-        let schema = db.schema(table);
-        let columns =
-            std::sync::Arc::new(schema.columns.iter().map(|c| c.name.clone()).collect::<Vec<_>>());
+    let cache = SubqueryCache::new();
+    let planned: Vec<(TupleHandle, Vec<(ColumnId, Value)>)> = {
+        let ctx = opts.ctx(db, virt, &cache);
+        let handles = identify(ctx, table, &stmt.table, stmt.predicate.as_ref())?;
+        let mut planned = Vec::with_capacity(handles.len());
+        let (columns, layout) = Layout::of_table(db, table, &stmt.table);
+        // Compiled mode lowers each `set` expression once per statement
+        // (through the plan cache when attached), not once per row.
+        let compiled = (ctx.mode == ExecMode::Compiled).then(|| {
+            stmt.sets.iter().map(|(_, e)| compile_cached(ctx, e, &layout)).collect::<Vec<_>>()
+        });
         let mut bindings = Bindings::new();
         for &h in &handles {
             let tuple = db.get(table, h).expect("identified handle is live");
             bindings.push_level(vec![Frame {
                 name: stmt.table.clone(),
-                columns: std::sync::Arc::clone(&columns),
+                columns: Arc::clone(&columns),
                 row: tuple.0.clone(),
             }]);
             let mut assignments: Vec<(ColumnId, Value)> = Vec::with_capacity(stmt.sets.len());
             let mut err = None;
             for (i, (_, e)) in stmt.sets.iter().enumerate() {
-                match eval_expr(ctx, &mut bindings, None, e) {
+                let v = match &compiled {
+                    Some(cs) => eval_compiled(ctx, &mut bindings, None, &cs[i]),
+                    None => eval_expr(ctx, &mut bindings, None, e),
+                };
+                match v {
                     Ok(v) => {
                         // Last assignment to a column wins.
                         assignments.retain(|(c, _)| *c != set_cols[i]);
@@ -487,7 +422,8 @@ fn execute_update(
             }
             planned.push((h, assignments));
         }
-    }
+        planned
+    };
 
     // Phase 2: apply (statement-atomic — previously a failed row left the
     // earlier rows modified).
@@ -509,13 +445,8 @@ fn execute_select_op(
     stmt: &SelectStmt,
     opts: &ExecOpts,
 ) -> Result<OpEffect, QueryError> {
-    let cache = crate::SubqueryCache::new();
-    let ctx = QueryCtx::with_provider(db, virt)
-        .with_cache(&cache)
-        .with_stats(opts.stats)
-        .with_mode(opts.mode)
-        .with_plans(opts.plans)
-        .with_threads(opts.threads);
+    let cache = SubqueryCache::new();
+    let ctx = opts.ctx(db, virt, &cache);
     let mut trace: Vec<(TableId, TupleHandle)> = Vec::new();
     let output = run_select_traced(ctx, stmt, &mut Bindings::new(), Some(&mut trace))?;
 
@@ -571,8 +502,12 @@ mod tests {
         }
     }
 
+    fn try_exec(db: &mut Database, sql: &str) -> Result<OpEffect, QueryError> {
+        execute_op(db, &NoTransitionTables, &op(sql), &ExecOpts::default())
+    }
+
     fn exec(db: &mut Database, sql: &str) -> OpEffect {
-        execute_op(db, &NoTransitionTables, &op(sql)).unwrap()
+        try_exec(db, sql).unwrap()
     }
 
     #[test]
@@ -598,6 +533,29 @@ mod tests {
         let eff = exec(&mut db2, "insert into rich (select * from emp where salary > 50000)");
         let OpEffect::Insert { handles, .. } = eff else { panic!() };
         assert_eq!(handles.len(), 1);
+    }
+
+    #[test]
+    fn op_stats_reach_every_read_phase() {
+        // Every DML path gets its context from `ExecOpts::ctx`, so the
+        // operator counters follow the statement wherever it reads.
+        let (mut db, _, _) = setup();
+        exec(&mut db, "insert into emp values ('Jane', 1, 95000.0, 1), ('Bill', 2, 25000.0, 2)");
+        db.create_table(setrules_storage::TableSchema::new(
+            "rich",
+            paper_example_schemas().0.columns.clone(),
+        ))
+        .unwrap();
+        for sql in [
+            "insert into rich (select * from emp where salary > 50000)",
+            "select name from emp where salary > 50000",
+        ] {
+            let ops = OpStatsCell::new();
+            let opts = ExecOpts { op_stats: Some(&ops), ..Default::default() };
+            execute_op(&mut db, &NoTransitionTables, &op(sql), &opts).unwrap();
+            let scan = ops.get("seq-scan");
+            assert_eq!((scan.batches, scan.rows_out), (1, 2), "{sql}: {:?}", ops.snapshot());
+        }
     }
 
     #[test]
@@ -642,15 +600,10 @@ mod tests {
         // depend on scan order.
         let eff = exec(&mut db, "update emp set salary = salary * 2 where salary < 1000");
         assert_eq!(eff.cardinality(), 2);
-        let rel = execute_query(
-            &db,
-            &NoTransitionTables,
-            &match op("select salary from emp order by salary") {
-                DmlOp::Select(s) => s,
-                _ => unreachable!(),
-            },
-        )
-        .unwrap();
+        let DmlOp::Select(sel) = op("select salary from emp order by salary") else {
+            unreachable!()
+        };
+        let rel = execute_query(&db, &NoTransitionTables, &sel, &ExecOpts::default()).unwrap();
         assert_eq!(rel.rows, vec![vec![Value::Float(200.0)], vec![Value::Float(400.0)]]);
         assert_eq!(db.table(emp).len(), 2);
     }
@@ -702,7 +655,7 @@ mod tests {
         ) else {
             unreachable!()
         };
-        let rel = execute_query(&db, &NoTransitionTables, &sel).unwrap();
+        let rel = execute_query(&db, &NoTransitionTables, &sel, &ExecOpts::default()).unwrap();
         assert_eq!(rel.rows, vec![vec![Value::Text("c".into())]]);
     }
 
@@ -715,7 +668,7 @@ mod tests {
         );
         let q = |db: &Database, s: &str| {
             let DmlOp::Select(sel) = op(s) else { unreachable!() };
-            execute_query(db, &NoTransitionTables, &sel).unwrap()
+            execute_query(db, &NoTransitionTables, &sel, &ExecOpts::default()).unwrap()
         };
         assert_eq!(q(&db, "select count(*) from emp").rows, vec![vec![Value::Int(3)]]);
         assert_eq!(q(&db, "select sum(salary) from emp").rows, vec![vec![Value::Float(900.0)]]);
@@ -735,7 +688,7 @@ mod tests {
         let (db, _, _) = setup();
         let q = |s: &str| {
             let DmlOp::Select(sel) = op(s) else { unreachable!() };
-            execute_query(&db, &NoTransitionTables, &sel).unwrap()
+            execute_query(&db, &NoTransitionTables, &sel, &ExecOpts::default()).unwrap()
         };
         assert_eq!(q("select count(*) from emp").rows, vec![vec![Value::Int(0)]]);
         assert_eq!(q("select sum(salary) from emp").rows, vec![vec![Value::Null]]);
@@ -753,7 +706,7 @@ mod tests {
         else {
             unreachable!()
         };
-        let rel = execute_query(&db, &NoTransitionTables, &sel).unwrap();
+        let rel = execute_query(&db, &NoTransitionTables, &sel, &ExecOpts::default()).unwrap();
         assert_eq!(rel.len(), 2);
     }
 
@@ -763,7 +716,7 @@ mod tests {
         exec(&mut db, "insert into emp values ('a', 1, 100.0, 1), ('b', 2, 300.0, 1), ('c', 3, 1.0, 2)");
         let q = |s: &str| {
             let DmlOp::Select(sel) = op(s) else { unreachable!() };
-            execute_query(&db, &NoTransitionTables, &sel).unwrap()
+            execute_query(&db, &NoTransitionTables, &sel, &ExecOpts::default()).unwrap()
         };
         assert_eq!(q("select distinct dept_no from emp").len(), 2);
         assert_eq!(q("select name from emp order by salary desc limit 2").rows.len(), 2);
@@ -786,8 +739,7 @@ mod tests {
     #[test]
     fn insert_arity_mismatch_rejected() {
         let (mut db, _, _) = setup();
-        let err = execute_op(&mut db, &NoTransitionTables, &op("insert into emp values (1, 2)"))
-            .unwrap_err();
+        let err = try_exec(&mut db, "insert into emp values (1, 2)").unwrap_err();
         assert!(matches!(err, QueryError::InsertArity { expected: 4, got: 2, .. }));
     }
 
@@ -802,12 +754,7 @@ mod tests {
         // The statement savepoint must also undo 'a'.
         db.fault_injector_mut().reset_counts();
         db.fault_injector_mut().arm(FaultKind::TupleUpdate, 2);
-        let err = execute_op(
-            &mut db,
-            &NoTransitionTables,
-            &op("update emp set salary = salary * 2"),
-        )
-        .unwrap_err();
+        let err = try_exec(&mut db, "update emp set salary = salary * 2").unwrap_err();
         assert!(matches!(
             err,
             QueryError::Storage(setrules_storage::StorageError::FaultInjected { .. })
@@ -819,19 +766,16 @@ mod tests {
         // Same for a multi-row delete (2nd delete faults)...
         db.fault_injector_mut().reset_counts();
         db.fault_injector_mut().arm(FaultKind::TupleDelete, 2);
-        assert!(execute_op(&mut db, &NoTransitionTables, &op("delete from emp")).is_err());
+        assert!(try_exec(&mut db, "delete from emp").is_err());
         db.fault_injector_mut().disarm();
         assert_eq!(db.state_image(), image, "partial delete survived the rollback");
 
         // ... and a multi-row insert (2nd undo append faults).
         db.fault_injector_mut().reset_counts();
         db.fault_injector_mut().arm(FaultKind::UndoAppend, 2);
-        assert!(execute_op(
-            &mut db,
-            &NoTransitionTables,
-            &op("insert into emp values ('x', 8, 1.0, 1), ('y', 9, 1.0, 1)"),
-        )
-        .is_err());
+        assert!(
+            try_exec(&mut db, "insert into emp values ('x', 8, 1.0, 1), ('y', 9, 1.0, 1)").is_err()
+        );
         db.fault_injector_mut().disarm();
         assert_eq!(db.state_image(), image, "partial insert survived the rollback");
     }
@@ -841,8 +785,7 @@ mod tests {
         let (mut db, emp, _) = setup();
         exec(&mut db, "insert into emp values ('a', 1, 100.0, 1)");
         // Type error in the predicate aborts before any mutation.
-        let err =
-            execute_op(&mut db, &NoTransitionTables, &op("delete from emp where name > 5"));
+        let err = try_exec(&mut db, "delete from emp where name > 5");
         assert!(err.is_err());
         assert_eq!(db.table(emp).len(), 1);
     }

@@ -89,14 +89,18 @@ pub fn eval_expr(
         }
         Expr::Aggregate { func, arg, distinct } => {
             let Some(rows) = group else {
-                return Err(QueryError::Type(format!(
-                    "aggregate {}() not allowed in this context",
-                    func.name()
-                )));
+                return Err(aggregate_outside_group(*func));
             };
-            eval_aggregate(ctx, bindings, rows, *func, arg.as_deref(), *distinct)
+            let arg = arg.as_deref().map(|a| move |b: &mut Bindings| eval_expr(ctx, b, None, a));
+            aggregate_over(bindings, rows, *func, *distinct, arg)
         }
     }
+}
+
+/// The error for an aggregate call evaluated where no group is in scope
+/// (`where sum(x) > 0`, a nested aggregate argument).
+pub(crate) fn aggregate_outside_group(func: AggFunc) -> QueryError {
+    QueryError::Type(format!("aggregate {}() not allowed in this context", func.name()))
 }
 
 /// Evaluate a subquery, hoisting it out of the per-row loop when it is
@@ -386,16 +390,18 @@ pub(crate) fn apply_binary(l: &Value, op: BinaryOp, r: &Value) -> Result<Value, 
     }
 }
 
-fn eval_aggregate(
-    ctx: QueryCtx<'_>,
+/// One aggregate call over the rows of a group. `arg` evaluates the
+/// argument with the row's level pushed (`None` is `count(*)`); aggregates
+/// do not nest, so it must evaluate without a group.
+pub(crate) fn aggregate_over(
     bindings: &mut Bindings,
     rows: &[Level],
     func: AggFunc,
-    arg: Option<&Expr>,
     distinct: bool,
+    arg: Option<impl FnMut(&mut Bindings) -> Result<Value, QueryError>>,
 ) -> Result<Value, QueryError> {
     // count(*) counts rows, including those where other columns are NULL.
-    let Some(arg) = arg else {
+    let Some(mut arg) = arg else {
         debug_assert_eq!(func, AggFunc::Count);
         return Ok(Value::Int(rows.len() as i64));
     };
@@ -405,8 +411,7 @@ fn eval_aggregate(
     let mut vals = Vec::with_capacity(rows.len());
     for level in rows {
         bindings.push_level(level.clone());
-        // Aggregates do not nest: the argument is evaluated without a group.
-        let v = eval_expr(ctx, bindings, None, arg);
+        let v = arg(bindings);
         bindings.pop_level();
         let v = v?;
         if !v.is_null() {

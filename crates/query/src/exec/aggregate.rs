@@ -33,130 +33,46 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Arc;
 
-use setrules_sql::ast::{AggFunc, BinaryOp, Expr, SelectStmt, UnaryOp};
+use setrules_sql::ast::{AggFunc, Expr, SelectStmt};
 use setrules_storage::{TableId, TupleHandle, Value};
 
-use crate::bindings::{Frame, Level};
-use crate::compile::{compile, CompiledExpr, Layout, LayoutFrame};
+use crate::bindings::Level;
+use crate::compile::{self, CompiledExpr, Env, Layout, RowEnv};
 use crate::ctx::ExecMode;
 use crate::error::QueryError;
-use crate::eval::{self, eval_expr, fold_aggregate};
+use crate::eval::{eval_expr, fold_aggregate};
 use crate::parallel;
-use crate::select::has_aggregate;
 
 use super::exchange::Exchange;
 use super::filter::FilterExec;
 use super::project::expand_wildcards;
+use super::scan::{items_layout, FromItem};
 use super::{Batches, ExecCx, Executor, KeyedRow, RowSource};
 
-/// One aggregate call site: the fold to run and its compiled row-local
-/// argument (`None` is `count(*)`).
-struct AggLeaf {
-    func: AggFunc,
-    distinct: bool,
-    arg: Option<CompiledExpr>,
-}
-
-/// A group-level expression: row-local subtrees evaluate on the group's
-/// representative row, [`GroupExpr::Agg`] nodes fold a leaf's merged
-/// values, and the structural nodes mirror the interpreter node for node
-/// (including Kleene short-circuiting), so a two-phase evaluation returns
-/// bit-identical values and errors to the per-group interpreter walk.
-enum GroupExpr {
-    /// An aggregate-free row-local subtree (evaluated on the repr row).
-    Row(CompiledExpr),
-    /// Aggregate call number `i` of the program's leaf list.
-    Agg(usize),
-    Unary { op: UnaryOp, expr: Box<GroupExpr> },
-    Binary { left: Box<GroupExpr>, op: BinaryOp, right: Box<GroupExpr> },
-    IsNull { expr: Box<GroupExpr>, negated: bool },
-    InList { expr: Box<GroupExpr>, list: Vec<GroupExpr>, negated: bool },
-    Between { expr: Box<GroupExpr>, low: Box<GroupExpr>, high: Box<GroupExpr>, negated: bool },
-    Like {
-        expr: Box<GroupExpr>,
-        pattern: Box<GroupExpr>,
-        escape: Option<Box<GroupExpr>>,
-        negated: bool,
-    },
-}
-
 /// The whole grouped statement, lowered for two-phase evaluation:
-/// row-local group keys, the aggregate leaves (in structural reach
-/// order: `having`, then projections, then `order by`), and the
-/// group-level expression trees. Built only when *every* piece
-/// qualifies — anything else (outer references, subqueries, interpreter
-/// fallbacks) keeps the legacy serial path.
+/// row-local group keys and the group-level expression trees, whose
+/// aggregate leaves are numbered jointly in structural reach order
+/// (`having`, then projections, then `order by`). Built only when *every*
+/// piece qualifies — anything else (outer references, subqueries,
+/// interpreter fallbacks) keeps the legacy serial path.
 pub(crate) struct GroupProgram {
     keys: Vec<CompiledExpr>,
-    leaves: Vec<AggLeaf>,
-    having: Option<GroupExpr>,
-    proj: Vec<GroupExpr>,
-    order: Vec<GroupExpr>,
+    /// The row-local argument of leaf `i` (`None` is `count(*)`): what
+    /// the partial phase accumulates per row.
+    leaf_args: Vec<Option<CompiledExpr>>,
+    having: Option<CompiledExpr>,
+    proj: Vec<CompiledExpr>,
+    order: Vec<CompiledExpr>,
 }
 
-/// Lower one expression to a [`GroupExpr`], collecting aggregate leaves.
-/// `None` means the statement is ineligible for two-phase aggregation.
-fn build_group_expr(e: &Expr, layout: &Layout, leaves: &mut Vec<AggLeaf>) -> Option<GroupExpr> {
-    if !has_aggregate(e) {
-        let ce = compile(e, layout);
-        return parallel::is_rowlocal(&ce).then_some(GroupExpr::Row(ce));
-    }
-    match e {
-        Expr::Aggregate { func, arg, distinct } => {
-            let arg = match arg.as_deref() {
-                Some(a) => {
-                    let ce = compile(a, layout);
-                    if !parallel::is_rowlocal(&ce) {
-                        return None;
-                    }
-                    Some(ce)
-                }
-                None => None,
-            };
-            leaves.push(AggLeaf { func: *func, distinct: *distinct, arg });
-            Some(GroupExpr::Agg(leaves.len() - 1))
-        }
-        Expr::Unary { op, expr } => Some(GroupExpr::Unary {
-            op: *op,
-            expr: Box::new(build_group_expr(expr, layout, leaves)?),
-        }),
-        Expr::Binary { left, op, right } => Some(GroupExpr::Binary {
-            left: Box::new(build_group_expr(left, layout, leaves)?),
-            op: *op,
-            right: Box::new(build_group_expr(right, layout, leaves)?),
-        }),
-        Expr::IsNull { expr, negated } => Some(GroupExpr::IsNull {
-            expr: Box::new(build_group_expr(expr, layout, leaves)?),
-            negated: *negated,
-        }),
-        Expr::InList { expr, list, negated } => {
-            let needle = build_group_expr(expr, layout, leaves)?;
-            let mut items = Vec::with_capacity(list.len());
-            for it in list {
-                items.push(build_group_expr(it, layout, leaves)?);
-            }
-            Some(GroupExpr::InList { expr: Box::new(needle), list: items, negated: *negated })
-        }
-        Expr::Between { expr, low, high, negated } => Some(GroupExpr::Between {
-            expr: Box::new(build_group_expr(expr, layout, leaves)?),
-            low: Box::new(build_group_expr(low, layout, leaves)?),
-            high: Box::new(build_group_expr(high, layout, leaves)?),
-            negated: *negated,
-        }),
-        Expr::Like { expr, pattern, escape, negated } => Some(GroupExpr::Like {
-            expr: Box::new(build_group_expr(expr, layout, leaves)?),
-            pattern: Box::new(build_group_expr(pattern, layout, leaves)?),
-            escape: match escape.as_deref() {
-                Some(ex) => Some(Box::new(build_group_expr(ex, layout, leaves)?)),
-                None => None,
-            },
-            negated: *negated,
-        }),
-        // Subqueries next to an aggregate (and anything not structural)
-        // keep the interpreter path.
-        _ => None,
+/// Append the argument of every aggregate leaf under `e`, in leaf order.
+fn collect_leaf_args(e: &CompiledExpr, out: &mut Vec<Option<CompiledExpr>>) {
+    if let CompiledExpr::Agg { leaf, arg, .. } = e {
+        debug_assert_eq!(*leaf, out.len(), "leaves are numbered in reach order");
+        out.push(arg.as_deref().cloned());
+    } else {
+        e.for_each_child(&mut |c| collect_leaf_args(c, out));
     }
 }
 
@@ -171,27 +87,28 @@ pub(crate) fn group_program(
 ) -> Option<GroupProgram> {
     let mut keys = Vec::with_capacity(stmt.group_by.len());
     for g in &stmt.group_by {
-        let ce = compile(g, layout);
+        let ce = compile::compile(g, layout);
         if !parallel::is_rowlocal(&ce) {
             return None;
         }
         keys.push(ce);
     }
-    // Leaves collect in reach order: having, projections, order keys.
-    let mut leaves = Vec::new();
+    let mut next_leaf = 0;
+    let mut leaf_args = Vec::new();
+    let mut lower = |e: &Expr| {
+        let ce = compile::lower(e, layout, &mut next_leaf);
+        parallel::is_grouplocal(&ce).then(|| {
+            collect_leaf_args(&ce, &mut leaf_args);
+            ce
+        })
+    };
     let having = match &stmt.having {
-        Some(h) => Some(build_group_expr(h, layout, &mut leaves)?),
+        Some(h) => Some(lower(h)?),
         None => None,
     };
-    let mut proj_x = Vec::with_capacity(proj.len());
-    for (e, _) in proj {
-        proj_x.push(build_group_expr(e, layout, &mut leaves)?);
-    }
-    let mut order = Vec::with_capacity(stmt.order_by.len());
-    for (e, _) in &stmt.order_by {
-        order.push(build_group_expr(e, layout, &mut leaves)?);
-    }
-    Some(GroupProgram { keys, leaves, having, proj: proj_x, order })
+    let proj = proj.iter().map(|(e, _)| lower(e)).collect::<Option<Vec<_>>>()?;
+    let order = stmt.order_by.iter().map(|(e, _)| lower(e)).collect::<Option<Vec<_>>>()?;
+    Some(GroupProgram { keys, leaf_args, having, proj, order })
 }
 
 /// Per-(group, leaf) partial state: the collected non-NULL argument
@@ -230,7 +147,7 @@ fn accumulate_range(batch: &[Level], range: Range<usize>, prog: &GroupProgram) -
         let mut key = Vec::with_capacity(prog.keys.len());
         let mut key_err = None;
         for k in &prog.keys {
-            match parallel::eval_rowlocal(k, &frames) {
+            match compile::eval(k, &mut RowEnv(&frames)) {
                 Ok(v) => key.push(v),
                 Err(e) => {
                     key_err = Some(e);
@@ -248,18 +165,18 @@ fn accumulate_range(batch: &[Level], range: Range<usize>, prog: &GroupProgram) -
                     key: v.key().clone(),
                     first: i,
                     rows_n: 0,
-                    leaves: vec![LeafAcc::Vals(Vec::new()); prog.leaves.len()],
+                    leaves: vec![LeafAcc::Vals(Vec::new()); prog.leaf_args.len()],
                 });
                 *v.insert(groups.len() - 1)
             }
         };
         let g = &mut groups[slot];
         g.rows_n += 1;
-        for (leaf, acc) in prog.leaves.iter().zip(g.leaves.iter_mut()) {
+        for (arg, acc) in prog.leaf_args.iter().zip(g.leaves.iter_mut()) {
             // count(*) needs only rows_n; an already-errored leaf stays
             // errored (the serial fold would have stopped there).
-            let (Some(arg), LeafAcc::Vals(vals)) = (&leaf.arg, &mut *acc) else { continue };
-            match parallel::eval_rowlocal(arg, &frames) {
+            let (Some(arg), LeafAcc::Vals(vals)) = (arg, &mut *acc) else { continue };
+            match compile::eval(arg, &mut RowEnv(&frames)) {
                 Ok(v) => {
                     if !v.is_null() {
                         vals.push(v);
@@ -321,79 +238,42 @@ fn merge_partial(
     }
 }
 
-/// Final-phase evaluation of one group-level expression. Mirrors the
-/// interpreter node for node (Kleene short-circuit included); reaching an
-/// [`GroupExpr::Agg`] node raises that leaf's recorded error or folds its
-/// merged values — so a short-circuited aggregate's error is skipped
-/// exactly like the per-group interpreter walk.
-fn eval_group_expr(
-    ge: &GroupExpr,
-    frames: &[&[Value]],
+/// The final-phase environment of one group: row-local subtrees read the
+/// representative row, and reaching aggregate leaf `i` raises that leaf's
+/// recorded error or folds its merged values — so a short-circuited
+/// aggregate's error is skipped exactly like the per-group interpreter
+/// walk.
+struct GroupEnv<'a> {
+    frames: &'a [&'a [Value]],
     rows_n: u64,
-    accs: &[LeafAcc],
-    leaves: &[AggLeaf],
-) -> Result<Value, QueryError> {
-    match ge {
-        GroupExpr::Row(ce) => parallel::eval_rowlocal(ce, frames),
-        GroupExpr::Agg(i) => match &accs[*i] {
-            LeafAcc::Err(e) => Err(e.clone()),
-            LeafAcc::Vals(vals) => match &leaves[*i].arg {
-                // count(*) counts rows, including all-NULL ones.
-                None => Ok(Value::Int(rows_n as i64)),
-                Some(_) => fold_aggregate(leaves[*i].func, leaves[*i].distinct, vals.clone()),
-            },
-        },
-        GroupExpr::Unary { op, expr } => {
-            let v = eval_group_expr(expr, frames, rows_n, accs, leaves)?;
-            eval::apply_unary(*op, &v)
-        }
-        GroupExpr::Binary { left, op, right } => {
-            if matches!(op, BinaryOp::And | BinaryOp::Or) {
-                let l = eval::truth(&eval_group_expr(left, frames, rows_n, accs, leaves)?)?;
-                match (op, l) {
-                    (BinaryOp::And, Some(false)) => return Ok(Value::Bool(false)),
-                    (BinaryOp::Or, Some(true)) => return Ok(Value::Bool(true)),
-                    _ => {}
-                }
-                let r = eval::truth(&eval_group_expr(right, frames, rows_n, accs, leaves)?)?;
-                let out = match op {
-                    BinaryOp::And => eval::kleene_and(l, r),
-                    _ => eval::kleene_or(l, r),
-                };
-                return Ok(out.map_or(Value::Null, Value::Bool));
-            }
-            let l = eval_group_expr(left, frames, rows_n, accs, leaves)?;
-            let r = eval_group_expr(right, frames, rows_n, accs, leaves)?;
-            eval::apply_binary(&l, *op, &r)
-        }
-        GroupExpr::IsNull { expr, negated } => {
-            let v = eval_group_expr(expr, frames, rows_n, accs, leaves)?;
-            Ok(Value::Bool(v.is_null() != *negated))
-        }
-        GroupExpr::InList { expr, list, negated } => {
-            let needle = eval_group_expr(expr, frames, rows_n, accs, leaves)?;
-            let mut vals = Vec::with_capacity(list.len());
-            for item in list {
-                vals.push(eval_group_expr(item, frames, rows_n, accs, leaves)?);
-            }
-            eval::in_semantics(&needle, vals.iter(), *negated)
-        }
-        GroupExpr::Between { expr, low, high, negated } => {
-            let v = eval_group_expr(expr, frames, rows_n, accs, leaves)?;
-            let lo = eval_group_expr(low, frames, rows_n, accs, leaves)?;
-            let hi = eval_group_expr(high, frames, rows_n, accs, leaves)?;
-            eval::between_semantics(&v, &lo, &hi, *negated)
-        }
-        GroupExpr::Like { expr, pattern, escape, negated } => {
-            let v = eval_group_expr(expr, frames, rows_n, accs, leaves)?;
-            let p = eval_group_expr(pattern, frames, rows_n, accs, leaves)?;
-            let esc = match escape {
-                Some(ex) => Some(eval_group_expr(ex, frames, rows_n, accs, leaves)?),
-                None => None,
-            };
-            eval::like_semantics(&v, &p, esc.as_ref(), *negated)
+    accs: &'a [LeafAcc],
+}
+
+impl Env for GroupEnv<'_> {
+    fn slot(&mut self, level_up: usize, frame: usize, col: usize) -> Result<Value, QueryError> {
+        RowEnv(self.frames).slot(level_up, frame, col)
+    }
+
+    fn agg(
+        &mut self,
+        leaf: usize,
+        func: AggFunc,
+        distinct: bool,
+        arg: Option<&CompiledExpr>,
+    ) -> Result<Value, QueryError> {
+        match (&self.accs[leaf], arg) {
+            (LeafAcc::Err(e), _) => Err(e.clone()),
+            // count(*) counts rows, including all-NULL ones.
+            (LeafAcc::Vals(_), None) => Ok(Value::Int(self.rows_n as i64)),
+            (LeafAcc::Vals(vals), Some(_)) => fold_aggregate(func, distinct, vals.clone()),
         }
     }
+}
+
+/// Representative bindings for the empty ungrouped group (`select
+/// count(*) from empty`): all-NULL frames.
+fn null_level(items: &[FromItem]) -> Level {
+    items.iter().map(|it| it.frame(vec![Value::Null; it.columns.len()])).collect()
 }
 
 /// The grouped pipeline top: one output row per group that passes
@@ -440,19 +320,8 @@ impl<'q> AggregateExec<'q> {
         self.columns = self.proj.iter().map(|(_, n)| n.clone()).collect();
 
         let prog = if ctx.mode == ExecMode::Compiled {
-            // The same scope layout the filter evaluated in: outer scopes
-            // plus one innermost level holding this query's items.
-            let mut layout = cx.bindings.layout();
-            layout.push_level(
-                self.filter
-                    .items()
-                    .iter()
-                    .map(|it| LayoutFrame {
-                        name: it.binding.clone(),
-                        columns: Arc::clone(&it.columns),
-                    })
-                    .collect(),
-            );
+            // The same scope layout the filter evaluated in.
+            let layout = items_layout(cx.bindings, self.filter.items());
             group_program(self.stmt, &layout, &self.proj)
         } else {
             None
@@ -482,7 +351,7 @@ impl<'q> AggregateExec<'q> {
         first: Option<Vec<Level>>,
     ) -> Result<Vec<KeyedRow>, QueryError> {
         let ctx = cx.ctx;
-        let n_leaves = prog.leaves.len();
+        let n_leaves = prog.leaf_args.len();
         let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
         let mut groups: Vec<GroupData> = Vec::new();
 
@@ -521,36 +390,27 @@ impl<'q> AggregateExec<'q> {
         }
         // Representative bindings for the synthetic empty group: all-NULL
         // frames (the legacy path builds the same).
-        let null_repr: Option<Level> = groups.iter().any(|g| g.repr.is_none()).then(|| {
-            self.filter
-                .items()
-                .iter()
-                .map(|it| Frame {
-                    name: it.binding.clone(),
-                    columns: Arc::clone(&it.columns),
-                    row: vec![Value::Null; it.columns.len()],
-                })
-                .collect()
-        });
+        let null_repr: Option<Level> =
+            groups.iter().any(|g| g.repr.is_none()).then(|| null_level(self.filter.items()));
         let eval_one = |g: &GroupData| -> Result<Option<KeyedRow>, QueryError> {
             let repr = match &g.repr {
                 Some(l) => l,
                 None => null_repr.as_ref().expect("built above for reprless groups"),
             };
             let frames: Vec<&[Value]> = repr.iter().map(|f| f.row.as_slice()).collect();
+            let mut env = GroupEnv { frames: &frames, rows_n: g.rows_n, accs: &g.leaves };
             if let Some(h) = &prog.having {
-                let v = eval_group_expr(h, &frames, g.rows_n, &g.leaves, &prog.leaves)?;
-                if eval::truth(&v)? != Some(true) {
+                if !compile::holds(h, &mut env)? {
                     return Ok(None);
                 }
             }
             let mut out = Vec::with_capacity(prog.proj.len());
             for e in &prog.proj {
-                out.push(eval_group_expr(e, &frames, g.rows_n, &g.leaves, &prog.leaves)?);
+                out.push(compile::eval(e, &mut env)?);
             }
             let mut key = Vec::with_capacity(prog.order.len());
             for e in &prog.order {
-                key.push(eval_group_expr(e, &frames, g.rows_n, &g.leaves, &prog.leaves)?);
+                key.push(compile::eval(e, &mut env)?);
             }
             Ok(Some((key, out)))
         };
@@ -653,19 +513,8 @@ impl Executor for AggregateExec<'_> {
                 // Representative bindings for non-aggregate expressions:
                 // the first row of the group, or all-NULL frames for the
                 // empty ungrouped case (`select count(*) from empty`).
-                let repr: Level = match rows.first() {
-                    Some(l) => l.clone(),
-                    None => self
-                        .filter
-                        .items()
-                        .iter()
-                        .map(|it| Frame {
-                            name: it.binding.clone(),
-                            columns: std::sync::Arc::clone(&it.columns),
-                            row: vec![Value::Null; it.columns.len()],
-                        })
-                        .collect(),
-                };
+                let repr: Level =
+                    rows.first().cloned().unwrap_or_else(|| null_level(self.filter.items()));
                 cx.bindings.push_level(repr);
                 let result = (|| -> Result<Option<KeyedRow>, QueryError> {
                     if let Some(h) = &self.stmt.having {
@@ -705,5 +554,143 @@ impl RowSource for AggregateExec<'_> {
 
     fn take_origins(&mut self) -> Vec<Vec<(TableId, TupleHandle)>> {
         self.filter.take_origins()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bindings::{Bindings, Frame};
+    use crate::compile::{compile, eval_compiled, LayoutFrame};
+    use crate::ctx::QueryCtx;
+    use setrules_sql::ast::{DmlOp, Statement};
+    use setrules_sql::{parse_expr, parse_statement};
+    use setrules_storage::Database;
+    use std::sync::Arc;
+
+    type Outcome = Result<Value, String>;
+
+    fn outcome(r: Result<Value, QueryError>) -> Outcome {
+        r.map_err(|e| e.to_string())
+    }
+
+    /// `having` and the projection of `select {src} from t having {src}`
+    /// over a group holding exactly `level`, through the production
+    /// partial phase, merge, and group environment. `None` when the
+    /// statement does not lower two-phase.
+    fn through_group_env(src: &str, layout: &Layout, level: &Level) -> Option<(Outcome, Outcome)> {
+        let sql = format!("select {src} from t having {src}");
+        let Statement::Dml(DmlOp::Select(stmt)) = parse_statement(&sql).expect("parse") else {
+            panic!("not a select: {sql}")
+        };
+        let proj = [(parse_expr(src).expect("parse"), "x".to_string())];
+        let prog = group_program(&stmt, layout, &proj)?;
+        let batch = [level.clone()];
+        let (mut index, mut groups) = (HashMap::new(), Vec::new());
+        let partial = accumulate_range(&batch, 0..1, &prog);
+        merge_partial(&batch, partial, &mut index, &mut groups, prog.leaf_args.len())
+            .expect("no group keys, so no key error");
+        let g = &groups[0];
+        let frames: Vec<&[Value]> = level.iter().map(|f| f.row.as_slice()).collect();
+        let mut env = GroupEnv { frames: &frames, rows_n: g.rows_n, accs: &g.leaves };
+        let having = prog.having.as_ref().expect("statement has a having");
+        // `having`'s leaves are numbered before the projection's, so the
+        // two copies of `src` read disjoint accumulators.
+        let having = outcome(compile::eval(having, &mut env));
+        Some((having, outcome(compile::eval(&prog.proj[0], &mut env))))
+    }
+
+    /// One corpus, every environment. The scoped, row and group
+    /// environments share one walk, so each expression must come out of
+    /// all of them — and out of the AST interpreter — as the same value
+    /// (bit-for-bit: NaN, -0.0) or the same error text.
+    #[test]
+    fn one_corpus_three_environments() {
+        let cols: Arc<Vec<String>> = Arc::new(vec!["a".into(), "b".into(), "name".into()]);
+        let mut layout = Layout::new();
+        layout.push_level(vec![LayoutFrame { name: "t".into(), columns: Arc::clone(&cols) }]);
+        let rows: Vec<Vec<Value>> = vec![
+            vec![Value::Int(1), Value::Float(2.5), Value::Text("ab".into())],
+            vec![Value::Int(-3), Value::Float(f64::NAN), Value::Null],
+            vec![Value::Null, Value::Float(-0.0), Value::Text("%x_".into())],
+            vec![Value::Int(0), Value::Float(1e300), Value::Text("".into())],
+            vec![Value::Int(i64::MAX), Value::Float(0.0), Value::Text("!".into())],
+        ];
+        // (expression, runs in the row environment)
+        let corpus = [
+            ("a + 1 > 0 and b < 10.0", true),
+            ("a is null or name like 'a%'", true),
+            ("a in (1, -3, null)", true),
+            ("b between -1.0 and 3.0", true),
+            ("not (a = 0) or name = ''", true),
+            ("a / 0 = 1", true),
+            ("b + a > 0.0", true),
+            ("b * 1e300", true),
+            ("-b", true),
+            ("b / 0", true),
+            ("b = b", true),
+            ("a + 1", true),
+            ("-a - 2", true),
+            ("name like '%x!_' escape '!'", true),
+            ("name like 'a%' escape '!!'", true),
+            ("name like 'a%' escape name", true),
+            ("name like 'a!'  escape '!'", true),
+            ("a", true),
+            ("count(*)", false),
+            ("count(name) + count(distinct a)", false),
+            ("sum(a)", false),
+            ("sum(a) + 1", false),
+            ("avg(b)", false),
+            ("min(b) = max(b)", false),
+            ("max(name) like 'a%' escape '!!'", false),
+            ("sum(a / 0)", false),
+            ("true or sum(a / 0) > 0", false),
+            ("false or sum(a / 0) > 0", false),
+            ("a = a or sum(a / 0) > 0", false),
+            ("false and sum(a / 0) > 0", false),
+            ("sum(a) in (1, a, null)", false),
+            ("min(a) between -3 and count(*)", false),
+        ];
+        let db = Database::new();
+        let ctx = QueryCtx::plain(&db);
+        let mut errors = 0;
+        for (src, rowlocal) in corpus {
+            let ast = parse_expr(src).expect("parse");
+            let ce = compile(&ast, &layout);
+            assert_eq!(parallel::is_rowlocal(&ce), rowlocal, "{src}");
+            assert!(parallel::is_grouplocal(&ce), "{src}");
+            for row in &rows {
+                let level: Level =
+                    vec![Frame { name: "t".into(), columns: Arc::clone(&cols), row: row.clone() }];
+                let group = std::slice::from_ref(&level);
+                let mut b = Bindings::new();
+                b.push_level(level.clone());
+                let oracle = outcome(eval_expr(ctx, &mut b, Some(group), &ast));
+                errors += oracle.is_err() as usize;
+                let scoped = outcome(eval_compiled(ctx, &mut b, Some(group), &ce));
+                assert_eq!(scoped, oracle, "scoped: {src} on {row:?}");
+                let in_row = outcome(compile::eval(&ce, &mut RowEnv(&[row.as_slice()])));
+                match in_row {
+                    // A worker refuses an aggregate leaf it reaches (one a
+                    // short-circuit skips is never reached).
+                    Err(refusal) if !rowlocal => assert!(
+                        refusal.contains("non-row-local expression reached a pool worker"),
+                        "row: {src} on {row:?}: {refusal}"
+                    ),
+                    in_row => assert_eq!(in_row, oracle, "row: {src} on {row:?}"),
+                }
+                let (having, proj) = through_group_env(src, &layout, &level).expect("lowers");
+                assert_eq!(having, oracle, "group (having): {src} on {row:?}");
+                assert_eq!(proj, oracle, "group (projection): {src} on {row:?}");
+            }
+        }
+        assert!(errors >= 20, "the corpus lost its erroring cases ({errors} left)");
+        // A nested aggregate is neither: it keeps the legacy path, where
+        // the interpreter rejects the inner call.
+        let nested = compile(&parse_expr("sum(count(*))").expect("parse"), &layout);
+        assert!(!parallel::is_rowlocal(&nested) && !parallel::is_grouplocal(&nested));
+        let level: Level =
+            vec![Frame { name: "t".into(), columns: Arc::clone(&cols), row: rows[0].clone() }];
+        assert!(through_group_env("sum(count(*))", &layout, &level).is_none());
     }
 }

@@ -145,7 +145,7 @@ mod tests {
     use setrules_storage::Database;
 
     fn ctx_with_threads(db: &Database, threads: usize) -> QueryCtx<'_> {
-        QueryCtx::plain(db).with_threads(threads)
+        QueryCtx { threads, ..QueryCtx::plain(db) }
     }
 
     #[test]
@@ -211,7 +211,7 @@ mod tests {
     fn exchange_records_op_stats_rows() {
         let db = Database::new();
         let ops = crate::stats::OpStatsCell::new();
-        let ctx = QueryCtx::plain(&db).with_threads(8).with_op_stats(Some(&ops));
+        let ctx = QueryCtx { threads: 8, op_stats: Some(&ops), ..QueryCtx::plain(&db) };
         let ex = Exchange::plan(ctx, 100).unwrap();
         let parts = ex.run(ctx, |r| r.len());
         let c = ops.get("exchange");

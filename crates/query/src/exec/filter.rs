@@ -18,8 +18,8 @@ use std::sync::Arc;
 use setrules_sql::ast::Expr;
 use setrules_storage::{TableId, TupleHandle, Value};
 
-use crate::bindings::{Bindings, Frame, Level};
-use crate::compile::{eval_compiled_predicate, CompiledExpr};
+use crate::bindings::{Bindings, Level};
+use crate::compile::{eval_compiled_predicate, holds, CompiledExpr, RowEnv};
 use crate::ctx::QueryCtx;
 use crate::error::QueryError;
 use crate::eval::eval_predicate;
@@ -30,6 +30,17 @@ use super::exchange::Exchange;
 use super::join::JoinExec;
 use super::scan::FromItem;
 use super::{Batches, ExecCx, Executor};
+
+/// The scope level of one assembled combination (`cursor[i]` is the row
+/// index into item `i`).
+fn level_of(items: &[FromItem], cursor: &[usize]) -> Level {
+    items.iter().zip(cursor).map(|(it, &r)| it.frame(it.rows[r].1.clone())).collect()
+}
+
+/// The stored-tuple origins of one combination (select tracing).
+fn origins_of(items: &[FromItem], cursor: &[usize]) -> Vec<(TableId, TupleHandle)> {
+    items.iter().zip(cursor).filter_map(|(it, &r)| it.rows[r].0).collect()
+}
 
 /// Serially evaluate one assembled combination: count it, run the
 /// full predicate, and keep the level (plus origins) on *true*.
@@ -46,16 +57,7 @@ fn consider(
     origins: &mut Vec<Vec<(TableId, TupleHandle)>>,
 ) -> Result<(), QueryError> {
     stats::bump(ctx.stats, |s| s.join_combinations += 1);
-    let level: Level = items
-        .iter()
-        .zip(cursor)
-        .map(|(it, &i)| Frame {
-            name: it.binding.clone(),
-            columns: Arc::clone(&it.columns),
-            row: it.rows[i].1.clone(),
-        })
-        .collect();
-    bindings.push_level(level);
+    bindings.push_level(level_of(items, cursor));
     let keep = match (full_pred, predicate) {
         (Some(cp), _) => eval_compiled_predicate(ctx, bindings, None, cp),
         (None, Some(p)) => eval_predicate(ctx, bindings, None, p),
@@ -65,7 +67,7 @@ fn consider(
     if keep? {
         stats::bump(ctx.stats, |s| s.rows_matched += 1);
         if want_trace {
-            origins.push(items.iter().zip(cursor).filter_map(|(it, &i)| it.rows[i].0).collect());
+            origins.push(origins_of(items, cursor));
         }
         matching.push(level);
     }
@@ -160,22 +162,11 @@ impl<'q> FilterExec<'q> {
                     .zip(items.iter())
                     .map(|(&r, it)| it.rows[r].1.as_slice())
                     .collect();
-                if !parallel::eval_rowlocal_predicate(cp, &frames)? {
+                if !holds(cp, &mut RowEnv(&frames))? {
                     return Ok(None);
                 }
-                let level: Level = items
-                    .iter()
-                    .zip(cursor)
-                    .map(|(it, &r)| Frame {
-                        name: it.binding.clone(),
-                        columns: Arc::clone(&it.columns),
-                        row: it.rows[r].1.clone(),
-                    })
-                    .collect();
-                let orig = want_trace.then(|| {
-                    items.iter().zip(cursor).filter_map(|(it, &r)| it.rows[r].0).collect()
-                });
-                Ok(Some((level, orig)))
+                let orig = want_trace.then(|| origins_of(items, cursor));
+                Ok(Some((level_of(items, cursor), orig)))
             });
             // Merge in partition order: counters first, then the kept
             // levels, stopping at the earliest error — reproducing the

@@ -18,14 +18,13 @@ use std::sync::Arc;
 use setrules_sql::ast::{BinaryOp, Expr, SelectStmt};
 use setrules_storage::{DataType, Value};
 
-use crate::compile::LayoutFrame;
 use crate::ctx::ExecMode;
 use crate::error::QueryError;
 use crate::planner::{build_join_plan, equi_join_edges};
 use crate::stats;
 
 use super::exchange::Exchange;
-use super::scan::{FromItem, ScanExec};
+use super::scan::{items_layout, FromItem, ScanExec};
 use super::{Batches, ExecCx, Executor};
 
 /// Resolve a (possibly qualified) column reference against the from
@@ -154,16 +153,7 @@ impl<'q> JoinExec<'q> {
                 if items.len() == 1 {
                     cursors = (0..items[0].rows.len()).map(|i| vec![i]).collect();
                 } else {
-                    let mut layout = cx.bindings.layout();
-                    layout.push_level(
-                        items
-                            .iter()
-                            .map(|it| LayoutFrame {
-                                name: it.binding.clone(),
-                                columns: Arc::clone(&it.columns),
-                            })
-                            .collect(),
-                    );
+                    let layout = items_layout(cx.bindings, &items);
                     let types: Vec<Vec<DataType>> =
                         items.iter().map(|it| it.types.clone()).collect();
                     let edges = equi_join_edges(stmt.predicate.as_ref(), &layout, &types);

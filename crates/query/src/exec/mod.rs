@@ -81,10 +81,13 @@ pub(crate) mod project;
 pub(crate) mod scan;
 pub(crate) mod sort;
 
+use std::sync::Arc;
+
 use setrules_sql::ast::{SelectItem, SelectStmt, TableSource};
-use setrules_storage::{TableId, TupleHandle, Value};
+use setrules_storage::{DataType, TableId, TupleHandle, Value};
 
 use crate::bindings::Bindings;
+use crate::compile::{compile, Layout, LayoutFrame};
 use crate::ctx::QueryCtx;
 use crate::error::QueryError;
 use crate::planner::{choose_access, equi_join_edges};
@@ -188,16 +191,35 @@ pub(crate) fn is_grouped(stmt: &SelectStmt) -> bool {
         || stmt.having.as_ref().is_some_and(has_aggregate)
 }
 
+/// The plan-time scope of a top-level statement, from schemas alone:
+/// per-item column types, the items' frames, and the layout over them
+/// (top-level statements have no outer scopes, so this *is* the runtime
+/// layout). `None` when a table is unknown.
+fn schema_scope(
+    ctx: QueryCtx<'_>,
+    stmt: &SelectStmt,
+) -> Option<(Vec<Vec<DataType>>, Vec<LayoutFrame>, Layout)> {
+    let mut types = Vec::new();
+    let mut frames = Vec::new();
+    for tref in &stmt.from {
+        let (TableSource::Named(table) | TableSource::Transition { table, .. }) = &tref.source;
+        let schema = ctx.db.schema(ctx.db.table_id(table).ok()?);
+        types.push(schema.columns.iter().map(|c| c.ty).collect());
+        frames.push(LayoutFrame {
+            name: tref.binding_name().to_string(),
+            columns: Arc::new(schema.columns.iter().map(|c| c.name.clone()).collect()),
+        });
+    }
+    let mut layout = Layout::new();
+    layout.push_level(frames.clone());
+    Some((types, frames, layout))
+}
+
 /// Whether a grouped statement lowers to the two-phase aggregation
 /// program against the schema-derived layout — the plan-time view of
-/// [`aggregate::group_program`] (top-level statements have no outer
-/// scopes, so the schema layout *is* the runtime layout).
-fn two_phase_eligible(
-    stmt: &SelectStmt,
-    layout: &crate::compile::Layout,
-    frames: &[crate::compile::LayoutFrame],
-) -> bool {
-    let cols: Vec<(&str, &std::sync::Arc<Vec<String>>)> =
+/// [`aggregate::group_program`].
+fn two_phase_eligible(stmt: &SelectStmt, layout: &Layout, frames: &[LayoutFrame]) -> bool {
+    let cols: Vec<(&str, &Arc<Vec<String>>)> =
         frames.iter().map(|f| (f.name.as_str(), &f.columns)).collect();
     let Ok(proj) = project::expand_wildcards_cols(stmt, &cols) else { return false };
     aggregate::group_program(stmt, layout, &proj).is_some()
@@ -220,25 +242,7 @@ pub(crate) fn parallel_stages(ctx: QueryCtx<'_>, stmt: &SelectStmt) -> Option<Ve
     {
         return None;
     }
-    let mut types = Vec::new();
-    let mut frames = Vec::new();
-    for tref in &stmt.from {
-        let table_name = match &tref.source {
-            TableSource::Named(name) => name,
-            TableSource::Transition { table, .. } => table,
-        };
-        let Ok(tid) = ctx.db.table_id(table_name) else { return None };
-        let schema = ctx.db.schema(tid);
-        types.push(schema.columns.iter().map(|c| c.ty).collect::<Vec<_>>());
-        frames.push(crate::compile::LayoutFrame {
-            name: tref.binding_name().to_string(),
-            columns: std::sync::Arc::new(
-                schema.columns.iter().map(|c| c.name.clone()).collect::<Vec<_>>(),
-            ),
-        });
-    }
-    let mut layout = crate::compile::Layout::new();
-    layout.push_level(frames.clone());
+    let (types, frames, layout) = schema_scope(ctx, stmt)?;
     let mut stages = Vec::new();
     if stmt.from.len() > 1
         && !equi_join_edges(stmt.predicate.as_ref(), &layout, &types).is_empty()
@@ -246,7 +250,7 @@ pub(crate) fn parallel_stages(ctx: QueryCtx<'_>, stmt: &SelectStmt) -> Option<Ve
         stages.push("join");
     }
     if let Some(p) = stmt.predicate.as_ref() {
-        if crate::parallel::is_rowlocal(&crate::compile::compile(p, &layout)) {
+        if crate::parallel::is_rowlocal(&compile(p, &layout)) {
             stages.push("where");
         }
     }
@@ -293,34 +297,20 @@ pub(crate) fn plan_ops(ctx: QueryCtx<'_>, stmt: &SelectStmt) -> Option<Vec<Strin
         return Some(ops);
     }
 
+    let (types, frames, layout) = schema_scope(ctx, stmt)?;
     let sole = stmt.from.len() == 1;
     let mut ops = Vec::new();
-    let mut types = Vec::new();
-    let mut frames = Vec::new();
     for tref in &stmt.from {
         let binding = tref.binding_name();
-        let (table_name, named) = match &tref.source {
-            TableSource::Named(name) => (name, true),
-            TableSource::Transition { table, .. } => (table, false),
-        };
-        let Ok(tid) = ctx.db.table_id(table_name) else { return None };
-        let schema = ctx.db.schema(tid);
-        if named {
-            let access = choose_access(ctx, tid, binding, sole, stmt.predicate.as_ref());
-            ops.push(format!("{}({binding})", scan::access_op_name(&access)));
-        } else {
-            ops.push(format!("transition-scan({binding})"));
+        match &tref.source {
+            TableSource::Named(name) => {
+                let tid = ctx.db.table_id(name).ok()?;
+                let access = choose_access(ctx, tid, binding, sole, stmt.predicate.as_ref());
+                ops.push(format!("{}({binding})", scan::access_op_name(&access)));
+            }
+            TableSource::Transition { .. } => ops.push(format!("transition-scan({binding})")),
         }
-        types.push(schema.columns.iter().map(|c| c.ty).collect::<Vec<_>>());
-        frames.push(crate::compile::LayoutFrame {
-            name: binding.to_string(),
-            columns: std::sync::Arc::new(
-                schema.columns.iter().map(|c| c.name.clone()).collect::<Vec<_>>(),
-            ),
-        });
     }
-    let mut layout = crate::compile::Layout::new();
-    layout.push_level(frames.clone());
     if stmt.from.len() > 1 {
         // The greedy join plan places every item; once any equi-edge
         // exists, the step that places that edge's second endpoint is a

@@ -16,13 +16,13 @@ use setrules_sql::ast::{Expr, SelectItem, SelectStmt};
 use setrules_storage::{TableId, TupleHandle};
 
 use crate::bindings::Level;
-use crate::compile::{compile, eval_compiled, CompiledExpr, LayoutFrame};
+use crate::compile::{compile, eval_compiled, CompiledExpr};
 use crate::ctx::ExecMode;
 use crate::error::QueryError;
 use crate::eval::eval_expr;
 
 use super::filter::FilterExec;
-use super::scan::FromItem;
+use super::scan::{items_layout, FromItem};
 use super::{Batches, ExecCx, Executor, KeyedRow, RowSource};
 
 /// Expand the projection's wildcards against the materialized items,
@@ -111,18 +111,8 @@ impl<'q> ProjectExec<'q> {
         self.proj = expand_wildcards(self.stmt, items)?;
         self.columns = self.proj.iter().map(|(_, n)| n.clone()).collect();
         if cx.ctx.mode == ExecMode::Compiled {
-            // The same scope layout the filter evaluated in: the outer
-            // scopes plus one innermost level holding this query's items.
-            let mut layout = cx.bindings.layout();
-            layout.push_level(
-                items
-                    .iter()
-                    .map(|it| LayoutFrame {
-                        name: it.binding.clone(),
-                        columns: Arc::clone(&it.columns),
-                    })
-                    .collect(),
-            );
+            // The same scope layout the filter evaluated in.
+            let layout = items_layout(cx.bindings, items);
             self.compiled_proj = Some((
                 self.proj.iter().map(|(e, _)| compile(e, &layout)).collect(),
                 self.stmt.order_by.iter().map(|(e, _)| compile(e, &layout)).collect(),

@@ -13,13 +13,16 @@
 //! kept rows in partition order — exactly the serial handle-order walk
 //! (see [`crate::exec::exchange`] for the determinism argument).
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use setrules_sql::ast::TransitionKind;
 use setrules_storage::{DataType, TableId, TupleHandle, Value};
 
-use crate::bindings::Frame;
-use crate::compile::{eval_compiled_predicate, CompiledExpr};
+use crate::bindings::{Bindings, Frame};
+use crate::compile::{
+    eval_compiled_predicate, holds, CompiledExpr, Layout, LayoutFrame, RowEnv,
+};
 use crate::error::QueryError;
 use crate::parallel;
 use crate::planner::{scan_handles, Access};
@@ -40,6 +43,26 @@ pub(crate) struct FromItem {
     pub(crate) rows: Vec<ScanRow>,
 }
 
+impl FromItem {
+    /// A scope frame over this item holding `row`.
+    pub(crate) fn frame(&self, row: Vec<Value>) -> Frame {
+        Frame { name: self.binding.clone(), columns: Arc::clone(&self.columns), row }
+    }
+}
+
+/// The scope the operators above the scans compile against: the outer
+/// scopes plus one innermost level holding this query's items.
+pub(crate) fn items_layout(outer: &Bindings, items: &[FromItem]) -> Layout {
+    let mut layout = outer.layout();
+    layout.push_level(
+        items
+            .iter()
+            .map(|it| LayoutFrame { name: it.binding.clone(), columns: Arc::clone(&it.columns) })
+            .collect(),
+    );
+    layout
+}
+
 /// Where a [`ScanExec`] reads from.
 pub(crate) enum ScanSource<'q> {
     /// A stored table through its chosen access path.
@@ -58,6 +81,14 @@ pub(crate) enum ScanSource<'q> {
         /// Restrict to tuples whose column was updated/selected.
         column: Option<&'q str>,
     },
+}
+
+/// The scan prefilter over pushed-down row-local conjuncts: drop `row`
+/// only on a definite non-`true`; an erroring conjunct keeps it, so the
+/// full predicate raises the error (or a hash step shows the combination
+/// never forms). Never errors.
+pub(crate) fn admits(conjs: &[CompiledExpr], row: &[Value]) -> bool {
+    conjs.iter().all(|cc| !matches!(holds(cc, &mut RowEnv(&[row])), Ok(false)))
 }
 
 /// The display name a scan over `access` gets (also used by the `plan:`
@@ -116,14 +147,17 @@ impl<'q> ScanExec<'q> {
         self
     }
 
-    /// Materialize the item, filtering through the pushed conjuncts. This
-    /// is the historical scan phase moved wholesale: every stats bump,
-    /// parallel-eligibility gate, and drop-only-on-definite-`Ok(false)`
-    /// rule is unchanged.
+    /// Materialize the item, filtering through the pushed conjuncts.
+    /// Row-local conjuncts run in the row environment while the rows are
+    /// fetched (exchanged across the pool when the scan is big enough), so
+    /// only survivors are ever cloned; conjuncts that reach outer scopes
+    /// run afterwards in the scoped environment. Either way a row is
+    /// dropped only on a definite non-`true` — see [`admits`].
     fn open(&mut self, cx: &mut ExecCx<'_, '_>) -> Result<Vec<ScanRow>, QueryError> {
         let ctx = cx.ctx;
         let conjs = &self.conjs;
-        let mut prefiltered = false;
+        let local = conjs.iter().all(parallel::is_rowlocal);
+        let mut dropped = 0u64;
         let mut rows: Vec<ScanRow> = match &self.source {
             ScanSource::Named { tid, access } => {
                 stats::bump(ctx.stats, |s| match access {
@@ -138,113 +172,67 @@ impl<'q> ScanExec<'q> {
                     stats::bump(ctx.stats, |s| s.range_rows_skipped += skipped);
                 }
                 stats::bump(ctx.stats, |s| s.rows_scanned += handles.len() as u64);
-                let ex = Exchange::plan(ctx, handles.len());
-                let rowlocal = conjs.iter().all(parallel::is_rowlocal);
-                if let (Some(ex), true) = (&ex, rowlocal) {
-                    prefiltered = true;
-                    let db = ctx.db;
-                    let tid = *tid;
-                    let handles = &handles;
-                    let chunks = ex.run(ctx, |range| {
-                        let mut kept: Vec<ScanRow> = Vec::with_capacity(range.end - range.start);
-                        let mut dropped = 0u64;
-                        for &h in &handles[range] {
-                            let t = db.get(tid, h).expect("scanned handle is live");
-                            // Drop only on a definite non-`true` (the
-                            // same rule as the serial path below).
-                            let keep = conjs.iter().all(|cc| {
-                                !matches!(
-                                    parallel::eval_rowlocal_predicate(cc, &[t.0.as_slice()]),
-                                    Ok(false)
-                                )
-                            });
-                            if keep {
-                                kept.push((Some((tid, h)), t.0.clone()));
-                            } else {
-                                dropped += 1;
-                            }
-                        }
-                        (kept, dropped)
-                    });
-                    let dropped: u64 = chunks.iter().map(|(_, d)| *d).sum();
-                    stats::bump(ctx.stats, |s| s.pushdown_filtered += dropped);
-                    let mut merged = Vec::with_capacity(chunks.iter().map(|(k, _)| k.len()).sum());
-                    for (kept, _) in chunks {
-                        merged.extend(kept);
-                    }
-                    merged
-                } else {
-                    if ex.is_some() && !conjs.is_empty() {
-                        Exchange::serial_fallback(ctx);
-                    }
-                    handles
-                        .into_iter()
-                        .map(|h| {
-                            let t = ctx.db.get(*tid, h).expect("scanned handle is live");
-                            (Some((*tid, h)), t.0.clone())
-                        })
-                        .collect()
-                }
-            }
-            ScanSource::Transition { kind, table, column } => {
-                let lent = ctx.virt.rows(ctx.db, *kind, table, *column)?;
-                stats::bump(ctx.stats, |s| s.rows_scanned += lent.len() as u64);
-                if !conjs.is_empty() && conjs.iter().all(parallel::is_rowlocal) {
-                    // Filter the borrowed rows first so only survivors are
-                    // ever cloned into owned scan rows. Drop only on a
-                    // definite non-`true` (same rule as the serial filter
-                    // below — errors defer to the full predicate).
-                    prefiltered = true;
-                    let mut kept: Vec<ScanRow> = Vec::new();
+                let (db, tid, handles) = (ctx.db, *tid, &handles);
+                let fetch = |range: Range<usize>| {
+                    let mut kept: Vec<ScanRow> = Vec::with_capacity(range.len());
                     let mut dropped = 0u64;
-                    for vals in lent {
-                        let keep = conjs.iter().all(|cc| {
-                            !matches!(
-                                parallel::eval_rowlocal_predicate(cc, &[vals.as_ref()]),
-                                Ok(false)
-                            )
-                        });
-                        if keep {
-                            kept.push((None, vals.into_owned()));
+                    for &h in &handles[range] {
+                        let t = db.get(tid, h).expect("scanned handle is live");
+                        if !local || admits(conjs, &t.0) {
+                            kept.push((Some((tid, h)), t.0.clone()));
                         } else {
                             dropped += 1;
                         }
                     }
-                    stats::bump(ctx.stats, |s| s.pushdown_filtered += dropped);
-                    kept
-                } else {
-                    lent.into_iter().map(|vals| (None, vals.into_owned())).collect()
+                    (kept, dropped)
+                };
+                let chunks = match Exchange::plan(ctx, handles.len()) {
+                    Some(ex) if local => ex.run(ctx, fetch),
+                    ex => {
+                        if ex.is_some() {
+                            Exchange::serial_fallback(ctx);
+                        }
+                        vec![fetch(0..handles.len())]
+                    }
+                };
+                let mut merged = Vec::with_capacity(chunks.iter().map(|(k, _)| k.len()).sum());
+                for (kept, d) in chunks {
+                    merged.extend(kept);
+                    dropped += d;
                 }
+                merged
+            }
+            ScanSource::Transition { kind, table, column } => {
+                let lent = ctx.virt.rows(ctx.db, *kind, table, *column)?;
+                stats::bump(ctx.stats, |s| s.rows_scanned += lent.len() as u64);
+                let mut kept: Vec<ScanRow> = Vec::with_capacity(lent.len());
+                for vals in lent {
+                    if !local || admits(conjs, &vals) {
+                        kept.push((None, vals.into_owned()));
+                    } else {
+                        dropped += 1;
+                    }
+                }
+                kept
             }
         };
-        if !prefiltered && !conjs.is_empty() {
-            let mut kept = Vec::with_capacity(rows.len());
-            for row in rows {
+        if !local {
+            let fetched = rows.len();
+            rows.retain(|row| {
                 cx.bindings.push_level(vec![Frame {
                     name: self.binding.clone(),
                     columns: Arc::clone(&self.columns),
                     row: row.1.clone(),
                 }]);
-                let mut keep = true;
-                for cc in conjs {
-                    // Drop only on a definite non-`true`; keep on error so
-                    // the full predicate raises it (or a hash step shows
-                    // the combination never forms, as the historical
-                    // 2-way hash path already allowed).
-                    if matches!(eval_compiled_predicate(ctx, cx.bindings, None, cc), Ok(false)) {
-                        keep = false;
-                        break;
-                    }
-                }
+                let keep = conjs.iter().all(|cc| {
+                    !matches!(eval_compiled_predicate(ctx, cx.bindings, None, cc), Ok(false))
+                });
                 cx.bindings.pop_level();
-                if keep {
-                    kept.push(row);
-                } else {
-                    stats::bump(ctx.stats, |s| s.pushdown_filtered += 1);
-                }
-            }
-            rows = kept;
+                keep
+            });
+            dropped += (fetched - rows.len()) as u64;
         }
+        stats::bump(ctx.stats, |s| s.pushdown_filtered += dropped);
         Ok(rows)
     }
 }

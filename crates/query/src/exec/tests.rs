@@ -22,7 +22,7 @@ use super::sort::{DistinctExec, LimitExec, SortExec};
 use super::*;
 use crate::planner::Access;
 use crate::stats::{OpStatsCell, StatsCell};
-use crate::{execute_op, ExecMode, NoTransitionTables};
+use crate::{execute_op, ExecMode, ExecOpts, NoTransitionTables};
 
 #[test]
 fn batches_iterator_contract() {
@@ -199,7 +199,8 @@ fn sort_topk_gate_and_tiebreak_match_the_full_sort() {
         let mut bindings = Bindings::new();
         let st = StatsCell::new();
         let ops = OpStatsCell::new();
-        let ctx = QueryCtx::plain(&db).with_stats(Some(&st)).with_op_stats(Some(&ops));
+        let ctx =
+            QueryCtx { stats: Some(&st), op_stats: Some(&ops), ..QueryCtx::plain(&db) };
         let mut cx = ExecCx { ctx, bindings: &mut bindings };
         let src = StubSource::new(vec![rows.clone()]);
         let mut op = SortExec::new(Box::new(src), &stmt.order_by, limit);
@@ -271,7 +272,7 @@ fn tail_operators_account_their_work_per_operator() {
     let stmt = sel_stmt("select v from t order by v");
     let mut bindings = Bindings::new();
     let ops = OpStatsCell::new();
-    let ctx = QueryCtx::plain(&db).with_op_stats(Some(&ops));
+    let ctx = QueryCtx { op_stats: Some(&ops), ..QueryCtx::plain(&db) };
     let mut cx = ExecCx { ctx, bindings: &mut bindings };
     // stub(5 rows in 2 batches) -> sort -> limit 3, re-batched at 2.
     let src = StubSource::new(vec![vec![kr(2, 0), kr(1, 1)], vec![kr(3, 2), kr(1, 3), kr(2, 4)]]);
@@ -305,7 +306,7 @@ fn test_db() -> Database {
     .unwrap();
     let mut exec = |sql: &str| {
         let Statement::Dml(op) = parse_statement(sql).unwrap() else { panic!() };
-        execute_op(&mut db, &NoTransitionTables, &op).unwrap();
+        execute_op(&mut db, &NoTransitionTables, &op, &ExecOpts::default()).unwrap();
     };
     exec("insert into t1 values (1, 10), (2, 20), (3, 30), (2, 21), (NULL, 40)");
     exec("insert into t2 values (1, 100), (2, 200), (4, 400)");
@@ -325,7 +326,7 @@ fn run_tiny(
     mode: ExecMode,
     n: usize,
 ) -> Result<(Vec<String>, Vec<Vec<Value>>), QueryError> {
-    let ctx = QueryCtx::plain(db).with_mode(mode);
+    let ctx = QueryCtx { mode, ..QueryCtx::plain(db) };
     let mut bindings = Bindings::new();
     let mut scans = Vec::new();
     let mut frames = Vec::new();
@@ -471,7 +472,7 @@ fn aggregate_op_stats_labels_follow_the_path() {
     let stmt = sel_stmt("select a, count(*) from t1 group by a");
     for (mode, two_phase) in [(ExecMode::Compiled, true), (ExecMode::Interpreted, false)] {
         let ops = OpStatsCell::new();
-        crate::execute_query_ext(
+        crate::execute_query(
             &db,
             &NoTransitionTables,
             &stmt,

@@ -323,7 +323,8 @@ mod tests {
         db.create_table(dept).unwrap();
         let mut exec = |sql: &str| {
             let Statement::Dml(op) = parse_statement(sql).unwrap() else { panic!() };
-            crate::execute_op(&mut db, &crate::provider::NoTransitionTables, &op).unwrap()
+            let virt = crate::provider::NoTransitionTables;
+            crate::execute_op(&mut db, &virt, &op, &Default::default()).unwrap()
         };
         exec("insert into emp values ('a', 1, 100.0, 1), ('b', 2, 300.0, 2)");
         exec("insert into dept values (1, 1)");

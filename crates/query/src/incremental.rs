@@ -87,7 +87,7 @@ use setrules_sql::ast::{
 };
 use setrules_storage::{DataType, Database, TableId, TupleHandle, Value};
 
-use crate::compile::{compile, CompiledExpr, Layout, LayoutFrame};
+use crate::compile::{compile, holds, CompiledExpr, Layout, LayoutFrame, RowEnv};
 use crate::error::QueryError;
 use crate::eval;
 use crate::parallel;
@@ -264,13 +264,9 @@ pub struct ViewScan {
 }
 
 impl ViewScan {
-    /// Does the compiled scan keep `row`? Mirrors the scan prefilter
-    /// exactly: drop only on a definite `Ok(false)`; errors keep the row
-    /// (they defer to the full predicate). Never errors.
+    /// Does the compiled scan keep `row`? This *is* the scan prefilter.
     pub fn admits(&self, row: &[Value]) -> bool {
-        self.conjs.iter().all(|cc| {
-            !matches!(parallel::eval_rowlocal_predicate(cc, &[row]), Ok(false))
-        })
+        crate::exec::scan::admits(&self.conjs, row)
     }
 
     fn describe(&self) -> String {
@@ -345,7 +341,7 @@ impl IncTerm {
         }
         match pred {
             None => Ok(true),
-            Some(p) => parallel::eval_rowlocal_predicate(p, &[row]),
+            Some(p) => holds(p, &mut RowEnv(&[row])),
         }
     }
 
@@ -361,7 +357,7 @@ impl IncTerm {
             return Ok(None);
         }
         if let Some(p) = pred {
-            if !parallel::eval_rowlocal_predicate(p, &[row])? {
+            if !holds(p, &mut RowEnv(&[row]))? {
                 return Ok(None);
             }
         }
@@ -404,7 +400,7 @@ impl IncTerm {
         let TermKind::Join { pred, .. } = &self.kind else {
             return Err(QueryError::Type(format!("internal: {}", "probe_join_pair on non-join term")));
         };
-        parallel::eval_rowlocal_predicate(pred, &[lrow, rrow])
+        holds(pred, &mut RowEnv(&[lrow, rrow]))
     }
 
     /// The term's three-valued truth over its memo, or a dynamic degrade.
@@ -1134,19 +1130,6 @@ fn resolve_view(
     ))
 }
 
-/// The single-frame layout a one-view subquery (or one scan of a
-/// two-view subquery) evaluates in.
-fn frame_layout(db: &Database, binding: &str, tid: TableId) -> Layout {
-    let mut layout = Layout::new();
-    layout.push_level(vec![LayoutFrame {
-        name: binding.to_string(),
-        columns: Arc::new(
-            db.schema(tid).columns.iter().map(|c| c.name.clone()).collect::<Vec<_>>(),
-        ),
-    }]);
-    layout
-}
-
 fn analyze_term(
     db: &Database,
     sub: &SelectStmt,
@@ -1179,7 +1162,7 @@ fn analyze_single(
     truth: TermTruth,
 ) -> Result<IncTerm, FallbackReason> {
     let (mut view, tid) = resolve_view(db, &sub.from[0], licensed)?;
-    let layout = frame_layout(db, &view.binding, tid);
+    let layout = Layout::of_table(db, tid, &view.binding).1;
     let pred = match &sub.predicate {
         None => None,
         Some(p) => {
@@ -1339,8 +1322,8 @@ fn analyze_join(
             continue;
         }
         match target {
-            Some(0) => left.conjs.push(compile(c, &frame_layout(db, &left.binding, ltid))),
-            Some(1) => right.conjs.push(compile(c, &frame_layout(db, &right.binding, rtid))),
+            Some(0) => left.conjs.push(compile(c, &Layout::of_table(db, ltid, &left.binding).1)),
+            Some(1) => right.conjs.push(compile(c, &Layout::of_table(db, rtid, &right.binding).1)),
             _ => {}
         }
     }

@@ -46,10 +46,7 @@ pub use compile::{
     LayoutFrame, PlanCache,
 };
 pub use ctx::{ExecMode, QueryCtx, SubqueryCache};
-pub use dml::{
-    execute_op, execute_op_ext, execute_op_with_opts, execute_op_with_stats, execute_query,
-    execute_query_ext, execute_query_with_opts, execute_query_with_stats, ExecOpts, OpEffect,
-};
+pub use dml::{execute_op, execute_query, ExecOpts, OpEffect};
 pub use error::QueryError;
 pub use eval::{eval_expr, eval_predicate, truth};
 pub use explain::{explain_condition, explain_select};

@@ -1,5 +1,4 @@
-//! Row-locality analysis and worker-side evaluation for deterministic
-//! intra-query parallelism.
+//! Row-locality: which compiled trees may leave the serial environment.
 //!
 //! Partitioned dispatch itself lives in the exchange operator
 //! ([`crate::exec::exchange`]): every parallel phase plans an
@@ -7,27 +6,26 @@
 //! partitioning on the process-wide [`setrules_exec::WorkerPool`], the
 //! partition-order merge, and the parallelism counters. This module
 //! keeps what the exchange's *callers* need to decide whether an
-//! expression may cross threads at all, and to evaluate it on a worker:
+//! expression may cross threads at all.
 //!
 //! # Row-locality (the serial-fallback rule)
 //!
 //! Workers never see a [`crate::QueryCtx`]: the shared subquery memo
 //! (`RefCell`), the stats cell (`Cell`), and the plan cache are all
-//! single-threaded interior mutability. A predicate may cross threads
-//! only when it is *row-local* ([`is_rowlocal`]) — compiled to
-//! slots-only form with every slot addressing the innermost scope (no
-//! correlated/outer references, no subqueries, no interpreter fallback).
-//! Anything else runs serially; when such a phase was big enough to
-//! exchange otherwise, the caller counts a `serial_fallbacks` tick
+//! single-threaded interior mutability. There is one evaluator
+//! (`compile::eval`); what a worker gets is a smaller *environment* for
+//! it — `compile::RowEnv`, the current row(s) and nothing else. A tree
+//! may run there only when it is *row-local* (`is_rowlocal`): every
+//! slot addresses the innermost scope and no node needs a hook the row
+//! environment lacks (no correlated/outer references, no subqueries, no
+//! aggregates, no interpreter fallback). Anything else runs serially in
+//! the scoped environment; when such a phase was big enough to exchange
+//! otherwise, the caller counts a `serial_fallbacks` tick
 //! (`Exchange::serial_fallback`) so the fallback is observable.
 
 use setrules_exec::WorkerPool;
-use setrules_sql::ast::BinaryOp;
-use setrules_storage::Value;
 
 use crate::compile::CompiledExpr;
-use crate::error::QueryError;
-use crate::eval;
 
 /// Minimum number of items (rows, combinations, build/probe entries) a
 /// phase must have before it is worth handing to the pool — the size half
@@ -44,113 +42,32 @@ pub(crate) fn pool() -> &'static WorkerPool {
     WorkerPool::global()
 }
 
-/// Whether `e` may be evaluated on a worker with nothing but the current
-/// row(s): slots-only (no subqueries, no interpreter fallback) and every
-/// slot addressing the innermost scope (`level_up == 0`).
+/// Whether `e` may be evaluated in a [`crate::compile::RowEnv`] — with
+/// nothing but the current row(s).
 pub(crate) fn is_rowlocal(e: &CompiledExpr) -> bool {
-    if !e.slots_only() {
-        return false;
-    }
-    let mut local = true;
-    e.for_each_slot(&mut |level_up, _, _| {
-        if level_up != 0 {
-            local = false;
-        }
-    });
-    local
+    local(e, false)
 }
 
-/// Evaluate a row-local expression against the innermost-scope frames
-/// (`frames[f][c]` is slot `(0, f, c)`).
-///
-/// This mirrors [`crate::compile::eval_compiled`] node for node —
-/// including Kleene short-circuiting of `AND`/`OR` — restricted to the
-/// variants [`is_rowlocal`] admits, so a row-local evaluation on a worker
-/// returns bit-identical values and errors to the serial path.
-pub(crate) fn eval_rowlocal(
-    e: &CompiledExpr,
-    frames: &[&[Value]],
-) -> Result<Value, QueryError> {
+/// Whether `e` may be evaluated per group by the two-phase aggregation:
+/// row-local except for aggregate calls, whose arguments are row-local.
+pub(crate) fn is_grouplocal(e: &CompiledExpr) -> bool {
+    local(e, true)
+}
+
+fn local(e: &CompiledExpr, aggs: bool) -> bool {
     match e {
-        CompiledExpr::Const(v) => Ok(v.clone()),
-        CompiledExpr::Slot { level_up, frame, col } => frames
-            .get(*frame)
-            .and_then(|f| f.get(*col))
-            .cloned()
-            .ok_or_else(|| {
-                QueryError::Type(format!(
-                    "internal: row-local slot ({level_up}, {frame}, {col}) \
-                     out of range for {} frames",
-                    frames.len()
-                ))
-            }),
-        CompiledExpr::Unary { op, expr } => {
-            let v = eval_rowlocal(expr, frames)?;
-            eval::apply_unary(*op, &v)
-        }
-        CompiledExpr::Binary { left, op, right } => {
-            if matches!(op, BinaryOp::And | BinaryOp::Or) {
-                let l = eval::truth(&eval_rowlocal(left, frames)?)?;
-                match (op, l) {
-                    (BinaryOp::And, Some(false)) => return Ok(Value::Bool(false)),
-                    (BinaryOp::Or, Some(true)) => return Ok(Value::Bool(true)),
-                    _ => {}
-                }
-                let r = eval::truth(&eval_rowlocal(right, frames)?)?;
-                let out = match op {
-                    BinaryOp::And => eval::kleene_and(l, r),
-                    _ => eval::kleene_or(l, r),
-                };
-                return Ok(out.map_or(Value::Null, Value::Bool));
-            }
-            let l = eval_rowlocal(left, frames)?;
-            let r = eval_rowlocal(right, frames)?;
-            eval::apply_binary(&l, *op, &r)
-        }
-        CompiledExpr::IsNull { expr, negated } => {
-            let v = eval_rowlocal(expr, frames)?;
-            Ok(Value::Bool(v.is_null() != *negated))
-        }
-        CompiledExpr::InList { expr, list, negated } => {
-            let needle = eval_rowlocal(expr, frames)?;
-            let mut vals = Vec::with_capacity(list.len());
-            for item in list {
-                vals.push(eval_rowlocal(item, frames)?);
-            }
-            eval::in_semantics(&needle, vals.iter(), *negated)
-        }
-        CompiledExpr::Between { expr, low, high, negated } => {
-            let v = eval_rowlocal(expr, frames)?;
-            let lo = eval_rowlocal(low, frames)?;
-            let hi = eval_rowlocal(high, frames)?;
-            eval::between_semantics(&v, &lo, &hi, *negated)
-        }
-        CompiledExpr::Like { expr, pattern, escape, negated } => {
-            let v = eval_rowlocal(expr, frames)?;
-            let p = eval_rowlocal(pattern, frames)?;
-            let esc = match escape {
-                Some(ex) => Some(eval_rowlocal(ex, frames)?),
-                None => None,
-            };
-            eval::like_semantics(&v, &p, esc.as_ref(), *negated)
-        }
+        CompiledExpr::Slot { level_up, .. } => *level_up == 0,
+        CompiledExpr::Agg { arg, .. } => aggs && arg.as_deref().is_none_or(is_rowlocal),
         CompiledExpr::InSubquery { .. }
         | CompiledExpr::Exists { .. }
         | CompiledExpr::ScalarSubquery(_)
-        | CompiledExpr::Interp(_) => Err(QueryError::Type(
-            "internal: non-row-local expression reached a pool worker".into(),
-        )),
+        | CompiledExpr::Interp(_) => false,
+        _ => {
+            let mut ok = true;
+            e.for_each_child(&mut |c| ok = ok && local(c, aggs));
+            ok
+        }
     }
-}
-
-/// [`eval_rowlocal`] with SQL `where` truth semantics (row qualifies only
-/// on *true*).
-pub(crate) fn eval_rowlocal_predicate(
-    e: &CompiledExpr,
-    frames: &[&[Value]],
-) -> Result<bool, QueryError> {
-    let v = eval_rowlocal(e, frames)?;
-    Ok(eval::truth(&v)? == Some(true))
 }
 
 // The parallel phases share plain references across threads; keep the
@@ -158,80 +75,29 @@ pub(crate) fn eval_rowlocal_predicate(
 #[allow(dead_code)]
 fn assert_shared_types_are_sync() {
     fn sync<T: Send + Sync>() {}
-    sync::<Value>();
+    sync::<setrules_storage::Value>();
     sync::<CompiledExpr>();
-    sync::<QueryError>();
+    sync::<crate::error::QueryError>();
     sync::<setrules_storage::Database>();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bindings::{Bindings, Frame};
-    use crate::compile::{compile, eval_compiled, Layout, LayoutFrame};
-    use crate::ctx::QueryCtx;
+    use crate::compile::{compile, Layout, LayoutFrame};
     use setrules_sql::parse_expr;
-    use setrules_storage::Database;
     use std::sync::Arc;
-
-    fn frames_layout() -> (Layout, Arc<Vec<String>>) {
-        let cols: Arc<Vec<String>> =
-            Arc::new(vec!["a".into(), "b".into(), "name".into()]);
-        let mut layout = Layout::new();
-        layout.push_level(vec![LayoutFrame { name: "t".into(), columns: Arc::clone(&cols) }]);
-        (layout, cols)
-    }
-
-    #[test]
-    fn rowlocal_eval_matches_compiled_eval() {
-        let (layout, cols) = frames_layout();
-        let db = Database::new();
-        let rows: Vec<Vec<Value>> = vec![
-            vec![Value::Int(1), Value::Float(2.5), Value::Text("ab".into())],
-            vec![Value::Int(-3), Value::Float(f64::NAN), Value::Null],
-            vec![Value::Null, Value::Float(-0.0), Value::Text("%x_".into())],
-            vec![Value::Int(0), Value::Float(1e300), Value::Text("".into())],
-        ];
-        let exprs = [
-            "a + 1 > 0 and b < 10.0",
-            "a is null or name like 'a%'",
-            "a in (1, -3, null)",
-            "b between -1.0 and 3.0",
-            "not (a = 0) or name = ''",
-            "a / 0 = 1",
-            "b + a > 0.0",
-        ];
-        for src in exprs {
-            let ast = parse_expr(src).expect("parse");
-            let ce = compile(&ast, &layout);
-            assert!(is_rowlocal(&ce), "{src} should be row-local");
-            for row in &rows {
-                let serial = {
-                    let mut b = Bindings::new();
-                    b.push_level(vec![Frame {
-                        name: "t".into(),
-                        columns: Arc::clone(&cols),
-                        row: row.clone(),
-                    }]);
-                    eval_compiled(QueryCtx::plain(&db), &mut b, None, &ce)
-                };
-                let local = eval_rowlocal(&ce, &[row.as_slice()]);
-                match (serial, local) {
-                    (Ok(a), Ok(b)) => assert_eq!(a, b, "{src} on {row:?}"),
-                    (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{src}"),
-                    (a, b) => panic!("{src} diverged on {row:?}: {a:?} vs {b:?}"),
-                }
-            }
-        }
-    }
 
     #[test]
     fn subqueries_are_not_rowlocal() {
-        let (layout, _) = frames_layout();
+        let mut layout = Layout::new();
+        layout.push_level(vec![LayoutFrame {
+            name: "t".into(),
+            columns: Arc::new(vec!["a".into(), "b".into(), "name".into()]),
+        }]);
         let ast = parse_expr("a in (select a from t)").expect("parse");
         assert!(!is_rowlocal(&compile(&ast, &layout)));
         let agg = parse_expr("count(*) > 0").expect("parse");
         assert!(!is_rowlocal(&compile(&agg, &layout)));
     }
-
 }

@@ -154,9 +154,8 @@ impl ExecStats {
 
 /// A shared, interior-mutable accumulator for [`ExecStats`].
 ///
-/// Attach one to a [`crate::QueryCtx`] with
-/// [`QueryCtx::with_stats`](crate::QueryCtx::with_stats); every executor
-/// path consulting that context adds its work here.
+/// Attach one through [`crate::ExecOpts::stats`]; every executor path
+/// consulting the statement's context adds its work here.
 #[derive(Debug, Default)]
 pub struct StatsCell {
     inner: Cell<ExecStats>,
@@ -212,11 +211,9 @@ pub struct OpCounters {
 }
 
 /// A shared, interior-mutable per-operator counter map, keyed by operator
-/// name (`"seq-scan"`, `"hash-join"`, `"filter"`, …). Attach one to a
-/// [`crate::QueryCtx`] with
-/// [`QueryCtx::with_op_stats`](crate::QueryCtx::with_op_stats); every
-/// operator of the [`crate::exec`] tree records into it. `BTreeMap` keeps
-/// iteration order deterministic.
+/// name (`"seq-scan"`, `"hash-join"`, `"filter"`, …). Attach one through
+/// [`crate::ExecOpts::op_stats`]; every operator of the [`crate::exec`]
+/// tree records into it. `BTreeMap` keeps iteration order deterministic.
 #[derive(Debug, Default)]
 pub struct OpStatsCell {
     inner: RefCell<BTreeMap<&'static str, OpCounters>>,

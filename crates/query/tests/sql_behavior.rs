@@ -2,7 +2,9 @@
 //! and ordering, nested subqueries, joins with wildcards, and edge cases
 //! the unit tests don't reach.
 
-use setrules_query::{execute_op, execute_query, NoTransitionTables, QueryError, Relation};
+use setrules_query::{
+    execute_op, execute_query, ExecOpts, NoTransitionTables, QueryError, Relation,
+};
 use setrules_sql::ast::{DmlOp, Statement};
 use setrules_sql::parse_statement;
 use setrules_storage::{Database, Value};
@@ -26,21 +28,21 @@ fn setup() -> Database {
 
 fn run(db: &mut Database, sql: &str) {
     let Statement::Dml(op) = parse_statement(sql).unwrap() else { panic!("not dml: {sql}") };
-    execute_op(db, &NoTransitionTables, &op).unwrap();
+    execute_op(db, &NoTransitionTables, &op, &ExecOpts::default()).unwrap();
 }
 
 fn q(db: &Database, sql: &str) -> Relation {
     let Statement::Dml(DmlOp::Select(sel)) = parse_statement(sql).unwrap() else {
         panic!("not select: {sql}")
     };
-    execute_query(db, &NoTransitionTables, &sel).unwrap()
+    execute_query(db, &NoTransitionTables, &sel, &ExecOpts::default()).unwrap()
 }
 
 fn q_err(db: &Database, sql: &str) -> QueryError {
     let Statement::Dml(DmlOp::Select(sel)) = parse_statement(sql).unwrap() else {
         panic!("not select: {sql}")
     };
-    execute_query(db, &NoTransitionTables, &sel).unwrap_err()
+    execute_query(db, &NoTransitionTables, &sel, &ExecOpts::default()).unwrap_err()
 }
 
 #[test]

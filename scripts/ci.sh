@@ -59,6 +59,15 @@ FAULT_SWEEP_FAST=1 cargo test -q -p setrules-core --test wal_recovery
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rulebench (unit tests, then a 1-second run of every workload)"
+# rulebench predicts every operation's outcome and every table digest
+# from a generator-side model, so this checks the engine against that
+# model on each CI run: `all` exits non-zero on any failed operation or
+# any digest that differs from rulebench/expected/. It is a package of its
+# own (not a workspace member), hence the explicit manifest path.
+cargo test -q --manifest-path rulebench/Cargo.toml
+cargo run --release --quiet --manifest-path rulebench/Cargo.toml -- all --seconds 1 | tail -n 1
+
 echo "==> bench smoke (query pipeline acceptance counters)"
 # BENCH_FAST shrinks warm-up/measurement budgets; the bench itself asserts
 # the pipeline acceptance bars (>=2x per-row-work reduction on the 3-way

@@ -15,7 +15,7 @@
 //!   byte-identically (via `Database::state_image`).
 
 use setrules_core::{RuleSystem, TxnOutcome};
-use setrules_query::{execute_op, execute_query_with_opts, ExecMode, NoTransitionTables};
+use setrules_query::{execute_op, execute_query, ExecMode, ExecOpts, NoTransitionTables};
 use setrules_sql::ast::{DmlOp, SelectStmt, Statement};
 use setrules_sql::parse_statement;
 use setrules_storage::{ColumnDef, ColumnId, DataType, Database, IndexKind, TableSchema, Value};
@@ -23,7 +23,7 @@ use setrules_testkit::{check, Rng};
 
 fn exec(db: &mut Database, sql: &str) {
     let Statement::Dml(op) = parse_statement(sql).unwrap() else { panic!("not DML: {sql}") };
-    execute_op(db, &NoTransitionTables, &op).unwrap();
+    execute_op(db, &NoTransitionTables, &op, &ExecOpts::default()).unwrap();
 }
 
 fn sel(sql: &str) -> SelectStmt {
@@ -167,7 +167,8 @@ fn ordered_index_and_full_scan_agree_on_random_queries() {
             let sql = random_query(rng);
             let stmt = sel(&sql);
             let run = |db: &Database, mode: ExecMode| {
-                execute_query_with_opts(db, &NoTransitionTables, &stmt, None, mode, None)
+                let opts = ExecOpts { mode, ..Default::default() };
+                execute_query(db, &NoTransitionTables, &stmt, &opts)
             };
             let reference = run(&plain, ExecMode::Compiled);
             for (db, label) in [(&plain, "plain"), (&indexed, "indexed")] {
@@ -217,7 +218,7 @@ fn null_and_nan_range_boundaries() {
         db
     };
     let count = |db: &Database, sql: &str| -> i64 {
-        execute_query_with_opts(db, &NoTransitionTables, &sel(sql), None, ExecMode::Compiled, None)
+        execute_query(db, &NoTransitionTables, &sel(sql), &ExecOpts::default())
             .unwrap()
             .scalar()
             .unwrap()
@@ -289,7 +290,8 @@ fn nan_negzero_null_order_identically_across_all_three_paths() {
     let indexed = build(true);
 
     let run = |db: &Database, sql: &str, mode: ExecMode, st: &StatsCell| {
-        execute_query_with_opts(db, &NoTransitionTables, &sel(sql), Some(st), mode, None)
+        let opts = ExecOpts { stats: Some(st), mode, ..Default::default() };
+        execute_query(db, &NoTransitionTables, &sel(sql), &opts)
             .unwrap_or_else(|e| panic!("{sql}: {e}"))
     };
 

@@ -20,7 +20,7 @@
 
 use setrules_core::{EngineConfig, EngineEvent, RuleError, RuleSystem};
 use setrules_query::{
-    execute_query_ext, ExecMode, ExecOpts, ExecStats, NoTransitionTables, QueryError, Relation,
+    execute_query, ExecMode, ExecOpts, ExecStats, NoTransitionTables, QueryError, Relation,
     StatsCell,
 };
 use setrules_sql::ast::{DmlOp, SelectStmt, Statement};
@@ -180,7 +180,7 @@ fn run(
     threads: usize,
 ) -> (Result<Relation, String>, ExecStats) {
     let st = StatsCell::new();
-    let r = execute_query_ext(
+    let r = execute_query(
         db,
         &NoTransitionTables,
         stmt,

@@ -15,8 +15,7 @@
 use setrules_core::{EngineConfig, FiredRule, RuleSystem};
 use setrules_query::planner::{scan_handles, Access};
 use setrules_query::{
-    execute_op, execute_query_ext, execute_query_with_opts, ExecMode, ExecOpts, NoTransitionTables,
-    OpStatsCell, Relation,
+    execute_op, execute_query, ExecMode, ExecOpts, NoTransitionTables, OpStatsCell, Relation,
 };
 use setrules_sql::ast::{DmlOp, SelectStmt, Statement};
 use setrules_sql::parse_statement;
@@ -25,7 +24,7 @@ use setrules_testkit::{check, Rng};
 
 fn exec(db: &mut Database, sql: &str) {
     let Statement::Dml(op) = parse_statement(sql).unwrap() else { panic!("not DML: {sql}") };
-    execute_op(db, &NoTransitionTables, &op).unwrap();
+    execute_op(db, &NoTransitionTables, &op, &ExecOpts::default()).unwrap();
 }
 
 fn sel(sql: &str) -> SelectStmt {
@@ -160,7 +159,7 @@ fn compiled_and_interpreted_agree_on_random_queries() {
         let grouped = proj == "count(*)";
         let run = |mode: ExecMode| {
             let ops = OpStatsCell::new();
-            let r = execute_query_ext(
+            let r = execute_query(
                 &db,
                 &NoTransitionTables,
                 &stmt,
@@ -284,7 +283,7 @@ fn compiled_and_interpreted_agree_on_error_producing_queries() {
         let sql = format!("select count(*) from {table} x where {pred}");
         let stmt = sel(&sql);
         let run = |mode: ExecMode| {
-            execute_query_with_opts(&db, &NoTransitionTables, &stmt, None, mode, None)
+            execute_query(&db, &NoTransitionTables, &stmt, &ExecOpts { mode, ..Default::default() })
         };
         match (run(ExecMode::Compiled), run(ExecMode::Interpreted)) {
             (Ok(a), Ok(b)) => assert_eq!(a, b, "result diverged for: {sql}"),
@@ -294,6 +293,66 @@ fn compiled_and_interpreted_agree_on_error_producing_queries() {
             (a, b) => panic!("outcome diverged for {sql}: {a:?} vs {b:?}"),
         }
     });
+}
+
+/// A random `set` right-hand side over `t1`: column arithmetic, NULL,
+/// `i64` overflow, division by zero on some rows, and correlated scalar
+/// subqueries (one of which can return several rows, which is an error).
+fn random_set_expr(rng: &mut Rng) -> String {
+    let col = |rng: &mut Rng| rng.pick(&["a", "b", "t1.a", "t1.b"]).to_string();
+    match rng.below(8) {
+        0 => format!("{} + {}", col(rng), rng.range_i64(-2, 5)),
+        1 => format!("{} * {}", col(rng), col(rng)),
+        2 => "NULL".to_string(),
+        3 => format!("{} * 9223372036854775807", col(rng)),
+        4 => format!("{} / ({} - {})", col(rng), col(rng), rng.range_i64(-2, 5)),
+        5 => "(select max(t2.c) from t2 where t2.a = t1.a)".to_string(),
+        6 => "(select t2.c from t2 where t2.a = t1.a)".to_string(),
+        _ => format!("{} - (select count(*) from t3 where t3.d > t1.b)", col(rng)),
+    }
+}
+
+/// `update … set` goes through the compiled walk (and the plan cache) in
+/// compiled mode and through the AST interpreter in the reference mode:
+/// same affected set, same old values, same first error, same final
+/// state — also on a second execution, which reads the first one's
+/// writes and, compiled, is answered from the plan cache.
+#[test]
+fn update_set_expressions_agree_across_modes() {
+    let (mut cache_hits, mut errors, mut updated) = (0, 0, 0);
+    check("update_set_compiled_vs_interpreted", 300, 0x5e7_c0de, |rng| {
+        let mut twin = rng.clone();
+        let mut dbs = [random_database(rng), random_database(&mut twin)];
+        let ints = ["t1.a".to_string(), "t1.b".to_string()];
+        let texts = ["t1.s".to_string()];
+        let sets: Vec<String> = (0..1 + rng.below(2))
+            .map(|_| format!("{} = {}", rng.pick(&["a", "b"]), random_set_expr(rng)))
+            .collect();
+        let filter = if rng.chance(2, 3) {
+            format!(" where {}", random_pred(rng, &ints, &texts, 1))
+        } else {
+            String::new()
+        };
+        let sql = format!("update t1 set {}{filter}", sets.join(", "));
+        let Statement::Dml(op) = parse_statement(&sql).unwrap() else { panic!("not DML: {sql}") };
+        let plans = setrules_query::PlanCache::new();
+        let mut outcomes = Vec::new();
+        for (db, mode) in dbs.iter_mut().zip([ExecMode::Compiled, ExecMode::Interpreted]) {
+            let opts = ExecOpts { mode, plans: Some(&plans), ..Default::default() };
+            let runs: Vec<_> = (0..2)
+                .map(|_| execute_op(db, &NoTransitionTables, &op, &opts).map_err(|e| e.to_string()))
+                .collect();
+            outcomes.push((runs, db.state_image()));
+        }
+        assert_eq!(outcomes[0], outcomes[1], "modes diverged on: {sql}");
+        cache_hits += plans.counters().0;
+        let first = &outcomes[0].0[0];
+        errors += first.is_err() as usize;
+        updated += first.as_ref().map_or(0, |eff| eff.cardinality());
+    });
+    // The generator must keep hitting all three: failing statements,
+    // statements that update rows, and plan-cache hits on the rerun.
+    assert!(errors >= 20 && updated >= 200 && cache_hits >= 600, "{errors}/{updated}/{cache_hits}");
 }
 
 /// Statement-level error agreement: running the same multi-statement
@@ -727,12 +786,9 @@ fn nan_rows_scan_vs_index_differential() {
     for sql in queries {
         let stmt = sel(sql);
         for mode in [ExecMode::Compiled, ExecMode::Interpreted] {
-            let via_scan =
-                execute_query_with_opts(&scan_db, &NoTransitionTables, &stmt, None, mode, None)
-                    .unwrap();
-            let via_index =
-                execute_query_with_opts(&index_db, &NoTransitionTables, &stmt, None, mode, None)
-                    .unwrap();
+            let opts = ExecOpts { mode, ..Default::default() };
+            let via_scan = execute_query(&scan_db, &NoTransitionTables, &stmt, &opts).unwrap();
+            let via_index = execute_query(&index_db, &NoTransitionTables, &stmt, &opts).unwrap();
             assert_eq!(via_scan, via_index, "scan/index diverged for {sql} ({mode:?})");
         }
     }
@@ -740,14 +796,7 @@ fn nan_rows_scan_vs_index_differential() {
     // so `v = NaN`, `v <> 1.0` on NaN rows, and `not (v = NaN)` all
     // exclude the NaN rows.
     let rows = |sql: &str| {
-        execute_query_with_opts(
-            &index_db,
-            &NoTransitionTables,
-            &sel(sql),
-            None,
-            ExecMode::Compiled,
-            None,
-        )
+        execute_query(&index_db, &NoTransitionTables, &sel(sql), &ExecOpts::default())
         .unwrap()
         .rows
         .into_iter()
