@@ -7,6 +7,8 @@
 //! makes each per-row action an ordinary statement — which is exactly the
 //! per-row overhead the set-oriented design avoids.
 
+use std::sync::Arc;
+
 use setrules_sql::ast::{DeleteStmt, DmlOp, Expr, InsertSource, InsertStmt, SelectItem, SelectStmt, UpdateStmt};
 use setrules_storage::{TableSchema, Tuple, Value};
 
@@ -103,14 +105,14 @@ pub fn bind_expr(e: &Expr, env: RowEnv<'_>) -> Result<Expr, SubstError> {
         },
         Expr::InSubquery { expr, subquery, negated } => Expr::InSubquery {
             expr: Box::new(bind_expr(expr, env)?),
-            subquery: Box::new(bind_select(subquery, env)?),
+            subquery: Arc::new(bind_select(subquery, env)?),
             negated: *negated,
         },
         Expr::Exists { subquery, negated } => Expr::Exists {
-            subquery: Box::new(bind_select(subquery, env)?),
+            subquery: Arc::new(bind_select(subquery, env)?),
             negated: *negated,
         },
-        Expr::ScalarSubquery(s) => Expr::ScalarSubquery(Box::new(bind_select(s, env)?)),
+        Expr::ScalarSubquery(s) => Expr::ScalarSubquery(Arc::new(bind_select(s, env)?)),
         Expr::Between { expr, low, high, negated } => Expr::Between {
             expr: Box::new(bind_expr(expr, env)?),
             low: Box::new(bind_expr(low, env)?),

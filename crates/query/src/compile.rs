@@ -39,16 +39,16 @@
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use setrules_sql::ast::{AggFunc, BinaryOp, Expr, SelectStmt, UnaryOp};
 use setrules_storage::{Database, TableId, Value};
 
 use crate::bindings::{Bindings, Level};
-use crate::ctx::QueryCtx;
+use crate::ctx::{QueryCtx, SubqueryResult};
 use crate::error::QueryError;
 use crate::eval;
-use crate::relation::Relation;
 
 // ----------------------------------------------------------------------
 // Layout: the compile-time shadow of a Bindings stack.
@@ -253,21 +253,22 @@ pub enum CompiledExpr {
     InSubquery {
         /// The needle.
         expr: Box<CompiledExpr>,
-        /// The subquery (owned: the compiled plan may outlive the source
-        /// AST borrow, and the memo keys on this node's stable address).
-        subquery: Box<SelectStmt>,
+        /// The subquery, shared with the source AST: the compiled plan may
+        /// outlive the source borrow, and the memo keys on the node's
+        /// address, which the planner (working on the AST) must agree on.
+        subquery: Arc<SelectStmt>,
         /// `NOT IN` when true.
         negated: bool,
     },
     /// `[NOT] EXISTS (select …)`.
     Exists {
         /// The subquery.
-        subquery: Box<SelectStmt>,
+        subquery: Arc<SelectStmt>,
         /// `NOT EXISTS` when true.
         negated: bool,
     },
     /// A scalar subquery.
-    ScalarSubquery(Box<SelectStmt>),
+    ScalarSubquery(Arc<SelectStmt>),
     /// An aggregate call. Leaves are numbered in the order lowering
     /// reaches them; a grouped statement numbers `having`, then the
     /// projections, then the `order by` keys with one counter, so `leaf`
@@ -465,7 +466,7 @@ pub(crate) trait Env {
     }
 
     /// The result of a subquery in the current scope.
-    fn subquery(&mut self, _stmt: &SelectStmt) -> Result<Relation, QueryError> {
+    fn subquery(&mut self, _stmt: &SelectStmt) -> Result<Rc<SubqueryResult>, QueryError> {
         Err(not_rowlocal())
     }
 
@@ -535,26 +536,12 @@ pub(crate) fn eval<E: Env>(e: &CompiledExpr, env: &mut E) -> Result<Value, Query
         }
         CompiledExpr::InSubquery { expr, subquery, negated } => {
             let needle = eval(expr, env)?;
-            let rel = env.subquery(subquery)?;
-            if rel.columns.len() != 1 {
-                return Err(QueryError::SubqueryColumns(rel.columns.len()));
-            }
-            eval::in_semantics(&needle, rel.column0(), *negated)
+            env.subquery(subquery)?.contains(&needle, *negated)
         }
         CompiledExpr::Exists { subquery, negated } => {
-            Ok(Value::Bool(env.subquery(subquery)?.is_empty() == *negated))
+            Ok(Value::Bool(env.subquery(subquery)?.rel.is_empty() == *negated))
         }
-        CompiledExpr::ScalarSubquery(subquery) => {
-            let rel = env.subquery(subquery)?;
-            if rel.columns.len() != 1 {
-                return Err(QueryError::SubqueryColumns(rel.columns.len()));
-            }
-            match rel.rows.len() {
-                0 => Ok(Value::Null),
-                1 => Ok(rel.rows[0][0].clone()),
-                n => Err(QueryError::ScalarSubqueryRows(n)),
-            }
-        }
+        CompiledExpr::ScalarSubquery(subquery) => eval::scalar_of(&env.subquery(subquery)?.rel),
         CompiledExpr::Agg { leaf, func, distinct, arg } => {
             env.agg(*leaf, *func, *distinct, arg.as_deref())
         }
@@ -614,7 +601,7 @@ impl Env for Scoped<'_, '_> {
         eval::aggregate_over(self.bindings, rows, func, distinct, arg)
     }
 
-    fn subquery(&mut self, stmt: &SelectStmt) -> Result<Relation, QueryError> {
+    fn subquery(&mut self, stmt: &SelectStmt) -> Result<Rc<SubqueryResult>, QueryError> {
         eval::eval_subquery(self.ctx, self.bindings, stmt)
     }
 

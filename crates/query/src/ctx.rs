@@ -1,12 +1,15 @@
 //! Evaluation context: the database, the transition-table provider, and
 //! the per-statement subquery cache.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
+use std::cell::{OnceCell, RefCell};
+use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 
-use setrules_storage::Database;
+use setrules_storage::{DataType, Database, Value};
 
 use crate::compile::PlanCache;
+use crate::error::QueryError;
+use crate::eval::in_semantics;
 use crate::provider::TransitionTableProvider;
 use crate::relation::Relation;
 use crate::stats::{OpStatsCell, StatsCell};
@@ -29,6 +32,87 @@ pub enum ExecMode {
     Interpreted,
 }
 
+/// One evaluated subquery as its consumers (`in`, `exists`, scalar) share
+/// it: the rows, plus a membership set over its single column that is
+/// built the first time an `in` asks. An answer table is computed once and
+/// shared by every consumer, never copied per call.
+#[derive(Debug)]
+pub(crate) struct SubqueryResult {
+    pub(crate) rel: Relation,
+    /// `Some(None)`: membership is always decided by the linear walk.
+    members: OnceCell<Option<Members>>,
+}
+
+/// The hashed first column of a single-column [`SubqueryResult`] whose
+/// non-NULL values all belong to one exact (non-float) domain — the only
+/// shape where storage equality provably is SQL equality and no
+/// comparison can raise.
+#[derive(Debug)]
+struct Members {
+    /// The one domain of the non-NULL values (`None`: there are none).
+    domain: Option<DataType>,
+    set: HashSet<Value>,
+    has_null: bool,
+}
+
+impl Members {
+    fn build(rel: &Relation) -> Option<Members> {
+        let mut m = Members { domain: None, set: HashSet::new(), has_null: false };
+        for v in rel.column0() {
+            match v.data_type() {
+                None => m.has_null = true,
+                Some(DataType::Float) => return None,
+                Some(ty) if *m.domain.get_or_insert(ty) != ty => return None,
+                Some(_) => {
+                    m.set.insert(v.clone());
+                }
+            }
+        }
+        Some(m)
+    }
+}
+
+impl SubqueryResult {
+    /// A memoized result: many rows will ask it, so membership hashes.
+    pub(crate) fn shared(rel: Relation) -> Rc<Self> {
+        Rc::new(SubqueryResult { rel, members: OnceCell::new() })
+    }
+
+    /// A correlated subquery's result for one outer row: asked once, so
+    /// building a set would cost more than the walk it replaces.
+    pub(crate) fn unshared(rel: Relation) -> Rc<Self> {
+        Rc::new(SubqueryResult { rel, members: OnceCell::from(None) })
+    }
+
+    /// `needle [not] in (this result)` under three-valued logic. The set
+    /// answers in O(1) exactly where it agrees with [`in_semantics`] bit
+    /// for bit — a NULL needle, or a needle of the haystack's one exact
+    /// domain; everything else (float or mixed-domain haystacks, Int↔Float
+    /// needles, needles whose comparison raises) takes the linear walk,
+    /// which also selects the earliest error.
+    pub(crate) fn contains(&self, needle: &Value, negated: bool) -> Result<Value, QueryError> {
+        if self.rel.columns.len() != 1 {
+            return Err(QueryError::SubqueryColumns(self.rel.columns.len()));
+        }
+        if let Some(m) = self.members.get_or_init(|| Members::build(&self.rel)) {
+            // A miss is only definite when no NULL could have matched.
+            let miss = if m.has_null { Value::Null } else { Value::Bool(negated) };
+            match (m.domain, needle.data_type()) {
+                // No non-NULL row: nothing to match, nothing to raise.
+                (None, _) => return Ok(miss),
+                // NULL compares UNKNOWN with every row of a non-empty
+                // haystack.
+                (Some(_), None) => return Ok(Value::Null),
+                (Some(d), Some(n)) if d == n => {
+                    return Ok(if m.set.contains(needle) { Value::Bool(!negated) } else { miss })
+                }
+                _ => {}
+            }
+        }
+        in_semantics(needle, self.rel.column0(), negated)
+    }
+}
+
 /// Per-statement memo for uncorrelated subqueries, keyed by AST node
 /// address. `None` records that the subquery was found to be correlated
 /// (it references outer columns), so re-evaluation per row is required.
@@ -36,10 +120,11 @@ pub enum ExecMode {
 /// This is the representative optimization behind the paper's §1 claim
 /// that set-oriented rules keep relational optimization applicable: a
 /// rule-action predicate like `fk in (select pk from deleted parent)`
-/// evaluates its subquery once per statement, not once per scanned row.
+/// evaluates its subquery once per statement, not once per scanned row —
+/// and every row, and the planner, then share that one result.
 #[derive(Debug, Default)]
 pub struct SubqueryCache {
-    entries: RefCell<HashMap<usize, Option<Relation>>>,
+    entries: RefCell<HashMap<usize, Option<Rc<SubqueryResult>>>>,
 }
 
 impl SubqueryCache {
@@ -48,11 +133,11 @@ impl SubqueryCache {
         SubqueryCache::default()
     }
 
-    pub(crate) fn get(&self, key: usize) -> Option<Option<Relation>> {
+    pub(crate) fn get(&self, key: usize) -> Option<Option<Rc<SubqueryResult>>> {
         self.entries.borrow().get(&key).cloned()
     }
 
-    pub(crate) fn put(&self, key: usize, value: Option<Relation>) {
+    pub(crate) fn put(&self, key: usize, value: Option<Rc<SubqueryResult>>) {
         self.entries.borrow_mut().insert(key, value);
     }
 }
@@ -108,5 +193,75 @@ impl<'a> QueryCtx<'a> {
             plans: None,
             threads: 1,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use setrules_testkit::{check, Rng};
+
+    fn random_value(rng: &mut Rng) -> Value {
+        match rng.below(12) {
+            0 | 1 => Value::Null,
+            2..=5 => Value::Int(rng.range_i64(-1, 4)),
+            6 => Value::Float(*rng.pick(&[f64::NAN, -0.0, 0.0, 1.0, 2.5])),
+            7..=9 => Value::Text(rng.pick(&["a", "b", "c"]).to_string()),
+            _ => Value::Bool(rng.chance(1, 2)),
+        }
+    }
+
+    /// The membership set is an optimisation of the linear kernel, never a
+    /// second semantics: on arbitrary haystacks — homogeneous, mixed-domain
+    /// (which no typed column can produce, so only this test reaches
+    /// them), float, all-NULL, empty — every needle gets the linear
+    /// kernel's value or its error.
+    #[test]
+    fn hashed_membership_equals_the_linear_kernel() {
+        let (mut hashed, mut errors) = (0, 0);
+        check("members_vs_in_semantics", 500, 0x3e3b_e125, |rng| {
+            // Mostly one domain plus NULLs (the hashable shape), sometimes
+            // anything.
+            let homogeneous = rng.chance(2, 3);
+            let proto = random_value(rng);
+            let hay: Vec<Value> = (0..rng.below(7))
+                .map(|_| {
+                    let v = random_value(rng);
+                    let fits = v.is_null() || v.data_type() == proto.data_type();
+                    if homogeneous && !fits {
+                        proto.clone()
+                    } else {
+                        v
+                    }
+                })
+                .collect();
+            let rel = Relation {
+                columns: vec!["v".into()],
+                rows: hay.iter().map(|v| vec![v.clone()]).collect(),
+            };
+            let result = SubqueryResult::shared(rel.clone());
+            let walked = SubqueryResult::unshared(rel);
+            for _ in 0..8 {
+                let needle = random_value(rng);
+                for negated in [false, true] {
+                    let want = in_semantics(&needle, hay.iter(), negated);
+                    assert_eq!(result.contains(&needle, negated), want, "{needle} in {hay:?}");
+                    assert_eq!(walked.contains(&needle, negated), want, "{needle} in {hay:?}");
+                    errors += want.is_err() as usize;
+                }
+            }
+            hashed += matches!(result.members.get(), Some(Some(_))) as usize;
+            assert!(matches!(walked.members.get(), Some(None)), "unshared results never hash");
+        });
+        assert!(hashed >= 150 && errors >= 300, "{hashed}/{errors}");
+    }
+
+    #[test]
+    fn membership_needs_exactly_one_column() {
+        let rel = Relation { columns: vec!["a".into(), "b".into()], rows: Vec::new() };
+        assert_eq!(
+            SubqueryResult::shared(rel).contains(&Value::Int(1), false),
+            Err(QueryError::SubqueryColumns(2))
+        );
     }
 }

@@ -7,12 +7,13 @@
 
 use std::cmp::Ordering;
 use std::collections::HashSet;
+use std::rc::Rc;
 
 use setrules_sql::ast::{AggFunc, BinaryOp, Expr, SelectStmt, UnaryOp};
 use setrules_storage::Value;
 
 use crate::bindings::{Bindings, Level};
-use crate::ctx::QueryCtx;
+use crate::ctx::{QueryCtx, SubqueryResult};
 use crate::error::QueryError;
 use crate::like::{like_match_tokens, like_tokens};
 use crate::relation::Relation;
@@ -51,27 +52,13 @@ pub fn eval_expr(
         }
         Expr::InSubquery { expr, subquery, negated } => {
             let needle = eval_expr(ctx, bindings, group, expr)?;
-            let rel = eval_subquery(ctx, bindings, subquery)?;
-            if rel.columns.len() != 1 {
-                return Err(QueryError::SubqueryColumns(rel.columns.len()));
-            }
-            in_semantics(&needle, rel.column0(), *negated)
+            eval_subquery(ctx, bindings, subquery)?.contains(&needle, *negated)
         }
         Expr::Exists { subquery, negated } => {
-            let rel = eval_subquery(ctx, bindings, subquery)?;
-            Ok(Value::Bool(rel.is_empty() == *negated))
+            let sub = eval_subquery(ctx, bindings, subquery)?;
+            Ok(Value::Bool(sub.rel.is_empty() == *negated))
         }
-        Expr::ScalarSubquery(subquery) => {
-            let rel = eval_subquery(ctx, bindings, subquery)?;
-            if rel.columns.len() != 1 {
-                return Err(QueryError::SubqueryColumns(rel.columns.len()));
-            }
-            match rel.rows.len() {
-                0 => Ok(Value::Null),
-                1 => Ok(rel.rows[0][0].clone()),
-                n => Err(QueryError::ScalarSubqueryRows(n)),
-            }
-        }
+        Expr::ScalarSubquery(subquery) => scalar_of(&eval_subquery(ctx, bindings, subquery)?.rel),
         Expr::Between { expr, low, high, negated } => {
             let v = eval_expr(ctx, bindings, group, expr)?;
             let lo = eval_expr(ctx, bindings, group, low)?;
@@ -103,44 +90,63 @@ pub(crate) fn aggregate_outside_group(func: AggFunc) -> QueryError {
     QueryError::Type(format!("aggregate {}() not allowed in this context", func.name()))
 }
 
-/// Evaluate a subquery, hoisting it out of the per-row loop when it is
-/// uncorrelated and a per-statement cache is attached to the context.
+/// The value of a scalar subquery that evaluated to `rel` (shared kernel).
+pub(crate) fn scalar_of(rel: &Relation) -> Result<Value, QueryError> {
+    if rel.columns.len() != 1 {
+        return Err(QueryError::SubqueryColumns(rel.columns.len()));
+    }
+    match rel.rows.len() {
+        0 => Ok(Value::Null),
+        1 => Ok(rel.rows[0][0].clone()),
+        n => Err(QueryError::ScalarSubqueryRows(n)),
+    }
+}
+
+/// The statement memo's result for `sub`, evaluating it on first sight.
+/// `Ok(None)` means there is nothing to share: no memo is attached to the
+/// context, or the subquery is correlated.
 ///
-/// Correlation is detected operationally: the subquery is first tried in
-/// an *empty* outer scope; success means its result cannot depend on outer
+/// Correlation is detected operationally: the subquery is tried in an
+/// *empty* outer scope; success means its result cannot depend on outer
 /// bindings (memoized), while an unknown-column error means it references
-/// the outer row (memoized as correlated, then evaluated normally).
+/// the outer row (memoized as correlated). Any other error propagates and
+/// memoizes nothing. Row evaluation ([`eval_subquery`]) and access-path
+/// selection ([`crate::planner::choose_access`]) both come through here,
+/// so whichever runs first evaluates and the other shares.
+pub(crate) fn memoized_subquery(
+    ctx: QueryCtx<'_>,
+    sub: &SelectStmt,
+) -> Result<Option<Rc<SubqueryResult>>, QueryError> {
+    let Some(cache) = ctx.cache else {
+        return Ok(None);
+    };
+    let key = sub as *const SelectStmt as usize;
+    if let Some(entry) = cache.get(key) {
+        // A "known correlated" verdict still saves the probe evaluation.
+        crate::stats::bump(ctx.stats, |s| s.subquery_cache_hits += 1);
+        return Ok(entry);
+    }
+    crate::stats::bump(ctx.stats, |s| s.subquery_cache_misses += 1);
+    let entry = match run_select(ctx, sub, &mut Bindings::new()) {
+        Ok(rel) => Some(SubqueryResult::shared(rel)),
+        Err(QueryError::UnknownColumn(_)) => None,
+        Err(e) => return Err(e),
+    };
+    cache.put(key, entry.clone());
+    Ok(entry)
+}
+
+/// Evaluate a subquery in the scope of `bindings`: the shared memoized
+/// result when it is uncorrelated (so it is hoisted out of the per-row
+/// loop, and no row copies it), a fresh evaluation otherwise.
 pub(crate) fn eval_subquery(
     ctx: QueryCtx<'_>,
     bindings: &mut Bindings,
     sub: &SelectStmt,
-) -> Result<Relation, QueryError> {
-    let Some(cache) = ctx.cache else {
-        return run_select(ctx, sub, bindings);
-    };
-    let key = sub as *const SelectStmt as usize;
-    match cache.get(key) {
-        Some(Some(rel)) => {
-            crate::stats::bump(ctx.stats, |s| s.subquery_cache_hits += 1);
-            return Ok(rel);
-        }
-        Some(None) => {
-            // Known correlated: the memo still saves the probe evaluation.
-            crate::stats::bump(ctx.stats, |s| s.subquery_cache_hits += 1);
-            return run_select(ctx, sub, bindings);
-        }
-        None => crate::stats::bump(ctx.stats, |s| s.subquery_cache_misses += 1),
-    }
-    match run_select(ctx, sub, &mut Bindings::new()) {
-        Ok(rel) => {
-            cache.put(key, Some(rel.clone()));
-            Ok(rel)
-        }
-        Err(QueryError::UnknownColumn(_)) => {
-            cache.put(key, None);
-            run_select(ctx, sub, bindings)
-        }
-        Err(e) => Err(e),
+) -> Result<Rc<SubqueryResult>, QueryError> {
+    match memoized_subquery(ctx, sub)? {
+        Some(shared) => Ok(shared),
+        None => run_select(ctx, sub, bindings).map(SubqueryResult::unshared),
     }
 }
 
@@ -637,6 +643,53 @@ mod tests {
     #[test]
     fn aggregates_require_group_context() {
         assert!(matches!(eval("sum(1)"), Err(QueryError::Type(_))));
+    }
+
+    /// Every consumer of an uncorrelated subquery — each row's `in`,
+    /// `exists` or scalar use, and the planner — holds the memo's one
+    /// result by reference count; nothing copies its rows.
+    #[test]
+    fn memoized_subquery_is_evaluated_once_and_shared_by_handle() {
+        use crate::ctx::SubqueryCache;
+        use crate::stats::StatsCell;
+        use setrules_sql::ast::{DmlOp, Statement};
+        let mut db = Database::new();
+        let t = db.create_table(setrules_storage::paper_example_schemas().1).unwrap();
+        for k in 0..3 {
+            db.insert(t, setrules_storage::tuple![k, k]).unwrap();
+        }
+        let sel = |sql: &str| match setrules_sql::parse_statement(sql).unwrap() {
+            Statement::Dml(DmlOp::Select(s)) => s,
+            _ => panic!("not a select: {sql}"),
+        };
+        let (cache, stats) = (SubqueryCache::new(), StatsCell::new());
+        let ctx = QueryCtx { cache: Some(&cache), stats: Some(&stats), ..QueryCtx::plain(&db) };
+
+        let sub = sel("select dept_no from dept");
+        let first = eval_subquery(ctx, &mut Bindings::new(), &sub).unwrap();
+        let again = eval_subquery(ctx, &mut Bindings::new(), &sub).unwrap();
+        let planned = memoized_subquery(ctx, &sub).unwrap().expect("uncorrelated");
+        assert!(Rc::ptr_eq(&first, &again) && Rc::ptr_eq(&first, &planned));
+        assert_eq!(Rc::strong_count(&first), 4, "the memo and three handles on one result");
+        assert_eq!(first.rel.len(), 3);
+        let s = stats.snapshot();
+        assert_eq!((s.subquery_cache_misses, s.subquery_cache_hits), (1, 2));
+
+        // Correlated: remembered as such, evaluated per call in its scope.
+        let correlated = sel("select dept_no from dept where mgr_no = outer_k");
+        assert!(memoized_subquery(ctx, &correlated).unwrap().is_none());
+        assert!(matches!(
+            eval_subquery(ctx, &mut Bindings::new(), &correlated),
+            Err(QueryError::UnknownColumn(_))
+        ));
+        // Errors memoize nothing: the next caller raises them again.
+        let failing = sel("select 1 / 0 from dept");
+        for _ in 0..2 {
+            assert_eq!(memoized_subquery(ctx, &failing).err(), Some(QueryError::DivisionByZero));
+        }
+        assert_eq!(stats.snapshot().subquery_cache_misses, 4);
+        // Without a memo there is nothing to share.
+        assert!(memoized_subquery(QueryCtx::plain(&db), &sub).unwrap().is_none());
     }
 
     #[test]

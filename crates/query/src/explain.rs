@@ -12,7 +12,7 @@ use setrules_sql::ast::{Expr, SelectStmt, TableSource, TransitionKind};
 use setrules_storage::{Database, Value};
 
 use crate::compile::{Layout, LayoutFrame};
-use crate::ctx::QueryCtx;
+use crate::ctx::{QueryCtx, SubqueryCache};
 use crate::planner::{build_join_plan, choose_access, equi_join_edges, scan_handles, Access};
 
 /// A key interval in mathematical notation: `[4, 6]`, `(5, +inf)`. The
@@ -31,6 +31,19 @@ fn describe_interval(lo: &Bound<Value>, hi: &Bound<Value>) -> String {
         Bound::Unbounded => "+inf)".to_string(),
     };
     format!("{lo}, {hi}")
+}
+
+/// How many probe values `explain` prints before eliding the rest.
+const PROBES_SHOWN: usize = 5;
+
+/// The probe values of a multi-probe: all of them up to [`PROBES_SHOWN`],
+/// else the first few and the count (a subquery can supply thousands).
+fn describe_probes(values: &[Value]) -> String {
+    let mut shown: Vec<String> = values.iter().take(PROBES_SHOWN).map(Value::to_string).collect();
+    if values.len() > PROBES_SHOWN {
+        shown.push(format!("… ({} probes)", values.len()));
+    }
+    shown.join(", ")
 }
 
 /// Describe whether a rule condition is incrementally evaluable —
@@ -55,6 +68,11 @@ pub fn explain_condition(
 /// Describe how each `from` item of `stmt` would be scanned, and how a
 /// multi-item `from` would be joined.
 pub fn explain_select(ctx: QueryCtx<'_>, stmt: &SelectStmt) -> String {
+    // Plan as execution does — with a statement subquery memo, so the
+    // semi-join access is visible (and its subquery runs once however
+    // many of the reports below ask for the access path).
+    let memo = SubqueryCache::new();
+    let ctx = QueryCtx { cache: ctx.cache.or(Some(&memo)), ..ctx };
     let mut out = String::new();
     let sole = stmt.from.len() == 1;
     for tref in &stmt.from {
@@ -71,15 +89,12 @@ pub fn explain_select(ctx: QueryCtx<'_>, stmt: &SelectStmt) -> String {
                             ctx.db.schema(tid).column_name(column),
                             value
                         ),
-                        Access::IndexIn { column, ref values } => format!(
-                            "index multi-probe on {}.{} in ({})",
+                        Access::IndexIn { column, ref values, from_subquery } => format!(
+                            "index multi-probe on {}.{} in ({}){}",
                             name,
                             ctx.db.schema(tid).column_name(column),
-                            values
-                                .iter()
-                                .map(|v| v.to_string())
-                                .collect::<Vec<_>>()
-                                .join(", ")
+                            describe_probes(values),
+                            if from_subquery { " from subquery" } else { "" }
                         ),
                         Access::IndexRange { column, ref lo, ref hi } => format!(
                             "index range scan on {}.{} over {}",
@@ -253,12 +268,33 @@ mod tests {
     #[test]
     fn explains_multi_probe() {
         let mut db = Database::new();
-        let (emp, _) = paper_example_schemas();
+        let (emp, dept) = paper_example_schemas();
         let t = db.create_table(emp).unwrap();
+        let dept = db.create_table(dept).unwrap();
         db.create_index(t, ColumnId(3)).unwrap();
         let ctx = QueryCtx::plain(&db);
         let plan = explain_select(ctx, &sel("select * from emp where dept_no in (3, 5)"));
-        assert!(plan.contains("index multi-probe on emp.dept_no in (3, 5)"), "{plan}");
+        assert!(plan.contains("index multi-probe on emp.dept_no in (3, 5)\n"), "{plan}");
+        // Up to five probes print in full; beyond that, the first five and
+        // the count.
+        let plan = explain_select(ctx, &sel("select * from emp where dept_no in (5, 4, 3, 2, 1)"));
+        assert!(plan.contains("emp.dept_no in (5, 4, 3, 2, 1)\n"), "{plan}");
+        let plan =
+            explain_select(ctx, &sel("select * from emp where dept_no in (9, 8, 7, 6, 5, 4, 3)"));
+        assert!(plan.contains("emp.dept_no in (9, 8, 7, 6, 5, … (7 probes))\n"), "{plan}");
+        // Probes that a subquery supplied say so.
+        for (d, m) in [(3, 30), (5, 50)] {
+            db.insert(dept, setrules_storage::tuple![d, m]).unwrap();
+        }
+        for i in 0..3 {
+            db.insert(t, setrules_storage::tuple!["e", i, 1.0, 3]).unwrap();
+        }
+        let ctx = QueryCtx::plain(&db);
+        let plan = explain_select(
+            ctx,
+            &sel("select * from emp where dept_no in (select dept_no from dept)"),
+        );
+        assert!(plan.contains("index multi-probe on emp.dept_no in (3, 5) from subquery\n"), "{plan}");
         // A hash index has no key order: `between` stays a seq scan.
         let plan = explain_select(ctx, &sel("select * from emp where dept_no between 4 and 6"));
         assert!(plan.contains("seq scan"), "{plan}");

@@ -9,15 +9,16 @@
 //! from a user query or from the body of a rule. Benchmarks B7 and B12
 //! measure the effects.
 
+use std::collections::HashSet;
 use std::ops::Bound;
 
-use setrules_sql::ast::{BinaryOp, Expr};
+use setrules_sql::ast::{BinaryOp, Expr, SelectStmt};
 use setrules_storage::{ColumnId, DataType, Database, TableId, Value};
 
 use crate::bindings::Bindings;
 use crate::compile::{compile, CompiledExpr, Layout};
 use crate::ctx::QueryCtx;
-use crate::eval::eval_expr;
+use crate::eval::{eval_expr, memoized_subquery};
 
 /// How a base-table `from` item will be scanned.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,13 +32,16 @@ pub enum Access {
         /// The probe value (already coerced to the column type).
         value: Value,
     },
-    /// Probe the hash index on `column` once per value of an explicit
-    /// `col in (...)` list.
+    /// Probe the index on `column` once per value of a `col in (...)`
+    /// list, or once per distinct value of an uncorrelated
+    /// `col in (select ...)` (the semi-join access).
     IndexIn {
         /// The indexed column.
         column: ColumnId,
         /// Deduplicated probe values (already coerced to the column type).
         values: Vec<Value>,
+        /// Whether the values are a subquery's result rather than literals.
+        from_subquery: bool,
     },
     /// Scan the *ordered* index on `column` for keys within `[lo, hi]`
     /// (storage total order; bounds already coerced to the column type and
@@ -72,12 +76,14 @@ impl Access {
 /// Choose an access path for scanning `table` bound as `binding`, given the
 /// query's `where` predicate.
 ///
-/// Top-level `and`-conjuncts of four shapes are considered: `col = const`
-/// (either operand order), `col in (const, ...)`, comparisons `col < / <=
-/// / > / >= const` (either operand order), and `col between const and
-/// const`. Comparison and `between` conjuncts on the same column are
-/// intersected into a single key interval, served by an *ordered* index
-/// when one exists. Unqualified column names are only trusted when this is
+/// Top-level `and`-conjuncts of five shapes are considered: `col = const`
+/// (either operand order), `col in (const, ...)`, `col in (select ...)`
+/// with an uncorrelated subquery (evaluated here, once, through the
+/// statement's subquery memo — see [`in_subquery_candidate`]), comparisons
+/// `col < / <= / > / >= const` (either operand order), and `col between
+/// const and const`. Comparison and `between` conjuncts on the same column
+/// are intersected into a single key interval, served by an *ordered*
+/// index when one exists. Unqualified column names are only trusted when this is
 /// the sole `from` item (`sole_item`) — otherwise the name might belong to
 /// a different item. The full predicate is still re-checked per row by the
 /// executor, so a missed opportunity costs time, never correctness. When
@@ -116,6 +122,9 @@ pub fn choose_access(
             }
             Expr::InList { expr, list, negated: false } => {
                 in_candidate(ctx, schema, table, binding, sole_item, expr, list)
+            }
+            Expr::InSubquery { expr, subquery, negated: false } => {
+                in_subquery_candidate(ctx, schema, table, binding, sole_item, expr, subquery)
             }
             Expr::Between { expr, low, high, negated: false } => {
                 note_between(ctx, schema, table, binding, sole_item, expr, low, high, &mut ranges)
@@ -211,6 +220,7 @@ fn eq_candidate(
             Some(Value::Float(0.0)) => Access::IndexIn {
                 column,
                 values: vec![Value::Float(-0.0), Value::Float(0.0)],
+                from_subquery: false,
             },
             Some(value) => Access::IndexEq { column, value },
             None => Access::Empty,
@@ -229,38 +239,83 @@ fn in_candidate(
     list: &[Expr],
 ) -> Option<Access> {
     let column = indexed_column(ctx, schema, table, binding, sole_item, col_side)?;
-    let ty = schema.column_type(column);
-    let mut values: Vec<Value> = Vec::with_capacity(list.len());
-    for item in list {
-        let v = const_value(ctx, item)?;
-        match in_probe_value(&v, ty) {
-            // Comparable but unmatchable (NULL, fractional float vs int):
-            // skip the probe; the row set is unaffected because `where`
-            // only keeps rows where the predicate is *true*.
-            Ok(None) => {}
-            Ok(Some(p)) => {
-                // A zero float expands to both signed-zero buckets (see
-                // `eq_candidate`).
-                let expanded = match p {
-                    // A literal float pattern matches by numeric `==`,
-                    // so this covers `-0.0` as well.
-                    Value::Float(0.0) => {
-                        vec![Value::Float(-0.0), Value::Float(0.0)]
-                    }
-                    p => vec![p],
-                };
-                for p in expanded {
-                    if !values.contains(&p) {
-                        values.push(p);
-                    }
-                }
+    let items = list.iter().map(|item| const_value(ctx, item)).collect::<Option<Vec<_>>>()?;
+    let values = probe_values(items.iter(), schema.column_type(column))?;
+    Some(multi_probe(column, values, false))
+}
+
+/// The semi-join access: `col in (select ...)` over an indexed column
+/// probes the index once per distinct subquery value instead of scanning
+/// the table, so a rule action like Example 3.1's `delete from emp where
+/// dept_no in (select dept_no from deleted dept)` costs what the
+/// transition table costs, not what `emp` does.
+///
+/// The subquery is evaluated here, at plan time, through the statement's
+/// subquery memo — the rows re-check the full predicate against that same
+/// shared result, so it still runs once per statement. Anything that keeps
+/// the memo from holding a result (no memo on the context, a correlated
+/// subquery, an evaluation error) means "no candidate": the error, if any,
+/// is left for the rows to raise, exactly as without this arm. The probe
+/// is chosen only when there are fewer probes than table rows; an empty
+/// table is not worth evaluating the subquery for.
+fn in_subquery_candidate(
+    ctx: QueryCtx<'_>,
+    schema: &setrules_storage::TableSchema,
+    table: TableId,
+    binding: &str,
+    sole_item: bool,
+    col_side: &Expr,
+    subquery: &SelectStmt,
+) -> Option<Access> {
+    let column = indexed_column(ctx, schema, table, binding, sole_item, col_side)?;
+    let rows = ctx.db.table(table).len();
+    if rows == 0 {
+        return None;
+    }
+    let result = memoized_subquery(ctx, subquery).ok()??;
+    if result.rel.columns.len() != 1 {
+        return None; // the rows raise the column-count error
+    }
+    let values = probe_values(result.rel.column0(), schema.column_type(column))?;
+    (values.len() < rows).then(|| multi_probe(column, values, true))
+}
+
+/// The distinct index probes covering `col in (haystack)` for a column of
+/// type `ty`, in first-seen order. `None`: some value is cross-domain, so
+/// per-row evaluation would raise a type error that probing would swallow.
+fn probe_values<'v>(haystack: impl Iterator<Item = &'v Value>, ty: DataType) -> Option<Vec<Value>> {
+    let mut seen = HashSet::new();
+    let mut values = Vec::new();
+    let mut probe = |p: Value| {
+        if seen.insert(p.clone()) {
+            values.push(p);
+        }
+    };
+    for v in haystack {
+        match in_probe_value(v, ty).ok()? {
+            // Comparable but unmatchable (NULL, NaN, fractional float vs
+            // int): skip the probe; the row set is unaffected because
+            // `where` only keeps rows where the predicate is *true*.
+            None => {}
+            // A zero float expands to both signed-zero buckets (see
+            // `eq_candidate`); the pattern matches by numeric `==`, so it
+            // covers `-0.0` as well.
+            Some(Value::Float(0.0)) => {
+                probe(Value::Float(-0.0));
+                probe(Value::Float(0.0));
             }
-            // Cross-domain item: per-row evaluation would raise a type
-            // error, so probing would change semantics — full scan.
-            Err(()) => return None,
+            Some(p) => probe(p),
         }
     }
-    Some(if values.is_empty() { Access::Empty } else { Access::IndexIn { column, values } })
+    Some(values)
+}
+
+fn multi_probe(column: ColumnId, values: Vec<Value>, from_subquery: bool) -> Access {
+    if values.is_empty() {
+        Access::Empty
+    } else {
+        Access::IndexIn { column, values, from_subquery }
+    }
 }
 
 /// Note a comparison conjunct (`<`, `<=`, `>`, `>=`) in the per-column
@@ -523,7 +578,7 @@ pub fn scan_handles(
             hs.sort_unstable();
             hs
         }
-        Access::IndexIn { column, values } => {
+        Access::IndexIn { column, values, .. } => {
             let mut hs = Vec::new();
             for v in values {
                 hs.extend(
@@ -847,17 +902,29 @@ mod tests {
         let (db, t) = setup();
         assert_eq!(
             access(&db, t, "dept_no in (5, 7)", true),
-            Access::IndexIn { column: ColumnId(3), values: vec![Value::Int(5), Value::Int(7)] }
+            Access::IndexIn {
+                column: ColumnId(3),
+                values: vec![Value::Int(5), Value::Int(7)],
+                from_subquery: false,
+            }
         );
         // Inside a conjunction, with duplicate and folded values.
         assert_eq!(
             access(&db, t, "salary > 100 and dept_no in (5, 2 + 3, 7)", true),
-            Access::IndexIn { column: ColumnId(3), values: vec![Value::Int(5), Value::Int(7)] }
+            Access::IndexIn {
+                column: ColumnId(3),
+                values: vec![Value::Int(5), Value::Int(7)],
+                from_subquery: false,
+            }
         );
         // NULL and fractional items can never match: skipped, not probed.
         assert_eq!(
             access(&db, t, "dept_no in (5, NULL, 2.5)", true),
-            Access::IndexIn { column: ColumnId(3), values: vec![Value::Int(5)] }
+            Access::IndexIn {
+                column: ColumnId(3),
+                values: vec![Value::Int(5)],
+                from_subquery: false,
+            }
         );
         // Entirely unmatchable list: provably empty.
         assert_eq!(access(&db, t, "dept_no in (NULL, 2.5)", true), Access::Empty);
@@ -881,6 +948,93 @@ mod tests {
         // would swallow it.
         assert_eq!(access(&db, t, "dept_no in (5, 'x')", true), Access::FullScan);
         assert_eq!(access(&db, t, "dept_no in (5)", false), Access::FullScan, "not sole item");
+    }
+
+    /// `setup()` with four emp rows (dept_no 1, 1, 2, 3) and a `dept`
+    /// table of (dept_no, mgr_no) rows (1, 10), (2, 20), (2, 21).
+    fn setup_semi_join() -> (Database, TableId) {
+        use setrules_storage::tuple;
+        let (mut db, emp) = setup();
+        let dept = db.create_table(paper_example_schemas().1).unwrap();
+        for (i, d) in [1, 1, 2, 3].into_iter().enumerate() {
+            db.insert(emp, tuple!["e", i as i64, 1.0, d]).unwrap();
+        }
+        for (d, m) in [(1, 10), (2, 20), (2, 21)] {
+            db.insert(dept, tuple![d, m]).unwrap();
+        }
+        (db, emp)
+    }
+
+    #[test]
+    fn picks_index_for_uncorrelated_in_subquery() {
+        use crate::ctx::SubqueryCache;
+        use crate::stats::StatsCell;
+        let (mut db, t) = setup_semi_join();
+        let plan = |db: &Database, pred: &str| {
+            let (cache, stats) = (SubqueryCache::new(), StatsCell::new());
+            let ctx = QueryCtx { cache: Some(&cache), stats: Some(&stats), ..QueryCtx::plain(db) };
+            let e = parse_expr(pred).unwrap();
+            let access = choose_access(ctx, t, "emp", true, Some(&e));
+            // Planning again shares the memo's result instead of re-running.
+            assert_eq!(choose_access(ctx, t, "emp", true, Some(&e)), access, "{pred}");
+            (access, stats.snapshot().subquery_cache_misses)
+        };
+        let probes = |values: &[i64]| Access::IndexIn {
+            column: ColumnId(3),
+            values: values.iter().map(|v| Value::Int(*v)).collect(),
+            from_subquery: true,
+        };
+        // Distinct values in first-seen order; one evaluation.
+        assert_eq!(plan(&db, "dept_no in (select dept_no from dept)"), (probes(&[1, 2]), 1));
+        assert_eq!(
+            plan(&db, "salary > 0 and dept_no in (select dept_no from dept where mgr_no > 15)"),
+            (probes(&[2]), 1)
+        );
+        // Float results coerce like in-list items: 2.0 probes 2; 0.5, NaN
+        // and NULL can never equal an int and are skipped.
+        assert_eq!(
+            plan(&db, "dept_no in (select mgr_no / 10.0 from dept)"),
+            (probes(&[1, 2]), 1),
+            "1.0, 2.0, 2.1"
+        );
+        assert_eq!(plan(&db, "dept_no in (select 0.0 / 0.0 from dept)"), (Access::Empty, 1));
+        assert_eq!(
+            plan(&db, "dept_no in (select dept_no from dept where mgr_no > 99)"),
+            (Access::Empty, 1),
+            "an empty subquery matches nothing"
+        );
+        // An equality probe still beats the multi-probe.
+        assert_eq!(
+            plan(&db, "dept_no in (select dept_no from dept) and dept_no = 2").0,
+            Access::IndexEq { column: ColumnId(3), value: Value::Int(2) }
+        );
+
+        // As many distinct probes as rows: the scan is no worse.
+        assert_eq!(
+            plan(&db, "dept_no in (select emp_no from emp)"),
+            (Access::FullScan, 1),
+            "4 probes, 4 rows"
+        );
+        // No candidate — and never an error — for: negation, a correlated
+        // subquery, a failing one, a cross-domain value (the rows must
+        // raise its type error), two columns, an unindexed outer column.
+        for pred in [
+            "dept_no not in (select dept_no from dept)",
+            "dept_no in (select dept_no from dept where mgr_no = emp.emp_no)",
+            "dept_no in (select 1 / 0 from dept)",
+            "dept_no in (select 'x' from dept)",
+            "dept_no in (select dept_no, mgr_no from dept)",
+            "emp_no in (select dept_no from dept)",
+        ] {
+            assert_eq!(plan(&db, pred).0, Access::FullScan, "{pred}");
+        }
+        // ... nor without a statement memo to share the evaluation through.
+        assert_eq!(access(&db, t, "dept_no in (select dept_no from dept)", true), Access::FullScan);
+        // An empty table is never worth evaluating the subquery for.
+        for h in db.table(t).handles().collect::<Vec<_>>() {
+            db.delete(t, h).unwrap();
+        }
+        assert_eq!(plan(&db, "dept_no in (select dept_no from dept)"), (Access::FullScan, 0));
     }
 
     /// `setup()` plus an *ordered* index on `dept_no` (replacing the hash
@@ -1000,6 +1154,7 @@ mod tests {
         let both = Access::IndexIn {
             column: ColumnId(2),
             values: vec![Value::Float(-0.0), Value::Float(0.0)],
+            from_subquery: false,
         };
         assert_eq!(access(&db, t, "salary = 0.0", true), both);
         assert_eq!(access(&db, t, "salary = -0.0", true), both);
@@ -1008,6 +1163,7 @@ mod tests {
             Access::IndexIn {
                 column: ColumnId(2),
                 values: vec![Value::Float(-0.0), Value::Float(0.0), Value::Float(1.5)],
+                from_subquery: false,
             }
         );
     }
@@ -1110,7 +1266,11 @@ mod tests {
         );
         assert_eq!(
             access(&db, t, "salary in (1.0, 0.0 / 0.0)", true),
-            Access::IndexIn { column: ColumnId(2), values: vec![Value::Float(1.0)] },
+            Access::IndexIn {
+                column: ColumnId(2),
+                values: vec![Value::Float(1.0)],
+                from_subquery: false,
+            },
             "NaN in-list item can never match: skipped like NULL"
         );
         assert_eq!(access(&db, t, "salary in (0.0 / 0.0)", true), Access::Empty);

@@ -1,6 +1,8 @@
 //! Abstract syntax for the SQL dialect, including the production-rule DDL
 //! of the paper (§3) and its §5 extensions.
 
+use std::sync::Arc;
+
 use setrules_storage::{DataType, IndexKind, Value};
 
 /// A top-level statement.
@@ -332,25 +334,28 @@ pub enum Expr {
         /// `not in`?
         negated: bool,
     },
-    /// `e [not] in (select ...)`
+    /// `e [not] in (select ...)`. Subqueries are shared (`Arc`), so a
+    /// compiled plan holding the node and the statement it was lowered
+    /// from agree on its address — the key of the executor's
+    /// per-statement subquery memo.
     InSubquery {
         /// The tested expression.
         expr: Box<Expr>,
         /// The subquery (must produce one column).
-        subquery: Box<SelectStmt>,
+        subquery: Arc<SelectStmt>,
         /// `not in`?
         negated: bool,
     },
     /// `[not] exists (select ...)`
     Exists {
         /// The subquery.
-        subquery: Box<SelectStmt>,
+        subquery: Arc<SelectStmt>,
         /// `not exists`?
         negated: bool,
     },
     /// `(select ...)` used as a scalar (must produce at most one row and
     /// exactly one column; zero rows yield `NULL`).
-    ScalarSubquery(Box<SelectStmt>),
+    ScalarSubquery(Arc<SelectStmt>),
     /// `e [not] between lo and hi`
     Between {
         /// The tested expression.

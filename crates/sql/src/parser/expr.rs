@@ -2,6 +2,8 @@
 //! `or` < `and` < `not` < comparisons/`in`/`between`/`like`/`is` <
 //! `+ -` < `* / %` < unary `-` < primary.
 
+use std::sync::Arc;
+
 use setrules_storage::Value;
 
 use crate::ast::{AggFunc, BinaryOp, Expr, UnaryOp};
@@ -112,7 +114,7 @@ impl Parser {
             self.expect(&TokenKind::RParen)?;
             return Ok(Expr::InSubquery {
                 expr: Box::new(left),
-                subquery: Box::new(sub),
+                subquery: Arc::new(sub),
                 negated,
             });
         }
@@ -199,7 +201,7 @@ impl Parser {
                 if self.check_kw(Keyword::Select) {
                     let sub = self.select_stmt()?;
                     self.expect(&TokenKind::RParen)?;
-                    return Ok(Expr::ScalarSubquery(Box::new(sub)));
+                    return Ok(Expr::ScalarSubquery(Arc::new(sub)));
                 }
                 let inner = self.expr()?;
                 self.expect(&TokenKind::RParen)?;
@@ -215,7 +217,7 @@ impl Parser {
         self.expect(&TokenKind::LParen)?;
         let sub = self.select_stmt()?;
         self.expect(&TokenKind::RParen)?;
-        Ok(Expr::Exists { subquery: Box::new(sub), negated })
+        Ok(Expr::Exists { subquery: Arc::new(sub), negated })
     }
 
     fn aggregate(&mut self, kw: Keyword) -> Result<Expr, SqlError> {

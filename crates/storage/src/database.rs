@@ -27,14 +27,52 @@ pub struct Database {
     tables: Vec<Option<Table>>,
     indexes: Vec<TableIndexes>,
     by_name: HashMap<String, TableId>,
-    /// Table provenance for every handle ever issued, indexed by handle
-    /// value − 1 (handles start at 1). Deleted tuples keep their provenance:
-    /// transition effects must still know which table a deleted handle
-    /// belonged to.
-    handle_tables: Vec<TableId>,
+    /// Table provenance for every handle ever issued. Deleted tuples keep
+    /// their provenance: transition effects must still know which table a
+    /// deleted handle belonged to.
+    provenance: HandleRuns,
     undo: UndoLog,
     stats: StorageStats,
     fault: FaultInjector,
+}
+
+/// Run-length handle provenance. Handles are issued densely from 1, and
+/// bulk loads, set-oriented inserts and replay issue them a table at a
+/// time, so provenance is kept as maximal runs of consecutive handles
+/// belonging to one table: memory follows the number of table switches,
+/// not the number of handles ever issued.
+#[derive(Debug, Default)]
+struct HandleRuns {
+    /// `(first handle, table)` per run, ascending by first handle; adjacent
+    /// runs name different tables. A run ends where the next one starts
+    /// (the last one at `issued`).
+    runs: Vec<(u64, TableId)>,
+    /// Number of handles ever issued (= the highest handle value).
+    issued: u64,
+}
+
+impl HandleRuns {
+    /// Issue handles up to and including number `n`, all for table `t`
+    /// (no-op when `n` handles were already issued).
+    fn issue_through(&mut self, n: u64, t: TableId) {
+        if n <= self.issued {
+            return;
+        }
+        if self.runs.last().map(|r| r.1) != Some(t) {
+            self.runs.push((self.issued + 1, t));
+        }
+        self.issued = n;
+    }
+
+    fn table_of(&self, h: TupleHandle) -> Option<TableId> {
+        if h.0 == 0 || h.0 > self.issued {
+            return None;
+        }
+        // Handle 1 starts the first run, so at least one run starts at or
+        // below any issued handle.
+        let run = self.runs.partition_point(|r| r.0 <= h.0) - 1;
+        Some(self.runs[run].1)
+    }
 }
 
 impl Database {
@@ -109,15 +147,12 @@ impl Database {
     /// The table a handle was issued for, whether or not the tuple is
     /// still live. `None` only for handles never issued.
     pub fn table_of(&self, h: TupleHandle) -> Option<TableId> {
-        if h.0 == 0 {
-            return None;
-        }
-        self.handle_tables.get((h.0 - 1) as usize).copied()
+        self.provenance.table_of(h)
     }
 
     /// Number of handles ever issued.
     pub fn handles_issued(&self) -> u64 {
-        self.handle_tables.len() as u64
+        self.provenance.issued
     }
 
     // ------------------------------------------------------------------
@@ -221,8 +256,8 @@ impl Database {
             self.fault.check(FaultKind::IndexMaintenance)?;
         }
         self.fault.check(FaultKind::UndoAppend)?;
-        let h = TupleHandle(self.handle_tables.len() as u64 + 1);
-        self.handle_tables.push(t);
+        let h = TupleHandle(self.provenance.issued + 1);
+        self.provenance.issue_through(h.0, t);
         self.stats.index_maintenance_ops += self.indexes[t.0 as usize].on_insert(h, &tuple.0);
         self.tables[t.0 as usize].as_mut().expect("checked").insert(h, tuple);
         self.undo.push(UndoRecord::Insert { table: t, handle: h });
@@ -329,18 +364,15 @@ impl Database {
         let slot = self.tables[t.0 as usize].as_mut().expect("replay targets live table");
         let tuple = slot.schema.check_tuple(tuple)?;
         assert!(
-            h.0 as usize > self.handle_tables.len(),
+            h.0 > self.provenance.issued,
             "redo_insert handle {} not above watermark {}",
             h.0,
-            self.handle_tables.len()
+            self.provenance.issued
         );
-        // Fill any gap (handles burned by aborted txns on other tables are
-        // normally covered by the watermark record; within one committed
-        // txn handles are dense per the log order).
-        while self.handle_tables.len() + 1 < h.0 as usize {
-            self.handle_tables.push(t);
-        }
-        self.handle_tables.push(t);
+        // Any gap below `h` joins its run (handles burned by aborted txns
+        // on other tables are normally covered by the watermark record;
+        // within one committed txn handles are dense per the log order).
+        self.provenance.issue_through(h.0, t);
         self.stats.index_maintenance_ops += self.indexes[t.0 as usize].on_insert(h, &tuple.0);
         self.tables[t.0 as usize].as_mut().expect("checked").insert(h, tuple);
         self.stats.tuples_inserted += 1;
@@ -385,9 +417,7 @@ impl Database {
     /// handle numbers the original run did, even across transactions that
     /// aborted (aborted inserts consume handles; §2's never-reuse rule).
     pub fn redo_handle_watermark(&mut self, n: u64, filler: TableId) {
-        while (self.handle_tables.len() as u64) < n {
-            self.handle_tables.push(filler);
-        }
+        self.provenance.issue_through(n, filler);
     }
 
     // ------------------------------------------------------------------
@@ -546,6 +576,63 @@ mod tests {
         let h3 = db.insert(emp, tuple!["Jane", 1, 95000.0, 1]).unwrap();
         assert!(h3 > h2, "re-inserting the same value yields a fresh handle");
         assert_eq!(db.table_of(h1), Some(emp), "provenance survives deletion");
+    }
+
+    #[test]
+    fn provenance_memory_follows_table_switches_not_handles() {
+        let mut runs = HandleRuns::default();
+        let tables = [TableId(0), TableId(1)];
+        for block in 0..1_000u64 {
+            for _ in 0..1_000 {
+                runs.issue_through(runs.issued + 1, tables[(block % 2) as usize]);
+            }
+        }
+        assert_eq!(runs.issued, 1_000_000);
+        assert!(runs.runs.len() <= 1_000, "{} runs", runs.runs.len());
+        for block in 0..1_000u64 {
+            let want = Some(tables[(block % 2) as usize]);
+            assert_eq!(runs.table_of(TupleHandle(block * 1_000 + 1)), want, "block {block} start");
+            assert_eq!(runs.table_of(TupleHandle(block * 1_000 + 1_000)), want, "block {block} end");
+        }
+        // Same-table blocks merge into the run before them.
+        runs.issue_through(runs.issued + 500, tables[1]);
+        assert!(runs.runs.len() <= 1_000);
+        assert_eq!(runs.table_of(TupleHandle(1_000_500)), Some(tables[1]));
+        assert_eq!(runs.table_of(TupleHandle(1_000_501)), None);
+    }
+
+    #[test]
+    fn table_of_covers_live_deleted_rolled_back_gap_and_unissued_handles() {
+        let (mut db, emp) = db_with_emp();
+        let dept = db.table_id("dept").unwrap();
+        assert_eq!(db.table_of(TupleHandle(0)), None, "handles start at 1");
+        assert_eq!(db.table_of(TupleHandle(1)), None, "nothing issued yet");
+        let live = db.insert(emp, tuple!["Jane", 1, 95000.0, 1]).unwrap();
+        let deleted = db.insert(dept, tuple![1, 1]).unwrap();
+        db.delete(dept, deleted).unwrap();
+        db.commit();
+        let mark = db.mark();
+        let rolled_back = db.insert(emp, tuple!["Mary", 2, 85000.0, 1]).unwrap();
+        db.rollback_to(mark).unwrap();
+        assert_eq!(db.table_of(live), Some(emp));
+        assert_eq!(db.table_of(deleted), Some(dept));
+        assert_eq!(db.table_of(rolled_back), Some(emp), "a rolled-back insert burned its handle");
+        assert_eq!(db.handles_issued(), 3);
+
+        // Replay: a watermark burns 4..=6 under the filler table, then an
+        // insert at 9 takes the gap 7..=8 into its own run.
+        db.redo_handle_watermark(6, dept);
+        db.redo_handle_watermark(2, emp); // below the mark: no effect
+        assert_eq!(db.handles_issued(), 6);
+        db.redo_insert(emp, TupleHandle(9), tuple!["Lee", 3, 70000.0, 2]).unwrap();
+        assert_eq!(db.handles_issued(), 9);
+        for (h, want) in [(4, dept), (6, dept), (7, emp), (8, emp), (9, emp)] {
+            assert_eq!(db.table_of(TupleHandle(h)), Some(want), "handle {h}");
+        }
+        assert_eq!(db.table_of(TupleHandle(10)), None, "never issued");
+        let next = db.insert(dept, tuple![2, 2]).unwrap();
+        assert_eq!((next, db.table_of(next)), (TupleHandle(10), Some(dept)));
+        assert_eq!(db.provenance.runs.len(), 6, "{:?}", db.provenance.runs);
     }
 
     #[test]

@@ -68,6 +68,17 @@ echo "==> rulebench (unit tests, then a 1-second run of every workload)"
 cargo test -q --manifest-path rulebench/Cargo.toml
 cargo run --release --quiet --manifest-path rulebench/Cargo.toml -- all --seconds 1 | tail -n 1
 
+echo "==> semi-join access (Example 3.1 work counters + 300-case differential)"
+# Both run under `cargo test` above; this names the gates in the CI log
+# next to the other acceptance counters. The counter test pins Example
+# 3.1's action at 50 deleted parents in a 100k-row indexed child to
+# rows_scanned == rows_matched == 5050 (5000 children + the 50 transition
+# rows), full_scans == 0, one subquery evaluation; the differential holds
+# `in` / `not in (select ...)` to a test-only linear kernel on every
+# index / mode / thread axis.
+cargo test -q -p setrules-core --test query_pipeline -- \
+  semi_join_example_3_1_work_counters in_subquery_agrees_with_linear_reference_on_every_axis
+
 echo "==> bench smoke (query pipeline acceptance counters)"
 # BENCH_FAST shrinks warm-up/measurement budgets; the bench itself asserts
 # the pipeline acceptance bars (>=2x per-row-work reduction on the 3-way
