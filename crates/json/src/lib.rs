@@ -5,9 +5,8 @@
 //!
 //! The rest of the workspace uses it wherever structured data crosses a
 //! process boundary: [`Snapshot`](../setrules_core/struct.Snapshot.html)
-//! round-trips, the engine's JSON-lines event sink, the REPL's `\json`
-//! command, and the `BENCH_*.json` counter snapshots written by the
-//! benchmark suite.
+//! round-trips, the engine's JSON-lines event sink, and the REPL's
+//! `\json` and `\stats` commands.
 //!
 //! Design notes:
 //!

@@ -2,34 +2,55 @@
 
 use std::fmt;
 
-/// An error from the lexer or parser, carrying the byte offset at which it
-/// was detected.
+/// An error from the lexer or parser.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SqlError {
-    /// Byte offset in the source text.
-    pub offset: usize,
-    /// Human-readable description.
-    pub message: String,
-    /// Whether the error came from the lexer (`true`) or parser (`false`).
-    pub lexical: bool,
+pub enum SqlError {
+    /// The lexer rejected the input at byte `offset`.
+    Lex {
+        /// Byte offset in the source text.
+        offset: usize,
+        /// Human-readable description.
+        message: String,
+    },
+    /// The parser rejected the input at byte `offset`.
+    Parse {
+        /// Byte offset in the source text.
+        offset: usize,
+        /// Human-readable description.
+        message: String,
+    },
+    /// The input nests expressions deeper than the parser's fixed limit
+    /// ([`crate::MAX_NESTING`]); rejected before any later stage recurses
+    /// over it.
+    TooDeep {
+        /// The nesting limit that was exceeded.
+        limit: usize,
+    },
 }
 
 impl SqlError {
     /// Build a lexer error.
     pub fn lex(offset: usize, message: impl Into<String>) -> Self {
-        SqlError { offset, message: message.into(), lexical: true }
+        SqlError::Lex { offset, message: message.into() }
     }
 
     /// Build a parser error.
     pub fn parse(offset: usize, message: impl Into<String>) -> Self {
-        SqlError { offset, message: message.into(), lexical: false }
+        SqlError::Parse { offset, message: message.into() }
     }
 }
 
 impl fmt::Display for SqlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let stage = if self.lexical { "lex" } else { "parse" };
-        write!(f, "{stage} error at byte {}: {}", self.offset, self.message)
+        match self {
+            SqlError::Lex { offset, message } => write!(f, "lex error at byte {offset}: {message}"),
+            SqlError::Parse { offset, message } => {
+                write!(f, "parse error at byte {offset}: {message}")
+            }
+            SqlError::TooDeep { limit } => {
+                write!(f, "parse error: expression nests deeper than {limit} levels")
+            }
+        }
     }
 }
 

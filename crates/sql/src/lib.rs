@@ -28,7 +28,7 @@ pub mod token;
 pub use error::SqlError;
 pub use lexer::lex;
 pub use parser::rule::parse_trans_pred;
-pub use parser::{parse_expr, parse_op_block, parse_statement, parse_statements};
+pub use parser::{parse_expr, parse_op_block, parse_statement, parse_statements, MAX_NESTING};
 
 #[cfg(test)]
 mod tests {
@@ -306,8 +306,8 @@ mod tests {
     #[test]
     fn errors_carry_position() {
         let err = parse_statement("select from").unwrap_err();
-        assert!(!err.lexical);
-        assert!(err.offset >= 7, "error at the 'from', got offset {}", err.offset);
+        let SqlError::Parse { offset, .. } = err else { panic!("not a parse error: {err}") };
+        assert!(offset >= 7, "error at the 'from', got offset {offset}");
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Expression parsing with conventional SQL precedence:
-//! `or` < `and` < `not` < comparisons/`in`/`between`/`like`/`is` <
-//! `+ -` < `* / %` < unary `-` < primary.
+//! Expression parsing by precedence climbing, with conventional SQL
+//! precedence: `or` < `and` < `not` < comparisons/`in`/`between`/`like`/`is`
+//! < `+ -` < `* / %` < unary `-` < primary. Binary operators associate to
+//! the left; comparisons do not chain.
 
 use std::sync::Arc;
 
@@ -12,99 +13,127 @@ use crate::token::{Keyword, TokenKind};
 
 use super::Parser;
 
+/// Binding levels, loosest first.
+const OR: u8 = 0;
+const AND: u8 = 1;
+const NOT: u8 = 2;
+const CMP: u8 = 3;
+const ADD: u8 = 4;
+const MUL: u8 = 5;
+const ATOM: u8 = 6;
+
 impl Parser {
     pub(crate) fn expr(&mut self) -> Result<Expr, SqlError> {
-        self.or_expr()
+        self.nested(|p| p.binary(OR))
     }
 
-    fn or_expr(&mut self) -> Result<Expr, SqlError> {
-        let mut left = self.and_expr()?;
-        while self.eat_kw(Keyword::Or) {
-            let right = self.and_expr()?;
-            left = Expr::binary(left, BinaryOp::Or, right);
-        }
-        Ok(left)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr, SqlError> {
-        let mut left = self.not_expr()?;
-        while self.check_kw(Keyword::And) {
-            self.advance();
-            let right = self.not_expr()?;
-            left = Expr::binary(left, BinaryOp::And, right);
-        }
-        Ok(left)
-    }
-
-    fn not_expr(&mut self) -> Result<Expr, SqlError> {
-        if self.check_kw(Keyword::Not) {
-            // `not exists (...)` gets the dedicated negated form.
-            if matches!(self.peek_at(1), TokenKind::Keyword(Keyword::Exists)) {
-                self.advance();
-                return self.exists(true);
+    /// An expression whose operators all bind at least as tightly as `min`.
+    /// Each operator becomes a node over everything parsed so far, so the
+    /// subtree's height is tracked on its own (siblings never add up).
+    fn binary(&mut self, min: u8) -> Result<Expr, SqlError> {
+        let enclosing = std::mem::replace(&mut self.peak, self.depth);
+        let (mut left, mut level) = self.prefix(min)?;
+        while let Some(prec) = self.infix_level() {
+            if prec < min || prec > level || (prec == CMP && level == CMP) {
+                break;
             }
-            self.advance();
-            let inner = self.not_expr()?;
-            return Ok(Expr::Unary { op: UnaryOp::Not, expr: Box::new(inner) });
+            self.lift()?;
+            left = self.infix(left, prec)?;
+            level = prec;
         }
-        self.predicate()
+        self.peak = self.peak.max(enclosing);
+        Ok(left)
     }
 
-    /// A comparison or special predicate over additive expressions.
-    fn predicate(&mut self) -> Result<Expr, SqlError> {
-        let left = self.additive()?;
-        let op = match self.peek() {
-            TokenKind::Eq => Some(BinaryOp::Eq),
-            TokenKind::NotEq => Some(BinaryOp::NotEq),
-            TokenKind::Lt => Some(BinaryOp::Lt),
-            TokenKind::LtEq => Some(BinaryOp::LtEq),
-            TokenKind::Gt => Some(BinaryOp::Gt),
-            TokenKind::GtEq => Some(BinaryOp::GtEq),
-            _ => None,
-        };
-        if let Some(op) = op {
+    /// A `not` (where `min` admits one), or a unary operand; returns the
+    /// level the result binds at.
+    fn prefix(&mut self, min: u8) -> Result<(Expr, u8), SqlError> {
+        if min <= NOT && self.check_kw(Keyword::Not) {
             self.advance();
-            let right = self.additive()?;
-            return Ok(Expr::binary(left, op, right));
+            // `not exists (...)` gets the dedicated negated form.
+            if self.check_kw(Keyword::Exists) {
+                return Ok((self.exists(true)?, NOT));
+            }
+            let inner = self.nested(|p| p.binary(NOT))?;
+            return Ok((Expr::Unary { op: UnaryOp::Not, expr: Box::new(inner) }, NOT));
         }
-        if self.eat_kw(Keyword::Is) {
-            let negated = self.eat_kw(Keyword::Not);
-            self.expect_kw(Keyword::Null)?;
-            return Ok(Expr::IsNull { expr: Box::new(left), negated });
+        Ok((self.unary()?, ATOM))
+    }
+
+    /// The binding level of the operator at the cursor, if it is one.
+    fn infix_level(&self) -> Option<u8> {
+        match self.peek() {
+            TokenKind::Keyword(Keyword::Or) => Some(OR),
+            TokenKind::Keyword(Keyword::And) => Some(AND),
+            TokenKind::Eq
+            | TokenKind::NotEq
+            | TokenKind::Lt
+            | TokenKind::LtEq
+            | TokenKind::Gt
+            | TokenKind::GtEq
+            | TokenKind::Keyword(
+                Keyword::Is | Keyword::Not | Keyword::In | Keyword::Between | Keyword::Like,
+            ) => Some(CMP),
+            TokenKind::Plus | TokenKind::Minus => Some(ADD),
+            TokenKind::Star | TokenKind::Slash | TokenKind::Percent => Some(MUL),
+            _ => None,
         }
-        let negated = self.eat_kw(Keyword::Not);
-        if self.eat_kw(Keyword::In) {
-            return self.in_tail(left, negated);
+    }
+
+    /// Apply the operator at the cursor (binding at `level`) to `left`.
+    fn infix(&mut self, left: Expr, level: u8) -> Result<Expr, SqlError> {
+        let op = match self.advance() {
+            TokenKind::Keyword(Keyword::Or) => BinaryOp::Or,
+            TokenKind::Keyword(Keyword::And) => BinaryOp::And,
+            TokenKind::Eq => BinaryOp::Eq,
+            TokenKind::NotEq => BinaryOp::NotEq,
+            TokenKind::Lt => BinaryOp::Lt,
+            TokenKind::LtEq => BinaryOp::LtEq,
+            TokenKind::Gt => BinaryOp::Gt,
+            TokenKind::GtEq => BinaryOp::GtEq,
+            TokenKind::Plus => BinaryOp::Add,
+            TokenKind::Minus => BinaryOp::Sub,
+            TokenKind::Star => BinaryOp::Mul,
+            TokenKind::Slash => BinaryOp::Div,
+            TokenKind::Percent => BinaryOp::Mod,
+            TokenKind::Keyword(Keyword::Is) => {
+                let negated = self.eat_kw(Keyword::Not);
+                self.expect_kw(Keyword::Null)?;
+                return Ok(Expr::IsNull { expr: Box::new(left), negated });
+            }
+            TokenKind::Keyword(Keyword::Not) => match *self.peek() {
+                TokenKind::Keyword(kw @ (Keyword::In | Keyword::Between | Keyword::Like)) => {
+                    self.advance();
+                    return self.special(left, kw, true);
+                }
+                _ => return Err(self.unexpected("'in', 'between', or 'like' after 'not'")),
+            },
+            TokenKind::Keyword(kw) => return self.special(left, kw, false),
+            other => unreachable!("infix_level admitted {other}"),
+        };
+        let right = self.nested(|p| p.binary(level + 1))?;
+        Ok(Expr::binary(left, op, right))
+    }
+
+    /// The rest of `[not] in (...)`, `[not] between a and b`, or
+    /// `[not] like p [escape e]`, after the keyword `kw`.
+    fn special(&mut self, left: Expr, kw: Keyword, negated: bool) -> Result<Expr, SqlError> {
+        let operand = |p: &mut Self| p.nested(|p| p.binary(ADD)).map(Box::new);
+        match kw {
+            Keyword::In => self.in_tail(left, negated),
+            Keyword::Between => {
+                let low = operand(self)?;
+                self.expect_kw(Keyword::And)?;
+                let high = operand(self)?;
+                Ok(Expr::Between { expr: Box::new(left), low, high, negated })
+            }
+            _ => {
+                // `like`: `infix_level` admits no other keyword here.
+                let pattern = operand(self)?;
+                let escape = if self.eat_kw(Keyword::Escape) { Some(operand(self)?) } else { None };
+                Ok(Expr::Like { expr: Box::new(left), pattern, escape, negated })
+            }
         }
-        if self.eat_kw(Keyword::Between) {
-            let low = self.additive()?;
-            self.expect_kw(Keyword::And)?;
-            let high = self.additive()?;
-            return Ok(Expr::Between {
-                expr: Box::new(left),
-                low: Box::new(low),
-                high: Box::new(high),
-                negated,
-            });
-        }
-        if self.eat_kw(Keyword::Like) {
-            let pattern = self.additive()?;
-            let escape = if self.eat_kw(Keyword::Escape) {
-                Some(Box::new(self.additive()?))
-            } else {
-                None
-            };
-            return Ok(Expr::Like {
-                expr: Box::new(left),
-                pattern: Box::new(pattern),
-                escape,
-                negated,
-            });
-        }
-        if negated {
-            return Err(self.unexpected("'in', 'between', or 'like' after 'not'"));
-        }
-        Ok(left)
     }
 
     fn in_tail(&mut self, left: Expr, negated: bool) -> Result<Expr, SqlError> {
@@ -126,38 +155,9 @@ impl Parser {
         Ok(Expr::InList { expr: Box::new(left), list, negated })
     }
 
-    fn additive(&mut self) -> Result<Expr, SqlError> {
-        let mut left = self.multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Plus => BinaryOp::Add,
-                TokenKind::Minus => BinaryOp::Sub,
-                _ => return Ok(left),
-            };
-            self.advance();
-            let right = self.multiplicative()?;
-            left = Expr::binary(left, op, right);
-        }
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr, SqlError> {
-        let mut left = self.unary()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Star => BinaryOp::Mul,
-                TokenKind::Slash => BinaryOp::Div,
-                TokenKind::Percent => BinaryOp::Mod,
-                _ => return Ok(left),
-            };
-            self.advance();
-            let right = self.unary()?;
-            left = Expr::binary(left, op, right);
-        }
-    }
-
     fn unary(&mut self) -> Result<Expr, SqlError> {
         if self.eat(&TokenKind::Minus) {
-            let inner = self.unary()?;
+            let inner = self.nested(Self::unary)?;
             return Ok(Expr::Unary { op: UnaryOp::Neg, expr: Box::new(inner) });
         }
         self.primary()
@@ -203,7 +203,7 @@ impl Parser {
                     self.expect(&TokenKind::RParen)?;
                     return Ok(Expr::ScalarSubquery(Arc::new(sub)));
                 }
-                let inner = self.expr()?;
+                let inner = self.grouped(|p| p.binary(OR))?;
                 self.expect(&TokenKind::RParen)?;
                 Ok(inner)
             }

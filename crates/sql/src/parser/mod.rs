@@ -64,15 +64,74 @@ pub fn parse_expr(src: &str) -> Result<Expr, SqlError> {
     Ok(e)
 }
 
-/// The parser state: a token stream and a cursor.
+/// The deepest expression tree the parser accepts, in levels from the
+/// root: every operator, `not`, unary minus, subquery and aggregate adds
+/// one. The planner, compiler, evaluator, printer and `Drop` all recurse
+/// over the tree, so this bound keeps them within a default 2 MiB thread
+/// stack; nested subqueries are the costliest level and set the value.
+/// Grouping parentheses add no level but do cost the parser stack, so at
+/// most `2 * MAX_NESTING` may be open at once — as many as the printer's
+/// fully parenthesized text of any admitted tree needs, so canonical rule
+/// text (checkpoints, snapshots) always parses back. Deeper input is
+/// rejected with [`SqlError::TooDeep`].
+pub const MAX_NESTING: usize = 64;
+
+/// The parser state: a token stream and a cursor, plus the bookkeeping
+/// behind [`MAX_NESTING`].
 pub(crate) struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Tree level of the node being parsed (an expression's root is 1).
+    depth: usize,
+    /// Deepest tree level reached within the operator subtree being
+    /// parsed, counting the levels [`Parser::lift`] pushed it down.
+    peak: usize,
+    /// Grouping parentheses open around the cursor.
+    parens: usize,
 }
 
 impl Parser {
     pub(crate) fn new(src: &str) -> Result<Self, SqlError> {
-        Ok(Parser { tokens: lex(src)?, pos: 0 })
+        Ok(Parser { tokens: lex(src)?, pos: 0, depth: 0, peak: 0, parens: 0 })
+    }
+
+    /// Parse a child one level below the current node.
+    pub(crate) fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, SqlError>,
+    ) -> Result<T, SqlError> {
+        if self.depth == MAX_NESTING {
+            return Err(SqlError::TooDeep { limit: MAX_NESTING });
+        }
+        self.depth += 1;
+        self.peak = self.peak.max(self.depth);
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// Parse the inside of a grouping parenthesis, at the same tree level.
+    pub(crate) fn grouped<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, SqlError>,
+    ) -> Result<T, SqlError> {
+        if self.parens == 2 * MAX_NESTING {
+            return Err(SqlError::TooDeep { limit: MAX_NESTING });
+        }
+        self.parens += 1;
+        let out = f(self);
+        self.parens -= 1;
+        out
+    }
+
+    /// A new operator node takes the place of the operator subtree parsed
+    /// so far, pushing it one level down.
+    pub(crate) fn lift(&mut self) -> Result<(), SqlError> {
+        if self.peak == MAX_NESTING {
+            return Err(SqlError::TooDeep { limit: MAX_NESTING });
+        }
+        self.peak += 1;
+        Ok(())
     }
 
     pub(crate) fn peek(&self) -> &TokenKind {

@@ -529,6 +529,68 @@ fn shared_delta_cursor_fans_out_across_watchers() {
         si.incr_shared_hits
     );
     assert_eq!(scan.stats().incr_shared_hits, 0, "re-scan engine never shares deltas");
+
+    // The refire storm: one update arms every watcher over a 500-row
+    // window, then each step of a 10-step driver cascade clears the
+    // considered set, so every watcher is reconsidered against a window
+    // the driver never touches. For each memo kind — a match set, a
+    // two-view join memory, shared accumulators — the memo is built once
+    // per watcher and only repaired after that, and nothing falls back.
+    const WATCHERS: u64 = 12;
+    const DEPTH: u64 = 10;
+    let shapes: [fn(u64) -> String; 3] = [
+        |i| format!("exists (select * from new updated t where b < -{})", i + 1),
+        |i| {
+            format!(
+                "exists (select * from old updated t o, new updated t n \
+                 where o.a = n.a and n.b < -{})",
+                i + 1
+            )
+        },
+        |i| match i % 4 {
+            0 => format!("(select sum(b) from new updated t) > {}", 1_000_000 + i),
+            1 => format!("(select avg(b) from new updated t) < -{}", i + 1),
+            2 => format!("(select min(b) from new updated t) < -{}", i + 1),
+            _ => format!("(select max(b) from new updated t) > {}", 1_000 + i),
+        },
+    ];
+    let rows: Vec<String> = (0..500).map(|a| format!("({a}, {}, 0.0)", a % 97)).collect();
+    let load = format!("insert into t values {}", rows.join(", "));
+    let storm = format!("update t set b = b + 1; insert into tick values ({DEPTH})");
+    for (shape, cond) in shapes.iter().enumerate() {
+        let mut rules: Vec<String> = (0..WATCHERS)
+            .map(|i| {
+                format!("create rule w{i} when updated t if {} then insert into sink values ({i}, 1)", cond(i))
+            })
+            .collect();
+        rules.push(
+            "create rule driver when inserted into tick \
+             if exists (select * from inserted tick where k > 0) \
+             then insert into tick (select k - 1 from inserted tick where k > 0)"
+                .to_string(),
+        );
+        let (inc, scan) = run_pair(&rules, &[&load, &storm]);
+        let tick = inc.query("select count(*) from tick").unwrap();
+        assert_eq!(tick.scalar().unwrap().as_i64(), Some(DEPTH as i64 + 1), "shape {shape}");
+        let (si, ss) = (inc.stats(), scan.stats());
+        assert_eq!(
+            (si.rules_considered, si.conditions_false),
+            (ss.rules_considered, ss.conditions_false),
+            "shape {shape}: same schedule, same verdicts"
+        );
+        let reconsiderations = WATCHERS * (DEPTH - 1);
+        assert!(si.incr_rebuilds >= WATCHERS, "shape {shape}: {si:?}");
+        assert!(si.incr_hits >= reconsiderations, "shape {shape}: repairs, not rebuilds: {si:?}");
+        assert_eq!(si.incr_fallbacks, 0, "shape {shape}: {:?}", si.incr_fallback_reasons);
+        assert_eq!(
+            (ss.incr_hits, ss.incr_rebuilds, ss.incr_fallbacks, ss.incr_shared_hits),
+            (0, 0, 0, 0),
+            "shape {shape}: re-scan engine never runs incremental evaluation"
+        );
+        if shape == 2 {
+            assert!(si.incr_shared_hits >= reconsiderations / 2, "shape {shape}: {si:?}");
+        }
+    }
 }
 
 /// `selected` windows stay on the full evaluator — via a real

@@ -499,6 +499,34 @@ fn explicit_abort_restores_ordered_index_contents() {
         sys.query("select min(salary) from emp").unwrap().scalar().unwrap(),
         &Value::Float(10.0)
     );
+
+    // ...and still answers them through the index: at 10 004 rows a range
+    // walk skips everything outside the interval, `limit` stops the
+    // sort-free walk after 10 rows, and min/max read the two extremes.
+    // Dropping the index turns each back into a full scan.
+    let rows: Vec<String> = (0..10_000).map(|i| format!("('x', {i}, {}.0, 9)", 1000 + i)).collect();
+    sys.execute(&format!("insert into emp values {}", rows.join(", "))).unwrap();
+    let work = |sys: &RuleSystem, sql: &str| {
+        let base = sys.exec_stats();
+        sys.query(sql).unwrap();
+        sys.exec_stats().since(&base)
+    };
+    let (range, top, minmax) = (
+        "select name from emp where salary between 15.0 and 35.0",
+        "select name from emp order by salary limit 10",
+        "select min(salary), max(salary) from emp",
+    );
+    let s = work(&sys, range);
+    assert_eq!((s.range_scans, s.range_rows_skipped), (1, 10_002), "{s:?}");
+    let s = work(&sys, top);
+    assert_eq!((s.sort_elided, s.rows_scanned), (1, 10), "{s:?}");
+    let s = work(&sys, minmax);
+    assert_eq!((s.rows_scanned, s.index_lookups), (0, 2), "{s:?}");
+    sys.execute("drop index on emp (salary)").unwrap();
+    for sql in [range, top] {
+        let s = work(&sys, sql);
+        assert_eq!((s.range_scans, s.sort_elided, s.rows_scanned), (0, 0, 10_004), "{sql}: {s:?}");
+    }
 }
 
 #[test]

@@ -226,6 +226,30 @@ fn example_4_1_recursive_cascade() {
     assert_eq!(fired.iter().map(|f| f.deleted).collect::<Vec<_>>(), vec![3, 3, 0]);
     assert_eq!(count(&sys, "select count(*) from emp"), 0);
     assert_eq!(count(&sys, "select count(*) from dept"), 0);
+
+    // Cascade cost tracks depth (§4.1): reaping a complete `fanout`-ary
+    // tree takes one set-oriented firing per level, not per node.
+    for (depth, fanout) in [(4, 5), (5, 3), (7, 2)] {
+        sys.execute("insert into emp values ('root', 0, 1.0, -1)").unwrap();
+        let mut level = vec![0];
+        let mut next = 1;
+        for _ in 1..depth {
+            let mut below = Vec::new();
+            for &mgr in &level {
+                sys.execute(&format!("insert into dept values ({mgr}, {mgr})")).unwrap();
+                for _ in 0..fanout {
+                    sys.execute(&format!("insert into emp values ('e', {next}, 1.0, {mgr})"))
+                        .unwrap();
+                    below.push(next);
+                    next += 1;
+                }
+            }
+            level = below;
+        }
+        let out = sys.transaction("delete from emp where emp_no = 0").unwrap();
+        assert_eq!(out.fired().len(), depth, "depth {depth}, fan-out {fanout}");
+        assert_eq!(count(&sys, "select count(*) from emp"), 0);
+    }
 }
 
 /// Example 4.2: the paper's Bill/Mary salary scenario, verbatim.

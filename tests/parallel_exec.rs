@@ -291,22 +291,30 @@ fn engine_parallelism_knob_mirrors_stats_and_emits_event() {
 
 /// A grouped aggregation big enough to exchange engages the pool on its
 /// partial phase (and the sort on its run merge), with byte-identical
-/// output to the pinned-serial engine.
+/// output to the pinned-serial engine — and so do the other exchange
+/// stages: distinct, top-K, and the hash-join probe.
 #[test]
 fn group_by_aggregation_engages_the_pool() {
     let mut par = big_engine(Some(4));
     let mut serial = big_engine(Some(1));
-    let sql = "select k, count(*), sum(v) from big group by k order by k limit 5";
-    let a = par.transaction(sql).unwrap();
-    let b = serial.transaction(sql).unwrap();
-    match (a, b) {
-        (
-            setrules_core::TxnOutcome::Committed { output: Some(x), .. },
-            setrules_core::TxnOutcome::Committed { output: Some(y), .. },
-        ) => assert_eq!(x, y),
-        other => panic!("both transactions must commit with output: {other:?}"),
+    for sql in [
+        "select k, count(*), sum(v) from big group by k order by k limit 5",
+        "select distinct k % 7 from big",
+        "select k, v from big order by v desc limit 3",
+        "select count(*) from big a, big b where a.k = b.k and a.v > 2.0",
+    ] {
+        let before = par.stats().parallel_scans;
+        let a = par.transaction(sql).unwrap();
+        let b = serial.transaction(sql).unwrap();
+        match (a, b) {
+            (
+                setrules_core::TxnOutcome::Committed { output: Some(x), .. },
+                setrules_core::TxnOutcome::Committed { output: Some(y), .. },
+            ) => assert_eq!(x, y, "{sql}"),
+            other => panic!("both transactions must commit with output: {other:?}"),
+        }
+        assert!(par.stats().parallel_scans > before, "{sql}: {:?}", par.stats());
     }
-    assert!(par.stats().parallel_scans > 0, "{:?}", par.stats());
     assert!(par
         .recent_events()
         .iter()
@@ -321,13 +329,18 @@ fn group_by_aggregation_engages_the_pool() {
 #[test]
 fn env_override_steers_unpinned_engines_only() {
     assert_eq!(setrules_exec::resolve_threads(Some(3)), 3);
+    let caller = std::env::var_os("SETRULES_THREADS");
     std::env::set_var("SETRULES_THREADS", "1");
     assert_eq!(setrules_exec::resolve_threads(None), 1);
     assert_eq!(setrules_exec::resolve_threads(Some(5)), 5, "config beats env");
     let mut sys = big_engine(None);
     sys.transaction("select k from big where v > 10.0").unwrap();
     assert_eq!(sys.stats().parallel_scans, 0, "SETRULES_THREADS=1 must keep the pool idle");
-    std::env::remove_var("SETRULES_THREADS");
+    // Hand the rest of the binary back whatever budget the caller set.
+    match caller {
+        Some(v) => std::env::set_var("SETRULES_THREADS", v),
+        None => std::env::remove_var("SETRULES_THREADS"),
+    }
     assert!(setrules_exec::resolve_threads(None) >= 1);
 }
 

@@ -393,6 +393,13 @@ fn empty_external_effect_triggers_nothing() {
     .unwrap();
     let out = sys.transaction("delete from t where k = 42").unwrap();
     assert!(out.fired().is_empty());
+
+    // A non-empty transition on `t` triggers nothing on an untouched table.
+    sys.execute("create table other (k int)").unwrap();
+    sys.execute("create rule bystander when inserted into other then delete from other").unwrap();
+    sys.execute("insert into t values (1, 1)").unwrap();
+    let out = sys.transaction("update t set v = v + 1").unwrap();
+    assert_eq!(out.fired().iter().map(|f| f.rule.as_str()).collect::<Vec<_>>(), ["any"]);
 }
 
 /// DML errors inside a transaction roll the whole transaction back.
