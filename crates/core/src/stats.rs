@@ -146,9 +146,14 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// The timing slot for `rule`, creating it on first touch.
+    /// The timing slot for `rule`, creating it on first touch. Only that
+    /// first touch allocates the key; the consideration loop calls this
+    /// several times per consideration.
     pub(crate) fn rule_mut(&mut self, rule: &str) -> &mut RuleTiming {
-        self.per_rule.entry(rule.to_string()).or_default()
+        if !self.per_rule.contains_key(rule) {
+            self.per_rule.insert(rule.to_string(), RuleTiming::default());
+        }
+        self.per_rule.get_mut(rule).expect("slot inserted above")
     }
 
     /// Counter-wise sum (union of per-rule maps).

@@ -79,6 +79,21 @@ echo "==> semi-join access (Example 3.1 work counters + 300-case differential)"
 cargo test -q -p setrules-core --test query_pipeline -- \
   semi_join_example_3_1_work_counters in_subquery_agrees_with_linear_reference_on_every_axis
 
+echo "==> §4.4 selection (priority closure property + selection differential)"
+# Both run under `cargo test` above; named here so the CI log shows the
+# gates behind one-pass selection. The closure property holds the
+# bitset closure to a test-only graph search over random add/drop
+# sequences on up to 70 rules; the unit differential holds select_rule
+# under all four strategies to the materialise-then-pick reference; the
+# engine case runs a 64-rule storm with a reverse-creation priority
+# chain and checks its exact trace and consideration count, also after
+# snapshot/restore and a durable reopen.
+cargo test -q -p setrules-core --lib -- \
+  priority::tests::closure_matches_dfs_oracle \
+  selection::tests::select_rule_matches_reference_on_every_strategy
+cargo test -q -p setrules-core --test selection_strategies -- \
+  reverse_priority_chain_storm_matches_model
+
 echo "==> acceptance counters (B11-B17 work-counter bars)"
 # Also run under `cargo test` above; named here so the CI log shows the
 # deterministic work-counter bars behind experiments B11-B17

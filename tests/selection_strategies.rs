@@ -1,6 +1,9 @@
 //! Rule selection strategies (§4.4) observed through firing order.
 
-use setrules_core::{EngineConfig, RuleError, RuleSystem, SelectionStrategy};
+use setrules_core::{
+    EngineConfig, RuleError, RuleSystem, SelectionStrategy, SharedMemSink, WalConfig,
+};
+use setrules_testkit::Rng;
 
 /// Build a system with three independent logging rules all triggered by
 /// the same insert. The log table records firing order via a counter read
@@ -143,4 +146,100 @@ fn strategy_affects_final_state() {
         "second",
         "priorities flip the outcome"
     );
+}
+
+/// Rules in the priority storm below.
+const STORM_RULES: usize = 64;
+
+/// Define the storm: `g{i}` is triggered by any insert into `t` and fires
+/// once `log` holds at least `need[i]` rows. The priority chain runs
+/// against creation order (`g63` before `g62` … before `g0`), then random
+/// extra pairs follow: those the chain implies are accepted, the others
+/// close a cycle and are rejected.
+fn build_storm(sys: &mut RuleSystem, need: &[usize], extra: &[(usize, usize)]) {
+    sys.execute("create table t (k int)").unwrap();
+    sys.execute("create table log (r int, seq int)").unwrap();
+    for (i, n) in need.iter().enumerate() {
+        sys.execute(&format!(
+            "create rule g{i} when inserted into t \
+             if (select count(*) from log) >= {n} \
+             then insert into log values ({i}, (select count(*) from log))"
+        ))
+        .unwrap();
+    }
+    for i in 1..need.len() {
+        sys.execute(&format!("create rule priority g{i} before g{}", i - 1)).unwrap();
+    }
+    for &(a, b) in extra {
+        let res = sys.execute(&format!("create rule priority g{a} before g{b}"));
+        if a > b {
+            res.unwrap();
+        } else {
+            assert!(matches!(res, Err(RuleError::PriorityCycle { .. })), "g{a} before g{b}: {res:?}");
+        }
+    }
+}
+
+/// The Figure 1 loop over the storm under a total order: consider the
+/// highest unconsidered, unfired rule; a firing adds one `log` row and
+/// makes every other rule a candidate again. Returns the firing trace and
+/// the number of considerations.
+fn storm_model(need: &[usize]) -> (Vec<String>, u64) {
+    let mut fired = vec![false; need.len()];
+    let mut considered = vec![false; need.len()];
+    let (mut trace, mut considerations) = (Vec::new(), 0);
+    while let Some(i) = (0..need.len()).rev().find(|&i| !fired[i] && !considered[i]) {
+        considerations += 1;
+        if trace.len() >= need[i] {
+            fired[i] = true;
+            trace.push(format!("g{i}"));
+            considered.fill(false);
+        } else {
+            considered[i] = true;
+        }
+    }
+    (trace, considerations)
+}
+
+fn run_storm(sys: &mut RuleSystem) -> (Vec<String>, u64) {
+    let out = sys.transaction("insert into t values (1)").unwrap();
+    let trace = out.fired().iter().map(|f| f.rule.clone()).collect();
+    (trace, out.stats().engine.rules_considered)
+}
+
+/// Selection at storm scale: 64 triggered rules, every priority pair
+/// declared against creation order, so each selection's maximal candidate
+/// is the last one created. The exact trace and consideration count
+/// match the model, and stay the same on a system restored from a
+/// snapshot and on one reopened from its log (both replay the priorities
+/// one `create rule priority` at a time).
+#[test]
+fn reverse_priority_chain_storm_matches_model() {
+    let mut rng = Rng::new(0x5E1EC7);
+    let need: Vec<usize> = (0..STORM_RULES).map(|_| rng.below(24)).collect();
+    let extra: Vec<(usize, usize)> = (0..48)
+        .map(|_| (rng.below(STORM_RULES), rng.below(STORM_RULES)))
+        .filter(|(a, b)| a != b)
+        .collect();
+    let expected = storm_model(&need);
+    assert_eq!(expected.0.len(), STORM_RULES, "every rule fires once: {:?}", expected.0);
+    assert!(expected.1 > 4 * STORM_RULES as u64, "and reconsiders: {}", expected.1);
+
+    let mut plain = RuleSystem::new();
+    build_storm(&mut plain, &need, &extra);
+    assert_eq!(run_storm(&mut plain), expected, "in-memory system");
+
+    let sink = SharedMemSink::new();
+    let durable = EngineConfig {
+        durability: Some(WalConfig::memory(sink.clone())),
+        ..Default::default()
+    };
+    let mut sys = RuleSystem::open(durable.clone()).unwrap();
+    build_storm(&mut sys, &need, &extra);
+    let snap = sys.snapshot().unwrap();
+    drop(sys);
+    let mut reopened = RuleSystem::open(durable).unwrap();
+    assert_eq!(run_storm(&mut reopened), expected, "reopened from the log");
+    let mut restored = RuleSystem::restore(&snap, EngineConfig::default()).unwrap();
+    assert_eq!(run_storm(&mut restored), expected, "restored from a snapshot");
 }
