@@ -20,10 +20,7 @@
 
 use setrules_json::Json;
 use setrules_query::OpEffect;
-use setrules_storage::{
-    ColumnDef, Database, DataType, FaultKind, StorageError, TableId, TableSchema, Tuple,
-    TupleHandle,
-};
+use setrules_storage::{Database, FaultKind, StorageError, TableId, Tuple, TupleHandle};
 use setrules_wal::{
     value_from_json, value_to_json, SyncPolicy, WalConfig, WalError, WalRecord, WalWriter,
 };
@@ -35,7 +32,7 @@ use setrules_storage::ColumnId;
 use crate::engine::RuleSystem;
 use crate::error::RuleError;
 use crate::events::{EngineEvent, EventBus};
-use crate::snapshot::TableSnapshot;
+use crate::snapshot::Snapshot;
 use crate::stats::EngineStats;
 use crate::transinfo::{DelEntry, SelEntry, TransInfo, UpdEntry};
 
@@ -54,10 +51,6 @@ pub(crate) struct WalState {
     pub(crate) txn_appends: u64,
     /// Commits since the last checkpoint (for `checkpoint_every`).
     pub(crate) commits_since_checkpoint: u64,
-}
-
-fn bad_ckpt(what: &str) -> RuleError {
-    RuleError::Wal(WalError::Record(format!("malformed checkpoint: bad or missing '{what}'")))
 }
 
 fn bad_win(what: &str) -> RuleError {
@@ -445,27 +438,27 @@ impl RuleSystem {
         if !due || !self.deferred_window().is_empty() {
             return;
         }
-        let state = match self.checkpoint_state() {
-            Ok(s) => s,
-            // E.g. a rule with a native action snuck in: skip checkpoints,
-            // full-log replay still works.
-            Err(_) => return,
-        };
+        // E.g. a rule with a native action snuck in: skip checkpoints,
+        // full-log replay still works. The snapshot's row copies are freed
+        // before the record is encoded, so they never coexist with the
+        // record's own JSON copies.
+        let Ok(state) = self.snapshot().map(|snap| snap.to_json()) else { return };
+        // `wal_ddl` has already cleared the crash bookkeeping on failure.
+        let _ = self.wal_checkpoint(state);
+    }
+
+    /// Log `state` (a [`Snapshot`]'s JSON) as one `Checkpoint` record, its
+    /// own append-and-sync unit like DDL. Replay restores the last one and
+    /// applies only the log suffix after it.
+    pub(crate) fn wal_checkpoint(&mut self, state: Json) -> Result<(), RuleError> {
         let bytes = state.compact().len() as u64;
-        match self.wal_ddl(WalRecord::Checkpoint { state }) {
-            Ok(()) => {
-                self.stats.checkpoints += 1;
-                self.events.emit(EngineEvent::Checkpoint { bytes });
-                if let Some(w) = self.wal.as_mut() {
-                    w.commits_since_checkpoint = 0;
-                }
-            }
-            Err(_) => {
-                if let Some(w) = self.wal.as_mut() {
-                    w.crashed = false;
-                }
-            }
+        self.wal_ddl(WalRecord::Checkpoint { state })?;
+        self.stats.checkpoints += 1;
+        self.events.emit(EngineEvent::Checkpoint { bytes });
+        if let Some(w) = self.wal.as_mut() {
+            w.commits_since_checkpoint = 0;
         }
+        Ok(())
     }
 
     /// Current write-ahead-log status, for introspection (the REPL's
@@ -532,7 +525,7 @@ impl RuleSystem {
         if let Some(ci) = records.iter().rposition(|r| matches!(r, WalRecord::Checkpoint { .. }))
         {
             let WalRecord::Checkpoint { state } = &records[ci] else { unreachable!() };
-            self.restore_checkpoint(state)?;
+            self.load_image(Snapshot::from_json(state)?)?;
             start = ci + 1;
         }
         let mut open: Option<Vec<&WalRecord>> = None;
@@ -605,159 +598,6 @@ impl RuleSystem {
                 self.db.redo_update(t, TupleHandle(*handle), Tuple(values.clone()))?;
             }
             _ => {}
-        }
-        Ok(())
-    }
-
-    // -----------------------------------------------------------------
-    // Checkpoints
-    // -----------------------------------------------------------------
-
-    /// Encode the full current state for a checkpoint record. Unlike the
-    /// portable [`crate::Snapshot`] encoding (which restarts the handle
-    /// space), a checkpoint must reproduce the image *exactly*: it keeps
-    /// per-row tuple handles, dropped `TableId` slots, and the handle
-    /// high-water mark, and encodes floats bit-exactly.
-    fn checkpoint_state(&self) -> Result<Json, RuleError> {
-        // Reuses the snapshot path for rules/priorities (which also
-        // rejects unserializable native-action rules).
-        let snap = self.snapshot()?;
-        let db = self.database();
-        let mut slots = Vec::new();
-        for tid in db.table_ids() {
-            let Some(table) = db.try_table(tid) else {
-                // A dropped table's id slot: recorded so later tables
-                // keep their ids on restore.
-                slots.push(Json::Null);
-                continue;
-            };
-            let schema = &table.schema;
-            let columns: Vec<(String, DataType)> =
-                schema.columns.iter().map(|c| (c.name.clone(), c.ty)).collect();
-            let indexes = (0..schema.arity())
-                .map(|i| setrules_storage::ColumnId(i as u16))
-                .filter_map(|c| {
-                    db.index_kind(tid, c).map(|k| (schema.column_name(c).to_string(), k))
-                })
-                .collect();
-            let ts = TableSnapshot {
-                name: schema.name.clone(),
-                columns,
-                indexes,
-                rows: Vec::new(),
-            };
-            let mut j = ts.to_json();
-            let rows_h: Vec<Json> = table
-                .scan()
-                .map(|(h, t)| {
-                    let mut arr = Vec::with_capacity(1 + t.0.len());
-                    arr.push(Json::Int(h.0 as i64));
-                    arr.extend(t.0.iter().map(value_to_json));
-                    Json::Array(arr)
-                })
-                .collect();
-            if let Json::Object(fields) = &mut j {
-                fields.push(("rows_h".to_string(), Json::Array(rows_h)));
-            }
-            slots.push(j);
-        }
-        let str_array =
-            |items: &[String]| Json::Array(items.iter().map(|s| Json::Str(s.clone())).collect());
-        Ok(Json::obj([
-            ("slots", Json::Array(slots)),
-            ("handles", Json::Int(db.handles_issued() as i64)),
-            ("rules", str_array(&snap.rules)),
-            ("deactivated", str_array(&snap.deactivated)),
-            (
-                "priorities",
-                Json::Array(
-                    snap.priorities
-                        .iter()
-                        .map(|(h, l)| Json::Array(vec![Json::Str(h.clone()), Json::Str(l.clone())]))
-                        .collect(),
-                ),
-            ),
-        ]))
-    }
-
-    /// Rebuild this (fresh) system from a checkpoint record's state.
-    fn restore_checkpoint(&mut self, state: &Json) -> Result<(), RuleError> {
-        let slots = state.get("slots").and_then(Json::as_array).ok_or_else(|| bad_ckpt("slots"))?;
-        // Rows are collected across all tables and replayed in global
-        // handle order: handles interleave between tables, and
-        // `redo_insert` (rightly) asserts they arrive monotonically.
-        let mut pending_rows: Vec<(u64, TableId, Vec<setrules_storage::Value>)> = Vec::new();
-        for (i, slot) in slots.iter().enumerate() {
-            if matches!(slot, Json::Null) {
-                // Burn the dropped table's id slot so later ids line up.
-                let ph = format!("__dropped_{i}");
-                self.db.create_table(TableSchema::new(
-                    ph.clone(),
-                    vec![ColumnDef::new("x", DataType::Int)],
-                ))?;
-                self.db.drop_table(&ph)?;
-                continue;
-            }
-            let ts = TableSnapshot::from_json(slot)?;
-            let cols: Vec<ColumnDef> =
-                ts.columns.iter().map(|(n, ty)| ColumnDef::new(n.clone(), *ty)).collect();
-            self.db.create_table(TableSchema::new(ts.name.clone(), cols))?;
-            let tid = self.db.table_id(&ts.name)?;
-            let rows =
-                slot.get("rows_h").and_then(Json::as_array).ok_or_else(|| bad_ckpt("rows_h"))?;
-            for row in rows {
-                let arr = row.as_array().ok_or_else(|| bad_ckpt("rows_h"))?;
-                let (h, vals) = arr.split_first().ok_or_else(|| bad_ckpt("rows_h"))?;
-                let h = h
-                    .as_i64()
-                    .and_then(|i| u64::try_from(i).ok())
-                    .ok_or_else(|| bad_ckpt("rows_h"))?;
-                let values = vals
-                    .iter()
-                    .map(value_from_json)
-                    .collect::<Result<Vec<_>, WalError>>()
-                    .map_err(RuleError::Wal)?;
-                pending_rows.push((h, tid, values));
-            }
-            // Indexes populate incrementally as redo inserts the rows.
-            for (c, kind) in &ts.indexes {
-                let cid = self.db.schema(tid).column_id(c)?;
-                self.db.create_index_of(tid, cid, *kind)?;
-            }
-        }
-        pending_rows.sort_by_key(|(h, _, _)| *h);
-        for (h, tid, values) in pending_rows {
-            self.db.redo_insert(tid, TupleHandle(h), Tuple(values))?;
-        }
-        let handles = state
-            .get("handles")
-            .and_then(Json::as_i64)
-            .and_then(|i| u64::try_from(i).ok())
-            .ok_or_else(|| bad_ckpt("handles"))?;
-        self.db.redo_handle_watermark(handles, TableId(0));
-        self.db.commit();
-
-        for sql in state.get("rules").and_then(Json::as_array).ok_or_else(|| bad_ckpt("rules"))? {
-            let sql = sql.as_str().ok_or_else(|| bad_ckpt("rules"))?;
-            self.create_rule_str(sql)?;
-        }
-        let deactivated =
-            state.get("deactivated").and_then(Json::as_array).ok_or_else(|| bad_ckpt("deactivated"))?;
-        for name in deactivated {
-            let name = name.as_str().ok_or_else(|| bad_ckpt("deactivated"))?;
-            self.set_rule_active(name, false)?;
-        }
-        let priorities =
-            state.get("priorities").and_then(Json::as_array).ok_or_else(|| bad_ckpt("priorities"))?;
-        for pair in priorities {
-            let [h, l] = pair.as_array().ok_or_else(|| bad_ckpt("priorities"))? else {
-                return Err(bad_ckpt("priorities"));
-            };
-            let (h, l) = match (h.as_str(), l.as_str()) {
-                (Some(h), Some(l)) => (h, l),
-                _ => return Err(bad_ckpt("priorities")),
-            };
-            self.add_priority(h, l)?;
         }
         Ok(())
     }

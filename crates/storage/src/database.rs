@@ -411,6 +411,15 @@ impl Database {
         Ok(())
     }
 
+    /// Replay a dropped table's id slot: consume the next [`TableId`]
+    /// without creating a table, so tables created after it keep their
+    /// original ids (ids are never reused). It takes no name, so it can
+    /// never collide with a live table's.
+    pub fn redo_dropped_table(&mut self) {
+        self.tables.push(None);
+        self.indexes.push(TableIndexes::new());
+    }
+
     /// Advance the handle high-water mark to `n` handles issued, burning
     /// any numbers in between (with `filler` provenance). Commit and abort
     /// WAL records carry the watermark so replay reissues the exact same

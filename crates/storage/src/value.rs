@@ -164,10 +164,10 @@ impl Value {
         self.sql_cmp(other).map(|o| o == Ordering::Equal)
     }
 
-    /// Untagged JSON form: `NULL` → `null`, numbers and strings map
-    /// directly. The writer keeps `Int` and `Float` distinct (floats
-    /// always carry a decimal point or exponent), so the mapping is
-    /// invertible via [`Value::from_json`].
+    /// Untagged JSON form for display: `NULL` → `null`, numbers and
+    /// strings map directly. Not invertible: JSON has no NaN or infinity,
+    /// so non-finite floats print as `null`. The exact (bit-preserving)
+    /// value codec is `setrules_wal::value_to_json`.
     pub fn to_json(&self) -> Json {
         match self {
             Value::Null => Json::Null,
@@ -175,18 +175,6 @@ impl Value {
             Value::Int(i) => Json::Int(*i),
             Value::Float(f) => Json::float(*f),
             Value::Text(s) => Json::Str(s.clone()),
-        }
-    }
-
-    /// Parse the untagged JSON form written by [`Value::to_json`].
-    pub fn from_json(json: &Json) -> Option<Value> {
-        match json {
-            Json::Null => Some(Value::Null),
-            Json::Bool(b) => Some(Value::Bool(*b)),
-            Json::Int(i) => Some(Value::Int(*i)),
-            Json::Float(f) => Some(Value::Float(*f)),
-            Json::Str(s) => Some(Value::Text(s.clone())),
-            Json::Array(_) | Json::Object(_) => None,
         }
     }
 

@@ -94,6 +94,25 @@ cargo test -q -p setrules-core --lib -- \
 cargo test -q -p setrules-core --test selection_strategies -- \
   reverse_priority_chain_storm_matches_model
 
+echo "==> state image codec (exactness, differential, hostile snapshots, dropped slots)"
+# Also run under `cargo test` above; named here so the CI log shows the
+# gates behind the one snapshot/checkpoint codec. A snapshot round trip,
+# in memory and through JSON, reproduces state_image() and
+# handles_issued() byte for byte with NaN, +-inf and -0.0 stored; the
+# 300-case durable differential also round-trips a snapshot after every
+# statement; hand-edited snapshots (duplicate or zero handles, a low
+# high-water mark, ill-typed rows, unknown columns or rules, truncated
+# JSON) are typed errors through restore and replay alike; a dropped
+# table's id slot survives checkpoint and snapshot even when a live table
+# is named like a placeholder; a durable restore logs one checkpoint and
+# refuses a used log.
+cargo test -q -p setrules-core --test snapshot_restore --test wal_recovery -- \
+  snapshot_round_trips_through_json \
+  durable_and_in_memory_systems_agree_with_reopen_after_every_statement \
+  hostile_snapshots_are_typed_errors \
+  checkpoint_preserves_dropped_table_id_slots_and_rule_state \
+  durable_restore_logs_one_checkpoint_and_refuses_a_used_log
+
 echo "==> acceptance counters (B11-B17 work-counter bars)"
 # Also run under `cargo test` above; named here so the CI log shows the
 # deterministic work-counter bars behind experiments B11-B17

@@ -2,8 +2,10 @@
 //! deactivation state survive serialization; restored systems behave
 //! identically.
 
-use setrules_core::{EngineConfig, RuleError, RuleSystem};
+use setrules_core::{EngineConfig, RuleError, RuleSystem, SharedMemSink, Snapshot, WalConfig};
+use setrules_json::Json;
 use setrules_storage::Value;
+use setrules_wal::{WalRecord, WalWriter};
 
 fn build() -> RuleSystem {
     let mut sys = RuleSystem::new();
@@ -35,7 +37,15 @@ fn build() -> RuleSystem {
 
 #[test]
 fn snapshot_round_trips_through_json() {
-    let sys = build();
+    let mut sys = build();
+    // Values the SQL-text and plain-JSON forms cannot carry: NaN, ±inf,
+    // -0.0, a float with no short decimal form, and a quote.
+    sys.execute("create table f (k int, v float, s text)").unwrap();
+    sys.execute(
+        "insert into f values (1, 0.0 / 0.0, 'it''s'), (2, 1e300 * 1e300, NULL), \
+         (3, -(1e300 * 1e300), NULL), (4, -0.0, NULL), (5, 0.1, NULL)",
+    )
+    .unwrap();
     let snap = sys.snapshot().unwrap();
     let json = snap.to_json_string();
     let back = setrules_core::Snapshot::from_json_str(&json).unwrap();
@@ -55,6 +65,14 @@ fn snapshot_round_trips_through_json() {
     // Index restored (observable through explain).
     let plan = restored.explain("select * from emp where dept_no = 1").unwrap();
     assert!(plan.contains("index probe"), "{plan}");
+
+    // The image is exact, in memory and through JSON: rows, handles,
+    // index contents and the handle high-water mark, byte for byte.
+    let in_memory = RuleSystem::restore(&snap, EngineConfig::default()).unwrap();
+    for (how, other) in [("in memory", &in_memory), ("through json", &restored)] {
+        assert_eq!(other.database().state_image(), sys.database().state_image(), "{how}");
+        assert_eq!(other.database().handles_issued(), sys.database().handles_issued(), "{how}");
+    }
 }
 
 #[test]
@@ -163,4 +181,94 @@ fn empty_system_snapshot() {
     assert!(snap.tables.is_empty() && snap.rules.is_empty());
     let restored = RuleSystem::restore(&snap, EngineConfig::default()).unwrap();
     assert_eq!(restored.rules().count(), 0);
+}
+
+/// Replace `path` (object keys and array indexes) inside `json`.
+fn edit(json: &mut Json, path: &[&str], value: Json) {
+    let mut at = json;
+    for step in path {
+        at = match at {
+            Json::Object(fields) => {
+                &mut fields.iter_mut().find(|(k, _)| k == step).expect("key exists").1
+            }
+            Json::Array(items) => &mut items[step.parse::<usize>().unwrap()],
+            _ => panic!("no '{step}' in {at:?}"),
+        };
+    }
+    *at = value;
+}
+
+/// A snapshot string is outside input: every hand-edited inconsistency
+/// below is a typed error from `from_json_str` + `restore`, and from
+/// replaying it as a log checkpoint, never a panic.
+#[test]
+fn hostile_snapshots_are_typed_errors() {
+    let good = build().snapshot().unwrap().to_json();
+    // Slot 1 is `emp`, whose first two rows carry handles 3 and 4.
+    let row = |i: &'static str, col: &'static str| vec!["slots", "1", "rows_h", i, col];
+    let pair = |a: &str, b: &str| Json::Array(vec![Json::Str(a.into()), Json::Str(b.into())]);
+    let cases = [
+        ("duplicate row handle", row("1", "0"), Json::Int(3)),
+        ("handle 0", row("0", "0"), Json::Int(0)),
+        ("high-water mark below a row handle", vec!["handles"], Json::Int(4)),
+        ("row arity", vec!["slots", "1", "rows_h", "0"], Json::Array(vec![Json::Int(3)])),
+        ("row type", row("0", "2"), Json::Str("ten".into())),
+        ("index on an unknown column", vec!["slots", "1", "indexes", "0"], Json::Str("nope".into())),
+        ("priority naming an unknown rule", vec!["priorities", "0"], pair("guard", "ghost")),
+    ];
+    let mut texts: Vec<(&str, String)> = cases
+        .into_iter()
+        .map(|(what, path, value)| {
+            let mut json = good.clone();
+            edit(&mut json, &path, value);
+            (what, json.pretty())
+        })
+        .collect();
+    let whole = good.pretty();
+    texts.push(("truncated json", whole[..whole.len() / 2].to_string()));
+
+    for (what, text) in &texts {
+        let restored = Snapshot::from_json_str(text)
+            .and_then(|snap| RuleSystem::restore(&snap, EngineConfig::default()));
+        assert!(restored.is_err(), "{what}: restore accepted a hostile snapshot");
+
+        // The same image as the checkpoint of a log: recovery refuses too.
+        let Ok(state) = Json::parse(text) else { continue };
+        let sink = SharedMemSink::new();
+        let (mut writer, _) = WalWriter::open(WalConfig::memory(sink.clone())).unwrap();
+        writer.append_record(&WalRecord::Checkpoint { state });
+        writer.sync().unwrap();
+        let cfg = EngineConfig {
+            durability: Some(WalConfig::memory(sink)),
+            ..Default::default()
+        };
+        assert!(RuleSystem::open(cfg).is_err(), "{what}: recovery accepted a hostile checkpoint");
+    }
+}
+
+/// A durable restore logs the image as one checkpoint that recovers
+/// exactly, and refuses a log that already holds records instead of
+/// merging into it.
+#[test]
+fn durable_restore_logs_one_checkpoint_and_refuses_a_used_log() {
+    let sys = build();
+    let snap = sys.snapshot().unwrap();
+    let sink = SharedMemSink::new();
+    let cfg = || EngineConfig {
+        durability: Some(WalConfig::memory(sink.clone())),
+        ..Default::default()
+    };
+    let restored = RuleSystem::restore(&snap, cfg()).unwrap();
+    assert_eq!(restored.database().state_image(), sys.database().state_image());
+    drop(restored);
+    let (records, _) = setrules_wal::scan(&sink.bytes());
+    assert!(
+        matches!(records.as_slice(), [WalRecord::Checkpoint { .. }]),
+        "one checkpoint record, got {records:?}"
+    );
+    let reopened = RuleSystem::open(cfg()).unwrap();
+    assert_eq!(reopened.database().state_image(), sys.database().state_image());
+    assert_eq!(reopened.database().handles_issued(), sys.database().handles_issued());
+    drop(reopened);
+    assert!(matches!(RuleSystem::restore(&snap, cfg()), Err(RuleError::Unsupported(_))));
 }

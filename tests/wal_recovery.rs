@@ -19,7 +19,8 @@
 //! site of each kind (the CI-bounded mode used by `scripts/ci.sh`).
 
 use setrules_core::{
-    EngineConfig, EngineEvent, RuleError, RuleSystem, SharedMemSink, SyncPolicy, WalConfig,
+    EngineConfig, EngineEvent, RuleError, RuleSystem, SharedMemSink, Snapshot, SyncPolicy,
+    WalConfig,
 };
 use setrules_query::QueryError;
 use setrules_storage::{FaultKind, StorageError};
@@ -404,10 +405,18 @@ fn durable_and_in_memory_systems_agree_with_reopen_after_every_statement() {
         let mut mem = RuleSystem::new();
         let mut dur = RuleSystem::open(cfg(&sink)).expect("open durable");
 
-        let mut stmts: Vec<String> = vec![
-            "create table t (k int, v float)".into(),
-            "create table log (k int)".into(),
-        ];
+        let mut stmts: Vec<String> = Vec::new();
+        if rng.chance(1, 3) {
+            // A dropped table leaves a dead id slot and burned handles
+            // that every image below must keep.
+            stmts.extend([
+                "create table scratch (x int)".into(),
+                "insert into scratch values (1), (2)".into(),
+                "drop table scratch".into(),
+            ]);
+        }
+        stmts.push("create table t (k int, v float)".into());
+        stmts.push("create table log (k int)".into());
         if rng.chance(1, 2) {
             stmts.push("create index on t (k)".into());
         }
@@ -430,8 +439,10 @@ fn durable_and_in_memory_systems_agree_with_reopen_after_every_statement() {
         }
         for _ in 0..2 + rng.below(6) {
             let k = rng.below(6);
-            stmts.push(match rng.below(5) {
+            stmts.push(match rng.below(6) {
                 0 | 1 => format!("insert into t values ({k}, {}.25)", rng.below(50)),
+                // NaN has no SQL literal and no JSON number.
+                5 => format!("insert into t values ({k}, 0.0 / 0.0)"),
                 2 => format!("update t set v = v + 1.5 where k = {k}"),
                 // Trips the `cap` rollback rule when it exists.
                 3 => format!("update t set v = 250.0 where k = {k}"),
@@ -460,6 +471,23 @@ fn durable_and_in_memory_systems_agree_with_reopen_after_every_statement() {
                 dur.database().state_image(),
                 "stmt {i} '{stmt}': recovered image diverged"
             );
+            // So must a snapshot taken now, through its JSON form.
+            if dur.deferred_window().is_empty() {
+                let json = dur.snapshot().expect("quiescent").to_json_string();
+                let back = Snapshot::from_json_str(&json).expect("own snapshot parses");
+                let restored = RuleSystem::restore(&back, EngineConfig::default())
+                    .unwrap_or_else(|e| panic!("stmt {i} '{stmt}': restore failed: {e}"));
+                assert_eq!(
+                    restored.database().state_image(),
+                    dur.database().state_image(),
+                    "stmt {i} '{stmt}': snapshot round trip diverged"
+                );
+                assert_eq!(
+                    restored.database().handles_issued(),
+                    dur.database().handles_issued(),
+                    "stmt {i} '{stmt}': snapshot round trip lost the handle high-water mark"
+                );
+            }
         }
         // Same rule firings and transaction outcomes on both engines.
         assert_eq!(mem.stats().rules_executed, dur.stats().rules_executed);
@@ -551,39 +579,61 @@ fn checkpoint_kill_sweep_recovers_live_image_at_every_site() {
 }
 
 /// A dropped table leaves a dead `TableId` slot; a checkpoint taken
-/// afterwards must re-burn that slot on restore so surviving tables keep
-/// their ids (state_image prints them).
+/// afterwards must keep that slot on restore so surviving tables keep
+/// their ids (state_image prints them). The second input names a live
+/// table after the slot it precedes, `__dropped_1`, which a restore that
+/// filled the slot with a named placeholder table would collide with.
 #[test]
 fn checkpoint_preserves_dropped_table_id_slots_and_rule_state() {
-    let sink = SharedMemSink::new();
-    let mut sys = RuleSystem::open(checkpoint_config(&sink, 1)).unwrap();
-    sys.execute("create table scratch (x int)").unwrap();
-    sys.execute("create table t (k int, v float)").unwrap();
-    sys.execute("create table log (k int)").unwrap();
-    sys.execute("drop table scratch").unwrap();
-    sys.execute(
-        "create rule audit when deleted from t then insert into log (select k from deleted t)",
-    )
-    .unwrap();
-    sys.execute("create rule noisy when inserted into t then insert into log (select k from inserted t)")
+    for head in ["head", "__dropped_1"] {
+        let sink = SharedMemSink::new();
+        let mut sys = RuleSystem::open(checkpoint_config(&sink, 1)).unwrap();
+        sys.execute(&format!("create table {head} (x int)")).unwrap();
+        sys.execute("create table scratch (x int)").unwrap();
+        sys.execute("create table t (k int, v float)").unwrap();
+        sys.execute("create table log (k int)").unwrap();
+        sys.execute("insert into scratch values (7)").unwrap();
+        sys.execute("drop table scratch").unwrap();
+        sys.execute(
+            "create rule audit when deleted from t then insert into log (select k from deleted t)",
+        )
         .unwrap();
-    sys.execute("deactivate rule noisy").unwrap();
-    sys.execute("create rule priority audit before noisy").unwrap();
-    sys.execute("insert into t values (1, 1.5), (2, 2.5)").unwrap();
-    sys.execute("delete from t where k = 1").unwrap(); // fires audit; commit writes a checkpoint
-    let image = sys.database().state_image();
+        sys.execute(
+            "create rule noisy when inserted into t then insert into log (select k from inserted t)",
+        )
+        .unwrap();
+        sys.execute("deactivate rule noisy").unwrap();
+        sys.execute("create rule priority audit before noisy").unwrap();
+        sys.execute("insert into t values (1, 1.5), (2, 2.5)").unwrap();
+        sys.execute("delete from t where k = 1").unwrap(); // fires audit; commit writes a checkpoint
+        let image = sys.database().state_image();
+        let handles = sys.database().handles_issued();
 
-    let mut rec = reopen(&sink);
-    assert_eq!(rec.database().state_image(), image);
-    assert!(rec.rule("audit").is_some());
-    assert!(!rec.rule("noisy").unwrap().active, "deactivation must survive the checkpoint");
-    assert_eq!(rec.priority_pairs(), vec![("audit".to_string(), "noisy".to_string())]);
-    // The restored system keeps working: the audit rule still fires.
-    rec.execute("delete from t where k = 2").unwrap();
-    assert_eq!(
-        rec.query("select count(*) from log").unwrap().scalar().unwrap().as_i64(),
-        Some(2)
-    );
+        // The same image through snapshot/restore and its JSON form.
+        let json = sys.snapshot().unwrap().to_json_string();
+        let snap = Snapshot::from_json_str(&json).unwrap();
+        let restored = RuleSystem::restore(&snap, EngineConfig::default())
+            .unwrap_or_else(|e| panic!("[{head}] restore failed: {e}"));
+        assert_eq!(restored.database().state_image(), image, "[{head}] snapshot round trip");
+        assert_eq!(restored.database().handles_issued(), handles, "[{head}]");
+
+        let mut rec = RuleSystem::open(checkpoint_config(&sink, 1))
+            .unwrap_or_else(|e| panic!("[{head}] recovery failed: {e}"));
+        assert_eq!(rec.database().state_image(), image, "[{head}]");
+        assert_eq!(rec.database().handles_issued(), handles, "[{head}]");
+        assert!(rec.rule("audit").is_some());
+        assert!(!rec.rule("noisy").unwrap().active, "deactivation must survive the checkpoint");
+        assert_eq!(rec.priority_pairs(), vec![("audit".to_string(), "noisy".to_string())]);
+        // The restored system keeps working: the audit rule still fires,
+        // and a new table takes the next unused id.
+        rec.execute("delete from t where k = 2").unwrap();
+        assert_eq!(
+            rec.query("select count(*) from log").unwrap().scalar().unwrap().as_i64(),
+            Some(2)
+        );
+        rec.execute("create table fresh (x int)").unwrap();
+        assert!(rec.database().state_image().contains("table fresh (id 4)"), "[{head}]");
+    }
 }
 
 // ----------------------------------------------------------------------
