@@ -16,7 +16,7 @@ use std::time::Instant;
 
 use setrules_query::incremental::{analyze, CondVerdict, IncMemo, IncrState};
 use setrules_query::{
-    compile_cached, eval_compiled_predicate, execute_op, execute_query, ExecMode, ExecOpts,
+    compile_cached, eval_compiled_predicate, execute_op, execute_query, ExecOpts,
     ExecStats, NoTransitionTables, OpEffect, PlanCache, QueryError, Relation, StatsCell,
 };
 use setrules_sql::ast::{CreateRule, DmlOp, Statement, TransitionKind};
@@ -87,11 +87,6 @@ pub struct EngineConfig {
     /// Capacity of the always-on in-memory event ring (most recent N
     /// [`EngineEvent`]s retained; `0` disables retention).
     pub event_capacity: usize,
-    /// Expression execution mode: `Compiled` (default) lowers predicates
-    /// and projections to slot-addressed form once per statement, with a
-    /// per-rule plan cache across firings; `Interpreted` walks the AST
-    /// per row (kept for differential testing).
-    pub exec_mode: ExecMode,
     /// Deterministic fault plan armed onto the storage layer's
     /// [`FaultInjector`] at construction: the Nth storage operation of the
     /// planned kind fails. For crash-consistency testing; `None` (the
@@ -116,9 +111,8 @@ pub struct EngineConfig {
     /// tables at every consideration (see
     /// `docs/incremental-evaluation.md`). `Some(b)` pins it; `None` (the
     /// default) defers to the `SETRULES_INCR` environment variable
-    /// (`0`/`false`/`off`/`no` disables) and is otherwise on. Only
-    /// effective in `Compiled` mode; results are observably identical
-    /// either way.
+    /// (`0`/`false`/`off`/`no` disables) and is otherwise on. Results
+    /// are observably identical either way.
     pub incremental: Option<bool>,
 }
 
@@ -130,7 +124,6 @@ impl Default for EngineConfig {
             retrigger: RetriggerSemantics::default(),
             strategy: SelectionStrategy::default(),
             event_capacity: 1024,
-            exec_mode: ExecMode::default(),
             fault: None,
             parallelism: None,
             durability: None,
@@ -645,7 +638,6 @@ impl RuleSystem {
             &sel,
             &ExecOpts {
                 stats: Some(&self.qstats),
-                mode: self.config.exec_mode,
                 plans: None,
                 threads: self.threads(),
                 op_stats: None,
@@ -889,7 +881,6 @@ impl RuleSystem {
             op,
             &ExecOpts {
                 stats: Some(&self.qstats),
-                mode: self.config.exec_mode,
                 plans: None,
                 threads,
                 op_stats: None,
@@ -1073,8 +1064,7 @@ impl RuleSystem {
                 op,
                 &ExecOpts {
                     stats: Some(&self.qstats),
-                    mode: self.config.exec_mode,
-                    plans: None,
+                        plans: None,
                     threads,
                     op_stats: None,
                 },
@@ -1229,10 +1219,9 @@ impl RuleSystem {
     }
 
     /// Whether incremental condition evaluation is enabled for this
-    /// system (the `EngineConfig::incremental` / `SETRULES_INCR` knob;
-    /// it only takes effect in compiled mode).
+    /// system (the `EngineConfig::incremental` / `SETRULES_INCR` knob).
     pub fn incremental_enabled(&self) -> bool {
-        self.incr_enabled && self.config.exec_mode == ExecMode::Compiled
+        self.incr_enabled
     }
 
     /// Per-rule incremental-evaluation status: for each live rule, either
@@ -1360,16 +1349,14 @@ impl RuleSystem {
             // Plan-cache bookkeeping: a rule considered before (since the
             // last DDL) reuses its compiled condition and action plans; a
             // first consideration creates the cache they compile into.
-            if self.config.exec_mode == ExecMode::Compiled {
-                let hit = self.rule_plans.contains_key(&rid);
-                self.rule_plans.entry(rid).or_default();
-                if hit {
-                    self.stats.plan_cache_hits += 1;
-                } else {
-                    self.stats.plan_cache_misses += 1;
-                }
-                self.events.emit(EngineEvent::PlanCache { rule: name.clone(), hit });
+            let hit = self.rule_plans.contains_key(&rid);
+            self.rule_plans.entry(rid).or_default();
+            if hit {
+                self.stats.plan_cache_hits += 1;
+            } else {
+                self.stats.plan_cache_misses += 1;
             }
+            self.events.emit(EngineEvent::PlanCache { rule: name.clone(), hit });
 
             // Evaluate the condition against the rule's own window.
             let cond_start = Instant::now();
@@ -1527,10 +1514,7 @@ impl RuleSystem {
     /// whenever the condition is not incrementalizable. The observable
     /// truth value is identical on either path.
     fn evaluate_condition(&mut self, rid: RuleId, name: &str) -> Result<bool, RuleError> {
-        if self.incr_enabled
-            && self.config.exec_mode == ExecMode::Compiled
-            && self.rules[rid.0].condition.is_some()
-        {
+        if self.incr_enabled && self.rules[rid.0].condition.is_some() {
             match self.try_incremental(rid)? {
                 IncOutcome::Answer { truth, mode, rows, shared } => {
                     if mode == "repair" {
@@ -1642,25 +1626,17 @@ impl RuleSystem {
         let cache = setrules_query::SubqueryCache::new();
         let opts = ExecOpts {
             stats: Some(&self.qstats),
-            mode: self.config.exec_mode,
             plans: self.rule_plans.get(&rid),
             threads: self.threads(),
             op_stats: None,
         };
         let ctx = opts.ctx(&self.db, &provider, &cache);
         let mut bindings = setrules_query::bindings::Bindings::new();
-        match self.config.exec_mode {
-            ExecMode::Compiled => {
-                // The condition is a rule-owned AST whose address is stable
-                // between DDLs, so the per-rule cache makes repeated
-                // considerations compile-free.
-                let compiled = compile_cached(ctx, cond, &bindings.layout());
-                Ok(eval_compiled_predicate(ctx, &mut bindings, None, &compiled)?)
-            }
-            ExecMode::Interpreted => {
-                Ok(setrules_query::eval_predicate(ctx, &mut bindings, None, cond)?)
-            }
-        }
+        // The condition is a rule-owned AST whose address is stable between
+        // DDLs, so the per-rule cache makes repeated considerations
+        // compile-free.
+        let compiled = compile_cached(ctx, cond, &bindings.layout());
+        Ok(eval_compiled_predicate(ctx, &mut bindings, &compiled)?)
     }
 
     /// Execute a rule's action as one operation block, returning the
@@ -1695,8 +1671,7 @@ impl RuleSystem {
                             op,
                             &ExecOpts {
                                 stats: Some(&self.qstats),
-                                mode: self.config.exec_mode,
-                                plans,
+                                                plans,
                                 threads,
                                 op_stats: None,
                             },

@@ -61,10 +61,9 @@ pub use engine::{
 };
 pub use error::RuleError;
 pub use events::{EngineEvent, EventSink, JsonLinesSink, RingBufferSink};
-// Re-exported so [`EngineConfig::exec_mode`]'s type is nameable from this
-// crate's API without depending on the query crate directly.
-pub use setrules_query::ExecMode;
-// Likewise for [`EngineConfig::fault`] and the injector it arms.
+// Re-exported so [`EngineConfig::fault`]'s type and the injector it arms
+// are nameable from this crate's API without depending on the storage
+// crate directly.
 pub use setrules_storage::{FaultInjector, FaultKind, FaultPlan};
 // And for [`EngineConfig::durability`]: the log configuration plus the
 // pieces a crash-recovery harness needs (the shared test sink, its op

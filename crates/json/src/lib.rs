@@ -19,10 +19,17 @@
 //!   output deterministic and diffs stable.
 //! * Non-finite floats, which JSON cannot represent, are rejected by the
 //!   writer helpers ([`Json::float`] maps them to `null`).
+//! * Parsing is bounded: arrays and objects nest at most [`MAX_DEPTH`]
+//!   levels, so hostile input (a snapshot file, a replayed log record)
+//!   gets a [`JsonError`] instead of exhausting the stack.
 
 #![warn(missing_docs)]
 
 use std::fmt;
+
+/// The deepest array/object nesting [`Json::parse`] accepts. Every
+/// document the workspace writes stays under ten levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -218,7 +225,7 @@ impl Json {
     /// Parse a complete JSON document (trailing whitespace allowed,
     /// trailing garbage rejected).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -263,6 +270,8 @@ fn write_escaped(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -304,12 +313,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse an array or object one nesting level down.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -553,6 +576,21 @@ mod tests {
         assert!(Json::parse("01x").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("true false").is_err(), "trailing garbage");
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let deepest = Json::parse(&nest(MAX_DEPTH)).unwrap();
+        assert_eq!(Json::parse(&deepest.compact()).unwrap(), deepest);
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert_eq!(err.message, "nesting deeper than 128 levels");
+        // Objects count too, and an unclosed flood stops at the bound
+        // instead of overflowing the stack.
+        let objects = r#"{"a":"#.repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).is_err());
+        assert_eq!(Json::parse(&"[".repeat(200_000)).unwrap_err().offset, MAX_DEPTH);
     }
 
     #[test]

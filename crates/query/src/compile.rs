@@ -26,11 +26,13 @@
 //! (Kleene short-circuit order, NULL handling, error text). It is generic
 //! over an `Env`, which supplies only what differs between the places a
 //! tree can run: `Scoped` (behind [`eval_compiled`]) has the [`QueryCtx`]
-//! and the [`Bindings`] scope stack; `RowEnv` has the innermost frames as
-//! bare slices and nothing else, for pool workers and memo probes (only
-//! trees passing `parallel::is_rowlocal` may be handed to it); the group
-//! environment in `exec::aggregate` has a group's representative row
-//! plus its merged per-leaf accumulators.
+//! and the [`Bindings`] scope stack, and rejects aggregate calls; `RowEnv`
+//! has the innermost frames as bare slices and nothing else, for pool
+//! workers and memo probes (only trees passing `parallel::is_rowlocal` may
+//! be handed to it); the group environment in `exec::aggregate` wraps
+//! either of them — `RowEnv` over a group's representative row when the
+//! program is group-local, `Scoped` with that row pushed otherwise — and
+//! answers aggregate leaves from the group's merged accumulators.
 //!
 //! A [`PlanCache`] memoizes compiled forms keyed by AST-node address plus a
 //! layout fingerprint; the rule engine keeps one per rule so repeatedly
@@ -45,7 +47,7 @@ use std::sync::Arc;
 use setrules_sql::ast::{AggFunc, BinaryOp, Expr, SelectStmt, UnaryOp};
 use setrules_storage::{Database, TableId, Value};
 
-use crate::bindings::{Bindings, Level};
+use crate::bindings::Bindings;
 use crate::ctx::{QueryCtx, SubqueryResult};
 use crate::error::QueryError;
 use crate::eval;
@@ -573,12 +575,12 @@ impl Env for RowEnv<'_> {
     }
 }
 
-/// The serial environment: the full scope stack, the context's subquery
-/// memo, and (for aggregate leaves) an explicit group of rows.
-struct Scoped<'a, 'b> {
-    ctx: QueryCtx<'a>,
-    bindings: &'b mut Bindings,
-    group: Option<&'b [Level]>,
+/// The serial environment: the full scope stack and the context's
+/// subquery memo. An aggregate call reached here has no group in scope
+/// (`where sum(x) > 0`, a nested aggregate argument) and is an error.
+pub(crate) struct Scoped<'a, 'b> {
+    pub(crate) ctx: QueryCtx<'a>,
+    pub(crate) bindings: &'b mut Bindings,
 }
 
 impl Env for Scoped<'_, '_> {
@@ -590,15 +592,10 @@ impl Env for Scoped<'_, '_> {
         &mut self,
         _leaf: usize,
         func: AggFunc,
-        distinct: bool,
-        arg: Option<&CompiledExpr>,
+        _distinct: bool,
+        _arg: Option<&CompiledExpr>,
     ) -> Result<Value, QueryError> {
-        let Some(rows) = self.group else {
-            return Err(eval::aggregate_outside_group(func));
-        };
-        let ctx = self.ctx;
-        let arg = arg.map(|a| move |b: &mut Bindings| eval_compiled(ctx, b, None, a));
-        eval::aggregate_over(self.bindings, rows, func, distinct, arg)
+        Err(eval::aggregate_outside_group(func))
     }
 
     fn subquery(&mut self, stmt: &SelectStmt) -> Result<Rc<SubqueryResult>, QueryError> {
@@ -606,21 +603,19 @@ impl Env for Scoped<'_, '_> {
     }
 
     fn interp(&mut self, src: &Expr) -> Result<Value, QueryError> {
-        eval::eval_expr(self.ctx, self.bindings, self.group, src)
+        eval::eval_expr(self.ctx, self.bindings, None, src)
     }
 }
 
 /// Evaluate a compiled expression in the serial environment. The
 /// innermost level of `bindings` must have the shape of the [`Layout`]
-/// the expression was compiled against; `group` carries the rows of the
-/// current aggregation group, if any.
+/// the expression was compiled against.
 pub fn eval_compiled(
     ctx: QueryCtx<'_>,
     bindings: &mut Bindings,
-    group: Option<&[Level]>,
     e: &CompiledExpr,
 ) -> Result<Value, QueryError> {
-    eval(e, &mut Scoped { ctx, bindings, group })
+    eval(e, &mut Scoped { ctx, bindings })
 }
 
 /// Evaluate a compiled predicate; a row qualifies only when the result is
@@ -628,10 +623,9 @@ pub fn eval_compiled(
 pub fn eval_compiled_predicate(
     ctx: QueryCtx<'_>,
     bindings: &mut Bindings,
-    group: Option<&[Level]>,
     e: &CompiledExpr,
 ) -> Result<bool, QueryError> {
-    holds(e, &mut Scoped { ctx, bindings, group })
+    holds(e, &mut Scoped { ctx, bindings })
 }
 
 // ----------------------------------------------------------------------
@@ -784,15 +778,9 @@ mod tests {
         let db = Database::new();
         let ctx = QueryCtx::plain(&db);
         let c = compile_str("false and 1 / 0 = 1", &l);
-        assert_eq!(
-            eval_compiled(ctx, &mut Bindings::new(), None, &c).unwrap(),
-            Value::Bool(false)
-        );
+        assert_eq!(eval_compiled(ctx, &mut Bindings::new(), &c).unwrap(), Value::Bool(false));
         let c = compile_str("1 / 0 = 1", &l);
-        assert_eq!(
-            eval_compiled(ctx, &mut Bindings::new(), None, &c),
-            Err(QueryError::DivisionByZero)
-        );
+        assert_eq!(eval_compiled(ctx, &mut Bindings::new(), &c), Err(QueryError::DivisionByZero));
     }
 
     #[test]
@@ -821,7 +809,7 @@ mod tests {
                     row: vec![Value::Int(a), Value::Int(b)],
                 }]);
                 let interp = eval::eval_expr(ctx, &mut bs, None, &e).unwrap();
-                let compiled = eval_compiled(ctx, &mut bs, None, &c).unwrap();
+                let compiled = eval_compiled(ctx, &mut bs, &c).unwrap();
                 assert_eq!(interp, compiled, "{src} with a={a} b={b}");
             }
         }

@@ -1,5 +1,6 @@
 //! Evaluation context: the database, the transition-table provider, and
-//! the per-statement subquery cache.
+//! the per-statement subquery cache. It carries no choice of executor:
+//! every statement runs the one compiled pipeline (see [`crate::select`]).
 
 use std::cell::{OnceCell, RefCell};
 use std::collections::{HashMap, HashSet};
@@ -13,24 +14,6 @@ use crate::eval::in_semantics;
 use crate::provider::TransitionTableProvider;
 use crate::relation::Relation;
 use crate::stats::{OpStatsCell, StatsCell};
-
-/// Which executor evaluates expressions and plans joins.
-///
-/// `Compiled` (the default) lowers expressions to slot-addressed
-/// [`CompiledExpr`](crate::compile::CompiledExpr) form and runs the N-way
-/// join planner; `Interpreted` keeps the original string-resolving
-/// walk-the-AST path. The two must produce identical relations — the
-/// interpreted path remains as the differential-testing reference and as
-/// the bench baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Compile-once pipeline: slot-resolved expressions, planned joins.
-    #[default]
-    Compiled,
-    /// Reference interpreter: per-row string resolution, odometer joins
-    /// with the historical 2-way hash special case.
-    Interpreted,
-}
 
 /// One evaluated subquery as its consumers (`in`, `exists`, scalar) share
 /// it: the rows, plus a membership set over its single column that is
@@ -165,8 +148,6 @@ pub struct QueryCtx<'a> {
     /// side channel: the aggregate [`crate::ExecStats`] counters are
     /// unaffected by whether it is attached.
     pub op_stats: Option<&'a OpStatsCell>,
-    /// Which executor to run (compiled pipeline vs reference interpreter).
-    pub mode: ExecMode,
     /// Compiled-expression memo shared across statements (the rule engine
     /// attaches one per rule); `None` compiles fresh per statement.
     pub plans: Option<&'a PlanCache>,
@@ -189,7 +170,6 @@ impl<'a> QueryCtx<'a> {
             cache: None,
             stats: None,
             op_stats: None,
-            mode: ExecMode::default(),
             plans: None,
             threads: 1,
         }

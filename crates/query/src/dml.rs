@@ -30,9 +30,9 @@ use crate::bindings::{Bindings, Frame};
 use crate::compile::{
     compile_cached, eval_compiled, eval_compiled_predicate, holds, Layout, PlanCache, RowEnv,
 };
-use crate::ctx::{ExecMode, QueryCtx, SubqueryCache};
+use crate::ctx::{QueryCtx, SubqueryCache};
 use crate::error::QueryError;
-use crate::eval::{eval_expr, eval_predicate};
+use crate::eval::eval_expr;
 use crate::exec::exchange::Exchange;
 use crate::planner::{choose_access, scan_handles, Access};
 use crate::provider::TransitionTableProvider;
@@ -90,16 +90,14 @@ impl OpEffect {
     }
 }
 
-/// How a statement executes: stats sinks, execution mode, plan cache, and
-/// the thread budget for deterministic intra-query parallelism (see
-/// [`crate::parallel`]). `ExecOpts::default()` is a plain serial compiled
-/// run with no instrumentation.
+/// How a statement executes: stats sinks, plan cache, and the thread
+/// budget for deterministic intra-query parallelism (see
+/// [`crate::parallel`]). `ExecOpts::default()` is a plain serial run with
+/// no instrumentation.
 #[derive(Clone, Copy)]
 pub struct ExecOpts<'a> {
     /// Optional statistics accumulator.
     pub stats: Option<&'a StatsCell>,
-    /// Compiled or interpreted execution.
-    pub mode: ExecMode,
     /// Optional plan cache (the rule engine attaches one per rule).
     pub plans: Option<&'a PlanCache>,
     /// Thread budget for read-only query phases (clamped to at least 1;
@@ -113,7 +111,7 @@ pub struct ExecOpts<'a> {
 
 impl Default for ExecOpts<'_> {
     fn default() -> Self {
-        ExecOpts { stats: None, mode: ExecMode::default(), plans: None, threads: 1, op_stats: None }
+        ExecOpts { stats: None, plans: None, threads: 1, op_stats: None }
     }
 }
 
@@ -136,7 +134,6 @@ impl<'a> ExecOpts<'a> {
             cache: Some(cache),
             stats: self.stats,
             op_stats: self.op_stats,
-            mode: self.mode,
             plans: self.plans,
             threads: self.threads.max(1),
         }
@@ -252,8 +249,8 @@ fn execute_insert(
 }
 
 /// Identify the tuples of `table` satisfying `predicate` (phase 1 of
-/// delete/update). Returns matching handles in handle order. In compiled
-/// mode the predicate is lowered once (through the plan cache when one is
+/// delete/update). Returns matching handles in handle order. The
+/// predicate is lowered once (through the plan cache when one is
 /// attached) instead of resolving names per scanned row.
 fn identify(
     ctx: QueryCtx<'_>,
@@ -270,10 +267,7 @@ fn identify(
         Access::IndexRange { .. } => s.range_scans += 1,
         Access::Empty => s.empty_scans += 1,
     });
-    let compiled = match (predicate, ctx.mode) {
-        (Some(p), ExecMode::Compiled) => Some(compile_cached(ctx, p, &layout)),
-        _ => None,
-    };
+    let compiled = predicate.map(|p| compile_cached(ctx, p, &layout));
     let mut bindings = Bindings::new();
     let mut out = Vec::new();
     let handles = scan_handles(db, table, &access);
@@ -312,18 +306,15 @@ fn identify(
     for h in handles {
         stats::bump(st, |s| s.rows_scanned += 1);
         let tuple = db.get(table, h).expect("scanned handle is live");
-        let keep = match predicate {
+        let keep = match &compiled {
             None => true,
-            Some(p) => {
+            Some(cp) => {
                 bindings.push_level(vec![Frame {
                     name: table_name.to_string(),
                     columns: Arc::clone(&columns),
                     row: tuple.0.clone(),
                 }]);
-                let r = match &compiled {
-                    Some(cp) => eval_compiled_predicate(ctx, &mut bindings, None, cp),
-                    None => eval_predicate(ctx, &mut bindings, None, p),
-                };
+                let r = eval_compiled_predicate(ctx, &mut bindings, cp);
                 bindings.pop_level();
                 r?
             }
@@ -384,11 +375,10 @@ fn execute_update(
         let handles = identify(ctx, table, &stmt.table, stmt.predicate.as_ref())?;
         let mut planned = Vec::with_capacity(handles.len());
         let (columns, layout) = Layout::of_table(db, table, &stmt.table);
-        // Compiled mode lowers each `set` expression once per statement
-        // (through the plan cache when attached), not once per row.
-        let compiled = (ctx.mode == ExecMode::Compiled).then(|| {
-            stmt.sets.iter().map(|(_, e)| compile_cached(ctx, e, &layout)).collect::<Vec<_>>()
-        });
+        // Each `set` expression lowers once per statement (through the
+        // plan cache when attached), not once per row.
+        let compiled: Vec<_> =
+            stmt.sets.iter().map(|(_, e)| compile_cached(ctx, e, &layout)).collect();
         let mut bindings = Bindings::new();
         for &h in &handles {
             let tuple = db.get(table, h).expect("identified handle is live");
@@ -399,12 +389,8 @@ fn execute_update(
             }]);
             let mut assignments: Vec<(ColumnId, Value)> = Vec::with_capacity(stmt.sets.len());
             let mut err = None;
-            for (i, (_, e)) in stmt.sets.iter().enumerate() {
-                let v = match &compiled {
-                    Some(cs) => eval_compiled(ctx, &mut bindings, None, &cs[i]),
-                    None => eval_expr(ctx, &mut bindings, None, e),
-                };
-                match v {
+            for (i, ce) in compiled.iter().enumerate() {
+                match eval_compiled(ctx, &mut bindings, ce) {
                     Ok(v) => {
                         // Last assignment to a column wins.
                         assignments.retain(|(c, _)| *c != set_cols[i]);

@@ -1,48 +1,49 @@
 //! The aggregation operator (grouped pipeline).
 //!
-//! Two implementations live here, selected at open:
+//! Every grouped statement lowers to one [`GroupProgram`] and runs in two
+//! phases:
 //!
-//! * **Two-phase streaming aggregation** (compiled mode, when the whole
-//!   grouped statement lowers to a [`GroupProgram`]): the filter's
-//!   batches are accumulated as they stream — each batch exchanges into
-//!   per-partition *partial* accumulators (group key, row count, and the
-//!   collected non-NULL argument values of every aggregate call), merged
-//!   into global groups in partition order — so group-by never
-//!   materializes the full input. The *final* phase then evaluates
-//!   `having`, the projection list, and the `order by` keys once per
-//!   group (exchanged across groups when there are enough), folding each
-//!   aggregate's merged value vector through the same
-//!   [`fold_aggregate`] kernel the interpreter uses. Because partial
-//!   vectors concatenate in partition order, fold order — and therefore
-//!   float rounding, overflow sites, dedup order for `distinct`, and
-//!   error selection — is exactly the serial encounter order.
-//! * **The legacy drain-then-partition pass** (interpreted mode, or any
-//!   statement the program builder refuses: correlated/outer references,
-//!   subqueries next to aggregates, unresolvable names): drains the
-//!   filter, partitions the combinations into groups in first-seen
-//!   order, then evaluates per group through the interpreter.
+//! * **Partial.** The filter's batches are accumulated as they stream —
+//!   per group: the group key, the row count, and the collected non-NULL
+//!   argument values of every aggregate call — so group-by never
+//!   materializes the full input. When every key and aggregate argument is
+//!   row-local, each batch exchanges into per-partition accumulators,
+//!   merged into global groups in partition order. Otherwise (outer
+//!   references, subqueries, unresolvable names) the batch is walked
+//!   serially, each row pushed onto the scope stack.
+//! * **Final.** `having`, the projection list and the `order by` keys are
+//!   evaluated once per group over its representative row, folding each
+//!   aggregate's merged value vector through the [`fold_aggregate`]
+//!   kernel. When those trees are row-local apart from their aggregate
+//!   calls this phase exchanges across groups; otherwise it runs serially
+//!   with the representative row pushed onto the scope stack, so outer
+//!   references, subqueries and interpreter fallbacks evaluate per group.
 //!
-//! Error ordering is preserved across both paths: the filter is blocking
-//! (all its errors surface on the first pull), wildcard expansion runs
-//! right after that first pull, group-key errors surface in combination
-//! order, and aggregate-argument errors are *recorded* per (group, leaf)
-//! during the partial phase but raised only when the final phase actually
-//! reaches that aggregate node — so Kleene short-circuits still skip them
-//! exactly like the per-group interpreter walk.
+//! Because partial vectors concatenate in partition order, fold order —
+//! and therefore float rounding, overflow sites, dedup order for
+//! `distinct`, and error selection — is exactly the serial encounter
+//! order. Errors surface as in a per-group walk of the statement: the filter is
+//! blocking (all its errors surface on the first pull), wildcard
+//! expansion runs right after that first pull, group-key errors surface in
+//! combination order, and aggregate-argument errors are *recorded* per
+//! (group, leaf) during the partial phase but raised only when the final
+//! phase actually reaches that aggregate node — so Kleene short-circuits
+//! skip them exactly like a per-group walk of the statement.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Range;
+use std::rc::Rc;
 
 use setrules_sql::ast::{AggFunc, Expr, SelectStmt};
 use setrules_storage::{TableId, TupleHandle, Value};
 
 use crate::bindings::Level;
-use crate::compile::{self, CompiledExpr, Env, Layout, RowEnv};
-use crate::ctx::ExecMode;
+use crate::compile::{self, CompiledExpr, Env, Layout, RowEnv, Scoped};
+use crate::ctx::SubqueryResult;
 use crate::error::QueryError;
-use crate::eval::{eval_expr, fold_aggregate};
-use crate::parallel;
+use crate::eval::fold_aggregate;
+use crate::parallel::{is_grouplocal, is_rowlocal};
 
 use super::exchange::Exchange;
 use super::filter::FilterExec;
@@ -50,20 +51,25 @@ use super::project::expand_wildcards;
 use super::scan::{items_layout, FromItem};
 use super::{Batches, ExecCx, Executor, KeyedRow, RowSource};
 
-/// The whole grouped statement, lowered for two-phase evaluation:
-/// row-local group keys and the group-level expression trees, whose
-/// aggregate leaves are numbered jointly in structural reach order
-/// (`having`, then projections, then `order by`). Built only when *every*
-/// piece qualifies — anything else (outer references, subqueries,
-/// interpreter fallbacks) keeps the legacy serial path.
+/// The whole grouped statement, lowered for two-phase evaluation: the
+/// group keys and the group-level expression trees, whose aggregate
+/// leaves are numbered jointly in structural reach order (`having`, then
+/// projections, then `order by`; a nested call after the one containing
+/// it).
 pub(crate) struct GroupProgram {
     keys: Vec<CompiledExpr>,
-    /// The row-local argument of leaf `i` (`None` is `count(*)`): what
-    /// the partial phase accumulates per row.
+    /// The per-row argument of leaf `i` (`None` is `count(*)`): what the
+    /// partial phase accumulates per row.
     leaf_args: Vec<Option<CompiledExpr>>,
     having: Option<CompiledExpr>,
     proj: Vec<CompiledExpr>,
     order: Vec<CompiledExpr>,
+    /// Every key and leaf argument is row-local: the partial phase may
+    /// run on pool workers.
+    pub(crate) rows_exchangeable: bool,
+    /// `having`, projections and `order by` keys are row-local apart from
+    /// their aggregate calls: the final phase may run on pool workers.
+    pub(crate) groups_exchangeable: bool,
 }
 
 /// Append the argument of every aggregate leaf under `e`, in leaf order.
@@ -71,44 +77,33 @@ fn collect_leaf_args(e: &CompiledExpr, out: &mut Vec<Option<CompiledExpr>>) {
     if let CompiledExpr::Agg { leaf, arg, .. } = e {
         debug_assert_eq!(*leaf, out.len(), "leaves are numbered in reach order");
         out.push(arg.as_deref().cloned());
-    } else {
-        e.for_each_child(&mut |c| collect_leaf_args(c, out));
     }
+    e.for_each_child(&mut |c| collect_leaf_args(c, out));
 }
 
-/// Lower a grouped statement for two-phase evaluation; `None` when any
-/// piece is not expressible (the legacy path handles it). Shared by the
+/// Lower a grouped statement for two-phase evaluation. Shared by the
 /// executor and the `plan:`/`parallel:` explain lines, so the printed
 /// shape cannot drift from the executed one.
 pub(crate) fn group_program(
     stmt: &SelectStmt,
     layout: &Layout,
     proj: &[(Expr, String)],
-) -> Option<GroupProgram> {
-    let mut keys = Vec::with_capacity(stmt.group_by.len());
-    for g in &stmt.group_by {
-        let ce = compile::compile(g, layout);
-        if !parallel::is_rowlocal(&ce) {
-            return None;
-        }
-        keys.push(ce);
-    }
+) -> GroupProgram {
+    let keys: Vec<CompiledExpr> =
+        stmt.group_by.iter().map(|g| compile::compile(g, layout)).collect();
     let mut next_leaf = 0;
+    let mut lower = |e: &Expr| compile::lower(e, layout, &mut next_leaf);
+    let having = stmt.having.as_ref().map(&mut lower);
+    let proj: Vec<CompiledExpr> = proj.iter().map(|(e, _)| lower(e)).collect();
+    let order: Vec<CompiledExpr> = stmt.order_by.iter().map(|(e, _)| lower(e)).collect();
     let mut leaf_args = Vec::new();
-    let mut lower = |e: &Expr| {
-        let ce = compile::lower(e, layout, &mut next_leaf);
-        parallel::is_grouplocal(&ce).then(|| {
-            collect_leaf_args(&ce, &mut leaf_args);
-            ce
-        })
-    };
-    let having = match &stmt.having {
-        Some(h) => Some(lower(h)?),
-        None => None,
-    };
-    let proj = proj.iter().map(|(e, _)| lower(e)).collect::<Option<Vec<_>>>()?;
-    let order = stmt.order_by.iter().map(|(e, _)| lower(e)).collect::<Option<Vec<_>>>()?;
-    Some(GroupProgram { keys, leaf_args, having, proj, order })
+    for e in having.iter().chain(&proj).chain(&order) {
+        collect_leaf_args(e, &mut leaf_args);
+    }
+    let rows_exchangeable =
+        keys.iter().all(is_rowlocal) && leaf_args.iter().flatten().all(is_rowlocal);
+    let groups_exchangeable = having.iter().chain(&proj).chain(&order).all(is_grouplocal);
+    GroupProgram { keys, leaf_args, having, proj, order, rows_exchangeable, groups_exchangeable }
 }
 
 /// Per-(group, leaf) partial state: the collected non-NULL argument
@@ -132,51 +127,45 @@ struct LocalGroup {
 
 /// A partition's partial-phase output: its local groups, and its first
 /// group-key error (evaluation of the range stops there).
+#[derive(Default)]
 struct PartialOutput {
     groups: Vec<LocalGroup>,
     err: Option<QueryError>,
 }
 
-/// Phase 1 worker: accumulate one contiguous range of a batch into local
-/// groups. Runs on pool workers (row-local expressions only).
-fn accumulate_range(batch: &[Level], range: Range<usize>, prog: &GroupProgram) -> PartialOutput {
-    let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-    let mut groups: Vec<LocalGroup> = Vec::new();
-    for i in range {
-        let frames: Vec<&[Value]> = batch[i].iter().map(|f| f.row.as_slice()).collect();
+impl PartialOutput {
+    /// Evaluate batch row `i`'s group key in `env`, then fold its leaf
+    /// arguments into that group; `Err` is a group-key error.
+    fn add_row<E: Env>(
+        &mut self,
+        index: &mut HashMap<Vec<Value>, usize>,
+        prog: &GroupProgram,
+        i: usize,
+        env: &mut E,
+    ) -> Result<(), QueryError> {
         let mut key = Vec::with_capacity(prog.keys.len());
-        let mut key_err = None;
         for k in &prog.keys {
-            match compile::eval(k, &mut RowEnv(&frames)) {
-                Ok(v) => key.push(v),
-                Err(e) => {
-                    key_err = Some(e);
-                    break;
-                }
-            }
-        }
-        if let Some(e) = key_err {
-            return PartialOutput { groups, err: Some(e) };
+            key.push(compile::eval(k, env)?);
         }
         let slot = match index.entry(key) {
             Entry::Occupied(o) => *o.get(),
             Entry::Vacant(v) => {
-                groups.push(LocalGroup {
+                self.groups.push(LocalGroup {
                     key: v.key().clone(),
                     first: i,
                     rows_n: 0,
                     leaves: vec![LeafAcc::Vals(Vec::new()); prog.leaf_args.len()],
                 });
-                *v.insert(groups.len() - 1)
+                *v.insert(self.groups.len() - 1)
             }
         };
-        let g = &mut groups[slot];
+        let g = &mut self.groups[slot];
         g.rows_n += 1;
         for (arg, acc) in prog.leaf_args.iter().zip(g.leaves.iter_mut()) {
             // count(*) needs only rows_n; an already-errored leaf stays
             // errored (the serial fold would have stopped there).
             let (Some(arg), LeafAcc::Vals(vals)) = (arg, &mut *acc) else { continue };
-            match compile::eval(arg, &mut RowEnv(&frames)) {
+            match compile::eval(arg, env) {
                 Ok(v) => {
                     if !v.is_null() {
                         vals.push(v);
@@ -185,8 +174,41 @@ fn accumulate_range(batch: &[Level], range: Range<usize>, prog: &GroupProgram) -
                 Err(e) => *acc = LeafAcc::Err(e),
             }
         }
+        Ok(())
     }
-    PartialOutput { groups, err: None }
+}
+
+/// Phase 1: accumulate one contiguous range of a batch into local groups.
+/// With no `scope` each row is evaluated over its own frames, which is
+/// what pool workers do (row-exchangeable programs only); with one, each
+/// row is pushed onto the scope stack and evaluated there.
+fn accumulate_range(
+    batch: &[Level],
+    range: Range<usize>,
+    prog: &GroupProgram,
+    mut scope: Option<Scoped<'_, '_>>,
+) -> PartialOutput {
+    let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
+    let mut out = PartialOutput::default();
+    for i in range {
+        let added = match &mut scope {
+            None => {
+                let frames: Vec<&[Value]> = batch[i].iter().map(|f| f.row.as_slice()).collect();
+                out.add_row(&mut index, prog, i, &mut RowEnv(&frames))
+            }
+            Some(scoped) => {
+                scoped.bindings.push_level(batch[i].clone());
+                let added = out.add_row(&mut index, prog, i, scoped);
+                scoped.bindings.pop_level();
+                added
+            }
+        };
+        if let Err(e) = added {
+            out.err = Some(e);
+            break;
+        }
+    }
+    out
 }
 
 /// One global group after the partial phase: representative row (first
@@ -196,6 +218,13 @@ struct GroupData {
     repr: Option<Level>,
     rows_n: u64,
     leaves: Vec<LeafAcc>,
+}
+
+impl GroupData {
+    /// The representative row, `null` standing in for the synthetic group.
+    fn repr<'a>(&'a self, null: Option<&'a Level>) -> &'a Level {
+        self.repr.as_ref().or(null).expect("null level built for reprless groups")
+    }
 }
 
 /// Merge one partition's partial output into the global groups, in
@@ -238,20 +267,21 @@ fn merge_partial(
     }
 }
 
-/// The final-phase environment of one group: row-local subtrees read the
-/// representative row, and reaching aggregate leaf `i` raises that leaf's
-/// recorded error or folds its merged values — so a short-circuited
-/// aggregate's error is skipped exactly like the per-group interpreter
-/// walk.
-struct GroupEnv<'a> {
-    frames: &'a [&'a [Value]],
+/// The final-phase environment of one group: everything but aggregate
+/// calls goes to `inner`, which reads the group's representative row (a
+/// [`RowEnv`] over its frames, or [`Scoped`] with it pushed), and reaching
+/// aggregate leaf `i` raises that leaf's recorded error or folds its
+/// merged values — so a short-circuited aggregate's error is skipped
+/// exactly like a per-group walk.
+struct GroupEnv<'a, E> {
+    inner: E,
     rows_n: u64,
     accs: &'a [LeafAcc],
 }
 
-impl Env for GroupEnv<'_> {
+impl<E: Env> Env for GroupEnv<'_, E> {
     fn slot(&mut self, level_up: usize, frame: usize, col: usize) -> Result<Value, QueryError> {
-        RowEnv(self.frames).slot(level_up, frame, col)
+        self.inner.slot(level_up, frame, col)
     }
 
     fn agg(
@@ -268,6 +298,36 @@ impl Env for GroupEnv<'_> {
             (LeafAcc::Vals(vals), Some(_)) => fold_aggregate(func, distinct, vals.clone()),
         }
     }
+
+    fn subquery(&mut self, stmt: &SelectStmt) -> Result<Rc<SubqueryResult>, QueryError> {
+        self.inner.subquery(stmt)
+    }
+
+    fn interp(&mut self, src: &Expr) -> Result<Value, QueryError> {
+        self.inner.interp(src)
+    }
+}
+
+/// Phase 2 for one group: `having`, then the projection, then the
+/// `order by` keys; `None` when `having` rejects the group.
+fn finish_group<E: Env>(
+    prog: &GroupProgram,
+    env: &mut GroupEnv<'_, E>,
+) -> Result<Option<KeyedRow>, QueryError> {
+    if let Some(h) = &prog.having {
+        if !compile::holds(h, env)? {
+            return Ok(None);
+        }
+    }
+    let mut out = Vec::with_capacity(prog.proj.len());
+    for e in &prog.proj {
+        out.push(compile::eval(e, env)?);
+    }
+    let mut key = Vec::with_capacity(prog.order.len());
+    for e in &prog.order {
+        key.push(compile::eval(e, env)?);
+    }
+    Ok(Some((key, out)))
 }
 
 /// Representative bindings for the empty ungrouped group (`select
@@ -282,10 +342,7 @@ pub(crate) struct AggregateExec<'q> {
     filter: FilterExec<'q>,
     stmt: &'q SelectStmt,
     columns: Vec<String>,
-    proj: Vec<(Expr, String)>,
-    label: &'static str,
-    legacy: Option<Batches<Vec<Level>>>,
-    phased: Option<Batches<KeyedRow>>,
+    state: Option<Batches<KeyedRow>>,
     batch_rows: usize,
 }
 
@@ -295,10 +352,7 @@ impl<'q> AggregateExec<'q> {
             filter,
             stmt,
             columns: Vec::new(),
-            proj: Vec::new(),
-            label: "aggregate",
-            legacy: None,
-            phased: None,
+            state: None,
             batch_rows: super::BATCH_ROWS,
         }
     }
@@ -310,40 +364,23 @@ impl<'q> AggregateExec<'q> {
     }
 
     /// Pull the first batch (surfacing every filter error — the filter is
-    /// blocking), expand wildcards, and pick the path: two-phase streaming
-    /// when the compiled statement lowers to a [`GroupProgram`], the
-    /// legacy drain-then-partition pass otherwise.
-    fn open(&mut self, cx: &mut ExecCx<'_, '_>) -> Result<(), QueryError> {
-        let ctx = cx.ctx;
+    /// blocking), expand wildcards, lower the [`GroupProgram`], and run
+    /// both phases.
+    fn open(&mut self, cx: &mut ExecCx<'_, '_>) -> Result<Vec<KeyedRow>, QueryError> {
         let first = self.filter.next_batch(cx)?;
-        self.proj = expand_wildcards(self.stmt, self.filter.items())?;
-        self.columns = self.proj.iter().map(|(_, n)| n.clone()).collect();
-
-        let prog = if ctx.mode == ExecMode::Compiled {
-            // The same scope layout the filter evaluated in.
-            let layout = items_layout(cx.bindings, self.filter.items());
-            group_program(self.stmt, &layout, &self.proj)
-        } else {
-            None
-        };
-        match prog {
-            Some(prog) => {
-                self.label = "final-aggregate";
-                let rows = self.run_two_phase(cx, &prog, first)?;
-                self.phased = Some(Batches::new(rows, self.batch_rows));
-            }
-            None => {
-                let groups = self.run_legacy(cx, first)?;
-                self.legacy = Some(Batches::new(groups, self.batch_rows));
-            }
-        }
-        Ok(())
+        let proj = expand_wildcards(self.stmt, self.filter.items())?;
+        self.columns = proj.iter().map(|(_, n)| n.clone()).collect();
+        // The same scope layout the filter evaluated in.
+        let layout = items_layout(cx.bindings, self.filter.items());
+        let prog = group_program(self.stmt, &layout, &proj);
+        self.run_two_phase(cx, &prog, first)
     }
 
     /// Two-phase streaming aggregation: accumulate each filter batch into
-    /// partial groups (exchanged when big enough), merge in partition
-    /// order, then evaluate `having`/projection/`order by` per group
-    /// (exchanged across groups when there are enough).
+    /// partial groups (exchanged when big enough and row-exchangeable),
+    /// merge in partition order, then evaluate `having`/projection/`order
+    /// by` per group (exchanged across groups when there are enough and
+    /// the program is group-exchangeable).
     fn run_two_phase(
         &mut self,
         cx: &mut ExecCx<'_, '_>,
@@ -359,11 +396,20 @@ impl<'q> AggregateExec<'q> {
         let mut next = first;
         while let Some(batch) = next {
             cx.rows_in("partial-aggregate", batch.len());
-            let outputs = if let Some(ex) = Exchange::plan(ctx, batch.len()) {
-                let b = &batch;
-                ex.run(ctx, |range| accumulate_range(b, range, prog))
-            } else {
-                vec![accumulate_range(&batch, 0..batch.len(), prog)]
+            let exchange = Exchange::plan(ctx, batch.len());
+            let outputs = match exchange {
+                Some(ex) if prog.rows_exchangeable => {
+                    let b = &batch;
+                    ex.run(ctx, |range| accumulate_range(b, range, prog, None))
+                }
+                _ => {
+                    if exchange.is_some() {
+                        Exchange::serial_fallback(ctx);
+                    }
+                    let scoped = Scoped { ctx, bindings: &mut *cx.bindings };
+                    let scope = (!prog.rows_exchangeable).then_some(scoped);
+                    vec![accumulate_range(&batch, 0..batch.len(), prog, scope)]
+                }
             };
             for out in outputs {
                 if !out.groups.is_empty() {
@@ -388,101 +434,46 @@ impl<'q> AggregateExec<'q> {
         if !groups.is_empty() {
             cx.rows_in("final-aggregate", groups.len());
         }
-        // Representative bindings for the synthetic empty group: all-NULL
-        // frames (the legacy path builds the same).
+        // Representative bindings for the synthetic empty group.
         let null_repr: Option<Level> =
             groups.iter().any(|g| g.repr.is_none()).then(|| null_level(self.filter.items()));
-        let eval_one = |g: &GroupData| -> Result<Option<KeyedRow>, QueryError> {
-            let repr = match &g.repr {
-                Some(l) => l,
-                None => null_repr.as_ref().expect("built above for reprless groups"),
-            };
-            let frames: Vec<&[Value]> = repr.iter().map(|f| f.row.as_slice()).collect();
-            let mut env = GroupEnv { frames: &frames, rows_n: g.rows_n, accs: &g.leaves };
-            if let Some(h) = &prog.having {
-                if !compile::holds(h, &mut env)? {
-                    return Ok(None);
-                }
-            }
-            let mut out = Vec::with_capacity(prog.proj.len());
-            for e in &prog.proj {
-                out.push(compile::eval(e, &mut env)?);
-            }
-            let mut key = Vec::with_capacity(prog.order.len());
-            for e in &prog.order {
-                key.push(compile::eval(e, &mut env)?);
-            }
-            Ok(Some((key, out)))
-        };
+        let null_repr = null_repr.as_ref();
         let mut rows: Vec<KeyedRow> = Vec::new();
-        if let Some(ex) = Exchange::plan(ctx, groups.len()) {
-            let gs = &groups;
-            let verdicts = ex.judge(ctx, |i| eval_one(&gs[i]));
-            for v in verdicts {
-                rows.extend(v.kept);
-                if let Some(e) = v.err {
-                    return Err(e);
+        let exchange = Exchange::plan(ctx, groups.len());
+        if prog.groups_exchangeable {
+            let eval_one = |g: &GroupData| {
+                let frames: Vec<&[Value]> =
+                    g.repr(null_repr).iter().map(|f| f.row.as_slice()).collect();
+                let inner = RowEnv(&frames);
+                finish_group(prog, &mut GroupEnv { inner, rows_n: g.rows_n, accs: &g.leaves })
+            };
+            if let Some(ex) = exchange {
+                let gs = &groups;
+                for v in ex.judge(ctx, |i| eval_one(&gs[i])) {
+                    rows.extend(v.kept);
+                    if let Some(e) = v.err {
+                        return Err(e);
+                    }
+                }
+            } else {
+                for g in &groups {
+                    rows.extend(eval_one(g)?);
                 }
             }
         } else {
+            if exchange.is_some() {
+                Exchange::serial_fallback(ctx);
+            }
             for g in &groups {
-                if let Some(r) = eval_one(g)? {
-                    rows.push(r);
-                }
+                cx.bindings.push_level(g.repr(null_repr).clone());
+                let inner = Scoped { ctx, bindings: &mut *cx.bindings };
+                let row =
+                    finish_group(prog, &mut GroupEnv { inner, rows_n: g.rows_n, accs: &g.leaves });
+                cx.bindings.pop_level();
+                rows.extend(row?);
             }
         }
         Ok(rows)
-    }
-
-    /// Drain the filter and partition the matching combinations into
-    /// groups in first-seen order — the historical pass, kept verbatim as
-    /// the interpreted-mode oracle and the fallback for statements the
-    /// program builder refuses.
-    fn run_legacy(
-        &mut self,
-        cx: &mut ExecCx<'_, '_>,
-        first: Option<Vec<Level>>,
-    ) -> Result<Vec<Vec<Level>>, QueryError> {
-        let ctx = cx.ctx;
-        let mut matching: Vec<Level> = Vec::new();
-        let mut next = first;
-        while let Some(batch) = next {
-            cx.rows_in("aggregate", batch.len());
-            matching.extend(batch);
-            next = self.filter.next_batch(cx)?;
-        }
-
-        // Partition matching rows into groups.
-        let mut group_rows: Vec<Vec<Level>> = Vec::new();
-        if self.stmt.group_by.is_empty() {
-            group_rows.push(matching);
-        } else {
-            let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-            for level in matching {
-                cx.bindings.push_level(level);
-                let mut key = Vec::with_capacity(self.stmt.group_by.len());
-                let mut key_err = None;
-                for g in &self.stmt.group_by {
-                    match eval_expr(ctx, cx.bindings, None, g) {
-                        Ok(v) => key.push(v),
-                        Err(e) => {
-                            key_err = Some(e);
-                            break;
-                        }
-                    }
-                }
-                let level = cx.bindings.pop_level().expect("pushed above");
-                if let Some(e) = key_err {
-                    return Err(e);
-                }
-                let slot = *index.entry(key).or_insert_with(|| {
-                    group_rows.push(Vec::new());
-                    group_rows.len() - 1
-                });
-                group_rows[slot].push(level);
-            }
-        }
-        Ok(group_rows)
     }
 }
 
@@ -490,60 +481,19 @@ impl Executor for AggregateExec<'_> {
     type Batch = Vec<KeyedRow>;
 
     fn name(&self) -> &'static str {
-        self.label
+        "final-aggregate"
     }
 
     fn next_batch(&mut self, cx: &mut ExecCx<'_, '_>) -> Result<Option<Self::Batch>, QueryError> {
-        if self.legacy.is_none() && self.phased.is_none() {
-            self.open(cx)?;
+        if self.state.is_none() {
+            let rows = self.open(cx)?;
+            self.state = Some(Batches::new(rows, self.batch_rows));
         }
-        if let Some(state) = &mut self.phased {
-            let batch = state.next();
-            if let Some(b) = &batch {
-                cx.batch_out(self.label, b.len());
-            }
-            return Ok(batch);
+        let batch = self.state.as_mut().expect("opened above").next();
+        if let Some(b) = &batch {
+            cx.batch_out(self.name(), b.len());
         }
-        let ctx = cx.ctx;
-        // A group can be filtered out by `having`, so keep pulling group
-        // batches until one yields at least one output row.
-        while let Some(groups) = self.legacy.as_mut().expect("opened above").next() {
-            let mut out_batch: Vec<KeyedRow> = Vec::new();
-            for rows in groups {
-                // Representative bindings for non-aggregate expressions:
-                // the first row of the group, or all-NULL frames for the
-                // empty ungrouped case (`select count(*) from empty`).
-                let repr: Level =
-                    rows.first().cloned().unwrap_or_else(|| null_level(self.filter.items()));
-                cx.bindings.push_level(repr);
-                let result = (|| -> Result<Option<KeyedRow>, QueryError> {
-                    if let Some(h) = &self.stmt.having {
-                        let v = eval_expr(ctx, cx.bindings, Some(&rows), h)?;
-                        if crate::eval::truth(&v)? != Some(true) {
-                            return Ok(None);
-                        }
-                    }
-                    let mut out = Vec::with_capacity(self.proj.len());
-                    for (e, _) in &self.proj {
-                        out.push(eval_expr(ctx, cx.bindings, Some(&rows), e)?);
-                    }
-                    let mut key = Vec::with_capacity(self.stmt.order_by.len());
-                    for (e, _) in &self.stmt.order_by {
-                        key.push(eval_expr(ctx, cx.bindings, Some(&rows), e)?);
-                    }
-                    Ok(Some((key, out)))
-                })();
-                cx.bindings.pop_level();
-                if let Some(pair) = result? {
-                    out_batch.push(pair);
-                }
-            }
-            if !out_batch.is_empty() {
-                cx.batch_out(self.label, out_batch.len());
-                return Ok(Some(out_batch));
-            }
-        }
-        Ok(None)
+        Ok(batch)
     }
 }
 
@@ -563,6 +513,7 @@ mod tests {
     use crate::bindings::{Bindings, Frame};
     use crate::compile::{compile, eval_compiled, LayoutFrame};
     use crate::ctx::QueryCtx;
+    use crate::eval::eval_expr;
     use setrules_sql::ast::{DmlOp, Statement};
     use setrules_sql::{parse_expr, parse_statement};
     use setrules_storage::Database;
@@ -576,34 +527,47 @@ mod tests {
 
     /// `having` and the projection of `select {src} from t having {src}`
     /// over a group holding exactly `level`, through the production
-    /// partial phase, merge, and group environment. `None` when the
-    /// statement does not lower two-phase.
-    fn through_group_env(src: &str, layout: &Layout, level: &Level) -> Option<(Outcome, Outcome)> {
+    /// partial phase, merge, and group environment — each phase in the
+    /// environment the executor would pick for it.
+    fn through_group_env(src: &str, layout: &Layout, level: &Level) -> (Outcome, Outcome) {
         let sql = format!("select {src} from t having {src}");
         let Statement::Dml(DmlOp::Select(stmt)) = parse_statement(&sql).expect("parse") else {
             panic!("not a select: {sql}")
         };
         let proj = [(parse_expr(src).expect("parse"), "x".to_string())];
-        let prog = group_program(&stmt, layout, &proj)?;
+        let prog = group_program(&stmt, layout, &proj);
+        let db = Database::new();
+        let ctx = QueryCtx::plain(&db);
+        let mut bindings = Bindings::new();
         let batch = [level.clone()];
         let (mut index, mut groups) = (HashMap::new(), Vec::new());
-        let partial = accumulate_range(&batch, 0..1, &prog);
+        let scope = (!prog.rows_exchangeable).then_some(Scoped { ctx, bindings: &mut bindings });
+        let partial = accumulate_range(&batch, 0..1, &prog, scope);
         merge_partial(&batch, partial, &mut index, &mut groups, prog.leaf_args.len())
             .expect("no group keys, so no key error");
         let g = &groups[0];
-        let frames: Vec<&[Value]> = level.iter().map(|f| f.row.as_slice()).collect();
-        let mut env = GroupEnv { frames: &frames, rows_n: g.rows_n, accs: &g.leaves };
         let having = prog.having.as_ref().expect("statement has a having");
         // `having`'s leaves are numbered before the projection's, so the
         // two copies of `src` read disjoint accumulators.
-        let having = outcome(compile::eval(having, &mut env));
-        Some((having, outcome(compile::eval(&prog.proj[0], &mut env))))
+        fn both<E: Env>(h: &CompiledExpr, p: &CompiledExpr, env: &mut E) -> (Outcome, Outcome) {
+            (outcome(compile::eval(h, env)), outcome(compile::eval(p, env)))
+        }
+        if prog.groups_exchangeable {
+            let frames: Vec<&[Value]> = level.iter().map(|f| f.row.as_slice()).collect();
+            let inner = RowEnv(&frames);
+            both(having, &prog.proj[0], &mut GroupEnv { inner, rows_n: g.rows_n, accs: &g.leaves })
+        } else {
+            bindings.push_level(level.clone());
+            let inner = Scoped { ctx, bindings: &mut bindings };
+            both(having, &prog.proj[0], &mut GroupEnv { inner, rows_n: g.rows_n, accs: &g.leaves })
+        }
     }
 
     /// One corpus, every environment. The scoped, row and group
     /// environments share one walk, so each expression must come out of
-    /// all of them — and out of the AST interpreter — as the same value
-    /// (bit-for-bit: NaN, -0.0) or the same error text.
+    /// every one that admits it — and out of the AST interpreter over a
+    /// one-row group — as the same value (bit-for-bit: NaN, -0.0) or the
+    /// same error text.
     #[test]
     fn one_corpus_three_environments() {
         let cols: Arc<Vec<String>> = Arc::new(vec!["a".into(), "b".into(), "name".into()]);
@@ -657,8 +621,8 @@ mod tests {
         for (src, rowlocal) in corpus {
             let ast = parse_expr(src).expect("parse");
             let ce = compile(&ast, &layout);
-            assert_eq!(parallel::is_rowlocal(&ce), rowlocal, "{src}");
-            assert!(parallel::is_grouplocal(&ce), "{src}");
+            assert_eq!(is_rowlocal(&ce), rowlocal, "{src}");
+            assert!(is_grouplocal(&ce), "{src}");
             for row in &rows {
                 let level: Level =
                     vec![Frame { name: "t".into(), columns: Arc::clone(&cols), row: row.clone() }];
@@ -667,30 +631,43 @@ mod tests {
                 b.push_level(level.clone());
                 let oracle = outcome(eval_expr(ctx, &mut b, Some(group), &ast));
                 errors += oracle.is_err() as usize;
-                let scoped = outcome(eval_compiled(ctx, &mut b, Some(group), &ce));
-                assert_eq!(scoped, oracle, "scoped: {src} on {row:?}");
+                let scoped = outcome(eval_compiled(ctx, &mut b, &ce));
                 let in_row = outcome(compile::eval(&ce, &mut RowEnv(&[row.as_slice()])));
-                match in_row {
-                    // A worker refuses an aggregate leaf it reaches (one a
-                    // short-circuit skips is never reached).
-                    Err(refusal) if !rowlocal => assert!(
-                        refusal.contains("non-row-local expression reached a pool worker"),
-                        "row: {src} on {row:?}: {refusal}"
-                    ),
-                    in_row => assert_eq!(in_row, oracle, "row: {src} on {row:?}"),
+                match (scoped, in_row) {
+                    // Outside a group an aggregate leaf that is reached
+                    // is an error (one a short-circuit skips is not):
+                    // the scoped walk names the call, a worker refuses it.
+                    (Err(scoped), Err(refusal)) if !rowlocal => {
+                        assert!(scoped.contains("not allowed in this context"), "{src}: {scoped}");
+                        assert!(
+                            refusal.contains("non-row-local expression reached a pool worker"),
+                            "row: {src} on {row:?}: {refusal}"
+                        );
+                    }
+                    (scoped, in_row) => {
+                        assert_eq!(scoped, oracle, "scoped: {src} on {row:?}");
+                        assert_eq!(in_row, oracle, "row: {src} on {row:?}");
+                    }
                 }
-                let (having, proj) = through_group_env(src, &layout, &level).expect("lowers");
+                let (having, proj) = through_group_env(src, &layout, &level);
                 assert_eq!(having, oracle, "group (having): {src} on {row:?}");
                 assert_eq!(proj, oracle, "group (projection): {src} on {row:?}");
             }
         }
         assert!(errors >= 20, "the corpus lost its erroring cases ({errors} left)");
-        // A nested aggregate is neither: it keeps the legacy path, where
-        // the interpreter rejects the inner call.
-        let nested = compile(&parse_expr("sum(count(*))").expect("parse"), &layout);
-        assert!(!parallel::is_rowlocal(&nested) && !parallel::is_grouplocal(&nested));
+        // A nested aggregate's argument is not row-local, so its partial
+        // phase runs scoped, where the inner call is rejected exactly as
+        // the interpreter rejects it.
+        let src = "sum(count(*))";
+        let nested = compile(&parse_expr(src).expect("parse"), &layout);
+        assert!(!is_rowlocal(&nested) && is_grouplocal(&nested));
         let level: Level =
             vec![Frame { name: "t".into(), columns: Arc::clone(&cols), row: rows[0].clone() }];
-        assert!(through_group_env("sum(count(*))", &layout, &level).is_none());
+        let mut b = Bindings::new();
+        b.push_level(level.clone());
+        let group = std::slice::from_ref(&level);
+        let oracle = outcome(eval_expr(ctx, &mut b, Some(group), &parse_expr(src).expect("parse")));
+        assert!(oracle.as_ref().is_err_and(|e| e.contains("count() not allowed")), "{oracle:?}");
+        assert_eq!(through_group_env(src, &layout, &level), (oracle.clone(), oracle));
     }
 }

@@ -15,14 +15,12 @@
 
 use std::sync::Arc;
 
-use setrules_sql::ast::Expr;
 use setrules_storage::{TableId, TupleHandle, Value};
 
 use crate::bindings::{Bindings, Level};
 use crate::compile::{eval_compiled_predicate, holds, CompiledExpr, RowEnv};
 use crate::ctx::QueryCtx;
 use crate::error::QueryError;
-use crate::eval::eval_predicate;
 use crate::parallel;
 use crate::stats;
 
@@ -49,7 +47,6 @@ fn consider(
     ctx: QueryCtx<'_>,
     items: &[FromItem],
     full_pred: Option<&CompiledExpr>,
-    predicate: Option<&Expr>,
     want_trace: bool,
     cursor: &[usize],
     bindings: &mut Bindings,
@@ -58,10 +55,9 @@ fn consider(
 ) -> Result<(), QueryError> {
     stats::bump(ctx.stats, |s| s.join_combinations += 1);
     bindings.push_level(level_of(items, cursor));
-    let keep = match (full_pred, predicate) {
-        (Some(cp), _) => eval_compiled_predicate(ctx, bindings, None, cp),
-        (None, Some(p)) => eval_predicate(ctx, bindings, None, p),
-        (None, None) => Ok(true),
+    let keep = match full_pred {
+        Some(cp) => eval_compiled_predicate(ctx, bindings, cp),
+        None => Ok(true),
     };
     let level = bindings.pop_level().expect("pushed above");
     if keep? {
@@ -99,7 +95,6 @@ fn parallel_where<'p>(
 pub(crate) struct FilterExec<'q> {
     join: JoinExec<'q>,
     full_pred: Option<Arc<CompiledExpr>>,
-    pred: Option<&'q Expr>,
     want_trace: bool,
     origins: Vec<Vec<(TableId, TupleHandle)>>,
     batch_rows: usize,
@@ -110,13 +105,11 @@ impl<'q> FilterExec<'q> {
     pub(crate) fn new(
         join: JoinExec<'q>,
         full_pred: Option<Arc<CompiledExpr>>,
-        pred: Option<&'q Expr>,
         want_trace: bool,
     ) -> Self {
         FilterExec {
             join,
             full_pred,
-            pred,
             want_trace,
             origins: Vec::new(),
             batch_rows: super::BATCH_ROWS,
@@ -192,7 +185,6 @@ impl<'q> FilterExec<'q> {
                     ctx,
                     self.join.items(),
                     self.full_pred.as_deref(),
-                    self.pred,
                     self.want_trace,
                     c,
                     cx.bindings,

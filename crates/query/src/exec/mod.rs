@@ -25,12 +25,10 @@
 //!   earliest-error merge rule (see [`crate::parallel`] for row-locality,
 //!   `docs/parallel-execution.md` for the model).
 //! * [`join::JoinExec`] — drains its child scans and assembles row
-//!   combinations: the greedy N-way hash/cross [`JoinPlan`]
-//!   (crate::planner::JoinPlan) in compiled mode, the historical 2-way
-//!   hash special case and nested-loop odometer in interpreted mode.
-//!   Hash-step builds and probes exchange across partitions. Emits
-//!   batches of *cursors* (one row index per item) in row-index
-//!   lexicographic order.
+//!   combinations through the greedy N-way hash/cross
+//!   [`JoinPlan`](crate::planner::JoinPlan). Hash-step builds and probes
+//!   exchange across partitions. Emits batches of *cursors* (one row index
+//!   per item) in row-index lexicographic order.
 //! * [`filter::FilterExec`] — evaluates the full `where` predicate per
 //!   assembled combination (hash probes and pushdown are sound
 //!   prefilters), serially or exchanged when the predicate is
@@ -38,13 +36,13 @@
 //! * [`project::ProjectExec`] / [`aggregate::AggregateExec`] — expand
 //!   wildcards, then evaluate projections row-by-row or per group
 //!   (`group by` / `having` / aggregate calls), emitting rows keyed by
-//!   their `order by` values. Compiled grouped statements whose
-//!   expressions lower to a row-local `GroupProgram` run *two-phase*:
-//!   a streaming `partial-aggregate` phase exchanges each input batch
-//!   into per-partition accumulators (merged in encounter order), and a
-//!   `final-aggregate` phase folds the groups — itself exchanged when
-//!   there are enough. Everything else keeps the one-pass `aggregate`
-//!   operator, which doubles as the differential oracle.
+//!   their `order by` values. Every grouped statement lowers to a
+//!   `GroupProgram` and runs *two-phase*: a streaming `partial-aggregate`
+//!   phase accumulates each input batch (exchanged into per-partition
+//!   accumulators, merged in encounter order, when its keys and aggregate
+//!   arguments are row-local), and a `final-aggregate` phase folds the
+//!   groups — itself exchanged when there are enough and its trees are
+//!   row-local apart from their aggregate calls.
 //! * [`sort::DistinctExec`], [`sort::SortExec`], [`sort::LimitExec`] —
 //!   `distinct` dedup, the stable order-by sort with its top-K
 //!   partial-selection fast path, and the `limit` truncation. Distinct
@@ -104,7 +102,7 @@ pub(crate) type KeyedRow = (Vec<Value>, Vec<Value>);
 /// the operator currently evaluating holds it, exactly like the recursive
 /// executor it replaces.
 pub(crate) struct ExecCx<'a, 'b> {
-    /// The query context (database, provider, caches, stats, mode).
+    /// The query context (database, provider, caches, stats, threads).
     pub ctx: QueryCtx<'a>,
     /// Name-resolution scopes (outer query levels for correlated
     /// subqueries; operators push/pop their own innermost level).
@@ -215,14 +213,18 @@ fn schema_scope(
     Some((types, frames, layout))
 }
 
-/// Whether a grouped statement lowers to the two-phase aggregation
-/// program against the schema-derived layout — the plan-time view of
-/// [`aggregate::group_program`].
-fn two_phase_eligible(stmt: &SelectStmt, layout: &Layout, frames: &[LayoutFrame]) -> bool {
+/// The two-phase aggregation program of a grouped statement against the
+/// schema-derived layout — the plan-time view of
+/// [`aggregate::group_program`]; `None` when a wildcard does not expand.
+fn plan_group_program(
+    stmt: &SelectStmt,
+    layout: &Layout,
+    frames: &[LayoutFrame],
+) -> Option<aggregate::GroupProgram> {
     let cols: Vec<(&str, &Arc<Vec<String>>)> =
         frames.iter().map(|f| (f.name.as_str(), &f.columns)).collect();
-    let Ok(proj) = project::expand_wildcards_cols(stmt, &cols) else { return false };
-    aggregate::group_program(stmt, layout, &proj).is_some()
+    let proj = project::expand_wildcards_cols(stmt, &cols).ok()?;
+    Some(aggregate::group_program(stmt, layout, &proj))
 }
 
 /// The pipeline stages of `stmt` that are *exchange-eligible* — the
@@ -232,8 +234,9 @@ fn two_phase_eligible(stmt: &SelectStmt, layout: &Layout, frames: &[LayoutFrame]
 /// `parallel:` line of `explain`, derived from the same gates the
 /// operators use: the WHERE pass exchanges only a row-local full
 /// predicate, the join exchanges its hash build/probe (so it needs an
-/// equi-edge), aggregation exchanges exactly when it lowers two-phase,
-/// and distinct/sort/top-K partition on values alone. Shape-only — the
+/// equi-edge), aggregation exchanges when either of its phases may leave
+/// the serial environment, and distinct/sort/top-K partition on values
+/// alone. Shape-only — the
 /// run-time size gate ([`exchange::Exchange::plan`]) cannot be decided
 /// here, so the line is identical at every thread count.
 pub(crate) fn parallel_stages(ctx: QueryCtx<'_>, stmt: &SelectStmt) -> Option<Vec<&'static str>> {
@@ -254,7 +257,10 @@ pub(crate) fn parallel_stages(ctx: QueryCtx<'_>, stmt: &SelectStmt) -> Option<Ve
             stages.push("where");
         }
     }
-    if is_grouped(stmt) && two_phase_eligible(stmt, &layout, &frames) {
+    if is_grouped(stmt)
+        && plan_group_program(stmt, &layout, &frames)
+            .is_some_and(|p| p.rows_exchangeable || p.groups_exchangeable)
+    {
         stages.push("aggregate");
     }
     if stmt.distinct {
@@ -323,17 +329,15 @@ pub(crate) fn plan_ops(ctx: QueryCtx<'_>, stmt: &SelectStmt) -> Option<Vec<Strin
         ops.push("filter".into());
     }
     if is_grouped(stmt) {
-        // Grouped top: two-phase when the statement lowers to a
-        // GroupProgram (the exact gate the executor uses), the one-pass
-        // aggregate otherwise. Shape-only, so the line is identical at
+        // Grouped top: always two-phase, with the exchange between the
+        // phases when the partial phase may run on the pool (the exact
+        // gate the executor uses). Shape-only, so the line is identical at
         // every thread count.
-        if two_phase_eligible(stmt, &layout, &frames) {
-            ops.push("partial-aggregate".into());
+        ops.push("partial-aggregate".into());
+        if plan_group_program(stmt, &layout, &frames).is_some_and(|p| p.rows_exchangeable) {
             ops.push("exchange".into());
-            ops.push("final-aggregate".into());
-        } else {
-            ops.push("aggregate".into());
         }
+        ops.push("final-aggregate".into());
     } else {
         ops.push("project".into());
     }

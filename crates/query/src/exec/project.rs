@@ -17,9 +17,7 @@ use setrules_storage::{TableId, TupleHandle};
 
 use crate::bindings::Level;
 use crate::compile::{compile, eval_compiled, CompiledExpr};
-use crate::ctx::ExecMode;
 use crate::error::QueryError;
-use crate::eval::eval_expr;
 
 use super::filter::FilterExec;
 use super::scan::{items_layout, FromItem};
@@ -80,12 +78,11 @@ pub(crate) struct ProjectExec<'q> {
     filter: FilterExec<'q>,
     stmt: &'q SelectStmt,
     columns: Vec<String>,
-    proj: Vec<(Expr, String)>,
-    /// Compiled projection + order-by keys (compiled mode only). These
-    /// include synthesized wildcard expansions, so they compile fresh —
-    /// never through the plan cache, whose keys require stable AST
-    /// addresses.
-    compiled_proj: Option<(Vec<CompiledExpr>, Vec<CompiledExpr>)>,
+    /// Compiled projection and order-by keys. These include synthesized
+    /// wildcard expansions, so they compile fresh — never through the
+    /// plan cache, whose keys require stable AST addresses.
+    proj: Vec<CompiledExpr>,
+    keys: Vec<CompiledExpr>,
     state: Option<Batches<Level>>,
 }
 
@@ -96,7 +93,7 @@ impl<'q> ProjectExec<'q> {
             stmt,
             columns: Vec::new(),
             proj: Vec::new(),
-            compiled_proj: None,
+            keys: Vec::new(),
             state: None,
         }
     }
@@ -108,16 +105,12 @@ impl<'q> ProjectExec<'q> {
             matching.extend(batch);
         }
         let items = self.filter.items();
-        self.proj = expand_wildcards(self.stmt, items)?;
-        self.columns = self.proj.iter().map(|(_, n)| n.clone()).collect();
-        if cx.ctx.mode == ExecMode::Compiled {
-            // The same scope layout the filter evaluated in.
-            let layout = items_layout(cx.bindings, items);
-            self.compiled_proj = Some((
-                self.proj.iter().map(|(e, _)| compile(e, &layout)).collect(),
-                self.stmt.order_by.iter().map(|(e, _)| compile(e, &layout)).collect(),
-            ));
-        }
+        let proj = expand_wildcards(self.stmt, items)?;
+        self.columns = proj.iter().map(|(_, n)| n.clone()).collect();
+        // The same scope layout the filter evaluated in.
+        let layout = items_layout(cx.bindings, items);
+        self.proj = proj.iter().map(|(e, _)| compile(e, &layout)).collect();
+        self.keys = self.stmt.order_by.iter().map(|(e, _)| compile(e, &layout)).collect();
         Ok(matching)
     }
 }
@@ -142,30 +135,15 @@ impl Executor for ProjectExec<'_> {
         for level in levels {
             cx.bindings.push_level(level);
             let result = (|| -> Result<KeyedRow, QueryError> {
-                match &self.compiled_proj {
-                    Some((ps, ks)) => {
-                        let mut out = Vec::with_capacity(ps.len());
-                        for e in ps {
-                            out.push(eval_compiled(ctx, cx.bindings, None, e)?);
-                        }
-                        let mut key = Vec::with_capacity(ks.len());
-                        for e in ks {
-                            key.push(eval_compiled(ctx, cx.bindings, None, e)?);
-                        }
-                        Ok((key, out))
-                    }
-                    None => {
-                        let mut out = Vec::with_capacity(self.proj.len());
-                        for (e, _) in &self.proj {
-                            out.push(eval_expr(ctx, cx.bindings, None, e)?);
-                        }
-                        let mut key = Vec::with_capacity(self.stmt.order_by.len());
-                        for (e, _) in &self.stmt.order_by {
-                            key.push(eval_expr(ctx, cx.bindings, None, e)?);
-                        }
-                        Ok((key, out))
-                    }
+                let mut out = Vec::with_capacity(self.proj.len());
+                for e in &self.proj {
+                    out.push(eval_compiled(ctx, cx.bindings, e)?);
                 }
+                let mut key = Vec::with_capacity(self.keys.len());
+                for e in &self.keys {
+                    key.push(eval_compiled(ctx, cx.bindings, e)?);
+                }
+                Ok((key, out))
             })();
             cx.bindings.pop_level();
             out_batch.push(result?);

@@ -225,7 +225,7 @@ impl<'q> ScanExec<'q> {
                     row: row.1.clone(),
                 }]);
                 let keep = conjs.iter().all(|cc| {
-                    !matches!(eval_compiled_predicate(ctx, cx.bindings, None, cc), Ok(false))
+                    !matches!(eval_compiled_predicate(ctx, cx.bindings, cc), Ok(false))
                 });
                 cx.bindings.pop_level();
                 keep

@@ -5,7 +5,7 @@
 //! exercised directly over a stub [`RowSource`]; the row-producing front
 //! half (scan → join → filter → project/aggregate) is exercised by
 //! lowering real statements with tiny batch sizes and comparing against
-//! the default-size pipeline.
+//! the default-size pipeline, or against pinned outputs.
 
 use std::sync::Arc;
 
@@ -22,7 +22,7 @@ use super::sort::{DistinctExec, LimitExec, SortExec};
 use super::*;
 use crate::planner::Access;
 use crate::stats::{OpStatsCell, StatsCell};
-use crate::{execute_op, ExecMode, ExecOpts, NoTransitionTables};
+use crate::{execute_op, ExecOpts, NoTransitionTables};
 
 #[test]
 fn batches_iterator_contract() {
@@ -313,20 +313,39 @@ fn test_db() -> Database {
     db
 }
 
+/// The [`test_db`] tables refilled for the grouped corpus: 200 `t1` rows
+/// (`a = i % 7`, NULL every 13th row; `b = i`) and 100 `t2` rows
+/// (`a = i % 5`, `c = 3 i`) — enough for an 8-thread budget to exchange.
+fn grouped_db() -> Database {
+    let mut db = test_db();
+    let mut exec = |sql: &str| {
+        let Statement::Dml(op) = parse_statement(sql).unwrap() else { panic!() };
+        execute_op(&mut db, &NoTransitionTables, &op, &ExecOpts::default()).unwrap();
+    };
+    exec("delete from t1");
+    exec("delete from t2");
+    let t1: Vec<String> = (0..200)
+        .map(|i| if i % 13 == 0 { format!("(NULL, {i})") } else { format!("({}, {i})", i % 7) })
+        .collect();
+    exec(&format!("insert into t1 values {}", t1.join(", ")));
+    let t2: Vec<String> = (0..100).map(|i| format!("({}, {})", i % 5, i * 3)).collect();
+    exec(&format!("insert into t2 values {}", t2.join(", ")));
+    db
+}
+
 /// Lower `stmt` exactly as the driver does (no pushdown) but with every
-/// operator's batch size forced to `n`, and pull it dry. Compiled mode
-/// compiles the full predicate against the schema layout, so the
-/// compiled-only paths (greedy join plan, two-phase aggregation) engage.
-/// The front half has no public batch-size knob, so this mirrors
-/// `run_select_traced`'s lowering verbatim — if that lowering changes
-/// shape, this helper is the unit-level pin that must change with it.
+/// operator's batch size forced to `n` and a thread budget of `threads`,
+/// and pull it dry. The front half has no public batch-size knob, so this
+/// mirrors `run_select_traced`'s lowering verbatim — if that lowering
+/// changes shape, this helper is the unit-level pin that must change with
+/// it.
 fn run_tiny(
     db: &Database,
     stmt: &setrules_sql::ast::SelectStmt,
-    mode: ExecMode,
     n: usize,
+    threads: usize,
 ) -> Result<(Vec<String>, Vec<Vec<Value>>), QueryError> {
-    let ctx = QueryCtx { mode, ..QueryCtx::plain(db) };
+    let ctx = QueryCtx { threads, ..QueryCtx::plain(db) };
     let mut bindings = Bindings::new();
     let mut scans = Vec::new();
     let mut frames = Vec::new();
@@ -351,17 +370,11 @@ fn run_tiny(
             .with_batch_rows(n),
         );
     }
-    let full_pred = match (mode, stmt.predicate.as_ref()) {
-        (ExecMode::Compiled, Some(p)) => {
-            let mut layout = crate::compile::Layout::new();
-            layout.push_level(frames);
-            Some(Arc::new(crate::compile::compile(p, &layout)))
-        }
-        _ => None,
-    };
+    let mut layout = crate::compile::Layout::new();
+    layout.push_level(frames);
+    let full_pred = stmt.predicate.as_ref().map(|p| Arc::new(crate::compile::compile(p, &layout)));
     let join = JoinExec::new(scans, stmt).with_batch_rows(n);
-    let filter =
-        FilterExec::new(join, full_pred, stmt.predicate.as_ref(), false).with_batch_rows(n);
+    let filter = FilterExec::new(join, full_pred, false).with_batch_rows(n);
     let mut top: Box<dyn RowSource + '_> = if is_grouped(stmt) {
         Box::new(AggregateExec::new(filter, stmt).with_batch_rows(n))
     } else {
@@ -382,6 +395,21 @@ fn run_tiny(
     Ok((top.output_columns().to_vec(), rows.into_iter().map(|(_, r)| r).collect()))
 }
 
+/// One run as a line of text: `columns | row; row; …` (values in their
+/// display form), or `error: <text>`.
+fn render(r: Result<(Vec<String>, Vec<Vec<Value>>), QueryError>) -> String {
+    match r {
+        Err(e) => format!("error: {e}"),
+        Ok((cols, rows)) => {
+            let rows: Vec<String> = rows
+                .iter()
+                .map(|r| r.iter().map(|v| v.to_string()).collect::<Vec<_>>().join(","))
+                .collect();
+            format!("{} | {}", cols.join(","), rows.join("; "))
+        }
+    }
+}
+
 #[test]
 fn pipeline_results_are_identical_at_every_batch_size() {
     let db = test_db();
@@ -396,13 +424,9 @@ fn pipeline_results_are_identical_at_every_batch_size() {
     ];
     for sql in queries {
         let stmt = sel_stmt(sql);
-        let baseline = run_tiny(&db, &stmt, ExecMode::Interpreted, BATCH_ROWS).unwrap();
+        let baseline = run_tiny(&db, &stmt, BATCH_ROWS, 1).unwrap();
         for n in [1, 2, 3] {
-            assert_eq!(
-                run_tiny(&db, &stmt, ExecMode::Interpreted, n).unwrap(),
-                baseline,
-                "[{sql}] batch_rows={n}"
-            );
+            assert_eq!(run_tiny(&db, &stmt, n, 1).unwrap(), baseline, "[{sql}] batch_rows={n}");
         }
     }
 }
@@ -413,75 +437,152 @@ fn pipeline_errors_are_identical_at_every_batch_size() {
     // Division by zero on the a=2 rows only: earlier rows already flowed
     // into batches when the error fires.
     let stmt = sel_stmt("select 10 / (a - 2) from t1 where a is not null");
-    let baseline = run_tiny(&db, &stmt, ExecMode::Interpreted, BATCH_ROWS).unwrap_err().to_string();
+    let baseline = run_tiny(&db, &stmt, BATCH_ROWS, 1).unwrap_err().to_string();
     for n in [1, 2, 3] {
-        let err = run_tiny(&db, &stmt, ExecMode::Interpreted, n).unwrap_err().to_string();
+        let err = run_tiny(&db, &stmt, n, 1).unwrap_err().to_string();
         assert_eq!(err, baseline, "error selection drifted at batch_rows={n}");
     }
 }
 
-/// The two-phase aggregation (compiled mode) must agree with the one-pass
-/// aggregate (interpreted mode) row-for-row at every batch size — the
-/// partial phase accumulates per batch, so tiny batches exercise the
+/// The two-phase aggregation gives the pinned rows at every batch size —
+/// the partial phase accumulates per batch, so tiny batches exercise the
 /// cross-batch group merge that `BATCH_ROWS` never splits.
 #[test]
 fn two_phase_aggregation_matches_legacy_at_every_batch_size() {
     let db = test_db();
-    let queries = [
-        "select a, count(*), sum(b), min(b), max(b), avg(b) from t1 group by a",
-        "select count(*) from t1",
-        "select count(*) from t1 where a > 99", // empty input, ungrouped
-        "select a, count(distinct b) from t1 group by a having count(*) >= 1 order by a desc",
-        "select x.a, count(*), sum(y.c) from t1 x, t2 y where x.a = y.a group by x.a",
+    let cases = [
+        (
+            "select a, count(*), sum(b), min(b), max(b), avg(b) from t1 group by a",
+            "a,count(*),sum(b),min(b),max(b),avg(b) | \
+             1,1,10,10,10,10.0; 2,2,41,20,21,20.5; 3,1,30,30,30,30.0; NULL,1,40,40,40,40.0",
+        ),
+        ("select count(*) from t1", "count(*) | 5"),
+        ("select count(*) from t1 where a > 99", "count(*) | 0"), // empty input, ungrouped
+        (
+            "select a, count(distinct b) from t1 group by a having count(*) >= 1 order by a desc",
+            "a,count(distinct b) | 3,1; 2,2; 1,1; NULL,1",
+        ),
+        (
+            "select x.a, count(*), sum(y.c) from t1 x, t2 y where x.a = y.a group by x.a",
+            "a,count(*),sum(y.c) | 1,1,100; 2,2,400",
+        ),
     ];
-    for sql in queries {
+    for (sql, legacy) in cases {
         let stmt = sel_stmt(sql);
-        let legacy = run_tiny(&db, &stmt, ExecMode::Interpreted, BATCH_ROWS).unwrap();
         for n in [1, 2, 3, BATCH_ROWS] {
-            assert_eq!(
-                run_tiny(&db, &stmt, ExecMode::Compiled, n).unwrap(),
-                legacy,
-                "[{sql}] batch_rows={n}"
-            );
+            assert_eq!(render(run_tiny(&db, &stmt, n, 1)), legacy, "[{sql}] batch_rows={n}");
         }
     }
 }
 
 /// A poisoned aggregate argument (division by zero on one group's row)
-/// selects the same error in both aggregation paths at every batch size:
+/// selects the pinned error at every batch size:
 /// leaf errors are sticky per accumulator and raised lazily when the
 /// final phase reaches the aggregate.
 #[test]
 fn two_phase_error_selection_is_batch_size_invariant() {
     let db = test_db();
     let stmt = sel_stmt("select a, sum(10 / (b - 21)) from t1 group by a order by a");
-    let legacy = run_tiny(&db, &stmt, ExecMode::Interpreted, BATCH_ROWS).unwrap_err().to_string();
     for n in [1, 2, 3, BATCH_ROWS] {
-        let err = run_tiny(&db, &stmt, ExecMode::Compiled, n).unwrap_err().to_string();
-        assert_eq!(err, legacy, "error selection drifted at batch_rows={n}");
+        let err = run_tiny(&db, &stmt, n, 1).unwrap_err().to_string();
+        assert_eq!(err, "integer division by zero", "error selection drifted at batch_rows={n}");
     }
 }
 
-/// The aggregate reports the path it took on the per-operator side
-/// channel: `partial-aggregate`/`final-aggregate` when the two-phase
-/// program lowers (compiled mode), the historical `aggregate` label in
-/// interpreted mode.
+/// Grouped statements whose keys, aggregate arguments, `having`,
+/// projections or `order by` keys are not row-local — subqueries, outer
+/// references, nested aggregates, unknown columns — paired with their
+/// outputs. Every one runs the two-phase program; the reference
+/// differential in `tests/query_pipeline.rs` checks the same statements on
+/// the same data.
+const GROUPED_CORPUS: &[(&str, &str)] = &[
+    // A subquery in `having`.
+    (
+        "select a, count(*), sum(b) from t1 group by a having sum(b) > (select max(c) from t2) * 9",
+        "a,count(*),sum(b) | 2,27,2679; 3,27,2734",
+    ),
+    (
+        "select a, sum(b) from t1 group by a \
+         having count(*) > 26 and (select count(*) from t2) > 0 order by a",
+        "a,sum(b) | 1,2624; 2,2679; 3,2734",
+    ),
+    // A correlated subquery in the projection, over the representative row.
+    (
+        "select a, (select count(*) from t2 where t2.a = t1.a), max(b) from t1 group by a",
+        "a,(select count(*) from t2 where (t2.a = t1.a)),max(b) | \
+         NULL,0,195; 1,20,197; 2,20,198; 3,20,199; 4,20,193; 5,0,194; 6,0,188; 0,20,196",
+    ),
+    // ... and in an `order by` key.
+    (
+        "select a, count(*) from t1 group by a \
+         order by (select count(*) from t2 where t2.a = t1.a) desc, a",
+        "a,count(*) | 0,26; 1,27; 2,27; 3,27; 4,26; NULL,16; 5,26; 6,25",
+    ),
+    // Outer references inside a grouped subquery: in its `having`, and in
+    // its aggregate argument.
+    (
+        "select a, b from t1 where b < 30 and exists \
+         (select t2.a from t2 where t2.a = t1.a group by t2.a having count(*) > t1.b)",
+        "a,b | 1,1; 2,2; 3,3; 4,4; 0,7; 1,8; 2,9; 3,10; 4,11; 0,14; 1,15; 2,16; 3,17; 4,18",
+    ),
+    (
+        "select b, (select sum(t2.c * t1.b) from t2 where t2.a = t1.a) from t1 where b < 8",
+        "b,(select sum((t2.c * t1.b)) from t2 where (t2.a = t1.a)) | \
+         0,NULL; 1,2910; 2,5940; 3,9090; 4,12360; 5,NULL; 6,NULL; 7,19950",
+    ),
+    // A group key containing a subquery.
+    (
+        "select count(*), min(b) from t1 group by (select max(t2.c) from t2 where t2.a = t1.a)",
+        "count(*),min(b) | 67,0; 27,1; 27,2; 27,3; 26,4; 26,7",
+    ),
+    // A nested aggregate: its inner call fails once a row reaches it.
+    (
+        "select sum(count(*)) from t1",
+        "error: type error: aggregate count() not allowed in this context",
+    ),
+    ("select sum(count(*)) from t1 where a > 99", "sum(count(*)) | NULL"),
+    // An unknown column: raised when a group reaches it, so not at all
+    // when there are no groups.
+    ("select nosuch, count(*) from t1 group by a", "error: unknown column 'nosuch'"),
+    ("select nosuch, count(*) from t1 where a > 99", "error: unknown column 'nosuch'"),
+    ("select a, count(*) from t1 where a > 99 group by a having nosuch > 0", "a,count(*) | "),
+    ("select a, sum(nosuch) from t1 group by a", "error: unknown column 'nosuch'"),
+];
+
+/// Grouped statements with parts that are not row-local give the pinned
+/// rows (or error) at every batch size and thread budget.
+#[test]
+fn grouped_fallback_shapes_run_two_phase_at_every_batch_size() {
+    let db = grouped_db();
+    for (sql, want) in GROUPED_CORPUS {
+        let stmt = sel_stmt(sql);
+        for n in [1, 2, 3, BATCH_ROWS] {
+            for threads in [1, 8] {
+                let got = render(run_tiny(&db, &stmt, n, threads));
+                assert_eq!(&got, want, "[{sql}] batch_rows={n} threads={threads}");
+            }
+        }
+    }
+}
+
+/// Every grouped statement — the row-local kind and each corpus shape —
+/// reports the two phases on the per-operator side channel, and no
+/// operator is named `aggregate`. (Over empty input there may be nothing
+/// for either phase to count.)
 #[test]
 fn aggregate_op_stats_labels_follow_the_path() {
-    let db = test_db();
-    let stmt = sel_stmt("select a, count(*) from t1 group by a");
-    for (mode, two_phase) in [(ExecMode::Compiled, true), (ExecMode::Interpreted, false)] {
+    let db = grouped_db();
+    let sqls = std::iter::once("select a, count(*) from t1 group by a")
+        .chain(GROUPED_CORPUS.iter().map(|(sql, _)| *sql));
+    for sql in sqls {
         let ops = OpStatsCell::new();
-        crate::execute_query(
-            &db,
-            &NoTransitionTables,
-            &stmt,
-            &crate::ExecOpts { mode, op_stats: Some(&ops), ..Default::default() },
-        )
-        .unwrap();
+        let opts = crate::ExecOpts { op_stats: Some(&ops), ..Default::default() };
+        let _ = crate::execute_query(&db, &NoTransitionTables, &sel_stmt(sql), &opts);
         let names = ops.operators();
-        assert_eq!(names.contains(&"partial-aggregate"), two_phase, "{mode:?}: {names:?}");
-        assert_eq!(names.contains(&"final-aggregate"), two_phase, "{mode:?}: {names:?}");
-        assert_eq!(names.contains(&"aggregate"), !two_phase, "{mode:?}: {names:?}");
+        if !sql.contains("a > 99") {
+            assert!(names.contains(&"partial-aggregate"), "[{sql}] {names:?}");
+            assert!(names.contains(&"final-aggregate"), "[{sql}] {names:?}");
+        }
+        assert!(!names.contains(&"aggregate"), "[{sql}] {names:?}");
     }
 }

@@ -45,7 +45,7 @@ pub use compile::{
     compile, compile_cached, eval_compiled, eval_compiled_predicate, CompiledExpr, Layout,
     LayoutFrame, PlanCache,
 };
-pub use ctx::{ExecMode, QueryCtx, SubqueryCache};
+pub use ctx::{QueryCtx, SubqueryCache};
 pub use dml::{execute_op, execute_query, ExecOpts, OpEffect};
 pub use error::QueryError;
 pub use eval::{eval_expr, eval_predicate, truth};

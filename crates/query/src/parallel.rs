@@ -48,8 +48,10 @@ pub(crate) fn is_rowlocal(e: &CompiledExpr) -> bool {
     local(e, false)
 }
 
-/// Whether `e` may be evaluated per group by the two-phase aggregation:
-/// row-local except for aggregate calls, whose arguments are row-local.
+/// Whether the final aggregation phase may evaluate `e` per group on a
+/// pool worker: row-local except for aggregate calls, which the group
+/// environment answers from its accumulators (their arguments belong to
+/// the partial phase).
 pub(crate) fn is_grouplocal(e: &CompiledExpr) -> bool {
     local(e, true)
 }
@@ -57,7 +59,7 @@ pub(crate) fn is_grouplocal(e: &CompiledExpr) -> bool {
 fn local(e: &CompiledExpr, aggs: bool) -> bool {
     match e {
         CompiledExpr::Slot { level_up, .. } => *level_up == 0,
-        CompiledExpr::Agg { arg, .. } => aggs && arg.as_deref().is_none_or(is_rowlocal),
+        CompiledExpr::Agg { .. } => aggs,
         CompiledExpr::InSubquery { .. }
         | CompiledExpr::Exists { .. }
         | CompiledExpr::ScalarSubquery(_)

@@ -55,7 +55,7 @@ pub enum Access {
         hi: Bound<Value>,
     },
     /// The predicate can never be true for any tuple (e.g. `c = NULL`,
-    /// an equality with a value outside the column's domain, or a range
+    /// an equality with a fractional float on an int column, or a range
     /// with a `NULL`/NaN bound or a provably empty interval).
     Empty,
 }
@@ -213,7 +213,9 @@ fn eq_candidate(
         if matches!(v, Value::Float(f) if f.is_nan()) {
             continue;
         }
-        return Some(match probe_value(&v, schema.column_type(column)) {
+        // A cross-domain value makes per-row evaluation raise a type
+        // error that probing would swallow: no candidate.
+        return Some(match probe_value(&v, schema.column_type(column)).ok()? {
             // `-0.0` and `0.0` are distinct index keys (bit-pattern
             // storage equality) but SQL-equal, so a zero probe must
             // cover both buckets.
@@ -292,7 +294,7 @@ fn probe_values<'v>(haystack: impl Iterator<Item = &'v Value>, ty: DataType) -> 
         }
     };
     for v in haystack {
-        match in_probe_value(v, ty).ok()? {
+        match probe_value(v, ty).ok()? {
             // Comparable but unmatchable (NULL, NaN, fractional float vs
             // int): skip the probe; the row set is unaffected because
             // `where` only keeps rows where the predicate is *true*.
@@ -751,12 +753,12 @@ fn is_constant(e: &Expr) -> bool {
     }
 }
 
-/// Coerce an `in`-list probe value to the stored column type.
+/// Coerce an equality or `in`-list probe value to the stored column type.
 /// `Ok(None)`: the value can never match, but comparing it is well-defined
 /// (`NULL`, fractional float vs int) — safe to skip. `Err(())`: per-row
 /// comparison would raise a type error, so the probe cannot soundly
 /// replace evaluation.
-fn in_probe_value(v: &Value, ty: DataType) -> Result<Option<Value>, ()> {
+fn probe_value(v: &Value, ty: DataType) -> Result<Option<Value>, ()> {
     match (v, ty) {
         (Value::Null, _) => Ok(None),
         // NaN compares UNKNOWN with everything (never Equal), so like NULL
@@ -773,25 +775,6 @@ fn in_probe_value(v: &Value, ty: DataType) -> Result<Option<Value>, ()> {
         }
         (v, ty) if v.data_type() == Some(ty) => Ok(Some(v.clone())),
         _ => Err(()),
-    }
-}
-
-/// Coerce an equality probe value to the stored column type. `None` means
-/// no stored value can compare equal (`NULL`, or a fractional float probed
-/// against an int column, or a cross-domain type).
-fn probe_value(v: &Value, ty: DataType) -> Option<Value> {
-    match (v, ty) {
-        (Value::Null, _) => None, // `c = NULL` is unknown for every row
-        (Value::Int(i), DataType::Float) => Some(Value::Float(*i as f64)),
-        (Value::Float(f), DataType::Int) => {
-            if f.fract() == 0.0 && *f >= i64::MIN as f64 && *f <= i64::MAX as f64 {
-                Some(Value::Int(*f as i64))
-            } else {
-                None
-            }
-        }
-        (v, ty) if v.data_type() == Some(ty) => Some(v.clone()),
-        _ => None,
     }
 }
 
@@ -874,6 +857,9 @@ mod tests {
         let (db, t) = setup();
         assert_eq!(access(&db, t, "dept_no = NULL", true), Access::Empty);
         assert_eq!(access(&db, t, "dept_no = 2.5", true), Access::Empty);
+        // A cross-domain value is not impossible but an error per row:
+        // the scan keeps it.
+        assert_eq!(access(&db, t, "dept_no = 'x'", true), Access::FullScan);
     }
 
     #[test]

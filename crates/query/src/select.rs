@@ -5,25 +5,20 @@
 //! This module is the *lowering driver*: it plans a statement — access
 //! selection, predicate compilation, pushdown classification — and lowers
 //! it to a tree of batched physical operators (see [`crate::exec`]),
-//! then pulls that tree dry. Two executors share the front-end, selected
-//! by [`ExecMode`](crate::ExecMode) on the context:
+//! then pulls that tree dry. There is one executor: the predicate is
+//! lowered once to a slot-addressed [`CompiledExpr`], single-item
+//! conjuncts are pushed down to their scan, and an N-way greedy
+//! [`JoinPlan`](crate::planner::JoinPlan) joins items with hash tables on
+//! equi-join keys (cross steps only when nothing connects).
 //!
-//! * **Compiled** (default): the predicate is lowered once to a
-//!   slot-addressed [`CompiledExpr`], single-item conjuncts are pushed
-//!   down to their scan, and an N-way greedy
-//!   [`JoinPlan`](crate::planner::JoinPlan) joins items with hash tables
-//!   on equi-join keys (cross steps only when nothing connects).
-//! * **Interpreted**: per-row string resolution, the historical nested-loop
-//!   odometer with a 2-item hash equi-join special case — kept as the
-//!   differential-testing reference.
-//!
-//! Both evaluate the *full* predicate per assembled combination (hash
-//! probes and pushdown are sound prefilters) and emit combinations in
-//! row-index lexicographic order, so results are identical and
-//! deterministic: scans run in handle order, groups appear in first-seen
-//! order, and `order by` uses the storage total order. The one accepted
-//! divergence: prefilters may skip combinations whose evaluation would
-//! *error* (the historical 2-way hash path already did this).
+//! The *full* predicate is still evaluated per assembled combination
+//! (hash probes and pushdown are sound prefilters), and combinations are
+//! emitted in row-index lexicographic order, so results are exactly those
+//! of a naive nested-loop evaluation (the differential tests check this
+//! against a test-only reference executor): scans run in handle order,
+//! groups appear in first-seen order, and `order by` uses the storage
+//! total order. The one accepted divergence: prefilters may skip
+//! combinations whose evaluation would *error*.
 //!
 //! Two ordered-index fast paths bypass the operator pipeline entirely:
 //! [`min_max_shortcircuit`] and [`index_order_scan`] below.
@@ -38,13 +33,12 @@ use crate::bindings::{Bindings, Frame};
 use crate::compile::{
     compile, compile_cached, eval_compiled, eval_compiled_predicate, CompiledExpr, LayoutFrame,
 };
-use crate::ctx::{ExecMode, QueryCtx};
+use crate::ctx::QueryCtx;
 use crate::error::QueryError;
-use crate::eval::{eval_expr, eval_predicate};
 use crate::exec::aggregate::AggregateExec;
 use crate::exec::filter::FilterExec;
 use crate::exec::join::JoinExec;
-use crate::exec::project::ProjectExec;
+use crate::exec::project::{expand_wildcards_cols, ProjectExec};
 use crate::exec::scan::{ScanExec, ScanSource};
 use crate::exec::sort::{DistinctExec, LimitExec, SortExec};
 use crate::exec::{ExecCx, KeyedRow, RowSource};
@@ -93,7 +87,6 @@ pub fn run_select_traced(
     //    classification.
     // ------------------------------------------------------------------
     let sole = stmt.from.len() == 1;
-    let compiled_mode = ctx.mode == ExecMode::Compiled;
 
     enum Source {
         Named { tid: TableId, access: Access },
@@ -136,10 +129,8 @@ pub fn run_select_traced(
             .map(|m| LayoutFrame { name: m.binding.clone(), columns: Arc::clone(&m.columns) })
             .collect(),
     );
-    let full_pred: Option<Arc<CompiledExpr>> = match (&stmt.predicate, compiled_mode) {
-        (Some(p), true) => Some(compile_cached(ctx, p, &layout)),
-        _ => None,
-    };
+    let full_pred: Option<Arc<CompiledExpr>> =
+        stmt.predicate.as_ref().map(|p| compile_cached(ctx, p, &layout));
 
     // Pushdown classification: a conjunct whose innermost-level slots all
     // land in one item filters that item's scan directly. Only fully
@@ -157,7 +148,7 @@ pub fn run_select_traced(
     let pushdown_worthwhile =
         metas.len() > 1 || metas.iter().any(|m| matches!(m.source, Source::Transition));
     let mut pushed: Vec<Vec<CompiledExpr>> = (0..metas.len()).map(|_| Vec::new()).collect();
-    if compiled_mode && pushdown_worthwhile {
+    if pushdown_worthwhile {
         if let Some(p) = &stmt.predicate {
             let mut conjuncts = Vec::new();
             crate::planner::collect_conjuncts(p, &mut conjuncts);
@@ -214,8 +205,7 @@ pub fn run_select_traced(
         scans.push(ScanExec::new(meta.binding, meta.columns, meta.types, source, conjs));
     }
     let want_trace = trace.is_some();
-    let filter =
-        FilterExec::new(JoinExec::new(scans, stmt), full_pred, stmt.predicate.as_ref(), want_trace);
+    let filter = FilterExec::new(JoinExec::new(scans, stmt), full_pred, want_trace);
     let mut top: Box<dyn RowSource + '_> = if crate::exec::is_grouped(stmt) {
         Box::new(AggregateExec::new(filter, stmt))
     } else {
@@ -325,31 +315,7 @@ fn index_order_scan(
     let index = ctx.db.ordered_index(tid, oc).expect("elidable_order_column checked");
 
     // Expand the projection exactly as the generic pipeline does.
-    let mut proj: Vec<(Expr, String)> = Vec::new();
-    for item in &stmt.projection {
-        match item {
-            SelectItem::Wildcard => {
-                for c in columns_arc.iter() {
-                    proj.push((Expr::qcol(binding.to_string(), c.clone()), c.clone()));
-                }
-            }
-            SelectItem::QualifiedWildcard(q) => {
-                if q != binding {
-                    return Err(QueryError::UnknownColumn(format!("{q}.*")));
-                }
-                for c in columns_arc.iter() {
-                    proj.push((Expr::qcol(q.clone(), c.clone()), c.clone()));
-                }
-            }
-            SelectItem::Expr { expr, alias } => {
-                let name = alias.clone().unwrap_or_else(|| match expr {
-                    Expr::Column { name, .. } => name.clone(),
-                    other => other.to_string(),
-                });
-                proj.push((expr.clone(), name));
-            }
-        }
-    }
+    let proj = expand_wildcards_cols(stmt, &[(binding, &columns_arc)])?;
     let out_columns: Vec<String> = proj.iter().map(|(_, n)| n.clone()).collect();
 
     // Compile once against the same scope layout the generic pipeline
@@ -359,13 +325,9 @@ fn index_order_scan(
         name: binding.to_string(),
         columns: Arc::clone(&columns_arc),
     }]);
-    let compiled_mode = ctx.mode == ExecMode::Compiled;
-    let full_pred: Option<Arc<CompiledExpr>> = match (&stmt.predicate, compiled_mode) {
-        (Some(p), true) => Some(compile_cached(ctx, p, &layout)),
-        _ => None,
-    };
-    let compiled_proj: Option<Vec<CompiledExpr>> =
-        compiled_mode.then(|| proj.iter().map(|(e, _)| compile(e, &layout)).collect());
+    let full_pred: Option<Arc<CompiledExpr>> =
+        stmt.predicate.as_ref().map(|p| compile_cached(ctx, p, &layout));
+    let compiled_proj: Vec<CompiledExpr> = proj.iter().map(|(e, _)| compile(e, &layout)).collect();
 
     stats::bump(ctx.stats, |s| {
         s.sort_elided += 1;
@@ -405,26 +367,16 @@ fn index_order_scan(
                 row: tuple.0.clone(),
             }]);
             let result = (|| -> Result<Option<Vec<Value>>, QueryError> {
-                let keep = match (&full_pred, &stmt.predicate) {
-                    (Some(cp), _) => eval_compiled_predicate(ctx, bindings, None, cp)?,
-                    (None, Some(p)) => eval_predicate(ctx, bindings, None, p)?,
-                    (None, None) => true,
+                let keep = match &full_pred {
+                    Some(cp) => eval_compiled_predicate(ctx, bindings, cp)?,
+                    None => true,
                 };
                 if !keep {
                     return Ok(None);
                 }
-                let mut out = Vec::with_capacity(proj.len());
-                match &compiled_proj {
-                    Some(ps) => {
-                        for e in ps {
-                            out.push(eval_compiled(ctx, bindings, None, e)?);
-                        }
-                    }
-                    None => {
-                        for (e, _) in &proj {
-                            out.push(eval_expr(ctx, bindings, None, e)?);
-                        }
-                    }
+                let mut out = Vec::with_capacity(compiled_proj.len());
+                for e in &compiled_proj {
+                    out.push(eval_compiled(ctx, bindings, e)?);
                 }
                 Ok(Some(out))
             })();

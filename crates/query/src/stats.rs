@@ -197,7 +197,7 @@ pub(crate) fn bump(stats: Option<&StatsCell>, f: impl FnOnce(&mut ExecStats)) {
 /// [`crate::exec`] pipeline (keyed by operator name in [`OpStatsCell`]).
 ///
 /// These ride a *separate* side channel from [`ExecStats`]: the 19
-/// aggregate counters stay the executor's stable, mode-independent
+/// aggregate counters stay the executor's stable, thread-independent
 /// vocabulary (the differential suites compare them bit-for-bit), while
 /// per-operator counters attribute that work to the operator tree.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -75,9 +75,31 @@ echo "==> semi-join access (Example 3.1 work counters + 300-case differential)"
 # rows_scanned == rows_matched == 5050 (5000 children + the 50 transition
 # rows), full_scans == 0, one subquery evaluation; the differential holds
 # `in` / `not in (select ...)` to a test-only linear kernel on every
-# index / mode / thread axis.
+# index / thread axis.
 cargo test -q -p setrules-core --test query_pipeline -- \
   semi_join_example_3_1_work_counters in_subquery_agrees_with_linear_reference_on_every_axis
+
+echo "==> one executor (naive reference differentials + grouped shapes that once fell back)"
+# Both run under `cargo test` above; named here so the CI log shows the
+# gates behind the single query executor. The differentials hold random
+# joins and filters, error-producing queries, a corpus of grouped
+# statements (subqueries in having / projection / order by / the group
+# key, outer references inside a grouped subquery, a nested aggregate,
+# unknown columns) at 1 and 8 threads, and random `update ... set`
+# statements to tests/common/reference.rs -- nested loops and the AST
+# evaluator, no planner -- exactly: same rows in the same order or the
+# same error text. The unit tests run the grouped corpus at batch sizes
+# 1, 2, 3 and 1024 under 1 and 8 threads against pinned outputs, and
+# check that every grouped statement reports the partial-aggregate /
+# final-aggregate phases and no one-pass `aggregate` operator.
+cargo test -q -p setrules-core --test query_pipeline -- \
+  compiled_and_interpreted_agree_on_random_queries \
+  compiled_and_interpreted_agree_on_error_producing_queries \
+  grouped_statements_match_the_reference \
+  update_set_expressions_match_a_naive_update
+cargo test -q -p setrules-query --lib -- \
+  exec::tests::grouped_fallback_shapes_run_two_phase_at_every_batch_size \
+  exec::tests::aggregate_op_stats_labels_follow_the_path
 
 echo "==> §4.4 selection (priority closure property + selection differential)"
 # Both run under `cargo test` above; named here so the CI log shows the
@@ -102,7 +124,9 @@ echo "==> state image codec (exactness, differential, hostile snapshots, dropped
 # 300-case durable differential also round-trips a snapshot after every
 # statement; hand-edited snapshots (duplicate or zero handles, a low
 # high-water mark, ill-typed rows, unknown columns or rules, truncated
-# JSON) are typed errors through restore and replay alike; a dropped
+# JSON) are typed errors through restore and replay alike, and a
+# 200 000-bracket flood is a typed error through restore and a truncated
+# corrupt tail through replay, never a stack overflow; a dropped
 # table's id slot survives checkpoint and snapshot even when a live table
 # is named like a placeholder; a durable restore logs one checkpoint and
 # refuses a used log.
@@ -117,8 +141,8 @@ echo "==> acceptance counters (B11-B17 work-counter bars)"
 # Also run under `cargo test` above; named here so the CI log shows the
 # deterministic work-counter bars behind experiments B11-B17
 # (EXPERIMENTS.md; their wall-clock side is rulebench): the planned 3-way
-# join does <= half the interpreted combinations and a refiring rule hits
-# the plan cache (B11); an ordered index range-walks, elides the sort, and
+# join visits <= half of the 80 000 combinations a nested loop would and
+# a refiring rule hits the plan cache (B11); an ordered index range-walks, elides the sort, and
 # answers min/max without a scan (B12); pooled runs match serial ones row
 # for row and engage the pool on scans, joins, aggregation, distinct and
 # top-K (B13, B16); group commit is one append + sync per transaction

@@ -2,9 +2,8 @@
 //!
 //! * **differential property**: random tables and random
 //!   range / order-by / limit / min-max queries return byte-identical
-//!   relations with and without ordered indexes, under both
-//!   `ExecMode::Compiled` and `ExecMode::Interpreted` — an access path is
-//!   an execution strategy, never a semantics change;
+//!   relations with and without ordered indexes — an access path is an
+//!   execution strategy, never a semantics change;
 //! * **boundary semantics**: NULLs never match a range, NaN bounds make a
 //!   predicate unsatisfiable, NaN *values* are excluded from every range;
 //! * **plan-cache lifecycle**: creating or dropping an ordered index from
@@ -15,7 +14,7 @@
 //!   byte-identically (via `Database::state_image`).
 
 use setrules_core::{RuleSystem, TxnOutcome};
-use setrules_query::{execute_op, execute_query, ExecMode, ExecOpts, NoTransitionTables};
+use setrules_query::{execute_op, execute_query, ExecOpts, NoTransitionTables};
 use setrules_sql::ast::{DmlOp, SelectStmt, Statement};
 use setrules_sql::parse_statement;
 use setrules_storage::{ColumnDef, ColumnId, DataType, Database, IndexKind, TableSchema, Value};
@@ -166,28 +165,15 @@ fn ordered_index_and_full_scan_agree_on_random_queries() {
         for _ in 0..4 {
             let sql = random_query(rng);
             let stmt = sel(&sql);
-            let run = |db: &Database, mode: ExecMode| {
-                let opts = ExecOpts { mode, ..Default::default() };
-                execute_query(db, &NoTransitionTables, &stmt, &opts)
-            };
-            let reference = run(&plain, ExecMode::Compiled);
-            for (db, label) in [(&plain, "plain"), (&indexed, "indexed")] {
-                for mode in [ExecMode::Compiled, ExecMode::Interpreted] {
-                    let got = run(db, mode);
-                    match (&reference, &got) {
-                        (Ok(a), Ok(b)) => {
-                            assert_eq!(a, b, "{label}/{mode:?} diverged for: {sql}")
-                        }
-                        (Err(a), Err(b)) => assert_eq!(
-                            a.to_string(),
-                            b.to_string(),
-                            "{label}/{mode:?} error diverged for: {sql}"
-                        ),
-                        (a, b) => {
-                            panic!("{label}/{mode:?} outcome diverged for {sql}: {a:?} vs {b:?}")
-                        }
-                    }
+            let run =
+                |db: &Database| execute_query(db, &NoTransitionTables, &stmt, &ExecOpts::default());
+            let (reference, got) = (run(&plain), run(&indexed));
+            match (&reference, &got) {
+                (Ok(a), Ok(b)) => assert_eq!(a, b, "indexed diverged for: {sql}"),
+                (Err(a), Err(b)) => {
+                    assert_eq!(a.to_string(), b.to_string(), "indexed error diverged for: {sql}")
                 }
+                (a, b) => panic!("indexed outcome diverged for {sql}: {a:?} vs {b:?}"),
             }
         }
     });
@@ -289,63 +275,58 @@ fn nan_negzero_null_order_identically_across_all_three_paths() {
     let plain = build(false);
     let indexed = build(true);
 
-    let run = |db: &Database, sql: &str, mode: ExecMode, st: &StatsCell| {
-        let opts = ExecOpts { stats: Some(st), mode, ..Default::default() };
+    let run = |db: &Database, sql: &str, st: &StatsCell| {
+        let opts = ExecOpts { stats: Some(st), ..Default::default() };
         execute_query(db, &NoTransitionTables, &sel(sql), &opts)
             .unwrap_or_else(|e| panic!("{sql}: {e}"))
     };
 
-    for mode in [ExecMode::Compiled, ExecMode::Interpreted] {
-        for dir in ["asc", "desc"] {
-            let full_sql = format!("select k, v from t order by v {dir}");
-            let lim_sql = format!("select k, v from t order by v {dir} limit 3");
+    for dir in ["asc", "desc"] {
+        let full_sql = format!("select k, v from t order by v {dir}");
+        let lim_sql = format!("select k, v from t order by v {dir} limit 3");
 
-            // Path 1: the generic sort comparator (no index, no limit).
-            let st = StatsCell::new();
-            let sorted = run(&plain, &full_sql, mode, &st);
-            let s = st.snapshot();
-            assert_eq!((s.sort_elided, s.topk_selected), (0, 0), "[{mode:?} {dir}] gates");
-            assert_eq!(sorted.rows.len(), 16);
+        // Path 1: the generic sort comparator (no index, no limit).
+        let st = StatsCell::new();
+        let sorted = run(&plain, &full_sql, &st);
+        let s = st.snapshot();
+        assert_eq!((s.sort_elided, s.topk_selected), (0, 0), "[{dir}] gates");
+        assert_eq!(sorted.rows.len(), 16);
 
-            // Path 2: top-K selection (no index, limit 3 < 16/4).
-            let st = StatsCell::new();
-            let topk = run(&plain, &lim_sql, mode, &st);
-            assert_eq!(st.snapshot().topk_selected, 1, "[{mode:?} {dir}] top-K must engage");
-            assert_eq!(
-                topk.rows,
-                sorted.rows[..3].to_vec(),
-                "[{mode:?} {dir}] top-K diverged from the generic sort"
-            );
+        // Path 2: top-K selection (no index, limit 3 < 16/4).
+        let st = StatsCell::new();
+        let topk = run(&plain, &lim_sql, &st);
+        assert_eq!(st.snapshot().topk_selected, 1, "[{dir}] top-K must engage");
+        assert_eq!(
+            topk.rows,
+            sorted.rows[..3].to_vec(),
+            "[{dir}] top-K diverged from the generic sort"
+        );
 
-            // Path 3: the index-order walk (ordered index elides the sort).
-            let st = StatsCell::new();
-            let walked = run(&indexed, &full_sql, mode, &st);
-            assert_eq!(st.snapshot().sort_elided, 1, "[{mode:?} {dir}] elision must engage");
-            assert_eq!(
-                walked.rows, sorted.rows,
-                "[{mode:?} {dir}] index walk diverged from the generic sort"
-            );
+        // Path 3: the index-order walk (ordered index elides the sort).
+        let st = StatsCell::new();
+        let walked = run(&indexed, &full_sql, &st);
+        assert_eq!(st.snapshot().sort_elided, 1, "[{dir}] elision must engage");
+        assert_eq!(walked.rows, sorted.rows, "[{dir}] index walk diverged from the generic sort");
 
-            // Limit over the walk (early stop) agrees with all of them.
-            let st = StatsCell::new();
-            let walked_lim = run(&indexed, &lim_sql, mode, &st);
-            assert_eq!(st.snapshot().sort_elided, 1, "[{mode:?} {dir}] limited walk elides");
-            assert_eq!(walked_lim.rows, topk.rows, "[{mode:?} {dir}] limited walk diverged");
-        }
+        // Limit over the walk (early stop) agrees with all of them.
+        let st = StatsCell::new();
+        let walked_lim = run(&indexed, &lim_sql, &st);
+        assert_eq!(st.snapshot().sort_elided, 1, "[{dir}] limited walk elides");
+        assert_eq!(walked_lim.rows, topk.rows, "[{dir}] limited walk diverged");
     }
 
     // Pin the semantics the paths agree on: ascending puts NULLs first,
     // then NaNs (storage total order sorts NaN below -inf), then numeric
     // order with -0.0 strictly before 0.0.
     let st = StatsCell::new();
-    let asc = run(&plain, "select v from t order by v asc", ExecMode::Compiled, &st);
+    let asc = run(&plain, "select v from t order by v asc", &st);
     let desc_of = |r: &setrules_query::Relation| {
         let mut rows = r.rows.clone();
         rows.reverse();
         rows
     };
     let st = StatsCell::new();
-    let desc = run(&plain, "select v from t order by v desc", ExecMode::Compiled, &st);
+    let desc = run(&plain, "select v from t order by v desc", &st);
     let is_nan = |v: &Value| matches!(v, Value::Float(f) if f.is_nan());
     let is_neg_zero = |v: &Value| matches!(v, Value::Float(f) if *f == 0.0 && f.is_sign_negative());
     assert_eq!(asc.rows[0][0], Value::Null);

@@ -3,9 +3,8 @@
 //! * **differential property**: every randomly generated select over
 //!   adversarial data (NaN, -0.0, NULL, 1e300) returns a byte-identical
 //!   relation — and identical row-level `ExecStats` counters — under
-//!   thread budgets 1, 2, and 8, in both `Compiled` and `Interpreted`
-//!   mode. Parallelism is an execution strategy, never a semantics
-//!   change;
+//!   thread budgets 1, 2, and 8. Parallelism is an execution strategy,
+//!   never a semantics change;
 //! * **error determinism**: a poisoned query fails with the same error
 //!   text regardless of thread budget, and a full engine with the pool
 //!   forced on fails at the same statement as a serial one;
@@ -20,7 +19,7 @@
 
 use setrules_core::{EngineConfig, EngineEvent, RuleError, RuleSystem};
 use setrules_query::{
-    execute_query, ExecMode, ExecOpts, ExecStats, NoTransitionTables, QueryError, Relation,
+    execute_query, ExecOpts, ExecStats, NoTransitionTables, QueryError, Relation,
     StatsCell,
 };
 use setrules_sql::ast::{DmlOp, SelectStmt, Statement};
@@ -173,18 +172,13 @@ fn random_query(rng: &mut Rng) -> String {
     }
 }
 
-fn run(
-    db: &Database,
-    stmt: &SelectStmt,
-    mode: ExecMode,
-    threads: usize,
-) -> (Result<Relation, String>, ExecStats) {
+fn run(db: &Database, stmt: &SelectStmt, threads: usize) -> (Result<Relation, String>, ExecStats) {
     let st = StatsCell::new();
     let r = execute_query(
         db,
         &NoTransitionTables,
         stmt,
-        &ExecOpts { stats: Some(&st), mode, plans: None, threads, op_stats: None },
+        &ExecOpts { stats: Some(&st), plans: None, threads, op_stats: None },
     );
     (r.map_err(|e| e.to_string()), st.snapshot())
 }
@@ -204,20 +198,15 @@ fn parallel_matches_serial_on_adversarial_queries() {
         let db = adversarial_db(rng);
         let sql = random_query(rng);
         let stmt = sel(&sql);
-        for mode in [ExecMode::Compiled, ExecMode::Interpreted] {
-            let (base, base_stats) = run(&db, &stmt, mode, 1);
-            for threads in [2, 8] {
-                let (par, par_stats) = run(&db, &stmt, mode, threads);
-                assert_eq!(
-                    base, par,
-                    "outcome diverged for {sql} (mode {mode:?}, {threads} threads)"
-                );
-                assert_eq!(
-                    comparable(base_stats),
-                    comparable(par_stats),
-                    "row-level stats diverged for {sql} (mode {mode:?}, {threads} threads)"
-                );
-            }
+        let (base, base_stats) = run(&db, &stmt, 1);
+        for threads in [2, 8] {
+            let (par, par_stats) = run(&db, &stmt, threads);
+            assert_eq!(base, par, "outcome diverged for {sql} ({threads} threads)");
+            assert_eq!(
+                comparable(base_stats),
+                comparable(par_stats),
+                "row-level stats diverged for {sql} ({threads} threads)"
+            );
         }
     });
 }
@@ -231,8 +220,8 @@ fn correlated_subqueries_take_the_serial_fallback() {
     let mut rng = Rng::new(0x5e41_a11b);
     let db = adversarial_db(&mut rng);
     let stmt = sel("select count(*) from t x where exists (select * from u where u.k = x.k)");
-    let (serial, _) = run(&db, &stmt, ExecMode::Compiled, 1);
-    let (par, par_stats) = run(&db, &stmt, ExecMode::Compiled, 8);
+    let (serial, _) = run(&db, &stmt, 1);
+    let (par, par_stats) = run(&db, &stmt, 8);
     assert_eq!(serial, par);
     assert!(
         par_stats.serial_fallbacks > 0,
@@ -241,7 +230,7 @@ fn correlated_subqueries_take_the_serial_fallback() {
     // A row-local predicate over the same table does parallelize, so the
     // fallback above is about the predicate, not the plumbing.
     let local = sel("select count(*) from t x where x.k >= 4");
-    let (_, local_stats) = run(&db, &local, ExecMode::Compiled, 8);
+    let (_, local_stats) = run(&db, &local, 8);
     assert!(local_stats.parallel_scans > 0, "{local_stats:?}");
     assert!(local_stats.parallel_partitions > 1, "{local_stats:?}");
 }

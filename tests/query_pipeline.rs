@@ -1,9 +1,11 @@
 //! The compile-once query pipeline, end to end:
 //!
 //! * **differential property**: every randomly generated (type-correct)
-//!   select returns byte-identical relations under `ExecMode::Compiled`
-//!   and `ExecMode::Interpreted` — compilation is an execution strategy,
-//!   never a semantics change;
+//!   select — and every grouped statement of a fixed corpus — returns the
+//!   relation (or the error text) of a deliberately naive reference
+//!   executor, `common/reference.rs`: compilation, join planning, pushdown
+//!   and two-phase aggregation are execution strategies, never a
+//!   semantics change;
 //! * **golden plans**: `explain` output for the paper's Example 3.1 / 4.1
 //!   query shapes and for a three-way join is locked down exactly;
 //! * **plan cache**: repeated rule processing hits the per-rule cache,
@@ -12,14 +14,17 @@
 //!   the same order a full scan would (sorted), even after updates have
 //!   scrambled index-bucket insertion order;
 //! * **semi-join access**: `in` / `not in (select …)` agrees with a
-//!   test-only linear kernel on every axis (index, mode, threads), and
+//!   test-only linear kernel on every axis (index, threads), and
 //!   Example 3.1's action does work proportional to the transition table.
 
-use setrules_core::{EngineConfig, FiredRule, RuleSystem};
+#[path = "common/reference.rs"]
+mod reference;
+
+use setrules_core::{FiredRule, RuleSystem};
 use setrules_query::planner::{scan_handles, Access};
 use setrules_query::{
-    execute_op, execute_query, explain_select, ExecMode, ExecOpts, NoTransitionTables,
-    OpStatsCell, QueryCtx, QueryError, Relation, StatsCell, TransitionTableProvider,
+    execute_op, execute_query, explain_select, ExecOpts, NoTransitionTables, OpStatsCell,
+    QueryCtx, QueryError, Relation, StatsCell, TransitionTableProvider,
 };
 use setrules_sql::ast::{DmlOp, SelectStmt, Statement, TransitionKind};
 use setrules_sql::parse_statement;
@@ -39,8 +44,22 @@ fn sel(sql: &str) -> SelectStmt {
 }
 
 // ----------------------------------------------------------------------
-// Differential property: compiled ≡ interpreted
+// Differential property: the executor ≡ the naive reference
 // ----------------------------------------------------------------------
+
+/// Compare one run with the reference's: the same rows in the same order,
+/// or the same error text.
+fn assert_same_outcome(
+    got: Result<Relation, QueryError>,
+    want: Result<Relation, QueryError>,
+    what: &str,
+) {
+    match (got, want) {
+        (Ok(a), Ok(b)) => assert_eq!(a, b, "result diverged for: {what}"),
+        (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "error diverged for: {what}"),
+        (a, b) => panic!("outcome diverged for {what}: {a:?} vs reference {b:?}"),
+    }
+}
 
 /// Tables for the generator: `(name, int columns, text columns)`.
 const TABLES: &[(&str, &[&str], &[&str])] =
@@ -131,6 +150,9 @@ fn random_pred(rng: &mut Rng, ints: &[String], texts: &[String], depth: usize) -
     }
 }
 
+/// The compiled executor against the reference interpreter (the naive
+/// nested-loop executor over the AST evaluator) on random joins, filters
+/// and `count(*)`s.
 #[test]
 fn compiled_and_interpreted_agree_on_random_queries() {
     check("compiled_vs_interpreted", 300, 0xc0_4411ed, |rng| {
@@ -161,26 +183,13 @@ fn compiled_and_interpreted_agree_on_random_queries() {
         }
         let stmt = sel(&sql);
         let grouped = proj == "count(*)";
-        let run = |mode: ExecMode| {
-            let ops = OpStatsCell::new();
-            let r = execute_query(
-                &db,
-                &NoTransitionTables,
-                &stmt,
-                &ExecOpts { mode, op_stats: Some(&ops), ..Default::default() },
-            );
-            if let Ok(rel) = &r {
-                check_op_stats(&ops, rel, grouped, &sql);
-            }
-            r
-        };
-        match (run(ExecMode::Compiled), run(ExecMode::Interpreted)) {
-            (Ok(a), Ok(b)) => assert_eq!(a, b, "result diverged for: {sql}"),
-            (Err(a), Err(b)) => {
-                assert_eq!(a.to_string(), b.to_string(), "error diverged for: {sql}")
-            }
-            (a, b) => panic!("outcome diverged for {sql}: {a:?} vs {b:?}"),
+        let ops = OpStatsCell::new();
+        let opts = ExecOpts { op_stats: Some(&ops), ..Default::default() };
+        let got = execute_query(&db, &NoTransitionTables, &stmt, &opts);
+        if let Ok(rel) = &got {
+            check_op_stats(&ops, rel, grouped, &sql);
         }
+        assert_same_outcome(got, reference::select(&db, &stmt), &sql);
     });
 }
 
@@ -201,7 +210,6 @@ fn check_op_stats(ops: &OpStatsCell, rel: &Relation, grouped: bool, sql: &str) {
         "nested-loop",
         "filter",
         "project",
-        "aggregate",
         "partial-aggregate",
         "final-aggregate",
         "exchange",
@@ -233,14 +241,11 @@ fn check_op_stats(ops: &OpStatsCell, rel: &Relation, grouped: bool, sql: &str) {
     assert_eq!(ops.get("filter").rows_in, join_out, "[{sql}] filter input != join output");
     // The projection stage consumes the filter's survivors and produces
     // the relation (the generator adds no distinct/sort/limit tail).
-    // Grouped statements aggregate either in one pass ("aggregate": the
-    // interpreter and ineligible shapes) or in two phases
-    // ("partial-aggregate" consumes, "final-aggregate" emits); exactly
-    // one label set is populated per run, so the sums conserve flow in
-    // both modes.
+    // Grouped statements aggregate in two phases: "partial-aggregate"
+    // consumes, "final-aggregate" emits.
     if grouped {
-        let agg_in = ops.get("aggregate").rows_in + ops.get("partial-aggregate").rows_in;
-        let agg_out = ops.get("aggregate").rows_out + ops.get("final-aggregate").rows_out;
+        let agg_in = ops.get("partial-aggregate").rows_in;
+        let agg_out = ops.get("final-aggregate").rows_out;
         assert_eq!(agg_in, ops.get("filter").rows_out, "[{sql}] aggregate input");
         assert_eq!(agg_out, rel.rows.len() as u64, "[{sql}] aggregate output");
     } else {
@@ -252,7 +257,7 @@ fn check_op_stats(ops: &OpStatsCell, rel: &Relation, grouped: bool, sql: &str) {
 /// An error-producing predicate: division/modulo by zero, int/text type
 /// mismatches, a bad `like ... escape`, or an unknown column — all
 /// reached *lazily*, only when a row actually flows through the
-/// expression (an empty scan must succeed in both modes).
+/// expression (an empty scan must succeed).
 fn error_prone_pred(rng: &mut Rng, ints: &[String], texts: &[String]) -> String {
     let a = rng.pick_cloned(ints);
     match rng.below(if texts.is_empty() { 4 } else { 6 }) {
@@ -267,8 +272,10 @@ fn error_prone_pred(rng: &mut Rng, ints: &[String], texts: &[String]) -> String 
 
 /// The differential extended to error paths: queries that divide by
 /// zero, compare across types, hit unknown names, or pass a bad escape
-/// must fail identically (same error text) — or succeed identically when
-/// no row reaches the poisoned expression — in both modes.
+/// must fail as the reference interpreter fails (same error text) — or
+/// succeed identically when no row reaches the poisoned expression. One
+/// stored item means no hash prefilter and no pushdown, so no prefilter
+/// can skip an erroring row.
 #[test]
 fn compiled_and_interpreted_agree_on_error_producing_queries() {
     check("compiled_vs_interpreted_errors", 200, 0xe740_4411, |rng| {
@@ -277,7 +284,7 @@ fn compiled_and_interpreted_agree_on_error_producing_queries() {
         let ints: Vec<String> = tints.iter().map(|c| format!("x.{c}")).collect();
         let texts: Vec<String> = ttexts.iter().map(|c| format!("x.{c}")).collect();
         // Half the time the poison hides behind a guard that may or may
-        // not short-circuit it away, so some cases succeed in both modes.
+        // not short-circuit it away, so some cases succeed.
         let poison = error_prone_pred(rng, &ints, &texts);
         let pred = if rng.chance(1, 2) {
             format!("({} and {poison})", random_pred(rng, &ints, &texts, 1))
@@ -286,17 +293,68 @@ fn compiled_and_interpreted_agree_on_error_producing_queries() {
         };
         let sql = format!("select count(*) from {table} x where {pred}");
         let stmt = sel(&sql);
-        let run = |mode: ExecMode| {
-            execute_query(&db, &NoTransitionTables, &stmt, &ExecOpts { mode, ..Default::default() })
-        };
-        match (run(ExecMode::Compiled), run(ExecMode::Interpreted)) {
-            (Ok(a), Ok(b)) => assert_eq!(a, b, "result diverged for: {sql}"),
-            (Err(a), Err(b)) => {
-                assert_eq!(a.to_string(), b.to_string(), "error diverged for: {sql}")
-            }
-            (a, b) => panic!("outcome diverged for {sql}: {a:?} vs {b:?}"),
-        }
+        let got = execute_query(&db, &NoTransitionTables, &stmt, &ExecOpts::default());
+        assert_same_outcome(got, reference::select(&db, &stmt), &sql);
     });
+}
+
+/// The tables of the grouped corpus: 200 `t1` rows (`a = i % 7`, NULL
+/// every 13th row; `b = i`) and 100 `t2` rows (`a = i % 5`, `c = 3 i`) —
+/// big enough for an 8-thread budget to exchange.
+fn grouped_database() -> Database {
+    let mut db = Database::new();
+    create_table(&mut db, "create table t1 (a int, b int)");
+    create_table(&mut db, "create table t2 (a int, c int)");
+    let t1: Vec<String> = (0..200)
+        .map(|i| if i % 13 == 0 { format!("(NULL, {i})") } else { format!("({}, {i})", i % 7) })
+        .collect();
+    exec(&mut db, &format!("insert into t1 values {}", t1.join(", ")));
+    let t2: Vec<String> = (0..100).map(|i| format!("({}, {})", i % 5, i * 3)).collect();
+    exec(&mut db, &format!("insert into t2 values {}", t2.join(", ")));
+    db
+}
+
+/// Grouped statements whose keys, aggregate arguments, `having`,
+/// projections or `order by` keys are not row-local — subqueries in
+/// `having`, the projection, `order by` and the group key; outer
+/// references inside a grouped subquery; a nested aggregate over empty
+/// and non-empty input; unknown columns — plus row-local controls. The
+/// executor's two-phase aggregation must match the reference at every
+/// thread budget (the per-batch-size sweep of the same corpus is
+/// `exec::tests::grouped_fallback_shapes_run_two_phase_at_every_batch_size`).
+#[test]
+fn grouped_statements_match_the_reference() {
+    let db = grouped_database();
+    let corpus = [
+        "select a, count(*), sum(b) from t1 group by a having sum(b) > (select max(c) from t2) * 9",
+        "select a, sum(b) from t1 group by a \
+         having count(*) > 26 and (select count(*) from t2) > 0 order by a",
+        "select a, (select count(*) from t2 where t2.a = t1.a), max(b) from t1 group by a",
+        "select a, count(*) from t1 group by a \
+         order by (select count(*) from t2 where t2.a = t1.a) desc, a",
+        "select a, b from t1 where b < 30 and exists \
+         (select t2.a from t2 where t2.a = t1.a group by t2.a having count(*) > t1.b)",
+        "select b, (select sum(t2.c * t1.b) from t2 where t2.a = t1.a) from t1 where b < 8",
+        "select count(*), min(b) from t1 group by (select max(t2.c) from t2 where t2.a = t1.a)",
+        "select sum(count(*)) from t1",
+        "select sum(count(*)) from t1 where a > 99",
+        "select nosuch, count(*) from t1 group by a",
+        "select nosuch, count(*) from t1 where a > 99",
+        "select a, count(*) from t1 where a > 99 group by a having nosuch > 0",
+        "select a, sum(nosuch) from t1 group by a",
+        "select a, count(*), sum(b), avg(b), min(b), max(b) from t1 group by a order by a desc",
+        "select count(distinct a), sum(b) from t1 where b > 50",
+        "select x.a, count(*), sum(y.c) from t1 x, t2 y where x.a = y.a group by x.a",
+    ];
+    for sql in corpus {
+        let stmt = sel(sql);
+        let want = || reference::select(&db, &stmt);
+        for threads in [1, 8] {
+            let opts = ExecOpts { threads, ..Default::default() };
+            let got = execute_query(&db, &NoTransitionTables, &stmt, &opts);
+            assert_same_outcome(got, want(), &format!("{sql} (threads {threads})"));
+        }
+    }
 }
 
 /// A random `set` right-hand side over `t1`: column arithmetic, NULL,
@@ -316,13 +374,13 @@ fn random_set_expr(rng: &mut Rng) -> String {
     }
 }
 
-/// `update … set` goes through the compiled walk (and the plan cache) in
-/// compiled mode and through the AST interpreter in the reference mode:
-/// same affected set, same old values, same first error, same final
-/// state — also on a second execution, which reads the first one's
-/// writes and, compiled, is answered from the plan cache.
+/// `update … set` through the compiled walk and the plan cache against
+/// the reference's naive `update`: same affected set, same old values,
+/// same first error, same final state — also on a second execution,
+/// which reads the first one's writes and is answered from the plan
+/// cache.
 #[test]
-fn update_set_expressions_agree_across_modes() {
+fn update_set_expressions_match_a_naive_update() {
     let (mut cache_hits, mut errors, mut updated) = (0, 0, 0);
     check("update_set_compiled_vs_interpreted", 300, 0x5e7_c0de, |rng| {
         let mut twin = rng.clone();
@@ -339,16 +397,18 @@ fn update_set_expressions_agree_across_modes() {
         };
         let sql = format!("update t1 set {}{filter}", sets.join(", "));
         let Statement::Dml(op) = parse_statement(&sql).unwrap() else { panic!("not DML: {sql}") };
+        let DmlOp::Update(update) = &op else { panic!("not an update: {sql}") };
         let plans = setrules_query::PlanCache::new();
-        let mut outcomes = Vec::new();
-        for (db, mode) in dbs.iter_mut().zip([ExecMode::Compiled, ExecMode::Interpreted]) {
-            let opts = ExecOpts { mode, plans: Some(&plans), ..Default::default() };
-            let runs: Vec<_> = (0..2)
-                .map(|_| execute_op(db, &NoTransitionTables, &op, &opts).map_err(|e| e.to_string()))
-                .collect();
-            outcomes.push((runs, db.state_image()));
-        }
-        assert_eq!(outcomes[0], outcomes[1], "modes diverged on: {sql}");
+        let opts = ExecOpts { plans: Some(&plans), ..Default::default() };
+        let [db, naive_db] = &mut dbs;
+        let runs: Vec<_> = (0..2)
+            .map(|_| execute_op(db, &NoTransitionTables, &op, &opts).map_err(|e| e.to_string()))
+            .collect();
+        let naive: Vec<_> = (0..2)
+            .map(|_| reference::update(naive_db, update).map_err(|e| e.to_string()))
+            .collect();
+        let outcomes = [(runs, db.state_image()), (naive, naive_db.state_image())];
+        assert_eq!(outcomes[0], outcomes[1], "diverged from the naive update on: {sql}");
         cache_hits += plans.counters().0;
         let first = &outcomes[0].0[0];
         errors += first.is_err() as usize;
@@ -359,57 +419,60 @@ fn update_set_expressions_agree_across_modes() {
     assert!(errors >= 20 && updated >= 200 && cache_hits >= 600, "{errors}/{updated}/{cache_hits}");
 }
 
-/// Statement-level error agreement: running the same multi-statement
-/// script through full engines in both modes fails at the same statement
-/// index with the same error text, and both leave identical final state.
+/// Statement-level errors in a full engine: each multi-statement script
+/// fails at its pinned statement index with its pinned error text, and
+/// leaves exactly the rows the statements before it committed.
 #[test]
-fn engine_modes_fail_at_the_same_statement() {
-    let scripts: &[&[&str]] = &[
-        &[
-            "insert into t values (1, 'a'), (2, 'b')",
-            "update t set k = k / (k - k)", // division by zero on row 1
-            "insert into t values (3, 'c')",
-        ],
-        &[
-            "insert into t values (1, 'a')",
-            "select * from t where s > 5", // text/int mismatch, lazily
-        ],
-        &[
-            "insert into t values (1, 'a')",
-            "delete from t where ghost = 1", // unknown column, lazily
-        ],
-        &[
-            "insert into t values (1, 'a')",
-            "select * from t where s like 'a%' escape 'no'", // bad escape
-        ],
+fn engine_fails_at_the_pinned_statement() {
+    type Script = (&'static [&'static str], (usize, &'static str), &'static [i64]);
+    let scripts: &[Script] = &[
+        (
+            &[
+                "insert into t values (1, 'a'), (2, 'b')",
+                "update t set k = k / (k - k)", // division by zero on row 1
+                "insert into t values (3, 'c')",
+            ],
+            (1, "integer division by zero"),
+            &[1, 2],
+        ),
+        (
+            &["insert into t values (1, 'a')", "select * from t where s > 5"], // lazily
+            (1, "type error: cannot compare 'a' with 5"),
+            &[1],
+        ),
+        (
+            &["insert into t values (1, 'a')", "delete from t where ghost = 1"], // lazily
+            (1, "unknown column 'ghost'"),
+            &[1],
+        ),
+        (
+            &["insert into t values (1, 'a')", "select * from t where s like 'a%' escape 'no'"],
+            (1, "type error: escape must be a single character, got 'no'"),
+            &[1],
+        ),
     ];
-    for script in scripts {
-        let run = |mode: ExecMode| -> (Option<(usize, String)>, Relation) {
-            let mut sys =
-                RuleSystem::with_config(EngineConfig { exec_mode: mode, ..Default::default() });
-            sys.execute("create table t (k int, s text)").unwrap();
-            let mut failure = None;
-            for (i, stmt) in script.iter().enumerate() {
-                if let Err(e) = sys.execute(stmt) {
-                    failure = Some((i, e.to_string()));
-                    break;
-                }
+    for (script, (at, text), keys) in scripts {
+        let mut sys = RuleSystem::new();
+        sys.execute("create table t (k int, s text)").unwrap();
+        let mut failure = None;
+        for (i, stmt) in script.iter().enumerate() {
+            if let Err(e) = sys.execute(stmt) {
+                failure = Some((i, e.to_string()));
+                break;
             }
-            (failure, sys.query("select k from t order by k").unwrap())
-        };
-        let compiled = run(ExecMode::Compiled);
-        let interpreted = run(ExecMode::Interpreted);
-        assert_eq!(compiled, interpreted, "modes diverged on script {script:?}");
-        assert!(compiled.0.is_some(), "script {script:?} was expected to fail");
+        }
+        assert_eq!(failure, Some((*at, text.to_string())), "script {script:?}");
+        let rows: Vec<Vec<Value>> = keys.iter().map(|k| vec![Value::Int(*k)]).collect();
+        assert_eq!(sys.query("select k from t order by k").unwrap().rows, rows, "{script:?}");
     }
 }
 
-/// The full engine produces identical rule firings and final state in
-/// both modes on the paper's cascading-delete scenarios.
+/// The full engine's rule firings and final state on the paper's
+/// cascading-delete scenario, pinned.
 #[test]
-fn engine_modes_agree_end_to_end() {
-    let run = |mode: ExecMode| -> (Vec<FiredRule>, Relation, Relation) {
-        let mut sys = RuleSystem::with_config(EngineConfig { exec_mode: mode, ..Default::default() });
+fn engine_cascade_matches_its_golden_firings() {
+    let run = || -> (Vec<FiredRule>, Relation, Relation) {
+        let mut sys = RuleSystem::new();
         sys.execute("create table dept (dept_no int, mgr_no int)").unwrap();
         sys.execute("create table emp (name text, emp_no int, salary float, dept_no int)").unwrap();
         sys.execute("create index on emp (dept_no)").unwrap();
@@ -434,7 +497,21 @@ fn engine_modes_agree_end_to_end() {
         let dept = sys.query("select dept_no, mgr_no from dept order by dept_no").unwrap();
         (out.fired().to_vec(), emp, dept)
     };
-    assert_eq!(run(ExecMode::Compiled), run(ExecMode::Interpreted));
+    let (fired, emp, dept) = run();
+    let fired: Vec<_> =
+        fired.iter().map(|f| (f.rule.as_str(), f.inserted, f.deleted, f.updated)).collect();
+    assert_eq!(fired, [("r31", 0, 1, 0), ("r41", 0, 0, 0)]);
+    let text = |s: &str| Value::Text(s.into());
+    let (one, f1) = (Value::Int(1), Value::Float(1.0));
+    assert_eq!(
+        emp.rows,
+        [
+            vec![text("r"), one.clone(), f1.clone(), Value::Int(0)],
+            vec![text("m2"), Value::Int(3), f1.clone(), Value::Int(2)],
+            vec![text("w"), Value::Int(4), f1, Value::Int(3)],
+        ]
+    );
+    assert_eq!(dept.rows, [[Value::Int(2), Value::Int(3)], [Value::Int(3), Value::Int(99)]]);
 }
 
 // ----------------------------------------------------------------------
@@ -522,10 +599,9 @@ fn golden_explain_three_way_join_order() {
     assert!(plan.contains("(cross, "), "{plan}");
 
     // The planned hash-join chain pays off: emp (200) x dept (40) x proj
-    // (10) needs a small fraction of the interpreted executor's odometer
-    // (it hashes only two-item joins, so it visits all 80 000 triples).
-    let combinations = |mode: ExecMode| {
-        let mut sys = RuleSystem::with_config(EngineConfig { exec_mode: mode, ..Default::default() });
+    // (10) needs at most half of the 80 000 triples a nested loop visits.
+    let combinations = || {
+        let mut sys = RuleSystem::new();
         for (table, n, modulus) in [("emp", 200, 40), ("dept", 40, 10), ("proj", 10, 10)] {
             sys.execute(&format!("create table {table} (id int, fk int)")).unwrap();
             let rows: Vec<String> = (0..n).map(|i| format!("({i}, {})", i % modulus)).collect();
@@ -535,11 +611,11 @@ fn golden_explain_three_way_join_order() {
         let count = sys
             .query("select count(*) from emp, dept, proj where emp.fk = dept.id and dept.fk = proj.id")
             .unwrap();
-        assert_eq!(count.scalar(), Some(&Value::Int(200)), "{mode:?}");
+        assert_eq!(count.scalar(), Some(&Value::Int(200)));
         sys.exec_stats().since(&base).join_combinations
     };
-    let (compiled, interpreted) = (combinations(ExecMode::Compiled), combinations(ExecMode::Interpreted));
-    assert!(2 * compiled <= interpreted, "compiled {compiled} vs interpreted {interpreted}");
+    let compiled = combinations();
+    assert!(2 * compiled <= 200 * 40 * 10, "compiled {compiled} vs the nested loop's 80 000");
 }
 
 /// Every line `explain` emits maps to either an access choice for a
@@ -561,7 +637,6 @@ fn every_explain_line_maps_to_an_operator_or_access_choice() {
         "nested-loop",
         "filter",
         "project",
-        "aggregate",
         "partial-aggregate",
         "exchange",
         "final-aggregate",
@@ -589,7 +664,7 @@ fn every_explain_line_maps_to_an_operator_or_access_choice() {
         "select distinct dept_no from emp",                              // distinct
         "select dept_no, count(*) from emp group by dept_no",            // two-phase aggregate
         // A subquery beside the aggregate is not row-local, so this
-        // grouped statement keeps the one-pass aggregate.
+        // statement's final phase runs serially.
         "select count(*) from emp having count(*) > (select count(*) from dept)",
         "select name from emp, dept where emp.dept_no = dept.dept_no",   // hash-join
         "select name from emp, dept",                                    // nested-loop
@@ -685,23 +760,6 @@ fn plan_cache_hits_on_repeated_processing_and_clears_on_ddl() {
     assert_eq!(s3.plan_cache_misses, s2.plan_cache_misses + 1, "DDL invalidated the cache");
     assert_eq!(s3.plan_cache_hits, s2.plan_cache_hits, "no stale hit after DDL");
 
-    // Interpreted mode never touches the cache.
-    let mut isys = RuleSystem::with_config(EngineConfig {
-        exec_mode: ExecMode::Interpreted,
-        ..Default::default()
-    });
-    isys.execute("create table t (k int)").unwrap();
-    isys.execute("create table log (k int)").unwrap();
-    isys.execute(
-        "create rule copy when inserted into t then insert into log (select k from inserted t)",
-    )
-    .unwrap();
-    isys.execute("insert into t values (1)").unwrap();
-    isys.execute("insert into t values (2)").unwrap();
-    assert_eq!(isys.stats().plan_cache_hits, 0);
-    assert_eq!(isys.stats().plan_cache_misses, 0);
-    assert!(isys.recent_events().iter().all(|e| e.kind() != "plan_cache"));
-
     // A rule that refires 30 times in one transaction compiles once: every
     // later consideration hits the cache.
     let mut sys = RuleSystem::new();
@@ -787,8 +845,7 @@ fn mid_processing_ddl_in_rule_action_invalidates_plan_cache() {
 /// NaN float semantics, scan vs index: comparisons involving NaN are
 /// UNKNOWN (never true), and NaN literals are excluded from index
 /// equi-probes (falling back to scan / skipping the `in` item) — so an
-/// indexed table must return exactly the rows an unindexed one does, in
-/// both execution modes.
+/// indexed table must return exactly the rows an unindexed one does.
 #[test]
 fn nan_rows_scan_vs_index_differential() {
     let build = |indexed: bool| -> Database {
@@ -822,12 +879,10 @@ fn nan_rows_scan_vs_index_differential() {
     let index_db = build(true);
     for sql in queries {
         let stmt = sel(sql);
-        for mode in [ExecMode::Compiled, ExecMode::Interpreted] {
-            let opts = ExecOpts { mode, ..Default::default() };
-            let via_scan = execute_query(&scan_db, &NoTransitionTables, &stmt, &opts).unwrap();
-            let via_index = execute_query(&index_db, &NoTransitionTables, &stmt, &opts).unwrap();
-            assert_eq!(via_scan, via_index, "scan/index diverged for {sql} ({mode:?})");
-        }
+        let opts = ExecOpts::default();
+        let via_scan = execute_query(&scan_db, &NoTransitionTables, &stmt, &opts).unwrap();
+        let via_index = execute_query(&index_db, &NoTransitionTables, &stmt, &opts).unwrap();
+        assert_eq!(via_scan, via_index, "scan/index diverged for {sql}");
     }
     // Spot-check the semantics themselves: NaN comparisons are UNKNOWN,
     // so `v = NaN`, `v <> 1.0` on NaN rows, and `not (v = NaN)` all
@@ -1058,22 +1113,19 @@ fn in_subquery_agrees_with_linear_reference_on_every_axis() {
         let stmt = sel(&sql);
         for indexed in [false, true] {
             let db = build(indexed, kind);
-            for mode in [ExecMode::Compiled, ExecMode::Interpreted] {
-                for threads in [1, 4] {
-                    let stats = StatsCell::new();
-                    let opts =
-                        ExecOpts { mode, threads, stats: Some(&stats), ..Default::default() };
-                    let got = execute_query(&db, &NoTransitionTables, &stmt, &opts)
-                        .map(|rel| rel.rows)
-                        .map_err(|e| e.to_string());
-                    assert_eq!(
-                        got, expect,
-                        "[{sql}] indexed={indexed} ({kind}) {mode:?} threads={threads}\n\
-                         o({outer_ty})={outer:?}\nh({hay_ty})={hay:?}"
-                    );
-                    if indexed && mode == ExecMode::Compiled && threads == 1 {
-                        probed += (stats.snapshot().index_lookups > 0) as usize;
-                    }
+            for threads in [1, 4] {
+                let stats = StatsCell::new();
+                let opts = ExecOpts { threads, stats: Some(&stats), ..Default::default() };
+                let got = execute_query(&db, &NoTransitionTables, &stmt, &opts)
+                    .map(|rel| rel.rows)
+                    .map_err(|e| e.to_string());
+                assert_eq!(
+                    got, expect,
+                    "[{sql}] indexed={indexed} ({kind}) threads={threads}\n\
+                     o({outer_ty})={outer:?}\nh({hay_ty})={hay:?}"
+                );
+                if indexed && threads == 1 {
+                    probed += (stats.snapshot().index_lookups > 0) as usize;
                 }
             }
         }

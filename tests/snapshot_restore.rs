@@ -2,7 +2,9 @@
 //! deactivation state survive serialization; restored systems behave
 //! identically.
 
-use setrules_core::{EngineConfig, RuleError, RuleSystem, SharedMemSink, Snapshot, WalConfig};
+use setrules_core::{
+    EngineConfig, EngineEvent, RuleError, RuleSystem, SharedMemSink, Snapshot, WalConfig,
+};
 use setrules_json::Json;
 use setrules_storage::Value;
 use setrules_wal::{WalRecord, WalWriter};
@@ -226,6 +228,8 @@ fn hostile_snapshots_are_typed_errors() {
         .collect();
     let whole = good.pretty();
     texts.push(("truncated json", whole[..whole.len() / 2].to_string()));
+    let flood = "[".repeat(200_000);
+    texts.push(("bracket flood", flood.clone()));
 
     for (what, text) in &texts {
         let restored = Snapshot::from_json_str(text)
@@ -244,6 +248,32 @@ fn hostile_snapshots_are_typed_errors() {
         };
         assert!(RuleSystem::open(cfg).is_err(), "{what}: recovery accepted a hostile checkpoint");
     }
+
+    // The flood is refused by the JSON parser's depth bound instead of
+    // overflowing the stack...
+    let err = Snapshot::from_json_str(&flood).unwrap_err();
+    assert!(matches!(&err, RuleError::Unsupported(m) if m.contains("nesting deeper")), "{err}");
+    // ...and framed into a log as a CRC-valid checkpoint, recovery's
+    // scanner stops at it like at any undecodable frame: the frame is
+    // truncated as a corrupt tail and nothing is replayed.
+    let payload = WalRecord::Checkpoint { state: Json::Null }.to_json().compact();
+    let payload = payload.replace("null", &flood);
+    let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+    frame.extend(setrules_wal::crc32(payload.as_bytes()).to_le_bytes());
+    frame.extend(payload.as_bytes());
+    let sink = SharedMemSink::new();
+    sink.set_bytes(frame.clone());
+    let durability = Some(WalConfig::memory(sink.clone()));
+    let sys = RuleSystem::open(EngineConfig { durability, ..Default::default() }).unwrap();
+    let truncated = frame.len() as u64;
+    let reported = |e: &EngineEvent| match e {
+        EngineEvent::Recovery { records, truncated_bytes } => {
+            (*records, *truncated_bytes) == (0, truncated)
+        }
+        _ => false,
+    };
+    assert!(sys.recent_events().iter().any(reported), "the flood frame is a truncated tail");
+    assert!(sink.bytes().is_empty() && sys.database().state_image().is_empty());
 }
 
 /// A durable restore logs the image as one checkpoint that recovers
