@@ -9,23 +9,10 @@
 use std::collections::BTreeSet;
 
 use setrules_core::rule::collect_tables_op;
+pub use setrules_core::ActionEvent;
 use setrules_core::{CompiledAction, Rule};
 use setrules_sql::ast::DmlOp;
-use setrules_storage::{ColumnId, Database, TableId};
-
-/// One kind of change (or read) an action may produce.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub enum ActionEvent {
-    /// May insert into the table.
-    Insert(TableId),
-    /// May delete from the table.
-    Delete(TableId),
-    /// May update the given column of the table.
-    Update(TableId, ColumnId),
-    /// Contains a top-level `select` from the table (relevant when the
-    /// engine tracks selects, §5.1).
-    Select(TableId),
-}
+use setrules_storage::{Database, TableId};
 
 /// The abstract footprint of one rule's action.
 #[derive(Debug, Clone, Default)]

@@ -8,22 +8,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use setrules_core::{CompiledPred, RuleId, RuleSystem};
+use setrules_core::{RuleId, RuleSystem};
 
 use crate::events::{footprint, ActionEvent, Footprint};
-
-/// Whether one action event can satisfy one basic transition predicate.
-pub fn event_satisfies(e: &ActionEvent, p: &CompiledPred, track_selects: bool) -> bool {
-    match (e, p) {
-        (ActionEvent::Insert(t), CompiledPred::Inserted(pt)) => t == pt,
-        (ActionEvent::Delete(t), CompiledPred::Deleted(pt)) => t == pt,
-        (ActionEvent::Update(t, c), CompiledPred::Updated(pt, pc)) => {
-            t == pt && pc.is_none_or(|pc| *c == pc)
-        }
-        (ActionEvent::Select(t), CompiledPred::Selected(pt, _)) => track_selects && t == pt,
-        _ => false,
-    }
-}
 
 /// The triggering graph over a rule set.
 #[derive(Debug, Clone)]
@@ -60,8 +47,10 @@ impl TriggerGraph {
                 let can_trigger = if fp.opaque {
                     true
                 } else {
+                    // Selects trigger only when the engine tracks them.
                     fp.events.iter().any(|e| {
-                        b.when.iter().any(|p| event_satisfies(e, p, track_selects))
+                        (track_selects || !matches!(e, ActionEvent::Select(_)))
+                            && b.when.iter().any(|p| e.satisfies(p))
                     })
                 };
                 if can_trigger {

@@ -24,7 +24,7 @@ pub mod graph;
 pub mod report;
 
 pub use events::{footprint, ActionEvent, Footprint};
-pub use graph::{event_satisfies, TriggerGraph};
+pub use graph::TriggerGraph;
 pub use report::{analyze, AnalysisReport, ConflictKind, ConflictWarning, LoopWarning};
 
 #[cfg(test)]

@@ -36,7 +36,8 @@ pub struct TransitionEffect {
     /// the stored value actually changed).
     pub updated: BTreeSet<(TupleHandle, ColumnId)>,
     /// `S` (extension, §5.1): handle-column pairs read by top-level
-    /// `select` operations.
+    /// `select` operations — per tuple, the columns referenced through
+    /// the `from` items it contributed through.
     pub selected: BTreeSet<(TupleHandle, ColumnId)>,
 }
 

@@ -73,7 +73,7 @@ pub use setrules_wal::{
 };
 pub use external::{ActionCtx, ExternalAction};
 pub use priority::PriorityGraph;
-pub use rule::{CompiledAction, CompiledPred, Rule, RuleId};
+pub use rule::{ActionEvent, CompiledAction, CompiledPred, EventOp, Rule, RuleId};
 pub use selection::SelectionStrategy;
 pub use snapshot::{Snapshot, TableSnapshot};
 pub use stats::{EngineStats, RuleTiming, TxnStats};

@@ -56,22 +56,44 @@ impl CompiledPred {
         })
     }
 
+    /// The one trigger test, shared by the engine's window check
+    /// ([`CompiledPred::satisfied_by`]) and the static triggering graph
+    /// ([`ActionEvent::satisfies`]): whether an `op` on `table` that
+    /// touched the columns `touched` accepts satisfies this predicate. A
+    /// column-granular `updated t.c` / `selected t.c` needs `c` touched;
+    /// `inserted`/`deleted` ignore columns. Never allocates — the engine
+    /// runs it for every defined rule at every transition.
+    pub fn matches(&self, op: EventOp, table: TableId, touched: impl Fn(ColumnId) -> bool) -> bool {
+        match (self, op) {
+            (CompiledPred::Inserted(t), EventOp::Insert)
+            | (CompiledPred::Deleted(t), EventOp::Delete) => *t == table,
+            (CompiledPred::Updated(t, col), EventOp::Update)
+            | (CompiledPred::Selected(t, col), EventOp::Select) => {
+                *t == table && col.is_none_or(touched)
+            }
+            _ => false,
+        }
+    }
+
     /// Whether this predicate holds with respect to a window (§3: "holds
-    /// with respect to any transition effect in which …").
+    /// with respect to any transition effect in which …"): some entry of
+    /// the window it watches [`matches`](CompiledPred::matches) it.
     pub fn satisfied_by(&self, db: &Database, info: &TransInfo) -> bool {
+        let all = |_| true;
         match self {
-            CompiledPred::Inserted(t) => info.ins.iter().any(|h| db.table_of(*h) == Some(*t)),
-            CompiledPred::Deleted(t) => info.del.values().any(|e| e.table == *t),
-            CompiledPred::Updated(t, col) => info
-                .upd
-                .values()
-                .any(|e| e.table == *t && col.is_none_or(|c| e.columns.contains(&c))),
-            CompiledPred::Selected(t, col) => info.sel.values().any(|e| {
-                e.table == *t
-                    && col.is_none_or(|c| match &e.columns {
-                        None => true,
-                        Some(cols) => cols.contains(&c),
-                    })
+            CompiledPred::Inserted(_) => info
+                .ins
+                .iter()
+                .any(|h| db.table_of(*h).is_some_and(|t| self.matches(EventOp::Insert, t, all))),
+            CompiledPred::Deleted(_) => {
+                info.del.values().any(|e| self.matches(EventOp::Delete, e.table, all))
+            }
+            CompiledPred::Updated(..) => info.upd.values().any(|e| {
+                self.matches(EventOp::Update, e.table, |c| e.columns.contains(&c))
+            }),
+            CompiledPred::Selected(..) => info.sel.values().any(|e| {
+                let read = |c| e.columns.as_ref().is_none_or(|cols| cols.contains(&c));
+                self.matches(EventOp::Select, e.table, read)
             }),
         }
     }
@@ -89,6 +111,49 @@ impl CompiledPred {
                 (TransitionKind::NewUpdated, *t, *c),
             ],
             CompiledPred::Selected(t, c) => vec![(TransitionKind::Selected, *t, *c)],
+        }
+    }
+}
+
+/// The operation part of the `(table, op, column)` event vocabulary
+/// transition predicates are matched against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EventOp {
+    /// Tuples inserted.
+    Insert,
+    /// Tuples deleted.
+    Delete,
+    /// Columns of tuples updated.
+    Update,
+    /// Columns of tuples read (§5.1 extension).
+    Select,
+}
+
+/// One kind of change (or read) a rule action may produce, as the static
+/// triggering graph sees it: inserts, deletes and column updates per
+/// table, and top-level selects (which may read any column).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum ActionEvent {
+    /// May insert into the table.
+    Insert(TableId),
+    /// May delete from the table.
+    Delete(TableId),
+    /// May update the given column of the table.
+    Update(TableId, ColumnId),
+    /// Contains a top-level `select` from the table (relevant when the
+    /// engine tracks selects, §5.1).
+    Select(TableId),
+}
+
+impl ActionEvent {
+    /// Whether this event can satisfy the basic transition predicate `p`
+    /// (through [`CompiledPred::matches`]).
+    pub fn satisfies(&self, p: &CompiledPred) -> bool {
+        match *self {
+            ActionEvent::Insert(t) => p.matches(EventOp::Insert, t, |_| true),
+            ActionEvent::Delete(t) => p.matches(EventOp::Delete, t, |_| true),
+            ActionEvent::Update(t, c) => p.matches(EventOp::Update, t, |x| x == c),
+            ActionEvent::Select(t) => p.matches(EventOp::Select, t, |_| true),
         }
     }
 }
@@ -420,6 +485,127 @@ pub fn collect_tables_op(op: &DmlOp, out: &mut BTreeSet<String>) {
             if let Some(p) = &u.predicate {
                 collect_tables_expr(p, out);
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transinfo::{DelEntry, SelEntry, UpdEntry};
+    use setrules_storage::{tuple, ColumnDef, DataType, TableSchema};
+
+    /// Every basic predicate on table `t` (columns 0 and 1).
+    fn preds(t: TableId) -> [CompiledPred; 6] {
+        [
+            CompiledPred::Inserted(t),
+            CompiledPred::Deleted(t),
+            CompiledPred::Updated(t, None),
+            CompiledPred::Updated(t, Some(ColumnId(1))),
+            CompiledPred::Selected(t, None),
+            CompiledPred::Selected(t, Some(ColumnId(1))),
+        ]
+    }
+
+    #[test]
+    fn every_predicate_against_every_static_event() {
+        let (t, u) = (TableId(0), TableId(1));
+        let (c0, c1) = (ColumnId(0), ColumnId(1));
+        // One row per event: which of `preds(t)` it satisfies. An update
+        // of column 0 misses `updated t.c1`; a select (any column) meets
+        // both `selected` forms; no event on `u` triggers a `t` rule.
+        let matrix: [(ActionEvent, [bool; 6]); 9] = [
+            (ActionEvent::Insert(t), [true, false, false, false, false, false]),
+            (ActionEvent::Delete(t), [false, true, false, false, false, false]),
+            (ActionEvent::Update(t, c0), [false, false, true, false, false, false]),
+            (ActionEvent::Update(t, c1), [false, false, true, true, false, false]),
+            (ActionEvent::Select(t), [false, false, false, false, true, true]),
+            (ActionEvent::Insert(u), [false; 6]),
+            (ActionEvent::Delete(u), [false; 6]),
+            (ActionEvent::Update(u, c1), [false; 6]),
+            (ActionEvent::Select(u), [false; 6]),
+        ];
+        for (event, want) in matrix {
+            let got: Vec<bool> = preds(t).iter().map(|p| event.satisfies(p)).collect();
+            assert_eq!(got, want, "{event:?}");
+        }
+    }
+
+    #[test]
+    fn every_predicate_against_every_window_entry() {
+        let mut db = Database::new();
+        let cols = vec![ColumnDef::new("a", DataType::Int), ColumnDef::new("b", DataType::Int)];
+        let t = db.create_table(TableSchema::new("t", cols.clone())).unwrap();
+        let u = db.create_table(TableSchema::new("u", cols)).unwrap();
+        let (ht, hu) = (db.insert(t, tuple![1, 2]).unwrap(), db.insert(u, tuple![1, 2]).unwrap());
+        let upd = |table, cols: &[u16]| UpdEntry {
+            table,
+            columns: cols.iter().map(|&c| ColumnId(c)).collect(),
+            old: tuple![1, 2],
+        };
+        let sel = |table, cols: Option<&[u16]>| SelEntry {
+            table,
+            columns: cols.map(|cs| cs.iter().map(|&c| ColumnId(c)).collect()),
+        };
+        let window = |f: &dyn Fn(&mut TransInfo)| {
+            let mut info = TransInfo::new();
+            f(&mut info);
+            info
+        };
+        let no = [false; 6];
+        let cases: Vec<(&str, TransInfo, [bool; 6])> = vec![
+            (
+                "insert t",
+                window(&|w| _ = w.ins.insert(ht)),
+                [true, false, false, false, false, false],
+            ),
+            ("insert u", window(&|w| _ = w.ins.insert(hu)), no),
+            (
+                "delete t",
+                window(&|w| _ = w.del.insert(ht, DelEntry { table: t, old: tuple![1, 2] })),
+                [false, true, false, false, false, false],
+            ),
+            (
+                "delete u",
+                window(&|w| _ = w.del.insert(hu, DelEntry { table: u, old: tuple![1, 2] })),
+                no,
+            ),
+            (
+                "update t.a",
+                window(&|w| _ = w.upd.insert(ht, upd(t, &[0]))),
+                [false, false, true, false, false, false],
+            ),
+            (
+                "update t.a, t.b",
+                window(&|w| _ = w.upd.insert(ht, upd(t, &[0, 1]))),
+                [false, false, true, true, false, false],
+            ),
+            ("update u.b", window(&|w| _ = w.upd.insert(hu, upd(u, &[1]))), no),
+            (
+                "select t.*",
+                window(&|w| _ = w.sel.insert(ht, sel(t, None))),
+                [false, false, false, false, true, true],
+            ),
+            (
+                "select t.a",
+                window(&|w| _ = w.sel.insert(ht, sel(t, Some(&[0])))),
+                [false, false, false, false, true, false],
+            ),
+            (
+                "select t.b",
+                window(&|w| _ = w.sel.insert(ht, sel(t, Some(&[1])))),
+                [false, false, false, false, true, true],
+            ),
+            (
+                "select no column of t",
+                window(&|w| _ = w.sel.insert(ht, sel(t, Some(&[])))),
+                [false, false, false, false, true, false],
+            ),
+            ("select u.*", window(&|w| _ = w.sel.insert(hu, sel(u, None))), no),
+        ];
+        for (what, info, want) in cases {
+            let got: Vec<bool> = preds(t).iter().map(|p| p.satisfied_by(&db, &info)).collect();
+            assert_eq!(got, want, "{what}");
         }
     }
 }

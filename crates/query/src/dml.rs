@@ -2,44 +2,49 @@
 //!
 //! Every operation runs in two phases:
 //!
-//! 1. **Plan** (immutable): evaluate predicates and expressions against the
-//!    pre-operation state, producing the exact set of insertions, deletions,
-//!    or per-tuple assignments. This matches the paper's operational
-//!    definitions ("the tuples … satisfying the given predicate are
-//!    identified", then changed) and gives correct set-oriented semantics —
-//!    an update cannot observe its own writes.
-//! 2. **Apply** (mutable): perform the mutations, capturing old values.
+//! 1. **Read** (immutable): find the tuples the statement acts on in the
+//!    pre-operation state, and compute what it will write. The paper's
+//!    operational definitions say it this way: "the tuples … satisfying
+//!    the given predicate are identified", then changed. An update
+//!    therefore cannot observe its own writes. `delete` and `update`
+//!    identify their targets through the same `scan → join → filter`
+//!    chain a one-item `select … where` lowers to
+//!    ([`crate::select::lower_where`]): the filter's surviving scope levels
+//!    are the pre-statement rows, and its trace origins are their handles.
+//!    `update` then evaluates its compiled `set` expressions over those
+//!    levels; `insert … (select …)` runs the whole select.
+//! 2. **Apply** (mutable): perform the mutations under a statement
+//!    savepoint, capturing old values.
+//!
+//! This module owns only what is DML-specific: resolving `set` columns,
+//! evaluating the `set` expressions, the mutation phase, and the effect
+//! capture around it. Access paths, predicate evaluation, exchange and
+//! operator statistics all belong to the operator tree in [`crate::exec`]
+//! (see `docs/query-pipeline.md`).
 //!
 //! The result of an operation is an [`OpEffect`]: the paper's *affected
 //! set*, enriched with the old tuple values the rule system needs for its
 //! transition information (§4.3) — so no historical database states are
 //! ever retained.
-//!
-//! Reads — the `select` entry points here, the identification scans of
-//! delete/update, and `insert … (select …)` sources — all lower through
-//! the batched operator tree in [`crate::exec`] (see
-//! `docs/query-pipeline.md`); this module owns only the mutation phase
-//! and the effect capture around it.
 
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet};
 
-use setrules_sql::ast::{DeleteStmt, DmlOp, Expr, InsertSource, InsertStmt, SelectStmt, UpdateStmt};
+use setrules_sql::ast::{
+    DeleteStmt, DmlOp, Expr, InsertSource, InsertStmt, SelectStmt, TableRef, UpdateStmt,
+};
 use setrules_storage::{ColumnId, Database, TableId, Tuple, TupleHandle, Value};
 
-use crate::bindings::{Bindings, Frame};
-use crate::compile::{
-    compile_cached, eval_compiled, eval_compiled_predicate, holds, Layout, PlanCache, RowEnv,
-};
+use crate::bindings::{Bindings, Level};
+use crate::compile::{compile_cached, eval_compiled, Layout, PlanCache};
 use crate::ctx::{QueryCtx, SubqueryCache};
 use crate::error::QueryError;
 use crate::eval::eval_expr;
-use crate::exec::exchange::Exchange;
-use crate::planner::{choose_access, scan_handles, Access};
+use crate::exec::{ExecCx, Executor};
 use crate::provider::TransitionTableProvider;
 use crate::refs::referenced_columns;
 use crate::relation::Relation;
-use crate::select::{run_select, run_select_traced};
-use crate::stats::{self, OpStatsCell, StatsCell};
+use crate::select::{lower_where, run_select, run_select_traced};
+use crate::stats::{OpStatsCell, StatsCell};
 
 /// The affected set of one executed operation, with captured old values.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,7 +76,9 @@ pub enum OpEffect {
     /// query output.
     Select {
         /// `(table, handle, columns)` for every stored tuple that
-        /// contributed to a result row; `None` columns = all columns.
+        /// contributed to a result row, in first-read order. The columns
+        /// are the union of those referenced through each top-level `from`
+        /// item the tuple contributed through (`None` = all columns).
         reads: Vec<(TableId, TupleHandle, Option<Vec<ColumnId>>)>,
         /// The materialized result.
         output: Relation,
@@ -141,8 +148,8 @@ impl<'a> ExecOpts<'a> {
 }
 
 /// Execute one SQL operation against the database, returning its effect.
-/// Only the read-only phases (identification scans, select evaluation)
-/// ever use more than one thread; mutation is always applied serially.
+/// Only the read phase (the operator tree) ever uses more than one
+/// thread; mutation is always applied serially.
 pub fn execute_op(
     db: &mut Database,
     virt: &dyn TransitionTableProvider,
@@ -248,83 +255,27 @@ fn execute_insert(
     Ok(OpEffect::Insert { table, handles })
 }
 
-/// Identify the tuples of `table` satisfying `predicate` (phase 1 of
-/// delete/update). Returns matching handles in handle order. The
-/// predicate is lowered once (through the plan cache when one is
-/// attached) instead of resolving names per scanned row.
-fn identify(
+/// Phase 1 of delete/update: the tuples of `table` satisfying
+/// `predicate` in the pre-statement state, read through the same
+/// `scan → join → filter` chain a one-item `select … where` lowers to.
+/// Returns each surviving scope level (the tuple's pre-statement values)
+/// with its handle, in handle order.
+fn matching(
     ctx: QueryCtx<'_>,
-    table: TableId,
-    table_name: &str,
+    table: &str,
     predicate: Option<&Expr>,
-) -> Result<Vec<TupleHandle>, QueryError> {
-    let (db, st) = (ctx.db, ctx.stats);
-    let (columns, layout) = Layout::of_table(db, table, table_name);
-    let access = choose_access(ctx, table, table_name, true, predicate);
-    stats::bump(st, |s| match access {
-        Access::FullScan => s.full_scans += 1,
-        Access::IndexEq { .. } | Access::IndexIn { .. } => s.index_lookups += 1,
-        Access::IndexRange { .. } => s.range_scans += 1,
-        Access::Empty => s.empty_scans += 1,
-    });
-    let compiled = predicate.map(|p| compile_cached(ctx, p, &layout));
+) -> Result<(Vec<Level>, Vec<TupleHandle>), QueryError> {
+    let from = [TableRef::named(table)];
     let mut bindings = Bindings::new();
-    let mut out = Vec::new();
-    let handles = scan_handles(db, table, &access);
-    if matches!(access, Access::IndexRange { .. }) {
-        let skipped = (db.table(table).len() - handles.len()) as u64;
-        stats::bump(st, |s| s.range_rows_skipped += skipped);
+    let mut filter = lower_where(ctx, &from, predicate, &bindings, true)?;
+    let mut cx = ExecCx { ctx, bindings: &mut bindings };
+    let mut levels = Vec::new();
+    while let Some(batch) = filter.next_batch(&mut cx)? {
+        levels.extend(batch);
     }
-
-    // Parallel identification: with a row-local compiled predicate the
-    // scan exchanges exactly like the select scan (see
-    // [`crate::exec::exchange`]); merge order keeps handles, counters,
-    // and the earliest error bit-identical to the serial walk below.
-    if let Some(ex) = Exchange::plan(ctx, handles.len()) {
-        if let Some(cp) = compiled.as_ref().filter(|cp| crate::parallel::is_rowlocal(cp)) {
-            let handles_ref = &handles;
-            let verdicts = ex.judge(ctx, |i| {
-                let tuple = db.get(table, handles_ref[i]).expect("scanned handle is live");
-                Ok(holds(cp, &mut RowEnv(&[tuple.0.as_slice()]))?.then_some(handles_ref[i]))
-            });
-            for v in verdicts {
-                stats::bump(st, |s| {
-                    s.rows_scanned += v.combos;
-                    s.rows_matched += v.matched;
-                });
-                out.extend(v.kept);
-                if let Some(e) = v.err {
-                    return Err(e);
-                }
-            }
-            return Ok(out);
-        }
-        if predicate.is_some() {
-            Exchange::serial_fallback(ctx);
-        }
-    }
-    for h in handles {
-        stats::bump(st, |s| s.rows_scanned += 1);
-        let tuple = db.get(table, h).expect("scanned handle is live");
-        let keep = match &compiled {
-            None => true,
-            Some(cp) => {
-                bindings.push_level(vec![Frame {
-                    name: table_name.to_string(),
-                    columns: Arc::clone(&columns),
-                    row: tuple.0.clone(),
-                }]);
-                let r = eval_compiled_predicate(ctx, &mut bindings, cp);
-                bindings.pop_level();
-                r?
-            }
-        };
-        if keep {
-            stats::bump(st, |s| s.rows_matched += 1);
-            out.push(h);
-        }
-    }
-    Ok(out)
+    // One stored item: each surviving level has exactly one origin.
+    let handles = filter.take_origins().into_iter().map(|(_, _, h)| h).collect();
+    Ok((levels, handles))
 }
 
 fn execute_delete(
@@ -335,8 +286,8 @@ fn execute_delete(
 ) -> Result<OpEffect, QueryError> {
     let table = db.table_id(&stmt.table)?;
     let cache = SubqueryCache::new();
-    let handles =
-        identify(opts.ctx(db, virt, &cache), table, &stmt.table, stmt.predicate.as_ref())?;
+    let (_, handles) =
+        matching(opts.ctx(db, virt, &cache), &stmt.table, stmt.predicate.as_ref())?;
     // Phase 2: delete (statement-atomic).
     let tuples = apply_atomically(db, |db| {
         let mut tuples = Vec::with_capacity(handles.len());
@@ -357,45 +308,39 @@ fn execute_update(
 ) -> Result<OpEffect, QueryError> {
     let table = db.table_id(&stmt.table)?;
 
-    // Resolve assigned columns once; deduplicate repeated assignments to
-    // the same column (last one wins, like SQL).
-    let mut set_cols = Vec::with_capacity(stmt.sets.len());
-    {
-        let schema = db.schema(table);
-        for (name, _) in &stmt.sets {
-            set_cols.push(schema.column_id(name)?);
-        }
-    }
+    // Resolve assigned columns once. A column assigned more than once
+    // keeps its last assignment (like SQL): `kept[i]` says whether `set`
+    // `i` survives, and the surviving columns are listed in the order of
+    // their last assignment.
+    let schema = db.schema(table);
+    let set_cols: Vec<ColumnId> =
+        stmt.sets.iter().map(|(name, _)| schema.column_id(name)).collect::<Result<_, _>>()?;
+    let kept: Vec<bool> =
+        set_cols.iter().enumerate().map(|(i, c)| !set_cols[i + 1..].contains(c)).collect();
+    let cols: Vec<ColumnId> =
+        set_cols.iter().zip(&kept).filter(|(_, &k)| k).map(|(&c, _)| c).collect();
 
     // Phase 1: identify tuples and compute per-tuple assignments against
-    // the pre-update state.
+    // the pre-update state. Every `set` expression is evaluated in order
+    // (so the first error surfaces as it would row by row), each lowered
+    // once per statement through the plan cache when one is attached.
     let cache = SubqueryCache::new();
     let planned: Vec<(TupleHandle, Vec<(ColumnId, Value)>)> = {
         let ctx = opts.ctx(db, virt, &cache);
-        let handles = identify(ctx, table, &stmt.table, stmt.predicate.as_ref())?;
-        let mut planned = Vec::with_capacity(handles.len());
-        let (columns, layout) = Layout::of_table(db, table, &stmt.table);
-        // Each `set` expression lowers once per statement (through the
-        // plan cache when attached), not once per row.
+        let (levels, handles) = matching(ctx, &stmt.table, stmt.predicate.as_ref())?;
+        let (_, layout) = Layout::of_table(db, table, &stmt.table);
         let compiled: Vec<_> =
             stmt.sets.iter().map(|(_, e)| compile_cached(ctx, e, &layout)).collect();
         let mut bindings = Bindings::new();
-        for &h in &handles {
-            let tuple = db.get(table, h).expect("identified handle is live");
-            bindings.push_level(vec![Frame {
-                name: stmt.table.clone(),
-                columns: Arc::clone(&columns),
-                row: tuple.0.clone(),
-            }]);
-            let mut assignments: Vec<(ColumnId, Value)> = Vec::with_capacity(stmt.sets.len());
+        let mut planned = Vec::with_capacity(handles.len());
+        for (level, h) in levels.into_iter().zip(handles) {
+            bindings.push_level(level);
+            let mut assignments = Vec::with_capacity(cols.len());
             let mut err = None;
-            for (i, ce) in compiled.iter().enumerate() {
+            for ((ce, &c), &keep) in compiled.iter().zip(&set_cols).zip(&kept) {
                 match eval_compiled(ctx, &mut bindings, ce) {
-                    Ok(v) => {
-                        // Last assignment to a column wins.
-                        assignments.retain(|(c, _)| *c != set_cols[i]);
-                        assignments.push((set_cols[i], v));
-                    }
+                    Ok(v) if keep => assignments.push((c, v)),
+                    Ok(_) => {}
                     Err(e) => {
                         err = Some(e);
                         break;
@@ -411,14 +356,12 @@ fn execute_update(
         planned
     };
 
-    // Phase 2: apply (statement-atomic — previously a failed row left the
-    // earlier rows modified).
+    // Phase 2: apply (statement-atomic).
     let tuples = apply_atomically(db, |db| {
         let mut tuples = Vec::with_capacity(planned.len());
         for (h, assignments) in planned {
-            let cols: Vec<ColumnId> = assignments.iter().map(|(c, _)| *c).collect();
             let old = db.update(table, h, &assignments)?;
-            tuples.push((h, cols, old));
+            tuples.push((h, cols.clone(), old));
         }
         Ok(tuples)
     })?;
@@ -433,36 +376,29 @@ fn execute_select_op(
 ) -> Result<OpEffect, QueryError> {
     let cache = SubqueryCache::new();
     let ctx = opts.ctx(db, virt, &cache);
-    let mut trace: Vec<(TableId, TupleHandle)> = Vec::new();
+    let mut trace = Vec::new();
     let output = run_select_traced(ctx, stmt, &mut Bindings::new(), Some(&mut trace))?;
 
-    // Column attribution per top-level from item (§5.1; embedded selects'
+    // Column attribution (§5.1): a traced tuple was read through one or
+    // more top-level `from` items, and gets the union of the columns
+    // those items reference (`None` = all columns). Embedded selects'
     // tuples are excluded from S by our documented choice, but their
-    // column references on traced tables are counted).
+    // column references on traced tables are counted.
     let per_item = referenced_columns(db, stmt);
-    // Map (table) -> columns for items; trace entries are per contributing
-    // tuple, in from-item iteration order. We attribute columns by table id.
-    let mut item_for_table: Vec<(TableId, Option<Vec<ColumnId>>)> = Vec::new();
-    for (i, tref) in stmt.from.iter().enumerate() {
-        if let setrules_sql::ast::TableSource::Named(name) = &tref.source {
-            if let Ok(tid) = db.table_id(name) {
-                let cols = per_item[i].clone().map(|s| s.into_iter().collect::<Vec<_>>());
-                item_for_table.push((tid, cols));
-            }
+    let mut at: BTreeMap<(TableId, TupleHandle), usize> = BTreeMap::new();
+    let mut reads: Vec<(TableId, TupleHandle, Option<BTreeSet<ColumnId>>)> = Vec::new();
+    for (item, tid, h) in trace {
+        let i = *at.entry((tid, h)).or_insert_with(|| {
+            reads.push((tid, h, Some(BTreeSet::new())));
+            reads.len() - 1
+        });
+        match (&mut reads[i].2, &per_item[item]) {
+            (Some(acc), Some(cols)) => acc.extend(cols),
+            (acc, None) => *acc = None,
+            (None, Some(_)) => {}
         }
     }
-    let mut seen = std::collections::BTreeSet::new();
-    let mut reads = Vec::new();
-    for (tid, h) in trace {
-        if !seen.insert((tid, h)) {
-            continue;
-        }
-        let cols = item_for_table
-            .iter()
-            .find(|(t, _)| *t == tid)
-            .and_then(|(_, c)| c.clone());
-        reads.push((tid, h, cols));
-    }
+    let reads = reads.into_iter().map(|(t, h, c)| (t, h, c.map(Vec::from_iter))).collect();
     Ok(OpEffect::Select { reads, output })
 }
 
@@ -532,15 +468,21 @@ mod tests {
             paper_example_schemas().0.columns.clone(),
         ))
         .unwrap();
+        // Delete and update identify their targets through the same
+        // scan → filter chain, so they report the same operator rows.
         for sql in [
             "insert into rich (select * from emp where salary > 50000)",
             "select name from emp where salary > 50000",
+            "update emp set salary = salary where salary > 50000",
+            "delete from emp where salary > 50000",
         ] {
             let ops = OpStatsCell::new();
             let opts = ExecOpts { op_stats: Some(&ops), ..Default::default() };
             execute_op(&mut db, &NoTransitionTables, &op(sql), &opts).unwrap();
             let scan = ops.get("seq-scan");
             assert_eq!((scan.batches, scan.rows_out), (1, 2), "{sql}: {:?}", ops.snapshot());
+            let filter = ops.get("filter");
+            assert_eq!((filter.rows_in, filter.rows_out), (2, 1), "{sql}: {:?}", ops.snapshot());
         }
     }
 

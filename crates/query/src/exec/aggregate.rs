@@ -36,7 +36,7 @@ use std::ops::Range;
 use std::rc::Rc;
 
 use setrules_sql::ast::{AggFunc, Expr, SelectStmt};
-use setrules_storage::{TableId, TupleHandle, Value};
+use setrules_storage::Value;
 
 use crate::bindings::Level;
 use crate::compile::{self, CompiledExpr, Env, Layout, RowEnv, Scoped};
@@ -49,7 +49,7 @@ use super::exchange::Exchange;
 use super::filter::FilterExec;
 use super::project::expand_wildcards;
 use super::scan::{items_layout, FromItem};
-use super::{Batches, ExecCx, Executor, KeyedRow, RowSource};
+use super::{Batches, ExecCx, Executor, KeyedRow, Origin, RowSource};
 
 /// The whole grouped statement, lowered for two-phase evaluation: the
 /// group keys and the group-level expression trees, whose aggregate
@@ -502,7 +502,7 @@ impl RowSource for AggregateExec<'_> {
         &self.columns
     }
 
-    fn take_origins(&mut self) -> Vec<Vec<(TableId, TupleHandle)>> {
+    fn take_origins(&mut self) -> Vec<Origin> {
         self.filter.take_origins()
     }
 }

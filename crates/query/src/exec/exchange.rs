@@ -1,7 +1,7 @@
 //! The exchange operator: partitioned execution, expressed once.
 //!
-//! Every parallel phase of the executor — partitioned scans and
-//! identification scans, hash-join build/probe, the WHERE pass, the
+//! Every parallel phase of the executor — partitioned scans (selects and
+//! DML identification alike), hash-join build/probe, the WHERE pass, the
 //! partial-aggregation phase, distinct dedup, sorting, and top-K
 //! selection — goes through [`Exchange`]. The operator owns the three
 //! things PR 5 used to hand-thread at every call site:

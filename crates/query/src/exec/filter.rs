@@ -10,12 +10,12 @@
 //! child at open, judges every combination (serially, or partitioned on
 //! the pool when the predicate is row-local), then emits the surviving
 //! scope levels in batches. When tracing is on it also collects, per
-//! surviving combination, the stored-tuple origins the select trace
-//! needs.
+//! surviving combination, the stored-tuple origins (with their `from`
+//! item index) that a select trace and a `delete`/`update` need.
 
 use std::sync::Arc;
 
-use setrules_storage::{TableId, TupleHandle, Value};
+use setrules_storage::Value;
 
 use crate::bindings::{Bindings, Level};
 use crate::compile::{eval_compiled_predicate, holds, CompiledExpr, RowEnv};
@@ -27,17 +27,33 @@ use crate::stats;
 use super::exchange::Exchange;
 use super::join::JoinExec;
 use super::scan::FromItem;
-use super::{Batches, ExecCx, Executor};
+use super::{Batches, ExecCx, Executor, Origin};
 
 /// The scope level of one assembled combination (`cursor[i]` is the row
-/// index into item `i`).
+/// index into item `i`), cloning the rows.
 fn level_of(items: &[FromItem], cursor: &[usize]) -> Level {
     items.iter().zip(cursor).map(|(it, &r)| it.frame(it.rows[r].1.clone())).collect()
 }
 
-/// The stored-tuple origins of one combination (select tracing).
-fn origins_of(items: &[FromItem], cursor: &[usize]) -> Vec<(TableId, TupleHandle)> {
-    items.iter().zip(cursor).filter_map(|(it, &r)| it.rows[r].0).collect()
+/// [`level_of`], except that a sole item's row *moves* into its level: a
+/// sole item's rows each belong to exactly one combination, and nothing
+/// reads them once the filter has judged it. A join's rows are shared
+/// between combinations and are cloned.
+fn take_level(items: &mut [FromItem], cursor: &[usize]) -> Level {
+    match items {
+        [it] => {
+            let row = std::mem::take(&mut it.rows[cursor[0]].1);
+            vec![it.frame(row)]
+        }
+        _ => level_of(items, cursor),
+    }
+}
+
+/// Append the stored-tuple origins of one combination, each with its item
+/// index (tracing).
+fn push_origins(items: &[FromItem], cursor: &[usize], out: &mut Vec<Origin>) {
+    let rows = items.iter().zip(cursor).map(|(it, &r)| it.rows[r].0);
+    out.extend(rows.enumerate().filter_map(|(i, o)| o.map(|(t, h)| (i, t, h))));
 }
 
 /// Serially evaluate one assembled combination: count it, run the
@@ -45,16 +61,16 @@ fn origins_of(items: &[FromItem], cursor: &[usize]) -> Vec<(TableId, TupleHandle
 #[allow(clippy::too_many_arguments)]
 fn consider(
     ctx: QueryCtx<'_>,
-    items: &[FromItem],
+    items: &mut [FromItem],
     full_pred: Option<&CompiledExpr>,
     want_trace: bool,
     cursor: &[usize],
     bindings: &mut Bindings,
     matching: &mut Vec<Level>,
-    origins: &mut Vec<Vec<(TableId, TupleHandle)>>,
+    origins: &mut Vec<Origin>,
 ) -> Result<(), QueryError> {
     stats::bump(ctx.stats, |s| s.join_combinations += 1);
-    bindings.push_level(level_of(items, cursor));
+    bindings.push_level(take_level(items, cursor));
     let keep = match full_pred {
         Some(cp) => eval_compiled_predicate(ctx, bindings, cp),
         None => Ok(true),
@@ -63,7 +79,7 @@ fn consider(
     if keep? {
         stats::bump(ctx.stats, |s| s.rows_matched += 1);
         if want_trace {
-            origins.push(origins_of(items, cursor));
+            push_origins(items, cursor, origins);
         }
         matching.push(level);
     }
@@ -96,7 +112,7 @@ pub(crate) struct FilterExec<'q> {
     join: JoinExec<'q>,
     full_pred: Option<Arc<CompiledExpr>>,
     want_trace: bool,
-    origins: Vec<Vec<(TableId, TupleHandle)>>,
+    origins: Vec<Origin>,
     batch_rows: usize,
     state: Option<Batches<Level>>,
 }
@@ -128,8 +144,9 @@ impl<'q> FilterExec<'q> {
         self.join.items()
     }
 
-    /// Take the per-surviving-combination origin handles (tracing only).
-    pub(crate) fn take_origins(&mut self) -> Vec<Vec<(TableId, TupleHandle)>> {
+    /// Take the origins of every surviving combination (tracing only), in
+    /// the order the levels were emitted and, within one, in item order.
+    pub(crate) fn take_origins(&mut self) -> Vec<Origin> {
         std::mem::take(&mut self.origins)
     }
 
@@ -144,10 +161,9 @@ impl<'q> FilterExec<'q> {
         if let Some((ex, cp)) = parallel_where(ctx, &self.full_pred, cursors.len()) {
             let items = self.join.items();
             let cursors_ref = &cursors;
-            let want_trace = self.want_trace;
-            // Workers build the surviving scope levels (and trace
-            // origins) too — the serial tail after the exchange is just
-            // the merge below.
+            let sole = items.len() == 1;
+            // Workers clone a join's surviving scope levels too; a sole
+            // item's survivors move into theirs at the merge below.
             let verdicts = ex.judge(ctx, |i| {
                 let cursor = &cursors_ref[i];
                 let frames: Vec<&[Value]> = cursor
@@ -155,25 +171,23 @@ impl<'q> FilterExec<'q> {
                     .zip(items.iter())
                     .map(|(&r, it)| it.rows[r].1.as_slice())
                     .collect();
-                if !holds(cp, &mut RowEnv(&frames))? {
-                    return Ok(None);
-                }
-                let orig = want_trace.then(|| origins_of(items, cursor));
-                Ok(Some((level_of(items, cursor), orig)))
+                let kept = holds(cp, &mut RowEnv(&frames))?;
+                Ok(kept.then(|| (i, (!sole).then(|| level_of(items, cursor)))))
             });
             // Merge in partition order: counters first, then the kept
             // levels, stopping at the earliest error — reproducing the
             // serial combination walk exactly.
+            let items = self.join.items_mut();
             for v in verdicts {
                 stats::bump(ctx.stats, |s| {
                     s.join_combinations += v.combos;
                     s.rows_matched += v.matched;
                 });
-                for (level, orig) in v.kept {
-                    if let Some(o) = orig {
-                        self.origins.push(o);
+                for (i, level) in v.kept {
+                    if self.want_trace {
+                        push_origins(items, &cursors[i], &mut self.origins);
                     }
-                    matching.push(level);
+                    matching.push(level.unwrap_or_else(|| take_level(items, &cursors[i])));
                 }
                 if let Some(e) = v.err {
                     return Err(e);
@@ -183,7 +197,7 @@ impl<'q> FilterExec<'q> {
             for c in &cursors {
                 consider(
                     ctx,
-                    self.join.items(),
+                    self.join.items_mut(),
                     self.full_pred.as_deref(),
                     self.want_trace,
                     c,

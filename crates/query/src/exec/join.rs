@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use setrules_sql::ast::SelectStmt;
+use setrules_sql::ast::Expr;
 use setrules_storage::{DataType, Value};
 
 use crate::error::QueryError;
@@ -28,7 +28,9 @@ use super::{Batches, ExecCx, Executor};
 /// plan, and then emits it in batches.
 pub(crate) struct JoinExec<'q> {
     scans: Vec<ScanExec<'q>>,
-    stmt: &'q SelectStmt,
+    /// The full `where` predicate; its equi-join conjuncts become hash
+    /// steps.
+    predicate: Option<&'q Expr>,
     items: Vec<FromItem>,
     label: &'static str,
     batch_rows: usize,
@@ -36,10 +38,10 @@ pub(crate) struct JoinExec<'q> {
 }
 
 impl<'q> JoinExec<'q> {
-    pub(crate) fn new(scans: Vec<ScanExec<'q>>, stmt: &'q SelectStmt) -> Self {
+    pub(crate) fn new(scans: Vec<ScanExec<'q>>, predicate: Option<&'q Expr>) -> Self {
         JoinExec {
             scans,
-            stmt,
+            predicate,
             items: Vec::new(),
             label: "join",
             batch_rows: super::BATCH_ROWS,
@@ -56,6 +58,11 @@ impl<'q> JoinExec<'q> {
     /// The materialized `from` items; valid after open (first pull).
     pub(crate) fn items(&self) -> &[FromItem] {
         &self.items
+    }
+
+    /// The items, for the filter to move a sole item's rows out of.
+    pub(crate) fn items_mut(&mut self) -> &mut [FromItem] {
+        &mut self.items
     }
 
     fn open(&mut self, cx: &mut ExecCx<'_, '_>) -> Result<Vec<Vec<usize>>, QueryError> {
@@ -96,7 +103,7 @@ impl<'q> JoinExec<'q> {
         let ctx = cx.ctx;
         let layout = items_layout(cx.bindings, items);
         let types: Vec<Vec<DataType>> = items.iter().map(|it| it.types.clone()).collect();
-        let edges = equi_join_edges(self.stmt.predicate.as_ref(), &layout, &types);
+        let edges = equi_join_edges(self.predicate, &layout, &types);
         let cards: Vec<usize> = items.iter().map(|it| it.rows.len()).collect();
         let plan = build_join_plan(&cards, &edges);
         self.label = if plan.steps.iter().any(|s| !s.edges.is_empty()) {

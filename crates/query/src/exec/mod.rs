@@ -1,13 +1,16 @@
 //! Volcano-style batched physical operators.
 //!
-//! The select executor is a tree of composable operators behind the
+//! The query executor is a tree of composable operators behind the
 //! [`Executor`] trait: each call to [`Executor::next_batch`] yields the
 //! next batch of rows (up to [`BATCH_ROWS`] per batch) or `None` when the
 //! operator is exhausted. The planner in [`crate::select`] *lowers* a
 //! statement to this tree — access selection, pushdown classification,
 //! join planning, sort-elision and top-K eligibility are all decided
 //! before the first batch flows — instead of branching inside one
-//! monolithic function.
+//! monolithic function. Every read lowers its `from` list and predicate
+//! through one helper, [`crate::select::lower_where`]: a `select` stacks
+//! its projection or aggregation on the resulting filter, and `delete` /
+//! `update` pull the filter directly.
 //!
 //! # The operator vocabulary
 //!
@@ -32,7 +35,11 @@
 //! * [`filter::FilterExec`] — evaluates the full `where` predicate per
 //!   assembled combination (hash probes and pushdown are sound
 //!   prefilters), serially or exchanged when the predicate is
-//!   row-local; collects the origin handles a select trace needs.
+//!   row-local. On request it records each surviving combination's
+//!   [`Origin`]s — stored tuples with the `from` item they were bound
+//!   through — which are a select trace's reads (§5.1) and a `delete` /
+//!   `update`'s target handles. It is the top of the DML read phase:
+//!   `update` evaluates its `set` expressions over its surviving levels.
 //! * [`project::ProjectExec`] / [`aggregate::AggregateExec`] — expand
 //!   wildcards, then evaluate projections row-by-row or per group
 //!   (`group by` / `having` / aggregate calls), emitting rows keyed by
@@ -97,6 +104,10 @@ pub(crate) const BATCH_ROWS: usize = 1024;
 /// One produced row paired with its evaluated `order by` key.
 pub(crate) type KeyedRow = (Vec<Value>, Vec<Value>);
 
+/// A stored tuple one surviving combination read: the index of the
+/// `from` item it was bound through, its table, and its handle.
+pub(crate) type Origin = (usize, TableId, TupleHandle);
+
 /// Everything an operator needs per pull: the (Copy) query context and
 /// the scope stack. The stack is threaded mutably through the tree — only
 /// the operator currently evaluating holds it, exactly like the recursive
@@ -146,9 +157,9 @@ pub(crate) trait RowSource: Executor<Batch = Vec<KeyedRow>> {
     /// Output column names; valid after the first `next_batch` call.
     fn output_columns(&self) -> &[String];
 
-    /// Take the per-result-row origin handles collected by the filter
-    /// (empty unless the pipeline was built with tracing on).
-    fn take_origins(&mut self) -> Vec<Vec<(TableId, TupleHandle)>>;
+    /// Take the origins collected by the filter (empty unless the
+    /// pipeline was built with tracing on).
+    fn take_origins(&mut self) -> Vec<Origin>;
 }
 
 /// A materialized result being re-emitted in batches: blocking operators

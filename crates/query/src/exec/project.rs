@@ -13,7 +13,6 @@
 use std::sync::Arc;
 
 use setrules_sql::ast::{Expr, SelectItem, SelectStmt};
-use setrules_storage::{TableId, TupleHandle};
 
 use crate::bindings::Level;
 use crate::compile::{compile, eval_compiled, CompiledExpr};
@@ -21,7 +20,7 @@ use crate::error::QueryError;
 
 use super::filter::FilterExec;
 use super::scan::{items_layout, FromItem};
-use super::{Batches, ExecCx, Executor, KeyedRow, RowSource};
+use super::{Batches, ExecCx, Executor, KeyedRow, Origin, RowSource};
 
 /// Expand the projection's wildcards against the materialized items,
 /// yielding concrete `(expression, output name)` pairs.
@@ -158,7 +157,7 @@ impl RowSource for ProjectExec<'_> {
         &self.columns
     }
 
-    fn take_origins(&mut self) -> Vec<Vec<(TableId, TupleHandle)>> {
+    fn take_origins(&mut self) -> Vec<Origin> {
         self.filter.take_origins()
     }
 }

@@ -30,13 +30,13 @@ use std::cmp::Ordering;
 use std::collections::HashSet;
 
 use setrules_sql::ast::Expr;
-use setrules_storage::{TableId, TupleHandle, Value};
+use setrules_storage::Value;
 
 use crate::error::QueryError;
 use crate::stats;
 
 use super::exchange::Exchange;
-use super::{Batches, ExecCx, Executor, KeyedRow, RowSource};
+use super::{Batches, ExecCx, Executor, KeyedRow, Origin, RowSource};
 
 /// Drain a boxed child fully, charging the rows to `name`'s input side.
 fn drain(
@@ -124,7 +124,7 @@ impl RowSource for DistinctExec<'_> {
         self.child.output_columns()
     }
 
-    fn take_origins(&mut self) -> Vec<Vec<(TableId, TupleHandle)>> {
+    fn take_origins(&mut self) -> Vec<Origin> {
         self.child.take_origins()
     }
 }
@@ -292,7 +292,7 @@ impl RowSource for SortExec<'_> {
         self.child.output_columns()
     }
 
-    fn take_origins(&mut self) -> Vec<Vec<(TableId, TupleHandle)>> {
+    fn take_origins(&mut self) -> Vec<Origin> {
         self.child.take_origins()
     }
 }
@@ -344,7 +344,7 @@ impl RowSource for LimitExec<'_> {
         self.child.output_columns()
     }
 
-    fn take_origins(&mut self) -> Vec<Vec<(TableId, TupleHandle)>> {
+    fn take_origins(&mut self) -> Vec<Origin> {
         self.child.take_origins()
     }
 }

@@ -92,7 +92,7 @@ impl RowSource for StubSource {
         &self.cols
     }
 
-    fn take_origins(&mut self) -> Vec<Vec<(TableId, TupleHandle)>> {
+    fn take_origins(&mut self) -> Vec<Origin> {
         Vec::new()
     }
 }
@@ -336,9 +336,9 @@ fn grouped_db() -> Database {
 /// Lower `stmt` exactly as the driver does (no pushdown) but with every
 /// operator's batch size forced to `n` and a thread budget of `threads`,
 /// and pull it dry. The front half has no public batch-size knob, so this
-/// mirrors `run_select_traced`'s lowering verbatim — if that lowering
-/// changes shape, this helper is the unit-level pin that must change with
-/// it.
+/// mirrors the `lower_where` + `run_select_traced` lowering verbatim — if
+/// that lowering changes shape, this helper is the unit-level pin that
+/// must change with it.
 fn run_tiny(
     db: &Database,
     stmt: &setrules_sql::ast::SelectStmt,
@@ -373,7 +373,7 @@ fn run_tiny(
     let mut layout = crate::compile::Layout::new();
     layout.push_level(frames);
     let full_pred = stmt.predicate.as_ref().map(|p| Arc::new(crate::compile::compile(p, &layout)));
-    let join = JoinExec::new(scans, stmt).with_batch_rows(n);
+    let join = JoinExec::new(scans, stmt.predicate.as_ref()).with_batch_rows(n);
     let filter = FilterExec::new(join, full_pred, false).with_batch_rows(n);
     let mut top: Box<dyn RowSource + '_> = if is_grouped(stmt) {
         Box::new(AggregateExec::new(filter, stmt).with_batch_rows(n))

@@ -52,5 +52,5 @@ pub use eval::{eval_expr, eval_predicate, truth};
 pub use explain::{explain_condition, explain_select};
 pub use provider::{describe, NoTransitionTables, TransitionTableProvider};
 pub use relation::Relation;
-pub use select::{has_aggregate, run_select, run_select_traced};
+pub use select::{has_aggregate, run_select};
 pub use stats::{ExecStats, OpCounters, OpStatsCell, StatsCell};

@@ -6,7 +6,8 @@
 //! references go to the matching top-level binding; unqualified references
 //! go to every top-level item whose schema contains the column; a wildcard
 //! marks every column of every item it covers. References arising inside
-//! subqueries are included (they did read the data).
+//! subqueries are included (they did read the data). A traced tuple then
+//! gets the union of the columns of the items it contributed through.
 
 use std::collections::BTreeSet;
 

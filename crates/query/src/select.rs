@@ -26,8 +26,8 @@
 use std::ops::Bound;
 use std::sync::Arc;
 
-use setrules_sql::ast::{AggFunc, Expr, SelectItem, SelectStmt, TableSource};
-use setrules_storage::{ColumnId, DataType, TableId, TupleHandle, Value};
+use setrules_sql::ast::{AggFunc, Expr, SelectItem, SelectStmt, TableRef, TableSource};
+use setrules_storage::{ColumnId, DataType, TableId, Value};
 
 use crate::bindings::{Bindings, Frame};
 use crate::compile::{
@@ -41,7 +41,7 @@ use crate::exec::join::JoinExec;
 use crate::exec::project::{expand_wildcards_cols, ProjectExec};
 use crate::exec::scan::{ScanExec, ScanSource};
 use crate::exec::sort::{DistinctExec, LimitExec, SortExec};
-use crate::exec::{ExecCx, KeyedRow, RowSource};
+use crate::exec::{ExecCx, KeyedRow, Origin, RowSource};
 use crate::planner::{choose_access, Access};
 use crate::relation::Relation;
 use crate::stats;
@@ -56,15 +56,16 @@ pub fn run_select(
     run_select_traced(ctx, stmt, bindings, None)
 }
 
-/// Like [`run_select`], additionally recording, into `trace`, the handle of
-/// every stored-table tuple that contributed to a row satisfying `where`.
-/// The rule engine uses this for the `S` (selected) component of transition
-/// effects (§5.1 extension).
-pub fn run_select_traced(
+/// Like [`run_select`], additionally recording, into `trace`, every
+/// stored-table tuple that contributed to a row satisfying `where`, with
+/// the index of the `from` item it was bound through. The rule engine
+/// uses this for the `S` (selected) component of transition effects
+/// (§5.1 extension).
+pub(crate) fn run_select_traced(
     ctx: QueryCtx<'_>,
     stmt: &SelectStmt,
     bindings: &mut Bindings,
-    trace: Option<&mut Vec<(TableId, TupleHandle)>>,
+    trace: Option<&mut Vec<Origin>>,
 ) -> Result<Relation, QueryError> {
     // Ordered-index fast paths: answer bare `min`/`max` from the index
     // boundary keys, and answer a single-key `order by` in index order
@@ -80,40 +81,83 @@ pub fn run_select_traced(
         }
     }
 
-    // ------------------------------------------------------------------
-    // 1. Plan: per-item metadata and access selection (no rows yet — the
-    //    compile-once front-end needs every item's binding and columns
-    //    before scanning), predicate compilation, pushdown
-    //    classification.
-    // ------------------------------------------------------------------
-    let sole = stmt.from.len() == 1;
+    // 1–2. Plan and lower the read: scans → join → filter.
+    let filter =
+        lower_where(ctx, &stmt.from, stmt.predicate.as_ref(), bindings, trace.is_some())?;
 
-    enum Source {
-        Named { tid: TableId, access: Access },
-        Transition,
+    // 3. Lower the rest: project|aggregate → distinct? → sort? → limit?.
+    let mut top: Box<dyn RowSource + '_> = if crate::exec::is_grouped(stmt) {
+        Box::new(AggregateExec::new(filter, stmt))
+    } else {
+        Box::new(ProjectExec::new(filter, stmt))
+    };
+    if stmt.distinct {
+        top = Box::new(DistinctExec::new(top));
     }
-    struct ItemMeta {
+    let limit = stmt.limit.map(|n| n as usize);
+    if !stmt.order_by.is_empty() {
+        top = Box::new(SortExec::new(top, &stmt.order_by, limit));
+    }
+    if let Some(n) = limit {
+        top = Box::new(LimitExec::new(top, n));
+    }
+
+    // 4. Pull the pipeline dry.
+    let mut cx = ExecCx { ctx, bindings };
+    let mut keyed_rows: Vec<KeyedRow> = Vec::new();
+    while let Some(batch) = top.next_batch(&mut cx)? {
+        keyed_rows.extend(batch);
+    }
+    if let Some(trace) = trace {
+        trace.extend(top.take_origins());
+    }
+    let columns = top.output_columns().to_vec();
+    Ok(Relation { columns, rows: keyed_rows.into_iter().map(|(_, r)| r).collect() })
+}
+
+/// The read every statement shares: the combinations of `from` that
+/// satisfy `predicate`, lowered to `scan → join → filter` — a `select`
+/// builds its projection or aggregation on top, and `delete`/`update`
+/// pull the filter directly (their targets are its origins).
+///
+/// Planning happens here, before any row flows: per-item metadata and
+/// access selection (the compile-once front-end needs every item's
+/// binding and columns before scanning), predicate compilation (once,
+/// through the plan cache when one is attached, keyed by `predicate`'s
+/// own AST address), and pushdown classification. `bindings` are the
+/// outer scopes (empty for a top-level statement).
+pub(crate) fn lower_where<'q>(
+    ctx: QueryCtx<'_>,
+    from: &'q [TableRef],
+    predicate: Option<&'q Expr>,
+    bindings: &Bindings,
+    want_trace: bool,
+) -> Result<FilterExec<'q>, QueryError> {
+    let sole = from.len() == 1;
+
+    struct ItemMeta<'q> {
         binding: String,
         columns: Arc<Vec<String>>,
         types: Vec<DataType>,
-        source: Source,
+        source: ScanSource<'q>,
     }
-    let mut metas = Vec::with_capacity(stmt.from.len());
-    for tref in &stmt.from {
+    let mut metas = Vec::with_capacity(from.len());
+    for tref in from {
         let binding = tref.binding_name().to_string();
-        let (table_name, named) = match &tref.source {
-            TableSource::Named(name) => (name, true),
-            TableSource::Transition { table, .. } => (table, false),
-        };
+        let (TableSource::Named(table_name) | TableSource::Transition { table: table_name, .. }) =
+            &tref.source;
         let tid = ctx.db.table_id(table_name)?;
         let schema = ctx.db.schema(tid);
         let columns = Arc::new(schema.columns.iter().map(|c| c.name.clone()).collect::<Vec<_>>());
         let types = schema.columns.iter().map(|c| c.ty).collect();
-        let source = if named {
-            let access = choose_access(ctx, tid, &binding, sole, stmt.predicate.as_ref());
-            Source::Named { tid, access }
-        } else {
-            Source::Transition
+        let source = match &tref.source {
+            TableSource::Named(_) => {
+                let access = choose_access(ctx, tid, &binding, sole, predicate);
+                ScanSource::Named { tid, access }
+            }
+            TableSource::Transition { kind, table, column } => {
+                ScanSource::Transition { kind: *kind, table, column: column.as_deref() }
+            }
         };
         metas.push(ItemMeta { binding, columns, types, source });
     }
@@ -129,8 +173,7 @@ pub fn run_select_traced(
             .map(|m| LayoutFrame { name: m.binding.clone(), columns: Arc::clone(&m.columns) })
             .collect(),
     );
-    let full_pred: Option<Arc<CompiledExpr>> =
-        stmt.predicate.as_ref().map(|p| compile_cached(ctx, p, &layout));
+    let full_pred: Option<Arc<CompiledExpr>> = predicate.map(|p| compile_cached(ctx, p, &layout));
 
     // Pushdown classification: a conjunct whose innermost-level slots all
     // land in one item filters that item's scan directly. Only fully
@@ -146,10 +189,10 @@ pub fn run_select_traced(
     // provider lends borrowed rows, so dropping a row at the scan avoids
     // ever cloning it.
     let pushdown_worthwhile =
-        metas.len() > 1 || metas.iter().any(|m| matches!(m.source, Source::Transition));
+        metas.len() > 1 || metas.iter().any(|m| matches!(m.source, ScanSource::Transition { .. }));
     let mut pushed: Vec<Vec<CompiledExpr>> = (0..metas.len()).map(|_| Vec::new()).collect();
     if pushdown_worthwhile {
-        if let Some(p) = &stmt.predicate {
+        if let Some(p) = predicate {
             let mut conjuncts = Vec::new();
             crate::planner::collect_conjuncts(p, &mut conjuncts);
             for c in conjuncts {
@@ -186,57 +229,14 @@ pub fn run_select_traced(
         }
     }
 
-    // ------------------------------------------------------------------
-    // 2. Lower to the operator tree (see `crate::exec`): scans → join →
-    //    filter → project|aggregate → distinct? → sort? → limit?.
-    // ------------------------------------------------------------------
-    let mut scans: Vec<ScanExec<'_>> = Vec::with_capacity(stmt.from.len());
-    for (idx, (meta, tref)) in metas.into_iter().zip(&stmt.from).enumerate() {
-        let conjs = std::mem::take(&mut pushed[idx]);
-        let source = match (meta.source, &tref.source) {
-            (Source::Named { tid, access }, _) => ScanSource::Named { tid, access },
-            (Source::Transition, TableSource::Transition { kind, table, column }) => {
-                ScanSource::Transition { kind: *kind, table, column: column.as_deref() }
-            }
-            (Source::Transition, TableSource::Named(_)) => {
-                unreachable!("meta source mirrors the from item")
-            }
-        };
-        scans.push(ScanExec::new(meta.binding, meta.columns, meta.types, source, conjs));
-    }
-    let want_trace = trace.is_some();
-    let filter = FilterExec::new(JoinExec::new(scans, stmt), full_pred, want_trace);
-    let mut top: Box<dyn RowSource + '_> = if crate::exec::is_grouped(stmt) {
-        Box::new(AggregateExec::new(filter, stmt))
-    } else {
-        Box::new(ProjectExec::new(filter, stmt))
-    };
-    if stmt.distinct {
-        top = Box::new(DistinctExec::new(top));
-    }
-    let limit = stmt.limit.map(|n| n as usize);
-    if !stmt.order_by.is_empty() {
-        top = Box::new(SortExec::new(top, &stmt.order_by, limit));
-    }
-    if let Some(n) = limit {
-        top = Box::new(LimitExec::new(top, n));
-    }
-
-    // ------------------------------------------------------------------
-    // 3. Pull the pipeline dry.
-    // ------------------------------------------------------------------
-    let mut cx = ExecCx { ctx, bindings };
-    let mut keyed_rows: Vec<KeyedRow> = Vec::new();
-    while let Some(batch) = top.next_batch(&mut cx)? {
-        keyed_rows.extend(batch);
-    }
-    if let Some(trace) = trace {
-        for row_origins in top.take_origins() {
-            trace.extend(row_origins);
-        }
-    }
-    let columns = top.output_columns().to_vec();
-    Ok(Relation { columns, rows: keyed_rows.into_iter().map(|(_, r)| r).collect() })
+    // Lower: one scan per item (carrying its pushed conjuncts), the join
+    // over them, and the filter on top.
+    let scans = metas
+        .into_iter()
+        .zip(pushed)
+        .map(|(m, conjs)| ScanExec::new(m.binding, m.columns, m.types, m.source, conjs))
+        .collect();
+    Ok(FilterExec::new(JoinExec::new(scans, predicate), full_pred, want_trace))
 }
 
 /// When `stmt`'s `order by` can be answered by walking an ordered index

@@ -21,8 +21,8 @@ pub struct ExecStats {
     /// Rows materialized from `from` items (stored tables and transition
     /// tables alike) before predicate filtering.
     pub rows_scanned: u64,
-    /// Row combinations that satisfied the `where` predicate (or rows
-    /// kept by DML identification).
+    /// Row combinations that satisfied the `where` predicate (including
+    /// the rows a `delete`/`update` identifies).
     pub rows_matched: u64,
     /// Scans answered by a hash-index probe.
     pub index_lookups: u64,

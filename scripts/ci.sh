@@ -79,27 +79,37 @@ echo "==> semi-join access (Example 3.1 work counters + 300-case differential)"
 cargo test -q -p setrules-core --test query_pipeline -- \
   semi_join_example_3_1_work_counters in_subquery_agrees_with_linear_reference_on_every_axis
 
-echo "==> one executor (naive reference differentials + grouped shapes that once fell back)"
-# Both run under `cargo test` above; named here so the CI log shows the
+echo "==> one executor (naive reference differentials + grouped shapes that once fell back + DML reads)"
+# All run under `cargo test` above; named here so the CI log shows the
 # gates behind the single query executor. The differentials hold random
 # joins and filters, error-producing queries, a corpus of grouped
 # statements (subqueries in having / projection / order by / the group
 # key, outer references inside a grouped subquery, a nested aggregate,
-# unknown columns) at 1 and 8 threads, and random `update ... set`
-# statements to tests/common/reference.rs -- nested loops and the AST
-# evaluator, no planner -- exactly: same rows in the same order or the
-# same error text. The unit tests run the grouped corpus at batch sizes
-# 1, 2, 3 and 1024 under 1 and 8 threads against pinned outputs, and
-# check that every grouped statement reports the partial-aggregate /
-# final-aggregate phases and no one-pass `aggregate` operator.
+# unknown columns) at 1 and 8 threads, and random `update ... set` and
+# `delete ... where` statements (error-producing and `in (select ...)`
+# predicates included, at 1 and 8 threads on tables on both sides of the
+# exchange threshold) to tests/common/reference.rs -- nested loops and
+# the AST evaluator, no planner -- exactly: same rows in the same order
+# or the same error text, and the same state image after DML. The unit
+# tests run the grouped corpus at batch sizes 1, 2, 3 and 1024 under 1
+# and 8 threads against pinned outputs, check that every grouped
+# statement reports the partial-aggregate / final-aggregate phases and
+# no one-pass `aggregate` operator, and that delete and update report
+# the seq-scan and filter operators their identification runs through.
+# The self-join case checks that a select's traced tuples get the
+# columns of every `from` item they were read through (section 5.1).
 cargo test -q -p setrules-core --test query_pipeline -- \
   compiled_and_interpreted_agree_on_random_queries \
   compiled_and_interpreted_agree_on_error_producing_queries \
   grouped_statements_match_the_reference \
-  update_set_expressions_match_a_naive_update
+  update_set_expressions_match_a_naive_update \
+  delete_predicates_match_a_naive_delete
 cargo test -q -p setrules-query --lib -- \
   exec::tests::grouped_fallback_shapes_run_two_phase_at_every_batch_size \
-  exec::tests::aggregate_op_stats_labels_follow_the_path
+  exec::tests::aggregate_op_stats_labels_follow_the_path \
+  dml::tests::op_stats_reach_every_read_phase
+cargo test -q -p setrules-core --test extensions -- \
+  selected_columns_follow_the_items_a_tuple_joined_through
 
 echo "==> §4.4 selection (priority closure property + selection differential)"
 # Both run under `cargo test` above; named here so the CI log shows the

@@ -10,19 +10,66 @@
 //! storage total order and `limit` follow. Subqueries run through this
 //! module too, in the scope of the row that reaches them. There is no
 //! planner, no index, no hashing, no pushdown and no parallelism.
-//! `update` is a full scan in handle order followed by a statement-atomic
-//! apply.
+//! `delete` and `update` are a full scan in handle order followed by a
+//! statement-atomic apply.
 
 use std::sync::Arc;
 
 use setrules_query::bindings::{Bindings, Frame, Level};
 use setrules_query::{eval_expr, has_aggregate, truth, OpEffect, QueryCtx, QueryError, Relation};
-use setrules_sql::ast::{BinaryOp, Expr, SelectItem, SelectStmt, TableSource, UpdateStmt};
-use setrules_storage::{Database, Value};
+use setrules_sql::ast::{
+    BinaryOp, DeleteStmt, Expr, SelectItem, SelectStmt, TableSource, UpdateStmt,
+};
+use setrules_storage::{Database, TableId, TupleHandle, Value};
 
 /// Run a top-level `select`.
 pub fn select(db: &Database, stmt: &SelectStmt) -> Result<Relation, QueryError> {
     select_in(db, stmt, &mut Bindings::new())
+}
+
+/// The tuples of `table` satisfying `predicate`, by a full scan in handle
+/// order, with their pre-statement values.
+fn matching(
+    db: &Database,
+    table: TableId,
+    name: &str,
+    predicate: Option<&Expr>,
+) -> Result<Vec<(TupleHandle, Vec<Value>)>, QueryError> {
+    let columns =
+        Arc::new(db.schema(table).columns.iter().map(|c| c.name.clone()).collect::<Vec<_>>());
+    let mut scope = Bindings::new();
+    let mut matched = Vec::new();
+    for (h, t) in db.table(table).scan() {
+        scope.push_level(vec![frame(name, &columns, t.0.clone())]);
+        let keep = match predicate {
+            Some(p) => holds(db, &mut scope, p),
+            None => Ok(true),
+        };
+        scope.pop_level();
+        if keep? {
+            matched.push((h, t.0.clone()));
+        }
+    }
+    Ok(matched)
+}
+
+/// Run a naive `delete`: identify by full scan against the pre-statement
+/// state, then delete all or nothing.
+pub fn delete(db: &mut Database, stmt: &DeleteStmt) -> Result<OpEffect, QueryError> {
+    let table = db.table_id(&stmt.table)?;
+    let matched = matching(db, table, &stmt.table, stmt.predicate.as_ref())?;
+    let mark = db.mark();
+    let mut tuples = Vec::new();
+    for (h, _) in matched {
+        match db.delete(table, h) {
+            Ok(old) => tuples.push((h, old)),
+            Err(e) => {
+                db.rollback_to(mark).expect("statement mark is valid");
+                return Err(e.into());
+            }
+        }
+    }
+    Ok(OpEffect::Delete { table, tuples })
 }
 
 /// Run a naive `update`: identify by full scan, compute every assignment
@@ -36,20 +83,8 @@ pub fn update(db: &mut Database, stmt: &UpdateStmt) -> Result<OpEffect, QueryErr
         .map(|(name, _)| schema.column_id(name))
         .collect::<Result<Vec<_>, _>>()?;
     let columns = Arc::new(schema.columns.iter().map(|c| c.name.clone()).collect::<Vec<_>>());
-    let rows: Vec<_> = db.table(table).scan().map(|(h, t)| (h, t.0.clone())).collect();
+    let matched = matching(db, table, &stmt.table, stmt.predicate.as_ref())?;
     let mut scope = Bindings::new();
-    let mut matched = Vec::new();
-    for (h, row) in &rows {
-        scope.push_level(vec![frame(&stmt.table, &columns, row.clone())]);
-        let keep = match &stmt.predicate {
-            Some(p) => holds(db, &mut scope, p),
-            None => Ok(true),
-        };
-        scope.pop_level();
-        if keep? {
-            matched.push((*h, row.clone()));
-        }
-    }
     let mut planned = Vec::new();
     for (h, row) in matched {
         scope.push_level(vec![frame(&stmt.table, &columns, row)]);

@@ -56,6 +56,52 @@ fn selected_column_granularity() {
     assert_eq!(out.fired().len(), 1);
 }
 
+/// Column attribution follows the `from` item a tuple was read through
+/// (§5.1). In a self-join the tuple gets the union of the columns of every
+/// item it contributed through: salary read only through `e2` still
+/// triggers `selected emp.salary`, and a tuple that joined only through
+/// `e1` (which reads no salary) is selected, but not its salary.
+#[test]
+fn selected_columns_follow_the_items_a_tuple_joined_through() {
+    let mut sys = select_tracking_sys();
+    sys.execute(
+        "create rule salary_reads when selected emp.salary \
+         then insert into audit (select name, 'salary' from selected emp.salary)",
+    )
+    .unwrap();
+    sys.execute(
+        "create rule any_reads when selected emp \
+         then insert into audit (select name, 'any' from selected emp)",
+    )
+    .unwrap();
+    sys.execute("insert into emp values ('Jane', 1, 95000.0, 2), ('Bill', 2, 50.0, 2)").unwrap();
+    let audit = |sys: &mut RuleSystem| {
+        let rel = sys.query("select who, what from audit order by what, who").unwrap();
+        sys.execute("delete from audit").unwrap();
+        let text = |v: &Value| match v {
+            Value::Text(s) => s.clone(),
+            other => panic!("not text: {other:?}"),
+        };
+        rel.rows.iter().map(|r| format!("{}:{}", text(&r[0]), text(&r[1]))).collect::<Vec<_>>()
+    };
+
+    // Each tuple joins itself; salary is read only through `e2`.
+    let out = sys
+        .transaction(
+            "select e1.name from emp e1, emp e2 where e1.emp_no = e2.emp_no and e2.salary > 10.0",
+        )
+        .unwrap();
+    assert_eq!(out.fired().len(), 2, "the e2 salary read fires the column rule");
+    assert_eq!(audit(&mut sys), ["Bill:any", "Jane:any", "Bill:salary", "Jane:salary"]);
+
+    // Jane joins only as `e1` (name, dept_no); Bill as both `e1` and `e2`.
+    sys.transaction(
+        "select e1.name from emp e1, emp e2 where e1.dept_no = e2.emp_no and e2.salary > 10.0",
+    )
+    .unwrap();
+    assert_eq!(audit(&mut sys), ["Bill:any", "Jane:any", "Bill:salary"]);
+}
+
 /// With tracking disabled (the default), select operations produce no `S`
 /// component and `selected` rules never fire.
 #[test]

@@ -74,6 +74,11 @@ fn create_table(db: &mut Database, sql: &str) -> TableId {
 }
 
 fn random_database(rng: &mut Rng) -> Database {
+    random_database_of(rng, 8)
+}
+
+/// [`random_database`] with fewer than `max_rows` rows per table.
+fn random_database_of(rng: &mut Rng, max_rows: usize) -> Database {
     let mut db = Database::new();
     let mut create = |sql: &str| create_table(&mut db, sql);
     let t1 = create("create table t1 (a int, b int, s text)");
@@ -94,7 +99,7 @@ fn random_database(rng: &mut Rng) -> Database {
         }
     };
     for (name, ints, texts) in TABLES {
-        for _ in 0..rng.below(8) {
+        for _ in 0..rng.below(max_rows) {
             let mut vals: Vec<String> = ints.iter().map(|_| int_lit(rng)).collect();
             for _ in texts.iter() {
                 vals.push(rng.pick(&["'ab'", "'ba'", "'abc'", "NULL"]).to_string());
@@ -374,17 +379,65 @@ fn random_set_expr(rng: &mut Rng) -> String {
     }
 }
 
+/// The DML differentials' table sizes: half the cases keep every table
+/// under 8 rows, the other half draw up to 127, so `t1` lands on both sides
+/// of `PAR_THRESHOLD` (64) and an 8-thread run exchanges the scan and the
+/// `where` pass.
+fn dml_table_rows(rng: &mut Rng) -> usize {
+    if rng.chance(1, 2) {
+        8
+    } else {
+        128
+    }
+}
+
+/// Run `op` through `execute_op` `runs` times at each thread budget (1 and
+/// 8, each on its own copy of the database) and `naive` as often on a
+/// third: the outcomes (effect or error text) and the final
+/// `state_image()` must all agree. Returns the serial run's first outcome,
+/// its plan-cache hits, and whether the 8-thread run exchanged.
+fn agree_at_1_and_8_threads(
+    dbs: &mut [Database; 3],
+    op: &DmlOp,
+    runs: usize,
+    mut naive: impl FnMut(&mut Database) -> Result<setrules_query::OpEffect, QueryError>,
+    sql: &str,
+) -> (Result<setrules_query::OpEffect, String>, u64, bool) {
+    let [serial, wide, naive_db] = dbs;
+    let (plans, stats) = (setrules_query::PlanCache::new(), StatsCell::new());
+    let run = |db: &mut Database, opts: &ExecOpts| {
+        let outcomes: Vec<_> = (0..runs)
+            .map(|_| execute_op(db, &NoTransitionTables, op, opts).map_err(|e| e.to_string()))
+            .collect();
+        (outcomes, db.state_image())
+    };
+    let got = run(serial, &ExecOpts { plans: Some(&plans), ..Default::default() });
+    let wide_got = run(wide, &ExecOpts { threads: 8, stats: Some(&stats), ..Default::default() });
+    let outcomes: Vec<_> = (0..runs).map(|_| naive(naive_db).map_err(|e| e.to_string())).collect();
+    let want = (outcomes, naive_db.state_image());
+    assert_eq!(got, want, "diverged from the naive statement on: {sql}");
+    assert_eq!(wide_got, want, "diverged at 8 threads on: {sql}");
+    let first = got.0.into_iter().next().expect("at least one run");
+    (first, plans.counters().0, stats.snapshot().parallel_scans > 0)
+}
+
 /// `update … set` through the compiled walk and the plan cache against
 /// the reference's naive `update`: same affected set, same old values,
 /// same first error, same final state — also on a second execution,
 /// which reads the first one's writes and is answered from the plan
-/// cache.
+/// cache — at 1 and at 8 threads.
 #[test]
 fn update_set_expressions_match_a_naive_update() {
-    let (mut cache_hits, mut errors, mut updated) = (0, 0, 0);
+    let (mut cache_hits, mut errors, mut updated, mut exchanged) = (0, 0, 0, 0);
     check("update_set_compiled_vs_interpreted", 300, 0x5e7_c0de, |rng| {
-        let mut twin = rng.clone();
-        let mut dbs = [random_database(rng), random_database(&mut twin)];
+        let max_rows = dml_table_rows(rng);
+        let mut twins = [rng.clone(), rng.clone()];
+        let [t1, t2] = &mut twins;
+        let mut dbs = [
+            random_database_of(rng, max_rows),
+            random_database_of(t1, max_rows),
+            random_database_of(t2, max_rows),
+        ];
         let ints = ["t1.a".to_string(), "t1.b".to_string()];
         let texts = ["t1.s".to_string()];
         let sets: Vec<String> = (0..1 + rng.below(2))
@@ -398,25 +451,84 @@ fn update_set_expressions_match_a_naive_update() {
         let sql = format!("update t1 set {}{filter}", sets.join(", "));
         let Statement::Dml(op) = parse_statement(&sql).unwrap() else { panic!("not DML: {sql}") };
         let DmlOp::Update(update) = &op else { panic!("not an update: {sql}") };
-        let plans = setrules_query::PlanCache::new();
-        let opts = ExecOpts { plans: Some(&plans), ..Default::default() };
-        let [db, naive_db] = &mut dbs;
-        let runs: Vec<_> = (0..2)
-            .map(|_| execute_op(db, &NoTransitionTables, &op, &opts).map_err(|e| e.to_string()))
-            .collect();
-        let naive: Vec<_> = (0..2)
-            .map(|_| reference::update(naive_db, update).map_err(|e| e.to_string()))
-            .collect();
-        let outcomes = [(runs, db.state_image()), (naive, naive_db.state_image())];
-        assert_eq!(outcomes[0], outcomes[1], "diverged from the naive update on: {sql}");
-        cache_hits += plans.counters().0;
-        let first = &outcomes[0].0[0];
+        let (first, hits, wide) =
+            agree_at_1_and_8_threads(&mut dbs, &op, 2, |db| reference::update(db, update), &sql);
+        cache_hits += hits;
         errors += first.is_err() as usize;
         updated += first.as_ref().map_or(0, |eff| eff.cardinality());
+        exchanged += wide as usize;
     });
-    // The generator must keep hitting all three: failing statements,
-    // statements that update rows, and plan-cache hits on the rerun.
-    assert!(errors >= 20 && updated >= 200 && cache_hits >= 600, "{errors}/{updated}/{cache_hits}");
+    // The generator must keep hitting all four: failing statements,
+    // statements that update rows, plan-cache hits on the rerun, and
+    // 8-thread runs that exchange.
+    assert!(
+        errors >= 20 && updated >= 200 && cache_hits >= 600 && exchanged >= 50,
+        "{errors}/{updated}/{cache_hits}/{exchanged}"
+    );
+}
+
+/// A random `delete from t1` predicate: a type-correct filter, an
+/// error-producing one (bare or behind a guard), or a subquery — `in` /
+/// `not in (select …)`, `exists`, and scalar subqueries, correlated or
+/// not (a correlated scalar one can return several rows, an error).
+fn random_delete_pred(rng: &mut Rng) -> String {
+    let ints = ["t1.a".to_string(), "t1.b".to_string()];
+    let texts = ["t1.s".to_string()];
+    match rng.below(4) {
+        0 => random_pred(rng, &ints, &texts, 2),
+        1 => {
+            let poison = error_prone_pred(rng, &ints, &texts);
+            if rng.chance(1, 2) {
+                format!("({} and {poison})", random_pred(rng, &ints, &texts, 1))
+            } else {
+                poison
+            }
+        }
+        _ => match rng.below(6) {
+            0 => format!("t1.a in (select t2.a from t2 where t2.c > {})", rng.range_i64(-2, 5)),
+            1 => "t1.b not in (select t3.d from t3)".to_string(),
+            2 => "exists (select * from t2 where t2.a = t1.b)".to_string(),
+            3 => "t1.b > (select max(t3.d) from t3)".to_string(),
+            4 => "t1.a = (select t2.c from t2 where t2.a = t1.b)".to_string(),
+            _ => {
+                let k = rng.range_i64(-2, 5);
+                format!("t1.a in (select t3.a from t3 where t3.d / t1.b > {k})")
+            }
+        },
+    }
+}
+
+/// `delete … where` through the operator tree against the reference's
+/// naive `delete` (a nested loop over the AST evaluator, applied under a
+/// statement mark): the same affected set with the same old values, or
+/// the same error text, and the same final `state_image()` — at 1 and at
+/// 8 threads, on tables on both sides of the exchange threshold.
+#[test]
+fn delete_predicates_match_a_naive_delete() {
+    let (mut errors, mut deleted, mut exchanged) = (0, 0, 0);
+    check("delete_compiled_vs_naive", 300, 0xde1e7e, |rng| {
+        let max_rows = dml_table_rows(rng);
+        let mut twins = [rng.clone(), rng.clone()];
+        let [t1, t2] = &mut twins;
+        let mut dbs = [
+            random_database_of(rng, max_rows),
+            random_database_of(t1, max_rows),
+            random_database_of(t2, max_rows),
+        ];
+        let sql = if rng.chance(1, 10) {
+            "delete from t1".to_string()
+        } else {
+            format!("delete from t1 where {}", random_delete_pred(rng))
+        };
+        let Statement::Dml(op) = parse_statement(&sql).unwrap() else { panic!("not DML: {sql}") };
+        let DmlOp::Delete(delete) = &op else { panic!("not a delete: {sql}") };
+        let (first, _, wide) =
+            agree_at_1_and_8_threads(&mut dbs, &op, 1, |db| reference::delete(db, delete), &sql);
+        errors += first.is_err() as usize;
+        deleted += first.as_ref().map_or(0, |eff| eff.cardinality());
+        exchanged += wide as usize;
+    });
+    assert!(errors >= 20 && deleted >= 200 && exchanged >= 50, "{errors}/{deleted}/{exchanged}");
 }
 
 /// Statement-level errors in a full engine: each multi-statement script
