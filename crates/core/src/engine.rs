@@ -16,13 +16,13 @@ use std::time::Instant;
 
 use setrules_query::incremental::{analyze, CondVerdict, IncMemo, IncrState};
 use setrules_query::{
-    compile_cached, eval_compiled_predicate, execute_op, execute_query, ExecOpts,
-    ExecStats, NoTransitionTables, OpEffect, PlanCache, QueryError, Relation, StatsCell,
+    compile, eval_compiled_predicate, execute_op, execute_query, CompiledExpr, ExecOpts, ExecStats,
+    Layout, NoTransitionTables, OpEffect, QueryError, Relation, StatsCell,
 };
-use setrules_sql::ast::{CreateRule, DmlOp, Statement, TransitionKind};
+use setrules_sql::ast::{CreateRule, DmlOp, Expr, Statement, TransitionKind};
 use setrules_sql::{parse_op_block, parse_statement, parse_statements};
 use setrules_storage::{
-    Database, FaultInjector, FaultPlan, StorageError, StorageStats, TableSchema, UndoMark,
+    Database, FaultInjector, FaultPlan, StorageError, StorageStats, TableSchema, UndoMark, Value,
 };
 use setrules_wal::{WalConfig, WalRecord};
 
@@ -257,6 +257,25 @@ struct TxnState {
     epoch: u64,
 }
 
+/// A rule's prepared state: its condition compiled once (an omitted
+/// condition is `true`) and its incremental-evaluation state (`None`
+/// until the incremental path first analyzes the condition). Owned by the
+/// engine from the rule's first consideration until the next DDL.
+struct Prepared {
+    condition: CompiledExpr,
+    incr: Option<IncrState>,
+}
+
+impl Prepared {
+    fn new(condition: Option<&Expr>) -> Prepared {
+        let condition = match condition {
+            Some(c) => compile(c, &Layout::new()),
+            None => CompiledExpr::Const(Value::Bool(true)),
+        };
+        Prepared { condition, incr: None }
+    }
+}
+
 /// What [`RuleSystem::try_incremental`] produced for one consideration.
 enum IncOutcome {
     /// Authoritative truth value from the memoized term state.
@@ -300,11 +319,10 @@ pub struct RuleSystem {
     /// system every committed change to this window is logged as a
     /// `DeferredWindow` record, so recovery re-presents pending work.
     pub(crate) deferred: TransInfo,
-    /// Per-rule compiled-plan caches, keyed by rule id. A cache holds the
-    /// rule's condition and action expressions in slot-resolved form;
-    /// plans embed catalog-derived positions and AST addresses, so the
-    /// whole map is dropped on any DDL.
-    rule_plans: HashMap<RuleId, PlanCache>,
+    /// Per-rule prepared state, keyed by rule id: built at a rule's first
+    /// consideration and reused by every later one, until any DDL drops
+    /// the whole map (the state embeds catalog-derived positions).
+    prepared: HashMap<RuleId, Prepared>,
     /// Cumulative engine-phase counters and per-rule timing.
     pub(crate) stats: EngineStats,
     /// Cumulative query-execution work (threaded into every executor call).
@@ -361,7 +379,7 @@ impl RuleSystem {
             last_considered: Vec::new(),
             consider_clock: 0,
             deferred: TransInfo::new(),
-            rule_plans: HashMap::new(),
+            prepared: HashMap::new(),
             stats: EngineStats::default(),
             qstats: StatsCell::new(),
             incr_enabled,
@@ -638,7 +656,6 @@ impl RuleSystem {
             &sel,
             &ExecOpts {
                 stats: Some(&self.qstats),
-                plans: None,
                 threads: self.threads(),
                 op_stats: None,
             },
@@ -671,11 +688,11 @@ impl RuleSystem {
     // Rule administration
     // ------------------------------------------------------------------
 
-    /// Drop every cached compiled plan. Called on any DDL: plans embed
-    /// slot positions derived from the catalog and are keyed by AST
-    /// addresses inside the `rules` vector, both of which DDL may move.
+    /// Drop every rule's prepared state. Called on any DDL: a compiled
+    /// condition embeds slot positions derived from the catalog, and an
+    /// incremental analysis its shape, both of which DDL may move.
     fn invalidate_plans(&mut self) {
-        self.rule_plans.clear();
+        self.prepared.clear();
     }
 
     /// Define a rule from its parsed form.
@@ -881,7 +898,6 @@ impl RuleSystem {
             op,
             &ExecOpts {
                 stats: Some(&self.qstats),
-                plans: None,
                 threads,
                 op_stats: None,
             },
@@ -1064,7 +1080,6 @@ impl RuleSystem {
                 op,
                 &ExecOpts {
                     stats: Some(&self.qstats),
-                        plans: None,
                     threads,
                     op_stats: None,
                 },
@@ -1243,9 +1258,8 @@ impl RuleSystem {
             };
             // Prefer the engine's cached verdict + live memo; fall back
             // to a fresh analysis for rules not yet considered.
-            let cached = self.rule_plans.get(&rule.id).and_then(|cache| {
-                let state = cache.incr_state();
-                state.as_ref().map(|st| {
+            let cached = self.prepared.get(&rule.id).and_then(|p| {
+                p.incr.as_ref().map(|st| {
                     let desc = match &st.plan {
                         Ok(plan) => format!(
                             "incremental ({} term{})\n{}",
@@ -1346,14 +1360,16 @@ impl RuleSystem {
             self.stats.rule_mut(&name).considered += 1;
             self.events.emit(EngineEvent::RuleConsidered { rule: name.clone() });
 
-            // Plan-cache bookkeeping: a rule considered before (since the
-            // last DDL) reuses its compiled condition and action plans; a
-            // first consideration creates the cache they compile into.
-            let hit = self.rule_plans.contains_key(&rid);
-            self.rule_plans.entry(rid).or_default();
+            // Prepared-state bookkeeping (reported as the plan cache): a
+            // rule considered before (since the last DDL) reuses its
+            // compiled condition and incremental state; a first
+            // consideration prepares them.
+            let hit = self.prepared.contains_key(&rid);
             if hit {
                 self.stats.plan_cache_hits += 1;
             } else {
+                let prepared = Prepared::new(self.rules[rid.0].condition.as_ref());
+                self.prepared.insert(rid, prepared);
                 self.stats.plan_cache_misses += 1;
             }
             self.events.emit(EngineEvent::PlanCache { rule: name.clone(), hit });
@@ -1570,21 +1586,20 @@ impl RuleSystem {
     fn try_incremental(&mut self, rid: RuleId) -> Result<IncOutcome, RuleError> {
         let rule = &self.rules[rid.0];
         let cond = rule.condition.as_ref().expect("caller checked");
-        let Some(cache) = self.rule_plans.get(&rid) else {
-            return Ok(IncOutcome::Fallback("no-plan-cache"));
-        };
-        let mut state = cache.incr_state();
-        if state.is_none() {
-            // First consideration since the cache was (re)created:
-            // analyze once; the verdict is cached alongside the plans
-            // and dies with them on DDL.
+        let prepared = self.prepared.get(&rid).expect("a considered rule is prepared");
+        if prepared.incr.is_none() {
+            // First consideration since the rule was (re)prepared:
+            // analyze once; the verdict is kept with the prepared state
+            // and dies with it on DDL.
             let licensed = |kind: TransitionKind, table: &str, column: Option<&str>| {
                 self.rule_licenses(rule, kind, table, column)
             };
             let plan = analyze(&self.db, cond, &licensed).map(Arc::new);
-            *state = Some(IncrState { plan, memo: None });
+            let incr = Some(IncrState { plan, memo: None });
+            self.prepared.get_mut(&rid).expect("prepared above").incr = incr;
         }
-        let st = state.as_mut().expect("just filled");
+        let prepared = self.prepared.get_mut(&rid).expect("prepared above");
+        let st = prepared.incr.as_mut().expect("just filled");
         let plan = match &st.plan {
             Ok(p) => Arc::clone(p),
             Err(reason) => return Ok(IncOutcome::Fallback(reason.label())),
@@ -1618,25 +1633,14 @@ impl RuleSystem {
 
     fn check_condition(&self, rid: RuleId) -> Result<bool, RuleError> {
         let rule = &self.rules[rid.0];
-        let Some(cond) = &rule.condition else {
-            return Ok(true); // omitted ⇒ `if true`
-        };
+        let prepared = self.prepared.get(&rid).expect("a considered rule is prepared");
         let txn = self.txn.as_ref().expect("transaction open");
         let provider = RuleWindowRef { info: &txn.rule_infos[rid.0], licensed: &rule.licensed };
         let cache = setrules_query::SubqueryCache::new();
-        let opts = ExecOpts {
-            stats: Some(&self.qstats),
-            plans: self.rule_plans.get(&rid),
-            threads: self.threads(),
-            op_stats: None,
-        };
+        let opts = ExecOpts { stats: Some(&self.qstats), threads: self.threads(), op_stats: None };
         let ctx = opts.ctx(&self.db, &provider, &cache);
         let mut bindings = setrules_query::bindings::Bindings::new();
-        // The condition is a rule-owned AST whose address is stable between
-        // DDLs, so the per-rule cache makes repeated considerations
-        // compile-free.
-        let compiled = compile_cached(ctx, cond, &bindings.layout());
-        Ok(eval_compiled_predicate(ctx, &mut bindings, &compiled)?)
+        Ok(eval_compiled_predicate(ctx, &mut bindings, &prepared.condition)?)
     }
 
     /// Execute a rule's action as one operation block, returning the
@@ -1660,29 +1664,20 @@ impl RuleSystem {
                     let txn = self.txn.as_ref().expect("open");
                     let provider =
                         RuleWindowRef { info: &txn.rule_infos[rid.0], licensed: &rule.licensed };
-                    // `ops` shares the rule-owned allocation (the action clone
-                    // is an `Arc` copy), so plan-cache pointer keys see the
-                    // same AST addresses on every firing.
-                    let plans = self.rule_plans.get(&rid);
                     for op in ops.iter() {
                         let eff = execute_op(
                             &mut self.db,
                             &provider,
                             op,
-                            &ExecOpts {
-                                stats: Some(&self.qstats),
-                                                plans,
-                                threads,
-                                op_stats: None,
-                            },
+                            &ExecOpts { stats: Some(&self.qstats), threads, op_stats: None },
                         )?;
                         if let OpEffect::Select { output, .. } = &eff {
                             last_output = Some(output.clone());
                         }
                         tinfo.absorb(&eff, self.config.track_selects);
                         // Rule-action writes join the transaction's commit
-                        // unit (free function: `provider`/`plans` still
-                        // borrow `self.txn`/`self.rule_plans`).
+                        // unit (free function: `provider` still borrows
+                        // `self.txn`/`self.rules`).
                         wal_log_effect(
                             &mut self.db,
                             &mut self.wal,
@@ -1711,7 +1706,7 @@ impl RuleSystem {
                 let effects = ctx.effects;
                 if ctx.did_ddl {
                     // Mid-transaction DDL (index creation) moved the
-                    // catalog under every cached plan's feet.
+                    // catalog under every prepared rule's feet.
                     self.invalidate_plans();
                 }
                 for eff in &effects {

@@ -53,14 +53,15 @@ pub enum EngineEvent {
         /// The rule's name.
         rule: String,
     },
-    /// The considered rule's plan cache was consulted before condition
-    /// evaluation: a hit reuses the rule's compiled plans, a miss means
-    /// they compile fresh (first consideration, or after a DDL
-    /// invalidated every rule's cache).
+    /// The considered rule's prepared state was looked up before
+    /// condition evaluation: a hit reuses the rule's compiled condition
+    /// and incremental state, a miss prepares them fresh (first
+    /// consideration, or after a DDL dropped every rule's prepared
+    /// state).
     PlanCache {
         /// The rule's name.
         rule: String,
-        /// Whether compiled plans were already cached.
+        /// Whether the rule was already prepared.
         hit: bool,
     },
     /// The considered rule's condition was evaluated by the incremental

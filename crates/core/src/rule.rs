@@ -163,8 +163,7 @@ impl ActionEvent {
 pub enum CompiledAction {
     /// An operation block (one transition when executed). `Arc`d so the
     /// per-firing clone the engine takes (to release the rules borrow) is
-    /// a pointer copy, and so the ops' AST addresses stay stable for the
-    /// rule's plan cache.
+    /// a pointer copy.
     Block(Arc<Vec<DmlOp>>),
     /// Roll the transaction back to its start state.
     Rollback,

@@ -92,9 +92,10 @@ pub struct EngineStats {
     pub rules_retriggered: u64,
     /// Footnote-7 loop-safeguard aborts.
     pub loop_aborts: u64,
-    /// Rule considerations that reused the rule's cached compiled plans.
+    /// Rule considerations that found the rule's prepared state (its
+    /// compiled condition and incremental state).
     pub plan_cache_hits: u64,
-    /// Rule considerations that had to compile plans fresh (first
+    /// Rule considerations that had to prepare the rule fresh (first
     /// consideration, or after a DDL invalidation).
     pub plan_cache_misses: u64,
     /// Considerations answered by repairing the rule's materialized

@@ -34,13 +34,10 @@
 //! program is group-local, `Scoped` with that row pushed otherwise — and
 //! answers aggregate leaves from the group's merged accumulators.
 //!
-//! A [`PlanCache`] memoizes compiled forms keyed by AST-node address plus a
-//! layout fingerprint; the rule engine keeps one per rule so repeatedly
-//! fired rules plan once (ISSUE 2 tentpole 3), invalidating on DDL.
+//! Compiled forms are owned by the values that use them — a statement's
+//! plan (`plan::SelectPlan`) for one execution, a rule's prepared condition
+//! in the engine until the next DDL — never memoized by AST address.
 
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -95,22 +92,6 @@ impl Layout {
         let columns = Arc::new(db.schema(table).columns.iter().map(|c| c.name.clone()).collect());
         let frame = LayoutFrame { name: binding.to_string(), columns: Arc::clone(&columns) };
         (columns, Layout { levels: vec![vec![frame]] })
-    }
-
-    /// A stable fingerprint of the scope shape (frame and column names),
-    /// used to guard [`PlanCache`] entries against layout changes for the
-    /// same AST node.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.levels.len().hash(&mut h);
-        for level in &self.levels {
-            level.len().hash(&mut h);
-            for f in level {
-                f.name.hash(&mut h);
-                f.columns.hash(&mut h);
-            }
-        }
-        h.finish()
     }
 
     /// Resolve a (possibly qualified) column reference the way
@@ -255,9 +236,9 @@ pub enum CompiledExpr {
     InSubquery {
         /// The needle.
         expr: Box<CompiledExpr>,
-        /// The subquery, shared with the source AST: the compiled plan may
-        /// outlive the source borrow, and the memo keys on the node's
-        /// address, which the planner (working on the AST) must agree on.
+        /// The subquery, shared with the source AST: the statement memo
+        /// identifies it by this shared allocation, which the planner
+        /// (working on the AST) sees too.
         subquery: Arc<SelectStmt>,
         /// `NOT IN` when true.
         negated: bool,
@@ -468,7 +449,7 @@ pub(crate) trait Env {
     }
 
     /// The result of a subquery in the current scope.
-    fn subquery(&mut self, _stmt: &SelectStmt) -> Result<Rc<SubqueryResult>, QueryError> {
+    fn subquery(&mut self, _stmt: &Arc<SelectStmt>) -> Result<Rc<SubqueryResult>, QueryError> {
         Err(not_rowlocal())
     }
 
@@ -598,7 +579,7 @@ impl Env for Scoped<'_, '_> {
         Err(eval::aggregate_outside_group(func))
     }
 
-    fn subquery(&mut self, stmt: &SelectStmt) -> Result<Rc<SubqueryResult>, QueryError> {
+    fn subquery(&mut self, stmt: &Arc<SelectStmt>) -> Result<Rc<SubqueryResult>, QueryError> {
         eval::eval_subquery(self.ctx, self.bindings, stmt)
     }
 
@@ -626,74 +607,6 @@ pub fn eval_compiled_predicate(
     e: &CompiledExpr,
 ) -> Result<bool, QueryError> {
     holds(e, &mut Scoped { ctx, bindings })
-}
-
-// ----------------------------------------------------------------------
-// Plan cache
-// ----------------------------------------------------------------------
-
-/// Memo of compiled expressions keyed by AST-node address plus layout
-/// fingerprint. The address key requires the source AST to be stable for
-/// the cache's lifetime; holders (the rule engine keeps one per rule) must
-/// discard the cache whenever the AST or the catalog can change (any DDL).
-#[derive(Debug, Default)]
-pub struct PlanCache {
-    entries: RefCell<HashMap<(usize, u64), Arc<CompiledExpr>>>,
-    hits: Cell<u64>,
-    misses: Cell<u64>,
-    /// Incremental-evaluation state for the rule condition this cache
-    /// belongs to (tentpole of ISSUE 7): the one-time shape analysis and,
-    /// when incrementalizable, the materialized per-term match sets. It
-    /// lives here because its lifetime rules are exactly the plan
-    /// cache's — any DDL discards the whole cache, analysis and memo
-    /// included.
-    incr: RefCell<Option<crate::incremental::IncrState>>,
-}
-
-impl PlanCache {
-    /// A fresh, empty cache.
-    pub fn new() -> Self {
-        PlanCache::default()
-    }
-
-    /// Mutable access to the incremental-evaluation state slot (`None`
-    /// until the engine first analyzes the rule's condition).
-    pub fn incr_state(&self) -> std::cell::RefMut<'_, Option<crate::incremental::IncrState>> {
-        self.incr.borrow_mut()
-    }
-
-    /// Number of cached plans.
-    pub fn len(&self) -> usize {
-        self.entries.borrow().len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.borrow().is_empty()
-    }
-
-    /// `(hits, misses)` since creation.
-    pub fn counters(&self) -> (u64, u64) {
-        (self.hits.get(), self.misses.get())
-    }
-}
-
-/// Compile `e` against `layout`, consulting the context's [`PlanCache`]
-/// when one is attached (keyed by `e`'s address and the layout
-/// fingerprint).
-pub fn compile_cached(ctx: QueryCtx<'_>, e: &Expr, layout: &Layout) -> Arc<CompiledExpr> {
-    let Some(cache) = ctx.plans else {
-        return Arc::new(compile(e, layout));
-    };
-    let key = (e as *const Expr as usize, layout.fingerprint());
-    if let Some(hit) = cache.entries.borrow().get(&key) {
-        cache.hits.set(cache.hits.get() + 1);
-        return Arc::clone(hit);
-    }
-    cache.misses.set(cache.misses.get() + 1);
-    let compiled = Arc::new(compile(e, layout));
-    cache.entries.borrow_mut().insert(key, Arc::clone(&compiled));
-    compiled
 }
 
 #[cfg(test)]
@@ -813,23 +726,5 @@ mod tests {
                 assert_eq!(interp, compiled, "{src} with a={a} b={b}");
             }
         }
-    }
-
-    #[test]
-    fn plan_cache_hits_on_reuse_and_respects_layout() {
-        let e = parse_expr("salary > 100").unwrap();
-        let cache = PlanCache::new();
-        let db = Database::new();
-        let ctx = QueryCtx { plans: Some(&cache), ..QueryCtx::plain(&db) };
-        let l1 = layout(&[("emp", &["name", "salary"])]);
-        let l2 = layout(&[("emp", &["salary", "name"])]);
-        let c1 = compile_cached(ctx, &e, &l1);
-        let c2 = compile_cached(ctx, &e, &l1);
-        assert!(Arc::ptr_eq(&c1, &c2));
-        // Different layout, same node: a distinct entry (not a false hit).
-        let c3 = compile_cached(ctx, &e, &l2);
-        assert!(!Arc::ptr_eq(&c1, &c3));
-        assert_eq!(cache.counters(), (1, 2));
-        assert_eq!(cache.len(), 2);
     }
 }

@@ -1,14 +1,16 @@
 //! Evaluation context: the database, the transition-table provider, and
-//! the per-statement subquery cache. It carries no choice of executor:
-//! every statement runs the one compiled pipeline (see [`crate::select`]).
+//! the per-statement subquery cache. It carries no choice of executor and
+//! no memo of plans: every statement plans once per execution and runs
+//! the one compiled pipeline (see [`crate::plan`], [`crate::select`]).
 
 use std::cell::{OnceCell, RefCell};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::rc::Rc;
+use std::sync::Arc;
 
+use setrules_sql::ast::SelectStmt;
 use setrules_storage::{DataType, Database, Value};
 
-use crate::compile::PlanCache;
 use crate::error::QueryError;
 use crate::eval::in_semantics;
 use crate::provider::TransitionTableProvider;
@@ -96,9 +98,13 @@ impl SubqueryResult {
     }
 }
 
-/// Per-statement memo for uncorrelated subqueries, keyed by AST node
-/// address. `None` records that the subquery was found to be correlated
-/// (it references outer columns), so re-evaluation per row is required.
+/// Per-statement memo for uncorrelated subqueries. An entry holds the
+/// subquery's shared AST allocation and is found by identity with it —
+/// the memo keeps that allocation alive, so the identity cannot be
+/// reused for another subquery while the memo lives. `None` records that
+/// the subquery was found to be correlated (it references outer
+/// columns), so re-evaluation per row is required. A statement has few
+/// subqueries, so a linear walk beats hashing.
 ///
 /// This is the representative optimization behind the paper's §1 claim
 /// that set-oriented rules keep relational optimization applicable: a
@@ -107,8 +113,11 @@ impl SubqueryResult {
 /// and every row, and the planner, then share that one result.
 #[derive(Debug, Default)]
 pub struct SubqueryCache {
-    entries: RefCell<HashMap<usize, Option<Rc<SubqueryResult>>>>,
+    entries: RefCell<Vec<MemoEntry>>,
 }
+
+/// One memoized subquery: its AST and its result (`None`: correlated).
+type MemoEntry = (Arc<SelectStmt>, Option<Rc<SubqueryResult>>);
 
 impl SubqueryCache {
     /// A fresh, empty cache (one per executed statement).
@@ -116,12 +125,13 @@ impl SubqueryCache {
         SubqueryCache::default()
     }
 
-    pub(crate) fn get(&self, key: usize) -> Option<Option<Rc<SubqueryResult>>> {
-        self.entries.borrow().get(&key).cloned()
+    pub(crate) fn get(&self, sub: &Arc<SelectStmt>) -> Option<Option<Rc<SubqueryResult>>> {
+        let entries = self.entries.borrow();
+        entries.iter().find(|(s, _)| Arc::ptr_eq(s, sub)).map(|(_, r)| r.clone())
     }
 
-    pub(crate) fn put(&self, key: usize, value: Option<Rc<SubqueryResult>>) {
-        self.entries.borrow_mut().insert(key, value);
+    pub(crate) fn put(&self, sub: &Arc<SelectStmt>, value: Option<Rc<SubqueryResult>>) {
+        self.entries.borrow_mut().push((Arc::clone(sub), value));
     }
 }
 
@@ -148,9 +158,6 @@ pub struct QueryCtx<'a> {
     /// side channel: the aggregate [`crate::ExecStats`] counters are
     /// unaffected by whether it is attached.
     pub op_stats: Option<&'a OpStatsCell>,
-    /// Compiled-expression memo shared across statements (the rule engine
-    /// attaches one per rule); `None` compiles fresh per statement.
-    pub plans: Option<&'a PlanCache>,
     /// Worker-thread budget for the read-only parallel phases (scan +
     /// pushdown filtering, hash-join build/probe, WHERE pass). `1` (the
     /// default) keeps execution fully serial; see
@@ -170,7 +177,6 @@ impl<'a> QueryCtx<'a> {
             cache: None,
             stats: None,
             op_stats: None,
-            plans: None,
             threads: 1,
         }
     }

@@ -7,10 +7,11 @@
 //!    operational definitions say it this way: "the tuples … satisfying
 //!    the given predicate are identified", then changed. An update
 //!    therefore cannot observe its own writes. `delete` and `update`
-//!    identify their targets through the same `scan → join → filter`
-//!    chain a one-item `select … where` lowers to
-//!    ([`crate::select::lower_where`]): the filter's surviving scope levels
-//!    are the pre-statement rows, and its trace origins are their handles.
+//!    identify their targets through the same planned read
+//!    ([`crate::plan::plan_read`]) and `scan → join → filter` chain a
+//!    one-item `select … where` lowers to ([`crate::select::lower_read`]):
+//!    the filter's surviving scope levels are the pre-statement rows, and
+//!    its trace origins are their handles.
 //!    `update` then evaluates its compiled `set` expressions over those
 //!    levels; `insert … (select …)` runs the whole select.
 //! 2. **Apply** (mutable): perform the mutations under a statement
@@ -30,20 +31,21 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use setrules_sql::ast::{
-    DeleteStmt, DmlOp, Expr, InsertSource, InsertStmt, SelectStmt, TableRef, UpdateStmt,
+    DeleteStmt, DmlOp, InsertSource, InsertStmt, SelectStmt, TableRef, UpdateStmt,
 };
 use setrules_storage::{ColumnId, Database, TableId, Tuple, TupleHandle, Value};
 
 use crate::bindings::{Bindings, Level};
-use crate::compile::{compile_cached, eval_compiled, Layout, PlanCache};
+use crate::compile::{compile, eval_compiled, CompiledExpr, Layout};
 use crate::ctx::{QueryCtx, SubqueryCache};
 use crate::error::QueryError;
 use crate::eval::eval_expr;
 use crate::exec::{ExecCx, Executor};
+use crate::plan::{plan_read, ReadPlan};
 use crate::provider::TransitionTableProvider;
 use crate::refs::referenced_columns;
 use crate::relation::Relation;
-use crate::select::{lower_where, run_select, run_select_traced};
+use crate::select::{lower_read, run_select, run_select_traced};
 use crate::stats::{OpStatsCell, StatsCell};
 
 /// The affected set of one executed operation, with captured old values.
@@ -97,16 +99,13 @@ impl OpEffect {
     }
 }
 
-/// How a statement executes: stats sinks, plan cache, and the thread
-/// budget for deterministic intra-query parallelism (see
-/// [`crate::parallel`]). `ExecOpts::default()` is a plain serial run with
-/// no instrumentation.
+/// How a statement executes: stats sinks and the thread budget for
+/// deterministic intra-query parallelism (see [`crate::parallel`]).
+/// `ExecOpts::default()` is a plain serial run with no instrumentation.
 #[derive(Clone, Copy)]
 pub struct ExecOpts<'a> {
     /// Optional statistics accumulator.
     pub stats: Option<&'a StatsCell>,
-    /// Optional plan cache (the rule engine attaches one per rule).
-    pub plans: Option<&'a PlanCache>,
     /// Thread budget for read-only query phases (clamped to at least 1;
     /// `1` means fully serial execution).
     pub threads: usize,
@@ -118,7 +117,7 @@ pub struct ExecOpts<'a> {
 
 impl Default for ExecOpts<'_> {
     fn default() -> Self {
-        ExecOpts { stats: None, plans: None, threads: 1, op_stats: None }
+        ExecOpts { stats: None, threads: 1, op_stats: None }
     }
 }
 
@@ -141,7 +140,6 @@ impl<'a> ExecOpts<'a> {
             cache: Some(cache),
             stats: self.stats,
             op_stats: self.op_stats,
-            plans: self.plans,
             threads: self.threads.max(1),
         }
     }
@@ -255,19 +253,18 @@ fn execute_insert(
     Ok(OpEffect::Insert { table, handles })
 }
 
-/// Phase 1 of delete/update: the tuples of `table` satisfying
-/// `predicate` in the pre-statement state, read through the same
-/// `scan → join → filter` chain a one-item `select … where` lowers to.
-/// Returns each surviving scope level (the tuple's pre-statement values)
-/// with its handle, in handle order.
+/// Phase 1 of delete/update: the tuples of the target table satisfying
+/// the planned read (its one-item `from` and `where`) in the
+/// pre-statement state, pulled through the same `scan → join →
+/// filter` chain a one-item `select … where` lowers to. Returns each
+/// surviving scope level (the tuple's pre-statement values) with its
+/// handle, in handle order.
 fn matching(
     ctx: QueryCtx<'_>,
-    table: &str,
-    predicate: Option<&Expr>,
+    read: ReadPlan<'_>,
 ) -> Result<(Vec<Level>, Vec<TupleHandle>), QueryError> {
-    let from = [TableRef::named(table)];
     let mut bindings = Bindings::new();
-    let mut filter = lower_where(ctx, &from, predicate, &bindings, true)?;
+    let mut filter = lower_read(read, true);
     let mut cx = ExecCx { ctx, bindings: &mut bindings };
     let mut levels = Vec::new();
     while let Some(batch) = filter.next_batch(&mut cx)? {
@@ -286,8 +283,10 @@ fn execute_delete(
 ) -> Result<OpEffect, QueryError> {
     let table = db.table_id(&stmt.table)?;
     let cache = SubqueryCache::new();
-    let (_, handles) =
-        matching(opts.ctx(db, virt, &cache), &stmt.table, stmt.predicate.as_ref())?;
+    let ctx = opts.ctx(db, virt, &cache);
+    let from = [TableRef::named(&stmt.table)];
+    let read = plan_read(ctx, &from, stmt.predicate.as_ref(), &Layout::new())?;
+    let (_, handles) = matching(ctx, read)?;
     // Phase 2: delete (statement-atomic).
     let tuples = apply_atomically(db, |db| {
         let mut tuples = Vec::with_capacity(handles.len());
@@ -322,15 +321,16 @@ fn execute_update(
 
     // Phase 1: identify tuples and compute per-tuple assignments against
     // the pre-update state. Every `set` expression is evaluated in order
-    // (so the first error surfaces as it would row by row), each lowered
-    // once per statement through the plan cache when one is attached.
+    // (so the first error surfaces as it would row by row), each compiled
+    // once per statement against the read's scope.
     let cache = SubqueryCache::new();
     let planned: Vec<(TupleHandle, Vec<(ColumnId, Value)>)> = {
         let ctx = opts.ctx(db, virt, &cache);
-        let (levels, handles) = matching(ctx, &stmt.table, stmt.predicate.as_ref())?;
-        let (_, layout) = Layout::of_table(db, table, &stmt.table);
-        let compiled: Vec<_> =
-            stmt.sets.iter().map(|(_, e)| compile_cached(ctx, e, &layout)).collect();
+        let from = [TableRef::named(&stmt.table)];
+        let read = plan_read(ctx, &from, stmt.predicate.as_ref(), &Layout::new())?;
+        let compiled: Vec<CompiledExpr> =
+            stmt.sets.iter().map(|(_, e)| compile(e, &read.layout)).collect();
+        let (levels, handles) = matching(ctx, read)?;
         let mut bindings = Bindings::new();
         let mut planned = Vec::with_capacity(handles.len());
         for (level, h) in levels.into_iter().zip(handles) {

@@ -8,6 +8,7 @@
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use setrules_sql::ast::{AggFunc, BinaryOp, Expr, SelectStmt, UnaryOp};
 use setrules_storage::Value;
@@ -115,13 +116,12 @@ pub(crate) fn scalar_of(rel: &Relation) -> Result<Value, QueryError> {
 /// so whichever runs first evaluates and the other shares.
 pub(crate) fn memoized_subquery(
     ctx: QueryCtx<'_>,
-    sub: &SelectStmt,
+    sub: &Arc<SelectStmt>,
 ) -> Result<Option<Rc<SubqueryResult>>, QueryError> {
     let Some(cache) = ctx.cache else {
         return Ok(None);
     };
-    let key = sub as *const SelectStmt as usize;
-    if let Some(entry) = cache.get(key) {
+    if let Some(entry) = cache.get(sub) {
         // A "known correlated" verdict still saves the probe evaluation.
         crate::stats::bump(ctx.stats, |s| s.subquery_cache_hits += 1);
         return Ok(entry);
@@ -132,7 +132,7 @@ pub(crate) fn memoized_subquery(
         Err(QueryError::UnknownColumn(_)) => None,
         Err(e) => return Err(e),
     };
-    cache.put(key, entry.clone());
+    cache.put(sub, entry.clone());
     Ok(entry)
 }
 
@@ -142,7 +142,7 @@ pub(crate) fn memoized_subquery(
 pub(crate) fn eval_subquery(
     ctx: QueryCtx<'_>,
     bindings: &mut Bindings,
-    sub: &SelectStmt,
+    sub: &Arc<SelectStmt>,
 ) -> Result<Rc<SubqueryResult>, QueryError> {
     match memoized_subquery(ctx, sub)? {
         Some(shared) => Ok(shared),
@@ -665,7 +665,7 @@ mod tests {
         let (cache, stats) = (SubqueryCache::new(), StatsCell::new());
         let ctx = QueryCtx { cache: Some(&cache), stats: Some(&stats), ..QueryCtx::plain(&db) };
 
-        let sub = sel("select dept_no from dept");
+        let sub = Arc::new(sel("select dept_no from dept"));
         let first = eval_subquery(ctx, &mut Bindings::new(), &sub).unwrap();
         let again = eval_subquery(ctx, &mut Bindings::new(), &sub).unwrap();
         let planned = memoized_subquery(ctx, &sub).unwrap().expect("uncorrelated");
@@ -676,14 +676,14 @@ mod tests {
         assert_eq!((s.subquery_cache_misses, s.subquery_cache_hits), (1, 2));
 
         // Correlated: remembered as such, evaluated per call in its scope.
-        let correlated = sel("select dept_no from dept where mgr_no = outer_k");
+        let correlated = Arc::new(sel("select dept_no from dept where mgr_no = outer_k"));
         assert!(memoized_subquery(ctx, &correlated).unwrap().is_none());
         assert!(matches!(
             eval_subquery(ctx, &mut Bindings::new(), &correlated),
             Err(QueryError::UnknownColumn(_))
         ));
         // Errors memoize nothing: the next caller raises them again.
-        let failing = sel("select 1 / 0 from dept");
+        let failing = Arc::new(sel("select 1 / 0 from dept"));
         for _ in 0..2 {
             assert_eq!(memoized_subquery(ctx, &failing).err(), Some(QueryError::DivisionByZero));
         }

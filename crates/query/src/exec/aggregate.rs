@@ -23,8 +23,8 @@
 //! and therefore float rounding, overflow sites, dedup order for
 //! `distinct`, and error selection — is exactly the serial encounter
 //! order. Errors surface as in a per-group walk of the statement: the filter is
-//! blocking (all its errors surface on the first pull), wildcard
-//! expansion runs right after that first pull, group-key errors surface in
+//! blocking (all its errors surface on the first pull), a failed wildcard
+//! expansion right after that first pull, group-key errors surface in
 //! combination order, and aggregate-argument errors are *recorded* per
 //! (group, leaf) during the partial phase but raised only when the final
 //! phase actually reaches that aggregate node — so Kleene short-circuits
@@ -34,6 +34,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use setrules_sql::ast::{AggFunc, Expr, SelectStmt};
 use setrules_storage::Value;
@@ -47,8 +48,7 @@ use crate::parallel::{is_grouplocal, is_rowlocal};
 
 use super::exchange::Exchange;
 use super::filter::FilterExec;
-use super::project::expand_wildcards;
-use super::scan::{items_layout, FromItem};
+use super::scan::FromItem;
 use super::{Batches, ExecCx, Executor, KeyedRow, Origin, RowSource};
 
 /// The whole grouped statement, lowered for two-phase evaluation: the
@@ -57,6 +57,8 @@ use super::{Batches, ExecCx, Executor, KeyedRow, Origin, RowSource};
 /// projections, then `order by`; a nested call after the one containing
 /// it).
 pub(crate) struct GroupProgram {
+    /// Output column names.
+    pub(crate) columns: Vec<String>,
     keys: Vec<CompiledExpr>,
     /// The per-row argument of leaf `i` (`None` is `count(*)`): what the
     /// partial phase accumulates per row.
@@ -81,9 +83,8 @@ fn collect_leaf_args(e: &CompiledExpr, out: &mut Vec<Option<CompiledExpr>>) {
     e.for_each_child(&mut |c| collect_leaf_args(c, out));
 }
 
-/// Lower a grouped statement for two-phase evaluation. Shared by the
-/// executor and the `plan:`/`parallel:` explain lines, so the printed
-/// shape cannot drift from the executed one.
+/// Lower a grouped statement, its wildcards expanded to `proj`, for
+/// two-phase evaluation.
 pub(crate) fn group_program(
     stmt: &SelectStmt,
     layout: &Layout,
@@ -94,16 +95,26 @@ pub(crate) fn group_program(
     let mut next_leaf = 0;
     let mut lower = |e: &Expr| compile::lower(e, layout, &mut next_leaf);
     let having = stmt.having.as_ref().map(&mut lower);
-    let proj: Vec<CompiledExpr> = proj.iter().map(|(e, _)| lower(e)).collect();
+    let proj_exprs: Vec<CompiledExpr> = proj.iter().map(|(e, _)| lower(e)).collect();
     let order: Vec<CompiledExpr> = stmt.order_by.iter().map(|(e, _)| lower(e)).collect();
     let mut leaf_args = Vec::new();
-    for e in having.iter().chain(&proj).chain(&order) {
+    for e in having.iter().chain(&proj_exprs).chain(&order) {
         collect_leaf_args(e, &mut leaf_args);
     }
     let rows_exchangeable =
         keys.iter().all(is_rowlocal) && leaf_args.iter().flatten().all(is_rowlocal);
-    let groups_exchangeable = having.iter().chain(&proj).chain(&order).all(is_grouplocal);
-    GroupProgram { keys, leaf_args, having, proj, order, rows_exchangeable, groups_exchangeable }
+    let groups_exchangeable = having.iter().chain(&proj_exprs).chain(&order).all(is_grouplocal);
+    let columns = proj.iter().map(|(_, n)| n.clone()).collect();
+    GroupProgram {
+        columns,
+        keys,
+        leaf_args,
+        having,
+        proj: proj_exprs,
+        order,
+        rows_exchangeable,
+        groups_exchangeable,
+    }
 }
 
 /// Per-(group, leaf) partial state: the collected non-NULL argument
@@ -299,7 +310,7 @@ impl<E: Env> Env for GroupEnv<'_, E> {
         }
     }
 
-    fn subquery(&mut self, stmt: &SelectStmt) -> Result<Rc<SubqueryResult>, QueryError> {
+    fn subquery(&mut self, stmt: &Arc<SelectStmt>) -> Result<Rc<SubqueryResult>, QueryError> {
         self.inner.subquery(stmt)
     }
 
@@ -340,17 +351,19 @@ fn null_level(items: &[FromItem]) -> Level {
 /// `having`. Implements [`RowSource`].
 pub(crate) struct AggregateExec<'q> {
     filter: FilterExec<'q>,
-    stmt: &'q SelectStmt,
+    /// The planned program; taken at open (an expansion error surfaces
+    /// there, after the filter's).
+    planned: Option<Result<GroupProgram, QueryError>>,
     columns: Vec<String>,
     state: Option<Batches<KeyedRow>>,
     batch_rows: usize,
 }
 
 impl<'q> AggregateExec<'q> {
-    pub(crate) fn new(filter: FilterExec<'q>, stmt: &'q SelectStmt) -> Self {
+    pub(crate) fn new(filter: FilterExec<'q>, prog: Result<GroupProgram, QueryError>) -> Self {
         AggregateExec {
             filter,
-            stmt,
+            planned: Some(prog),
             columns: Vec::new(),
             state: None,
             batch_rows: super::BATCH_ROWS,
@@ -364,15 +377,11 @@ impl<'q> AggregateExec<'q> {
     }
 
     /// Pull the first batch (surfacing every filter error — the filter is
-    /// blocking), expand wildcards, lower the [`GroupProgram`], and run
-    /// both phases.
+    /// blocking), take the planned [`GroupProgram`], and run both phases.
     fn open(&mut self, cx: &mut ExecCx<'_, '_>) -> Result<Vec<KeyedRow>, QueryError> {
         let first = self.filter.next_batch(cx)?;
-        let proj = expand_wildcards(self.stmt, self.filter.items())?;
-        self.columns = proj.iter().map(|(_, n)| n.clone()).collect();
-        // The same scope layout the filter evaluated in.
-        let layout = items_layout(cx.bindings, self.filter.items());
-        let prog = group_program(self.stmt, &layout, &proj);
+        let mut prog = self.planned.take().expect("opened once")?;
+        self.columns = std::mem::take(&mut prog.columns);
         self.run_two_phase(cx, &prog, first)
     }
 

@@ -13,8 +13,6 @@
 //! surviving combination, the stored-tuple origins (with their `from`
 //! item index) that a select trace and a `delete`/`update` need.
 
-use std::sync::Arc;
-
 use setrules_storage::Value;
 
 use crate::bindings::{Bindings, Level};
@@ -93,10 +91,10 @@ fn consider(
 /// counts an observable fallback.
 fn parallel_where<'p>(
     ctx: QueryCtx<'_>,
-    full_pred: &'p Option<Arc<CompiledExpr>>,
+    full_pred: Option<&'p CompiledExpr>,
     combinations: usize,
 ) -> Option<(Exchange, &'p CompiledExpr)> {
-    let cp = full_pred.as_deref()?;
+    let cp = full_pred?;
     let ex = Exchange::plan(ctx, combinations)?;
     if parallel::is_rowlocal(cp) {
         Some((ex, cp))
@@ -107,10 +105,12 @@ fn parallel_where<'p>(
 }
 
 /// The `where` operator. Blocking: judges every combination at open,
-/// then emits the surviving [`Level`]s in batches.
+/// then emits the surviving [`Level`]s in batches. Without a predicate it
+/// passes every combination through and records nothing (the plan has no
+/// filter stage).
 pub(crate) struct FilterExec<'q> {
     join: JoinExec<'q>,
-    full_pred: Option<Arc<CompiledExpr>>,
+    full_pred: Option<CompiledExpr>,
     want_trace: bool,
     origins: Vec<Origin>,
     batch_rows: usize,
@@ -120,7 +120,7 @@ pub(crate) struct FilterExec<'q> {
 impl<'q> FilterExec<'q> {
     pub(crate) fn new(
         join: JoinExec<'q>,
-        full_pred: Option<Arc<CompiledExpr>>,
+        full_pred: Option<CompiledExpr>,
         want_trace: bool,
     ) -> Self {
         FilterExec {
@@ -154,11 +154,13 @@ impl<'q> FilterExec<'q> {
         let ctx = cx.ctx;
         let mut cursors: Vec<Vec<usize>> = Vec::new();
         while let Some(batch) = self.join.next_batch(cx)? {
-            cx.rows_in("filter", batch.len());
+            if self.full_pred.is_some() {
+                cx.rows_in("filter", batch.len());
+            }
             cursors.extend(batch);
         }
         let mut matching: Vec<Level> = Vec::new();
-        if let Some((ex, cp)) = parallel_where(ctx, &self.full_pred, cursors.len()) {
+        if let Some((ex, cp)) = parallel_where(ctx, self.full_pred.as_ref(), cursors.len()) {
             let items = self.join.items();
             let cursors_ref = &cursors;
             let sole = items.len() == 1;
@@ -198,7 +200,7 @@ impl<'q> FilterExec<'q> {
                 consider(
                     ctx,
                     self.join.items_mut(),
-                    self.full_pred.as_deref(),
+                    self.full_pred.as_ref(),
                     self.want_trace,
                     c,
                     cx.bindings,
@@ -224,7 +226,7 @@ impl Executor for FilterExec<'_> {
             self.state = Some(Batches::new(matching, self.batch_rows));
         }
         let batch = self.state.as_mut().expect("opened above").next();
-        if let Some(b) = &batch {
+        if let (Some(b), Some(_)) = (&batch, &self.full_pred) {
             cx.batch_out(self.name(), b.len());
         }
         Ok(batch)

@@ -2,9 +2,10 @@
 //! combinations as *cursors* (one row index per `from` item, in item
 //! order), emitted in row-index lexicographic order.
 //!
-//! Every join runs the greedy N-way [`JoinPlan`](crate::planner::JoinPlan):
-//! hash steps on equi-join keys (build and probe partitioned on the pool
-//! when big enough), cross steps only when nothing connects. Hash probes
+//! Every join runs the greedy N-way [`JoinPlan`](crate::planner::JoinPlan)
+//! over the plan's equi-join edges and the scanned cardinalities: hash
+//! steps on equi-join keys (build and probe partitioned on the pool when
+//! big enough), cross steps only when nothing connects. Hash probes
 //! are a sound *prefilter* — the filter operator above still evaluates the
 //! full predicate per emitted cursor — with one accepted divergence:
 //! prefilters may skip combinations whose evaluation would *error*.
@@ -12,15 +13,14 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use setrules_sql::ast::Expr;
-use setrules_storage::{DataType, Value};
+use setrules_storage::Value;
 
 use crate::error::QueryError;
-use crate::planner::{build_join_plan, equi_join_edges};
+use crate::planner::{build_join_plan, EquiEdge};
 use crate::stats;
 
 use super::exchange::Exchange;
-use super::scan::{items_layout, FromItem, ScanExec};
+use super::scan::{FromItem, ScanExec};
 use super::{Batches, ExecCx, Executor};
 
 /// The combination assembler. Owns its child scans; at open it drains
@@ -28,25 +28,23 @@ use super::{Batches, ExecCx, Executor};
 /// plan, and then emits it in batches.
 pub(crate) struct JoinExec<'q> {
     scans: Vec<ScanExec<'q>>,
-    /// The full `where` predicate; its equi-join conjuncts become hash
-    /// steps.
-    predicate: Option<&'q Expr>,
+    /// The planned equi-join edges; they become hash steps.
+    edges: Vec<EquiEdge>,
+    /// The planned operator name; `None` for a sole item, which passes
+    /// its rows through as the combinations and records nothing.
+    op: Option<&'static str>,
     items: Vec<FromItem>,
-    label: &'static str,
     batch_rows: usize,
     state: Option<Batches<Vec<usize>>>,
 }
 
 impl<'q> JoinExec<'q> {
-    pub(crate) fn new(scans: Vec<ScanExec<'q>>, predicate: Option<&'q Expr>) -> Self {
-        JoinExec {
-            scans,
-            predicate,
-            items: Vec::new(),
-            label: "join",
-            batch_rows: super::BATCH_ROWS,
-            state: None,
-        }
+    pub(crate) fn new(
+        scans: Vec<ScanExec<'q>>,
+        edges: Vec<EquiEdge>,
+        op: Option<&'static str>,
+    ) -> Self {
+        JoinExec { scans, edges, op, items: Vec::new(), batch_rows: super::BATCH_ROWS, state: None }
     }
 
     #[cfg(test)]
@@ -73,13 +71,14 @@ impl<'q> JoinExec<'q> {
         for scan in &mut self.scans {
             let mut rows = Vec::new();
             while let Some(batch) = scan.next_batch(cx)? {
-                cx.rows_in(self.label, batch.len());
+                if let Some(op) = self.op {
+                    cx.rows_in(op, batch.len());
+                }
                 rows.extend(batch);
             }
             items.push(FromItem {
-                binding: std::mem::take(&mut scan.binding),
-                columns: Arc::clone(&scan.columns),
-                types: std::mem::take(&mut scan.types),
+                binding: std::mem::take(&mut scan.item.binding),
+                columns: Arc::clone(&scan.item.columns),
                 rows,
             });
         }
@@ -99,18 +98,10 @@ impl<'q> JoinExec<'q> {
 
     /// Run the greedy join plan over two or more non-empty items, emitting
     /// cursors in row-index lexicographic order.
-    fn planned(&mut self, cx: &ExecCx<'_, '_>, items: &[FromItem]) -> Vec<Vec<usize>> {
+    fn planned(&self, cx: &ExecCx<'_, '_>, items: &[FromItem]) -> Vec<Vec<usize>> {
         let ctx = cx.ctx;
-        let layout = items_layout(cx.bindings, items);
-        let types: Vec<Vec<DataType>> = items.iter().map(|it| it.types.clone()).collect();
-        let edges = equi_join_edges(self.predicate, &layout, &types);
         let cards: Vec<usize> = items.iter().map(|it| it.rows.len()).collect();
-        let plan = build_join_plan(&cards, &edges);
-        self.label = if plan.steps.iter().any(|s| !s.edges.is_empty()) {
-            "hash-join"
-        } else {
-            "nested-loop"
-        };
+        let plan = build_join_plan(&cards, &self.edges);
         stats::bump(ctx.stats, |s| {
             for step in &plan.steps {
                 if step.edges.is_empty() {
@@ -240,7 +231,7 @@ impl Executor for JoinExec<'_> {
     type Batch = Vec<Vec<usize>>;
 
     fn name(&self) -> &'static str {
-        self.label
+        self.op.unwrap_or("join")
     }
 
     fn next_batch(&mut self, cx: &mut ExecCx<'_, '_>) -> Result<Option<Self::Batch>, QueryError> {
@@ -249,8 +240,8 @@ impl Executor for JoinExec<'_> {
             self.state = Some(Batches::new(cursors, self.batch_rows));
         }
         let batch = self.state.as_mut().expect("opened above").next();
-        if let Some(b) = &batch {
-            cx.batch_out(self.name(), b.len());
+        if let (Some(b), Some(op)) = (&batch, self.op) {
+            cx.batch_out(op, b.len());
         }
         Ok(batch)
     }

@@ -3,14 +3,19 @@
 //! The query executor is a tree of composable operators behind the
 //! [`Executor`] trait: each call to [`Executor::next_batch`] yields the
 //! next batch of rows (up to [`BATCH_ROWS`] per batch) or `None` when the
-//! operator is exhausted. The planner in [`crate::select`] *lowers* a
-//! statement to this tree — access selection, pushdown classification,
-//! join planning, sort-elision and top-K eligibility are all decided
-//! before the first batch flows — instead of branching inside one
-//! monolithic function. Every read lowers its `from` list and predicate
-//! through one helper, [`crate::select::lower_where`]: a `select` stacks
-//! its projection or aggregation on the resulting filter, and `delete` /
-//! `update` pull the filter directly.
+//! operator is exhausted. Every decision — access selection, pushdown
+//! classification, equi-join edges, the fast paths, the projection or
+//! aggregation program — is made once, before the first batch flows, by
+//! [`crate::plan::plan_select`]; the driver in [`crate::select`] moves
+//! that plan value's parts into this tree and operators decide nothing
+//! but what depends on the rows (join order over scanned cardinalities,
+//! exchange and top-K engagement over input sizes). Every read lowers its
+//! `from`/`where` half ([`crate::plan::ReadPlan`]) through one helper,
+//! [`crate::select::lower_read`]: a `select` stacks its projection or
+//! aggregation on the resulting filter, and `delete` / `update` pull the
+//! filter directly. The names operators record are the names the `plan:`
+//! line of `explain` prints; pass-through stages (a sole item's join, a
+//! filter without predicate) record nothing.
 //!
 //! # The operator vocabulary
 //!
@@ -86,17 +91,11 @@ pub(crate) mod project;
 pub(crate) mod scan;
 pub(crate) mod sort;
 
-use std::sync::Arc;
-
-use setrules_sql::ast::{SelectItem, SelectStmt, TableSource};
-use setrules_storage::{DataType, TableId, TupleHandle, Value};
+use setrules_storage::{TableId, TupleHandle, Value};
 
 use crate::bindings::Bindings;
-use crate::compile::{compile, Layout, LayoutFrame};
 use crate::ctx::QueryCtx;
 use crate::error::QueryError;
-use crate::planner::{choose_access, equi_join_edges};
-use crate::select::has_aggregate;
 
 /// Maximum rows per emitted batch.
 pub(crate) const BATCH_ROWS: usize = 1024;
@@ -143,7 +142,7 @@ pub(crate) trait Executor {
 
     /// This operator's display name (stable vocabulary: `"seq-scan"`,
     /// `"hash-join"`, `"filter"`, `"sort"`, …), used for per-operator
-    /// stats and the `plan:` line of `explain`.
+    /// stats; `explain` prints the same names on its `plan:` line.
     fn name(&self) -> &'static str;
 
     /// Produce the next batch, or `None` when exhausted.
@@ -185,183 +184,6 @@ impl<T> Batches<T> {
             Some(b)
         }
     }
-}
-
-/// Whether `stmt` takes the grouped (aggregate) pipeline. Wildcard
-/// expansions only ever add bare column references, so this is decidable
-/// from the statement alone — both the lowering driver and the `explain`
-/// shape report use this one function.
-pub(crate) fn is_grouped(stmt: &SelectStmt) -> bool {
-    !stmt.group_by.is_empty()
-        || stmt
-            .projection
-            .iter()
-            .any(|it| matches!(it, SelectItem::Expr { expr, .. } if has_aggregate(expr)))
-        || stmt.having.as_ref().is_some_and(has_aggregate)
-}
-
-/// The plan-time scope of a top-level statement, from schemas alone:
-/// per-item column types, the items' frames, and the layout over them
-/// (top-level statements have no outer scopes, so this *is* the runtime
-/// layout). `None` when a table is unknown.
-fn schema_scope(
-    ctx: QueryCtx<'_>,
-    stmt: &SelectStmt,
-) -> Option<(Vec<Vec<DataType>>, Vec<LayoutFrame>, Layout)> {
-    let mut types = Vec::new();
-    let mut frames = Vec::new();
-    for tref in &stmt.from {
-        let (TableSource::Named(table) | TableSource::Transition { table, .. }) = &tref.source;
-        let schema = ctx.db.schema(ctx.db.table_id(table).ok()?);
-        types.push(schema.columns.iter().map(|c| c.ty).collect());
-        frames.push(LayoutFrame {
-            name: tref.binding_name().to_string(),
-            columns: Arc::new(schema.columns.iter().map(|c| c.name.clone()).collect()),
-        });
-    }
-    let mut layout = Layout::new();
-    layout.push_level(frames.clone());
-    Some((types, frames, layout))
-}
-
-/// The two-phase aggregation program of a grouped statement against the
-/// schema-derived layout — the plan-time view of
-/// [`aggregate::group_program`]; `None` when a wildcard does not expand.
-fn plan_group_program(
-    stmt: &SelectStmt,
-    layout: &Layout,
-    frames: &[LayoutFrame],
-) -> Option<aggregate::GroupProgram> {
-    let cols: Vec<(&str, &Arc<Vec<String>>)> =
-        frames.iter().map(|f| (f.name.as_str(), &f.columns)).collect();
-    let proj = project::expand_wildcards_cols(stmt, &cols).ok()?;
-    Some(aggregate::group_program(stmt, layout, &proj))
-}
-
-/// The pipeline stages of `stmt` that are *exchange-eligible* — the
-/// stages a multi-threaded run would partition onto the worker pool, in
-/// pipeline order — or `None` when there are none (including the fast
-/// paths, which never reach the operator pipeline). This is the
-/// `parallel:` line of `explain`, derived from the same gates the
-/// operators use: the WHERE pass exchanges only a row-local full
-/// predicate, the join exchanges its hash build/probe (so it needs an
-/// equi-edge), aggregation exchanges when either of its phases may leave
-/// the serial environment, and distinct/sort/top-K partition on values
-/// alone. Shape-only — the
-/// run-time size gate ([`exchange::Exchange::plan`]) cannot be decided
-/// here, so the line is identical at every thread count.
-pub(crate) fn parallel_stages(ctx: QueryCtx<'_>, stmt: &SelectStmt) -> Option<Vec<&'static str>> {
-    if crate::select::min_max_applies(ctx, stmt)
-        || crate::select::elidable_order_column(ctx, stmt).is_some()
-    {
-        return None;
-    }
-    let (types, frames, layout) = schema_scope(ctx, stmt)?;
-    let mut stages = Vec::new();
-    if stmt.from.len() > 1
-        && !equi_join_edges(stmt.predicate.as_ref(), &layout, &types).is_empty()
-    {
-        stages.push("join");
-    }
-    if let Some(p) = stmt.predicate.as_ref() {
-        if crate::parallel::is_rowlocal(&compile(p, &layout)) {
-            stages.push("where");
-        }
-    }
-    if is_grouped(stmt)
-        && plan_group_program(stmt, &layout, &frames)
-            .is_some_and(|p| p.rows_exchangeable || p.groups_exchangeable)
-    {
-        stages.push("aggregate");
-    }
-    if stmt.distinct {
-        stages.push("distinct");
-    }
-    if !stmt.order_by.is_empty() {
-        stages.push("sort");
-    }
-    if stages.is_empty() {
-        None
-    } else {
-        Some(stages)
-    }
-}
-
-/// The operator chain `stmt` lowers to, as display names in pull order —
-/// the `plan:` line of `explain`. Derived from the *same* gate functions
-/// the lowering driver uses ([`crate::select::elidable_order_column`],
-/// the min/max shape check, [`is_grouped`]), so the printed tree cannot
-/// drift from the executed one.
-pub(crate) fn plan_ops(ctx: QueryCtx<'_>, stmt: &SelectStmt) -> Option<Vec<String>> {
-    // Fast paths first, mirroring run_select_traced's dispatch order.
-    if crate::select::min_max_applies(ctx, stmt) {
-        let TableSource::Named(name) = &stmt.from[0].source else { return None };
-        return Some(vec![format!("index-minmax({name})")]);
-    }
-    if let Some((tid, oc, _)) = crate::select::elidable_order_column(ctx, stmt) {
-        let mut ops = vec![format!(
-            "index-order-scan({}.{})",
-            stmt.from[0].binding_name(),
-            ctx.db.schema(tid).column_name(oc)
-        )];
-        if stmt.predicate.is_some() {
-            ops.push("filter".into());
-        }
-        ops.push("project".into());
-        if stmt.limit.is_some() {
-            ops.push("limit".into());
-        }
-        return Some(ops);
-    }
-
-    let (types, frames, layout) = schema_scope(ctx, stmt)?;
-    let sole = stmt.from.len() == 1;
-    let mut ops = Vec::new();
-    for tref in &stmt.from {
-        let binding = tref.binding_name();
-        match &tref.source {
-            TableSource::Named(name) => {
-                let tid = ctx.db.table_id(name).ok()?;
-                let access = choose_access(ctx, tid, binding, sole, stmt.predicate.as_ref());
-                ops.push(format!("{}({binding})", scan::access_op_name(&access)));
-            }
-            TableSource::Transition { .. } => ops.push(format!("transition-scan({binding})")),
-        }
-    }
-    if stmt.from.len() > 1 {
-        // The greedy join plan places every item; once any equi-edge
-        // exists, the step that places that edge's second endpoint is a
-        // hash step — so "hash vs nested-loop" depends only on the edge
-        // set, not on cardinalities.
-        let edges = equi_join_edges(stmt.predicate.as_ref(), &layout, &types);
-        ops.push(if edges.is_empty() { "nested-loop".into() } else { "hash-join".into() });
-    }
-    if stmt.predicate.is_some() {
-        ops.push("filter".into());
-    }
-    if is_grouped(stmt) {
-        // Grouped top: always two-phase, with the exchange between the
-        // phases when the partial phase may run on the pool (the exact
-        // gate the executor uses). Shape-only, so the line is identical at
-        // every thread count.
-        ops.push("partial-aggregate".into());
-        if plan_group_program(stmt, &layout, &frames).is_some_and(|p| p.rows_exchangeable) {
-            ops.push("exchange".into());
-        }
-        ops.push("final-aggregate".into());
-    } else {
-        ops.push("project".into());
-    }
-    if stmt.distinct {
-        ops.push("distinct".into());
-    }
-    if !stmt.order_by.is_empty() {
-        ops.push("sort".into());
-    }
-    if stmt.limit.is_some() {
-        ops.push("limit".into());
-    }
-    Some(ops)
 }
 
 #[cfg(test)]

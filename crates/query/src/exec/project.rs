@@ -1,100 +1,42 @@
-//! The projection operator (non-aggregate pipeline): expands wildcards,
-//! then evaluates the projection list and `order by` keys per surviving
-//! combination, emitting [`KeyedRow`](super::KeyedRow) batches.
+//! The projection operator (non-aggregate pipeline): evaluates the
+//! planned projection list and `order by` keys per surviving combination,
+//! emitting [`KeyedRow`](super::KeyedRow) batches.
 //!
-//! Error ordering is load-bearing: the filter must complete before
-//! wildcard expansion (a `where` error on the last combination outranks
-//! an unknown `q.*` qualifier), so the child is drained first and
-//! expansion runs even when it produced nothing. Projection evaluation
-//! itself streams batch-by-batch — rows are evaluated in combination
-//! order and the first failing row's error surfaces, exactly like the
-//! per-row loop it replaces.
-
-use std::sync::Arc;
-
-use setrules_sql::ast::{Expr, SelectItem, SelectStmt};
+//! Error ordering is load-bearing: the filter must complete before a
+//! failed wildcard expansion surfaces (a `where` error on the last
+//! combination outranks an unknown `q.*` qualifier), so the child is
+//! drained first and the plan's expansion error raised even when it
+//! produced nothing. Projection evaluation itself streams batch-by-batch
+//! — rows are evaluated in combination order and the first failing row's
+//! error surfaces, exactly like the per-row loop it replaces.
 
 use crate::bindings::Level;
-use crate::compile::{compile, eval_compiled, CompiledExpr};
+use crate::compile::{eval_compiled, CompiledExpr};
 use crate::error::QueryError;
+use crate::plan::Projection;
 
 use super::filter::FilterExec;
-use super::scan::{items_layout, FromItem};
 use super::{Batches, ExecCx, Executor, KeyedRow, Origin, RowSource};
-
-/// Expand the projection's wildcards against the materialized items,
-/// yielding concrete `(expression, output name)` pairs.
-pub(crate) fn expand_wildcards(
-    stmt: &SelectStmt,
-    items: &[FromItem],
-) -> Result<Vec<(Expr, String)>, QueryError> {
-    let cols: Vec<(&str, &Arc<Vec<String>>)> =
-        items.iter().map(|it| (it.binding.as_str(), &it.columns)).collect();
-    expand_wildcards_cols(stmt, &cols)
-}
-
-/// [`expand_wildcards`] over bare `(binding, columns)` pairs — usable at
-/// plan time (the `plan:`/`parallel:` explain lines work from schemas,
-/// without materialized items).
-pub(crate) fn expand_wildcards_cols(
-    stmt: &SelectStmt,
-    items: &[(&str, &Arc<Vec<String>>)],
-) -> Result<Vec<(Expr, String)>, QueryError> {
-    let mut proj: Vec<(Expr, String)> = Vec::new();
-    for item in &stmt.projection {
-        match item {
-            SelectItem::Wildcard => {
-                for (binding, columns) in items {
-                    for c in columns.iter() {
-                        proj.push((Expr::qcol((*binding).to_string(), c.clone()), c.clone()));
-                    }
-                }
-            }
-            SelectItem::QualifiedWildcard(q) => {
-                let (binding, columns) = items
-                    .iter()
-                    .find(|(b, _)| *b == q)
-                    .ok_or_else(|| QueryError::UnknownColumn(format!("{q}.*")))?;
-                for c in columns.iter() {
-                    proj.push((Expr::qcol((*binding).to_string(), c.clone()), c.clone()));
-                }
-            }
-            SelectItem::Expr { expr, alias } => {
-                let name = alias.clone().unwrap_or_else(|| match expr {
-                    Expr::Column { name, .. } => name.clone(),
-                    other => other.to_string(),
-                });
-                proj.push((expr.clone(), name));
-            }
-        }
-    }
-    Ok(proj)
-}
 
 /// The row-by-row projection operator. Implements [`RowSource`]: it is a
 /// valid pipeline top for non-aggregate queries.
 pub(crate) struct ProjectExec<'q> {
     filter: FilterExec<'q>,
-    stmt: &'q SelectStmt,
-    columns: Vec<String>,
-    /// Compiled projection and order-by keys. These include synthesized
-    /// wildcard expansions, so they compile fresh — never through the
-    /// plan cache, whose keys require stable AST addresses.
-    proj: Vec<CompiledExpr>,
+    /// The planned projection; an expansion error surfaces at open, after
+    /// the filter's.
+    proj: Result<Projection, QueryError>,
+    /// Compiled `order by` keys.
     keys: Vec<CompiledExpr>,
     state: Option<Batches<Level>>,
 }
 
 impl<'q> ProjectExec<'q> {
-    pub(crate) fn new(filter: FilterExec<'q>, stmt: &'q SelectStmt) -> Self {
-        ProjectExec {
-            filter,
-            stmt,
-            columns: Vec::new(),
-            proj: Vec::new(),
-            keys: Vec::new(),
-            state: None,
-        }
+    pub(crate) fn new(
+        filter: FilterExec<'q>,
+        proj: Result<Projection, QueryError>,
+        keys: Vec<CompiledExpr>,
+    ) -> Self {
+        ProjectExec { filter, proj, keys, state: None }
     }
 
     fn open(&mut self, cx: &mut ExecCx<'_, '_>) -> Result<Vec<Level>, QueryError> {
@@ -103,13 +45,7 @@ impl<'q> ProjectExec<'q> {
             cx.rows_in("project", batch.len());
             matching.extend(batch);
         }
-        let items = self.filter.items();
-        let proj = expand_wildcards(self.stmt, items)?;
-        self.columns = proj.iter().map(|(_, n)| n.clone()).collect();
-        // The same scope layout the filter evaluated in.
-        let layout = items_layout(cx.bindings, items);
-        self.proj = proj.iter().map(|(e, _)| compile(e, &layout)).collect();
-        self.keys = self.stmt.order_by.iter().map(|(e, _)| compile(e, &layout)).collect();
+        self.proj.as_ref().map_err(QueryError::clone)?;
         Ok(matching)
     }
 }
@@ -130,12 +66,13 @@ impl Executor for ProjectExec<'_> {
             return Ok(None);
         };
         let ctx = cx.ctx;
+        let exprs = &self.proj.as_ref().expect("open raised the expansion error").exprs;
         let mut out_batch = Vec::with_capacity(levels.len());
         for level in levels {
             cx.bindings.push_level(level);
             let result = (|| -> Result<KeyedRow, QueryError> {
-                let mut out = Vec::with_capacity(self.proj.len());
-                for e in &self.proj {
+                let mut out = Vec::with_capacity(exprs.len());
+                for e in exprs {
                     out.push(eval_compiled(ctx, cx.bindings, e)?);
                 }
                 let mut key = Vec::with_capacity(self.keys.len());
@@ -154,7 +91,7 @@ impl Executor for ProjectExec<'_> {
 
 impl RowSource for ProjectExec<'_> {
     fn output_columns(&self) -> &[String] {
-        &self.columns
+        self.proj.as_ref().map_or(&[], |p| &p.columns)
     }
 
     fn take_origins(&mut self) -> Vec<Origin> {

@@ -1,9 +1,9 @@
 //! The scan operators: one per `from` item.
 //!
-//! A [`ScanExec`] materializes its item at open — stored tables through
-//! the chosen [`Access`] path, transition tables through the context's
-//! provider — filtering through the conjuncts the planner pushed down to
-//! it, then emits [`ScanRow`] batches. Its display name tracks the access
+//! A [`ScanExec`] materializes its planned item at open — stored tables
+//! through the chosen [`Access`] path, transition tables through the
+//! context's provider — filtering through the conjuncts the plan pushed
+//! down to it, then emits [`ScanRow`] batches. Its display name tracks the access
 //! path (`seq-scan`, `index-scan`, `index-range-scan`, `empty-scan`,
 //! `transition-scan`).
 //!
@@ -17,14 +17,13 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use setrules_sql::ast::TransitionKind;
-use setrules_storage::{DataType, TableId, TupleHandle, Value};
+use setrules_storage::{TableId, TupleHandle, Value};
 
-use crate::bindings::{Bindings, Frame};
-use crate::compile::{
-    eval_compiled_predicate, holds, CompiledExpr, Layout, LayoutFrame, RowEnv,
-};
+use crate::bindings::Frame;
+use crate::compile::{eval_compiled_predicate, holds, CompiledExpr, RowEnv};
 use crate::error::QueryError;
 use crate::parallel;
+use crate::plan::ItemPlan;
 use crate::planner::{scan_handles, Access};
 use crate::stats;
 
@@ -35,11 +34,10 @@ use super::{Batches, ExecCx, Executor};
 pub(crate) type ScanRow = (Option<(TableId, TupleHandle)>, Vec<Value>);
 
 /// A fully materialized `from` item, as the join and everything above it
-/// sees it: the binding name, column metadata, and the scanned rows.
+/// sees it: the binding name, column names, and the scanned rows.
 pub(crate) struct FromItem {
     pub(crate) binding: String,
     pub(crate) columns: Arc<Vec<String>>,
-    pub(crate) types: Vec<DataType>,
     pub(crate) rows: Vec<ScanRow>,
 }
 
@@ -50,34 +48,12 @@ impl FromItem {
     }
 }
 
-/// The scope the operators above the scans compile against: the outer
-/// scopes plus one innermost level holding this query's items.
-pub(crate) fn items_layout(outer: &Bindings, items: &[FromItem]) -> Layout {
-    let mut layout = outer.layout();
-    layout.push_level(
-        items
-            .iter()
-            .map(|it| LayoutFrame { name: it.binding.clone(), columns: Arc::clone(&it.columns) })
-            .collect(),
-    );
-    layout
-}
-
-/// Where a [`ScanExec`] reads from.
+/// Where a scan reads: a stored table through its chosen access path, or
+/// a transition table served by the context's provider.
 pub(crate) enum ScanSource<'q> {
-    /// A stored table through its chosen access path.
-    Named {
-        /// The table being scanned.
-        tid: TableId,
-        /// The access path the planner selected.
-        access: Access,
-    },
-    /// A transition table served by the context's provider.
+    Named(Access),
     Transition {
-        /// Which transition table.
         kind: TransitionKind,
-        /// The underlying stored table.
-        table: &'q str,
         /// Restrict to tuples whose column was updated/selected.
         column: Option<&'q str>,
     },
@@ -91,8 +67,8 @@ pub(crate) fn admits(conjs: &[CompiledExpr], row: &[Value]) -> bool {
     conjs.iter().all(|cc| !matches!(holds(cc, &mut RowEnv(&[row])), Ok(false)))
 }
 
-/// The display name a scan over `access` gets (also used by the `plan:`
-/// explain line).
+/// The display name a scan over `access` gets (also printed on the
+/// `plan:` explain line).
 pub(crate) fn access_op_name(access: &Access) -> &'static str {
     match access {
         Access::FullScan => "seq-scan",
@@ -102,43 +78,23 @@ pub(crate) fn access_op_name(access: &Access) -> &'static str {
     }
 }
 
-/// The leaf operator: materializes one `from` item at open (filtering
-/// through its pushed-down conjuncts, in parallel when eligible) and
-/// emits it as [`ScanRow`] batches.
+/// The leaf operator: materializes one planned `from` item at open
+/// (filtering through its pushed-down conjuncts, in parallel when
+/// eligible) and emits it as [`ScanRow`] batches.
 pub(crate) struct ScanExec<'q> {
-    pub(crate) binding: String,
-    pub(crate) columns: Arc<Vec<String>>,
-    pub(crate) types: Vec<DataType>,
-    source: ScanSource<'q>,
-    /// Single-item conjuncts the planner pushed down to this scan.
-    conjs: Vec<CompiledExpr>,
+    pub(crate) item: ItemPlan<'q>,
     name: &'static str,
     batch_rows: usize,
     state: Option<Batches<ScanRow>>,
 }
 
 impl<'q> ScanExec<'q> {
-    pub(crate) fn new(
-        binding: String,
-        columns: Arc<Vec<String>>,
-        types: Vec<DataType>,
-        source: ScanSource<'q>,
-        conjs: Vec<CompiledExpr>,
-    ) -> Self {
-        let name = match &source {
-            ScanSource::Named { access, .. } => access_op_name(access),
+    pub(crate) fn new(item: ItemPlan<'q>) -> Self {
+        let name = match &item.source {
+            ScanSource::Named(access) => access_op_name(access),
             ScanSource::Transition { .. } => "transition-scan",
         };
-        ScanExec {
-            binding,
-            columns,
-            types,
-            source,
-            conjs,
-            name,
-            batch_rows: super::BATCH_ROWS,
-            state: None,
-        }
+        ScanExec { item, name, batch_rows: super::BATCH_ROWS, state: None }
     }
 
     #[cfg(test)]
@@ -155,24 +111,25 @@ impl<'q> ScanExec<'q> {
     /// dropped only on a definite non-`true` — see [`admits`].
     fn open(&mut self, cx: &mut ExecCx<'_, '_>) -> Result<Vec<ScanRow>, QueryError> {
         let ctx = cx.ctx;
-        let conjs = &self.conjs;
+        let item = &self.item;
+        let conjs = &item.pushed;
         let local = conjs.iter().all(parallel::is_rowlocal);
         let mut dropped = 0u64;
-        let mut rows: Vec<ScanRow> = match &self.source {
-            ScanSource::Named { tid, access } => {
+        let mut rows: Vec<ScanRow> = match &item.source {
+            ScanSource::Named(access) => {
                 stats::bump(ctx.stats, |s| match access {
                     Access::FullScan => s.full_scans += 1,
                     Access::IndexEq { .. } | Access::IndexIn { .. } => s.index_lookups += 1,
                     Access::IndexRange { .. } => s.range_scans += 1,
                     Access::Empty => s.empty_scans += 1,
                 });
-                let handles = scan_handles(ctx.db, *tid, access);
+                let handles = scan_handles(ctx.db, item.tid, access);
                 if matches!(access, Access::IndexRange { .. }) {
-                    let skipped = (ctx.db.table(*tid).len() - handles.len()) as u64;
+                    let skipped = (ctx.db.table(item.tid).len() - handles.len()) as u64;
                     stats::bump(ctx.stats, |s| s.range_rows_skipped += skipped);
                 }
                 stats::bump(ctx.stats, |s| s.rows_scanned += handles.len() as u64);
-                let (db, tid, handles) = (ctx.db, *tid, &handles);
+                let (db, tid, handles) = (ctx.db, item.tid, &handles);
                 let fetch = |range: Range<usize>| {
                     let mut kept: Vec<ScanRow> = Vec::with_capacity(range.len());
                     let mut dropped = 0u64;
@@ -202,8 +159,8 @@ impl<'q> ScanExec<'q> {
                 }
                 merged
             }
-            ScanSource::Transition { kind, table, column } => {
-                let lent = ctx.virt.rows(ctx.db, *kind, table, *column)?;
+            ScanSource::Transition { kind, column } => {
+                let lent = ctx.virt.rows(ctx.db, *kind, item.table, *column)?;
                 stats::bump(ctx.stats, |s| s.rows_scanned += lent.len() as u64);
                 let mut kept: Vec<ScanRow> = Vec::with_capacity(lent.len());
                 for vals in lent {
@@ -220,8 +177,8 @@ impl<'q> ScanExec<'q> {
             let fetched = rows.len();
             rows.retain(|row| {
                 cx.bindings.push_level(vec![Frame {
-                    name: self.binding.clone(),
-                    columns: Arc::clone(&self.columns),
+                    name: item.binding.clone(),
+                    columns: Arc::clone(&item.columns),
                     row: row.1.clone(),
                 }]);
                 let keep = conjs.iter().all(|cc| {

@@ -29,7 +29,6 @@
 use std::cmp::Ordering;
 use std::collections::HashSet;
 
-use setrules_sql::ast::Expr;
 use setrules_storage::Value;
 
 use crate::error::QueryError;
@@ -167,8 +166,8 @@ fn merge_runs(runs: Vec<Vec<usize>>, cmp: impl Fn(usize, usize) -> Ordering) -> 
 /// Compare two order-by key vectors under the statement's `asc`/`desc`
 /// flags. NULL sorts before every non-NULL value; the rest follows
 /// [`Value`]'s total order.
-fn order_cmp(order_by: &[(Expr, bool)], ka: &[Value], kb: &[Value]) -> Ordering {
-    for (i, (_, asc)) in order_by.iter().enumerate() {
+fn order_cmp(order: &[bool], ka: &[Value], kb: &[Value]) -> Ordering {
+    for (i, asc) in order.iter().enumerate() {
         let ord = ka[i].cmp(&kb[i]);
         let ord = if *asc { ord } else { ord.reverse() };
         if ord != Ordering::Equal {
@@ -183,7 +182,8 @@ fn order_cmp(order_by: &[(Expr, bool)], ka: &[Value], kb: &[Value]) -> Ordering 
 /// reports itself as `topk`).
 pub(crate) struct SortExec<'q> {
     child: Box<dyn RowSource + 'q>,
-    order_by: &'q [(Expr, bool)],
+    /// Per key: ascending?
+    order: Vec<bool>,
     /// The statement's limit; enables the top-K path when small enough.
     /// Truncation itself stays with [`LimitExec`].
     limit: Option<usize>,
@@ -195,12 +195,12 @@ pub(crate) struct SortExec<'q> {
 impl<'q> SortExec<'q> {
     pub(crate) fn new(
         child: Box<dyn RowSource + 'q>,
-        order_by: &'q [(Expr, bool)],
+        order: Vec<bool>,
         limit: Option<usize>,
     ) -> Self {
         SortExec {
             child,
-            order_by,
+            order,
             limit,
             label: "sort",
             state: None,
@@ -225,13 +225,13 @@ impl Executor for SortExec<'_> {
     fn next_batch(&mut self, cx: &mut ExecCx<'_, '_>) -> Result<Option<Self::Batch>, QueryError> {
         if self.state.is_none() {
             let rows = drain(&mut self.child, self.label, cx)?;
-            let order_by = self.order_by;
+            let order = &self.order;
             let mut rows = rows;
             // Comparing `(key, input index)` makes the comparator a total
             // order, so unstable selection/sorting over indices
             // reproduces the stable sort's ordering among equal keys.
             let cmp_idx =
-                |a: usize, b: usize| order_cmp(order_by, &rows[a].0, &rows[b].0).then(a.cmp(&b));
+                |a: usize, b: usize| order_cmp(order, &rows[a].0, &rows[b].0).then(a.cmp(&b));
             match self.limit {
                 Some(k) if k > 0 && k < rows.len() / 4 => {
                     // Top-K: select the K smallest, then sort the prefix.
@@ -273,7 +273,7 @@ impl Executor for SortExec<'_> {
                         let order = merge_runs(runs, cmp_idx);
                         rows = take_rows(rows, &order);
                     } else {
-                        rows.sort_by(|(ka, _), (kb, _)| order_cmp(order_by, ka, kb));
+                        rows.sort_by(|(ka, _), (kb, _)| order_cmp(order, ka, kb));
                     }
                 }
             }

@@ -7,8 +7,6 @@
 //! lowering real statements with tiny batch sizes and comparing against
 //! the default-size pipeline, or against pinned outputs.
 
-use std::sync::Arc;
-
 use setrules_sql::ast::{DmlOp, Statement};
 use setrules_sql::parse_statement;
 use setrules_storage::{ColumnDef, Database, DataType, TableSchema};
@@ -17,10 +15,10 @@ use super::aggregate::AggregateExec;
 use super::filter::FilterExec;
 use super::join::JoinExec;
 use super::project::ProjectExec;
-use super::scan::{ScanExec, ScanSource};
+use super::scan::ScanExec;
 use super::sort::{DistinctExec, LimitExec, SortExec};
 use super::*;
-use crate::planner::Access;
+use crate::plan::{plan_select, Shape, Top};
 use crate::stats::{OpStatsCell, StatsCell};
 use crate::{execute_op, ExecOpts, NoTransitionTables};
 
@@ -99,6 +97,11 @@ impl RowSource for StubSource {
 
 /// A row keyed for ordering: `key` is the order-by key, `val` tags the
 /// input position so stability is observable.
+/// The `order by` directions of `stmt`, as a sort operator takes them.
+fn dirs(stmt: &setrules_sql::ast::SelectStmt) -> Vec<bool> {
+    stmt.order_by.iter().map(|(_, asc)| *asc).collect()
+}
+
 fn kr(key: i64, val: i64) -> KeyedRow {
     (vec![Value::Int(key)], vec![Value::Int(val)])
 }
@@ -136,7 +139,7 @@ fn tail_operators_on_empty_input_emit_nothing() {
     let empty = || Box::new(StubSource::new(vec![]));
     let mut ops: Vec<Box<dyn RowSource>> = vec![
         Box::new(DistinctExec::new(empty())),
-        Box::new(SortExec::new(empty(), &stmt.order_by, None)),
+        Box::new(SortExec::new(empty(), dirs(&stmt), None)),
         Box::new(LimitExec::new(empty(), 3)),
     ];
     for op in &mut ops {
@@ -171,14 +174,14 @@ fn sort_is_stable_and_respects_direction() {
     let mut cx = ExecCx { ctx: QueryCtx::plain(&db), bindings: &mut bindings };
     let input = || vec![vec![kr(2, 0), kr(1, 1)], vec![kr(2, 2), kr(1, 3), kr(3, 4)]];
 
-    let mut op = SortExec::new(Box::new(StubSource::new(input())), &asc.order_by, None)
+    let mut op = SortExec::new(Box::new(StubSource::new(input())), dirs(&asc), None)
         .with_batch_rows(2);
     let (rows, sizes) = pull_dry(&mut op, &mut cx).unwrap();
     assert_eq!(rows, vec![kr(1, 1), kr(1, 3), kr(2, 0), kr(2, 2), kr(3, 4)]);
     assert_eq!(sizes, vec![2, 2, 1], "5 rows at batch_rows=2: off-by-one tail batch");
 
     // Descending reverses key order but keeps equal-key input order.
-    let mut op = SortExec::new(Box::new(StubSource::new(input())), &desc.order_by, None);
+    let mut op = SortExec::new(Box::new(StubSource::new(input())), dirs(&desc), None);
     let (rows, _) = pull_dry(&mut op, &mut cx).unwrap();
     assert_eq!(rows, vec![kr(3, 4), kr(2, 0), kr(2, 2), kr(1, 1), kr(1, 3)]);
 }
@@ -203,7 +206,7 @@ fn sort_topk_gate_and_tiebreak_match_the_full_sort() {
             QueryCtx { stats: Some(&st), op_stats: Some(&ops), ..QueryCtx::plain(&db) };
         let mut cx = ExecCx { ctx, bindings: &mut bindings };
         let src = StubSource::new(vec![rows.clone()]);
-        let mut op = SortExec::new(Box::new(src), &stmt.order_by, limit);
+        let mut op = SortExec::new(Box::new(src), dirs(&stmt), limit);
         let (out, _) = pull_dry(&mut op, &mut cx).unwrap();
         (out, st.snapshot().topk_selected, ops.operators().contains(&"topk"))
     };
@@ -257,7 +260,7 @@ fn tail_operators_propagate_a_mid_stream_error() {
     let failing = || Box::new(StubSource::failing(vec![vec![kr(1, 0)]]));
     let mut ops: Vec<Box<dyn RowSource>> = vec![
         Box::new(DistinctExec::new(failing())),
-        Box::new(SortExec::new(failing(), &stmt.order_by, None)),
+        Box::new(SortExec::new(failing(), dirs(&stmt), None)),
         Box::new(LimitExec::new(failing(), 3)),
     ];
     for op in &mut ops {
@@ -276,7 +279,7 @@ fn tail_operators_account_their_work_per_operator() {
     let mut cx = ExecCx { ctx, bindings: &mut bindings };
     // stub(5 rows in 2 batches) -> sort -> limit 3, re-batched at 2.
     let src = StubSource::new(vec![vec![kr(2, 0), kr(1, 1)], vec![kr(3, 2), kr(1, 3), kr(2, 4)]]);
-    let sort = SortExec::new(Box::new(src), &stmt.order_by, None).with_batch_rows(2);
+    let sort = SortExec::new(Box::new(src), dirs(&stmt), None).with_batch_rows(2);
     let mut op = LimitExec::new(Box::new(sort), 3).with_batch_rows(2);
     let (rows, _) = pull_dry(&mut op, &mut cx).unwrap();
     assert_eq!(rows.len(), 3);
@@ -333,12 +336,12 @@ fn grouped_db() -> Database {
     db
 }
 
-/// Lower `stmt` exactly as the driver does (no pushdown) but with every
-/// operator's batch size forced to `n` and a thread budget of `threads`,
-/// and pull it dry. The front half has no public batch-size knob, so this
-/// mirrors the `lower_where` + `run_select_traced` lowering verbatim — if
-/// that lowering changes shape, this helper is the unit-level pin that
-/// must change with it.
+/// Lower `stmt` exactly as the driver does — from its plan value, with
+/// the fast paths off — but with every operator's batch size forced to
+/// `n` and a thread budget of `threads`, and pull it dry. The driver has
+/// no public batch-size knob, so this mirrors the `lower_read` +
+/// `run_select_traced` lowering verbatim — if that lowering changes
+/// shape, this helper is the unit-level pin that must change with it.
 fn run_tiny(
     db: &Database,
     stmt: &setrules_sql::ast::SelectStmt,
@@ -347,47 +350,24 @@ fn run_tiny(
 ) -> Result<(Vec<String>, Vec<Vec<Value>>), QueryError> {
     let ctx = QueryCtx { threads, ..QueryCtx::plain(db) };
     let mut bindings = Bindings::new();
-    let mut scans = Vec::new();
-    let mut frames = Vec::new();
-    for tref in &stmt.from {
-        let TableSource::Named(name) = &tref.source else { panic!("named tables only") };
-        let tid = ctx.db.table_id(name)?;
-        let schema = ctx.db.schema(tid);
-        let columns = Arc::new(schema.columns.iter().map(|c| c.name.clone()).collect::<Vec<_>>());
-        let types = schema.columns.iter().map(|c| c.ty).collect();
-        frames.push(crate::compile::LayoutFrame {
-            name: tref.binding_name().to_string(),
-            columns: Arc::clone(&columns),
-        });
-        scans.push(
-            ScanExec::new(
-                tref.binding_name().to_string(),
-                columns,
-                types,
-                ScanSource::Named { tid, access: Access::FullScan },
-                Vec::new(),
-            )
-            .with_batch_rows(n),
-        );
-    }
-    let mut layout = crate::compile::Layout::new();
-    layout.push_level(frames);
-    let full_pred = stmt.predicate.as_ref().map(|p| Arc::new(crate::compile::compile(p, &layout)));
-    let join = JoinExec::new(scans, stmt.predicate.as_ref()).with_batch_rows(n);
-    let filter = FilterExec::new(join, full_pred, false).with_batch_rows(n);
-    let mut top: Box<dyn RowSource + '_> = if is_grouped(stmt) {
-        Box::new(AggregateExec::new(filter, stmt).with_batch_rows(n))
-    } else {
-        Box::new(ProjectExec::new(filter, stmt))
+    let plan = plan_select(ctx, stmt, &bindings.layout(), true)?;
+    let Shape::Pipeline(pipeline) = plan.shape else { panic!("fast paths are off") };
+    let read = plan.read;
+    let op = read.join_op();
+    let scans = read.items.into_iter().map(|it| ScanExec::new(it).with_batch_rows(n)).collect();
+    let join = JoinExec::new(scans, read.edges, op).with_batch_rows(n);
+    let filter = FilterExec::new(join, read.predicate, false).with_batch_rows(n);
+    let mut top: Box<dyn RowSource + '_> = match pipeline.top {
+        Top::Aggregate(prog) => Box::new(AggregateExec::new(filter, prog).with_batch_rows(n)),
+        Top::Project { proj, keys } => Box::new(ProjectExec::new(filter, proj, keys)),
     };
-    if stmt.distinct {
+    if pipeline.distinct {
         top = Box::new(DistinctExec::new(top).with_batch_rows(n));
     }
-    let limit = stmt.limit.map(|k| k as usize);
-    if !stmt.order_by.is_empty() {
-        top = Box::new(SortExec::new(top, &stmt.order_by, limit).with_batch_rows(n));
+    if !pipeline.order.is_empty() {
+        top = Box::new(SortExec::new(top, pipeline.order, pipeline.limit).with_batch_rows(n));
     }
-    if let Some(k) = limit {
+    if let Some(k) = pipeline.limit {
         top = Box::new(LimitExec::new(top, k).with_batch_rows(n));
     }
     let mut cx = ExecCx { ctx, bindings: &mut bindings };

@@ -1,19 +1,23 @@
-//! `explain`: report the access path chosen for each `from` item of a
-//! select, and — for multi-item `from` clauses — the greedy join order the
-//! compiled executor would run. This is the observable face of the
-//! planner, and the evidence behind the paper's claim (§1) that relational
-//! optimization applies to rule bodies unchanged.
+//! `explain`: print a select's plan value — the access path chosen for
+//! each `from` item, sort elision and top-K eligibility, the greedy join
+//! order over estimated cardinalities, the operator chain and its
+//! exchange-eligible stages. It makes no planning decision of its own:
+//! the value is the one [`plan_select`] builds for execution, so the
+//! printed plan is the executed one. This is the observable face of the
+//! planner, and the evidence behind the paper's claim (§1) that
+//! relational optimization applies to rule bodies unchanged.
 
 use std::fmt::Write as _;
 use std::ops::Bound;
-use std::sync::Arc;
 
 use setrules_sql::ast::{Expr, SelectStmt, TableSource, TransitionKind};
-use setrules_storage::{Database, Value};
+use setrules_storage::{ColumnId, Database, Value};
 
-use crate::compile::{Layout, LayoutFrame};
+use crate::compile::Layout;
 use crate::ctx::{QueryCtx, SubqueryCache};
-use crate::planner::{build_join_plan, choose_access, equi_join_edges, scan_handles, Access};
+use crate::exec::scan::{access_op_name, ScanSource};
+use crate::plan::{plan_select, ItemPlan, Pipeline, SelectPlan, Shape, Top};
+use crate::planner::{build_join_plan, scan_handles, Access};
 
 /// A key interval in mathematical notation: `[4, 6]`, `(5, +inf)`. The
 /// `Excluded(NULL)` lower bound the planner uses to skip the NULL bucket
@@ -66,129 +70,92 @@ pub fn explain_condition(
 }
 
 /// Describe how each `from` item of `stmt` would be scanned, and how a
-/// multi-item `from` would be joined.
+/// multi-item `from` would be joined: the statement's plan value, as
+/// `plan_select` builds it for execution, printed line by line.
 pub fn explain_select(ctx: QueryCtx<'_>, stmt: &SelectStmt) -> String {
     // Plan as execution does — with a statement subquery memo, so the
-    // semi-join access is visible (and its subquery runs once however
-    // many of the reports below ask for the access path).
+    // semi-join access is visible.
     let memo = SubqueryCache::new();
     let ctx = QueryCtx { cache: ctx.cache.or(Some(&memo)), ..ctx };
     let mut out = String::new();
-    let sole = stmt.from.len() == 1;
-    for tref in &stmt.from {
-        let binding = tref.binding_name();
-        match &tref.source {
-            TableSource::Named(name) => match ctx.db.table_id(name) {
-                Ok(tid) => {
-                    let access = choose_access(ctx, tid, binding, sole, stmt.predicate.as_ref());
-                    let desc = match access {
-                        Access::FullScan => format!("seq scan ({} rows)", ctx.db.table(tid).len()),
-                        Access::IndexEq { column, value } => format!(
-                            "index probe on {}.{} = {}",
-                            name,
-                            ctx.db.schema(tid).column_name(column),
-                            value
-                        ),
-                        Access::IndexIn { column, ref values, from_subquery } => format!(
-                            "index multi-probe on {}.{} in ({}){}",
-                            name,
-                            ctx.db.schema(tid).column_name(column),
-                            describe_probes(values),
-                            if from_subquery { " from subquery" } else { "" }
-                        ),
-                        Access::IndexRange { column, ref lo, ref hi } => format!(
-                            "index range scan on {}.{} over {}",
-                            name,
-                            ctx.db.schema(tid).column_name(column),
-                            describe_interval(lo, hi)
-                        ),
-                        Access::Empty => "empty (predicate unsatisfiable)".to_string(),
-                    };
-                    let _ = writeln!(out, "{binding}: {desc}");
-                }
-                Err(_) => {
-                    let _ = writeln!(out, "{binding}: unknown table '{name}'");
-                }
-            },
-            TableSource::Transition { kind, table, column } => {
-                let _ = writeln!(
-                    out,
-                    "{binding}: transition table {}",
-                    crate::provider::describe(*kind, table, column.as_deref())
-                );
+    let Ok(plan) = plan_select(ctx, stmt, &Layout::new(), false) else {
+        // Planning stops at an unknown table (execution would error
+        // before lowering): name the unknown ones, and nothing else.
+        for tref in &stmt.from {
+            let (TableSource::Named(name) | TableSource::Transition { table: name, .. }) =
+                &tref.source;
+            if ctx.db.table_id(name).is_err() {
+                let _ = writeln!(out, "{}: unknown table '{name}'", tref.binding_name());
             }
         }
+        return out;
+    };
+    let read = &plan.read;
+    for item in &read.items {
+        let name = item.table;
+        let desc = match &item.source {
+            ScanSource::Named(Access::FullScan) => {
+                format!("seq scan ({} rows)", ctx.db.table(item.tid).len())
+            }
+            ScanSource::Named(Access::IndexEq { column, value }) => {
+                format!("index probe on {name}.{} = {value}", col(item, *column))
+            }
+            ScanSource::Named(Access::IndexIn { column, values, from_subquery }) => format!(
+                "index multi-probe on {name}.{} in ({}){}",
+                col(item, *column),
+                describe_probes(values),
+                if *from_subquery { " from subquery" } else { "" }
+            ),
+            ScanSource::Named(Access::IndexRange { column, lo, hi }) => format!(
+                "index range scan on {name}.{} over {}",
+                col(item, *column),
+                describe_interval(lo, hi)
+            ),
+            ScanSource::Named(Access::Empty) => "empty (predicate unsatisfiable)".to_string(),
+            ScanSource::Transition { kind, column } => {
+                format!("transition table {}", crate::provider::describe(*kind, name, *column))
+            }
+        };
+        let _ = writeln!(out, "{}: {desc}", item.binding);
     }
 
-    // Sort-elision report: when the executor would answer `order by` in
-    // ordered-index order (and short-circuit `limit`) instead of sorting.
-    if let Some((tid, oc, _)) = crate::select::elidable_order_column(ctx, stmt) {
-        if let TableSource::Named(name) = &stmt.from[0].source {
-            let _ = writeln!(
-                out,
-                "order by: elided via ordered index on {}.{}",
-                name,
-                ctx.db.schema(tid).column_name(oc)
-            );
+    // Sort-elision report: the executor answers `order by` in
+    // ordered-index order (and short-circuits `limit`) instead of sorting.
+    if let Shape::IndexOrder(o) = &plan.shape {
+        let item = &read.items[0];
+        let column = col(item, o.column);
+        let _ = writeln!(out, "order by: elided via ordered index on {}.{column}", item.table);
+    }
+
+    // Top-K report: an ordered, limited pipeline is eligible for the
+    // sort's partial-selection path; it engages at run time when the
+    // limit is small relative to the result.
+    if let Shape::Pipeline(Pipeline { order, limit: Some(k), .. }) = &plan.shape {
+        if !order.is_empty() && *k > 0 {
+            let _ =
+                writeln!(out, "limit: top-{k} selection eligible (engages when {k} < rows / 4)");
         }
     }
 
-    // Top-K report: an ordered, limited select that cannot elide its sort
-    // is eligible for the partial-selection fast path (see the order/limit
-    // step of the select executor); it engages at run time when the limit
-    // is small relative to the result.
-    if !stmt.order_by.is_empty()
-        && stmt.limit.is_some_and(|k| k > 0)
-        && crate::select::elidable_order_column(ctx, stmt).is_none()
-    {
-        let k = stmt.limit.expect("checked above");
-        let _ = writeln!(out, "limit: top-{k} selection eligible (engages when {k} < rows / 4)");
-    }
-
-    // Join-order report: the same greedy planning the compiled executor
-    // performs, over estimated per-item cardinalities (index probes are
-    // estimated from the index buckets; transition tables are unknown at
-    // plan time and estimated as 0, keeping them early in the order —
-    // which is where rule conditions want them).
-    if stmt.from.len() > 1 {
-        let mut frames = Vec::with_capacity(stmt.from.len());
-        let mut cols: Vec<Arc<Vec<String>>> = Vec::with_capacity(stmt.from.len());
-        let mut types = Vec::with_capacity(stmt.from.len());
-        let mut cards = Vec::with_capacity(stmt.from.len());
-        for tref in &stmt.from {
-            let name = match &tref.source {
-                TableSource::Named(n) => n,
-                TableSource::Transition { table, .. } => table,
-            };
-            let Ok(tid) = ctx.db.table_id(name) else { return out };
-            let schema = ctx.db.schema(tid);
-            let columns =
-                Arc::new(schema.columns.iter().map(|c| c.name.clone()).collect::<Vec<_>>());
-            cols.push(Arc::clone(&columns));
-            frames.push(LayoutFrame { name: tref.binding_name().to_string(), columns });
-            types.push(schema.columns.iter().map(|c| c.ty).collect::<Vec<_>>());
-            cards.push(match &tref.source {
-                TableSource::Transition { .. } => 0,
-                TableSource::Named(_) => {
-                    let access =
-                        choose_access(ctx, tid, tref.binding_name(), sole, stmt.predicate.as_ref());
-                    match &access {
-                        Access::Empty => 0,
-                        Access::FullScan => ctx.db.table(tid).len(),
-                        Access::IndexEq { .. }
-                        | Access::IndexIn { .. }
-                        | Access::IndexRange { .. } => scan_handles(ctx.db, tid, &access).len(),
-                    }
-                }
-            });
-        }
-        let mut layout = Layout::new();
-        layout.push_level(frames);
-        let edges = equi_join_edges(stmt.predicate.as_ref(), &layout, &types);
-        let plan = build_join_plan(&cards, &edges);
-        let bname = |i: usize| stmt.from[i].binding_name();
-        let mut line = format!("join order: {} ({} rows)", bname(plan.first), cards[plan.first]);
-        for step in &plan.steps {
+    // Join-order report: the greedy order the join operator computes at
+    // run time from scanned cardinalities, here over estimates (index
+    // probes are estimated from the index buckets; transition tables are
+    // unknown at plan time and estimated as 0, keeping them early in the
+    // order — which is where rule conditions want them).
+    if read.items.len() > 1 {
+        let cards: Vec<usize> = read
+            .items
+            .iter()
+            .map(|item| match &item.source {
+                ScanSource::Transition { .. } | ScanSource::Named(Access::Empty) => 0,
+                ScanSource::Named(Access::FullScan) => ctx.db.table(item.tid).len(),
+                ScanSource::Named(access) => scan_handles(ctx.db, item.tid, access).len(),
+            })
+            .collect();
+        let order = build_join_plan(&cards, &read.edges);
+        let bname = |i: usize| read.items[i].binding.as_str();
+        let mut line = format!("join order: {} ({} rows)", bname(order.first), cards[order.first]);
+        for step in &order.steps {
             let kind = if step.edges.is_empty() {
                 "cross".to_string()
             } else {
@@ -199,9 +166,9 @@ pub fn explain_select(ctx: QueryCtx<'_>, stmt: &SelectStmt) -> String {
                         format!(
                             "{}.{} = {}.{}",
                             bname(step.item),
-                            cols[step.item][nc],
+                            read.items[step.item].columns[nc],
                             bname(pi),
-                            cols[pi][pc]
+                            read.items[pi].columns[pc]
                         )
                     })
                     .collect::<Vec<_>>()
@@ -213,24 +180,109 @@ pub fn explain_select(ctx: QueryCtx<'_>, stmt: &SelectStmt) -> String {
         let _ = writeln!(out, "{line}");
     }
 
-    // Operator-tree report: the chain the statement lowers to, in pull
-    // order. Derived from the same gate functions the lowering driver
-    // uses (`plan_ops`), so this line cannot drift from executed code.
-    // Absent when a `from` item is an unknown table (execution would
-    // error before lowering).
-    if let Some(ops) = crate::exec::plan_ops(ctx, stmt) {
-        let _ = writeln!(out, "plan: {}", ops.join(" -> "));
-    }
-
-    // Exchange-eligibility report: the stages of the plan above that a
-    // multi-threaded run would partition onto the worker pool, from the
-    // same gates the operators use (see `crate::exec::parallel_stages`).
+    let _ = writeln!(out, "plan: {}", operator_chain(&plan).join(" -> "));
     // Absent when nothing is eligible, so serial-only plans stay
     // byte-identical to their pre-exchange form.
-    if let Some(stages) = crate::exec::parallel_stages(ctx, stmt) {
+    let stages = exchange_stages(&plan);
+    if !stages.is_empty() {
         let _ = writeln!(out, "parallel: {}", stages.join(", "));
     }
     out
+}
+
+/// The name of column `c` of `item`.
+fn col<'a>(item: &'a ItemPlan, c: ColumnId) -> &'a str {
+    &item.columns[usize::from(c.0)]
+}
+
+/// The operator chain of `plan` as display names in pull order — the
+/// names the operators record on the per-operator side channel.
+fn operator_chain(plan: &SelectPlan) -> Vec<String> {
+    let read = &plan.read;
+    let pipeline = match &plan.shape {
+        Shape::MinMax(_) => return vec![format!("index-minmax({})", read.items[0].table)],
+        Shape::IndexOrder(o) => {
+            let item = &read.items[0];
+            let column = col(item, o.column);
+            let mut ops = vec![format!("index-order-scan({}.{column})", item.binding)];
+            if read.predicate.is_some() {
+                ops.push("filter".into());
+            }
+            ops.push("project".into());
+            if o.limit.is_some() {
+                ops.push("limit".into());
+            }
+            return ops;
+        }
+        Shape::Pipeline(p) => p,
+    };
+    let mut ops: Vec<String> = read
+        .items
+        .iter()
+        .map(|item| match &item.source {
+            ScanSource::Named(access) => format!("{}({})", access_op_name(access), item.binding),
+            ScanSource::Transition { .. } => format!("transition-scan({})", item.binding),
+        })
+        .collect();
+    ops.extend(read.join_op().map(String::from));
+    if read.predicate.is_some() {
+        ops.push("filter".into());
+    }
+    match &pipeline.top {
+        // Grouped: always two-phase, with the exchange between the phases
+        // when the partial phase may run on the pool. Shape-only, so the
+        // line is identical at every thread count.
+        Top::Aggregate(prog) => {
+            ops.push("partial-aggregate".into());
+            if prog.as_ref().is_ok_and(|p| p.rows_exchangeable) {
+                ops.push("exchange".into());
+            }
+            ops.push("final-aggregate".into());
+        }
+        Top::Project { .. } => ops.push("project".into()),
+    }
+    if pipeline.distinct {
+        ops.push("distinct".into());
+    }
+    if !pipeline.order.is_empty() {
+        ops.push("sort".into());
+    }
+    if pipeline.limit.is_some() {
+        ops.push("limit".into());
+    }
+    ops
+}
+
+/// The pipeline stages of `plan` that are *exchange-eligible* — the
+/// stages a multi-threaded run would partition onto the worker pool, in
+/// pipeline order (none for the fast paths). The WHERE pass exchanges
+/// only a row-local predicate, the join exchanges its hash build/probe
+/// (so it needs an equi-edge), aggregation exchanges when either of its
+/// phases may leave the serial environment, and distinct/sort/top-K
+/// partition on values alone. Shape-only — the run-time size gate cannot
+/// be decided here, so the line is identical at every thread count.
+fn exchange_stages(plan: &SelectPlan) -> Vec<&'static str> {
+    let Shape::Pipeline(p) = &plan.shape else { return Vec::new() };
+    let read = &plan.read;
+    let mut stages = Vec::new();
+    if read.join_op() == Some("hash-join") {
+        stages.push("join");
+    }
+    if read.predicate.as_ref().is_some_and(crate::parallel::is_rowlocal) {
+        stages.push("where");
+    }
+    if let Top::Aggregate(Ok(prog)) = &p.top {
+        if prog.rows_exchangeable || prog.groups_exchangeable {
+            stages.push("aggregate");
+        }
+    }
+    if p.distinct {
+        stages.push("distinct");
+    }
+    if !p.order.is_empty() {
+        stages.push("sort");
+    }
+    stages
 }
 
 #[cfg(test)]

@@ -4,10 +4,10 @@
 //! A rule condition is re-evaluated at every consideration, but between
 //! two considerations the engine already knows *exactly* what changed:
 //! the `[I, D, U]` transition effect composed per Definition 2.1. This
-//! module decides, once per rule (cached in the rule's [`PlanCache`]),
-//! whether the condition can be evaluated *incrementally* — by keeping
-//! materialized per-term state and repairing it from the delta — instead
-//! of re-scanning the transition tables.
+//! module decides, once per rule (kept in the engine's prepared state for
+//! the rule), whether the condition can be evaluated *incrementally* — by
+//! keeping materialized per-term state and repairing it from the delta —
+//! instead of re-scanning the transition tables.
 //!
 //! # Incrementalizable shapes
 //!
@@ -688,10 +688,8 @@ pub struct TermState {
 }
 
 /// Per-rule materialized condition state: one [`TermState`] per term.
-/// Lives in the rule's [`PlanCache`] next to the compiled plans and dies
-/// with it on DDL.
-///
-/// [`PlanCache`]: crate::compile::PlanCache
+/// Lives in the rule's prepared state (see [`IncrState`]) and dies with
+/// it on DDL.
 #[derive(Debug, Clone, Default)]
 pub struct IncMemo {
     /// `terms[i]` = term `i`'s memo and cursor.
@@ -722,9 +720,9 @@ impl IncMemo {
     }
 }
 
-/// Per-rule incremental-evaluation state, stored in the rule's
-/// [`PlanCache`](crate::compile::PlanCache) so DDL invalidation frees it
-/// together with the compiled plans.
+/// Per-rule incremental-evaluation state, owned by the engine's prepared
+/// state for the rule beside its compiled condition, so DDL invalidation
+/// frees both together.
 #[derive(Debug)]
 pub struct IncrState {
     /// The one-time shape analysis: the incremental plan, or why the rule

@@ -17,9 +17,9 @@
 //!   `in`-list, and range predicates, applying the same optimization to
 //!   rule bodies as to user queries (§1);
 //! * a compile-once pipeline ([`compile`]) lowering expressions to
-//!   slot-addressed [`compile::CompiledExpr`] form, with an N-way join
-//!   planner in the `select` executor and a [`compile::PlanCache`] the
-//!   rule engine keys per rule.
+//!   slot-addressed [`compile::CompiledExpr`] form: each `select` is
+//!   planned once per execution into one plan value that the operator
+//!   tree runs and [`explain_select`] prints.
 
 #![warn(missing_docs)]
 
@@ -34,6 +34,7 @@ mod explain;
 pub mod incremental;
 pub mod like;
 pub mod parallel;
+mod plan;
 pub mod planner;
 mod provider;
 pub mod refs;
@@ -42,8 +43,7 @@ mod select;
 mod stats;
 
 pub use compile::{
-    compile, compile_cached, eval_compiled, eval_compiled_predicate, CompiledExpr, Layout,
-    LayoutFrame, PlanCache,
+    compile, eval_compiled, eval_compiled_predicate, CompiledExpr, Layout, LayoutFrame,
 };
 pub use ctx::{QueryCtx, SubqueryCache};
 pub use dml::{execute_op, execute_query, ExecOpts, OpEffect};

@@ -11,8 +11,8 @@
 //! # Row-locality (the serial-fallback rule)
 //!
 //! Workers never see a [`crate::QueryCtx`]: the shared subquery memo
-//! (`RefCell`), the stats cell (`Cell`), and the plan cache are all
-//! single-threaded interior mutability. There is one evaluator
+//! (`RefCell`) and the stats cell (`Cell`) are single-threaded interior
+//! mutability. There is one evaluator
 //! (`compile::eval`); what a worker gets is a smaller *environment* for
 //! it — `compile::RowEnv`, the current row(s) and nothing else. A tree
 //! may run there only when it is *row-local* (`is_rowlocal`): every

@@ -11,6 +11,7 @@
 
 use std::collections::HashSet;
 use std::ops::Bound;
+use std::sync::Arc;
 
 use setrules_sql::ast::{BinaryOp, Expr, SelectStmt};
 use setrules_storage::{ColumnId, DataType, Database, TableId, Value};
@@ -267,7 +268,7 @@ fn in_subquery_candidate(
     binding: &str,
     sole_item: bool,
     col_side: &Expr,
-    subquery: &SelectStmt,
+    subquery: &Arc<SelectStmt>,
 ) -> Option<Access> {
     let column = indexed_column(ctx, schema, table, binding, sole_item, col_side)?;
     let rows = ctx.db.table(table).len();
@@ -650,10 +651,10 @@ impl JoinPlan {
 /// Float keys are excluded so that storage-level hash equality provably
 /// agrees with SQL equality (`-0.0`/`0.0` and NaN make floats unsafe as
 /// hash keys).
-pub fn equi_join_edges(
+pub fn equi_join_edges<T: AsRef<[DataType]>>(
     predicate: Option<&Expr>,
     layout: &Layout,
-    types: &[Vec<DataType>],
+    types: &[T],
 ) -> Vec<EquiEdge> {
     let Some(pred) = predicate else {
         return Vec::new();
@@ -680,7 +681,7 @@ pub fn equi_join_edges(
         if fa == fb {
             continue;
         }
-        let (ta, tb) = (types[fa][ca], types[fb][cb]);
+        let (ta, tb) = (types[fa].as_ref()[ca], types[fb].as_ref()[cb]);
         if ta == tb && ta != DataType::Float && !edges.contains(&(fa, ca, fb, cb)) {
             edges.push((fa, ca, fb, cb));
         }

@@ -96,6 +96,9 @@ echo "==> one executor (naive reference differentials + grouped shapes that once
 # statement reports the partial-aggregate / final-aggregate phases and
 # no one-pass `aggregate` operator, and that delete and update report
 # the seq-scan and filter operators their identification runs through.
+# The plan-drift case runs every explain query at 1 and 8 threads and
+# checks that the operators which recorded work are exactly the ones the
+# `plan:` line names -- explain prints the plan value the executor runs.
 # The self-join case checks that a select's traced tuples get the
 # columns of every `from` item they were read through (section 5.1).
 cargo test -q -p setrules-core --test query_pipeline -- \
@@ -103,7 +106,8 @@ cargo test -q -p setrules-core --test query_pipeline -- \
   compiled_and_interpreted_agree_on_error_producing_queries \
   grouped_statements_match_the_reference \
   update_set_expressions_match_a_naive_update \
-  delete_predicates_match_a_naive_delete
+  delete_predicates_match_a_naive_delete \
+  explain_plan_line_names_the_operators_that_ran
 cargo test -q -p setrules-query --lib -- \
   exec::tests::grouped_fallback_shapes_run_two_phase_at_every_batch_size \
   exec::tests::aggregate_op_stats_labels_follow_the_path \
@@ -152,8 +156,10 @@ echo "==> acceptance counters (B11-B17 work-counter bars)"
 # deterministic work-counter bars behind experiments B11-B17
 # (EXPERIMENTS.md; their wall-clock side is rulebench): the planned 3-way
 # join visits <= half of the 80 000 combinations a nested loop would and
-# a refiring rule hits the plan cache (B11); an ordered index range-walks, elides the sort, and
-# answers min/max without a scan (B12); pooled runs match serial ones row
+# a refiring rule reuses its prepared state (B11); an ordered index
+# range-walks, elides the sort, and answers min/max without a scan -- and
+# a NaN boundary leaves min/max to one scan with no lookup counted
+# (B12); pooled runs match serial ones row
 # for row and engage the pool on scans, joins, aggregation, distinct and
 # top-K (B13, B16); group commit is one append + sync per transaction
 # against >= 22 for sync-per-record (B14); storm watchers rebuild once,
@@ -164,9 +170,26 @@ cargo test -q -p setrules-core \
   --test wal_recovery --test incremental_eval -- \
   golden_explain_three_way_join_order plan_cache_hits_on_repeated_processing_and_clears_on_ddl \
   explicit_abort_restores_ordered_index_contents \
+  min_max_on_a_nan_boundary_counts_only_the_path_it_takes \
   parallel_matches_serial_on_adversarial_queries group_by_aggregation_engages_the_pool \
   group_commit_batches_a_transaction_into_one_append_and_sync \
   shared_delta_cursor_fans_out_across_watchers
+
+echo "==> no address-keyed caches (pointer-to-integer casts in non-test source)"
+# A memo keyed by an AST node's address cast to an integer is sound only
+# while every holder drops it before the node moves, which nothing
+# enforces. Plans are values owned by their execution or their rule, and
+# the per-statement subquery memo finds entries by the shared allocation
+# it holds. Non-test source: every file under crates/*/src except
+# `tests.rs` modules, up to its first top-level #[cfg(test)].
+casts=$(find crates/*/src -name '*.rs' ! -name tests.rs -print0 \
+  | xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } /as \*const .* as usize/ { print FILENAME ":" FNR ": " $0 }')
+if [ -n "$casts" ]; then
+  echo "$casts" >&2
+  echo "error: pointer cast to an integer key in non-test source" >&2
+  exit 1
+fi
+echo "    no pointer-to-integer keys"
 
 echo "==> EngineEvent enum guard"
 # Variant names: capitalized identifiers at 4-space indent inside the

@@ -6,15 +6,17 @@
 //!   execution strategy, never a semantics change;
 //! * **boundary semantics**: NULLs never match a range, NaN bounds make a
 //!   predicate unsatisfiable, NaN *values* are excluded from every range;
-//! * **plan-cache lifecycle**: creating or dropping an ordered index from
-//!   inside a rule action mid-`process rules` invalidates every cached
-//!   plan, exactly like hash-index DDL;
+//! * **prepared-rule lifecycle**: creating or dropping an ordered index
+//!   from inside a rule action mid-`process rules` drops every rule's
+//!   prepared state, exactly like hash-index DDL;
+//! * **min/max counters**: a NaN boundary leaves the statement to the
+//!   pipeline without counting the fast path's lookups;
 //! * **§4 abort**: rolling back a transaction (explicitly or through a
 //!   `rollback` rule action) restores the ordered index's BTree buckets
 //!   byte-identically (via `Database::state_image`).
 
 use setrules_core::{RuleSystem, TxnOutcome};
-use setrules_query::{execute_op, execute_query, ExecOpts, NoTransitionTables};
+use setrules_query::{execute_op, execute_query, ExecOpts, NoTransitionTables, StatsCell};
 use setrules_sql::ast::{DmlOp, SelectStmt, Statement};
 use setrules_sql::parse_statement;
 use setrules_storage::{ColumnDef, ColumnId, DataType, Database, IndexKind, TableSchema, Value};
@@ -223,6 +225,32 @@ fn null_and_nan_range_boundaries() {
         // Inverted range.
         assert_eq!(count(&db, "select count(*) from t where k between 7 and 5"), 0);
     }
+}
+
+/// The min/max fast path answers only from NaN-free boundary keys, and
+/// the plan decides that before anything is counted: a NaN stored in `f`
+/// sends `min(a), max(f)` to the pipeline — one full scan — with no index
+/// lookup counted for `a`, whose boundary was fine. Without the NaN the
+/// fast path answers with one lookup per column and no scan.
+#[test]
+fn min_max_on_a_nan_boundary_counts_only_the_path_it_takes() {
+    let mut db = Database::new();
+    let cols = vec![ColumnDef::new("a", DataType::Int), ColumnDef::new("f", DataType::Float)];
+    let t = db.create_table(TableSchema::new("t", cols)).unwrap();
+    exec(&mut db, "insert into t values (1, 1.5), (2, 2.5)");
+    for c in [0, 1] {
+        db.create_index_of(t, ColumnId(c), IndexKind::Ordered).unwrap();
+    }
+    let work = |db: &Database| {
+        let stats = StatsCell::new();
+        let opts = ExecOpts { stats: Some(&stats), ..Default::default() };
+        let _ = execute_query(db, &NoTransitionTables, &sel("select min(a), max(f) from t"), &opts);
+        let s = stats.snapshot();
+        (s.index_lookups, s.full_scans)
+    };
+    assert_eq!(work(&db), (2, 0), "the fast path answers");
+    exec(&mut db, "insert into t values (3, 0.0 / 0.0)");
+    assert_eq!(work(&db), (0, 1), "the pipeline answers, and only its scan counts");
 }
 
 /// The three ordering paths — the generic sort comparator, the top-K

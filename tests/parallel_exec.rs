@@ -178,7 +178,7 @@ fn run(db: &Database, stmt: &SelectStmt, threads: usize) -> (Result<Relation, St
         db,
         &NoTransitionTables,
         stmt,
-        &ExecOpts { stats: Some(&st), plans: None, threads, op_stats: None },
+        &ExecOpts { stats: Some(&st), threads, op_stats: None },
     );
     (r.map_err(|e| e.to_string()), st.snapshot())
 }
