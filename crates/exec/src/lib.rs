@@ -156,10 +156,10 @@ impl WorkerPool {
         }
     }
 
-    /// Split `0..n` into up to `max_parts` contiguous ranges of at least
-    /// `min_chunk` items each, run `work` on every range (other partitions
-    /// on pool workers, the first inline on the caller), and return the
-    /// per-partition results **in partition order**.
+    /// Split `0..n` as [`partition_ranges`] does, run `work` on every
+    /// range (other partitions on pool workers, the first inline on the
+    /// caller), and return the per-partition results **in partition
+    /// order**.
     ///
     /// Partitions are disjoint, contiguous, and cover `0..n` in order, so
     /// concatenating the results reproduces the serial left-to-right
@@ -251,24 +251,25 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Split `0..n` into at most `max_parts` contiguous ranges, none smaller
-/// than `min_chunk` (except possibly the last), covering `0..n` in order.
+/// Split `0..n` into `min(max_parts, n / min_chunk)` contiguous ranges
+/// (at least one), covering `0..n` in order. Range sizes differ by at
+/// most one, so none is smaller than `min_chunk` unless `n` itself is.
 /// Returns an empty vec when `n == 0`.
 pub fn partition_ranges(n: usize, max_parts: usize, min_chunk: usize) -> Vec<Range<usize>> {
     if n == 0 {
         return Vec::new();
     }
-    let min_chunk = min_chunk.max(1);
-    let parts = max_parts.max(1).min(n.div_ceil(min_chunk));
-    let chunk = n.div_ceil(parts);
-    let mut out = Vec::with_capacity(parts);
+    let parts = max_parts.min(n / min_chunk.max(1)).max(1);
+    let (size, extra) = (n / parts, n % parts);
     let mut start = 0usize;
-    while start < n {
-        let end = (start + chunk).min(n);
-        out.push(start..end);
-        start = end;
-    }
-    out
+    (0..parts)
+        .map(|i| {
+            let end = start + size + usize::from(i < extra);
+            let range = start..end;
+            start = end;
+            range
+        })
+        .collect()
 }
 
 /// Number of threads to use when the caller expressed no preference:
@@ -315,7 +316,11 @@ mod tests {
                         next = r.end;
                     }
                     assert_eq!(next, n, "covers 0..n");
-                    assert!(ranges.len() <= parts.max(1));
+                    let want = if n == 0 { 0 } else { parts.min(n / min_chunk).max(1) };
+                    assert_eq!(ranges.len(), want, "n={n} parts={parts} min={min_chunk}");
+                    if n >= min_chunk {
+                        assert!(ranges.iter().all(|r| r.len() >= min_chunk), "{ranges:?}");
+                    }
                 }
             }
         }

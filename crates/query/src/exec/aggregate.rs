@@ -6,23 +6,23 @@
 //! * **Partial.** The filter's batches are accumulated as they stream —
 //!   per group: the group key, the row count, and the collected non-NULL
 //!   argument values of every aggregate call — so group-by never
-//!   materializes the full input. When every key and aggregate argument is
-//!   row-local, each batch exchanges into per-partition accumulators,
-//!   merged into global groups in partition order. Otherwise (outer
-//!   references, subqueries, unresolvable names) the batch is walked
-//!   serially, each row pushed onto the scope stack.
+//!   materializes the full input. Each row is folded into its group in
+//!   serial order: over the row's own frames when every key and
+//!   aggregate argument is row-local, otherwise (outer references,
+//!   subqueries, unresolvable names) with the row pushed onto the scope
+//!   stack. A batch holds at most `BATCH_ROWS` rows, below the exchange's
+//!   size gate, so this phase never exchanges.
 //! * **Final.** `having`, the projection list and the `order by` keys are
 //!   evaluated once per group over its representative row, folding each
-//!   aggregate's merged value vector through the [`fold_aggregate`]
+//!   aggregate's collected value vector through the [`fold_aggregate`]
 //!   kernel. When those trees are row-local apart from their aggregate
 //!   calls this phase exchanges across groups; otherwise it runs serially
 //!   with the representative row pushed onto the scope stack, so outer
 //!   references, subqueries and interpreter fallbacks evaluate per group.
 //!
-//! Because partial vectors concatenate in partition order, fold order —
+//! Because every row is folded in serial encounter order, fold order —
 //! and therefore float rounding, overflow sites, dedup order for
-//! `distinct`, and error selection — is exactly the serial encounter
-//! order. Errors surface as in a per-group walk of the statement: the filter is
+//! `distinct`, and error selection — is exactly the serial one. Errors surface as in a per-group walk of the statement: the filter is
 //! blocking (all its errors surface on the first pull), a failed wildcard
 //! expansion right after that first pull, group-key errors surface in
 //! combination order, and aggregate-argument errors are *recorded* per
@@ -32,7 +32,6 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -66,9 +65,9 @@ pub(crate) struct GroupProgram {
     having: Option<CompiledExpr>,
     proj: Vec<CompiledExpr>,
     order: Vec<CompiledExpr>,
-    /// Every key and leaf argument is row-local: the partial phase may
-    /// run on pool workers.
-    pub(crate) rows_exchangeable: bool,
+    /// Every key and leaf argument is row-local: the partial phase
+    /// evaluates each row over its own frames, without the scope stack.
+    pub(crate) rows_local: bool,
     /// `having`, projections and `order by` keys are row-local apart from
     /// their aggregate calls: the final phase may run on pool workers.
     pub(crate) groups_exchangeable: bool,
@@ -101,8 +100,7 @@ pub(crate) fn group_program(
     for e in having.iter().chain(&proj_exprs).chain(&order) {
         collect_leaf_args(e, &mut leaf_args);
     }
-    let rows_exchangeable =
-        keys.iter().all(is_rowlocal) && leaf_args.iter().flatten().all(is_rowlocal);
+    let rows_local = keys.iter().all(is_rowlocal) && leaf_args.iter().flatten().all(is_rowlocal);
     let groups_exchangeable = having.iter().chain(&proj_exprs).chain(&order).all(is_grouplocal);
     let columns = proj.iter().map(|(_, n)| n.clone()).collect();
     GroupProgram {
@@ -112,7 +110,7 @@ pub(crate) fn group_program(
         having,
         proj: proj_exprs,
         order,
-        rows_exchangeable,
+        rows_local,
         groups_exchangeable,
     }
 }
@@ -126,105 +124,9 @@ enum LeafAcc {
     Err(QueryError),
 }
 
-/// One group discovered by a partial-phase partition, in local
-/// first-seen order. `first` indexes the batch row that discovered it
-/// (the representative-row candidate).
-struct LocalGroup {
-    key: Vec<Value>,
-    first: usize,
-    rows_n: u64,
-    leaves: Vec<LeafAcc>,
-}
-
-/// A partition's partial-phase output: its local groups, and its first
-/// group-key error (evaluation of the range stops there).
-#[derive(Default)]
-struct PartialOutput {
-    groups: Vec<LocalGroup>,
-    err: Option<QueryError>,
-}
-
-impl PartialOutput {
-    /// Evaluate batch row `i`'s group key in `env`, then fold its leaf
-    /// arguments into that group; `Err` is a group-key error.
-    fn add_row<E: Env>(
-        &mut self,
-        index: &mut HashMap<Vec<Value>, usize>,
-        prog: &GroupProgram,
-        i: usize,
-        env: &mut E,
-    ) -> Result<(), QueryError> {
-        let mut key = Vec::with_capacity(prog.keys.len());
-        for k in &prog.keys {
-            key.push(compile::eval(k, env)?);
-        }
-        let slot = match index.entry(key) {
-            Entry::Occupied(o) => *o.get(),
-            Entry::Vacant(v) => {
-                self.groups.push(LocalGroup {
-                    key: v.key().clone(),
-                    first: i,
-                    rows_n: 0,
-                    leaves: vec![LeafAcc::Vals(Vec::new()); prog.leaf_args.len()],
-                });
-                *v.insert(self.groups.len() - 1)
-            }
-        };
-        let g = &mut self.groups[slot];
-        g.rows_n += 1;
-        for (arg, acc) in prog.leaf_args.iter().zip(g.leaves.iter_mut()) {
-            // count(*) needs only rows_n; an already-errored leaf stays
-            // errored (the serial fold would have stopped there).
-            let (Some(arg), LeafAcc::Vals(vals)) = (arg, &mut *acc) else { continue };
-            match compile::eval(arg, env) {
-                Ok(v) => {
-                    if !v.is_null() {
-                        vals.push(v);
-                    }
-                }
-                Err(e) => *acc = LeafAcc::Err(e),
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Phase 1: accumulate one contiguous range of a batch into local groups.
-/// With no `scope` each row is evaluated over its own frames, which is
-/// what pool workers do (row-exchangeable programs only); with one, each
-/// row is pushed onto the scope stack and evaluated there.
-fn accumulate_range(
-    batch: &[Level],
-    range: Range<usize>,
-    prog: &GroupProgram,
-    mut scope: Option<Scoped<'_, '_>>,
-) -> PartialOutput {
-    let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-    let mut out = PartialOutput::default();
-    for i in range {
-        let added = match &mut scope {
-            None => {
-                let frames: Vec<&[Value]> = batch[i].iter().map(|f| f.row.as_slice()).collect();
-                out.add_row(&mut index, prog, i, &mut RowEnv(&frames))
-            }
-            Some(scoped) => {
-                scoped.bindings.push_level(batch[i].clone());
-                let added = out.add_row(&mut index, prog, i, scoped);
-                scoped.bindings.pop_level();
-                added
-            }
-        };
-        if let Err(e) = added {
-            out.err = Some(e);
-            break;
-        }
-    }
-    out
-}
-
-/// One global group after the partial phase: representative row (first
-/// row of the group in serial order; `None` only for the synthetic empty
-/// ungrouped group), total row count, and per-leaf merged state.
+/// One group after the partial phase: representative row (first row of
+/// the group in serial order; `None` only for the synthetic empty
+/// ungrouped group), total row count, and per-leaf state.
 struct GroupData {
     repr: Option<Level>,
     rows_n: u64,
@@ -238,51 +140,82 @@ impl GroupData {
     }
 }
 
-/// Merge one partition's partial output into the global groups, in
-/// partition order: value vectors concatenate (serial encounter order),
-/// errors are sticky earliest-first, and a partition's key error raises
-/// after its preceding rows merged — exactly the serial walk's first
-/// error.
-fn merge_partial(
-    batch: &[Level],
-    out: PartialOutput,
+/// Evaluate `level`'s group key in `env`, then fold its leaf arguments
+/// into that group (a new one, first-seen order, when the key is new);
+/// `Err` is a group-key error.
+fn add_row<E: Env>(
     index: &mut HashMap<Vec<Value>, usize>,
     groups: &mut Vec<GroupData>,
-    n_leaves: usize,
+    prog: &GroupProgram,
+    level: &Level,
+    env: &mut E,
 ) -> Result<(), QueryError> {
-    for lg in out.groups {
-        let slot = match index.entry(lg.key) {
-            Entry::Occupied(o) => *o.get(),
-            Entry::Vacant(v) => {
-                groups.push(GroupData {
-                    repr: Some(batch[lg.first].clone()),
-                    rows_n: 0,
-                    leaves: vec![LeafAcc::Vals(Vec::new()); n_leaves],
-                });
-                *v.insert(groups.len() - 1)
+    let mut key = Vec::with_capacity(prog.keys.len());
+    for k in &prog.keys {
+        key.push(compile::eval(k, env)?);
+    }
+    let slot = match index.entry(key) {
+        Entry::Occupied(o) => *o.get(),
+        Entry::Vacant(v) => {
+            groups.push(GroupData {
+                repr: Some(level.clone()),
+                rows_n: 0,
+                leaves: vec![LeafAcc::Vals(Vec::new()); prog.leaf_args.len()],
+            });
+            *v.insert(groups.len() - 1)
+        }
+    };
+    let g = &mut groups[slot];
+    g.rows_n += 1;
+    for (arg, acc) in prog.leaf_args.iter().zip(g.leaves.iter_mut()) {
+        // count(*) needs only rows_n; an already-errored leaf stays
+        // errored (the serial fold would have stopped there).
+        let (Some(arg), LeafAcc::Vals(vals)) = (arg, &mut *acc) else { continue };
+        match compile::eval(arg, env) {
+            Ok(v) => {
+                if !v.is_null() {
+                    vals.push(v);
+                }
             }
-        };
-        let g = &mut groups[slot];
-        g.rows_n += lg.rows_n;
-        for (dst, src) in g.leaves.iter_mut().zip(lg.leaves) {
-            match (&mut *dst, src) {
-                (LeafAcc::Err(_), _) => {}
-                (LeafAcc::Vals(d), LeafAcc::Vals(mut s)) => d.append(&mut s),
-                (d, LeafAcc::Err(e)) => *d = LeafAcc::Err(e),
+            Err(e) => *acc = LeafAcc::Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Phase 1: fold one batch into the groups, row by row in serial order,
+/// stopping at the first group-key error. With no `scope` each row is
+/// evaluated over its own frames (row-exchangeable programs only); with
+/// one, each row is pushed onto the scope stack and evaluated there.
+fn accumulate_batch(
+    batch: &[Level],
+    prog: &GroupProgram,
+    mut scope: Option<Scoped<'_, '_>>,
+    index: &mut HashMap<Vec<Value>, usize>,
+    groups: &mut Vec<GroupData>,
+) -> Result<(), QueryError> {
+    for level in batch {
+        match &mut scope {
+            None => {
+                let frames: Vec<&[Value]> = level.iter().map(|f| f.row.as_slice()).collect();
+                add_row(index, groups, prog, level, &mut RowEnv(&frames))?;
+            }
+            Some(scoped) => {
+                scoped.bindings.push_level(level.clone());
+                let added = add_row(index, groups, prog, level, scoped);
+                scoped.bindings.pop_level();
+                added?;
             }
         }
     }
-    match out.err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    Ok(())
 }
 
 /// The final-phase environment of one group: everything but aggregate
 /// calls goes to `inner`, which reads the group's representative row (a
 /// [`RowEnv`] over its frames, or [`Scoped`] with it pushed), and reaching
 /// aggregate leaf `i` raises that leaf's recorded error or folds its
-/// merged values — so a short-circuited aggregate's error is skipped
+/// collected values — so a short-circuited aggregate's error is skipped
 /// exactly like a per-group walk.
 struct GroupEnv<'a, E> {
     inner: E,
@@ -385,11 +318,11 @@ impl<'q> AggregateExec<'q> {
         self.run_two_phase(cx, &prog, first)
     }
 
-    /// Two-phase streaming aggregation: accumulate each filter batch into
-    /// partial groups (exchanged when big enough and row-exchangeable),
-    /// merge in partition order, then evaluate `having`/projection/`order
-    /// by` per group (exchanged across groups when there are enough and
-    /// the program is group-exchangeable).
+    /// Two-phase streaming aggregation: fold each filter batch into the
+    /// groups, then evaluate `having`/projection/`order by` per group
+    /// (exchanged across groups when there are enough and the program is
+    /// group-exchangeable). The partial phase's operator stats count the
+    /// groups each batch created.
     fn run_two_phase(
         &mut self,
         cx: &mut ExecCx<'_, '_>,
@@ -397,7 +330,6 @@ impl<'q> AggregateExec<'q> {
         first: Option<Vec<Level>>,
     ) -> Result<Vec<KeyedRow>, QueryError> {
         let ctx = cx.ctx;
-        let n_leaves = prog.leaf_args.len();
         let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
         let mut groups: Vec<GroupData> = Vec::new();
 
@@ -405,26 +337,12 @@ impl<'q> AggregateExec<'q> {
         let mut next = first;
         while let Some(batch) = next {
             cx.rows_in("partial-aggregate", batch.len());
-            let exchange = Exchange::plan(ctx, batch.len());
-            let outputs = match exchange {
-                Some(ex) if prog.rows_exchangeable => {
-                    let b = &batch;
-                    ex.run(ctx, |range| accumulate_range(b, range, prog, None))
-                }
-                _ => {
-                    if exchange.is_some() {
-                        Exchange::serial_fallback(ctx);
-                    }
-                    let scoped = Scoped { ctx, bindings: &mut *cx.bindings };
-                    let scope = (!prog.rows_exchangeable).then_some(scoped);
-                    vec![accumulate_range(&batch, 0..batch.len(), prog, scope)]
-                }
-            };
-            for out in outputs {
-                if !out.groups.is_empty() {
-                    cx.batch_out("partial-aggregate", out.groups.len());
-                }
-                merge_partial(&batch, out, &mut index, &mut groups, n_leaves)?;
+            let before = groups.len();
+            let scoped = Scoped { ctx, bindings: &mut *cx.bindings };
+            let scope = (!prog.rows_local).then_some(scoped);
+            accumulate_batch(&batch, prog, scope, &mut index, &mut groups)?;
+            if groups.len() > before {
+                cx.batch_out("partial-aggregate", groups.len() - before);
             }
             next = self.filter.next_batch(cx)?;
         }
@@ -435,7 +353,7 @@ impl<'q> AggregateExec<'q> {
             groups.push(GroupData {
                 repr: None,
                 rows_n: 0,
-                leaves: vec![LeafAcc::Vals(Vec::new()); n_leaves],
+                leaves: vec![LeafAcc::Vals(Vec::new()); prog.leaf_args.len()],
             });
         }
 
@@ -550,9 +468,8 @@ mod tests {
         let mut bindings = Bindings::new();
         let batch = [level.clone()];
         let (mut index, mut groups) = (HashMap::new(), Vec::new());
-        let scope = (!prog.rows_exchangeable).then_some(Scoped { ctx, bindings: &mut bindings });
-        let partial = accumulate_range(&batch, 0..1, &prog, scope);
-        merge_partial(&batch, partial, &mut index, &mut groups, prog.leaf_args.len())
+        let scope = (!prog.rows_local).then_some(Scoped { ctx, bindings: &mut bindings });
+        accumulate_batch(&batch, &prog, scope, &mut index, &mut groups)
             .expect("no group keys, so no key error");
         let g = &groups[0];
         let having = prog.having.as_ref().expect("statement has a having");

@@ -2,17 +2,20 @@
 //!
 //! Every parallel phase of the executor — partitioned scans (selects and
 //! DML identification alike), hash-join build/probe, the WHERE pass, the
-//! partial-aggregation phase, distinct dedup, sorting, and top-K
-//! selection — goes through [`Exchange`]. The operator owns the three
-//! things PR 5 used to hand-thread at every call site:
+//! final-aggregate phase, distinct dedup, sorting, and top-K selection —
+//! goes through [`Exchange`]. The operator owns three things that would
+//! otherwise be hand-threaded at every call site:
 //!
-//! 1. **Gating.** [`Exchange::plan`] admits a phase only when the thread
-//!    budget exceeds 1 and the phase has at least
-//!    [`parallel::PAR_THRESHOLD`] items. With `MIN_CHUNK = 16` that
-//!    guarantees at least two partitions, so a planned exchange always
-//!    actually fans out. Row-locality gating stays with the caller (only
-//!    it knows which expressions cross threads); when a big-enough phase
-//!    is refused for that reason, [`Exchange::serial_fallback`] makes the
+//! 1. **Gating.** One measured constant, [`MIN_PARTITION`], is the number
+//!    of items one partition must carry to pay for its hand-off to a pool
+//!    worker and its place in the ordered merge. [`Exchange::plan`]
+//!    admits a phase only when the thread budget exceeds 1 and the phase
+//!    has at least two partitions' worth of items, and [`Exchange::run`]
+//!    cuts it into `min(threads, n / MIN_PARTITION)` partitions — so the
+//!    same number decides whether a phase fans out and how wide, at every
+//!    thread budget. Row-locality gating stays with the caller (only it
+//!    knows which expressions cross threads); when a big-enough phase is
+//!    refused for that reason, [`Exchange::serial_fallback`] makes the
 //!    refusal observable.
 //! 2. **Partitioned dispatch.** [`Exchange::run`] splits `0..n` into
 //!    contiguous ranges of the serial iteration order on the process-wide
@@ -34,10 +37,20 @@
 
 use std::ops::Range;
 
+use setrules_exec::{partition_ranges, WorkerPool};
+
 use crate::ctx::QueryCtx;
 use crate::error::QueryError;
-use crate::parallel;
 use crate::stats;
+
+/// Items (rows, combinations, build/probe entries, groups) one partition
+/// must carry to pay for its hand-off. Set from a 1-against-2-thread
+/// sweep of every exchange site at 64 to 65 536 items on a 2-core box
+/// (EXPERIMENTS.md B16): below about 4 096 items no site ran faster on
+/// two threads. Every golden paper example, and the point and
+/// department-sized statements of an OLTP transaction, stay on the exact
+/// serial path.
+const MIN_PARTITION: usize = 2048;
 
 /// A planned partitioned phase: `0..n` split across `threads` partitions.
 /// Existence proves the gate passed (so the phase *will* fan out).
@@ -48,11 +61,10 @@ pub(crate) struct Exchange {
 
 impl Exchange {
     /// Gate a phase of `n` items: `Some` only when the context's thread
-    /// budget exceeds 1 and `n` reaches [`parallel::PAR_THRESHOLD`].
-    /// Every golden paper example stays below the threshold and therefore
-    /// on the exact serial path.
+    /// budget exceeds 1 and `n` fills at least two partitions of
+    /// [`MIN_PARTITION`] items.
     pub(crate) fn plan(ctx: QueryCtx<'_>, n: usize) -> Option<Exchange> {
-        if ctx.threads > 1 && n >= parallel::PAR_THRESHOLD {
+        if ctx.threads > 1 && n >= 2 * MIN_PARTITION {
             Some(Exchange { n, threads: ctx.threads })
         } else {
             None
@@ -66,28 +78,27 @@ impl Exchange {
         stats::bump(ctx.stats, |s| s.serial_fallbacks += 1);
     }
 
-    /// Run `work` over contiguous partitions of `0..n` and return the
-    /// per-partition results **in partition order** (the first partition
-    /// runs inline on the caller; the rest on pool workers).
+    /// Run `work` over `min(threads, n / MIN_PARTITION)` contiguous
+    /// partitions of `0..n` and return the per-partition results **in
+    /// partition order** (the first partition runs inline on the caller;
+    /// the rest on pool workers).
     pub(crate) fn run<R: Send>(
         &self,
         ctx: QueryCtx<'_>,
         work: impl Fn(Range<usize>) -> R + Sync,
     ) -> Vec<R> {
-        let results =
-            parallel::pool().run_chunked(self.n, self.threads, parallel::MIN_CHUNK, work);
-        let parts = results.len();
-        if parts > 1 {
-            stats::bump(ctx.stats, |s| {
-                s.parallel_scans += 1;
-                s.parallel_partitions += parts as u64;
-            });
-        }
+        let results = WorkerPool::global().run_chunked(self.n, self.threads, MIN_PARTITION, work);
+        // The gate admitted at least two partitions' worth of items, so
+        // the phase did fan out.
+        stats::bump(ctx.stats, |s| {
+            s.parallel_scans += 1;
+            s.parallel_partitions += results.len() as u64;
+        });
         if let Some(ops) = ctx.op_stats {
             // One batch per partition, sized by that partition's range —
             // the "rows per partition" view of the fan-out.
             ops.rows_in("exchange", self.n);
-            for r in setrules_exec::partition_ranges(self.n, self.threads, parallel::MIN_CHUNK) {
+            for r in partition_ranges(self.n, self.threads, MIN_PARTITION) {
                 ops.batch_out("exchange", r.len());
             }
         }
@@ -151,20 +162,35 @@ mod tests {
     #[test]
     fn plan_gates_on_threads_and_size() {
         let db = Database::new();
-        assert!(Exchange::plan(ctx_with_threads(&db, 1), 1000).is_none());
-        assert!(Exchange::plan(ctx_with_threads(&db, 8), 63).is_none());
-        let ex = Exchange::plan(ctx_with_threads(&db, 8), 64).expect("gate passes");
-        // A planned exchange always fans out: 64 items at MIN_CHUNK=16
-        // yield at least two partitions for any budget >= 2.
+        let gate = 2 * MIN_PARTITION;
+        assert!(Exchange::plan(ctx_with_threads(&db, 1), 100 * gate).is_none());
+        assert!(Exchange::plan(ctx_with_threads(&db, 8), gate - 1).is_none());
+        // The partial-aggregate phase never exchanges because of this.
+        assert!(Exchange::plan(ctx_with_threads(&db, 8), crate::exec::BATCH_ROWS).is_none());
+        let ex = Exchange::plan(ctx_with_threads(&db, 8), gate).expect("gate passes");
+        // A planned exchange always fans out: exactly two partitions at
+        // the gate, whatever the budget.
         let parts = ex.run(ctx_with_threads(&db, 8), |r| r.len());
-        assert!(parts.len() > 1, "{parts:?}");
-        assert_eq!(parts.iter().sum::<usize>(), 64);
+        assert_eq!(parts, vec![MIN_PARTITION; 2]);
+    }
+
+    #[test]
+    fn partitions_carry_at_least_min_partition_items() {
+        let db = Database::new();
+        let ctx = ctx_with_threads(&db, 8);
+        for n in [2 * MIN_PARTITION, 3 * MIN_PARTITION - 1, 5 * MIN_PARTITION + 7, 100_000] {
+            let parts = Exchange::plan(ctx, n).expect("above the gate").run(ctx, |r| r.len());
+            assert_eq!(parts.len(), (n / MIN_PARTITION).min(8), "n={n}");
+            assert!(parts.iter().all(|&len| len >= MIN_PARTITION), "n={n}: {parts:?}");
+            assert_eq!(parts.iter().sum::<usize>(), n);
+        }
     }
 
     #[test]
     fn judge_merges_in_order() {
         let db = Database::new();
-        let ex = Exchange::plan(ctx_with_threads(&db, 8), 1000).unwrap();
+        let n = 5 * MIN_PARTITION;
+        let ex = Exchange::plan(ctx_with_threads(&db, 8), n).unwrap();
         let verdicts =
             ex.judge(ctx_with_threads(&db, 8), |i| Ok((i % 3 == 0).then_some(i)));
         assert!(verdicts.len() > 1);
@@ -175,17 +201,18 @@ mod tests {
             combos += v.combos;
             kept.extend(v.kept);
         }
-        assert_eq!(combos, 1000);
-        let expected: Vec<usize> = (0..1000).filter(|i| i % 3 == 0).collect();
+        assert_eq!(combos as usize, n);
+        let expected: Vec<usize> = (0..n).filter(|i| i % 3 == 0).collect();
         assert_eq!(kept, expected);
     }
 
     #[test]
     fn judge_partitions_stop_at_their_first_error() {
         let db = Database::new();
-        let ex = Exchange::plan(ctx_with_threads(&db, 8), 256).unwrap();
+        let ex = Exchange::plan(ctx_with_threads(&db, 8), 4 * MIN_PARTITION).unwrap();
         let verdicts = ex.judge::<usize>(ctx_with_threads(&db, 8), |i| {
-            if i % 100 == 7 {
+            // Every partition holds an erroring item.
+            if i % MIN_PARTITION == 7 {
                 Err(QueryError::DivisionByZero)
             } else {
                 Ok(Some(i))
@@ -212,11 +239,12 @@ mod tests {
         let db = Database::new();
         let ops = crate::stats::OpStatsCell::new();
         let ctx = QueryCtx { threads: 8, op_stats: Some(&ops), ..QueryCtx::plain(&db) };
-        let ex = Exchange::plan(ctx, 100).unwrap();
+        let n = 3 * MIN_PARTITION;
+        let ex = Exchange::plan(ctx, n).unwrap();
         let parts = ex.run(ctx, |r| r.len());
         let c = ops.get("exchange");
-        assert_eq!(c.rows_in, 100);
+        assert_eq!(c.rows_in as usize, n);
         assert_eq!(c.batches as usize, parts.len());
-        assert_eq!(c.rows_out, 100, "partition sizes cover the input");
+        assert_eq!(c.rows_out as usize, n, "partition sizes cover the input");
     }
 }

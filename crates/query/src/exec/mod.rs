@@ -27,11 +27,11 @@
 //!   operator: contiguous ranges, merged in partition order.
 //! * [`exchange::Exchange`] — not a tree node but the one gate every
 //!   partitioned phase goes through: it decides whether a phase fans out
-//!   (thread budget, [`crate::parallel::PAR_THRESHOLD`]), dispatches
-//!   contiguous ranges on the worker pool, returns per-partition results
-//!   in partition order, and owns the parallelism counters and the
-//!   earliest-error merge rule (see [`crate::parallel`] for row-locality,
-//!   `docs/parallel-execution.md` for the model).
+//!   and how wide (thread budget, `MIN_PARTITION` items per partition),
+//!   dispatches contiguous ranges on the worker pool, returns
+//!   per-partition results in partition order, and owns the parallelism
+//!   counters and the earliest-error merge rule (see [`crate::parallel`]
+//!   for row-locality, `docs/parallel-execution.md` for the model).
 //! * [`join::JoinExec`] — drains its child scans and assembles row
 //!   combinations through the greedy N-way hash/cross
 //!   [`JoinPlan`](crate::planner::JoinPlan). Hash-step builds and probes
@@ -50,11 +50,10 @@
 //!   (`group by` / `having` / aggregate calls), emitting rows keyed by
 //!   their `order by` values. Every grouped statement lowers to a
 //!   `GroupProgram` and runs *two-phase*: a streaming `partial-aggregate`
-//!   phase accumulates each input batch (exchanged into per-partition
-//!   accumulators, merged in encounter order, when its keys and aggregate
-//!   arguments are row-local), and a `final-aggregate` phase folds the
-//!   groups — itself exchanged when there are enough and its trees are
-//!   row-local apart from their aggregate calls.
+//!   phase accumulates each input batch serially (a batch is smaller than
+//!   the exchange's gate), and a `final-aggregate` phase folds the
+//!   groups — exchanged when there are enough and its trees are row-local
+//!   apart from their aggregate calls.
 //! * [`sort::DistinctExec`], [`sort::SortExec`], [`sort::LimitExec`] —
 //!   `distinct` dedup, the stable order-by sort with its top-K
 //!   partial-selection fast path, and the `limit` truncation. Distinct

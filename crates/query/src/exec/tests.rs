@@ -425,8 +425,8 @@ fn pipeline_errors_are_identical_at_every_batch_size() {
 }
 
 /// The two-phase aggregation gives the pinned rows at every batch size —
-/// the partial phase accumulates per batch, so tiny batches exercise the
-/// cross-batch group merge that `BATCH_ROWS` never splits.
+/// the partial phase accumulates per batch, so tiny batches exercise
+/// groups spanning batches, which `BATCH_ROWS` never splits.
 #[test]
 fn two_phase_aggregation_matches_legacy_at_every_batch_size() {
     let db = test_db();

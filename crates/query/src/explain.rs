@@ -229,16 +229,8 @@ fn operator_chain(plan: &SelectPlan) -> Vec<String> {
         ops.push("filter".into());
     }
     match &pipeline.top {
-        // Grouped: always two-phase, with the exchange between the phases
-        // when the partial phase may run on the pool. Shape-only, so the
-        // line is identical at every thread count.
-        Top::Aggregate(prog) => {
-            ops.push("partial-aggregate".into());
-            if prog.as_ref().is_ok_and(|p| p.rows_exchangeable) {
-                ops.push("exchange".into());
-            }
-            ops.push("final-aggregate".into());
-        }
+        // Grouped: always two-phase.
+        Top::Aggregate(_) => ops.extend(["partial-aggregate".into(), "final-aggregate".into()]),
         Top::Project { .. } => ops.push("project".into()),
     }
     if pipeline.distinct {
@@ -257,8 +249,8 @@ fn operator_chain(plan: &SelectPlan) -> Vec<String> {
 /// stages a multi-threaded run would partition onto the worker pool, in
 /// pipeline order (none for the fast paths). The WHERE pass exchanges
 /// only a row-local predicate, the join exchanges its hash build/probe
-/// (so it needs an equi-edge), aggregation exchanges when either of its
-/// phases may leave the serial environment, and distinct/sort/top-K
+/// (so it needs an equi-edge), aggregation exchanges its final phase when
+/// that may leave the serial environment, and distinct/sort/top-K
 /// partition on values alone. Shape-only — the run-time size gate cannot
 /// be decided here, so the line is identical at every thread count.
 fn exchange_stages(plan: &SelectPlan) -> Vec<&'static str> {
@@ -272,7 +264,7 @@ fn exchange_stages(plan: &SelectPlan) -> Vec<&'static str> {
         stages.push("where");
     }
     if let Top::Aggregate(Ok(prog)) = &p.top {
-        if prog.rows_exchangeable || prog.groups_exchangeable {
+        if prog.groups_exchangeable {
             stages.push("aggregate");
         }
     }

@@ -2,11 +2,11 @@
 //!
 //! Partitioned dispatch itself lives in the exchange operator
 //! ([`crate::exec::exchange`]): every parallel phase plans an
-//! `Exchange`, which owns the gate ([`PAR_THRESHOLD`]), the contiguous
-//! partitioning on the process-wide [`setrules_exec::WorkerPool`], the
-//! partition-order merge, and the parallelism counters. This module
-//! keeps what the exchange's *callers* need to decide whether an
-//! expression may cross threads at all.
+//! `Exchange`, which owns the size gate (`MIN_PARTITION`), the
+//! contiguous partitioning on the process-wide
+//! [`setrules_exec::WorkerPool`], the partition-order merge, and the
+//! parallelism counters. This module keeps what the exchange's *callers*
+//! need to decide whether an expression may cross threads at all.
 //!
 //! # Row-locality (the serial-fallback rule)
 //!
@@ -23,24 +23,7 @@
 //! otherwise, the caller counts a `serial_fallbacks` tick
 //! (`Exchange::serial_fallback`) so the fallback is observable.
 
-use setrules_exec::WorkerPool;
-
 use crate::compile::CompiledExpr;
-
-/// Minimum number of items (rows, combinations, build/probe entries) a
-/// phase must have before it is worth handing to the pool — the size half
-/// of the `Exchange::plan` gate. Small inputs — including every golden
-/// paper example — stay on the exact serial path.
-pub(crate) const PAR_THRESHOLD: usize = 64;
-
-/// Minimum partition size: below this, extra partitions cost more in
-/// scheduling than they save in work.
-pub(crate) const MIN_CHUNK: usize = 16;
-
-/// The process-wide worker pool.
-pub(crate) fn pool() -> &'static WorkerPool {
-    WorkerPool::global()
-}
 
 /// Whether `e` may be evaluated in a [`crate::compile::RowEnv`] — with
 /// nothing but the current row(s).

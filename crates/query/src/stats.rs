@@ -55,16 +55,18 @@ pub struct ExecStats {
     pub range_rows_skipped: u64,
     /// `order by` clauses answered by index order instead of a sort.
     pub sort_elided: u64,
-    /// Query phases (scan+pushdown, hash build, hash probe, WHERE pass)
-    /// executed on the worker pool instead of serially.
+    /// Query phases (scan+pushdown, hash build, hash probe, WHERE pass,
+    /// final aggregate, distinct, sort, top-K) executed on the worker pool
+    /// instead of serially.
     pub parallel_scans: u64,
     /// Total partitions handed to the worker pool across all parallel
     /// phases (a phase with 4 partitions adds 4).
     pub parallel_partitions: u64,
-    /// Phases that met the size threshold for parallel execution but ran
-    /// serially because evaluation is not row-local (correlated
-    /// subqueries needing the shared memo, interpreter fallbacks, outer
-    /// references) — proof the executor never races shared state.
+    /// Phases that passed the exchange's gate (a thread budget above 1
+    /// and at least two partitions' worth of items) but ran serially
+    /// because evaluation is not row-local (correlated subqueries needing
+    /// the shared memo, interpreter fallbacks, outer references) — proof
+    /// the executor never races shared state.
     pub serial_fallbacks: u64,
     /// `order by ... limit k` clauses answered by top-k selection
     /// (partial select + prefix sort) instead of a full sort.

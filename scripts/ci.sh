@@ -22,11 +22,11 @@ echo "==> cargo test -q (SETRULES_THREADS=1: exact serial paths)"
 # worker pool pinned off just as it does with the default budget.
 SETRULES_THREADS=1 cargo test -q
 
-echo "==> cargo test -q (SETRULES_THREADS=8: every exchange forced on)"
-# ...and with the pool forced wide, so every exchange-eligible stage
-# (scan, join build/probe, WHERE, two-phase aggregation, distinct,
-# sort/top-K) actually partitions while the whole suite's golden outputs
-# stay bit-identical.
+echo "==> cargo test -q (SETRULES_THREADS=8: every exchange whose input reaches the gate)"
+# ...and with the pool wide, so every exchange-eligible stage (scan, join
+# build/probe, WHERE, final aggregation, distinct, sort/top-K) whose input
+# reaches the gate (two partitions of MIN_PARTITION items) actually
+# partitions while the whole suite's golden outputs stay bit-identical.
 SETRULES_THREADS=8 cargo test -q
 
 echo "==> cargo test -q (SETRULES_INCR=0: full re-scan condition evaluation)"
@@ -88,7 +88,7 @@ echo "==> one executor (naive reference differentials + grouped shapes that once
 # unknown columns) at 1 and 8 threads, and random `update ... set` and
 # `delete ... where` statements (error-producing and `in (select ...)`
 # predicates included, at 1 and 8 threads on tables on both sides of the
-# exchange threshold) to tests/common/reference.rs -- nested loops and
+# exchange's gate) to tests/common/reference.rs -- nested loops and
 # the AST evaluator, no planner -- exactly: same rows in the same order
 # or the same error text, and the same state image after DML. The unit
 # tests run the grouped corpus at batch sizes 1, 2, 3 and 1024 under 1
@@ -101,6 +101,9 @@ echo "==> one executor (naive reference differentials + grouped shapes that once
 # `plan:` line names -- explain prints the plan value the executor runs.
 # The self-join case checks that a select's traced tuples get the
 # columns of every `from` item they were read through (section 5.1).
+# The idle-pool case runs OLTP-shaped statements (a point update, a
+# 300-row department update with a rule firing on it) on an 8-thread
+# engine and checks that no phase reaches the exchange's gate.
 cargo test -q -p setrules-core --test query_pipeline -- \
   compiled_and_interpreted_agree_on_random_queries \
   compiled_and_interpreted_agree_on_error_producing_queries \
@@ -112,6 +115,8 @@ cargo test -q -p setrules-query --lib -- \
   exec::tests::grouped_fallback_shapes_run_two_phase_at_every_batch_size \
   exec::tests::aggregate_op_stats_labels_follow_the_path \
   dml::tests::op_stats_reach_every_read_phase
+cargo test -q -p setrules-core --test parallel_exec -- \
+  below_the_gate_the_pool_stays_idle
 cargo test -q -p setrules-core --test extensions -- \
   selected_columns_follow_the_items_a_tuple_joined_through
 

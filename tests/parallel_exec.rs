@@ -41,8 +41,12 @@ fn sel(sql: &str) -> SelectStmt {
 // ----------------------------------------------------------------------
 
 /// A database whose rows deliberately contain every value the float/NULL
-/// semantics treat specially, at sizes above the parallel threshold so
-/// thread budgets > 1 actually engage the pool.
+/// semantics treat specially. `t` is past the exchange's gate (two
+/// partitions of `MIN_PARTITION` = 2 048 items), so thread budgets > 1
+/// actually engage the pool, and its unique `g` column gives a group-by
+/// enough groups for the final aggregate to exchange too. `u` stays
+/// small, which keeps the joins with it, and the correlated subquery over
+/// it, cheap.
 fn adversarial_db(rng: &mut Rng) -> Database {
     let mut db = Database::new();
     let t = db
@@ -53,6 +57,7 @@ fn adversarial_db(rng: &mut Rng) -> Database {
                 ColumnDef::new("b", DataType::Float),
                 ColumnDef::new("s", DataType::Text),
                 ColumnDef::new("k", DataType::Int),
+                ColumnDef::new("g", DataType::Int),
             ],
         ))
         .unwrap();
@@ -68,7 +73,7 @@ fn adversarial_db(rng: &mut Rng) -> Database {
     if rng.chance(1, 2) {
         db.create_index(u, ColumnId(0)).unwrap();
     }
-    for i in 0..64 + rng.below(140) {
+    for i in 0..4096 + rng.below(140) {
         let a = match rng.below(8) {
             0 => Value::Null,
             1 => Value::Int(-(i as i64)),
@@ -86,9 +91,9 @@ fn adversarial_db(rng: &mut Rng) -> Database {
             _ => Value::Text(rng.pick(&["ab", "ba", "abc", "", "%_"]).to_string()),
         };
         let k = Value::Int(rng.range_i64(0, 8));
-        db.insert(t, Tuple(vec![a, b, s, k])).unwrap();
+        db.insert(t, Tuple(vec![a, b, s, k, Value::Int(i as i64)])).unwrap();
     }
-    for _ in 0..64 + rng.below(80) {
+    for _ in 0..8 + rng.below(24) {
         db.insert(
             u,
             Tuple(vec![
@@ -101,14 +106,35 @@ fn adversarial_db(rng: &mut Rng) -> Database {
     db
 }
 
+/// The stage past the `where` pass whose exchange a [`Shape`] can reach.
+#[derive(Clone, Copy)]
+enum Tail {
+    /// `distinct`, `order by`, or `order by … limit` (top-K) over rows.
+    Rows = 0,
+    /// The final-aggregate phase over the groups.
+    Groups = 1,
+}
+
+/// A generated select. A single-table shape with a [`Tail`] also carries
+/// its plain form: the same `from` and `where` under a bare projection,
+/// which runs exactly the scan and `where` exchanges of `sql`. At the
+/// same thread budget, `sql` exchanging more often than its plain form
+/// means its tail did.
+struct Shape {
+    sql: String,
+    tail: Option<(String, Tail)>,
+}
+
 /// A random select exercising every parallelized phase: partitioned
 /// scan + pushdown, hash-join build/probe, the parallel WHERE pass,
 /// two-phase group-by/having aggregation, distinct dedup, the full
 /// parallel sort, and the top-K order/limit path — with occasional
-/// poison (division by zero) so error selection is covered too.
-fn random_query(rng: &mut Rng) -> String {
+/// poison (division by zero) so error selection is covered too. Half the
+/// single-table shapes read all of `t`, and one predicate keeps every
+/// row, so the stages past the `where` pass see enough rows to exchange.
+fn random_query(rng: &mut Rng) -> Shape {
     let pred = |rng: &mut Rng, alias: &str| -> String {
-        match rng.below(8) {
+        match rng.below(9) {
             0 => format!("{alias}.a > 5 and {alias}.b < 50.0"),
             1 => format!("{alias}.b is not null or {alias}.s like 'a%'"),
             2 => format!("{alias}.a in (1, 2, -3, null)"),
@@ -116,59 +142,98 @@ fn random_query(rng: &mut Rng) -> String {
             4 => format!("{alias}.k >= 4"),
             5 => format!("not ({alias}.a = 0) and {alias}.s <> ''"),
             6 => format!("{alias}.a / ({alias}.a - {alias}.a) = 1"), // poison
+            7 => format!("{alias}.k >= 0"),                          // keeps every row
             _ => format!("{alias}.b + 1.0 > 0.5"),
         }
     };
-    match rng.below(9) {
-        // Single-table scan + pushdown (+ sometimes order/limit/distinct).
-        0 => {
-            let mut sql = format!("select x.a, x.b from t x where {}", pred(rng, "x"));
-            if rng.chance(1, 2) {
-                sql.push_str(" order by x.a");
-                if rng.chance(1, 2) {
-                    sql.push_str(&format!(" limit {}", 1 + rng.below(10)));
-                }
-            }
-            sql
+    let filter = |rng: &mut Rng| -> String {
+        if rng.chance(1, 2) {
+            format!(" where {}", pred(rng, "x"))
+        } else {
+            String::new()
         }
-        1 => {
-            let mut sql = format!("select distinct x.k from t x where {}", pred(rng, "x"));
+    };
+    let untailed = |sql: String| Shape { sql, tail: None };
+    let tailed = |sql: String, w: &str, tail: Tail| Shape {
+        sql,
+        tail: Some((format!("select x.g from t x{w}"), tail)),
+    };
+    match rng.below(11) {
+        // Single-table scan + pushdown, sorted or top-K over floats.
+        0 => {
+            let w = filter(rng);
+            let mut sql = format!(
+                "select x.a, x.b from t x{w} order by {}",
+                rng.pick(&["x.a", "x.b desc", "x.b, x.a desc"])
+            );
             if rng.chance(1, 2) {
-                sql.push_str(" order by x.k desc");
+                sql.push_str(&format!(" limit {}", 1 + rng.below(10)));
             }
-            sql
+            tailed(sql, &w, Tail::Rows)
+        }
+        // Distinct over ints, floats (NaN, -0.0) and NULL-bearing pairs.
+        1 => {
+            let w = filter(rng);
+            let cols = rng.pick(&["x.k", "x.b", "x.b, x.s", "x.a, x.k"]);
+            let mut sql = format!("select distinct {cols} from t x{w}");
+            if rng.chance(1, 2) {
+                let first = cols.split(',').next().expect("one column");
+                sql.push_str(&format!(" order by {first} desc"));
+            }
+            tailed(sql, &w, Tail::Rows)
         }
         // Hash join on k, with a residual predicate over both sides.
-        2 => format!(
+        2 => untailed(format!(
             "select x.a, y.w from t x, u y where x.k = y.k and {}",
             pred(rng, "x")
-        ),
-        3 => "select x.a, y.w from t x, u y where x.k = y.k".to_string(),
+        )),
+        3 => untailed("select x.a, y.w from t x, u y where x.k = y.k".to_string()),
         // Aggregates (distinct dedup inside the aggregate).
-        4 => format!("select count(distinct x.k) from t x where {}", pred(rng, "x")),
+        4 => untailed(format!("select count(distinct x.k) from t x where {}", pred(rng, "x"))),
         // Two-phase group-by over adversarial keys/values, with a
         // having filter and an order over an aggregate.
-        5 => format!(
+        5 => untailed(format!(
             "select x.k, count(*), sum(x.b), min(x.b), max(x.a), avg(x.b) \
-             from t x where {} group by x.k having count(*) >= {}",
-            pred(rng, "x"),
+             from t x{} group by x.k having count(*) >= {}",
+            filter(rng),
             rng.below(3)
-        ),
-        6 => format!(
-            "select x.a, count(distinct x.s) from t x where {} \
+        )),
+        6 => untailed(format!(
+            "select x.a, count(distinct x.s) from t x{} \
              group by x.a order by count(distinct x.s) desc, x.a limit {}",
-            pred(rng, "x"),
+            filter(rng),
             1 + rng.below(6)
-        ),
+        )),
         // Grouped join: the aggregate input crosses the hash join.
-        7 => "select x.k, count(*), sum(y.w) from t x, u y where x.k = y.k \
-              group by x.k order by x.k"
-            .to_string(),
+        7 => untailed(
+            "select x.k, count(*), sum(y.w) from t x, u y where x.k = y.k \
+             group by x.k order by x.k"
+                .to_string(),
+        ),
+        // Self-join: both sides past the gate, so the hash build and the
+        // probe exchange, and so does the `where` pass over the residual.
+        8 => untailed(format!(
+            "select x.a, y.b from t x, t y where x.a = y.a and x.k = y.k and ({})",
+            rng.pick(&["x.b < y.b", "x.b + y.b > 1.0", "x.s = y.s or y.b is null"])
+        )),
+        // One group per row: the final aggregate exchanges over groups
+        // keyed by NaN, -0.0 and NULL, and so may a sort over them.
+        9 => {
+            let w = filter(rng);
+            let mut sql = format!(
+                "select x.b, x.g, count(*), sum(x.b), min(x.a), max(x.b), avg(x.b) \
+                 from t x{w} group by x.b, x.g having count(*) >= 1"
+            );
+            if rng.chance(1, 2) {
+                sql.push_str(&format!(" order by x.b desc, x.g limit {}", 1 + rng.below(10)));
+            }
+            tailed(sql, &w, Tail::Groups)
+        }
         // Correlated subquery: must take the serial fallback, identically.
-        _ => format!(
+        _ => untailed(format!(
             "select count(*) from t x where exists (select * from u where u.k = x.k) and {}",
             pred(rng, "x")
-        ),
+        )),
     }
 }
 
@@ -194,11 +259,15 @@ fn comparable(mut s: ExecStats) -> ExecStats {
 
 #[test]
 fn parallel_matches_serial_on_adversarial_queries() {
+    // Cases whose tail exchanged at 8 threads, indexed by `Tail`.
+    let mut tails = [0usize; 2];
     check("parallel_vs_serial", 300, 0x9a7a_11e1, |rng| {
         let db = adversarial_db(rng);
-        let sql = random_query(rng);
-        let stmt = sel(&sql);
+        let shape = random_query(rng);
+        let sql = &shape.sql;
+        let stmt = sel(sql);
         let (base, base_stats) = run(&db, &stmt, 1);
+        let mut wide_scans = 0;
         for threads in [2, 8] {
             let (par, par_stats) = run(&db, &stmt, threads);
             assert_eq!(base, par, "outcome diverged for {sql} ({threads} threads)");
@@ -207,8 +276,16 @@ fn parallel_matches_serial_on_adversarial_queries() {
                 comparable(par_stats),
                 "row-level stats diverged for {sql} ({threads} threads)"
             );
+            wide_scans = par_stats.parallel_scans;
+        }
+        if let Some((plain, tail)) = &shape.tail {
+            let (_, plain_stats) = run(&db, &sel(plain), 8);
+            tails[*tail as usize] += (wide_scans > plain_stats.parallel_scans) as usize;
         }
     });
+    // The generator must keep the distinct/sort/top-K and final-aggregate
+    // exchanges busy on adversarial data, whatever the gate.
+    assert!(tails[Tail::Rows as usize] >= 20 && tails[Tail::Groups as usize] >= 5, "{tails:?}");
 }
 
 // ----------------------------------------------------------------------
@@ -239,10 +316,13 @@ fn correlated_subqueries_take_the_serial_fallback() {
 // Engine wiring: config knob, EngineStats mirror, ParallelScan event.
 // ----------------------------------------------------------------------
 
+/// Rows of `big`: past the exchange's gate, so a 4-thread engine fans out.
+const BIG_ROWS: usize = 4200;
+
 fn big_engine(parallelism: Option<usize>) -> RuleSystem {
     let mut sys = RuleSystem::with_config(EngineConfig { parallelism, ..Default::default() });
     sys.execute("create table big (k int, v float)").unwrap();
-    let rows: Vec<String> = (0..120).map(|i| format!("({i}, {i}.5)")).collect();
+    let rows: Vec<String> = (0..BIG_ROWS).map(|i| format!("({i}, {i}.5)")).collect();
     sys.transaction(&format!("insert into big values {}", rows.join(", "))).unwrap();
     sys
 }
@@ -269,7 +349,7 @@ fn engine_parallelism_knob_mirrors_stats_and_emits_event() {
         .recent_events()
         .iter()
         .any(|e| matches!(e, EngineEvent::ParallelScan { partitions, rows }
-            if *partitions > 1 && *rows >= 120)));
+            if *partitions > 1 && *rows >= BIG_ROWS as u64)));
     // The pinned-serial engine touched the pool exactly never.
     assert_eq!(serial.stats().parallel_scans, 0);
     assert!(!serial
@@ -279,9 +359,10 @@ fn engine_parallelism_knob_mirrors_stats_and_emits_event() {
 }
 
 /// A grouped aggregation big enough to exchange engages the pool on its
-/// partial phase (and the sort on its run merge), with byte-identical
-/// output to the pinned-serial engine — and so do the other exchange
-/// stages: distinct, top-K, and the hash-join probe.
+/// final phase (a group per `big` row, then top-K over the groups), with
+/// byte-identical output to the pinned-serial engine — and so do the
+/// other exchange stages: distinct, top-K, and the hash-join build and
+/// probe.
 #[test]
 fn group_by_aggregation_engages_the_pool() {
     let mut par = big_engine(Some(4));
@@ -309,6 +390,37 @@ fn group_by_aggregation_engages_the_pool() {
         .iter()
         .any(|e| matches!(e, EngineEvent::ParallelScan { partitions, .. } if *partitions > 1)));
     assert_eq!(serial.stats().parallel_scans, 0);
+}
+
+/// Below the exchange's gate the pool stays idle even at 8 threads: the
+/// statements of an OLTP transaction — a point update, and a department
+/// raise over 300 rows whose rule reads the updated rows and deletes some
+/// of them — all run serially, and none counts a serial fallback.
+#[test]
+fn below_the_gate_the_pool_stays_idle() {
+    let mut sys =
+        RuleSystem::with_config(EngineConfig { parallelism: Some(8), ..Default::default() });
+    paper_tables(&mut sys);
+    sys.execute("create index on emp (emp_no)").unwrap();
+    sys.execute("create index on emp (dept_no)").unwrap();
+    sys.execute(
+        "create rule cap when updated emp.salary \
+         if (select avg(salary) from new updated emp.salary) > 150.0 \
+         then delete from emp \
+              where emp_no in (select emp_no from new updated emp.salary) and salary > 400.0",
+    )
+    .unwrap();
+    let rows: Vec<String> =
+        (0..1200).map(|i| format!("('e{i}', {i}, {}.0, {})", 100 + i % 300, i % 4)).collect();
+    sys.transaction(&format!("insert into emp values {}", rows.join(", "))).unwrap();
+    sys.transaction("update emp set salary = salary + 1.0 where emp_no = 7").unwrap();
+    let raise = sys.transaction("update emp set salary = salary * 2.0 where dept_no = 2").unwrap();
+    assert!(raise.committed());
+    let left = sys.query("select count(*) from emp").unwrap();
+    assert!(left.rows[0][0] < Value::Int(1200), "the rule must fire and delete: {left:?}");
+    let stats = sys.stats();
+    assert_eq!(stats.parallel_scans, 0, "{stats:?}");
+    assert_eq!(stats.serial_fallbacks, 0, "{stats:?}");
 }
 
 /// `SETRULES_THREADS` steers engines whose config leaves parallelism
@@ -377,9 +489,10 @@ fn paper_tables(sys: &mut RuleSystem) {
 }
 
 fn inflated_scenarios() -> Vec<ParScenario> {
-    // Example 3.1, inflated past the parallel threshold: deleting a dept
-    // cascades over 90 employees; the update's identification scan and
-    // the select run partitioned.
+    // Example 3.1, inflated past the exchange's gate: 4 200 employees over
+    // 64 departments (deleting one cascades over 66 of them, and the
+    // `dept_no` index keeps small buckets); the update's identification
+    // scan and the select run partitioned.
     let emp_rows = |n: usize, dept_of: fn(usize) -> usize| -> String {
         let rows: Vec<String> = (0..n)
             .map(|i| format!("('e{i}', {i}, {}.0, {})", 100 + i, dept_of(i)))
@@ -399,8 +512,11 @@ fn inflated_scenarios() -> Vec<ParScenario> {
                 sys.execute("create index on emp (dept_no)").unwrap();
             },
             workload: vec![
-                "insert into dept values (1, 10), (2, 20)".into(),
-                emp_rows(90, |i| 1 + i % 2),
+                format!(
+                    "insert into dept values {}",
+                    (1..=64).map(|d| format!("({d}, {})", 10 * d)).collect::<Vec<_>>().join(", ")
+                ),
+                emp_rows(4200, |i| 1 + i % 64),
                 "update emp set salary = salary + 1.0 where salary >= 0.0".into(),
                 "select count(*) from emp where salary > 100.0".into(),
                 "delete from dept where dept_no = 1".into(),
@@ -422,7 +538,7 @@ fn inflated_scenarios() -> Vec<ParScenario> {
             },
             workload: vec![
                 "insert into dept values (1, 1), (2, 2)".into(),
-                emp_rows(80, |i| if i == 1 || i == 2 { 1 } else { 2 }),
+                emp_rows(4100, |i| if i == 1 || i == 2 { 1 } else { 2 }),
                 "update emp set salary = salary * 2.0 where salary < 1000.0".into(),
                 "delete from emp where name = 'e1'".into(),
             ],

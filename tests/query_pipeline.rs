@@ -77,37 +77,43 @@ fn create_table(db: &mut Database, sql: &str) -> TableId {
 }
 
 fn random_database(rng: &mut Rng) -> Database {
-    random_database_of(rng, 8)
+    random_database_of(rng, 0, 8)
 }
 
-/// [`random_database`] with fewer than `max_rows` rows per table.
-fn random_database_of(rng: &mut Rng, max_rows: usize) -> Database {
+/// [`random_database`] with fewer than `max_rows` rows per table, plus
+/// `t1_min` more in `t1`.
+fn random_database_of(rng: &mut Rng, t1_min: usize, max_rows: usize) -> Database {
     let mut db = Database::new();
     let mut create = |sql: &str| create_table(&mut db, sql);
     let t1 = create("create table t1 (a int, b int, s text)");
     let t2 = create("create table t2 (a int, c int)");
     let t3 = create("create table t3 (a int, d int)");
     // Index column `a` of a random subset of tables, so the same queries
-    // run through probe, multi-probe, and seq-scan access paths.
+    // run through probe, multi-probe, and seq-scan access paths. A `t1`
+    // grown by `t1_min` stays unindexed: `state_image` lists every row's
+    // index bucket, which is quadratic over thousands of rows sharing
+    // eight key values.
     for t in [t1, t2, t3] {
-        if rng.chance(1, 2) {
+        if rng.chance(1, 2) && (t != t1 || t1_min == 0) {
             db.create_index(t, ColumnId(0)).unwrap();
         }
     }
-    let int_lit = |rng: &mut Rng| {
+    let int_val = |rng: &mut Rng| {
         if rng.chance(1, 6) {
-            "NULL".to_string()
+            Value::Null
         } else {
-            rng.range_i64(-2, 5).to_string()
+            Value::Int(rng.range_i64(-2, 5))
         }
     };
-    for (name, ints, texts) in TABLES {
-        for _ in 0..rng.below(max_rows) {
-            let mut vals: Vec<String> = ints.iter().map(|_| int_lit(rng)).collect();
+    for (tid, (_, ints, texts)) in [t1, t2, t3].into_iter().zip(TABLES) {
+        let extra = if tid == t1 { t1_min } else { 0 };
+        for _ in 0..extra + rng.below(max_rows) {
+            let mut vals: Vec<Value> = ints.iter().map(|_| int_val(rng)).collect();
             for _ in texts.iter() {
-                vals.push(rng.pick(&["'ab'", "'ba'", "'abc'", "NULL"]).to_string());
+                let s = rng.pick(&[Some("ab"), Some("ba"), Some("abc"), None]);
+                vals.push(s.map_or(Value::Null, |s| Value::Text(s.into())));
             }
-            exec(&mut db, &format!("insert into {name} values ({})", vals.join(", ")));
+            db.insert(tid, setrules_storage::Tuple(vals)).unwrap();
         }
     }
     db
@@ -323,14 +329,16 @@ fn compiled_and_interpreted_agree_on_error_producing_queries() {
     });
 }
 
-/// The tables of the grouped corpus: 200 `t1` rows (`a = i % 7`, NULL
-/// every 13th row; `b = i`) and 100 `t2` rows (`a = i % 5`, `c = 3 i`) —
-/// big enough for an 8-thread budget to exchange.
+/// The tables of the grouped corpus: 4 200 `t1` rows (`a = i % 7`, NULL
+/// every 13th row; `b = i`) and 100 `t2` rows (`a = i % 5`, `c = 3 i`).
+/// `t1` is past the exchange's gate (two partitions of `MIN_PARTITION` =
+/// 2 048 items), so an 8-thread budget exchanges its scan and `where`
+/// pass, and a group-by on `b` has enough groups for the final aggregate.
 fn grouped_database() -> Database {
     let mut db = Database::new();
     create_table(&mut db, "create table t1 (a int, b int)");
     create_table(&mut db, "create table t2 (a int, c int)");
-    let t1: Vec<String> = (0..200)
+    let t1: Vec<String> = (0..4200)
         .map(|i| if i % 13 == 0 { format!("(NULL, {i})") } else { format!("({}, {i})", i % 7) })
         .collect();
     exec(&mut db, &format!("insert into t1 values {}", t1.join(", ")));
@@ -339,21 +347,36 @@ fn grouped_database() -> Database {
     db
 }
 
+/// A grouped statement with a group per `t1` row and a correlated
+/// subquery in its projection: at 8 threads its final aggregate is big
+/// enough to exchange but must take the serial fallback.
+const FINAL_AGGREGATE_FALLBACK: &str =
+    "select b, a, count(*), (select count(*) from t2 where t2.a = t1.a) from t1 group by b, a";
+
+/// The row-local control of [`FINAL_AGGREGATE_FALLBACK`]: its final
+/// aggregate exchanges at 8 threads, and so does the top-K over it.
+const FINAL_AGGREGATE_EXCHANGE: &str =
+    "select b, count(*), sum(a) from t1 group by b order by b desc limit 5";
+
 /// Grouped statements whose keys, aggregate arguments, `having`,
 /// projections or `order by` keys are not row-local — subqueries in
 /// `having`, the projection, `order by` and the group key; outer
 /// references inside a grouped subquery; a nested aggregate over empty
 /// and non-empty input; unknown columns — plus row-local controls. The
-/// executor's two-phase aggregation must match the reference at every
-/// thread budget (the per-batch-size sweep of the same corpus is
+/// executor's two-phase aggregation must match the reference at 1 and at
+/// 8 threads; at 8 the scans and `where` passes over `t1` exchange, and
+/// so does the final aggregate over a group per row, or it takes the
+/// serial fallback where its trees are not row-local (the per-batch-size
+/// sweep of a small corpus is
 /// `exec::tests::grouped_fallback_shapes_run_two_phase_at_every_batch_size`).
 #[test]
 fn grouped_statements_match_the_reference() {
     let db = grouped_database();
     let corpus = [
-        "select a, count(*), sum(b) from t1 group by a having sum(b) > (select max(c) from t2) * 9",
+        "select a, count(*), sum(b) from t1 group by a \
+         having sum(b) > (select max(c) from t2) * 3910",
         "select a, sum(b) from t1 group by a \
-         having count(*) > 26 and (select count(*) from t2) > 0 order by a",
+         having count(*) > 553 and (select count(*) from t2) > 0 order by a",
         "select a, (select count(*) from t2 where t2.a = t1.a), max(b) from t1 group by a",
         "select a, count(*) from t1 group by a \
          order by (select count(*) from t2 where t2.a = t1.a) desc, a",
@@ -370,16 +393,33 @@ fn grouped_statements_match_the_reference() {
         "select a, count(*), sum(b), avg(b), min(b), max(b) from t1 group by a order by a desc",
         "select count(distinct a), sum(b) from t1 where b > 50",
         "select x.a, count(*), sum(y.c) from t1 x, t2 y where x.a = y.a group by x.a",
+        FINAL_AGGREGATE_FALLBACK,
+        "select b, sum(a) from t1 group by b \
+         having sum(a) > (select count(*) from t2) / 20 order by b desc limit 5",
+        FINAL_AGGREGATE_EXCHANGE,
     ];
+    let mut wide_scans = 0;
     for sql in corpus {
         let stmt = sel(sql);
         let want = || reference::select(&db, &stmt);
         for threads in [1, 8] {
-            let opts = ExecOpts { threads, ..Default::default() };
+            let stats = StatsCell::new();
+            let opts = ExecOpts { threads, stats: Some(&stats), ..Default::default() };
             let got = execute_query(&db, &NoTransitionTables, &stmt, &opts);
             assert_same_outcome(got, want(), &format!("{sql} (threads {threads})"));
+            let s = stats.snapshot();
+            if threads == 8 {
+                if sql == FINAL_AGGREGATE_FALLBACK {
+                    assert!(s.serial_fallbacks > 0, "{sql}: {s:?}");
+                }
+                if sql == FINAL_AGGREGATE_EXCHANGE {
+                    assert!(s.parallel_scans >= 2, "{sql}: {s:?}");
+                }
+                wide_scans += s.parallel_scans;
+            }
         }
     }
+    assert!(wide_scans >= 10, "{wide_scans}");
 }
 
 /// A random `set` right-hand side over `t1`: column arithmetic, NULL,
@@ -399,15 +439,19 @@ fn random_set_expr(rng: &mut Rng) -> String {
     }
 }
 
-/// The DML differentials' table sizes: half the cases keep every table
-/// under 8 rows, the other half draw up to 127, so `t1` lands on both sides
-/// of `PAR_THRESHOLD` (64) and an 8-thread run exchanges the scan and the
-/// `where` pass.
-fn dml_table_rows(rng: &mut Rng) -> usize {
-    if rng.chance(1, 2) {
-        8
-    } else {
-        128
+/// The DML differentials' table sizes as `(t1_min, max_rows)` for
+/// [`random_database_of`]: half the cases keep every table under 8 rows,
+/// a quarter draw every table under 128 rows, and a quarter give `t1`
+/// 4 096 to 4 127 rows, past the exchange's gate (two partitions of
+/// `MIN_PARTITION` = 2 048 items), so an 8-thread run exchanges the scan
+/// and the `where` pass. That quarter keeps `t2` and `t3` under 32 rows:
+/// the naive reference runs a correlated subquery once per `t1` row, so
+/// its cost grows with `t1` times the side table.
+fn dml_table_rows(rng: &mut Rng) -> (usize, usize) {
+    match rng.below(4) {
+        0 | 1 => (0, 8),
+        2 => (0, 128),
+        _ => (4096, 32),
     }
 }
 
@@ -449,13 +493,13 @@ fn agree_at_1_and_8_threads(
 fn update_set_expressions_match_a_naive_update() {
     let (mut errors, mut updated, mut exchanged) = (0, 0, 0);
     check("update_set_compiled_vs_interpreted", 300, 0x5e7_c0de, |rng| {
-        let max_rows = dml_table_rows(rng);
+        let (t1_min, max_rows) = dml_table_rows(rng);
         let mut twins = [rng.clone(), rng.clone()];
         let [t1, t2] = &mut twins;
         let mut dbs = [
-            random_database_of(rng, max_rows),
-            random_database_of(t1, max_rows),
-            random_database_of(t2, max_rows),
+            random_database_of(rng, t1_min, max_rows),
+            random_database_of(t1, t1_min, max_rows),
+            random_database_of(t2, t1_min, max_rows),
         ];
         let ints = ["t1.a".to_string(), "t1.b".to_string()];
         let texts = ["t1.s".to_string()];
@@ -519,18 +563,18 @@ fn random_delete_pred(rng: &mut Rng) -> String {
 /// naive `delete` (a nested loop over the AST evaluator, applied under a
 /// statement mark): the same affected set with the same old values, or
 /// the same error text, and the same final `state_image()` — at 1 and at
-/// 8 threads, on tables on both sides of the exchange threshold.
+/// 8 threads, on tables on both sides of the exchange's gate.
 #[test]
 fn delete_predicates_match_a_naive_delete() {
     let (mut errors, mut deleted, mut exchanged) = (0, 0, 0);
     check("delete_compiled_vs_naive", 300, 0xde1e7e, |rng| {
-        let max_rows = dml_table_rows(rng);
+        let (t1_min, max_rows) = dml_table_rows(rng);
         let mut twins = [rng.clone(), rng.clone()];
         let [t1, t2] = &mut twins;
         let mut dbs = [
-            random_database_of(rng, max_rows),
-            random_database_of(t1, max_rows),
-            random_database_of(t2, max_rows),
+            random_database_of(rng, t1_min, max_rows),
+            random_database_of(t1, t1_min, max_rows),
+            random_database_of(t2, t1_min, max_rows),
         ];
         let sql = if rng.chance(1, 10) {
             "delete from t1".to_string()
@@ -788,7 +832,6 @@ fn every_explain_line_maps_to_an_operator_or_access_choice() {
         "filter",
         "project",
         "partial-aggregate",
-        "exchange",
         "final-aggregate",
         "distinct",
         "sort",
@@ -852,7 +895,8 @@ fn every_explain_line_maps_to_an_operator_or_access_choice() {
 
 /// The `plan:` line is the operator tree that runs, not a description of
 /// it: each query of [`EXPLAIN_QUERIES`] runs over non-empty tables (big
-/// enough for an 8-thread budget to exchange), at 1 and 8 threads, with
+/// enough for an 8-thread budget to exchange: 4 200 `emp` rows, past two
+/// partitions of `MIN_PARTITION` = 2 048), at 1 and 8 threads, with
 /// the per-operator side channel attached. Every operator that recorded
 /// work is one the plan line names, and every named operator emitted rows
 /// — the data gives every stage of every plan rows, except behind an
@@ -868,7 +912,7 @@ fn explain_plan_line_names_the_operators_that_ran() {
     for d in 1..=3 {
         db.insert(dept, tuple![d, 10 * d]).unwrap();
     }
-    for i in 0..200i64 {
+    for i in 0..4200i64 {
         db.insert(emp, tuple![format!("e{i}"), i, (i % 50) as f64, 1 + i % 3]).unwrap();
     }
     let inserted = |i: i64| vec![Value::Text(format!("t{i}")), Value::Int(i), 1.0.into(), 1.into()];
@@ -902,9 +946,7 @@ fn explain_plan_line_names_the_operators_that_ran() {
                 };
                 assert!(named, "{at}: {name} ran but is not planned");
             }
-            // The exchange between the aggregate phases is size-gated at
-            // run time, so it is the one planned stage that may not run.
-            for op in planned.iter().filter(|op| **op != "exchange") {
+            for op in &planned {
                 let name = if *op == "sort" && recorded.contains_key("topk") { "topk" } else { op };
                 if recorded.get(name).is_none_or(|c| c.rows_out == 0) {
                     assert_eq!(planned[0], "empty-scan", "{at}: planned {op} emitted nothing");
