@@ -3,7 +3,7 @@
 //! A scoped worker pool for deterministic intra-query parallelism.
 //!
 //! The query layer partitions read-only work — base-table scans, pushdown
-//! filtering, hash-join build/probe, and the WHERE pass over joined
+//! filtering, hash-join builds, and the WHERE pass over joined
 //! combinations — into disjoint index ranges, runs each range on a pool
 //! worker, and merges the per-partition results *in partition order*.
 //! Because every partition is a contiguous slice of the serial iteration

@@ -159,7 +159,8 @@ pub struct QueryCtx<'a> {
     /// unaffected by whether it is attached.
     pub op_stats: Option<&'a OpStatsCell>,
     /// Worker-thread budget for the read-only parallel phases (scan +
-    /// pushdown filtering, hash-join build/probe, WHERE pass). `1` (the
+    /// pushdown filtering, hash-join build, WHERE pass, final aggregate,
+    /// sort and top-K). `1` (the
     /// default) keeps execution fully serial; see
     /// [`crate::parallel`] for the determinism argument.
     pub threads: usize,

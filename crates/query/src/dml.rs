@@ -10,10 +10,11 @@
 //!    identify their targets through the same planned read
 //!    ([`crate::plan::plan_read`]) and `scan → join → filter` chain a
 //!    one-item `select … where` lowers to ([`crate::select::lower_read`]):
-//!    the filter's surviving scope levels are the pre-statement rows, and
-//!    its trace origins are their handles.
-//!    `update` then evaluates its compiled `set` expressions over those
-//!    levels; `insert … (select …)` runs the whole select.
+//!    the filter's surviving rows, borrowed from the database, are the
+//!    pre-statement tuples and carry their handles. `delete` takes the
+//!    handles; `update` evaluates its compiled `set` expressions over the
+//!    borrowed rows (over an owned scope level only when one of them is
+//!    not row-local); `insert … (select …)` runs the whole select.
 //! 2. **Apply** (mutable): perform the mutations under a statement
 //!    savepoint, capturing old values.
 //!
@@ -35,12 +36,15 @@ use setrules_sql::ast::{
 };
 use setrules_storage::{ColumnId, Database, TableId, Tuple, TupleHandle, Value};
 
-use crate::bindings::{Bindings, Level};
-use crate::compile::{compile, eval_compiled, CompiledExpr, Layout};
+use crate::bindings::Bindings;
+use crate::compile::{self, compile, CompiledExpr, Env, Layout, RowEnv, Scoped};
 use crate::ctx::{QueryCtx, SubqueryCache};
 use crate::error::QueryError;
 use crate::eval::eval_expr;
+use crate::exec::filter::FilterExec;
+use crate::exec::scan::FromItem;
 use crate::exec::{ExecCx, Executor};
+use crate::parallel::is_rowlocal;
 use crate::plan::{plan_read, ReadPlan};
 use crate::provider::TransitionTableProvider;
 use crate::refs::referenced_columns;
@@ -256,23 +260,27 @@ fn execute_insert(
 /// Phase 1 of delete/update: the tuples of the target table satisfying
 /// the planned read (its one-item `from` and `where`) in the
 /// pre-statement state, pulled through the same `scan → join →
-/// filter` chain a one-item `select … where` lowers to. Returns each
-/// surviving scope level (the tuple's pre-statement values) with its
-/// handle, in handle order.
-fn matching(
-    ctx: QueryCtx<'_>,
-    read: ReadPlan<'_>,
-) -> Result<(Vec<Level>, Vec<TupleHandle>), QueryError> {
+/// filter` chain a one-item `select … where` lowers to. Returns the
+/// drained filter, whose one item holds the rows, and the row indices of
+/// the survivors, in handle order.
+fn matching<'a>(
+    ctx: QueryCtx<'a>,
+    read: ReadPlan<'a>,
+) -> Result<(FilterExec<'a>, Vec<usize>), QueryError> {
     let mut bindings = Bindings::new();
-    let mut filter = lower_read(read, true);
+    let mut filter = lower_read(read, false);
     let mut cx = ExecCx { ctx, bindings: &mut bindings };
-    let mut levels = Vec::new();
+    // One item: a combination is a row index.
+    let mut survivors = Vec::new();
     while let Some(batch) = filter.next_batch(&mut cx)? {
-        levels.extend(batch);
+        survivors.extend(batch);
     }
-    // One stored item: each surviving level has exactly one origin.
-    let handles = filter.take_origins().into_iter().map(|(_, _, h)| h).collect();
-    Ok((levels, handles))
+    Ok((filter, survivors))
+}
+
+/// The handle of stored row `r` of a DML read's item.
+fn handle_of(item: &FromItem<'_>, r: usize) -> TupleHandle {
+    item.rows[r].0.expect("a DML target is a stored table").1
 }
 
 fn execute_delete(
@@ -286,7 +294,9 @@ fn execute_delete(
     let ctx = opts.ctx(db, virt, &cache);
     let from = [TableRef::named(&stmt.table)];
     let read = plan_read(ctx, &from, stmt.predicate.as_ref(), &Layout::new())?;
-    let (_, handles) = matching(ctx, read)?;
+    let (filter, survivors) = matching(ctx, read)?;
+    let item = &filter.items()[0];
+    let handles: Vec<TupleHandle> = survivors.iter().map(|&r| handle_of(item, r)).collect();
     // Phase 2: delete (statement-atomic).
     let tuples = apply_atomically(db, |db| {
         let mut tuples = Vec::with_capacity(handles.len());
@@ -297,6 +307,26 @@ fn execute_delete(
         Ok(tuples)
     })?;
     Ok(OpEffect::Delete { table, tuples })
+}
+
+/// One row's assignments: every `set` expression evaluated in order in
+/// `env` (so the first error surfaces as it would row by row), keeping
+/// the value of each column's last assignment.
+fn assign<E: Env>(
+    compiled: &[CompiledExpr],
+    set_cols: &[ColumnId],
+    kept: &[bool],
+    width: usize,
+    env: &mut E,
+) -> Result<Vec<(ColumnId, Value)>, QueryError> {
+    let mut assignments = Vec::with_capacity(width);
+    for ((ce, &c), &keep) in compiled.iter().zip(set_cols).zip(kept) {
+        let v = compile::eval(ce, env)?;
+        if keep {
+            assignments.push((c, v));
+        }
+    }
+    Ok(assignments)
 }
 
 fn execute_update(
@@ -330,28 +360,23 @@ fn execute_update(
         let read = plan_read(ctx, &from, stmt.predicate.as_ref(), &Layout::new())?;
         let compiled: Vec<CompiledExpr> =
             stmt.sets.iter().map(|(_, e)| compile(e, &read.layout)).collect();
-        let (levels, handles) = matching(ctx, read)?;
+        let rows_local = compiled.iter().all(is_rowlocal);
+        let (filter, survivors) = matching(ctx, read)?;
+        let item = &filter.items()[0];
         let mut bindings = Bindings::new();
-        let mut planned = Vec::with_capacity(handles.len());
-        for (level, h) in levels.into_iter().zip(handles) {
-            bindings.push_level(level);
-            let mut assignments = Vec::with_capacity(cols.len());
-            let mut err = None;
-            for ((ce, &c), &keep) in compiled.iter().zip(&set_cols).zip(&kept) {
-                match eval_compiled(ctx, &mut bindings, ce) {
-                    Ok(v) if keep => assignments.push((c, v)),
-                    Ok(_) => {}
-                    Err(e) => {
-                        err = Some(e);
-                        break;
-                    }
-                }
-            }
-            bindings.pop_level();
-            if let Some(e) = err {
-                return Err(e);
-            }
-            planned.push((h, assignments));
+        let mut planned = Vec::with_capacity(survivors.len());
+        for r in survivors {
+            let row = item.row(r);
+            let assignments = if rows_local {
+                assign(&compiled, &set_cols, &kept, cols.len(), &mut RowEnv(&[row]))
+            } else {
+                bindings.push_level(vec![item.frame(row.to_vec())]);
+                let scoped = &mut Scoped { ctx, bindings: &mut bindings };
+                let assignments = assign(&compiled, &set_cols, &kept, cols.len(), scoped);
+                bindings.pop_level();
+                assignments
+            };
+            planned.push((handle_of(item, r), assignments?));
         }
         planned
     };

@@ -3,35 +3,41 @@
 //! Every grouped statement lowers to one [`GroupProgram`] and runs in two
 //! phases:
 //!
-//! * **Partial.** The filter's batches are accumulated as they stream —
-//!   per group: the group key, the row count, and the collected non-NULL
-//!   argument values of every aggregate call — so group-by never
-//!   materializes the full input. Each row is folded into its group in
-//!   serial order: over the row's own frames when every key and
-//!   aggregate argument is row-local, otherwise (outer references,
-//!   subqueries, unresolvable names) with the row pushed onto the scope
-//!   stack. A batch holds at most `BATCH_ROWS` rows, below the exchange's
-//!   size gate, so this phase never exchanges.
+//! * **Partial.** The filter's batches are folded in as they stream —
+//!   per group: the group key, the row count, the group's first
+//!   combination (its representative row) and one running [`Acc`] per
+//!   aggregate call — so group-by neither materializes its input nor
+//!   collects argument values. Groups are found by a key evaluated into
+//!   one reused buffer; only a new group's key is copied. Each row is
+//!   folded into its group in serial order: over its borrowed frames when
+//!   every key and aggregate argument is row-local, otherwise (outer
+//!   references, subqueries, unresolvable names) with an owned level
+//!   pushed onto the scope stack. A batch holds at most `BATCH_ROWS`
+//!   rows, below the exchange's size gate, so this phase never exchanges.
 //! * **Final.** `having`, the projection list and the `order by` keys are
-//!   evaluated once per group over its representative row, folding each
-//!   aggregate's collected value vector through the [`fold_aggregate`]
-//!   kernel. When those trees are row-local apart from their aggregate
-//!   calls this phase exchanges across groups; otherwise it runs serially
-//!   with the representative row pushed onto the scope stack, so outer
-//!   references, subqueries and interpreter fallbacks evaluate per group.
+//!   evaluated once per group over its representative row, finishing each
+//!   aggregate's accumulator. When those trees are row-local apart from
+//!   their aggregate calls this phase exchanges across groups; otherwise
+//!   it runs serially with the representative row pushed onto the scope
+//!   stack, so outer references, subqueries and interpreter fallbacks
+//!   evaluate per group.
 //!
 //! Because every row is folded in serial encounter order, fold order —
 //! and therefore float rounding, overflow sites, dedup order for
-//! `distinct`, and error selection — is exactly the serial one. Errors surface as in a per-group walk of the statement: the filter is
-//! blocking (all its errors surface on the first pull), a failed wildcard
-//! expansion right after that first pull, group-key errors surface in
-//! combination order, and aggregate-argument errors are *recorded* per
-//! (group, leaf) during the partial phase but raised only when the final
-//! phase actually reaches that aggregate node — so Kleene short-circuits
-//! skip them exactly like a per-group walk of the statement.
+//! `distinct`, and error selection — is exactly that of
+//! [`fold_aggregate`] over the collected values (the accumulator oracle
+//! below checks this). Errors surface as in a per-group walk of the
+//! statement: the filter is blocking (all its errors surface on the first
+//! pull), a failed wildcard expansion right after that first pull,
+//! group-key errors surface in combination order, and aggregate-argument
+//! errors are *recorded* per (group, leaf) during the partial phase but
+//! raised only when the final phase actually reaches that aggregate node
+//! — so Kleene short-circuits skip them exactly like a per-group walk of
+//! the statement.
+//!
+//! [`fold_aggregate`]: crate::eval::fold_aggregate
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -42,13 +48,21 @@ use crate::bindings::Level;
 use crate::compile::{self, CompiledExpr, Env, Layout, RowEnv, Scoped};
 use crate::ctx::SubqueryResult;
 use crate::error::QueryError;
-use crate::eval::fold_aggregate;
 use crate::parallel::{is_grouplocal, is_rowlocal};
 
 use super::exchange::Exchange;
 use super::filter::FilterExec;
 use super::scan::FromItem;
-use super::{Batches, ExecCx, Executor, KeyedRow, Origin, RowSource};
+use super::{level_of, with_frames, Batches, ExecCx, Executor, KeyedRow, Origin, RowSource};
+
+/// One aggregate call of a grouped statement.
+struct Leaf {
+    func: AggFunc,
+    distinct: bool,
+    /// The per-row argument (`None` is `count(*)`): what the partial
+    /// phase folds per row.
+    arg: Option<CompiledExpr>,
+}
 
 /// The whole grouped statement, lowered for two-phase evaluation: the
 /// group keys and the group-level expression trees, whose aggregate
@@ -59,9 +73,8 @@ pub(crate) struct GroupProgram {
     /// Output column names.
     pub(crate) columns: Vec<String>,
     keys: Vec<CompiledExpr>,
-    /// The per-row argument of leaf `i` (`None` is `count(*)`): what the
-    /// partial phase accumulates per row.
-    leaf_args: Vec<Option<CompiledExpr>>,
+    /// Aggregate leaf `i`.
+    leaves: Vec<Leaf>,
     having: Option<CompiledExpr>,
     proj: Vec<CompiledExpr>,
     order: Vec<CompiledExpr>,
@@ -73,13 +86,13 @@ pub(crate) struct GroupProgram {
     pub(crate) groups_exchangeable: bool,
 }
 
-/// Append the argument of every aggregate leaf under `e`, in leaf order.
-fn collect_leaf_args(e: &CompiledExpr, out: &mut Vec<Option<CompiledExpr>>) {
-    if let CompiledExpr::Agg { leaf, arg, .. } = e {
+/// Append every aggregate leaf under `e`, in leaf order.
+fn collect_leaves(e: &CompiledExpr, out: &mut Vec<Leaf>) {
+    if let CompiledExpr::Agg { leaf, func, distinct, arg } = e {
         debug_assert_eq!(*leaf, out.len(), "leaves are numbered in reach order");
-        out.push(arg.as_deref().cloned());
+        out.push(Leaf { func: *func, distinct: *distinct, arg: arg.as_deref().cloned() });
     }
-    e.for_each_child(&mut |c| collect_leaf_args(c, out));
+    e.for_each_child(&mut |c| collect_leaves(c, out));
 }
 
 /// Lower a grouped statement, its wildcards expanded to `proj`, for
@@ -96,17 +109,18 @@ pub(crate) fn group_program(
     let having = stmt.having.as_ref().map(&mut lower);
     let proj_exprs: Vec<CompiledExpr> = proj.iter().map(|(e, _)| lower(e)).collect();
     let order: Vec<CompiledExpr> = stmt.order_by.iter().map(|(e, _)| lower(e)).collect();
-    let mut leaf_args = Vec::new();
+    let mut leaves = Vec::new();
     for e in having.iter().chain(&proj_exprs).chain(&order) {
-        collect_leaf_args(e, &mut leaf_args);
+        collect_leaves(e, &mut leaves);
     }
-    let rows_local = keys.iter().all(is_rowlocal) && leaf_args.iter().flatten().all(is_rowlocal);
+    let rows_local = keys.iter().all(is_rowlocal)
+        && leaves.iter().filter_map(|l| l.arg.as_ref()).all(is_rowlocal);
     let groups_exchangeable = having.iter().chain(&proj_exprs).chain(&order).all(is_grouplocal);
     let columns = proj.iter().map(|(_, n)| n.clone()).collect();
     GroupProgram {
         columns,
         keys,
-        leaf_args,
+        leaves,
         having,
         proj: proj_exprs,
         order,
@@ -115,94 +129,242 @@ pub(crate) fn group_program(
     }
 }
 
-/// Per-(group, leaf) partial state: the collected non-NULL argument
-/// values in encounter order, or the first argument error (sticky — the
-/// serial walk would have raised there and never looked further).
+/// The running fold of one aggregate call over one group. Non-NULL
+/// argument values are folded as they arrive, in encounter order, to
+/// exactly what [`fold_aggregate`](crate::eval::fold_aggregate) computes
+/// over the collected vector: the same value bit for bit, or the same
+/// error. The first argument *evaluation* error is sticky and outranks
+/// any fold error — the serial walk would have raised it before folding.
 #[derive(Clone)]
-enum LeafAcc {
-    Vals(Vec<Value>),
-    Err(QueryError),
+pub(crate) struct Acc {
+    func: AggFunc,
+    /// `agg(distinct …)`: the values folded so far; a repeat is skipped.
+    seen: Option<HashSet<Value>>,
+    /// Values folded (after dedup).
+    n: u64,
+    fold: Fold,
+    /// The first argument error.
+    err: Option<QueryError>,
 }
 
-/// One group after the partial phase: representative row (first row of
-/// the group in serial order; `None` only for the synthetic empty
-/// ungrouped group), total row count, and per-leaf state.
+#[derive(Clone)]
+enum Fold {
+    /// `count`: the number folded says it all.
+    Count,
+    /// `sum` / `avg`: the checked and the wide integer sums (the answer
+    /// while every value is an `Int`; `None` once the checked one
+    /// overflowed), the encounter-order float sum, and the first value
+    /// that is not numeric.
+    Numeric { all_int: bool, int: Option<i64>, wide: i128, float: f64, non_numeric: Option<Value> },
+    /// `min` / `max`: the best value so far, or the error of the first
+    /// pair that does not compare (the fold stops there).
+    Best(Result<Option<Value>, QueryError>),
+}
+
+impl Acc {
+    /// An empty accumulator for `func`, deduplicating when `distinct`.
+    pub(crate) fn new(func: AggFunc, distinct: bool) -> Acc {
+        let fold = match func {
+            AggFunc::Count => Fold::Count,
+            AggFunc::Sum | AggFunc::Avg => Fold::Numeric {
+                all_int: true,
+                int: Some(0),
+                wide: 0,
+                float: 0.0,
+                non_numeric: None,
+            },
+            AggFunc::Min | AggFunc::Max => Fold::Best(Ok(None)),
+        };
+        Acc { func, seen: distinct.then(HashSet::new), n: 0, fold, err: None }
+    }
+
+    /// Whether an argument error was recorded (later rows need not be
+    /// evaluated for this call).
+    pub(crate) fn failed(&self) -> bool {
+        self.err.is_some()
+    }
+
+    /// Record an argument evaluation error; the first one sticks.
+    pub(crate) fn fail(&mut self, e: QueryError) {
+        self.err.get_or_insert(e);
+    }
+
+    /// Fold one argument value; NULLs are discarded (SQL aggregate
+    /// semantics), and so is a repeat under `distinct`.
+    pub(crate) fn push(&mut self, v: Value) {
+        if v.is_null() {
+            return;
+        }
+        if let Some(seen) = &mut self.seen {
+            if seen.contains(&v) {
+                return;
+            }
+            seen.insert(v.clone());
+        }
+        self.n += 1;
+        match &mut self.fold {
+            Fold::Count => {}
+            Fold::Numeric { all_int, int, wide, float, non_numeric } => match v {
+                Value::Int(i) => {
+                    *int = int.and_then(|s| s.checked_add(i));
+                    *wide += i128::from(i);
+                    *float += i as f64;
+                }
+                other => {
+                    *all_int = false;
+                    match other.as_f64() {
+                        Some(f) => *float += f,
+                        None => {
+                            non_numeric.get_or_insert(other);
+                        }
+                    }
+                }
+            },
+            Fold::Best(state) => {
+                let Ok(best) = state else { return };
+                let Some(b) = best else {
+                    *best = Some(v);
+                    return;
+                };
+                match b.sql_cmp(&v) {
+                    Some(ord) => {
+                        let keep_b = match self.func {
+                            AggFunc::Min => ord != std::cmp::Ordering::Greater,
+                            _ => ord != std::cmp::Ordering::Less,
+                        };
+                        if !keep_b {
+                            *b = v;
+                        }
+                    }
+                    None => {
+                        let e = QueryError::Type(format!("cannot compare {b} with {v}"));
+                        *state = Err(e);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The aggregate's value: the recorded argument error, else the
+    /// fold's result.
+    pub(crate) fn finish(&self) -> Result<Value, QueryError> {
+        if let Some(e) = &self.err {
+            return Err(e.clone());
+        }
+        match &self.fold {
+            Fold::Count => Ok(Value::Int(self.n as i64)),
+            _ if self.n == 0 => Ok(Value::Null),
+            Fold::Numeric { all_int: true, int, wide, .. } => match self.func {
+                AggFunc::Sum => {
+                    int.map(Value::Int)
+                        .ok_or_else(|| QueryError::Type("integer overflow in sum".into()))
+                }
+                // Exact integer sum, one division (see `fold_aggregate`).
+                _ => Ok(Value::Float(*wide as f64 / self.n as f64)),
+            },
+            Fold::Numeric { non_numeric: Some(v), .. } => {
+                let name = if self.func == AggFunc::Sum { "sum" } else { "avg" };
+                Err(QueryError::Type(format!("{name} of non-numeric value {v}")))
+            }
+            Fold::Numeric { float, .. } => match self.func {
+                AggFunc::Sum => Ok(Value::Float(*float)),
+                _ => Ok(Value::Float(*float / self.n as f64)),
+            },
+            Fold::Best(best) => best.clone().map(|b| b.unwrap_or(Value::Null)),
+        }
+    }
+}
+
+/// One group after the partial phase: its row count and one accumulator
+/// per aggregate leaf.
 struct GroupData {
-    repr: Option<Level>,
     rows_n: u64,
-    leaves: Vec<LeafAcc>,
+    accs: Vec<Acc>,
 }
 
 impl GroupData {
-    /// The representative row, `null` standing in for the synthetic group.
-    fn repr<'a>(&'a self, null: Option<&'a Level>) -> &'a Level {
-        self.repr.as_ref().or(null).expect("null level built for reprless groups")
+    fn new(prog: &GroupProgram) -> Self {
+        let accs = prog.leaves.iter().map(|l| Acc::new(l.func, l.distinct)).collect();
+        GroupData { rows_n: 0, accs }
     }
 }
 
-/// Evaluate `level`'s group key in `env`, then fold its leaf arguments
-/// into that group (a new one, first-seen order, when the key is new);
-/// `Err` is a group-key error.
-fn add_row<E: Env>(
-    index: &mut HashMap<Vec<Value>, usize>,
-    groups: &mut Vec<GroupData>,
-    prog: &GroupProgram,
-    level: &Level,
-    env: &mut E,
-) -> Result<(), QueryError> {
-    let mut key = Vec::with_capacity(prog.keys.len());
-    for k in &prog.keys {
-        key.push(compile::eval(k, env)?);
-    }
-    let slot = match index.entry(key) {
-        Entry::Occupied(o) => *o.get(),
-        Entry::Vacant(v) => {
-            groups.push(GroupData {
-                repr: Some(level.clone()),
-                rows_n: 0,
-                leaves: vec![LeafAcc::Vals(Vec::new()); prog.leaf_args.len()],
-            });
-            *v.insert(groups.len() - 1)
-        }
-    };
-    let g = &mut groups[slot];
-    g.rows_n += 1;
-    for (arg, acc) in prog.leaf_args.iter().zip(g.leaves.iter_mut()) {
-        // count(*) needs only rows_n; an already-errored leaf stays
-        // errored (the serial fold would have stopped there).
-        let (Some(arg), LeafAcc::Vals(vals)) = (arg, &mut *acc) else { continue };
-        match compile::eval(arg, env) {
-            Ok(v) => {
-                if !v.is_null() {
-                    vals.push(v);
+/// The partial phase's state: the groups in first-seen order, found by
+/// their key.
+#[derive(Default)]
+struct Partial {
+    index: HashMap<Vec<Value>, usize>,
+    /// The key of the row being folded, evaluated into one reused buffer.
+    key: Vec<Value>,
+    groups: Vec<GroupData>,
+    /// Each group's first combination, flat in strides of the item count
+    /// (the synthetic empty group has none).
+    reprs: Vec<usize>,
+}
+
+impl Partial {
+    /// Evaluate the group key of combination `combo` in `env`, then fold
+    /// its leaf arguments into that group (a new one, first-seen order,
+    /// when the key is new); `Err` is a group-key error.
+    fn add_row<E: Env>(
+        &mut self,
+        prog: &GroupProgram,
+        combo: &[usize],
+        env: &mut E,
+    ) -> Result<(), QueryError> {
+        let slot = if prog.keys.is_empty() && !self.groups.is_empty() {
+            0
+        } else {
+            self.key.clear();
+            for k in &prog.keys {
+                self.key.push(compile::eval(k, env)?);
+            }
+            match self.index.get(self.key.as_slice()) {
+                Some(&g) => g,
+                None => {
+                    self.index.insert(self.key.clone(), self.groups.len());
+                    self.groups.push(GroupData::new(prog));
+                    self.reprs.extend_from_slice(combo);
+                    self.groups.len() - 1
                 }
             }
-            Err(e) => *acc = LeafAcc::Err(e),
+        };
+        let g = &mut self.groups[slot];
+        g.rows_n += 1;
+        for (leaf, acc) in prog.leaves.iter().zip(&mut g.accs) {
+            // count(*) needs only rows_n; after an argument error the
+            // serial walk would never have looked further.
+            let Some(arg) = &leaf.arg else { continue };
+            if acc.failed() {
+                continue;
+            }
+            match compile::eval(arg, env) {
+                Ok(v) => acc.push(v),
+                Err(e) => acc.fail(e),
+            }
         }
+        Ok(())
     }
-    Ok(())
 }
 
-/// Phase 1: fold one batch into the groups, row by row in serial order,
-/// stopping at the first group-key error. With no `scope` each row is
-/// evaluated over its own frames (row-exchangeable programs only); with
-/// one, each row is pushed onto the scope stack and evaluated there.
+/// Phase 1: fold one batch of combinations over `items` into the groups,
+/// row by row in serial order, stopping at the first group-key error.
+/// With no `scope` each row is evaluated over its borrowed frames
+/// (row-local programs only); with one, each row's level is pushed onto
+/// the scope stack and evaluated there.
 fn accumulate_batch(
-    batch: &[Level],
+    batch: &[usize],
+    items: &[FromItem<'_>],
     prog: &GroupProgram,
     mut scope: Option<Scoped<'_, '_>>,
-    index: &mut HashMap<Vec<Value>, usize>,
-    groups: &mut Vec<GroupData>,
+    partial: &mut Partial,
 ) -> Result<(), QueryError> {
-    for level in batch {
+    for c in batch.chunks_exact(items.len()) {
         match &mut scope {
-            None => {
-                let frames: Vec<&[Value]> = level.iter().map(|f| f.row.as_slice()).collect();
-                add_row(index, groups, prog, level, &mut RowEnv(&frames))?;
-            }
+            None => with_frames(items, c, |frames| partial.add_row(prog, c, &mut RowEnv(frames)))?,
             Some(scoped) => {
-                scoped.bindings.push_level(level.clone());
-                let added = add_row(index, groups, prog, level, scoped);
+                scoped.bindings.push_level(level_of(items, c));
+                let added = partial.add_row(prog, c, scoped);
                 scoped.bindings.pop_level();
                 added?;
             }
@@ -214,13 +376,13 @@ fn accumulate_batch(
 /// The final-phase environment of one group: everything but aggregate
 /// calls goes to `inner`, which reads the group's representative row (a
 /// [`RowEnv`] over its frames, or [`Scoped`] with it pushed), and reaching
-/// aggregate leaf `i` raises that leaf's recorded error or folds its
-/// collected values — so a short-circuited aggregate's error is skipped
-/// exactly like a per-group walk.
-struct GroupEnv<'a, E> {
+/// aggregate leaf `i` finishes that leaf's accumulator — raising its
+/// recorded argument error, if any, only then, so a short-circuited
+/// aggregate's error is skipped exactly like a per-group walk.
+struct GroupEnv<'g, E> {
     inner: E,
     rows_n: u64,
-    accs: &'a [LeafAcc],
+    accs: &'g [Acc],
 }
 
 impl<E: Env> Env for GroupEnv<'_, E> {
@@ -231,15 +393,14 @@ impl<E: Env> Env for GroupEnv<'_, E> {
     fn agg(
         &mut self,
         leaf: usize,
-        func: AggFunc,
-        distinct: bool,
+        _func: AggFunc,
+        _distinct: bool,
         arg: Option<&CompiledExpr>,
     ) -> Result<Value, QueryError> {
-        match (&self.accs[leaf], arg) {
-            (LeafAcc::Err(e), _) => Err(e.clone()),
+        match arg {
             // count(*) counts rows, including all-NULL ones.
-            (LeafAcc::Vals(_), None) => Ok(Value::Int(self.rows_n as i64)),
-            (LeafAcc::Vals(vals), Some(_)) => fold_aggregate(func, distinct, vals.clone()),
+            None => Ok(Value::Int(self.rows_n as i64)),
+            Some(_) => self.accs[leaf].finish(),
         }
     }
 
@@ -274,16 +435,16 @@ fn finish_group<E: Env>(
     Ok(Some((key, out)))
 }
 
-/// Representative bindings for the empty ungrouped group (`select
-/// count(*) from empty`): all-NULL frames.
-fn null_level(items: &[FromItem]) -> Level {
-    items.iter().map(|it| it.frame(vec![Value::Null; it.columns.len()])).collect()
+/// All-NULL rows, one per item: the representative row of the empty
+/// ungrouped group (`select count(*) from empty`).
+fn null_rows(items: &[FromItem<'_>]) -> Vec<Vec<Value>> {
+    items.iter().map(|it| vec![Value::Null; it.columns.len()]).collect()
 }
 
 /// The grouped pipeline top: one output row per group that passes
 /// `having`. Implements [`RowSource`].
-pub(crate) struct AggregateExec<'q> {
-    filter: FilterExec<'q>,
+pub(crate) struct AggregateExec<'a> {
+    filter: FilterExec<'a>,
     /// The planned program; taken at open (an expansion error surfaces
     /// there, after the filter's).
     planned: Option<Result<GroupProgram, QueryError>>,
@@ -292,8 +453,8 @@ pub(crate) struct AggregateExec<'q> {
     batch_rows: usize,
 }
 
-impl<'q> AggregateExec<'q> {
-    pub(crate) fn new(filter: FilterExec<'q>, prog: Result<GroupProgram, QueryError>) -> Self {
+impl<'a> AggregateExec<'a> {
+    pub(crate) fn new(filter: FilterExec<'a>, prog: Result<GroupProgram, QueryError>) -> Self {
         AggregateExec {
             filter,
             planned: Some(prog),
@@ -311,7 +472,7 @@ impl<'q> AggregateExec<'q> {
 
     /// Pull the first batch (surfacing every filter error — the filter is
     /// blocking), take the planned [`GroupProgram`], and run both phases.
-    fn open(&mut self, cx: &mut ExecCx<'_, '_>) -> Result<Vec<KeyedRow>, QueryError> {
+    fn open(&mut self, cx: &mut ExecCx<'a, '_>) -> Result<Vec<KeyedRow>, QueryError> {
         let first = self.filter.next_batch(cx)?;
         let mut prog = self.planned.take().expect("opened once")?;
         self.columns = std::mem::take(&mut prog.columns);
@@ -325,65 +486,64 @@ impl<'q> AggregateExec<'q> {
     /// groups each batch created.
     fn run_two_phase(
         &mut self,
-        cx: &mut ExecCx<'_, '_>,
+        cx: &mut ExecCx<'a, '_>,
         prog: &GroupProgram,
-        first: Option<Vec<Level>>,
+        first: Option<Vec<usize>>,
     ) -> Result<Vec<KeyedRow>, QueryError> {
         let ctx = cx.ctx;
-        let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-        let mut groups: Vec<GroupData> = Vec::new();
+        let k = self.filter.width();
+        let mut partial = Partial::default();
 
         // Phase 1: streaming partial accumulation, batch by batch.
         let mut next = first;
         while let Some(batch) = next {
-            cx.rows_in("partial-aggregate", batch.len());
-            let before = groups.len();
-            let scoped = Scoped { ctx, bindings: &mut *cx.bindings };
-            let scope = (!prog.rows_local).then_some(scoped);
-            accumulate_batch(&batch, prog, scope, &mut index, &mut groups)?;
-            if groups.len() > before {
-                cx.batch_out("partial-aggregate", groups.len() - before);
+            cx.rows_in("partial-aggregate", batch.len() / k);
+            let before = partial.groups.len();
+            let scope = (!prog.rows_local).then_some(Scoped { ctx, bindings: &mut *cx.bindings });
+            accumulate_batch(&batch, self.filter.items(), prog, scope, &mut partial)?;
+            if partial.groups.len() > before {
+                cx.batch_out("partial-aggregate", partial.groups.len() - before);
             }
             next = self.filter.next_batch(cx)?;
         }
-        drop(index);
+        let Partial { mut groups, reprs, .. } = partial;
         // The ungrouped empty input still yields one row
         // (`select count(*) from empty` is 0): synthesize the group.
         if prog.keys.is_empty() && groups.is_empty() {
-            groups.push(GroupData {
-                repr: None,
-                rows_n: 0,
-                leaves: vec![LeafAcc::Vals(Vec::new()); prog.leaf_args.len()],
-            });
+            groups.push(GroupData::new(prog));
         }
 
         // Phase 2: per-group evaluation in global first-seen order.
         if !groups.is_empty() {
             cx.rows_in("final-aggregate", groups.len());
         }
-        // Representative bindings for the synthetic empty group.
-        let null_repr: Option<Level> =
-            groups.iter().any(|g| g.repr.is_none()).then(|| null_level(self.filter.items()));
-        let null_repr = null_repr.as_ref();
+        let items = self.filter.items();
+        // Representative rows for the synthetic empty group.
+        let nulls = if reprs.is_empty() { null_rows(items) } else { Vec::new() };
+        let repr = |g: usize| reprs.get(g * k..(g + 1) * k);
         let mut rows: Vec<KeyedRow> = Vec::new();
         let exchange = Exchange::plan(ctx, groups.len());
         if prog.groups_exchangeable {
-            let eval_one = |g: &GroupData| {
-                let frames: Vec<&[Value]> =
-                    g.repr(null_repr).iter().map(|f| f.row.as_slice()).collect();
-                let inner = RowEnv(&frames);
-                finish_group(prog, &mut GroupEnv { inner, rows_n: g.rows_n, accs: &g.leaves })
+            let eval_one = |g: usize| {
+                let gd = &groups[g];
+                let finish = |frames: &[&[Value]]| {
+                    let inner = RowEnv(frames);
+                    finish_group(prog, &mut GroupEnv { inner, rows_n: gd.rows_n, accs: &gd.accs })
+                };
+                match repr(g) {
+                    Some(c) => with_frames(items, c, finish),
+                    None => finish(&nulls.iter().map(Vec::as_slice).collect::<Vec<_>>()),
+                }
             };
             if let Some(ex) = exchange {
-                let gs = &groups;
-                for v in ex.judge(ctx, |i| eval_one(&gs[i])) {
+                for v in ex.judge(ctx, eval_one) {
                     rows.extend(v.kept);
                     if let Some(e) = v.err {
                         return Err(e);
                     }
                 }
             } else {
-                for g in &groups {
+                for g in 0..groups.len() {
                     rows.extend(eval_one(g)?);
                 }
             }
@@ -391,11 +551,17 @@ impl<'q> AggregateExec<'q> {
             if exchange.is_some() {
                 Exchange::serial_fallback(ctx);
             }
-            for g in &groups {
-                cx.bindings.push_level(g.repr(null_repr).clone());
+            for (g, gd) in groups.iter().enumerate() {
+                let level: Level = match repr(g) {
+                    Some(c) => level_of(items, c),
+                    None => {
+                        items.iter().zip(&nulls).map(|(it, row)| it.frame(row.clone())).collect()
+                    }
+                };
+                cx.bindings.push_level(level);
                 let inner = Scoped { ctx, bindings: &mut *cx.bindings };
-                let row =
-                    finish_group(prog, &mut GroupEnv { inner, rows_n: g.rows_n, accs: &g.leaves });
+                let env = &mut GroupEnv { inner, rows_n: gd.rows_n, accs: &gd.accs };
+                let row = finish_group(prog, env);
                 cx.bindings.pop_level();
                 rows.extend(row?);
             }
@@ -404,14 +570,14 @@ impl<'q> AggregateExec<'q> {
     }
 }
 
-impl Executor for AggregateExec<'_> {
+impl<'a> Executor<'a> for AggregateExec<'a> {
     type Batch = Vec<KeyedRow>;
 
     fn name(&self) -> &'static str {
         "final-aggregate"
     }
 
-    fn next_batch(&mut self, cx: &mut ExecCx<'_, '_>) -> Result<Option<Self::Batch>, QueryError> {
+    fn next_batch(&mut self, cx: &mut ExecCx<'a, '_>) -> Result<Option<Self::Batch>, QueryError> {
         if self.state.is_none() {
             let rows = self.open(cx)?;
             self.state = Some(Batches::new(rows, self.batch_rows));
@@ -424,7 +590,7 @@ impl Executor for AggregateExec<'_> {
     }
 }
 
-impl RowSource for AggregateExec<'_> {
+impl<'a> RowSource<'a> for AggregateExec<'a> {
     fn output_columns(&self) -> &[String] {
         &self.columns
     }
@@ -444,6 +610,7 @@ mod tests {
     use setrules_sql::ast::{DmlOp, Statement};
     use setrules_sql::{parse_expr, parse_statement};
     use setrules_storage::Database;
+    use std::borrow::Cow;
     use std::sync::Arc;
 
     type Outcome = Result<Value, String>;
@@ -466,12 +633,19 @@ mod tests {
         let db = Database::new();
         let ctx = QueryCtx::plain(&db);
         let mut bindings = Bindings::new();
-        let batch = [level.clone()];
-        let (mut index, mut groups) = (HashMap::new(), Vec::new());
+        let items: Vec<FromItem<'_>> = level
+            .iter()
+            .map(|f| FromItem {
+                binding: f.name.clone(),
+                columns: Arc::clone(&f.columns),
+                rows: vec![(None, Cow::Borrowed(f.row.as_slice()))],
+            })
+            .collect();
+        let mut partial = Partial::default();
         let scope = (!prog.rows_local).then_some(Scoped { ctx, bindings: &mut bindings });
-        accumulate_batch(&batch, &prog, scope, &mut index, &mut groups)
+        accumulate_batch(&vec![0; items.len()], &items, &prog, scope, &mut partial)
             .expect("no group keys, so no key error");
-        let g = &groups[0];
+        let g = &partial.groups[0];
         let having = prog.having.as_ref().expect("statement has a having");
         // `having`'s leaves are numbered before the projection's, so the
         // two copies of `src` read disjoint accumulators.
@@ -481,12 +655,109 @@ mod tests {
         if prog.groups_exchangeable {
             let frames: Vec<&[Value]> = level.iter().map(|f| f.row.as_slice()).collect();
             let inner = RowEnv(&frames);
-            both(having, &prog.proj[0], &mut GroupEnv { inner, rows_n: g.rows_n, accs: &g.leaves })
+            both(having, &prog.proj[0], &mut GroupEnv { inner, rows_n: g.rows_n, accs: &g.accs })
         } else {
             bindings.push_level(level.clone());
             let inner = Scoped { ctx, bindings: &mut bindings };
-            both(having, &prog.proj[0], &mut GroupEnv { inner, rows_n: g.rows_n, accs: &g.leaves })
+            both(having, &prog.proj[0], &mut GroupEnv { inner, rows_n: g.rows_n, accs: &g.accs })
         }
+    }
+
+    /// An aggregate result pinned bit for bit: floats by their bits (NaN
+    /// payloads, -0.0), everything else by value, errors by their text.
+    fn exact(r: &Result<Value, QueryError>) -> String {
+        match r {
+            Ok(Value::Float(f)) => format!("float {:#018x}", f.to_bits()),
+            Ok(v) => format!("{v:?}"),
+            Err(e) => format!("error: {e}"),
+        }
+    }
+
+    /// Fold `col` through every aggregate function, plain and `distinct`,
+    /// two ways: streaming through [`Acc`], and through `fold_aggregate`
+    /// over the collected non-NULL values. Returns how many of the folds
+    /// were errors.
+    fn fold_both_ways(col: &[Value]) -> usize {
+        let mut errors = 0;
+        for func in [AggFunc::Count, AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max] {
+            for distinct in [false, true] {
+                let vals: Vec<Value> = col.iter().filter(|v| !v.is_null()).cloned().collect();
+                let oracle = crate::eval::fold_aggregate(func, distinct, vals);
+                let mut acc = Acc::new(func, distinct);
+                for v in col {
+                    acc.push(v.clone());
+                }
+                let got = acc.finish();
+                let case = format!("{func:?} distinct={distinct} over {col:?}");
+                assert_eq!(exact(&got), exact(&oracle), "{case}");
+                errors += oracle.is_err() as usize;
+            }
+        }
+        errors
+    }
+
+    /// The streaming accumulators are `fold_aggregate` without the
+    /// collected vector: over seeded random columns of ints (near the
+    /// `i64` edges too), floats (NaN, ±0.0, ±inf), text, booleans and
+    /// NULL, every function, plain and `distinct`, gives the same value
+    /// bit for bit or the same error text — including the cases where
+    /// encounter order decides: an int overflow followed by a float, an
+    /// all-int overflow, a non-numeric value after a float, and min/max
+    /// over values that do not compare.
+    #[test]
+    fn accumulators_match_fold_aggregate() {
+        use setrules_testkit::{check, Rng};
+        let pinned: Vec<Vec<Value>> = vec![
+            vec![],
+            vec![Value::Null, Value::Null],
+            vec![Value::Int(i64::MAX), Value::Int(1), Value::Float(0.5)],
+            vec![Value::Int(i64::MAX), Value::Int(1)],
+            vec![Value::Int(i64::MAX), Value::Int(1), Value::Int(-5)],
+            vec![Value::Int(i64::MIN), Value::Int(-1), Value::Null],
+            vec![Value::Float(1.5), Value::Text("x".into()), Value::Int(2)],
+            vec![Value::Int(1), Value::Text("a".into())],
+            vec![Value::Float(f64::NAN), Value::Float(1.0), Value::Int(3)],
+            vec![Value::Float(-0.0), Value::Float(0.0), Value::Int(0), Value::Float(-0.0)],
+            vec![Value::Int(1), Value::Int(1), Value::Float(1.0), Value::Null, Value::Int(1)],
+            vec![Value::Float(f64::INFINITY), Value::Float(f64::NEG_INFINITY), Value::Int(2)],
+            vec![Value::Text("b".into()), Value::Text("a".into()), Value::Text("b".into())],
+            vec![Value::Bool(true), Value::Int(1)],
+        ];
+        let mut errors: usize = pinned.iter().map(|c| fold_both_ways(c)).sum();
+        let value = |rng: &mut Rng, palette: usize| -> Value {
+            match rng.below(palette) {
+                0 => Value::Null,
+                1 => Value::Int(rng.range_i64(-3, 3)),
+                2 => Value::Int(*rng.pick(&[i64::MAX, i64::MIN, i64::MAX - 1])),
+                3 => Value::Float(*rng.pick(&[
+                    f64::NAN,
+                    -0.0,
+                    0.0,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    0.1,
+                    -2.5,
+                    1e300,
+                ])),
+                4 => Value::Text(rng.pick(&["a", "b", ""]).to_string()),
+                _ => Value::Bool(rng.chance(1, 2)),
+            }
+        };
+        check("accumulator_oracle", 300, 0xacc0_f01d, |rng| {
+            // Palettes widen in order: NULL and small ints; + i64 edges;
+            // + floats; + text; + booleans.
+            let palette = 2 + rng.below(5);
+            let col: Vec<Value> = (0..rng.below(12)).map(|_| value(rng, palette)).collect();
+            errors += fold_both_ways(&col);
+        });
+        assert!(errors >= 100, "the oracle lost its erroring folds ({errors} left)");
+        // An argument error outranks a fold error, whatever came first.
+        let mut acc = Acc::new(AggFunc::Min, false);
+        acc.push(Value::Int(1));
+        acc.push(Value::Text("a".into()));
+        acc.fail(QueryError::DivisionByZero);
+        acc.fail(QueryError::Type("later".into()));
+        assert_eq!(acc.finish(), Err(QueryError::DivisionByZero));
     }
 
     /// One corpus, every environment. The scoped, row and group

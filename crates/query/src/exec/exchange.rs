@@ -1,10 +1,12 @@
 //! The exchange operator: partitioned execution, expressed once.
 //!
 //! Every parallel phase of the executor — partitioned scans (selects and
-//! DML identification alike), hash-join build/probe, the WHERE pass, the
-//! final-aggregate phase, distinct dedup, sorting, and top-K selection —
-//! goes through [`Exchange`]. The operator owns three things that would
-//! otherwise be hand-threaded at every call site:
+//! DML identification alike), hash-join builds, the WHERE pass, the
+//! final-aggregate phase, sorting, and top-K selection — goes through
+//! [`Exchange`]. (The hash-join probe and `distinct` run serially: the
+//! B16 sweep measured both slower partitioned at every size.) The
+//! operator owns three things that would otherwise be hand-threaded at
+//! every call site:
 //!
 //! 1. **Gating.** One measured constant, [`MIN_PARTITION`], is the number
 //!    of items one partition must carry to pay for its hand-off to a pool
@@ -43,13 +45,16 @@ use crate::ctx::QueryCtx;
 use crate::error::QueryError;
 use crate::stats;
 
-/// Items (rows, combinations, build/probe entries, groups) one partition
+/// Items (rows, combinations, build entries, groups) one partition
 /// must carry to pay for its hand-off. Set from a 1-against-2-thread
 /// sweep of every exchange site at 64 to 65 536 items on a 2-core box
 /// (EXPERIMENTS.md B16): below about 4 096 items no site ran faster on
 /// two threads. Every golden paper example, and the point and
 /// department-sized statements of an OLTP transaction, stay on the exact
-/// serial path.
+/// serial path. Since rows flow by reference the same sweep puts the
+/// break-even near 131 072 items, and the join build and sort lose at
+/// every size; the constant is left here because a gate that high would
+/// push every pool-engaging test past 131 072 rows (B16 has the sweep).
 const MIN_PARTITION: usize = 2048;
 
 /// A planned partitioned phase: `0..n` split across `threads` partitions.

@@ -9,13 +9,13 @@
 //! lexicographic order) must be reproduced exactly — so it drains its
 //! child at open, judges every combination (serially, or partitioned on
 //! the pool when the predicate is row-local), then emits the surviving
-//! scope levels in batches. When tracing is on it also collects, per
-//! surviving combination, the stored-tuple origins (with their `from`
-//! item index) that a select trace and a `delete`/`update` need.
+//! combinations in batches, as the join does: flat row indices in strides
+//! of the item count. A row-local predicate is judged over the borrowed
+//! rows; only a predicate that is not row-local gets an owned scope level
+//! per combination. When tracing is on it also collects, per surviving
+//! combination, the stored-tuple origins (with their `from` item index)
+//! that a select trace needs.
 
-use setrules_storage::Value;
-
-use crate::bindings::{Bindings, Level};
 use crate::compile::{eval_compiled_predicate, holds, CompiledExpr, RowEnv};
 use crate::ctx::QueryCtx;
 use crate::error::QueryError;
@@ -25,63 +25,13 @@ use crate::stats;
 use super::exchange::Exchange;
 use super::join::JoinExec;
 use super::scan::FromItem;
-use super::{Batches, ExecCx, Executor, Origin};
-
-/// The scope level of one assembled combination (`cursor[i]` is the row
-/// index into item `i`), cloning the rows.
-fn level_of(items: &[FromItem], cursor: &[usize]) -> Level {
-    items.iter().zip(cursor).map(|(it, &r)| it.frame(it.rows[r].1.clone())).collect()
-}
-
-/// [`level_of`], except that a sole item's row *moves* into its level: a
-/// sole item's rows each belong to exactly one combination, and nothing
-/// reads them once the filter has judged it. A join's rows are shared
-/// between combinations and are cloned.
-fn take_level(items: &mut [FromItem], cursor: &[usize]) -> Level {
-    match items {
-        [it] => {
-            let row = std::mem::take(&mut it.rows[cursor[0]].1);
-            vec![it.frame(row)]
-        }
-        _ => level_of(items, cursor),
-    }
-}
+use super::{append, level_of, with_frames, Batches, ExecCx, Executor, Origin};
 
 /// Append the stored-tuple origins of one combination, each with its item
 /// index (tracing).
-fn push_origins(items: &[FromItem], cursor: &[usize], out: &mut Vec<Origin>) {
-    let rows = items.iter().zip(cursor).map(|(it, &r)| it.rows[r].0);
+fn push_origins(items: &[FromItem<'_>], combo: &[usize], out: &mut Vec<Origin>) {
+    let rows = items.iter().zip(combo).map(|(it, &r)| it.rows[r].0);
     out.extend(rows.enumerate().filter_map(|(i, o)| o.map(|(t, h)| (i, t, h))));
-}
-
-/// Serially evaluate one assembled combination: count it, run the
-/// full predicate, and keep the level (plus origins) on *true*.
-#[allow(clippy::too_many_arguments)]
-fn consider(
-    ctx: QueryCtx<'_>,
-    items: &mut [FromItem],
-    full_pred: Option<&CompiledExpr>,
-    want_trace: bool,
-    cursor: &[usize],
-    bindings: &mut Bindings,
-    matching: &mut Vec<Level>,
-    origins: &mut Vec<Origin>,
-) -> Result<(), QueryError> {
-    stats::bump(ctx.stats, |s| s.join_combinations += 1);
-    bindings.push_level(take_level(items, cursor));
-    let keep = match full_pred {
-        Some(cp) => eval_compiled_predicate(ctx, bindings, cp),
-        None => Ok(true),
-    };
-    let level = bindings.pop_level().expect("pushed above");
-    if keep? {
-        stats::bump(ctx.stats, |s| s.rows_matched += 1);
-        if want_trace {
-            push_origins(items, cursor, origins);
-        }
-        matching.push(level);
-    }
-    Ok(())
 }
 
 /// The WHERE pass may exchange only when the full predicate is
@@ -89,15 +39,10 @@ fn consider(
 /// combinations) but the predicate is not row-local (correlated
 /// subquery needing the shared memo, interpreter fallback), that
 /// counts an observable fallback.
-fn parallel_where<'p>(
-    ctx: QueryCtx<'_>,
-    full_pred: Option<&'p CompiledExpr>,
-    combinations: usize,
-) -> Option<(Exchange, &'p CompiledExpr)> {
-    let cp = full_pred?;
+fn parallel_where(ctx: QueryCtx<'_>, cp: &CompiledExpr, combinations: usize) -> Option<Exchange> {
     let ex = Exchange::plan(ctx, combinations)?;
     if parallel::is_rowlocal(cp) {
-        Some((ex, cp))
+        Some(ex)
     } else {
         Exchange::serial_fallback(ctx);
         None
@@ -105,21 +50,21 @@ fn parallel_where<'p>(
 }
 
 /// The `where` operator. Blocking: judges every combination at open,
-/// then emits the surviving [`Level`]s in batches. Without a predicate it
-/// passes every combination through and records nothing (the plan has no
+/// then emits the survivors in batches. Without a predicate it passes
+/// every combination through and records nothing (the plan has no
 /// filter stage).
-pub(crate) struct FilterExec<'q> {
-    join: JoinExec<'q>,
+pub(crate) struct FilterExec<'a> {
+    join: JoinExec<'a>,
     full_pred: Option<CompiledExpr>,
     want_trace: bool,
     origins: Vec<Origin>,
     batch_rows: usize,
-    state: Option<Batches<Level>>,
+    state: Option<Batches<usize>>,
 }
 
-impl<'q> FilterExec<'q> {
+impl<'a> FilterExec<'a> {
     pub(crate) fn new(
-        join: JoinExec<'q>,
+        join: JoinExec<'a>,
         full_pred: Option<CompiledExpr>,
         want_trace: bool,
     ) -> Self {
@@ -139,95 +84,133 @@ impl<'q> FilterExec<'q> {
         self
     }
 
+    /// Row indices per combination (the number of `from` items).
+    pub(crate) fn width(&self) -> usize {
+        self.join.width()
+    }
+
     /// The materialized `from` items; valid after open (first pull).
-    pub(crate) fn items(&self) -> &[FromItem] {
+    pub(crate) fn items(&self) -> &[FromItem<'a>] {
         self.join.items()
     }
 
     /// Take the origins of every surviving combination (tracing only), in
-    /// the order the levels were emitted and, within one, in item order.
+    /// the order the combinations were emitted and, within one, in item
+    /// order.
     pub(crate) fn take_origins(&mut self) -> Vec<Origin> {
         std::mem::take(&mut self.origins)
     }
 
-    fn open(&mut self, cx: &mut ExecCx<'_, '_>) -> Result<Vec<Level>, QueryError> {
+    fn open(&mut self, cx: &mut ExecCx<'a, '_>) -> Result<Vec<usize>, QueryError> {
         let ctx = cx.ctx;
-        let mut cursors: Vec<Vec<usize>> = Vec::new();
+        let k = self.width();
+        let mut combos: Vec<usize> = Vec::new();
         while let Some(batch) = self.join.next_batch(cx)? {
             if self.full_pred.is_some() {
-                cx.rows_in("filter", batch.len());
+                cx.rows_in("filter", batch.len() / k);
             }
-            cursors.extend(batch);
+            append(&mut combos, batch);
         }
-        let mut matching: Vec<Level> = Vec::new();
-        if let Some((ex, cp)) = parallel_where(ctx, self.full_pred.as_ref(), cursors.len()) {
-            let items = self.join.items();
-            let cursors_ref = &cursors;
-            let sole = items.len() == 1;
-            // Workers clone a join's surviving scope levels too; a sole
-            // item's survivors move into theirs at the merge below.
+        let n = combos.len() / k;
+        let items = self.join.items();
+        let Some(cp) = &self.full_pred else {
+            stats::bump(ctx.stats, |s| {
+                s.join_combinations += n as u64;
+                s.rows_matched += n as u64;
+            });
+            if self.want_trace {
+                for c in combos.chunks_exact(k) {
+                    push_origins(items, c, &mut self.origins);
+                }
+            }
+            return Ok(combos);
+        };
+        let mut kept: Vec<usize> = Vec::new();
+        if let Some(ex) = parallel_where(ctx, cp, n) {
+            let combos = &combos;
             let verdicts = ex.judge(ctx, |i| {
-                let cursor = &cursors_ref[i];
-                let frames: Vec<&[Value]> = cursor
-                    .iter()
-                    .zip(items.iter())
-                    .map(|(&r, it)| it.rows[r].1.as_slice())
-                    .collect();
-                let kept = holds(cp, &mut RowEnv(&frames))?;
-                Ok(kept.then(|| (i, (!sole).then(|| level_of(items, cursor)))))
+                let keep = with_frames(items, &combos[i * k..(i + 1) * k], |frames| {
+                    holds(cp, &mut RowEnv(frames))
+                })?;
+                Ok(keep.then_some(i))
             });
             // Merge in partition order: counters first, then the kept
-            // levels, stopping at the earliest error — reproducing the
-            // serial combination walk exactly.
-            let items = self.join.items_mut();
+            // combinations, stopping at the earliest error — reproducing
+            // the serial combination walk exactly.
             for v in verdicts {
                 stats::bump(ctx.stats, |s| {
                     s.join_combinations += v.combos;
                     s.rows_matched += v.matched;
                 });
-                for (i, level) in v.kept {
+                for i in v.kept {
+                    let c = &combos[i * k..(i + 1) * k];
                     if self.want_trace {
-                        push_origins(items, &cursors[i], &mut self.origins);
+                        push_origins(items, c, &mut self.origins);
                     }
-                    matching.push(level.unwrap_or_else(|| take_level(items, &cursors[i])));
+                    kept.extend_from_slice(c);
                 }
                 if let Some(e) = v.err {
                     return Err(e);
                 }
             }
         } else {
-            for c in &cursors {
-                consider(
-                    ctx,
-                    self.join.items_mut(),
-                    self.full_pred.as_ref(),
-                    self.want_trace,
-                    c,
-                    cx.bindings,
-                    &mut matching,
-                    &mut self.origins,
-                )?;
+            // The serial walk, counting locally and charging the counters
+            // once, at the end or at the first error.
+            let rowlocal = parallel::is_rowlocal(cp);
+            let (mut seen, mut matched) = (0u64, 0u64);
+            let mut outcome = Ok(());
+            for c in combos.chunks_exact(k) {
+                seen += 1;
+                let keep = if rowlocal {
+                    with_frames(items, c, |frames| holds(cp, &mut RowEnv(frames)))
+                } else {
+                    cx.bindings.push_level(level_of(items, c));
+                    let keep = eval_compiled_predicate(ctx, cx.bindings, cp);
+                    cx.bindings.pop_level();
+                    keep
+                };
+                match keep {
+                    Ok(false) => {}
+                    Ok(true) => {
+                        matched += 1;
+                        if self.want_trace {
+                            push_origins(items, c, &mut self.origins);
+                        }
+                        kept.extend_from_slice(c);
+                    }
+                    Err(e) => {
+                        outcome = Err(e);
+                        break;
+                    }
+                }
             }
+            stats::bump(ctx.stats, |s| {
+                s.join_combinations += seen;
+                s.rows_matched += matched;
+            });
+            outcome?;
         }
-        Ok(matching)
+        Ok(kept)
     }
 }
 
-impl Executor for FilterExec<'_> {
-    type Batch = Vec<Level>;
+impl<'a> Executor<'a> for FilterExec<'a> {
+    /// Up to `batch_rows` surviving combinations, flat in strides of
+    /// [`FilterExec::width`].
+    type Batch = Vec<usize>;
 
     fn name(&self) -> &'static str {
         "filter"
     }
 
-    fn next_batch(&mut self, cx: &mut ExecCx<'_, '_>) -> Result<Option<Self::Batch>, QueryError> {
+    fn next_batch(&mut self, cx: &mut ExecCx<'a, '_>) -> Result<Option<Self::Batch>, QueryError> {
         if self.state.is_none() {
-            let matching = self.open(cx)?;
-            self.state = Some(Batches::new(matching, self.batch_rows));
+            let kept = self.open(cx)?;
+            self.state = Some(Batches::new(kept, self.batch_rows * self.width()));
         }
         let batch = self.state.as_mut().expect("opened above").next();
         if let (Some(b), Some(_)) = (&batch, &self.full_pred) {
-            cx.batch_out(self.name(), b.len());
+            cx.batch_out(self.name(), b.len() / self.width());
         }
         Ok(batch)
     }

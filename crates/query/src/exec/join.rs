@@ -1,16 +1,19 @@
 //! The join operator: drains its child scans and assembles row
-//! combinations as *cursors* (one row index per `from` item, in item
-//! order), emitted in row-index lexicographic order.
+//! combinations, emitted in row-index lexicographic order.
 //!
-//! Every join runs the greedy N-way [`JoinPlan`](crate::planner::JoinPlan)
-//! over the plan's equi-join edges and the scanned cardinalities: hash
-//! steps on equi-join keys (build and probe partitioned on the pool when
-//! big enough), cross steps only when nothing connects. Hash probes
-//! are a sound *prefilter* — the filter operator above still evaluates the
-//! full predicate per emitted cursor — with one accepted divergence:
+//! A combination is one row index per `from` item, in item order; a
+//! batch of them is one flat index vector in strides of the item count
+//! (for a sole item, a batch of row indices). Every join runs the greedy
+//! N-way [`JoinPlan`](crate::planner::JoinPlan) over the plan's equi-join
+//! edges and the scanned cardinalities: hash steps on equi-join keys (the
+//! build partitioned on the pool when big enough, the probe serial),
+//! cross steps only when nothing connects. Hash probes are a sound
+//! *prefilter* — the filter operator above still evaluates the full
+//! predicate per emitted combination — with one accepted divergence:
 //! prefilters may skip combinations whose evaluation would *error*.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use setrules_storage::Value;
@@ -21,30 +24,57 @@ use crate::stats;
 
 use super::exchange::Exchange;
 use super::scan::{FromItem, ScanExec};
-use super::{Batches, ExecCx, Executor};
+use super::{append, Batches, ExecCx, Executor};
+
+/// A hash step's table: composite key values to the incoming item's row
+/// indices, ascending.
+type HashTable<'r> = HashMap<Vec<&'r Value>, Vec<usize>>;
+
+/// Refill `key` with one side's join-key values; `false` when one is
+/// NULL (SQL equality with NULL is unknown, so the row never joins).
+fn fill_key<'v>(key: &mut Vec<&'v Value>, vals: impl Iterator<Item = &'v Value>) -> bool {
+    key.clear();
+    for v in vals {
+        if v.is_null() {
+            return false;
+        }
+        key.push(v);
+    }
+    true
+}
 
 /// The combination assembler. Owns its child scans; at open it drains
-/// them into [`FromItem`]s, computes the full cursor set through the join
-/// plan, and then emits it in batches.
-pub(crate) struct JoinExec<'q> {
-    scans: Vec<ScanExec<'q>>,
+/// them into [`FromItem`]s, computes the full combination set through the
+/// join plan, and then emits it in batches.
+pub(crate) struct JoinExec<'a> {
+    scans: Vec<ScanExec<'a>>,
+    /// Row indices per combination: the number of `from` items.
+    width: usize,
     /// The planned equi-join edges; they become hash steps.
     edges: Vec<EquiEdge>,
     /// The planned operator name; `None` for a sole item, which passes
     /// its rows through as the combinations and records nothing.
     op: Option<&'static str>,
-    items: Vec<FromItem>,
+    items: Vec<FromItem<'a>>,
     batch_rows: usize,
-    state: Option<Batches<Vec<usize>>>,
+    state: Option<Batches<usize>>,
 }
 
-impl<'q> JoinExec<'q> {
+impl<'a> JoinExec<'a> {
     pub(crate) fn new(
-        scans: Vec<ScanExec<'q>>,
+        scans: Vec<ScanExec<'a>>,
         edges: Vec<EquiEdge>,
         op: Option<&'static str>,
     ) -> Self {
-        JoinExec { scans, edges, op, items: Vec::new(), batch_rows: super::BATCH_ROWS, state: None }
+        JoinExec {
+            width: scans.len(),
+            scans,
+            edges,
+            op,
+            items: Vec::new(),
+            batch_rows: usize::MAX,
+            state: None,
+        }
     }
 
     #[cfg(test)]
@@ -53,28 +83,28 @@ impl<'q> JoinExec<'q> {
         self
     }
 
+    /// Row indices per combination (the number of `from` items).
+    pub(crate) fn width(&self) -> usize {
+        self.width
+    }
+
     /// The materialized `from` items; valid after open (first pull).
-    pub(crate) fn items(&self) -> &[FromItem] {
+    pub(crate) fn items(&self) -> &[FromItem<'a>] {
         &self.items
     }
 
-    /// The items, for the filter to move a sole item's rows out of.
-    pub(crate) fn items_mut(&mut self) -> &mut [FromItem] {
-        &mut self.items
-    }
-
-    fn open(&mut self, cx: &mut ExecCx<'_, '_>) -> Result<Vec<Vec<usize>>, QueryError> {
+    fn open(&mut self, cx: &mut ExecCx<'a, '_>) -> Result<Vec<usize>, QueryError> {
         // Drain the scans in item order — a scan error (say, a transition
         // provider failure on item 1) surfaces before any join work, just
         // as the sequential materialization loop did.
-        let mut items: Vec<FromItem> = Vec::with_capacity(self.scans.len());
+        let mut items: Vec<FromItem<'a>> = Vec::with_capacity(self.scans.len());
         for scan in &mut self.scans {
             let mut rows = Vec::new();
             while let Some(batch) = scan.next_batch(cx)? {
                 if let Some(op) = self.op {
                     cx.rows_in(op, batch.len());
                 }
-                rows.extend(batch);
+                append(&mut rows, batch);
             }
             items.push(FromItem {
                 binding: std::mem::take(&mut scan.item.binding),
@@ -85,20 +115,20 @@ impl<'q> JoinExec<'q> {
 
         // An empty item means zero combinations; a sole item's rows are
         // the combinations; anything else goes through the join plan.
-        let cursors = if items.iter().any(|it| it.rows.is_empty()) {
+        let combos = if items.iter().any(|it| it.rows.is_empty()) {
             Vec::new()
         } else if items.len() == 1 {
-            (0..items[0].rows.len()).map(|i| vec![i]).collect()
+            (0..items[0].rows.len()).collect()
         } else {
             self.planned(cx, &items)
         };
         self.items = items;
-        Ok(cursors)
+        Ok(combos)
     }
 
-    /// Run the greedy join plan over two or more non-empty items, emitting
-    /// cursors in row-index lexicographic order.
-    fn planned(&self, cx: &ExecCx<'_, '_>, items: &[FromItem]) -> Vec<Vec<usize>> {
+    /// Run the greedy join plan over two or more non-empty items,
+    /// returning the flat combinations in row-index lexicographic order.
+    fn planned(&self, cx: &ExecCx<'a, '_>, items: &[FromItem<'a>]) -> Vec<usize> {
         let ctx = cx.ctx;
         let cards: Vec<usize> = items.iter().map(|it| it.rows.len()).collect();
         let plan = build_join_plan(&cards, &self.edges);
@@ -112,137 +142,173 @@ impl<'q> JoinExec<'q> {
             }
         });
         let order = plan.order();
-        // pos_of[item] = position of that item in join order;
-        // a partial combination stores row indices in join
-        // order, one per placed item.
+        // pos_of[item] = position of that item in join order. A partial
+        // combination holds one row index per placed item, in join
+        // order; the partials are one flat vector in strides of `placed`.
         let mut pos_of = vec![0usize; items.len()];
         for (p, &it) in order.iter().enumerate() {
             pos_of[it] = p;
         }
-        let mut partials: Vec<Vec<usize>> =
-            (0..items[plan.first].rows.len()).map(|i| vec![i]).collect();
+        let mut placed = 1;
+        let mut partials: Vec<usize> = (0..items[plan.first].rows.len()).collect();
         for step in &plan.steps {
             if partials.is_empty() {
                 break;
             }
             let new_rows = &items[step.item].rows;
+            let mut next = Vec::new();
             if step.edges.is_empty() {
                 // Cross step: no equi-edge reaches this item.
-                let mut next = Vec::with_capacity(partials.len() * new_rows.len());
-                for p in &partials {
+                next.reserve(partials.len() / placed * new_rows.len() * (placed + 1));
+                for p in partials.chunks_exact(placed) {
                     for j in 0..new_rows.len() {
-                        let mut q = p.clone();
-                        q.push(j);
-                        next.push(q);
+                        next.extend_from_slice(p);
+                        next.push(j);
                     }
                 }
-                partials = next;
             } else {
-                // Hash step: build on the incoming item over
-                // the composite key. NULL key components never
-                // join (SQL equality with NULL is unknown);
-                // the type-equality requirement on edges makes
-                // storage-level hash equality agree with SQL
-                // equality.
-                //
-                // Build a range of rows into a local map.
-                let build_range =
-                    |range: std::ops::Range<usize>| -> HashMap<Vec<&Value>, Vec<usize>> {
-                        let mut local: HashMap<Vec<&Value>, Vec<usize>> =
-                            HashMap::new();
-                        'build: for j in range {
-                            let row = &new_rows[j];
-                            let mut key = Vec::with_capacity(step.edges.len());
-                            for &(_, _, nc) in &step.edges {
-                                let v = &row.1[nc];
-                                if v.is_null() {
-                                    continue 'build;
-                                }
-                                key.push(v);
-                            }
-                            local.entry(key).or_default().push(j);
+                // Hash step: build on the incoming item over the
+                // composite key, then probe it with every partial. The
+                // type-equality requirement on edges makes storage-level
+                // hash equality agree with SQL equality. Keys are looked
+                // up from one reused buffer; only a new key is copied.
+                let build_range = |range: Range<usize>| -> HashTable<'_> {
+                    let mut local: HashTable<'_> = HashMap::new();
+                    let mut key = Vec::with_capacity(step.edges.len());
+                    for j in range {
+                        let row = &new_rows[j].1;
+                        if !fill_key(&mut key, step.edges.iter().map(|&(_, _, nc)| &row[nc])) {
+                            continue;
                         }
-                        local
-                    };
-                let table: HashMap<Vec<&Value>, Vec<usize>> =
-                    if let Some(ex) = Exchange::plan(ctx, new_rows.len()) {
-                        // Exchange the build side; merging the
-                        // per-worker maps in partition order
-                        // keeps every bucket's row indices
-                        // ascending — identical to the serial
-                        // build.
-                        let maps = ex.run(ctx, build_range);
-                        let mut merged: HashMap<Vec<&Value>, Vec<usize>> =
-                            HashMap::new();
-                        for local in maps {
-                            for (key, mut js) in local {
-                                merged.entry(key).or_default().append(&mut js);
-                            }
-                        }
-                        merged
-                    } else {
-                        build_range(0..new_rows.len())
-                    };
-                // Probe a range of partials against the map,
-                // emitting extended combinations in order.
-                let probe_range = |range: std::ops::Range<usize>| -> Vec<Vec<usize>> {
-                    let mut out = Vec::new();
-                    'probe: for p in &partials[range] {
-                        let mut key = Vec::with_capacity(step.edges.len());
-                        for &(pi, pc, _) in &step.edges {
-                            let v = &items[pi].rows[p[pos_of[pi]]].1[pc];
-                            if v.is_null() {
-                                continue 'probe;
-                            }
-                            key.push(v);
-                        }
-                        if let Some(js) = table.get(&key) {
-                            for &j in js {
-                                let mut q = p.clone();
-                                q.push(j);
-                                out.push(q);
+                        match local.get_mut(key.as_slice()) {
+                            Some(js) => js.push(j),
+                            None => {
+                                local.insert(key.clone(), vec![j]);
                             }
                         }
                     }
-                    out
+                    local
                 };
-                partials = if let Some(ex) = Exchange::plan(ctx, partials.len()) {
-                    // Exchange the probe side; concatenating
-                    // per-partition outputs in partition order
-                    // reproduces the serial probe order.
-                    ex.run(ctx, probe_range).concat()
+                let table = if let Some(ex) = Exchange::plan(ctx, new_rows.len()) {
+                    // Exchange the build side; merging the per-worker
+                    // maps in partition order keeps every bucket's row
+                    // indices ascending — identical to the serial build.
+                    let mut merged: HashTable<'_> = HashMap::new();
+                    for local in ex.run(ctx, build_range) {
+                        for (key, mut js) in local {
+                            merged.entry(key).or_default().append(&mut js);
+                        }
+                    }
+                    merged
                 } else {
-                    probe_range(0..partials.len())
+                    build_range(0..new_rows.len())
                 };
+                let mut key = Vec::with_capacity(step.edges.len());
+                for p in partials.chunks_exact(placed) {
+                    let probe =
+                        step.edges.iter().map(|&(pi, pc, _)| &items[pi].row(p[pos_of[pi]])[pc]);
+                    if !fill_key(&mut key, probe) {
+                        continue;
+                    }
+                    for &j in table.get(key.as_slice()).into_iter().flatten() {
+                        next.extend_from_slice(p);
+                        next.push(j);
+                    }
+                }
             }
+            partials = next;
+            placed += 1;
         }
         // Back to item order, emitted lexicographically (the order a
         // nested loop over the items would produce).
-        let mut cursors: Vec<Vec<usize>> = partials
-            .into_iter()
-            .map(|p| (0..items.len()).map(|i| p[pos_of[i]]).collect())
-            .collect();
-        cursors.sort_unstable();
-        cursors
+        let k = items.len();
+        let mut in_items = Vec::with_capacity(partials.len());
+        for p in partials.chunks_exact(k) {
+            in_items.extend(pos_of.iter().map(|&pos| p[pos]));
+        }
+        lexicographic(in_items, k, &cards)
     }
 }
 
-impl Executor for JoinExec<'_> {
-    type Batch = Vec<Vec<usize>>;
+/// Reorder flat `k`-wide combinations (`cards[i]` rows behind index `i`)
+/// into lexicographic order: a least-significant-first radix sort, one
+/// stable counting pass per item, skipped when they already are in order.
+fn lexicographic(combos: Vec<usize>, k: usize, cards: &[usize]) -> Vec<usize> {
+    let n = combos.len() / k;
+    let combo = |c: usize| &combos[c * k..(c + 1) * k];
+    if (1..n).all(|c| combo(c - 1) <= combo(c)) {
+        return combos;
+    }
+    let mut ids: Vec<usize> = (0..n).collect();
+    let mut next = vec![0; n];
+    let mut starts = Vec::new();
+    for col in (0..k).rev() {
+        starts.clear();
+        starts.resize(cards[col] + 1, 0);
+        for &c in &ids {
+            starts[combos[c * k + col] + 1] += 1;
+        }
+        for r in 1..starts.len() {
+            starts[r] += starts[r - 1];
+        }
+        for &c in &ids {
+            let r = combos[c * k + col];
+            next[starts[r]] = c;
+            starts[r] += 1;
+        }
+        std::mem::swap(&mut ids, &mut next);
+    }
+    let mut sorted = Vec::with_capacity(combos.len());
+    for c in ids {
+        sorted.extend_from_slice(combo(c));
+    }
+    sorted
+}
+
+impl<'a> Executor<'a> for JoinExec<'a> {
+    /// Up to `batch_rows` combinations, flat in strides of
+    /// [`JoinExec::width`].
+    type Batch = Vec<usize>;
 
     fn name(&self) -> &'static str {
         self.op.unwrap_or("join")
     }
 
-    fn next_batch(&mut self, cx: &mut ExecCx<'_, '_>) -> Result<Option<Self::Batch>, QueryError> {
+    fn next_batch(&mut self, cx: &mut ExecCx<'a, '_>) -> Result<Option<Self::Batch>, QueryError> {
         if self.state.is_none() {
-            let cursors = self.open(cx)?;
-            self.state = Some(Batches::new(cursors, self.batch_rows));
+            let combos = self.open(cx)?;
+            self.state = Some(Batches::new(combos, self.batch_rows.saturating_mul(self.width)));
         }
         let batch = self.state.as_mut().expect("opened above").next();
         if let (Some(b), Some(op)) = (&batch, self.op) {
-            cx.batch_out(op, b.len());
+            cx.batch_out(op, b.len() / self.width);
         }
         Ok(batch)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::lexicographic;
+
+    /// The radix reorder is a comparison sort of the `k`-wide strides.
+    #[test]
+    fn lexicographic_matches_a_comparison_sort() {
+        setrules_testkit::check("join_lexicographic", 200, 0x1e71_c0de, |rng| {
+            let k = 1 + rng.below(3);
+            let cards: Vec<usize> = (0..k).map(|_| 1 + rng.below(6)).collect();
+            let mut combos: Vec<Vec<usize>> = (0..rng.below(40))
+                .map(|_| cards.iter().map(|&c| rng.below(c)).collect())
+                .collect();
+            combos.sort_unstable();
+            combos.dedup();
+            // Shuffle, then reorder.
+            for i in (1..combos.len()).rev() {
+                combos.swap(i, rng.below(i + 1));
+            }
+            let got = lexicographic(combos.concat(), k, &cards);
+            combos.sort_unstable();
+            assert_eq!(got, combos.concat(), "k={k} cards={cards:?}");
+        });
     }
 }

@@ -17,6 +17,24 @@
 //! line of `explain` prints; pass-through stages (a sole item's join, a
 //! filter without predicate) record nothing.
 //!
+//! # Rows flow by reference
+//!
+//! No operator below the projection owns a row. A scan keeps each row as
+//! a `Cow` borrowed from the database (or from the transition provider,
+//! which may lend or own it); a combination is a row index into its sole
+//! item, or for a join a `k`-wide stride of one flat index vector (one
+//! row index per `from` item); the filter keeps the indices of the
+//! combinations that survive; and every tree that is row-local
+//! (`crate::parallel::is_rowlocal`) — predicates, projections, group keys,
+//! aggregate arguments, `update … set` expressions — is evaluated in
+//! `compile::RowEnv` over the borrowed row slices. An owned scope
+//! [`Level`](crate::bindings::Level) is built only where a tree that is
+//! not row-local (a correlated subquery, an interpreter fallback) must
+//! run in the scoped environment with the combination pushed onto the
+//! scope stack. Aggregates fold each argument into a running accumulator
+//! as rows stream past, so a group holds its key, its first combination
+//! and one accumulator per aggregate call, never its rows.
+//!
 //! # The operator vocabulary
 //!
 //! * [`scan::ScanExec`] — one `from` item: a stored-table scan through its
@@ -34,37 +52,39 @@
 //!   for row-locality, `docs/parallel-execution.md` for the model).
 //! * [`join::JoinExec`] — drains its child scans and assembles row
 //!   combinations through the greedy N-way hash/cross
-//!   [`JoinPlan`](crate::planner::JoinPlan). Hash-step builds and probes
-//!   exchange across partitions. Emits batches of *cursors* (one row index
-//!   per item) in row-index lexicographic order.
+//!   [`JoinPlan`](crate::planner::JoinPlan). Hash-step builds exchange
+//!   across partitions; probes run serially. Emits batches of flat
+//!   combinations (one row index per item) in row-index lexicographic
+//!   order.
 //! * [`filter::FilterExec`] — evaluates the full `where` predicate per
 //!   assembled combination (hash probes and pushdown are sound
 //!   prefilters), serially or exchanged when the predicate is
-//!   row-local. On request it records each surviving combination's
-//!   [`Origin`]s — stored tuples with the `from` item they were bound
-//!   through — which are a select trace's reads (§5.1) and a `delete` /
-//!   `update`'s target handles. It is the top of the DML read phase:
-//!   `update` evaluates its `set` expressions over its surviving levels.
+//!   row-local, and emits the surviving combinations. On request it
+//!   records each survivor's [`Origin`]s — stored tuples with the `from`
+//!   item they were bound through — which are a select trace's reads
+//!   (§5.1). It is the top of the DML read phase: `delete` takes its
+//!   survivors' handles, and `update` evaluates its `set` expressions
+//!   over their rows.
 //! * [`project::ProjectExec`] / [`aggregate::AggregateExec`] — expand
 //!   wildcards, then evaluate projections row-by-row or per group
 //!   (`group by` / `having` / aggregate calls), emitting rows keyed by
 //!   their `order by` values. Every grouped statement lowers to a
 //!   `GroupProgram` and runs *two-phase*: a streaming `partial-aggregate`
-//!   phase accumulates each input batch serially (a batch is smaller than
-//!   the exchange's gate), and a `final-aggregate` phase folds the
-//!   groups — exchanged when there are enough and its trees are row-local
-//!   apart from their aggregate calls.
+//!   phase folds each input batch into per-group accumulators serially (a
+//!   batch is smaller than the exchange's gate), and a `final-aggregate`
+//!   phase finishes the groups — exchanged when there are enough and its
+//!   trees are row-local apart from their aggregate calls.
 //! * [`sort::DistinctExec`], [`sort::SortExec`], [`sort::LimitExec`] —
 //!   `distinct` dedup, the stable order-by sort with its top-K
-//!   partial-selection fast path, and the `limit` truncation. Distinct
-//!   exchanges per-partition first-occurrence candidates, sort merges
+//!   partial-selection fast path, and the `limit` truncation. Sort merges
 //!   per-partition runs under the `(key, input index)` total order, and
 //!   top-K selects per-partition candidate supersets before the serial
-//!   selection.
+//!   selection; `distinct` runs serially.
 //!
 //! # Batch contract
 //!
-//! `next_batch` returns `Ok(Some(batch))` with `1..=BATCH_ROWS` rows,
+//! `next_batch` returns `Ok(Some(batch))` with `1..=BATCH_ROWS` rows (a
+//! scan or join: its whole materialized output at once),
 //! `Ok(None)` at end of stream (repeat calls keep returning `None`), or
 //! `Err` — after an error the operator must not be pulled again. Blocking
 //! operators (join build, filter's parallel WHERE pass, aggregation,
@@ -75,12 +95,14 @@
 //!
 //! # Determinism and stats
 //!
-//! Operators contain exactly the code the monolithic executor ran, so
-//! results, error selection, and the aggregate [`crate::ExecStats`]
-//! totals are bit-identical to the pre-operator pipeline (the
-//! differential suites enforce this). Per-operator counters attach via
-//! [`crate::OpStatsCell`] on the context — a separate side channel that
-//! never perturbs the aggregate counters.
+//! Operators walk combinations in the serial order and bump the counters
+//! at the same points whether they read borrowed rows or an owned level,
+//! so results, error selection, and the aggregate [`crate::ExecStats`]
+//! totals are bit-identical at every thread budget and to the naive
+//! reference executor the differential suites compare against.
+//! Per-operator counters attach via [`crate::OpStatsCell`] on the
+//! context — a separate side channel that never perturbs the aggregate
+//! counters.
 
 pub(crate) mod aggregate;
 pub(crate) mod exchange;
@@ -92,11 +114,13 @@ pub(crate) mod sort;
 
 use setrules_storage::{TableId, TupleHandle, Value};
 
-use crate::bindings::Bindings;
+use crate::bindings::{Bindings, Level};
 use crate::ctx::QueryCtx;
 use crate::error::QueryError;
 
-/// Maximum rows per emitted batch.
+/// Maximum rows per emitted batch above the join. Scans and joins
+/// materialize their whole output at open and hand it over as one batch
+/// (their test-only `with_batch_rows` knob still cuts it smaller).
 pub(crate) const BATCH_ROWS: usize = 1024;
 
 /// One produced row paired with its evaluated `order by` key.
@@ -106,10 +130,42 @@ pub(crate) type KeyedRow = (Vec<Value>, Vec<Value>);
 /// `from` item it was bound through, its table, and its handle.
 pub(crate) type Origin = (usize, TableId, TupleHandle);
 
+/// Combinations of up to this many `from` items lend their rows to
+/// [`with_frames`] from a stack buffer.
+const INLINE_FRAMES: usize = 4;
+
+/// Run `f` over the rows of one combination (`combo[i]` is the row index
+/// into item `i`) as borrowed frame slices — the shape
+/// [`RowEnv`](crate::compile::RowEnv) evaluates over. Allocates nothing for
+/// up to [`INLINE_FRAMES`] items.
+pub(crate) fn with_frames<R>(
+    items: &[scan::FromItem<'_>],
+    combo: &[usize],
+    f: impl FnOnce(&[&[Value]]) -> R,
+) -> R {
+    if combo.len() <= INLINE_FRAMES {
+        let mut buf: [&[Value]; INLINE_FRAMES] = [&[]; INLINE_FRAMES];
+        for (slot, (it, &r)) in buf.iter_mut().zip(items.iter().zip(combo)) {
+            *slot = it.row(r);
+        }
+        f(&buf[..combo.len()])
+    } else {
+        let frames: Vec<&[Value]> = items.iter().zip(combo).map(|(it, &r)| it.row(r)).collect();
+        f(&frames)
+    }
+}
+
+/// The owned scope level of one combination, its rows cloned — built
+/// only to run a tree that is not row-local in the scoped environment.
+pub(crate) fn level_of(items: &[scan::FromItem<'_>], combo: &[usize]) -> Level {
+    items.iter().zip(combo).map(|(it, &r)| it.frame(it.row(r).to_vec())).collect()
+}
+
 /// Everything an operator needs per pull: the (Copy) query context and
 /// the scope stack. The stack is threaded mutably through the tree — only
 /// the operator currently evaluating holds it, exactly like the recursive
-/// executor it replaces.
+/// executor it replaces. The context's lifetime `'a` is the lifetime of
+/// the rows the operators borrow from its database.
 pub(crate) struct ExecCx<'a, 'b> {
     /// The query context (database, provider, caches, stats, threads).
     pub ctx: QueryCtx<'a>,
@@ -134,8 +190,8 @@ impl ExecCx<'_, '_> {
     }
 }
 
-/// A batched physical operator.
-pub(crate) trait Executor {
+/// A batched physical operator over rows borrowed for `'a`.
+pub(crate) trait Executor<'a> {
     /// The unit one pull produces (a vector of rows, cursors, …).
     type Batch;
 
@@ -145,13 +201,13 @@ pub(crate) trait Executor {
     fn name(&self) -> &'static str;
 
     /// Produce the next batch, or `None` when exhausted.
-    fn next_batch(&mut self, cx: &mut ExecCx<'_, '_>) -> Result<Option<Self::Batch>, QueryError>;
+    fn next_batch(&mut self, cx: &mut ExecCx<'a, '_>) -> Result<Option<Self::Batch>, QueryError>;
 }
 
 /// The top of a lowered select pipeline: emits [`KeyedRow`] batches and,
 /// once opened (first `next_batch`), knows its output column names and
 /// the stored-tuple origins of every emitted row (for select tracing).
-pub(crate) trait RowSource: Executor<Batch = Vec<KeyedRow>> {
+pub(crate) trait RowSource<'a>: Executor<'a, Batch = Vec<KeyedRow>> {
     /// Output column names; valid after the first `next_batch` call.
     fn output_columns(&self) -> &[String];
 
@@ -175,13 +231,29 @@ impl<T> Batches<T> {
     }
 
     /// The next batch of `1..=batch_rows` elements, `None` when drained.
+    /// The last batch takes the remaining buffer itself — without a copy
+    /// when nothing was emitted before it.
     pub(crate) fn next(&mut self) -> Option<Vec<T>> {
-        let b: Vec<T> = self.iter.by_ref().take(self.batch_rows).collect();
+        let b: Vec<T> = if self.iter.len() <= self.batch_rows {
+            std::mem::take(&mut self.iter).collect()
+        } else {
+            self.iter.by_ref().take(self.batch_rows).collect()
+        };
         if b.is_empty() {
             None
         } else {
             Some(b)
         }
+    }
+}
+
+/// Append a pulled batch to `acc`, taking the batch's buffer while `acc`
+/// is still empty — a child that emits one batch costs no copy.
+pub(crate) fn append<T>(acc: &mut Vec<T>, batch: Vec<T>) {
+    if acc.is_empty() {
+        *acc = batch;
+    } else {
+        acc.extend(batch);
     }
 }
 

@@ -9,16 +9,12 @@
 //! row beyond the limit still surfaces (the historical pipeline projected
 //! every row before truncating).
 //!
-//! Big-enough inputs partition on the pool through the
-//! [`exchange`](super::exchange) operator — these stages compare values
-//! only, so no row-locality gate applies:
+//! Big-enough sorts partition on the pool through the
+//! [`exchange`](super::exchange) operator — they compare values only, so
+//! no row-locality gate applies. `distinct` runs serially: one pass
+//! through a borrowing set is cheaper than a partitioned pass and its
+//! merge at every input size measured (EXPERIMENTS.md B16).
 //!
-//! * `distinct` — each partition keeps its *local* first-occurrence
-//!   indices (a sound superset of the global survivors: a row that is not
-//!   even first in its own partition cannot be first overall); the merge
-//!   walks the candidates in partition order — ascending input order —
-//!   through one global set, reproducing the serial first-occurrence
-//!   scan.
 //! * `sort` — each partition sorts its range by `(key, input index)`;
 //!   the index tiebreak makes the comparator a total order, so the k-way
 //!   merge of the runs *is* the stable sort of the whole input.
@@ -38,10 +34,10 @@ use super::exchange::Exchange;
 use super::{Batches, ExecCx, Executor, KeyedRow, Origin, RowSource};
 
 /// Drain a boxed child fully, charging the rows to `name`'s input side.
-fn drain(
-    child: &mut Box<dyn RowSource + '_>,
+fn drain<'a>(
+    child: &mut Box<dyn RowSource<'a> + 'a>,
     name: &'static str,
-    cx: &mut ExecCx<'_, '_>,
+    cx: &mut ExecCx<'a, '_>,
 ) -> Result<Vec<KeyedRow>, QueryError> {
     let mut rows: Vec<KeyedRow> = Vec::new();
     while let Some(batch) = child.next_batch(cx)? {
@@ -53,14 +49,14 @@ fn drain(
 
 /// `select distinct`: keep the first occurrence of each output row, in
 /// input order.
-pub(crate) struct DistinctExec<'q> {
-    child: Box<dyn RowSource + 'q>,
+pub(crate) struct DistinctExec<'a> {
+    child: Box<dyn RowSource<'a> + 'a>,
     state: Option<Batches<KeyedRow>>,
     batch_rows: usize,
 }
 
-impl<'q> DistinctExec<'q> {
-    pub(crate) fn new(child: Box<dyn RowSource + 'q>) -> Self {
+impl<'a> DistinctExec<'a> {
+    pub(crate) fn new(child: Box<dyn RowSource<'a> + 'a>) -> Self {
         DistinctExec { child, state: None, batch_rows: super::BATCH_ROWS }
     }
 
@@ -71,37 +67,19 @@ impl<'q> DistinctExec<'q> {
     }
 }
 
-impl Executor for DistinctExec<'_> {
+impl<'a> Executor<'a> for DistinctExec<'a> {
     type Batch = Vec<KeyedRow>;
 
     fn name(&self) -> &'static str {
         "distinct"
     }
 
-    fn next_batch(&mut self, cx: &mut ExecCx<'_, '_>) -> Result<Option<Self::Batch>, QueryError> {
+    fn next_batch(&mut self, cx: &mut ExecCx<'a, '_>) -> Result<Option<Self::Batch>, QueryError> {
         if self.state.is_none() {
             let rows = drain(&mut self.child, "distinct", cx)?;
             // Dedup on the projected row (not the sort key) with borrowed
             // slices, then retain by mask so survivors keep input order.
-            let mask: Vec<bool> = if let Some(ex) = Exchange::plan(cx.ctx, rows.len()) {
-                // Each partition's local first occurrences, merged in
-                // partition order through one global set: candidate
-                // indices arrive in ascending input order, so the global
-                // survivor set is exactly the serial one.
-                let rows_ref = &rows;
-                let locals: Vec<Vec<usize>> = ex.run(cx.ctx, |range| {
-                    let mut local: HashSet<&[Value]> = HashSet::new();
-                    range.filter(|&i| local.insert(rows_ref[i].1.as_slice())).collect()
-                });
-                let mut seen: HashSet<&[Value]> = HashSet::new();
-                let mut mask = vec![false; rows.len()];
-                for i in locals.into_iter().flatten() {
-                    if seen.insert(rows[i].1.as_slice()) {
-                        mask[i] = true;
-                    }
-                }
-                mask
-            } else {
+            let mask: Vec<bool> = {
                 let mut seen: HashSet<&[Value]> = HashSet::with_capacity(rows.len());
                 rows.iter().map(|(_, row)| seen.insert(row.as_slice())).collect()
             };
@@ -118,7 +96,7 @@ impl Executor for DistinctExec<'_> {
     }
 }
 
-impl RowSource for DistinctExec<'_> {
+impl<'a> RowSource<'a> for DistinctExec<'a> {
     fn output_columns(&self) -> &[String] {
         self.child.output_columns()
     }
@@ -180,8 +158,8 @@ fn order_cmp(order: &[bool], ka: &[Value], kb: &[Value]) -> Ordering {
 /// `order by`: a full stable sort, or — when a small `limit` makes it
 /// profitable — an index-stabilized top-K selection (the operator then
 /// reports itself as `topk`).
-pub(crate) struct SortExec<'q> {
-    child: Box<dyn RowSource + 'q>,
+pub(crate) struct SortExec<'a> {
+    child: Box<dyn RowSource<'a> + 'a>,
     /// Per key: ascending?
     order: Vec<bool>,
     /// The statement's limit; enables the top-K path when small enough.
@@ -192,9 +170,9 @@ pub(crate) struct SortExec<'q> {
     batch_rows: usize,
 }
 
-impl<'q> SortExec<'q> {
+impl<'a> SortExec<'a> {
     pub(crate) fn new(
-        child: Box<dyn RowSource + 'q>,
+        child: Box<dyn RowSource<'a> + 'a>,
         order: Vec<bool>,
         limit: Option<usize>,
     ) -> Self {
@@ -215,14 +193,14 @@ impl<'q> SortExec<'q> {
     }
 }
 
-impl Executor for SortExec<'_> {
+impl<'a> Executor<'a> for SortExec<'a> {
     type Batch = Vec<KeyedRow>;
 
     fn name(&self) -> &'static str {
         self.label
     }
 
-    fn next_batch(&mut self, cx: &mut ExecCx<'_, '_>) -> Result<Option<Self::Batch>, QueryError> {
+    fn next_batch(&mut self, cx: &mut ExecCx<'a, '_>) -> Result<Option<Self::Batch>, QueryError> {
         if self.state.is_none() {
             let rows = drain(&mut self.child, self.label, cx)?;
             let order = &self.order;
@@ -287,7 +265,7 @@ impl Executor for SortExec<'_> {
     }
 }
 
-impl RowSource for SortExec<'_> {
+impl<'a> RowSource<'a> for SortExec<'a> {
     fn output_columns(&self) -> &[String] {
         self.child.output_columns()
     }
@@ -299,15 +277,15 @@ impl RowSource for SortExec<'_> {
 
 /// `limit`: truncate to the first `n` rows. Drains its child fully
 /// first — an error on a row past the cutoff must still surface.
-pub(crate) struct LimitExec<'q> {
-    child: Box<dyn RowSource + 'q>,
+pub(crate) struct LimitExec<'a> {
+    child: Box<dyn RowSource<'a> + 'a>,
     n: usize,
     state: Option<Batches<KeyedRow>>,
     batch_rows: usize,
 }
 
-impl<'q> LimitExec<'q> {
-    pub(crate) fn new(child: Box<dyn RowSource + 'q>, n: usize) -> Self {
+impl<'a> LimitExec<'a> {
+    pub(crate) fn new(child: Box<dyn RowSource<'a> + 'a>, n: usize) -> Self {
         LimitExec { child, n, state: None, batch_rows: super::BATCH_ROWS }
     }
 
@@ -318,14 +296,14 @@ impl<'q> LimitExec<'q> {
     }
 }
 
-impl Executor for LimitExec<'_> {
+impl<'a> Executor<'a> for LimitExec<'a> {
     type Batch = Vec<KeyedRow>;
 
     fn name(&self) -> &'static str {
         "limit"
     }
 
-    fn next_batch(&mut self, cx: &mut ExecCx<'_, '_>) -> Result<Option<Self::Batch>, QueryError> {
+    fn next_batch(&mut self, cx: &mut ExecCx<'a, '_>) -> Result<Option<Self::Batch>, QueryError> {
         if self.state.is_none() {
             let mut rows = drain(&mut self.child, "limit", cx)?;
             rows.truncate(self.n);
@@ -339,7 +317,7 @@ impl Executor for LimitExec<'_> {
     }
 }
 
-impl RowSource for LimitExec<'_> {
+impl<'a> RowSource<'a> for LimitExec<'a> {
     fn output_columns(&self) -> &[String] {
         self.child.output_columns()
     }

@@ -69,14 +69,14 @@ impl StubSource {
     }
 }
 
-impl Executor for StubSource {
+impl<'a> Executor<'a> for StubSource {
     type Batch = Vec<KeyedRow>;
 
     fn name(&self) -> &'static str {
         "stub"
     }
 
-    fn next_batch(&mut self, _cx: &mut ExecCx<'_, '_>) -> Result<Option<Self::Batch>, QueryError> {
+    fn next_batch(&mut self, _cx: &mut ExecCx<'a, '_>) -> Result<Option<Self::Batch>, QueryError> {
         match self.batches.pop_front() {
             Some(b) => Ok(Some(b)),
             None if self.fail_at_end => Err(QueryError::Type("stub failure".to_string())),
@@ -85,7 +85,7 @@ impl Executor for StubSource {
     }
 }
 
-impl RowSource for StubSource {
+impl<'a> RowSource<'a> for StubSource {
     fn output_columns(&self) -> &[String] {
         &self.cols
     }
@@ -114,9 +114,9 @@ fn sel_stmt(sql: &str) -> setrules_sql::ast::SelectStmt {
 }
 
 /// Pull `op` dry, flattening its batches and recording each batch size.
-fn pull_dry(
-    op: &mut dyn RowSource,
-    cx: &mut ExecCx<'_, '_>,
+fn pull_dry<'a>(
+    op: &mut dyn RowSource<'a>,
+    cx: &mut ExecCx<'a, '_>,
 ) -> Result<(Vec<KeyedRow>, Vec<usize>), QueryError> {
     let mut rows = Vec::new();
     let mut sizes = Vec::new();
@@ -137,7 +137,7 @@ fn tail_operators_on_empty_input_emit_nothing() {
     let mut bindings = Bindings::new();
     let mut cx = ExecCx { ctx: QueryCtx::plain(&db), bindings: &mut bindings };
     let empty = || Box::new(StubSource::new(vec![]));
-    let mut ops: Vec<Box<dyn RowSource>> = vec![
+    let mut ops: Vec<Box<dyn RowSource<'_>>> = vec![
         Box::new(DistinctExec::new(empty())),
         Box::new(SortExec::new(empty(), dirs(&stmt), None)),
         Box::new(LimitExec::new(empty(), 3)),
@@ -258,7 +258,7 @@ fn tail_operators_propagate_a_mid_stream_error() {
     let mut bindings = Bindings::new();
     let mut cx = ExecCx { ctx: QueryCtx::plain(&db), bindings: &mut bindings };
     let failing = || Box::new(StubSource::failing(vec![vec![kr(1, 0)]]));
-    let mut ops: Vec<Box<dyn RowSource>> = vec![
+    let mut ops: Vec<Box<dyn RowSource<'_>>> = vec![
         Box::new(DistinctExec::new(failing())),
         Box::new(SortExec::new(failing(), dirs(&stmt), None)),
         Box::new(LimitExec::new(failing(), 3)),
@@ -357,7 +357,7 @@ fn run_tiny(
     let scans = read.items.into_iter().map(|it| ScanExec::new(it).with_batch_rows(n)).collect();
     let join = JoinExec::new(scans, read.edges, op).with_batch_rows(n);
     let filter = FilterExec::new(join, read.predicate, false).with_batch_rows(n);
-    let mut top: Box<dyn RowSource + '_> = match pipeline.top {
+    let mut top: Box<dyn RowSource<'_> + '_> = match pipeline.top {
         Top::Aggregate(prog) => Box::new(AggregateExec::new(filter, prog).with_batch_rows(n)),
         Top::Project { proj, keys } => Box::new(ProjectExec::new(filter, proj, keys)),
     };

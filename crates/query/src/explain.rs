@@ -248,10 +248,10 @@ fn operator_chain(plan: &SelectPlan) -> Vec<String> {
 /// The pipeline stages of `plan` that are *exchange-eligible* — the
 /// stages a multi-threaded run would partition onto the worker pool, in
 /// pipeline order (none for the fast paths). The WHERE pass exchanges
-/// only a row-local predicate, the join exchanges its hash build/probe
-/// (so it needs an equi-edge), aggregation exchanges its final phase when
-/// that may leave the serial environment, and distinct/sort/top-K
-/// partition on values alone. Shape-only — the run-time size gate cannot
+/// only a row-local predicate, the join exchanges its hash build (so it
+/// needs an equi-edge), aggregation exchanges its final phase when that
+/// may leave the serial environment, and sort/top-K partition on values
+/// alone. Shape-only — the run-time size gate cannot
 /// be decided here, so the line is identical at every thread count.
 fn exchange_stages(plan: &SelectPlan) -> Vec<&'static str> {
     let Shape::Pipeline(p) = &plan.shape else { return Vec::new() };
@@ -267,9 +267,6 @@ fn exchange_stages(plan: &SelectPlan) -> Vec<&'static str> {
         if prog.groups_exchangeable {
             stages.push("aggregate");
         }
-    }
-    if p.distinct {
-        stages.push("distinct");
     }
     if !p.order.is_empty() {
         stages.push("sort");

@@ -30,7 +30,7 @@ use setrules_sql::ast::{Expr, SelectStmt};
 use setrules_storage::Value;
 
 use crate::bindings::{Bindings, Frame};
-use crate::compile::{eval_compiled, eval_compiled_predicate};
+use crate::compile::{self, holds, CompiledExpr, Env, RowEnv, Scoped};
 use crate::ctx::QueryCtx;
 use crate::error::QueryError;
 use crate::exec::aggregate::AggregateExec;
@@ -40,6 +40,7 @@ use crate::exec::project::ProjectExec;
 use crate::exec::scan::{ScanExec, ScanSource};
 use crate::exec::sort::{DistinctExec, LimitExec, SortExec};
 use crate::exec::{ExecCx, KeyedRow, Origin, RowSource};
+use crate::parallel::is_rowlocal;
 use crate::plan::{plan_select, IndexOrder, MinMax, ReadPlan, SelectPlan, Shape, Top};
 use crate::planner::Access;
 use crate::relation::Relation;
@@ -77,7 +78,7 @@ pub(crate) fn run_select_traced(
     // Scans → join → filter, then project|aggregate → distinct? → sort? →
     // limit?.
     let filter = lower_read(read, trace.is_some());
-    let mut top: Box<dyn RowSource + '_> = match pipeline.top {
+    let mut top: Box<dyn RowSource<'_> + '_> = match pipeline.top {
         Top::Project { proj, keys } => Box::new(ProjectExec::new(filter, proj, keys)),
         Top::Aggregate(prog) => Box::new(AggregateExec::new(filter, prog)),
     };
@@ -161,6 +162,9 @@ fn index_order_scan(
     };
     let walk: Box<dyn Iterator<Item = _>> =
         if plan.asc { Box::new(walk) } else { Box::new(walk.rev()) };
+    // Row-local trees read the stored tuple in place; anything else runs
+    // scoped, over an owned level per visited row.
+    let rows_local = read.predicate.iter().chain(&proj.exprs).all(is_rowlocal);
 
     let mut rows: Vec<Vec<Value>> = Vec::new();
     let mut visited: usize = 0;
@@ -173,26 +177,19 @@ fn index_order_scan(
             visited += 1;
             stats::bump(ctx.stats, |s| s.rows_scanned += 1);
             let tuple = ctx.db.get(item.tid, h).expect("indexed handle is live");
-            bindings.push_level(vec![Frame {
-                name: item.binding.clone(),
-                columns: Arc::clone(&item.columns),
-                row: tuple.0.clone(),
-            }]);
-            let result = (|| -> Result<Option<Vec<Value>>, QueryError> {
-                let keep = match &read.predicate {
-                    Some(cp) => eval_compiled_predicate(ctx, bindings, cp)?,
-                    None => true,
-                };
-                if !keep {
-                    return Ok(None);
-                }
-                let mut out = Vec::with_capacity(proj.exprs.len());
-                for e in &proj.exprs {
-                    out.push(eval_compiled(ctx, bindings, e)?);
-                }
-                Ok(Some(out))
-            })();
-            bindings.pop_level();
+            let result = if rows_local {
+                walk_row(&read.predicate, &proj.exprs, &mut RowEnv(&[tuple.0.as_slice()]))
+            } else {
+                bindings.push_level(vec![Frame {
+                    name: item.binding.clone(),
+                    columns: Arc::clone(&item.columns),
+                    row: tuple.0.clone(),
+                }]);
+                let result =
+                    walk_row(&read.predicate, &proj.exprs, &mut Scoped { ctx, bindings });
+                bindings.pop_level();
+                result
+            };
             if let Some(row) = result? {
                 stats::bump(ctx.stats, |s| s.rows_matched += 1);
                 matched += 1;
@@ -213,6 +210,25 @@ fn index_order_scan(
         record_stage(ctx, "limit", rows.len(), rows.len());
     }
     Ok(Relation { columns: proj.columns, rows })
+}
+
+/// One visited row of the sort-elision walk: `None` when the predicate
+/// rejects it, else its projection.
+fn walk_row<E: Env>(
+    predicate: &Option<CompiledExpr>,
+    exprs: &[CompiledExpr],
+    env: &mut E,
+) -> Result<Option<Vec<Value>>, QueryError> {
+    if let Some(cp) = predicate {
+        if !holds(cp, env)? {
+            return Ok(None);
+        }
+    }
+    let mut out = Vec::with_capacity(exprs.len());
+    for e in exprs {
+        out.push(compile::eval(e, env)?);
+    }
+    Ok(Some(out))
 }
 
 /// Min/max fast path: answer each planned `min`/`max` from its ordered

@@ -70,6 +70,11 @@ impl Table {
         self.rows.iter().map(|(h, t)| (*h, t))
     }
 
+    /// Scan the table in handle order, starting at handle `from`.
+    pub fn scan_from(&self, from: TupleHandle) -> impl Iterator<Item = (TupleHandle, &Tuple)> {
+        self.rows.range(from..).map(|(h, t)| (*h, t))
+    }
+
     /// All live handles in order.
     pub fn handles(&self) -> impl Iterator<Item = TupleHandle> + '_ {
         self.rows.keys().copied()

@@ -24,9 +24,9 @@ SETRULES_THREADS=1 cargo test -q
 
 echo "==> cargo test -q (SETRULES_THREADS=8: every exchange whose input reaches the gate)"
 # ...and with the pool wide, so every exchange-eligible stage (scan, join
-# build/probe, WHERE, final aggregation, distinct, sort/top-K) whose input
-# reaches the gate (two partitions of MIN_PARTITION items) actually
-# partitions while the whole suite's golden outputs stay bit-identical.
+# build, WHERE, final aggregation, sort/top-K) whose input reaches the
+# gate (two partitions of MIN_PARTITION items) actually partitions while
+# the whole suite's golden outputs stay bit-identical.
 SETRULES_THREADS=8 cargo test -q
 
 echo "==> cargo test -q (SETRULES_INCR=0: full re-scan condition evaluation)"
@@ -119,6 +119,22 @@ cargo test -q -p setrules-core --test parallel_exec -- \
   below_the_gate_the_pool_stays_idle
 cargo test -q -p setrules-core --test extensions -- \
   selected_columns_follow_the_items_a_tuple_joined_through
+
+echo "==> read pipeline allocations (rows by reference) + accumulator oracle"
+# Both run under `cargo test` above; named here so the CI log shows the
+# gates behind the borrowed read pipeline. The allocation test counts
+# heap allocations on the calling thread while a 1-thread engine runs a
+# filtered count, a grouped aggregate with having and a grouped hash join
+# over 20 000 rows, and while the statement executor runs a `delete ...
+# where` matching half of them (the undo log's one copy per deleted
+# tuple budgeted apart): each must stay under 0.1 allocations per input
+# row. The oracle folds 300 seeded random argument columns (ints near
+# the i64 edges, NaN, +-0.0, +-inf, text, booleans, NULL) through the
+# streaming accumulators and through eval::fold_aggregate, every
+# function plain and distinct, and demands the same bits or error text.
+cargo test -q -p setrules-core --test alloc_per_row
+cargo test -q -p setrules-query --lib -- \
+  exec::aggregate::tests::accumulators_match_fold_aggregate
 
 echo "==> §4.4 selection (priority closure property + selection differential)"
 # Both run under `cargo test` above; named here so the CI log shows the

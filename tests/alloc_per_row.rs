@@ -1,0 +1,154 @@
+//! Allocation budget of the read pipeline: rows flow through scan, join,
+//! filter and aggregation by reference, so a statement's heap
+//! allocations must not grow with the rows it reads.
+//!
+//! A counting global allocator tallies allocations (and reallocations)
+//! made on the current thread. A 1-thread engine — every phase on the
+//! calling thread — runs each query over a 20 000-row table, a `delete`
+//! runs through the serial statement executor, and each statement may
+//! allocate fewer than 0.1 times per input row. A pipeline
+//! that clones rows, builds a scope level per row, or collects aggregate
+//! arguments allocates several times per row and fails here.
+//!
+//! Run it alone with `cargo test --test alloc_per_row`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use setrules_core::{EngineConfig, RuleSystem};
+use setrules_query::{execute_op, ExecOpts, NoTransitionTables};
+use setrules_sql::ast::Statement;
+use setrules_sql::parse_statement;
+use setrules_storage::{ColumnDef, DataType, Database, TableSchema, Tuple, Value};
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: the slot may be gone while the thread is torn down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every call forwards unchanged to the system allocator; the
+// counter is a const-initialized thread-local `Cell`, which needs no
+// allocation or destructor to access.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations made on this thread while `f` runs.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
+const ROWS: u64 = 20_000;
+/// The bar: allocations per input row.
+const PER_ROW: f64 = 0.1;
+
+/// A 1-thread engine with `t` (`ROWS` rows in 200 groups) and `d` (one
+/// row per group, 20 regions).
+fn engine() -> RuleSystem {
+    let mut sys =
+        RuleSystem::with_config(EngineConfig { parallelism: Some(1), ..Default::default() });
+    sys.execute("create table t (k int, g int, v int)").unwrap();
+    sys.execute("create table d (g int, r int)").unwrap();
+    for chunk in (0..ROWS).collect::<Vec<_>>().chunks(5_000) {
+        let rows: Vec<String> =
+            chunk.iter().map(|k| format!("({k}, {}, {})", k % 200, (k * 7919) % 1000)).collect();
+        sys.transaction(&format!("insert into t values {}", rows.join(", "))).unwrap();
+    }
+    let dims: Vec<String> = (0..200).map(|g| format!("({g}, {})", g % 20)).collect();
+    sys.transaction(&format!("insert into d values {}", dims.join(", "))).unwrap();
+    sys
+}
+
+fn assert_under_budget(what: &str, allocs: u64, rows: u64) {
+    let per_row = allocs as f64 / rows as f64;
+    assert!(
+        per_row < PER_ROW,
+        "{what}: {allocs} allocations over {rows} input rows ({per_row:.3} per row, bar {PER_ROW})"
+    );
+}
+
+#[test]
+fn reads_allocate_less_than_a_tenth_per_input_row() {
+    let sys = engine();
+    let queries = [
+        ("count(*) … where", "select count(*) from t where v > 250", ROWS),
+        (
+            "group by with having",
+            "select g, count(*), sum(v), min(v), max(v) from t \
+             group by g having count(*) > 10 and max(v) > 0",
+            ROWS,
+        ),
+        (
+            "hash join with group by",
+            "select d.r, count(*), sum(t.v) from t, d where t.g = d.g and t.v > 100 group by d.r",
+            ROWS + 200,
+        ),
+    ];
+    for (what, sql, rows) in queries {
+        // Warm up once (lazy statics, first-use buffers), then measure.
+        let expected = sys.query(sql).unwrap();
+        let (out, allocs) = allocations(|| sys.query(sql).unwrap());
+        assert_eq!(out, expected, "{what}");
+        assert!(!out.rows.is_empty(), "{what}: the statement must produce rows");
+        assert_under_budget(what, allocs, rows);
+    }
+}
+
+/// A delete identifies its targets through the same read pipeline, run
+/// here through the statement executor the engine calls per statement,
+/// serially, with `t`'s rows in a bare database. The storage layer keeps
+/// one copy of each deleted tuple in its undo log (one allocation per
+/// deleted row: every column is an `int`); that copy belongs to the apply
+/// phase, so it is budgeted on its own and the rest of the statement
+/// must stay under the read bar.
+#[test]
+fn delete_identification_allocates_less_than_a_tenth_per_input_row() {
+    let mut db = Database::new();
+    let cols = ["k", "g", "v"].map(|c| ColumnDef::new(c, DataType::Int));
+    let t = db.create_table(TableSchema::new("t".to_string(), cols.to_vec())).unwrap();
+    for k in 0..ROWS as i64 {
+        db.insert(t, Tuple(vec![Value::Int(k), Value::Int(k % 200), Value::Int(k % 1000)]))
+            .unwrap();
+    }
+    db.commit();
+    let Statement::Dml(op) = parse_statement("delete from t where k % 2 = 0").unwrap() else {
+        panic!("a delete is DML")
+    };
+    let (effect, allocs) = allocations(|| {
+        execute_op(&mut db, &NoTransitionTables, &op, &ExecOpts::default()).unwrap()
+    });
+    let deleted = ROWS / 2;
+    assert_eq!(effect.cardinality() as u64, deleted);
+    assert_eq!(db.table(t).len() as u64, ROWS - deleted);
+    let undo_copies = deleted;
+    assert!(allocs >= undo_copies, "{allocs} allocations cannot cover {undo_copies} undo copies");
+    assert_under_budget("delete … where", allocs - undo_copies, ROWS);
+}
