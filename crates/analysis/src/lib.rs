@@ -17,6 +17,7 @@
 //! assert_eq!(report.loops.len(), 1, "bump can trigger itself forever");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod events;

@@ -29,6 +29,7 @@
 //! assert!(sys.query("select * from emp").unwrap().is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use setrules_core::{RuleError, RuleId, RuleSystem};

@@ -93,8 +93,7 @@ pub struct EngineConfig {
     /// default) injects nothing.
     pub fault: Option<FaultPlan>,
     /// Thread budget for deterministic intra-query parallelism.
-    /// `Some(n)` pins it; `None` (the default) defers to the
-    /// `SETRULES_THREADS` environment variable and then to
+    /// `Some(n)` pins it; `None` (the default) uses
     /// `std::thread::available_parallelism()`. `Some(1)` forces fully
     /// serial execution. Results are bit-identical either way (see
     /// `docs/parallel-execution.md`).
@@ -330,6 +329,12 @@ pub struct RuleSystem {
     /// Incremental condition evaluation, resolved once at open from
     /// `EngineConfig::incremental` / `SETRULES_INCR`.
     incr_enabled: bool,
+    /// Thread budget for query execution, resolved once at open: the
+    /// config's `parallelism` if pinned, else
+    /// `std::thread::available_parallelism()` (1 if unknown); at least 1.
+    /// Resolving it per statement would re-read the cgroup limits each
+    /// time (about 20 µs per call on a 2-core Linux box).
+    threads: usize,
     /// Monotone transaction counter stamped into each `TxnState::epoch`,
     /// so memo cursors from one transaction never validate in the next.
     incr_epoch: u64,
@@ -369,6 +374,8 @@ impl RuleSystem {
         let fault_plan = config.fault;
         let durability = config.durability.clone();
         let incr_enabled = resolve_incremental(config.incremental);
+        let available = || std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads = config.parallelism.unwrap_or_else(available).max(1);
         let mut sys = RuleSystem {
             db: Database::new(),
             rules: Vec::new(),
@@ -383,6 +390,7 @@ impl RuleSystem {
             stats: EngineStats::default(),
             qstats: StatsCell::new(),
             incr_enabled,
+            threads,
             incr_epoch: 0,
             events,
             wal: None,
@@ -656,21 +664,14 @@ impl RuleSystem {
             &sel,
             &ExecOpts {
                 stats: Some(&self.qstats),
-                threads: self.threads(),
+                threads: self.threads,
                 op_stats: None,
             },
         )?)
     }
 
-    /// The resolved thread budget for query execution: the config's
-    /// `parallelism` if pinned, else the `SETRULES_THREADS` environment
-    /// variable, else `std::thread::available_parallelism()`.
-    fn threads(&self) -> usize {
-        setrules_exec::resolve_threads(self.config.parallelism)
-    }
-
     /// Emit a [`EngineEvent::ParallelScan`] (and mirror the engine-level
-    /// counters) if query execution since `before` used the pool.
+    /// counters) if query execution since `before` ran a phase partitioned.
     fn note_parallelism(&mut self, before: &setrules_query::ExecStats) {
         let d = self.qstats.snapshot().since(before);
         self.stats.parallel_scans += d.parallel_scans;
@@ -891,7 +892,7 @@ impl RuleSystem {
             return Err(RuleError::NoOpenTransaction);
         }
         let before = self.qstats.snapshot();
-        let threads = self.threads();
+        let threads = self.threads;
         let result = execute_op(
             &mut self.db,
             &NoTransitionTables,
@@ -1071,7 +1072,7 @@ impl RuleSystem {
             return Err(e);
         }
         let mut window = TransInfo::new();
-        let threads = self.threads();
+        let threads = self.threads;
         for op in &ops {
             let before = self.qstats.snapshot();
             let result = execute_op(
@@ -1637,7 +1638,7 @@ impl RuleSystem {
         let txn = self.txn.as_ref().expect("transaction open");
         let provider = RuleWindowRef { info: &txn.rule_infos[rid.0], licensed: &rule.licensed };
         let cache = setrules_query::SubqueryCache::new();
-        let opts = ExecOpts { stats: Some(&self.qstats), threads: self.threads(), op_stats: None };
+        let opts = ExecOpts { stats: Some(&self.qstats), threads: self.threads, op_stats: None };
         let ctx = opts.ctx(&self.db, &provider, &cache);
         let mut bindings = setrules_query::bindings::Bindings::new();
         Ok(eval_compiled_predicate(ctx, &mut bindings, &prepared.condition)?)
@@ -1652,7 +1653,7 @@ impl RuleSystem {
     ) -> Result<TransInfo, RuleError> {
         let mut tinfo = TransInfo::new();
         let mut last_output: Option<Relation> = None;
-        let threads = self.threads();
+        let threads = self.threads;
         let before = self.qstats.snapshot();
         let result: Result<(), RuleError> = (|| {
             match action {

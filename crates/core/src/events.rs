@@ -135,12 +135,12 @@ pub enum EngineEvent {
     /// exactly at the pre-statement state before the transaction itself
     /// rolls back.
     StatementRollback,
-    /// One or more read-only query phases of a statement ran partitioned
-    /// across the worker pool (see `docs/parallel-execution.md`); results
-    /// are bit-identical to serial execution.
+    /// One or more predicate phases of a statement (a scan's pushed
+    /// conjuncts, the `where` pass) ran partitioned across threads (see
+    /// `docs/parallel-execution.md`); results are bit-identical to serial
+    /// execution.
     ParallelScan {
-        /// Total partitions handed to the pool across the statement's
-        /// parallel phases.
+        /// Total partitions across the statement's parallel phases.
         partitions: u64,
         /// Rows scanned by the statement (parallel and serial phases).
         rows: u64,

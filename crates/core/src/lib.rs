@@ -38,6 +38,7 @@
 //! assert!(!out.committed());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod effect;

@@ -124,9 +124,8 @@ pub struct EngineStats {
     /// Failed DML statements whose partial effects were undone to the
     /// statement savepoint (each is followed by a transaction rollback).
     pub stmt_rollbacks: u64,
-    /// Query phases (scan, hash build, where, final aggregate, sort,
-    /// top-K) that ran partitioned
-    /// on the worker pool (mirrors the query layer's counter).
+    /// Query phases (a scan's pushed conjuncts, the `where` pass) that
+    /// ran partitioned across threads (mirrors the query layer's counter).
     pub parallel_scans: u64,
     /// Total partitions across those parallel phases.
     pub parallel_partitions: u64,

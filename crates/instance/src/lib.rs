@@ -28,6 +28,7 @@
 //! assert!(eng.query("select * from emp").unwrap().is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod engine;

@@ -23,6 +23,7 @@
 //!   levels, so hostile input (a snapshot file, a replayed log record)
 //!   gets a [`JsonError`] instead of exhausting the stack.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;

@@ -27,12 +27,13 @@
 //! over an `Env`, which supplies only what differs between the places a
 //! tree can run: `Scoped` (behind [`eval_compiled`]) has the [`QueryCtx`]
 //! and the [`Bindings`] scope stack, and rejects aggregate calls; `RowEnv`
-//! has the innermost frames as bare slices and nothing else, for pool
-//! workers and memo probes (only trees passing `parallel::is_rowlocal` may
-//! be handed to it); the group environment in `exec::aggregate` wraps
-//! either of them — `RowEnv` over a group's representative row when the
-//! program is group-local, `Scoped` with that row pushed otherwise — and
-//! answers aggregate leaves from the group's merged accumulators.
+//! has the innermost frames as bare slices and nothing else, for the
+//! borrowed-row pipeline, exchange partitions and memo probes (only trees
+//! passing [`is_rowlocal`] may be handed to it); the group environment in
+//! `exec::aggregate` wraps either of them — `RowEnv` over a group's
+//! representative row when the program passes [`is_grouplocal`], `Scoped`
+//! with that row pushed otherwise — and answers aggregate leaves from the
+//! group's accumulators.
 //!
 //! Compiled forms are owned by the values that use them — a statement's
 //! plan (`plan::SelectPlan`) for one execution, a rule's prepared condition
@@ -430,9 +431,9 @@ fn fold(node: CompiledExpr) -> CompiledExpr {
 // ----------------------------------------------------------------------
 
 /// What [`eval`] asks of the place a tree runs in. The defaults are the
-/// worker-side answer: a pool worker has no scope stack, subquery memo or
+/// row environment's answer: it has no scope stack, subquery memo or
 /// group, so reaching any of these hooks there means a tree that is not
-/// row-local crossed threads.
+/// row-local was handed to it.
 pub(crate) trait Env {
     /// The value of slot `(level_up, frame, col)`.
     fn slot(&mut self, level_up: usize, frame: usize, col: usize) -> Result<Value, QueryError>;
@@ -460,13 +461,13 @@ pub(crate) trait Env {
 }
 
 fn not_rowlocal() -> QueryError {
-    QueryError::Type("internal: non-row-local expression reached a pool worker".into())
+    QueryError::Type("internal: non-row-local expression reached a row environment".into())
 }
 
 /// The one evaluator of compiled expressions: every environment shares
 /// this walk, so Kleene short-circuiting, NULL propagation and error
-/// selection cannot differ between the serial path, pool workers, memo
-/// probes and per-group evaluation.
+/// selection cannot differ between the scoped path, the row environment
+/// (exchange partitions included), memo probes and per-group evaluation.
 pub(crate) fn eval<E: Env>(e: &CompiledExpr, env: &mut E) -> Result<Value, QueryError> {
     match e {
         CompiledExpr::Const(v) => Ok(v.clone()),
@@ -538,9 +539,44 @@ pub(crate) fn holds<E: Env>(e: &CompiledExpr, env: &mut E) -> Result<bool, Query
     Ok(eval::truth(&eval(e, env)?)? == Some(true))
 }
 
-/// The worker-side environment: the innermost scope's frames as bare
-/// slices (`frames[f][c]` is slot `(0, f, c)`) and nothing else.
+/// The row environment: the innermost scope's frames as bare slices
+/// (`frames[f][c]` is slot `(0, f, c)`) and nothing else. It is `Sync`
+/// data only, so an exchange partition may run it on its own thread.
 pub(crate) struct RowEnv<'a>(pub(crate) &'a [&'a [Value]]);
+
+/// Whether `e` may be evaluated in a [`RowEnv`] — with nothing but the
+/// current row(s): every slot addresses the innermost scope and no node
+/// needs a hook the row environment lacks (no correlated or outer
+/// references, no subqueries, no aggregates, no interpreter fallback).
+/// Anything else runs in [`Scoped`] with the row pushed onto the scope
+/// stack, and never crosses threads.
+pub(crate) fn is_rowlocal(e: &CompiledExpr) -> bool {
+    local(e, false)
+}
+
+/// Whether the final aggregation phase may evaluate `e` per group over a
+/// [`RowEnv`]: row-local except for aggregate calls, which the group
+/// environment answers from its accumulators (their arguments belong to
+/// the partial phase).
+pub(crate) fn is_grouplocal(e: &CompiledExpr) -> bool {
+    local(e, true)
+}
+
+fn local(e: &CompiledExpr, aggs: bool) -> bool {
+    match e {
+        CompiledExpr::Slot { level_up, .. } => *level_up == 0,
+        CompiledExpr::Agg { .. } => aggs,
+        CompiledExpr::InSubquery { .. }
+        | CompiledExpr::Exists { .. }
+        | CompiledExpr::ScalarSubquery(_)
+        | CompiledExpr::Interp(_) => false,
+        _ => {
+            let mut ok = true;
+            e.for_each_child(&mut |c| ok = ok && local(c, aggs));
+            ok
+        }
+    }
+}
 
 impl Env for RowEnv<'_> {
     fn slot(&mut self, level_up: usize, frame: usize, col: usize) -> Result<Value, QueryError> {
@@ -667,6 +703,13 @@ mod tests {
             CompiledExpr::Slot { level_up: 1, frame: 0, col: 0 } => {}
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn subqueries_are_not_rowlocal() {
+        let l = layout(&[("t", &["a", "b", "name"])]);
+        assert!(!is_rowlocal(&compile_str("a in (select a from t)", &l)));
+        assert!(!is_rowlocal(&compile_str("count(*) > 0", &l)));
     }
 
     #[test]

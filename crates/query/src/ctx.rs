@@ -158,11 +158,10 @@ pub struct QueryCtx<'a> {
     /// side channel: the aggregate [`crate::ExecStats`] counters are
     /// unaffected by whether it is attached.
     pub op_stats: Option<&'a OpStatsCell>,
-    /// Worker-thread budget for the read-only parallel phases (scan +
-    /// pushdown filtering, hash-join build, WHERE pass, final aggregate,
-    /// sort and top-K). `1` (the
-    /// default) keeps execution fully serial; see
-    /// [`crate::parallel`] for the determinism argument.
+    /// Thread budget for the two partitioned phases: a scan's pushed
+    /// conjuncts and the `where` pass, each when its predicate is
+    /// row-local. `1` (the default) keeps execution fully serial; see
+    /// `exec::exchange` for the determinism argument.
     pub threads: usize,
 }
 

@@ -37,14 +37,13 @@ use setrules_sql::ast::{
 use setrules_storage::{ColumnId, Database, TableId, Tuple, TupleHandle, Value};
 
 use crate::bindings::Bindings;
-use crate::compile::{self, compile, CompiledExpr, Env, Layout, RowEnv, Scoped};
+use crate::compile::{self, compile, is_rowlocal, CompiledExpr, Env, Layout, RowEnv, Scoped};
 use crate::ctx::{QueryCtx, SubqueryCache};
 use crate::error::QueryError;
 use crate::eval::eval_expr;
 use crate::exec::filter::FilterExec;
 use crate::exec::scan::FromItem;
 use crate::exec::{ExecCx, Executor};
-use crate::parallel::is_rowlocal;
 use crate::plan::{plan_read, ReadPlan};
 use crate::provider::TransitionTableProvider;
 use crate::refs::referenced_columns;
@@ -104,7 +103,7 @@ impl OpEffect {
 }
 
 /// How a statement executes: stats sinks and the thread budget for
-/// deterministic intra-query parallelism (see [`crate::parallel`]).
+/// deterministic intra-query parallelism (see `exec::exchange`).
 /// `ExecOpts::default()` is a plain serial run with no instrumentation.
 #[derive(Clone, Copy)]
 pub struct ExecOpts<'a> {

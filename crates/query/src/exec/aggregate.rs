@@ -12,15 +12,17 @@
 //!   folded into its group in serial order: over its borrowed frames when
 //!   every key and aggregate argument is row-local, otherwise (outer
 //!   references, subqueries, unresolvable names) with an owned level
-//!   pushed onto the scope stack. A batch holds at most `BATCH_ROWS`
-//!   rows, below the exchange's size gate, so this phase never exchanges.
+//!   pushed onto the scope stack.
 //! * **Final.** `having`, the projection list and the `order by` keys are
 //!   evaluated once per group over its representative row, finishing each
-//!   aggregate's accumulator. When those trees are row-local apart from
-//!   their aggregate calls this phase exchanges across groups; otherwise
-//!   it runs serially with the representative row pushed onto the scope
-//!   stack, so outer references, subqueries and interpreter fallbacks
-//!   evaluate per group.
+//!   aggregate's accumulator: over the row's borrowed frames when those
+//!   trees are row-local apart from their aggregate calls, otherwise with
+//!   the representative row pushed onto the scope stack, so outer
+//!   references, subqueries and interpreter fallbacks evaluate per group.
+//!
+//! Both phases run serially. No workload reached a partitioned final
+//! phase, and where the B16 sweep forced one it was level or slower at
+//! most sizes (EXPERIMENTS.md B16).
 //!
 //! Because every row is folded in serial encounter order, fold order —
 //! and therefore float rounding, overflow sites, dedup order for
@@ -45,12 +47,10 @@ use setrules_sql::ast::{AggFunc, Expr, SelectStmt};
 use setrules_storage::Value;
 
 use crate::bindings::Level;
-use crate::compile::{self, CompiledExpr, Env, Layout, RowEnv, Scoped};
+use crate::compile::{self, is_grouplocal, is_rowlocal, CompiledExpr, Env, Layout, RowEnv, Scoped};
 use crate::ctx::SubqueryResult;
 use crate::error::QueryError;
-use crate::parallel::{is_grouplocal, is_rowlocal};
 
-use super::exchange::Exchange;
 use super::filter::FilterExec;
 use super::scan::FromItem;
 use super::{level_of, with_frames, Batches, ExecCx, Executor, KeyedRow, Origin, RowSource};
@@ -82,8 +82,9 @@ pub(crate) struct GroupProgram {
     /// evaluates each row over its own frames, without the scope stack.
     pub(crate) rows_local: bool,
     /// `having`, projections and `order by` keys are row-local apart from
-    /// their aggregate calls: the final phase may run on pool workers.
-    pub(crate) groups_exchangeable: bool,
+    /// their aggregate calls: the final phase evaluates each group over
+    /// its representative row's borrowed frames, without the scope stack.
+    pub(crate) groups_local: bool,
 }
 
 /// Append every aggregate leaf under `e`, in leaf order.
@@ -115,7 +116,7 @@ pub(crate) fn group_program(
     }
     let rows_local = keys.iter().all(is_rowlocal)
         && leaves.iter().filter_map(|l| l.arg.as_ref()).all(is_rowlocal);
-    let groups_exchangeable = having.iter().chain(&proj_exprs).chain(&order).all(is_grouplocal);
+    let groups_local = having.iter().chain(&proj_exprs).chain(&order).all(is_grouplocal);
     let columns = proj.iter().map(|(_, n)| n.clone()).collect();
     GroupProgram {
         columns,
@@ -125,7 +126,7 @@ pub(crate) fn group_program(
         proj: proj_exprs,
         order,
         rows_local,
-        groups_exchangeable,
+        groups_local,
     }
 }
 
@@ -480,10 +481,9 @@ impl<'a> AggregateExec<'a> {
     }
 
     /// Two-phase streaming aggregation: fold each filter batch into the
-    /// groups, then evaluate `having`/projection/`order by` per group
-    /// (exchanged across groups when there are enough and the program is
-    /// group-exchangeable). The partial phase's operator stats count the
-    /// groups each batch created.
+    /// groups, then evaluate `having`/projection/`order by` per group.
+    /// The partial phase's operator stats count the groups each batch
+    /// created.
     fn run_two_phase(
         &mut self,
         cx: &mut ExecCx<'a, '_>,
@@ -522,35 +522,19 @@ impl<'a> AggregateExec<'a> {
         let nulls = if reprs.is_empty() { null_rows(items) } else { Vec::new() };
         let repr = |g: usize| reprs.get(g * k..(g + 1) * k);
         let mut rows: Vec<KeyedRow> = Vec::new();
-        let exchange = Exchange::plan(ctx, groups.len());
-        if prog.groups_exchangeable {
-            let eval_one = |g: usize| {
-                let gd = &groups[g];
+        if prog.groups_local {
+            for (g, gd) in groups.iter().enumerate() {
                 let finish = |frames: &[&[Value]]| {
                     let inner = RowEnv(frames);
                     finish_group(prog, &mut GroupEnv { inner, rows_n: gd.rows_n, accs: &gd.accs })
                 };
-                match repr(g) {
+                let row = match repr(g) {
                     Some(c) => with_frames(items, c, finish),
                     None => finish(&nulls.iter().map(Vec::as_slice).collect::<Vec<_>>()),
-                }
-            };
-            if let Some(ex) = exchange {
-                for v in ex.judge(ctx, eval_one) {
-                    rows.extend(v.kept);
-                    if let Some(e) = v.err {
-                        return Err(e);
-                    }
-                }
-            } else {
-                for g in 0..groups.len() {
-                    rows.extend(eval_one(g)?);
-                }
+                };
+                rows.extend(row?);
             }
         } else {
-            if exchange.is_some() {
-                Exchange::serial_fallback(ctx);
-            }
             for (g, gd) in groups.iter().enumerate() {
                 let level: Level = match repr(g) {
                     Some(c) => level_of(items, c),
@@ -652,7 +636,7 @@ mod tests {
         fn both<E: Env>(h: &CompiledExpr, p: &CompiledExpr, env: &mut E) -> (Outcome, Outcome) {
             (outcome(compile::eval(h, env)), outcome(compile::eval(p, env)))
         }
-        if prog.groups_exchangeable {
+        if prog.groups_local {
             let frames: Vec<&[Value]> = level.iter().map(|f| f.row.as_slice()).collect();
             let inner = RowEnv(&frames);
             both(having, &prog.proj[0], &mut GroupEnv { inner, rows_n: g.rows_n, accs: &g.accs })
@@ -837,7 +821,7 @@ mod tests {
                     (Err(scoped), Err(refusal)) if !rowlocal => {
                         assert!(scoped.contains("not allowed in this context"), "{src}: {scoped}");
                         assert!(
-                            refusal.contains("non-row-local expression reached a pool worker"),
+                            refusal.contains("non-row-local expression reached a row environment"),
                             "row: {src} on {row:?}: {refusal}"
                         );
                     }

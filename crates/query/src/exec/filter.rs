@@ -7,8 +7,10 @@
 //! parallel-WHERE eligibility decision needs the total combination count,
 //! and the serial walk's error selection (earliest combination in
 //! lexicographic order) must be reproduced exactly — so it drains its
-//! child at open, judges every combination (serially, or partitioned on
-//! the pool when the predicate is row-local), then emits the surviving
+//! child at open, judges every combination (serially, or partitioned
+//! through the exchange when the predicate is row-local and the
+//! combinations are many — one of the two partitioned phases, with the
+//! scan's pushed conjuncts), then emits the surviving
 //! combinations in batches, as the join does: flat row indices in strides
 //! of the item count. A row-local predicate is judged over the borrowed
 //! rows; only a predicate that is not row-local gets an owned scope level
@@ -16,10 +18,9 @@
 //! combination, the stored-tuple origins (with their `from` item index)
 //! that a select trace needs.
 
-use crate::compile::{eval_compiled_predicate, holds, CompiledExpr, RowEnv};
+use crate::compile::{eval_compiled_predicate, holds, is_rowlocal, CompiledExpr, RowEnv};
 use crate::ctx::QueryCtx;
 use crate::error::QueryError;
-use crate::parallel;
 use crate::stats;
 
 use super::exchange::Exchange;
@@ -41,7 +42,7 @@ fn push_origins(items: &[FromItem<'_>], combo: &[usize], out: &mut Vec<Origin>) 
 /// counts an observable fallback.
 fn parallel_where(ctx: QueryCtx<'_>, cp: &CompiledExpr, combinations: usize) -> Option<Exchange> {
     let ex = Exchange::plan(ctx, combinations)?;
-    if parallel::is_rowlocal(cp) {
+    if is_rowlocal(cp) {
         Some(ex)
     } else {
         Exchange::serial_fallback(ctx);
@@ -156,7 +157,7 @@ impl<'a> FilterExec<'a> {
         } else {
             // The serial walk, counting locally and charging the counters
             // once, at the end or at the first error.
-            let rowlocal = parallel::is_rowlocal(cp);
+            let rowlocal = is_rowlocal(cp);
             let (mut seen, mut matched) = (0u64, 0u64);
             let mut outcome = Ok(());
             for c in combos.chunks_exact(k) {

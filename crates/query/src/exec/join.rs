@@ -5,15 +5,16 @@
 //! batch of them is one flat index vector in strides of the item count
 //! (for a sole item, a batch of row indices). Every join runs the greedy
 //! N-way [`JoinPlan`](crate::planner::JoinPlan) over the plan's equi-join
-//! edges and the scanned cardinalities: hash steps on equi-join keys (the
-//! build partitioned on the pool when big enough, the probe serial),
-//! cross steps only when nothing connects. Hash probes are a sound
+//! edges and the scanned cardinalities: hash steps on equi-join keys,
+//! cross steps only when nothing connects. Build and probe run serially:
+//! a partitioned build lost 1.4–1.7× at every size measured, because
+//! merging the per-partition maps re-inserts every distinct key
+//! (EXPERIMENTS.md B16). Hash probes are a sound
 //! *prefilter* — the filter operator above still evaluates the full
 //! predicate per emitted combination — with one accepted divergence:
 //! prefilters may skip combinations whose evaluation would *error*.
 
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::Arc;
 
 use setrules_storage::Value;
@@ -22,7 +23,6 @@ use crate::error::QueryError;
 use crate::planner::{build_join_plan, EquiEdge};
 use crate::stats;
 
-use super::exchange::Exchange;
 use super::scan::{FromItem, ScanExec};
 use super::{append, Batches, ExecCx, Executor};
 
@@ -172,38 +172,19 @@ impl<'a> JoinExec<'a> {
                 // type-equality requirement on edges makes storage-level
                 // hash equality agree with SQL equality. Keys are looked
                 // up from one reused buffer; only a new key is copied.
-                let build_range = |range: Range<usize>| -> HashTable<'_> {
-                    let mut local: HashTable<'_> = HashMap::new();
-                    let mut key = Vec::with_capacity(step.edges.len());
-                    for j in range {
-                        let row = &new_rows[j].1;
-                        if !fill_key(&mut key, step.edges.iter().map(|&(_, _, nc)| &row[nc])) {
-                            continue;
-                        }
-                        match local.get_mut(key.as_slice()) {
-                            Some(js) => js.push(j),
-                            None => {
-                                local.insert(key.clone(), vec![j]);
-                            }
-                        }
-                    }
-                    local
-                };
-                let table = if let Some(ex) = Exchange::plan(ctx, new_rows.len()) {
-                    // Exchange the build side; merging the per-worker
-                    // maps in partition order keeps every bucket's row
-                    // indices ascending — identical to the serial build.
-                    let mut merged: HashTable<'_> = HashMap::new();
-                    for local in ex.run(ctx, build_range) {
-                        for (key, mut js) in local {
-                            merged.entry(key).or_default().append(&mut js);
-                        }
-                    }
-                    merged
-                } else {
-                    build_range(0..new_rows.len())
-                };
+                let mut table: HashTable<'_> = HashMap::new();
                 let mut key = Vec::with_capacity(step.edges.len());
+                for (j, (_, row)) in new_rows.iter().enumerate() {
+                    if !fill_key(&mut key, step.edges.iter().map(|&(_, _, nc)| &row[nc])) {
+                        continue;
+                    }
+                    match table.get_mut(key.as_slice()) {
+                        Some(js) => js.push(j),
+                        None => {
+                            table.insert(key.clone(), vec![j]);
+                        }
+                    }
+                }
                 for p in partials.chunks_exact(placed) {
                     let probe =
                         step.edges.iter().map(|&(pi, pc, _)| &items[pi].row(p[pos_of[pi]])[pc]);

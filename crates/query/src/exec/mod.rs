@@ -25,7 +25,7 @@
 //! item, or for a join a `k`-wide stride of one flat index vector (one
 //! row index per `from` item); the filter keeps the indices of the
 //! combinations that survive; and every tree that is row-local
-//! (`crate::parallel::is_rowlocal`) — predicates, projections, group keys,
+//! ([`crate::compile::is_rowlocal`]) — predicates, projections, group keys,
 //! aggregate arguments, `update … set` expressions — is evaluated in
 //! `compile::RowEnv` over the borrowed row slices. An owned scope
 //! [`Level`](crate::bindings::Level) is built only where a tree that is
@@ -41,21 +41,24 @@
 //!   chosen [`Access`](crate::planner::Access) path (seq scan, index
 //!   probe/multi-probe, index range) or a transition-table scan, with the
 //!   pushed-down conjuncts filtering at the scan. Big-enough stored-table
-//!   scans with row-local conjuncts partition through the exchange
-//!   operator: contiguous ranges, merged in partition order.
-//! * [`exchange::Exchange`] — not a tree node but the one gate every
-//!   partitioned phase goes through: it decides whether a phase fans out
-//!   and how wide (thread budget, `MIN_PARTITION` items per partition),
-//!   dispatches contiguous ranges on the worker pool, returns
-//!   per-partition results in partition order, and owns the parallelism
-//!   counters and the earliest-error merge rule (see [`crate::parallel`]
-//!   for row-locality, `docs/parallel-execution.md` for the model).
+//!   scans with row-local conjuncts judge them through the exchange
+//!   operator: contiguous ranges, merged in partition order. A scan with
+//!   no pushed conjunct fetches serially.
+//! * [`exchange::Exchange`] — not a tree node but the one gate both
+//!   partitioned phases (the scan's pushed conjuncts and the `where`
+//!   pass) go through: it decides whether a phase fans out and how wide
+//!   (thread budget, `MIN_PARTITION` items per partition), runs
+//!   contiguous ranges on scoped threads, returns per-partition results
+//!   in partition order, and owns the parallelism counters and the
+//!   earliest-error merge rule (see [`crate::compile::is_rowlocal`] for
+//!   row-locality, `docs/parallel-execution.md` for the model). Nothing
+//!   else partitions: the B16 sweeps measured every other site slower on
+//!   two threads than on one.
 //! * [`join::JoinExec`] — drains its child scans and assembles row
 //!   combinations through the greedy N-way hash/cross
-//!   [`JoinPlan`](crate::planner::JoinPlan). Hash-step builds exchange
-//!   across partitions; probes run serially. Emits batches of flat
-//!   combinations (one row index per item) in row-index lexicographic
-//!   order.
+//!   [`JoinPlan`](crate::planner::JoinPlan), serially. Emits batches of
+//!   flat combinations (one row index per item) in row-index
+//!   lexicographic order.
 //! * [`filter::FilterExec`] — evaluates the full `where` predicate per
 //!   assembled combination (hash probes and pushdown are sound
 //!   prefilters), serially or exchanged when the predicate is
@@ -69,17 +72,14 @@
 //!   wildcards, then evaluate projections row-by-row or per group
 //!   (`group by` / `having` / aggregate calls), emitting rows keyed by
 //!   their `order by` values. Every grouped statement lowers to a
-//!   `GroupProgram` and runs *two-phase*: a streaming `partial-aggregate`
-//!   phase folds each input batch into per-group accumulators serially (a
-//!   batch is smaller than the exchange's gate), and a `final-aggregate`
-//!   phase finishes the groups — exchanged when there are enough and its
-//!   trees are row-local apart from their aggregate calls.
+//!   `GroupProgram` and runs *two-phase*, serially: a streaming
+//!   `partial-aggregate` phase folds each input batch into per-group
+//!   accumulators, and a `final-aggregate` phase finishes the groups —
+//!   over borrowed rows when its trees are row-local apart from their
+//!   aggregate calls.
 //! * [`sort::DistinctExec`], [`sort::SortExec`], [`sort::LimitExec`] —
 //!   `distinct` dedup, the stable order-by sort with its top-K
-//!   partial-selection fast path, and the `limit` truncation. Sort merges
-//!   per-partition runs under the `(key, input index)` total order, and
-//!   top-K selects per-partition candidate supersets before the serial
-//!   selection; `distinct` runs serially.
+//!   partial-selection fast path, and the `limit` truncation, all serial.
 //!
 //! # Batch contract
 //!
@@ -87,7 +87,7 @@
 //! scan or join: its whole materialized output at once),
 //! `Ok(None)` at end of stream (repeat calls keep returning `None`), or
 //! `Err` — after an error the operator must not be pulled again. Blocking
-//! operators (join build, filter's parallel WHERE pass, aggregation,
+//! operators (join build, filter's WHERE pass, aggregation,
 //! distinct, sort, limit) drain their child completely on first pull and
 //! then re-emit in batches; this is what preserves the serial executor's
 //! error selection bit-for-bit — a later row's error still surfaces even

@@ -12,9 +12,8 @@
 //! projection and key is row-local a row is evaluated over its borrowed
 //! frames; otherwise each row gets an owned scope level and runs scoped.
 
-use crate::compile::{self, CompiledExpr, Env, RowEnv, Scoped};
+use crate::compile::{self, is_rowlocal, CompiledExpr, Env, RowEnv, Scoped};
 use crate::error::QueryError;
-use crate::parallel::is_rowlocal;
 use crate::plan::Projection;
 
 use super::filter::FilterExec;

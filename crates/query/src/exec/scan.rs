@@ -11,11 +11,13 @@
 //! access path (`seq-scan`, `index-scan`, `index-range-scan`,
 //! `empty-scan`, `transition-scan`).
 //!
-//! This operator is also the parallel scan: with a thread budget, a
-//! big-enough stored-table scan whose pushed conjuncts are all row-local
-//! plans an [`Exchange`] over its tuple vector and concatenates the
-//! kept rows in partition order — exactly the serial handle-order walk
-//! (see [`crate::exec::exchange`] for the determinism argument).
+//! This operator is also one of the two partitioned phases: with a
+//! thread budget, a big-enough stored-table scan whose pushed conjuncts
+//! are all row-local plans an [`Exchange`] over its tuple vector, judges
+//! the conjuncts per partition and concatenates the kept rows in
+//! partition order — exactly the serial handle-order walk (see
+//! [`crate::exec::exchange`] for the determinism argument). A scan
+//! without pushed conjuncts has nothing to judge and fetches serially.
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -25,9 +27,8 @@ use setrules_sql::ast::TransitionKind;
 use setrules_storage::{Table, TableId, Tuple, TupleHandle, Value};
 
 use crate::bindings::Frame;
-use crate::compile::{eval_compiled_predicate, holds, CompiledExpr, RowEnv};
+use crate::compile::{eval_compiled_predicate, holds, is_rowlocal, CompiledExpr, RowEnv};
 use crate::error::QueryError;
-use crate::parallel;
 use crate::plan::ItemPlan;
 use crate::planner::{scan_handles, Access};
 use crate::stats;
@@ -146,7 +147,7 @@ impl<'a> ScanExec<'a> {
 
     /// Materialize the item, filtering through the pushed conjuncts.
     /// Row-local conjuncts run over the borrowed rows while they are
-    /// fetched (exchanged across the pool when the scan is big enough);
+    /// fetched (partitioned across threads when the scan is big enough);
     /// conjuncts that reach outer scopes run afterwards in the scoped
     /// environment. Either way a row is dropped only on a definite
     /// non-`true` — see [`admits`].
@@ -154,7 +155,7 @@ impl<'a> ScanExec<'a> {
         let ctx = cx.ctx;
         let item = &self.item;
         let conjs = &item.pushed;
-        let local = conjs.iter().all(parallel::is_rowlocal);
+        let local = conjs.iter().all(is_rowlocal);
         let mut dropped = 0u64;
         let mut rows: Vec<ScanRow<'a>> = match &item.source {
             ScanSource::Named(access) => {
@@ -187,7 +188,10 @@ impl<'a> ScanExec<'a> {
                     }
                     (kept, dropped)
                 };
-                let mut chunks = match Exchange::plan(ctx, tuples.len()) {
+                // Only a scan with conjuncts to judge exchanges.
+                let exchange =
+                    if conjs.is_empty() { None } else { Exchange::plan(ctx, tuples.len()) };
+                let mut chunks = match exchange {
                     Some(ex) if local => ex.run(ctx, fetch),
                     ex => {
                         if ex.is_some() {

@@ -9,18 +9,10 @@
 //! row beyond the limit still surfaces (the historical pipeline projected
 //! every row before truncating).
 //!
-//! Big-enough sorts partition on the pool through the
-//! [`exchange`](super::exchange) operator — they compare values only, so
-//! no row-locality gate applies. `distinct` runs serially: one pass
-//! through a borrowing set is cheaper than a partitioned pass and its
-//! merge at every input size measured (EXPERIMENTS.md B16).
-//!
-//! * `sort` — each partition sorts its range by `(key, input index)`;
-//!   the index tiebreak makes the comparator a total order, so the k-way
-//!   merge of the runs *is* the stable sort of the whole input.
-//! * `topk` — each partition selects its own top K under the same total
-//!   order (every global top-K row is in its partition's top K), then
-//!   the ≤ partitions·K candidates go through the serial selection.
+//! All three run serially. The B16 sweeps measured a partitioned sort
+//! 1.05–1.57× slower than the serial one on two threads, top-K level,
+//! and a partitioned `distinct` slower at every size, so none of them
+//! exchanges.
 
 use std::cmp::Ordering;
 use std::collections::HashSet;
@@ -30,7 +22,6 @@ use setrules_storage::Value;
 use crate::error::QueryError;
 use crate::stats;
 
-use super::exchange::Exchange;
 use super::{Batches, ExecCx, Executor, KeyedRow, Origin, RowSource};
 
 /// Drain a boxed child fully, charging the rows to `name`'s input side.
@@ -113,34 +104,6 @@ fn take_rows(rows: Vec<KeyedRow>, order: &[usize]) -> Vec<KeyedRow> {
     order.iter().map(|&i| slots[i].take().expect("indices are unique")).collect()
 }
 
-/// K-way merge of per-partition index runs under a total order: emit the
-/// smallest head until every run drains. Runs are few (at most the
-/// thread budget), so a linear scan per element beats a heap's constant
-/// factor here.
-fn merge_runs(runs: Vec<Vec<usize>>, cmp: impl Fn(usize, usize) -> Ordering) -> Vec<usize> {
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut heads = vec![0usize; runs.len()];
-    let mut order = Vec::with_capacity(total);
-    for _ in 0..total {
-        let mut best: Option<(usize, usize)> = None; // (run, head index value)
-        for (r, run) in runs.iter().enumerate() {
-            if let Some(&i) = run.get(heads[r]) {
-                let better = match best {
-                    None => true,
-                    Some((_, b)) => cmp(i, b) == Ordering::Less,
-                };
-                if better {
-                    best = Some((r, i));
-                }
-            }
-        }
-        let (r, i) = best.expect("total counts the remaining heads");
-        heads[r] += 1;
-        order.push(i);
-    }
-    order
-}
-
 /// Compare two order-by key vectors under the statement's `asc`/`desc`
 /// flags. NULL sorts before every non-NULL value; the rest follows
 /// [`Value`]'s total order.
@@ -202,58 +165,27 @@ impl<'a> Executor<'a> for SortExec<'a> {
 
     fn next_batch(&mut self, cx: &mut ExecCx<'a, '_>) -> Result<Option<Self::Batch>, QueryError> {
         if self.state.is_none() {
-            let rows = drain(&mut self.child, self.label, cx)?;
+            let mut rows = drain(&mut self.child, self.label, cx)?;
             let order = &self.order;
-            let mut rows = rows;
-            // Comparing `(key, input index)` makes the comparator a total
-            // order, so unstable selection/sorting over indices
-            // reproduces the stable sort's ordering among equal keys.
-            let cmp_idx =
-                |a: usize, b: usize| order_cmp(order, &rows[a].0, &rows[b].0).then(a.cmp(&b));
             match self.limit {
                 Some(k) if k > 0 && k < rows.len() / 4 => {
                     // Top-K: select the K smallest, then sort the prefix.
+                    // Comparing `(key, input index)` makes the comparator
+                    // a total order, so unstable selection and sorting
+                    // over indices reproduce the stable sort's order
+                    // among equal keys.
                     stats::bump(cx.ctx.stats, |s| s.topk_selected += 1);
                     self.label = "topk";
-                    let mut cand: Vec<usize> = if let Some(ex) = Exchange::plan(cx.ctx, rows.len())
-                    {
-                        // Every global top-K row is within its own
-                        // partition's top K, so the per-partition
-                        // selections are a sound candidate superset.
-                        ex.run(cx.ctx, |range| {
-                            let mut part: Vec<usize> = range.collect();
-                            if part.len() > k {
-                                part.select_nth_unstable_by(k - 1, |&a, &b| cmp_idx(a, b));
-                                part.truncate(k);
-                            }
-                            part
-                        })
-                        .concat()
-                    } else {
-                        (0..rows.len()).collect()
+                    let cmp_idx = |a: usize, b: usize| {
+                        order_cmp(order, &rows[a].0, &rows[b].0).then(a.cmp(&b))
                     };
-                    if cand.len() > k {
-                        cand.select_nth_unstable_by(k - 1, |&a, &b| cmp_idx(a, b));
-                        cand.truncate(k);
-                    }
+                    let mut cand: Vec<usize> = (0..rows.len()).collect();
+                    cand.select_nth_unstable_by(k - 1, |&a, &b| cmp_idx(a, b));
+                    cand.truncate(k);
                     cand.sort_unstable_by(|&a, &b| cmp_idx(a, b));
                     rows = take_rows(rows, &cand);
                 }
-                _ => {
-                    if let Some(ex) = Exchange::plan(cx.ctx, rows.len()) {
-                        // Sorted per-partition runs, k-way merged under
-                        // the same total order: exactly the stable sort.
-                        let runs: Vec<Vec<usize>> = ex.run(cx.ctx, |range| {
-                            let mut run: Vec<usize> = range.collect();
-                            run.sort_unstable_by(|&a, &b| cmp_idx(a, b));
-                            run
-                        });
-                        let order = merge_runs(runs, cmp_idx);
-                        rows = take_rows(rows, &order);
-                    } else {
-                        rows.sort_by(|(ka, _), (kb, _)| order_cmp(order, ka, kb));
-                    }
-                }
+                _ => rows.sort_by(|(ka, _), (kb, _)| order_cmp(order, ka, kb)),
             }
             self.state = Some(Batches::new(rows, self.batch_rows));
         }

@@ -13,7 +13,7 @@ use std::ops::Bound;
 use setrules_sql::ast::{Expr, SelectStmt, TableSource, TransitionKind};
 use setrules_storage::{ColumnId, Database, Value};
 
-use crate::compile::Layout;
+use crate::compile::{is_rowlocal, Layout};
 use crate::ctx::{QueryCtx, SubqueryCache};
 use crate::exec::scan::{access_op_name, ScanSource};
 use crate::plan::{plan_select, ItemPlan, Pipeline, SelectPlan, Shape, Top};
@@ -183,9 +183,8 @@ pub fn explain_select(ctx: QueryCtx<'_>, stmt: &SelectStmt) -> String {
     let _ = writeln!(out, "plan: {}", operator_chain(&plan).join(" -> "));
     // Absent when nothing is eligible, so serial-only plans stay
     // byte-identical to their pre-exchange form.
-    let stages = exchange_stages(&plan);
-    if !stages.is_empty() {
-        let _ = writeln!(out, "parallel: {}", stages.join(", "));
+    if where_exchanges(&plan) {
+        let _ = writeln!(out, "parallel: where");
     }
     out
 }
@@ -245,33 +244,15 @@ fn operator_chain(plan: &SelectPlan) -> Vec<String> {
     ops
 }
 
-/// The pipeline stages of `plan` that are *exchange-eligible* — the
-/// stages a multi-threaded run would partition onto the worker pool, in
-/// pipeline order (none for the fast paths). The WHERE pass exchanges
-/// only a row-local predicate, the join exchanges its hash build (so it
-/// needs an equi-edge), aggregation exchanges its final phase when that
-/// may leave the serial environment, and sort/top-K partition on values
-/// alone. Shape-only — the run-time size gate cannot
-/// be decided here, so the line is identical at every thread count.
-fn exchange_stages(plan: &SelectPlan) -> Vec<&'static str> {
-    let Shape::Pipeline(p) = &plan.shape else { return Vec::new() };
-    let read = &plan.read;
-    let mut stages = Vec::new();
-    if read.join_op() == Some("hash-join") {
-        stages.push("join");
-    }
-    if read.predicate.as_ref().is_some_and(crate::parallel::is_rowlocal) {
-        stages.push("where");
-    }
-    if let Top::Aggregate(Ok(prog)) = &p.top {
-        if prog.groups_exchangeable {
-            stages.push("aggregate");
-        }
-    }
-    if !p.order.is_empty() {
-        stages.push("sort");
-    }
-    stages
+/// Whether `plan`'s `where` pass is *exchange-eligible*: a pipeline
+/// (not a fast path) whose predicate is row-local, so a multi-threaded run
+/// partitions it once there are enough combinations. The scan's pushed
+/// conjuncts are the other partitioned phase; they are conjuncts of the
+/// same predicate. Shape-only — the run-time size gate cannot be decided
+/// here, so the line is identical at every thread count.
+fn where_exchanges(plan: &SelectPlan) -> bool {
+    let rowlocal = plan.read.predicate.as_ref().is_some_and(is_rowlocal);
+    matches!(plan.shape, Shape::Pipeline(_)) && rowlocal
 }
 
 #[cfg(test)]

@@ -35,8 +35,8 @@
 //!
 //! `P` must compile to *row-local* form against the subquery's frames:
 //! slots-only, innermost-scope references, no subqueries, no interpreter
-//! fallback — the same analysis the parallel executor uses to prove a
-//! predicate safe to evaluate from one row alone. Row-local `P` is what
+//! fallback — the same analysis (`compile::is_rowlocal`) the executor
+//! uses to prove a predicate safe to evaluate from one row alone. Row-local `P` is what
 //! makes delta repair sound: membership depends only on the named row(s),
 //! so only tuples named by the delta can change term state.
 //!
@@ -87,10 +87,9 @@ use setrules_sql::ast::{
 };
 use setrules_storage::{DataType, Database, TableId, TupleHandle, Value};
 
-use crate::compile::{compile, holds, CompiledExpr, Layout, LayoutFrame, RowEnv};
+use crate::compile::{compile, holds, is_rowlocal, CompiledExpr, Layout, LayoutFrame, RowEnv};
 use crate::error::QueryError;
 use crate::eval;
-use crate::parallel;
 use crate::planner::collect_conjuncts;
 use crate::provider::describe;
 
@@ -1170,7 +1169,7 @@ fn analyze_single(
             // outer scope, so they lower to the interpreter), nested
             // subqueries, unresolved names — falls back.
             let compiled = compile(p, &layout);
-            if !parallel::is_rowlocal(&compiled) {
+            if !is_rowlocal(&compiled) {
                 return Err(FallbackReason::Predicate);
             }
             Some(compiled)
@@ -1261,7 +1260,7 @@ fn analyze_join(
         return Err(FallbackReason::JoinShape);
     };
     let pred = compile(p, &layout);
-    if !parallel::is_rowlocal(&pred) {
+    if !is_rowlocal(&pred) {
         return Err(FallbackReason::Predicate);
     }
     // Mirror `planner::equi_join_edges`: conjuncts `col = col` whose

@@ -21,6 +21,7 @@
 //!   planned once per execution into one plan value that the operator
 //!   tree runs and [`explain_select`] prints.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bindings;
@@ -33,7 +34,6 @@ mod exec;
 mod explain;
 pub mod incremental;
 pub mod like;
-pub mod parallel;
 mod plan;
 pub mod planner;
 mod provider;

@@ -30,7 +30,7 @@ use setrules_sql::ast::{Expr, SelectStmt};
 use setrules_storage::Value;
 
 use crate::bindings::{Bindings, Frame};
-use crate::compile::{self, holds, CompiledExpr, Env, RowEnv, Scoped};
+use crate::compile::{self, holds, is_rowlocal, CompiledExpr, Env, RowEnv, Scoped};
 use crate::ctx::QueryCtx;
 use crate::error::QueryError;
 use crate::exec::aggregate::AggregateExec;
@@ -40,7 +40,6 @@ use crate::exec::project::ProjectExec;
 use crate::exec::scan::{ScanExec, ScanSource};
 use crate::exec::sort::{DistinctExec, LimitExec, SortExec};
 use crate::exec::{ExecCx, KeyedRow, Origin, RowSource};
-use crate::parallel::is_rowlocal;
 use crate::plan::{plan_select, IndexOrder, MinMax, ReadPlan, SelectPlan, Shape, Top};
 use crate::planner::Access;
 use crate::relation::Relation;

@@ -55,12 +55,11 @@ pub struct ExecStats {
     pub range_rows_skipped: u64,
     /// `order by` clauses answered by index order instead of a sort.
     pub sort_elided: u64,
-    /// Query phases (scan+pushdown, hash build, hash probe, WHERE pass,
-    /// final aggregate, distinct, sort, top-K) executed on the worker pool
-    /// instead of serially.
+    /// Predicate phases (a scan's pushed conjuncts, the `where` pass)
+    /// executed in partitions across threads instead of serially.
     pub parallel_scans: u64,
-    /// Total partitions handed to the worker pool across all parallel
-    /// phases (a phase with 4 partitions adds 4).
+    /// Total partitions across all parallel phases (a phase with 4
+    /// partitions adds 4).
     pub parallel_partitions: u64,
     /// Phases that passed the exchange's gate (a thread budget above 1
     /// and at least two partitions' worth of items) but ran serially

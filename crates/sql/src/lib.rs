@@ -16,6 +16,7 @@
 //! assert!(matches!(stmt, Statement::CreateRule(_)));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ast;

@@ -19,10 +19,10 @@
 //! engine is accordingly volatile and follows a **read-parallel,
 //! write-serial** model: all mutation happens on one thread, but the core
 //! types ([`Value`], [`Tuple`], [`Table`], [`Database`]) are `Send + Sync`,
-//! so the query layer may scan a frozen database from a worker pool
-//! between mutations (see the `setrules-exec` crate and
-//! `docs/parallel-execution.md`).
+//! so the query layer may scan a frozen database from scoped threads
+//! between mutations (see `docs/parallel-execution.md`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod database;
@@ -48,7 +48,7 @@ pub use undo::{UndoLog, UndoMark, UndoRecord};
 pub use value::{DataType, Value};
 
 // The read-parallel model above is load-bearing for the query layer's
-// worker pool: shared scans hand `&Value` / `&Tuple` / `&Database` across
+// partitioned predicate phases: shared scans hand `&Value` / `&Tuple` / `&Database` across
 // threads. Keep the compiler checking that these types stay `Send + Sync`.
 const _: () = {
     const fn assert_sync<T: Send + Sync>() {}

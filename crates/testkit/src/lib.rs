@@ -11,6 +11,7 @@
 //! There is no shrinking — generators here are kept small enough that a
 //! raw counterexample is readable.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// A splitmix64-seeded xorshift64* generator: tiny, fast, and plenty

@@ -21,6 +21,7 @@
 //! is present, so an image recovered after a crash is always a committed
 //! image, never a half-applied one.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod frame;

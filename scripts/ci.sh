@@ -14,33 +14,19 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q (default thread budget)"
+echo "==> cargo test -q"
+# The serial and the partitioned side of the two exchange sites (a
+# scan's pushed conjuncts, the WHERE pass) are covered by tests that pin
+# their thread budget: the adversarial differential at 1/2/8 threads,
+# the grouped and DML differentials at 1/8, and the statement-failure
+# and fault-sweep tests with parallelism forced on.
 cargo test -q
-
-echo "==> cargo test -q (SETRULES_THREADS=1: exact serial paths)"
-# Parallelism must be invisible — the whole suite has to pass with the
-# worker pool pinned off just as it does with the default budget.
-SETRULES_THREADS=1 cargo test -q
-
-echo "==> cargo test -q (SETRULES_THREADS=8: every exchange whose input reaches the gate)"
-# ...and with the pool wide, so every exchange-eligible stage (scan, join
-# build, WHERE, final aggregation, sort/top-K) whose input reaches the
-# gate (two partitions of MIN_PARTITION items) actually partitions while
-# the whole suite's golden outputs stay bit-identical.
-SETRULES_THREADS=8 cargo test -q
 
 echo "==> cargo test -q (SETRULES_INCR=0: full re-scan condition evaluation)"
 # Incremental condition evaluation must be a pure optimisation — the whole
 # suite has to pass with the delta-driven evaluator pinned off and every
 # condition re-scanned from the composite window.
 SETRULES_INCR=0 cargo test -q
-
-echo "==> cargo test -q (SETRULES_INCR=0 x SETRULES_THREADS=8: re-scan on the wide pool)"
-# The two switches must compose: re-scan-only evaluation with every
-# exchange-eligible stage partitioned is the configuration the
-# incremental evaluator's differential suites are implicitly trusted
-# against, so it gets its own full-suite pass.
-SETRULES_INCR=0 SETRULES_THREADS=8 cargo test -q
 
 echo "==> fault-injection sweep (bounded: first/middle/last site per kind)"
 # The full sweep (every (kind, n) site on the paper workloads) runs as part
@@ -101,7 +87,7 @@ echo "==> one executor (naive reference differentials + grouped shapes that once
 # `plan:` line names -- explain prints the plan value the executor runs.
 # The self-join case checks that a select's traced tuples get the
 # columns of every `from` item they were read through (section 5.1).
-# The idle-pool case runs OLTP-shaped statements (a point update, a
+# The below-the-gate case runs OLTP-shaped statements (a point update, a
 # 300-row department update with a rule firing on it) on an 8-thread
 # engine and checks that no phase reaches the exchange's gate.
 cargo test -q -p setrules-core --test query_pipeline -- \
@@ -180,9 +166,10 @@ echo "==> acceptance counters (B11-B17 work-counter bars)"
 # a refiring rule reuses its prepared state (B11); an ordered index
 # range-walks, elides the sort, and answers min/max without a scan -- and
 # a NaN boundary leaves min/max to one scan with no lookup counted
-# (B12); pooled runs match serial ones row
-# for row and engage the pool on scans, joins, aggregation, distinct and
-# top-K (B13, B16); group commit is one append + sync per transaction
+# (B12); partitioned runs match serial ones row
+# for row, and over inputs past the gate only predicate phases exchange:
+# grouped top-K, a hash join, a sort and a bare fetch stay serial
+# (B13, B16); group commit is one append + sync per transaction
 # against >= 22 for sync-per-record (B14); storm watchers rebuild once,
 # repair on every reconsideration, never fall back, and share composed
 # deltas (B15, B17).

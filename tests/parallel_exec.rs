@@ -5,13 +5,16 @@
 //!   relation — and identical row-level `ExecStats` counters — under
 //!   thread budgets 1, 2, and 8. Parallelism is an execution strategy,
 //!   never a semantics change;
+//! * **two sites**: only a scan's pushed conjuncts and the `where` pass
+//!   exchange; joins, sorts, top-K, aggregation and bare fetches stay
+//!   serial at any budget;
 //! * **error determinism**: a poisoned query fails with the same error
-//!   text regardless of thread budget, and a full engine with the pool
+//!   text regardless of thread budget, and a full engine with parallelism
 //!   forced on fails at the same statement as a serial one;
 //! * **serial fallback**: predicates that cannot cross threads
 //!   (correlated subqueries) take the observable serial fallback;
 //! * **engine wiring**: the `EngineConfig::parallelism` knob engages the
-//!   pool, mirrors counters into `EngineStats`, and emits
+//!   exchange, mirrors counters into `EngineStats`, and emits
 //!   `EngineEvent::ParallelScan`;
 //! * **crash consistency**: the fault-injection sweep over inflated
 //!   Example 3.1 / 4.1 workloads holds with parallelism forced on —
@@ -43,10 +46,9 @@ fn sel(sql: &str) -> SelectStmt {
 /// A database whose rows deliberately contain every value the float/NULL
 /// semantics treat specially. `t` is past the exchange's gate (two
 /// partitions of `MIN_PARTITION` = 2 048 items), so thread budgets > 1
-/// actually engage the pool, and its unique `g` column gives a group-by
-/// enough groups for the final aggregate to exchange too. `u` stays
-/// small, which keeps the joins with it, and the correlated subquery over
-/// it, cheap.
+/// actually partition its scans' pushed conjuncts and its `where`
+/// passes. `u` stays small, which keeps the joins with it, and the
+/// correlated subquery over it, cheap.
 fn adversarial_db(rng: &mut Rng) -> Database {
     let mut db = Database::new();
     let t = db
@@ -57,7 +59,6 @@ fn adversarial_db(rng: &mut Rng) -> Database {
                 ColumnDef::new("b", DataType::Float),
                 ColumnDef::new("s", DataType::Text),
                 ColumnDef::new("k", DataType::Int),
-                ColumnDef::new("g", DataType::Int),
             ],
         ))
         .unwrap();
@@ -91,7 +92,7 @@ fn adversarial_db(rng: &mut Rng) -> Database {
             _ => Value::Text(rng.pick(&["ab", "ba", "abc", "", "%_"]).to_string()),
         };
         let k = Value::Int(rng.range_i64(0, 8));
-        db.insert(t, Tuple(vec![a, b, s, k, Value::Int(i as i64)])).unwrap();
+        db.insert(t, Tuple(vec![a, b, s, k])).unwrap();
     }
     for _ in 0..8 + rng.below(24) {
         db.insert(
@@ -106,35 +107,14 @@ fn adversarial_db(rng: &mut Rng) -> Database {
     db
 }
 
-/// The stage past the `where` pass whose exchange a [`Shape`] can reach.
-#[derive(Clone, Copy)]
-enum Tail {
-    /// `order by` or `order by … limit` (top-K) over rows, also after a
-    /// `distinct` (which itself never exchanges).
-    Rows = 0,
-    /// The final-aggregate phase over the groups.
-    Groups = 1,
-}
-
-/// A generated select. A single-table shape with a [`Tail`] also carries
-/// its plain form: the same `from` and `where` under a bare projection,
-/// which runs exactly the scan and `where` exchanges of `sql`. At the
-/// same thread budget, `sql` exchanging more often than its plain form
-/// means its tail did.
-struct Shape {
-    sql: String,
-    tail: Option<(String, Tail)>,
-}
-
-/// A random select exercising every parallelized phase: partitioned
-/// scan + pushdown, hash-join build, the parallel WHERE pass,
-/// two-phase group-by/having aggregation, the full parallel sort, and
-/// the top-K order/limit path, next to the serial `distinct` and hash
-/// probe — with occasional
-/// poison (division by zero) so error selection is covered too. Half the
-/// single-table shapes read all of `t`, and one predicate keeps every
-/// row, so the stages past the `where` pass see enough rows to exchange.
-fn random_query(rng: &mut Rng) -> Shape {
+/// A random select exercising both partitioned phases — a scan's pushed
+/// conjuncts and the `where` pass — under every serial stage above them:
+/// hash joins, two-phase group-by/having aggregation, `distinct`, the
+/// sort and the top-K order/limit path, with occasional poison (division
+/// by zero) so error selection is covered too. Half the single-table
+/// shapes read all of `t` unfiltered, and one predicate keeps every row,
+/// so the serial stages also see inputs past the gate.
+fn random_query(rng: &mut Rng) -> String {
     let pred = |rng: &mut Rng, alias: &str| -> String {
         match rng.below(9) {
             0 => format!("{alias}.a > 5 and {alias}.b < 50.0"),
@@ -155,11 +135,6 @@ fn random_query(rng: &mut Rng) -> Shape {
             String::new()
         }
     };
-    let untailed = |sql: String| Shape { sql, tail: None };
-    let tailed = |sql: String, w: &str, tail: Tail| Shape {
-        sql,
-        tail: Some((format!("select x.g from t x{w}"), tail)),
-    };
     match rng.below(11) {
         // Single-table scan + pushdown, sorted or top-K over floats.
         0 => {
@@ -171,7 +146,7 @@ fn random_query(rng: &mut Rng) -> Shape {
             if rng.chance(1, 2) {
                 sql.push_str(&format!(" limit {}", 1 + rng.below(10)));
             }
-            tailed(sql, &w, Tail::Rows)
+            sql
         }
         // Distinct over ints, floats (NaN, -0.0) and NULL-bearing pairs.
         1 => {
@@ -182,60 +157,57 @@ fn random_query(rng: &mut Rng) -> Shape {
                 let first = cols.split(',').next().expect("one column");
                 sql.push_str(&format!(" order by {first} desc"));
             }
-            tailed(sql, &w, Tail::Rows)
+            sql
         }
         // Hash join on k, with a residual predicate over both sides.
-        2 => untailed(format!(
+        2 => format!(
             "select x.a, y.w from t x, u y where x.k = y.k and {}",
             pred(rng, "x")
-        )),
-        3 => untailed("select x.a, y.w from t x, u y where x.k = y.k".to_string()),
+        ),
+        3 => "select x.a, y.w from t x, u y where x.k = y.k".to_string(),
         // Aggregates (distinct dedup inside the aggregate).
-        4 => untailed(format!("select count(distinct x.k) from t x where {}", pred(rng, "x"))),
+        4 => format!("select count(distinct x.k) from t x where {}", pred(rng, "x")),
         // Two-phase group-by over adversarial keys/values, with a
         // having filter and an order over an aggregate.
-        5 => untailed(format!(
+        5 => format!(
             "select x.k, count(*), sum(x.b), min(x.b), max(x.a), avg(x.b) \
              from t x{} group by x.k having count(*) >= {}",
             filter(rng),
             rng.below(3)
-        )),
-        6 => untailed(format!(
+        ),
+        6 => format!(
             "select x.a, count(distinct x.s) from t x{} \
              group by x.a order by count(distinct x.s) desc, x.a limit {}",
             filter(rng),
             1 + rng.below(6)
-        )),
-        // Grouped join: the aggregate input crosses the hash join.
-        7 => untailed(
-            "select x.k, count(*), sum(y.w) from t x, u y where x.k = y.k \
-             group by x.k order by x.k"
-                .to_string(),
         ),
-        // Self-join: both sides past the gate, so the hash build
-        // exchanges, and so does the `where` pass over the residual.
-        8 => untailed(format!(
+        // Grouped join: the aggregate input crosses the hash join.
+        7 => "select x.k, count(*), sum(y.w) from t x, u y where x.k = y.k \
+              group by x.k order by x.k"
+            .to_string(),
+        // Self-join: both sides past the gate, and so is the `where`
+        // pass over the residual.
+        8 => format!(
             "select x.a, y.b from t x, t y where x.a = y.a and x.k = y.k and ({})",
             rng.pick(&["x.b < y.b", "x.b + y.b > 1.0", "x.s = y.s or y.b is null"])
-        )),
-        // One group per row: the final aggregate exchanges over groups
-        // keyed by NaN, -0.0 and NULL, and so may a sort over them.
+        ),
+        // Thousands of groups keyed by NaN, -0.0 and NULL, maybe sorted.
         9 => {
-            let w = filter(rng);
             let mut sql = format!(
-                "select x.b, x.g, count(*), sum(x.b), min(x.a), max(x.b), avg(x.b) \
-                 from t x{w} group by x.b, x.g having count(*) >= 1"
+                "select x.b, count(*), sum(x.b), min(x.a), max(x.b), avg(x.b) \
+                 from t x{} group by x.b having count(*) >= 1",
+                filter(rng)
             );
             if rng.chance(1, 2) {
-                sql.push_str(&format!(" order by x.b desc, x.g limit {}", 1 + rng.below(10)));
+                sql.push_str(&format!(" order by x.b desc limit {}", 1 + rng.below(10)));
             }
-            tailed(sql, &w, Tail::Groups)
+            sql
         }
         // Correlated subquery: must take the serial fallback, identically.
-        _ => untailed(format!(
+        _ => format!(
             "select count(*) from t x where exists (select * from u where u.k = x.k) and {}",
             pred(rng, "x")
-        )),
+        ),
     }
 }
 
@@ -261,15 +233,13 @@ fn comparable(mut s: ExecStats) -> ExecStats {
 
 #[test]
 fn parallel_matches_serial_on_adversarial_queries() {
-    // Cases whose tail exchanged at 8 threads, indexed by `Tail`.
-    let mut tails = [0usize; 2];
+    // Cases whose scan or `where` pass exchanged at 8 threads.
+    let mut exchanged = 0;
     check("parallel_vs_serial", 300, 0x9a7a_11e1, |rng| {
         let db = adversarial_db(rng);
-        let shape = random_query(rng);
-        let sql = &shape.sql;
-        let stmt = sel(sql);
+        let sql = random_query(rng);
+        let stmt = sel(&sql);
         let (base, base_stats) = run(&db, &stmt, 1);
-        let mut wide_scans = 0;
         for threads in [2, 8] {
             let (par, par_stats) = run(&db, &stmt, threads);
             assert_eq!(base, par, "outcome diverged for {sql} ({threads} threads)");
@@ -278,16 +248,14 @@ fn parallel_matches_serial_on_adversarial_queries() {
                 comparable(par_stats),
                 "row-level stats diverged for {sql} ({threads} threads)"
             );
-            wide_scans = par_stats.parallel_scans;
-        }
-        if let Some((plain, tail)) = &shape.tail {
-            let (_, plain_stats) = run(&db, &sel(plain), 8);
-            tails[*tail as usize] += (wide_scans > plain_stats.parallel_scans) as usize;
+            if threads == 8 {
+                exchanged += (par_stats.parallel_scans > 0) as usize;
+            }
         }
     });
-    // The generator must keep the sort/top-K and final-aggregate
-    // exchanges busy on adversarial data, whatever the gate.
-    assert!(tails[Tail::Rows as usize] >= 15 && tails[Tail::Groups as usize] >= 5, "{tails:?}");
+    // The generator must keep both partitioned phases busy on
+    // adversarial data, whatever the gate.
+    assert!(exchanged >= 150, "{exchanged}");
 }
 
 // ----------------------------------------------------------------------
@@ -344,7 +312,7 @@ fn engine_parallelism_knob_mirrors_stats_and_emits_event() {
         ) => assert_eq!(x, y),
         other => panic!("both transactions must commit with output: {other:?}"),
     }
-    // The parallel engine mirrored pool usage into EngineStats and traced it.
+    // The parallel engine mirrored its exchanges into EngineStats and traced them.
     assert!(par.stats().parallel_scans > 0, "{:?}", par.stats());
     assert!(par.stats().parallel_partitions > 1);
     assert!(par
@@ -352,7 +320,7 @@ fn engine_parallelism_knob_mirrors_stats_and_emits_event() {
         .iter()
         .any(|e| matches!(e, EngineEvent::ParallelScan { partitions, rows }
             if *partitions > 1 && *rows >= BIG_ROWS as u64)));
-    // The pinned-serial engine touched the pool exactly never.
+    // The pinned-serial engine never exchanged.
     assert_eq!(serial.stats().parallel_scans, 0);
     assert!(!serial
         .recent_events()
@@ -360,22 +328,25 @@ fn engine_parallelism_knob_mirrors_stats_and_emits_event() {
         .any(|e| matches!(e, EngineEvent::ParallelScan { .. })));
 }
 
-/// A grouped aggregation big enough to exchange engages the pool on its
-/// final phase (a group per `big` row, then top-K over the groups), with
-/// byte-identical output to the pinned-serial engine — and so do the
-/// other exchange stages: the scan under a `distinct`, top-K, and the
-/// hash-join build.
+/// Only a partitioned predicate exchanges. At 4 threads, over the
+/// 4 200-row `big` — past the gate — a grouped top-K (4 200 groups), a
+/// hash join building on `big`, an `order by` and a bare fetch all run
+/// serially, with no exchange and no serial fallback, and give output
+/// identical to the pinned-serial engine.
 #[test]
 fn group_by_aggregation_engages_the_pool() {
     let mut par = big_engine(Some(4));
     let mut serial = big_engine(Some(1));
+    for sys in [&mut par, &mut serial] {
+        sys.execute("create table small (k int)").unwrap();
+        sys.transaction("insert into small values (3), (14), (15), (92), (653)").unwrap();
+    }
     for sql in [
         "select k, count(*), sum(v) from big group by k order by k limit 5",
-        "select distinct k % 7 from big",
-        "select k, v from big order by v desc limit 3",
-        "select count(*) from big a, big b where a.k = b.k and a.v > 2.0",
+        "select count(*) from big a, small b where a.k = b.k",
+        "select k, v from big order by v desc",
+        "select k from big",
     ] {
-        let before = par.stats().parallel_scans;
         let a = par.transaction(sql).unwrap();
         let b = serial.transaction(sql).unwrap();
         match (a, b) {
@@ -385,16 +356,14 @@ fn group_by_aggregation_engages_the_pool() {
             ) => assert_eq!(x, y, "{sql}"),
             other => panic!("both transactions must commit with output: {other:?}"),
         }
-        assert!(par.stats().parallel_scans > before, "{sql}: {:?}", par.stats());
+        let stats = par.stats();
+        assert_eq!((stats.parallel_scans, stats.serial_fallbacks), (0, 0), "{sql}: {stats:?}");
     }
-    assert!(par
-        .recent_events()
-        .iter()
-        .any(|e| matches!(e, EngineEvent::ParallelScan { partitions, .. } if *partitions > 1)));
-    assert_eq!(serial.stats().parallel_scans, 0);
+    assert!(par.exec_stats().hash_joins > 0, "the join must be a hash join");
+    assert!(!par.recent_events().iter().any(|e| matches!(e, EngineEvent::ParallelScan { .. })));
 }
 
-/// Below the exchange's gate the pool stays idle even at 8 threads: the
+/// Below the exchange's gate nothing partitions even at 8 threads: the
 /// statements of an OLTP transaction — a point update, and a department
 /// raise over 300 rows whose rule reads the updated rows and deletes some
 /// of them — all run serially, and none counts a serial fallback.
@@ -425,30 +394,8 @@ fn below_the_gate_the_pool_stays_idle() {
     assert_eq!(stats.serial_fallbacks, 0, "{stats:?}");
 }
 
-/// `SETRULES_THREADS` steers engines whose config leaves parallelism
-/// unset; an explicit `parallelism` beats the environment. This is the
-/// only test here that builds an unpinned engine, so the env mutation
-/// cannot race another test's thread resolution.
-#[test]
-fn env_override_steers_unpinned_engines_only() {
-    assert_eq!(setrules_exec::resolve_threads(Some(3)), 3);
-    let caller = std::env::var_os("SETRULES_THREADS");
-    std::env::set_var("SETRULES_THREADS", "1");
-    assert_eq!(setrules_exec::resolve_threads(None), 1);
-    assert_eq!(setrules_exec::resolve_threads(Some(5)), 5, "config beats env");
-    let mut sys = big_engine(None);
-    sys.transaction("select k from big where v > 10.0").unwrap();
-    assert_eq!(sys.stats().parallel_scans, 0, "SETRULES_THREADS=1 must keep the pool idle");
-    // Hand the rest of the binary back whatever budget the caller set.
-    match caller {
-        Some(v) => std::env::set_var("SETRULES_THREADS", v),
-        None => std::env::remove_var("SETRULES_THREADS"),
-    }
-    assert!(setrules_exec::resolve_threads(None) >= 1);
-}
-
 // ----------------------------------------------------------------------
-// Statement-level error determinism with the pool forced on.
+// Statement-level error determinism with parallelism forced on.
 // ----------------------------------------------------------------------
 
 #[test]
@@ -572,7 +519,7 @@ fn fault_of(e: &RuleError) -> Option<(FaultKind, u64)> {
 fn fault_sweep_holds_with_parallelism_forced_on() {
     for scenario in &inflated_scenarios() {
         // Discovery pass: fault-free, counting sites per kind — and
-        // proving the pool actually engaged (the sweep would otherwise
+        // proving the exchange actually engaged (the sweep would otherwise
         // test nothing new over the serial fault sweep).
         let mut sys = fresh_par(scenario);
         for stmt in &scenario.workload {
@@ -581,7 +528,7 @@ fn fault_sweep_holds_with_parallelism_forced_on() {
         }
         assert!(
             sys.stats().parallel_scans > 0,
-            "{}: workload must engage the pool (stats: {:?})",
+            "{}: workload must exchange (stats: {:?})",
             scenario.name,
             sys.stats()
         );
