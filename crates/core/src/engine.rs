@@ -39,21 +39,6 @@ use crate::stats::{EngineStats, TxnStats};
 use crate::transinfo::TransInfo;
 use crate::transition_tables::{RuleWindowProvider, RuleWindowRef};
 
-/// Resolve the incremental-evaluation knob: a pinned config value wins,
-/// else the `SETRULES_INCR` environment variable (`0`/`false`/`off`/`no`
-/// disables), else on.
-fn resolve_incremental(pinned: Option<bool>) -> bool {
-    match pinned {
-        Some(b) => b,
-        None => match std::env::var("SETRULES_INCR") {
-            Ok(v) => {
-                !matches!(v.trim().to_ascii_lowercase().as_str(), "0" | "false" | "off" | "no")
-            }
-            Err(_) => true,
-        },
-    }
-}
-
 /// Which composite window a rule is (re)considered against — the paper's
 /// default (§4.2) and the two footnote-8 alternatives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -109,9 +94,7 @@ pub struct EngineConfig {
     /// composed `[I, D, U]` delta instead of re-scanning transition
     /// tables at every consideration (see
     /// `docs/incremental-evaluation.md`). `Some(b)` pins it; `None` (the
-    /// default) defers to the `SETRULES_INCR` environment variable
-    /// (`0`/`false`/`off`/`no` disables) and is otherwise on. Results
-    /// are observably identical either way.
+    /// default) means on. Results are observably identical either way.
     pub incremental: Option<bool>,
 }
 
@@ -327,7 +310,7 @@ pub struct RuleSystem {
     /// Cumulative query-execution work (threaded into every executor call).
     qstats: StatsCell,
     /// Incremental condition evaluation, resolved once at open from
-    /// `EngineConfig::incremental` / `SETRULES_INCR`.
+    /// `EngineConfig::incremental`.
     incr_enabled: bool,
     /// Thread budget for query execution, resolved once at open: the
     /// config's `parallelism` if pinned, else
@@ -373,7 +356,7 @@ impl RuleSystem {
         let events = EventBus::new(config.event_capacity);
         let fault_plan = config.fault;
         let durability = config.durability.clone();
-        let incr_enabled = resolve_incremental(config.incremental);
+        let incr_enabled = config.incremental.unwrap_or(true);
         let available = || std::thread::available_parallelism().map_or(1, |n| n.get());
         let threads = config.parallelism.unwrap_or_else(available).max(1);
         let mut sys = RuleSystem {
@@ -1235,7 +1218,7 @@ impl RuleSystem {
     }
 
     /// Whether incremental condition evaluation is enabled for this
-    /// system (the `EngineConfig::incremental` / `SETRULES_INCR` knob).
+    /// system (the `EngineConfig::incremental` knob).
     pub fn incremental_enabled(&self) -> bool {
         self.incr_enabled
     }

@@ -131,7 +131,7 @@ pub struct EngineStats {
     pub parallel_partitions: u64,
     /// Query phases big enough to parallelize that fell back to serial
     /// because their predicate was not row-local (correlated subqueries,
-    /// interpreter fallback).
+    /// unresolved names).
     pub serial_fallbacks: u64,
     /// Write-ahead-log records appended (durable configurations only).
     pub wal_appends: u64,

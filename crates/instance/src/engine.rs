@@ -7,8 +7,8 @@
 //! through the same path, so cascades happen one row at a time.
 
 use setrules_query::{
-    eval_predicate, execute_op, execute_query, ExecOpts, ExecStats, NoTransitionTables, OpEffect,
-    QueryCtx, QueryError, Relation, StatsCell,
+    compile, eval_compiled_predicate, execute_op, execute_query, ExecOpts, ExecStats, Layout,
+    NoTransitionTables, OpEffect, QueryCtx, QueryError, Relation, StatsCell,
 };
 use setrules_sql::ast::{DmlOp, Expr, Statement};
 use setrules_sql::{parse_expr, parse_op_block, parse_statement, SqlError};
@@ -291,10 +291,12 @@ impl InstanceEngine {
             let schema = self.db.schema(table).clone();
             let env = RowEnv { schema: &schema, old: old.as_ref(), new: new.as_ref() };
             if let Some(cond) = &trig.condition {
-                let bound = crate::subst::bind_expr(cond, env)?;
+                // The row's values are substituted as literals, so the
+                // condition compiles against the empty layout.
+                let bound = compile(&crate::subst::bind_expr(cond, env)?, &Layout::new());
                 let ctx = QueryCtx { stats: Some(&self.qstats), ..QueryCtx::plain(&self.db) };
                 let mut b = setrules_query::bindings::Bindings::new();
-                if !eval_predicate(ctx, &mut b, None, &bound)? {
+                if !eval_compiled_predicate(ctx, &mut b, &bound)? {
                     self.stats.conditions_false += 1;
                     continue;
                 }

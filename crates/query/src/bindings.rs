@@ -1,12 +1,14 @@
-//! Name resolution scopes for expression evaluation.
+//! The scopes compiled expressions evaluate in.
 //!
 //! A [`Bindings`] is a stack of *levels*, one per nested query; each level
-//! holds one [`Frame`] per `from` item of that query. Unqualified column
-//! names resolve innermost-level-first; within a level, resolving against
-//! more than one frame is ambiguous. Qualified names (`tvar.col`) match the
-//! frame bound to `tvar`, again innermost-first — this is what makes the
-//! paper's correlated conditions (`e2.dept_no = e1.dept_no`, Example 3.3)
-//! work.
+//! holds one [`Frame`] per `from` item of that query. Names are resolved
+//! once, at compile time, against the stack's shape
+//! ([`Layout`](crate::compile::Layout)): unqualified column names resolve
+//! innermost-level-first; within a level, resolving against more than one
+//! frame is ambiguous. Qualified names (`tvar.col`) match the frame bound
+//! to `tvar`, again innermost-first — this is what makes the paper's
+//! correlated conditions (`e2.dept_no = e1.dept_no`, Example 3.3) work.
+//! Evaluation then reads values by slot.
 
 use std::sync::Arc;
 
@@ -24,13 +26,6 @@ pub struct Frame {
     pub columns: Arc<Vec<String>>,
     /// The current row.
     pub row: Vec<Value>,
-}
-
-impl Frame {
-    /// Position of `column` in this frame, if present.
-    fn position(&self, column: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c == column)
-    }
 }
 
 /// One scope level: the frames of a single query's `from` clause.
@@ -90,56 +85,24 @@ impl Bindings {
                 ))
             })
     }
-
-    /// Resolve a (possibly qualified) column reference to its current value.
-    pub fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<Value, QueryError> {
-        for level in self.levels.iter().rev() {
-            match qualifier {
-                Some(q) => {
-                    // Qualified: innermost frame with that variable name wins.
-                    let mut matched_var = false;
-                    for frame in level {
-                        if frame.name == q {
-                            matched_var = true;
-                            if let Some(i) = frame.position(name) {
-                                return Ok(frame.row[i].clone());
-                            }
-                        }
-                    }
-                    if matched_var {
-                        // The variable exists at this level but lacks the
-                        // column — that is an error, not a reason to search
-                        // outer scopes.
-                        return Err(QueryError::UnknownColumn(format!("{q}.{name}")));
-                    }
-                }
-                None => {
-                    let mut found: Option<Value> = None;
-                    for frame in level {
-                        if let Some(i) = frame.position(name) {
-                            if found.is_some() {
-                                return Err(QueryError::AmbiguousColumn(name.to_string()));
-                            }
-                            found = Some(frame.row[i].clone());
-                        }
-                    }
-                    if let Some(v) = found {
-                        return Ok(v);
-                    }
-                }
-            }
-        }
-        let full = match qualifier {
-            Some(q) => format!("{q}.{name}"),
-            None => name.to_string(),
-        };
-        Err(QueryError::UnknownColumn(full))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::{compile, eval_compiled};
+    use crate::ctx::QueryCtx;
+    use setrules_sql::ast::Expr;
+    use setrules_storage::Database;
+
+    /// The value `qualifier.name` resolves to in `b`: compiled against the
+    /// stack's layout, then read by slot.
+    fn resolve(b: &mut Bindings, qualifier: Option<&str>, name: &str) -> Result<Value, QueryError> {
+        let column =
+            Expr::Column { qualifier: qualifier.map(str::to_string), name: name.to_string() };
+        let db = Database::new();
+        eval_compiled(QueryCtx::plain(&db), b, &compile(&column, &b.layout()))
+    }
 
     fn frame(name: &str, cols: &[&str], vals: &[i64]) -> Frame {
         Frame {
@@ -153,8 +116,8 @@ mod tests {
     fn unqualified_resolution() {
         let mut b = Bindings::new();
         b.push_level(vec![frame("emp", &["name_len", "salary"], &[4, 100])]);
-        assert_eq!(b.resolve(None, "salary").unwrap(), Value::Int(100));
-        assert!(matches!(b.resolve(None, "bogus"), Err(QueryError::UnknownColumn(_))));
+        assert_eq!(resolve(&mut b, None, "salary").unwrap(), Value::Int(100));
+        assert!(matches!(resolve(&mut b, None, "bogus"), Err(QueryError::UnknownColumn(_))));
     }
 
     #[test]
@@ -164,9 +127,9 @@ mod tests {
             frame("e1", &["dept_no"], &[1]),
             frame("e2", &["dept_no"], &[2]),
         ]);
-        assert!(matches!(b.resolve(None, "dept_no"), Err(QueryError::AmbiguousColumn(_))));
-        assert_eq!(b.resolve(Some("e1"), "dept_no").unwrap(), Value::Int(1));
-        assert_eq!(b.resolve(Some("e2"), "dept_no").unwrap(), Value::Int(2));
+        assert!(matches!(resolve(&mut b, None, "dept_no"), Err(QueryError::AmbiguousColumn(_))));
+        assert_eq!(resolve(&mut b, Some("e1"), "dept_no").unwrap(), Value::Int(1));
+        assert_eq!(resolve(&mut b, Some("e2"), "dept_no").unwrap(), Value::Int(2));
     }
 
     #[test]
@@ -174,10 +137,10 @@ mod tests {
         let mut b = Bindings::new();
         b.push_level(vec![frame("emp", &["salary"], &[100])]);
         b.push_level(vec![frame("emp", &["salary"], &[200])]);
-        assert_eq!(b.resolve(None, "salary").unwrap(), Value::Int(200));
-        assert_eq!(b.resolve(Some("emp"), "salary").unwrap(), Value::Int(200));
+        assert_eq!(resolve(&mut b, None, "salary").unwrap(), Value::Int(200));
+        assert_eq!(resolve(&mut b, Some("emp"), "salary").unwrap(), Value::Int(200));
         b.pop_level();
-        assert_eq!(b.resolve(None, "salary").unwrap(), Value::Int(100));
+        assert_eq!(resolve(&mut b, None, "salary").unwrap(), Value::Int(100));
     }
 
     #[test]
@@ -186,8 +149,8 @@ mod tests {
         b.push_level(vec![frame("e1", &["dept_no"], &[7])]);
         b.push_level(vec![frame("e2", &["dept_no"], &[8])]);
         // Example 3.3's `e2.dept_no = e1.dept_no`: e1 from outer, e2 inner.
-        assert_eq!(b.resolve(Some("e1"), "dept_no").unwrap(), Value::Int(7));
-        assert_eq!(b.resolve(Some("e2"), "dept_no").unwrap(), Value::Int(8));
+        assert_eq!(resolve(&mut b, Some("e1"), "dept_no").unwrap(), Value::Int(7));
+        assert_eq!(resolve(&mut b, Some("e2"), "dept_no").unwrap(), Value::Int(8));
     }
 
     #[test]
@@ -196,6 +159,6 @@ mod tests {
         b.push_level(vec![frame("e", &["salary"], &[1])]);
         b.push_level(vec![frame("e", &["dept_no"], &[2])]);
         // Inner `e` exists but has no `salary`; resolution stops there.
-        assert!(matches!(b.resolve(Some("e"), "salary"), Err(QueryError::UnknownColumn(_))));
+        assert!(matches!(resolve(&mut b, Some("e"), "salary"), Err(QueryError::UnknownColumn(_))));
     }
 }

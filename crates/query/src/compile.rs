@@ -1,19 +1,21 @@
-//! Compile-once expression lowering (the tentpole of the compile-once
-//! pipeline).
+//! Compile-once expression lowering: the one evaluator of the query
+//! layer.
 //!
-//! The interpreter resolves every column reference by string comparison on
-//! every row. [`compile`] performs that resolution *once* per statement
-//! against a [`Layout`] — a snapshot of the name-resolution scopes — and
+//! [`compile`] resolves every column reference *once* per statement
+//! against a [`Layout`] — the shape of the name-resolution scopes — and
 //! lowers the AST into a [`CompiledExpr`] whose column references are
 //! `(level, from-item, column)` slots and whose constant subtrees are
-//! folded.
+//! folded. Every expression the system evaluates — a select's or a
+//! rule's predicate, an `insert … values` constant, a planner probe value,
+//! a row trigger's condition — runs through it.
 //!
-//! Compilation **never fails** and never changes semantics:
+//! Compilation **never fails**; its errors stay lazy:
 //!
-//! * unresolvable or ambiguous references lower to [`CompiledExpr::Interp`],
-//!   so `UnknownColumn` / `AmbiguousColumn` errors still surface lazily at
-//!   evaluation time, exactly where the interpreter would raise them (the
-//!   subquery-correlation probe in `eval` depends on this);
+//! * an unresolvable or ambiguous reference lowers to
+//!   [`CompiledExpr::Unresolved`], carrying the `UnknownColumn` /
+//!   `AmbiguousColumn` error that evaluation raises only when it reaches
+//!   the leaf — an empty input, a short-circuit or an empty subquery hides
+//!   it (the subquery-correlation probe in `eval` depends on this);
 //! * constant folding only replaces a subtree when its evaluation
 //!   *succeeds* — `1 / 0` stays unfolded so the error remains lazy and
 //!   `false and 1/0 = 1` still short-circuits to `false`;
@@ -95,12 +97,17 @@ impl Layout {
         (columns, Layout { levels: vec![vec![frame]] })
     }
 
-    /// Resolve a (possibly qualified) column reference the way
-    /// [`Bindings::resolve`] would, innermost level first. `Ok` carries
+    /// Resolve a (possibly qualified) column reference, innermost level
+    /// first: an unqualified name must match exactly one frame of the
+    /// first level that has it, a qualified one the column of the
+    /// innermost frame bound to that variable. `Ok` carries
     /// `(level_up, frame, column)` with `level_up = 0` for the innermost
-    /// level; `Err(())` means resolution would not produce a value
-    /// (unknown or ambiguous) and the reference must stay interpreted.
-    fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<(usize, usize, usize), ()> {
+    /// level.
+    fn resolve(
+        &self,
+        qualifier: Option<&str>,
+        name: &str,
+    ) -> Result<(usize, usize, usize), QueryError> {
         for (up, level) in self.levels.iter().rev().enumerate() {
             match qualifier {
                 Some(q) => {
@@ -114,9 +121,10 @@ impl Layout {
                         }
                     }
                     if matched_var {
-                        // Variable exists here but lacks the column:
-                        // resolution stops with an error (interpreted).
-                        return Err(());
+                        // The variable exists at this level but lacks the
+                        // column — that is an error, not a reason to
+                        // search outer scopes.
+                        return Err(QueryError::UnknownColumn(format!("{q}.{name}")));
                     }
                 }
                 None => {
@@ -124,7 +132,7 @@ impl Layout {
                     for (fi, frame) in level.iter().enumerate() {
                         if let Some(ci) = frame.columns.iter().position(|c| c == name) {
                             if found.is_some() {
-                                return Err(()); // ambiguous — interpreted
+                                return Err(QueryError::AmbiguousColumn(name.to_string()));
                             }
                             found = Some((up, fi, ci));
                         }
@@ -135,7 +143,11 @@ impl Layout {
                 }
             }
         }
-        Err(())
+        let full = match qualifier {
+            Some(q) => format!("{q}.{name}"),
+            None => name.to_string(),
+        };
+        Err(QueryError::UnknownColumn(full))
     }
 }
 
@@ -267,9 +279,10 @@ pub enum CompiledExpr {
         /// The per-row argument (`None` is `count(*)`).
         arg: Option<Box<CompiledExpr>>,
     },
-    /// A reference the layout cannot resolve: the interpreter raises the
-    /// proper `UnknownColumn` / `AmbiguousColumn` error, lazily.
-    Interp(Expr),
+    /// A reference the layout cannot resolve: evaluation raises this
+    /// `UnknownColumn` / `AmbiguousColumn` error when it reaches the leaf.
+    /// Boxed, so the cold error does not widen every node of a tree.
+    Unresolved(Box<QueryError>),
 }
 
 impl CompiledExpr {
@@ -282,7 +295,7 @@ impl CompiledExpr {
             | CompiledExpr::Slot { .. }
             | CompiledExpr::Exists { .. }
             | CompiledExpr::ScalarSubquery(_)
-            | CompiledExpr::Interp(_) => {}
+            | CompiledExpr::Unresolved(_) => {}
             CompiledExpr::Unary { expr, .. }
             | CompiledExpr::IsNull { expr, .. }
             | CompiledExpr::InSubquery { expr, .. } => f(expr),
@@ -315,7 +328,7 @@ impl CompiledExpr {
     }
 
     /// Whether evaluation consults nothing beyond the row slots — no
-    /// subquery, aggregate, or interpreter fallback anywhere in the tree.
+    /// subquery, aggregate, or unresolved name anywhere in the tree.
     /// Predicate pushdown requires this.
     pub fn slots_only(&self) -> bool {
         if matches!(
@@ -324,7 +337,7 @@ impl CompiledExpr {
                 | CompiledExpr::Exists { .. }
                 | CompiledExpr::ScalarSubquery(_)
                 | CompiledExpr::Agg { .. }
-                | CompiledExpr::Interp(_)
+                | CompiledExpr::Unresolved(_)
         ) {
             return false;
         }
@@ -346,9 +359,8 @@ impl CompiledExpr {
 // Compilation
 // ----------------------------------------------------------------------
 
-/// Lower `e` against `layout`. Infallible: whatever cannot be resolved
-/// stays interpreted, preserving the interpreter's semantics (including
-/// its error behaviour) exactly.
+/// Lower `e` against `layout`. Infallible: a name that cannot be resolved
+/// becomes an [`CompiledExpr::Unresolved`] leaf, so its error stays lazy.
 pub fn compile(e: &Expr, layout: &Layout) -> CompiledExpr {
     lower(e, layout, &mut 0)
 }
@@ -361,7 +373,7 @@ pub(crate) fn lower(e: &Expr, layout: &Layout, next_leaf: &mut usize) -> Compile
         Expr::Literal(v) => CompiledExpr::Const(v.clone()),
         Expr::Column { qualifier, name } => match layout.resolve(qualifier.as_deref(), name) {
             Ok((level_up, frame, col)) => CompiledExpr::Slot { level_up, frame, col },
-            Err(()) => CompiledExpr::Interp(e.clone()),
+            Err(err) => CompiledExpr::Unresolved(Box::new(err)),
         },
         Expr::Unary { op, expr } => fold(CompiledExpr::Unary { op: *op, expr: sub(expr) }),
         Expr::Binary { left, op, right } => {
@@ -412,7 +424,7 @@ pub(crate) fn lower(e: &Expr, layout: &Layout, next_leaf: &mut usize) -> Compile
 /// Constant-fold a freshly built structural node: when every child is
 /// `Const` and the node evaluates *successfully*, replace it with the
 /// result. Failed evaluation (e.g. `1 / 0`) keeps the node so the error
-/// stays lazy, exactly like the interpreter.
+/// stays lazy.
 fn fold(node: CompiledExpr) -> CompiledExpr {
     let mut all_const = true;
     node.for_each_child(&mut |c| all_const = all_const && matches!(c, CompiledExpr::Const(_)));
@@ -451,11 +463,6 @@ pub(crate) trait Env {
 
     /// The result of a subquery in the current scope.
     fn subquery(&mut self, _stmt: &Arc<SelectStmt>) -> Result<Rc<SubqueryResult>, QueryError> {
-        Err(not_rowlocal())
-    }
-
-    /// An unresolvable reference: raise the interpreter's error.
-    fn interp(&mut self, _src: &Expr) -> Result<Value, QueryError> {
         Err(not_rowlocal())
     }
 }
@@ -529,7 +536,7 @@ pub(crate) fn eval<E: Env>(e: &CompiledExpr, env: &mut E) -> Result<Value, Query
         CompiledExpr::Agg { leaf, func, distinct, arg } => {
             env.agg(*leaf, *func, *distinct, arg.as_deref())
         }
-        CompiledExpr::Interp(src) => env.interp(src),
+        CompiledExpr::Unresolved(err) => Err(QueryError::clone(err)),
     }
 }
 
@@ -547,7 +554,7 @@ pub(crate) struct RowEnv<'a>(pub(crate) &'a [&'a [Value]]);
 /// Whether `e` may be evaluated in a [`RowEnv`] — with nothing but the
 /// current row(s): every slot addresses the innermost scope and no node
 /// needs a hook the row environment lacks (no correlated or outer
-/// references, no subqueries, no aggregates, no interpreter fallback).
+/// references, no subqueries, no aggregates, no unresolved name).
 /// Anything else runs in [`Scoped`] with the row pushed onto the scope
 /// stack, and never crosses threads.
 pub(crate) fn is_rowlocal(e: &CompiledExpr) -> bool {
@@ -569,7 +576,7 @@ fn local(e: &CompiledExpr, aggs: bool) -> bool {
         CompiledExpr::InSubquery { .. }
         | CompiledExpr::Exists { .. }
         | CompiledExpr::ScalarSubquery(_)
-        | CompiledExpr::Interp(_) => false,
+        | CompiledExpr::Unresolved(_) => false,
         _ => {
             let mut ok = true;
             e.for_each_child(&mut |c| ok = ok && local(c, aggs));
@@ -618,10 +625,6 @@ impl Env for Scoped<'_, '_> {
     fn subquery(&mut self, stmt: &Arc<SelectStmt>) -> Result<Rc<SubqueryResult>, QueryError> {
         eval::eval_subquery(self.ctx, self.bindings, stmt)
     }
-
-    fn interp(&mut self, src: &Expr) -> Result<Value, QueryError> {
-        eval::eval_expr(self.ctx, self.bindings, None, src)
-    }
 }
 
 /// Evaluate a compiled expression in the serial environment. The
@@ -633,6 +636,18 @@ pub fn eval_compiled(
     e: &CompiledExpr,
 ) -> Result<Value, QueryError> {
     eval(e, &mut Scoped { ctx, bindings })
+}
+
+/// The value of an expression evaluated in no scope (an `insert … values`
+/// item, a planner probe value), compiled against the empty layout. A
+/// tree that folds completely is moved out of its `Const` leaf; anything
+/// else (a failing constant, a subquery, an unresolved name) evaluates in
+/// an empty scope and raises its error there.
+pub(crate) fn eval_const(ctx: QueryCtx<'_>, e: &Expr) -> Result<Value, QueryError> {
+    match compile(e, &Layout::new()) {
+        CompiledExpr::Const(v) => Ok(v),
+        tree => eval_compiled(ctx, &mut Bindings::new(), &tree),
+    }
 }
 
 /// Evaluate a compiled predicate; a row qualifies only when the result is
@@ -683,13 +698,36 @@ mod tests {
     }
 
     #[test]
-    fn ambiguous_and_unknown_stay_interpreted() {
+    fn ambiguous_and_unknown_compile_to_unresolved() {
         let l = layout(&[("e1", &["dept_no"]), ("e2", &["dept_no"])]);
-        assert!(matches!(compile_str("dept_no", &l), CompiledExpr::Interp(_)));
-        assert!(matches!(compile_str("bogus", &l), CompiledExpr::Interp(_)));
-        // Qualified match with a missing column stops resolution (same as
-        // Bindings::resolve) — interpreted so the error stays.
-        assert!(matches!(compile_str("e1.bogus", &l), CompiledExpr::Interp(_)));
+        let unresolved = |src: &str| match compile_str(src, &l) {
+            CompiledExpr::Unresolved(err) => *err,
+            other => panic!("{src}: {other:?}"),
+        };
+        assert_eq!(unresolved("dept_no"), QueryError::AmbiguousColumn("dept_no".into()));
+        assert_eq!(unresolved("bogus"), QueryError::UnknownColumn("bogus".into()));
+        assert_eq!(unresolved("ghost.dept_no"), QueryError::UnknownColumn("ghost.dept_no".into()));
+        // A qualified match with a missing column stops resolution: an
+        // outer `e1.bogus` is never consulted.
+        let mut outer = layout(&[("e1", &["bogus"])]);
+        outer.push_level(l.levels[0].clone());
+        match compile_str("e1.bogus", &outer) {
+            CompiledExpr::Unresolved(err) => {
+                assert_eq!(*err, QueryError::UnknownColumn("e1.bogus".into()))
+            }
+            other => panic!("{other:?}"),
+        }
+        // The error is raised only when evaluation reaches the leaf.
+        let db = Database::new();
+        let ctx = QueryCtx::plain(&db);
+        let mut scope = Bindings::new();
+        let skipped = compile_str("false and bogus = 1", &l);
+        assert_eq!(eval_compiled(ctx, &mut scope, &skipped), Ok(Value::Bool(false)));
+        let reached = compile_str("true and bogus = 1", &l);
+        assert_eq!(
+            eval_compiled(ctx, &mut scope, &reached),
+            Err(QueryError::UnknownColumn("bogus".into()))
+        );
     }
 
     #[test]
@@ -737,37 +775,5 @@ mod tests {
         assert_eq!(eval_compiled(ctx, &mut Bindings::new(), &c).unwrap(), Value::Bool(false));
         let c = compile_str("1 / 0 = 1", &l);
         assert_eq!(eval_compiled(ctx, &mut Bindings::new(), &c), Err(QueryError::DivisionByZero));
-    }
-
-    #[test]
-    fn compiled_agrees_with_interpreter_on_rows() {
-        use crate::bindings::Frame;
-        let db = Database::new();
-        let ctx = QueryCtx::plain(&db);
-        let cols = Arc::new(vec!["a".to_string(), "b".to_string()]);
-        let l = layout(&[("t", &["a", "b"])]);
-        let exprs = [
-            "a + b * 2",
-            "a < b and b < 100",
-            "a between 1 and b",
-            "a in (1, 2, b)",
-            "a is not null",
-            "not (a = b) or a % 2 = 0",
-        ];
-        for src in exprs {
-            let e = parse_expr(src).unwrap();
-            let c = compile(&e, &l);
-            for (a, b) in [(1i64, 2i64), (5, 3), (2, 2)] {
-                let mut bs = Bindings::new();
-                bs.push_level(vec![Frame {
-                    name: "t".into(),
-                    columns: Arc::clone(&cols),
-                    row: vec![Value::Int(a), Value::Int(b)],
-                }]);
-                let interp = eval::eval_expr(ctx, &mut bs, None, &e).unwrap();
-                let compiled = eval_compiled(ctx, &mut bs, &c).unwrap();
-                assert_eq!(interp, compiled, "{src} with a={a} b={b}");
-            }
-        }
     }
 }

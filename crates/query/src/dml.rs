@@ -40,7 +40,6 @@ use crate::bindings::Bindings;
 use crate::compile::{self, compile, is_rowlocal, CompiledExpr, Env, Layout, RowEnv, Scoped};
 use crate::ctx::{QueryCtx, SubqueryCache};
 use crate::error::QueryError;
-use crate::eval::eval_expr;
 use crate::exec::filter::FilterExec;
 use crate::exec::scan::FromItem;
 use crate::exec::{ExecCx, Executor};
@@ -223,9 +222,7 @@ fn execute_insert(
                     }
                     let mut vals = Vec::with_capacity(row.len());
                     for e in row {
-                        // One-shot constants: each expression is evaluated
-                        // exactly once, so there is nothing to compile for.
-                        vals.push(eval_expr(ctx, &mut Bindings::new(), None, e)?);
+                        vals.push(compile::eval_const(ctx, e)?);
                     }
                     out.push(Tuple(vals));
                 }

@@ -1,89 +1,27 @@
-//! Scalar and predicate evaluation under SQL three-valued logic.
+//! The scalar kernels of SQL three-valued logic, shared by the compiled
+//! evaluator ([`crate::compile`]) and everything else that needs one
+//! operator's meaning: arithmetic and comparison ([`apply_binary`],
+//! [`apply_unary`], [`compare`]), `like` / `in` / `between`, [`truth`] and
+//! the Kleene connectives, and the subquery kernels ([`scalar_of`],
+//! [`memoized_subquery`], [`eval_subquery`]).
 //!
 //! `NULL` propagates through arithmetic and comparisons; `and`/`or` use
 //! Kleene logic; `where` keeps a row only when the predicate is *true*
-//! (not unknown). Aggregates are evaluated over the current group, supplied
-//! by the `select` executor.
+//! (not unknown).
 
 use std::cmp::Ordering;
-use std::collections::HashSet;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use setrules_sql::ast::{AggFunc, BinaryOp, Expr, SelectStmt, UnaryOp};
+use setrules_sql::ast::{AggFunc, BinaryOp, SelectStmt, UnaryOp};
 use setrules_storage::Value;
 
-use crate::bindings::{Bindings, Level};
+use crate::bindings::Bindings;
 use crate::ctx::{QueryCtx, SubqueryResult};
 use crate::error::QueryError;
 use crate::like::{like_match_tokens, like_tokens};
 use crate::relation::Relation;
 use crate::select::run_select;
-
-/// Evaluate `e` to a value.
-///
-/// `group` carries the rows of the current aggregation group (one
-/// [`Level`] per row); aggregate expressions are only legal when it is
-/// `Some`.
-pub fn eval_expr(
-    ctx: QueryCtx<'_>,
-    bindings: &mut Bindings,
-    group: Option<&[Level]>,
-    e: &Expr,
-) -> Result<Value, QueryError> {
-    match e {
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Column { qualifier, name } => bindings.resolve(qualifier.as_deref(), name),
-        Expr::Unary { op, expr } => {
-            let v = eval_expr(ctx, bindings, group, expr)?;
-            apply_unary(*op, &v)
-        }
-        Expr::Binary { left, op, right } => eval_binary(ctx, bindings, group, left, *op, right),
-        Expr::IsNull { expr, negated } => {
-            let v = eval_expr(ctx, bindings, group, expr)?;
-            Ok(Value::Bool(v.is_null() != *negated))
-        }
-        Expr::InList { expr, list, negated } => {
-            let needle = eval_expr(ctx, bindings, group, expr)?;
-            let mut vals = Vec::with_capacity(list.len());
-            for item in list {
-                vals.push(eval_expr(ctx, bindings, group, item)?);
-            }
-            in_semantics(&needle, vals.iter(), *negated)
-        }
-        Expr::InSubquery { expr, subquery, negated } => {
-            let needle = eval_expr(ctx, bindings, group, expr)?;
-            eval_subquery(ctx, bindings, subquery)?.contains(&needle, *negated)
-        }
-        Expr::Exists { subquery, negated } => {
-            let sub = eval_subquery(ctx, bindings, subquery)?;
-            Ok(Value::Bool(sub.rel.is_empty() == *negated))
-        }
-        Expr::ScalarSubquery(subquery) => scalar_of(&eval_subquery(ctx, bindings, subquery)?.rel),
-        Expr::Between { expr, low, high, negated } => {
-            let v = eval_expr(ctx, bindings, group, expr)?;
-            let lo = eval_expr(ctx, bindings, group, low)?;
-            let hi = eval_expr(ctx, bindings, group, high)?;
-            between_semantics(&v, &lo, &hi, *negated)
-        }
-        Expr::Like { expr, pattern, escape, negated } => {
-            let v = eval_expr(ctx, bindings, group, expr)?;
-            let p = eval_expr(ctx, bindings, group, pattern)?;
-            let e = match escape {
-                Some(ex) => Some(eval_expr(ctx, bindings, group, ex)?),
-                None => None,
-            };
-            like_semantics(&v, &p, e.as_ref(), *negated)
-        }
-        Expr::Aggregate { func, arg, distinct } => {
-            let Some(rows) = group else {
-                return Err(aggregate_outside_group(*func));
-            };
-            let arg = arg.as_deref().map(|a| move |b: &mut Bindings| eval_expr(ctx, b, None, a));
-            aggregate_over(bindings, rows, *func, *distinct, arg)
-        }
-    }
-}
 
 /// The error for an aggregate call evaluated where no group is in scope
 /// (`where sum(x) > 0`, a nested aggregate argument).
@@ -160,17 +98,6 @@ pub fn truth(v: &Value) -> Result<Option<bool>, QueryError> {
     }
 }
 
-/// Evaluate a predicate; a row qualifies only when the result is *true*.
-pub fn eval_predicate(
-    ctx: QueryCtx<'_>,
-    bindings: &mut Bindings,
-    group: Option<&[Level]>,
-    e: &Expr,
-) -> Result<bool, QueryError> {
-    let v = eval_expr(ctx, bindings, group, e)?;
-    Ok(truth(&v)? == Some(true))
-}
-
 pub(crate) fn kleene_and(a: Option<bool>, b: Option<bool>) -> Option<bool> {
     match (a, b) {
         (Some(false), _) | (_, Some(false)) => Some(false),
@@ -203,9 +130,7 @@ pub(crate) fn compare(a: &Value, b: &Value) -> Result<Option<Ordering>, QueryErr
     }
 }
 
-/// `v [not] like p [escape e]` over already-evaluated operands — the
-/// kernel shared by the interpreter and the compiled evaluator, so both
-/// modes agree on escape validation and error wording.
+/// `v [not] like p [escape e]` over already-evaluated operands.
 pub(crate) fn like_semantics(
     v: &Value,
     p: &Value,
@@ -261,38 +186,7 @@ pub(crate) fn in_semantics<'v>(
     }
 }
 
-fn eval_binary(
-    ctx: QueryCtx<'_>,
-    bindings: &mut Bindings,
-    group: Option<&[Level]>,
-    left: &Expr,
-    op: BinaryOp,
-    right: &Expr,
-) -> Result<Value, QueryError> {
-    // Logical operators get Kleene short-circuit behaviour.
-    if matches!(op, BinaryOp::And | BinaryOp::Or) {
-        let l = truth(&eval_expr(ctx, bindings, group, left)?)?;
-        // Short-circuit when the left operand decides the result.
-        match (op, l) {
-            (BinaryOp::And, Some(false)) => return Ok(Value::Bool(false)),
-            (BinaryOp::Or, Some(true)) => return Ok(Value::Bool(true)),
-            _ => {}
-        }
-        let r = truth(&eval_expr(ctx, bindings, group, right)?)?;
-        let out = match op {
-            BinaryOp::And => kleene_and(l, r),
-            _ => kleene_or(l, r),
-        };
-        return Ok(out.map_or(Value::Null, Value::Bool));
-    }
-
-    let l = eval_expr(ctx, bindings, group, left)?;
-    let r = eval_expr(ctx, bindings, group, right)?;
-    apply_binary(&l, op, &r)
-}
-
-/// Apply a unary operator to an already-evaluated operand — the scalar
-/// kernel shared by the interpreter and the compiled evaluator.
+/// Apply a unary operator to an already-evaluated operand.
 pub(crate) fn apply_unary(op: UnaryOp, v: &Value) -> Result<Value, QueryError> {
     match op {
         UnaryOp::Not => match truth(v)? {
@@ -311,8 +205,8 @@ pub(crate) fn apply_unary(op: UnaryOp, v: &Value) -> Result<Value, QueryError> {
     }
 }
 
-/// `v [not] between lo and hi` over already-evaluated operands (shared
-/// kernel; Kleene conjunction of the two bound comparisons).
+/// `v [not] between lo and hi` over already-evaluated operands (the
+/// Kleene conjunction of the two bound comparisons).
 pub(crate) fn between_semantics(
     v: &Value,
     lo: &Value,
@@ -328,9 +222,8 @@ pub(crate) fn between_semantics(
 }
 
 /// Apply a non-logical binary operator (comparison or arithmetic) to
-/// already-evaluated operands — the scalar kernel shared by the
-/// interpreter and the compiled evaluator. `and`/`or` never reach here:
-/// both callers short-circuit them before operand evaluation.
+/// already-evaluated operands. `and`/`or` never reach here: the compiled
+/// walk short-circuits them before operand evaluation.
 pub(crate) fn apply_binary(l: &Value, op: BinaryOp, r: &Value) -> Result<Value, QueryError> {
     debug_assert!(!matches!(op, BinaryOp::And | BinaryOp::Or));
     if op.is_comparison() {
@@ -396,140 +289,21 @@ pub(crate) fn apply_binary(l: &Value, op: BinaryOp, r: &Value) -> Result<Value, 
     }
 }
 
-/// One aggregate call over the rows of a group. `arg` evaluates the
-/// argument with the row's level pushed (`None` is `count(*)`); aggregates
-/// do not nest, so it must evaluate without a group.
-pub(crate) fn aggregate_over(
-    bindings: &mut Bindings,
-    rows: &[Level],
-    func: AggFunc,
-    distinct: bool,
-    arg: Option<impl FnMut(&mut Bindings) -> Result<Value, QueryError>>,
-) -> Result<Value, QueryError> {
-    // count(*) counts rows, including those where other columns are NULL.
-    let Some(mut arg) = arg else {
-        debug_assert_eq!(func, AggFunc::Count);
-        return Ok(Value::Int(rows.len() as i64));
-    };
-
-    // Evaluate the argument once per group row; NULLs are discarded
-    // (SQL aggregate semantics).
-    let mut vals = Vec::with_capacity(rows.len());
-    for level in rows {
-        bindings.push_level(level.clone());
-        let v = arg(bindings);
-        bindings.pop_level();
-        let v = v?;
-        if !v.is_null() {
-            vals.push(v);
-        }
-    }
-    fold_aggregate(func, distinct, vals)
-}
-
-/// Fold the collected (non-NULL) argument values of one aggregate call —
-/// the kernel shared by the interpreter above and the two-phase parallel
-/// aggregation in [`crate::exec::aggregate`]. The per-partition partial
-/// accumulators merge *value vectors* in partition order before calling
-/// this, so fold order (and therefore float rounding, overflow sites, and
-/// error selection) is exactly the serial encounter order.
-pub(crate) fn fold_aggregate(
-    func: AggFunc,
-    distinct: bool,
-    mut vals: Vec<Value>,
-) -> Result<Value, QueryError> {
-    if distinct {
-        // Dedup without cloning values: a borrowing seen-set marks first
-        // occurrences (keeping first-seen order — float sums fold in
-        // encounter order), then the mask drives `retain`.
-        let mut seen: HashSet<&Value> = HashSet::with_capacity(vals.len());
-        let keep: Vec<bool> = vals.iter().map(|v| seen.insert(v)).collect();
-        drop(seen);
-        let mut mask = keep.iter();
-        vals.retain(|_| *mask.next().expect("one mask bit per value"));
-    }
-
-    match func {
-        AggFunc::Count => Ok(Value::Int(vals.len() as i64)),
-        AggFunc::Sum => {
-            if vals.is_empty() {
-                return Ok(Value::Null);
-            }
-            if vals.iter().all(|v| matches!(v, Value::Int(_))) {
-                let mut acc: i64 = 0;
-                for v in &vals {
-                    acc = acc
-                        .checked_add(v.as_i64().expect("all ints"))
-                        .ok_or_else(|| QueryError::Type("integer overflow in sum".into()))?;
-                }
-                Ok(Value::Int(acc))
-            } else {
-                let mut acc = 0.0;
-                for v in &vals {
-                    acc += v
-                        .as_f64()
-                        .ok_or_else(|| QueryError::Type(format!("sum of non-numeric value {v}")))?;
-                }
-                Ok(Value::Float(acc))
-            }
-        }
-        AggFunc::Avg => {
-            if vals.is_empty() {
-                return Ok(Value::Null);
-            }
-            if vals.iter().all(|v| matches!(v, Value::Int(_))) {
-                // Exact integer sum, one division: the result cannot
-                // depend on encounter order (an order-sensitive f64
-                // running sum would make incremental accumulator repair
-                // unsound — see `crate::incremental`).
-                let sum: i128 = vals.iter().map(|v| v.as_i64().expect("all ints") as i128).sum();
-                return Ok(Value::Float(sum as f64 / vals.len() as f64));
-            }
-            let mut acc = 0.0;
-            for v in &vals {
-                acc += v
-                    .as_f64()
-                    .ok_or_else(|| QueryError::Type(format!("avg of non-numeric value {v}")))?;
-            }
-            Ok(Value::Float(acc / vals.len() as f64))
-        }
-        AggFunc::Min | AggFunc::Max => {
-            let mut best: Option<Value> = None;
-            for v in vals {
-                best = Some(match best {
-                    None => v,
-                    Some(b) => {
-                        let ord = b
-                            .sql_cmp(&v)
-                            .ok_or_else(|| QueryError::Type(format!("cannot compare {b} with {v}")))?;
-                        let keep_b = match func {
-                            AggFunc::Min => ord != Ordering::Greater,
-                            _ => ord != Ordering::Less,
-                        };
-                        if keep_b {
-                            b
-                        } else {
-                            v
-                        }
-                    }
-                });
-            }
-            Ok(best.unwrap_or(Value::Null))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::{compile, eval_compiled, Layout};
     use setrules_sql::parse_expr;
     use setrules_storage::Database;
 
+    /// A constant expression's value, compiled against the empty layout
+    /// and evaluated there (folding has already run the kernels on every
+    /// subtree that succeeds).
     fn eval(src: &str) -> Result<Value, QueryError> {
         let db = Database::new();
         let ctx = QueryCtx::plain(&db);
-        let e = parse_expr(src).unwrap();
-        eval_expr(ctx, &mut Bindings::new(), None, &e)
+        let e = compile(&parse_expr(src).unwrap(), &Layout::new());
+        eval_compiled(ctx, &mut Bindings::new(), &e)
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   aggregate's accumulator: over the row's borrowed frames when those
 //!   trees are row-local apart from their aggregate calls, otherwise with
 //!   the representative row pushed onto the scope stack, so outer
-//!   references, subqueries and interpreter fallbacks evaluate per group.
+//!   references, subqueries and unresolved names evaluate per group.
 //!
 //! Both phases run serially. No workload reached a partitioned final
 //! phase, and where the B16 sweep forced one it was level or slower at
@@ -26,18 +26,16 @@
 //!
 //! Because every row is folded in serial encounter order, fold order —
 //! and therefore float rounding, overflow sites, dedup order for
-//! `distinct`, and error selection — is exactly that of
-//! [`fold_aggregate`] over the collected values (the accumulator oracle
-//! below checks this). Errors surface as in a per-group walk of the
-//! statement: the filter is blocking (all its errors surface on the first
+//! `distinct`, and error selection — is exactly that of a naive fold over
+//! the collected values (the accumulator oracle in the tests below checks
+//! this). Errors surface as in a per-group walk of the statement: the
+//! filter is blocking (all its errors surface on the first
 //! pull), a failed wildcard expansion right after that first pull,
 //! group-key errors surface in combination order, and aggregate-argument
 //! errors are *recorded* per (group, leaf) during the partial phase but
 //! raised only when the final phase actually reaches that aggregate node
 //! — so Kleene short-circuits skip them exactly like a per-group walk of
 //! the statement.
-//!
-//! [`fold_aggregate`]: crate::eval::fold_aggregate
 
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
@@ -132,9 +130,9 @@ pub(crate) fn group_program(
 
 /// The running fold of one aggregate call over one group. Non-NULL
 /// argument values are folded as they arrive, in encounter order, to
-/// exactly what [`fold_aggregate`](crate::eval::fold_aggregate) computes
-/// over the collected vector: the same value bit for bit, or the same
-/// error. The first argument *evaluation* error is sticky and outranks
+/// exactly what a fold over the collected vector computes (the test
+/// oracle checks this): the same value bit for bit, or the same error.
+/// The first argument *evaluation* error is sticky and outranks
 /// any fold error — the serial walk would have raised it before folding.
 #[derive(Clone)]
 pub(crate) struct Acc {
@@ -260,7 +258,8 @@ impl Acc {
                     int.map(Value::Int)
                         .ok_or_else(|| QueryError::Type("integer overflow in sum".into()))
                 }
-                // Exact integer sum, one division (see `fold_aggregate`).
+                // Exact integer sum, one division: order-independent, so
+                // incremental accumulator repair stays sound.
                 _ => Ok(Value::Float(*wide as f64 / self.n as f64)),
             },
             Fold::Numeric { non_numeric: Some(v), .. } => {
@@ -407,10 +406,6 @@ impl<E: Env> Env for GroupEnv<'_, E> {
 
     fn subquery(&mut self, stmt: &Arc<SelectStmt>) -> Result<Rc<SubqueryResult>, QueryError> {
         self.inner.subquery(stmt)
-    }
-
-    fn interp(&mut self, src: &Expr) -> Result<Value, QueryError> {
-        self.inner.interp(src)
     }
 }
 
@@ -590,11 +585,11 @@ mod tests {
     use crate::bindings::{Bindings, Frame};
     use crate::compile::{compile, eval_compiled, LayoutFrame};
     use crate::ctx::QueryCtx;
-    use crate::eval::eval_expr;
     use setrules_sql::ast::{DmlOp, Statement};
     use setrules_sql::{parse_expr, parse_statement};
     use setrules_storage::Database;
     use std::borrow::Cow;
+    use std::cmp::Ordering;
     use std::sync::Arc;
 
     type Outcome = Result<Value, String>;
@@ -647,6 +642,95 @@ mod tests {
         }
     }
 
+    /// The accumulator oracle: fold the collected (non-NULL) argument values
+    /// of one aggregate call the naive way, over the whole vector in
+    /// encounter order.
+    fn fold_aggregate(
+        func: AggFunc,
+        distinct: bool,
+        mut vals: Vec<Value>,
+    ) -> Result<Value, QueryError> {
+        if distinct {
+            // Dedup without cloning values: a borrowing seen-set marks first
+            // occurrences (keeping first-seen order — float sums fold in
+            // encounter order), then the mask drives `retain`.
+            let mut seen: HashSet<&Value> = HashSet::with_capacity(vals.len());
+            let keep: Vec<bool> = vals.iter().map(|v| seen.insert(v)).collect();
+            drop(seen);
+            let mut mask = keep.iter();
+            vals.retain(|_| *mask.next().expect("one mask bit per value"));
+        }
+
+        match func {
+            AggFunc::Count => Ok(Value::Int(vals.len() as i64)),
+            AggFunc::Sum => {
+                if vals.is_empty() {
+                    return Ok(Value::Null);
+                }
+                if vals.iter().all(|v| matches!(v, Value::Int(_))) {
+                    let mut acc: i64 = 0;
+                    for v in &vals {
+                        acc = acc
+                            .checked_add(v.as_i64().expect("all ints"))
+                            .ok_or_else(|| QueryError::Type("integer overflow in sum".into()))?;
+                    }
+                    Ok(Value::Int(acc))
+                } else {
+                    let mut acc = 0.0;
+                    for v in &vals {
+                        acc += v
+                            .as_f64()
+                            .ok_or_else(|| QueryError::Type(format!("sum of non-numeric value {v}")))?;
+                    }
+                    Ok(Value::Float(acc))
+                }
+            }
+            AggFunc::Avg => {
+                if vals.is_empty() {
+                    return Ok(Value::Null);
+                }
+                if vals.iter().all(|v| matches!(v, Value::Int(_))) {
+                    // Exact integer sum, one division: the result cannot
+                    // depend on encounter order (an order-sensitive f64
+                    // running sum would make incremental accumulator repair
+                    // unsound — see `crate::incremental`).
+                    let sum: i128 = vals.iter().map(|v| v.as_i64().expect("all ints") as i128).sum();
+                    return Ok(Value::Float(sum as f64 / vals.len() as f64));
+                }
+                let mut acc = 0.0;
+                for v in &vals {
+                    acc += v
+                        .as_f64()
+                        .ok_or_else(|| QueryError::Type(format!("avg of non-numeric value {v}")))?;
+                }
+                Ok(Value::Float(acc / vals.len() as f64))
+            }
+            AggFunc::Min | AggFunc::Max => {
+                let mut best: Option<Value> = None;
+                for v in vals {
+                    best = Some(match best {
+                        None => v,
+                        Some(b) => {
+                            let ord = b
+                                .sql_cmp(&v)
+                                .ok_or_else(|| QueryError::Type(format!("cannot compare {b} with {v}")))?;
+                            let keep_b = match func {
+                                AggFunc::Min => ord != Ordering::Greater,
+                                _ => ord != Ordering::Less,
+                            };
+                            if keep_b {
+                                b
+                            } else {
+                                v
+                            }
+                        }
+                    });
+                }
+                Ok(best.unwrap_or(Value::Null))
+            }
+        }
+    }
+
     /// An aggregate result pinned bit for bit: floats by their bits (NaN
     /// payloads, -0.0), everything else by value, errors by their text.
     fn exact(r: &Result<Value, QueryError>) -> String {
@@ -666,7 +750,7 @@ mod tests {
         for func in [AggFunc::Count, AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max] {
             for distinct in [false, true] {
                 let vals: Vec<Value> = col.iter().filter(|v| !v.is_null()).cloned().collect();
-                let oracle = crate::eval::fold_aggregate(func, distinct, vals);
+                let oracle = fold_aggregate(func, distinct, vals);
                 let mut acc = Acc::new(func, distinct);
                 for v in col {
                     acc.push(v.clone());
@@ -746,9 +830,9 @@ mod tests {
 
     /// One corpus, every environment. The scoped, row and group
     /// environments share one walk, so each expression must come out of
-    /// every one that admits it — and out of the AST interpreter over a
-    /// one-row group — as the same value (bit-for-bit: NaN, -0.0) or the
-    /// same error text.
+    /// every one that admits it as the same value (bit-for-bit: NaN,
+    /// -0.0) or the same error text; an aggregate tree comes out of the
+    /// group's `having` and projection alike.
     #[test]
     fn one_corpus_three_environments() {
         let cols: Arc<Vec<String>> = Arc::new(vec!["a".into(), "b".into(), "name".into()]);
@@ -807,11 +891,11 @@ mod tests {
             for row in &rows {
                 let level: Level =
                     vec![Frame { name: "t".into(), columns: Arc::clone(&cols), row: row.clone() }];
-                let group = std::slice::from_ref(&level);
                 let mut b = Bindings::new();
                 b.push_level(level.clone());
-                let oracle = outcome(eval_expr(ctx, &mut b, Some(group), &ast));
-                errors += oracle.is_err() as usize;
+                let (having, proj) = through_group_env(src, &layout, &level);
+                assert_eq!(having, proj, "group: {src} on {row:?}");
+                errors += proj.is_err() as usize;
                 let scoped = outcome(eval_compiled(ctx, &mut b, &ce));
                 let in_row = outcome(compile::eval(&ce, &mut RowEnv(&[row.as_slice()])));
                 match (scoped, in_row) {
@@ -826,29 +910,21 @@ mod tests {
                         );
                     }
                     (scoped, in_row) => {
-                        assert_eq!(scoped, oracle, "scoped: {src} on {row:?}");
-                        assert_eq!(in_row, oracle, "row: {src} on {row:?}");
+                        assert_eq!(scoped, proj, "scoped: {src} on {row:?}");
+                        assert_eq!(in_row, proj, "row: {src} on {row:?}");
                     }
                 }
-                let (having, proj) = through_group_env(src, &layout, &level);
-                assert_eq!(having, oracle, "group (having): {src} on {row:?}");
-                assert_eq!(proj, oracle, "group (projection): {src} on {row:?}");
             }
         }
         assert!(errors >= 20, "the corpus lost its erroring cases ({errors} left)");
         // A nested aggregate's argument is not row-local, so its partial
-        // phase runs scoped, where the inner call is rejected exactly as
-        // the interpreter rejects it.
+        // phase runs scoped, where the inner call is rejected.
         let src = "sum(count(*))";
         let nested = compile(&parse_expr(src).expect("parse"), &layout);
         assert!(!is_rowlocal(&nested) && is_grouplocal(&nested));
         let level: Level =
             vec![Frame { name: "t".into(), columns: Arc::clone(&cols), row: rows[0].clone() }];
-        let mut b = Bindings::new();
-        b.push_level(level.clone());
-        let group = std::slice::from_ref(&level);
-        let oracle = outcome(eval_expr(ctx, &mut b, Some(group), &parse_expr(src).expect("parse")));
-        assert!(oracle.as_ref().is_err_and(|e| e.contains("count() not allowed")), "{oracle:?}");
-        assert_eq!(through_group_env(src, &layout, &level), (oracle.clone(), oracle));
+        let rejected = Err("type error: aggregate count() not allowed in this context".to_string());
+        assert_eq!(through_group_env(src, &layout, &level), (rejected.clone(), rejected));
     }
 }

@@ -38,7 +38,7 @@ fn push_origins(items: &[FromItem<'_>], combo: &[usize], out: &mut Vec<Origin>) 
 /// The WHERE pass may exchange only when the full predicate is
 /// row-local; when an exchange was planned (thread budget, enough
 /// combinations) but the predicate is not row-local (correlated
-/// subquery needing the shared memo, interpreter fallback), that
+/// subquery needing the shared memo, an unresolved name), that
 /// counts an observable fallback.
 fn parallel_where(ctx: QueryCtx<'_>, cp: &CompiledExpr, combinations: usize) -> Option<Exchange> {
     let ex = Exchange::plan(ctx, combinations)?;

@@ -29,7 +29,7 @@
 //! aggregate arguments, `update … set` expressions — is evaluated in
 //! `compile::RowEnv` over the borrowed row slices. An owned scope
 //! [`Level`](crate::bindings::Level) is built only where a tree that is
-//! not row-local (a correlated subquery, an interpreter fallback) must
+//! not row-local (a correlated subquery, an unresolved name) must
 //! run in the scoped environment with the combination pushed onto the
 //! scope stack. Aggregates fold each argument into a running accumulator
 //! as rows stream past, so a group holds its key, its first combination

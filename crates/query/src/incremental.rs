@@ -34,14 +34,14 @@
 //!   executor's fold) under [`FallbackReason::FloatAccumulator`].
 //!
 //! `P` must compile to *row-local* form against the subquery's frames:
-//! slots-only, innermost-scope references, no subqueries, no interpreter
-//! fallback — the same analysis (`compile::is_rowlocal`) the executor
+//! slots-only, innermost-scope references, no subqueries, no unresolved
+//! name — the same analysis (`compile::is_rowlocal`) the executor
 //! uses to prove a predicate safe to evaluate from one row alone. Row-local `P` is what
 //! makes delta repair sound: membership depends only on the named row(s),
 //! so only tuples named by the delta can change term state.
 //!
 //! Everything else — stored-table subqueries, non-equi or 3+-way joins
-//! ([`FallbackReason::JoinShape`]), correlated or interpreted predicates,
+//! ([`FallbackReason::JoinShape`]), correlated or unresolvable predicates,
 //! grouped/ordered/limited subqueries, `selected` windows, unlicensed
 //! references — falls back to full evaluation with a [`FallbackReason`]
 //! naming why (surfaced per-reason in `\incr` and `incr_fallback_reasons`
@@ -126,7 +126,7 @@ pub enum FallbackReason {
     /// could change row count or raise their own errors).
     Projection,
     /// The `where` predicate is not row-local (correlated/outer
-    /// references, nested subqueries, or interpreter fallback).
+    /// references, nested subqueries, or an unresolved name).
     Predicate,
     /// The aggregate is not compared to a numeric literal.
     AggComparison,
@@ -1166,7 +1166,7 @@ fn analyze_single(
             // Compile against the subquery's single frame exactly as the
             // executor would lay it out. Anything not row-local after
             // compilation — outer references (a rule condition has no
-            // outer scope, so they lower to the interpreter), nested
+            // outer scope, so they lower to `Unresolved` leaves), nested
             // subqueries, unresolved names — falls back.
             let compiled = compile(p, &layout);
             if !is_rowlocal(&compiled) {

@@ -48,7 +48,7 @@ pub use compile::{
 pub use ctx::{QueryCtx, SubqueryCache};
 pub use dml::{execute_op, execute_query, ExecOpts, OpEffect};
 pub use error::QueryError;
-pub use eval::{eval_expr, eval_predicate, truth};
+pub use eval::truth;
 pub use explain::{explain_condition, explain_select};
 pub use provider::{describe, NoTransitionTables, TransitionTableProvider};
 pub use relation::Relation;

@@ -184,8 +184,8 @@ pub(crate) fn plan_read<'q>(
 
     // Pushdown classification: a conjunct whose innermost-level slots all
     // land in one item filters that item's scan directly. Only fully
-    // slot-resolved conjuncts qualify (no subqueries, no interpreter
-    // fallbacks), and only rows it evaluates to non-*true* on are dropped
+    // slot-resolved conjuncts qualify (no subqueries, no unresolved
+    // names), and only rows it evaluates to non-*true* on are dropped
     // — errors defer to the full predicate, so pushdown never surfaces an
     // error early. Re-compiling against the single-item scope the scan
     // evaluates in is sound because resolution is innermost-first:

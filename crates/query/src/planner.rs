@@ -16,10 +16,9 @@ use std::sync::Arc;
 use setrules_sql::ast::{BinaryOp, Expr, SelectStmt};
 use setrules_storage::{ColumnId, DataType, Database, TableId, Value};
 
-use crate::bindings::Bindings;
-use crate::compile::{compile, CompiledExpr, Layout};
+use crate::compile::{compile, eval_const, CompiledExpr, Layout};
 use crate::ctx::QueryCtx;
-use crate::eval::{eval_expr, memoized_subquery};
+use crate::eval::memoized_subquery;
 
 /// How a base-table `from` item will be scanned.
 #[derive(Debug, Clone, PartialEq)]
@@ -188,7 +187,7 @@ fn const_value(ctx: QueryCtx<'_>, e: &Expr) -> Option<Value> {
     if !is_constant(e) {
         return None;
     }
-    eval_expr(ctx, &mut Bindings::new(), None, e).ok()
+    eval_const(ctx, e).ok()
 }
 
 fn eq_candidate(

@@ -129,9 +129,13 @@ fn record_stage(ctx: QueryCtx<'_>, name: &'static str, rows_in: usize, rows_out:
     }
 }
 
-/// Sort-elision fast path: emit rows in ordered-index order and stop at
+/// Sort-elision fast path: emit rows in ordered-index order up to
 /// `limit`, instead of materializing every match and sorting. The walk
-/// fuses the `filter → project → limit` stages the plan names; a
+/// stops at the cutoff only when no row can fail (no predicate, every
+/// projection a column or a constant); otherwise it evaluates the rows
+/// past the cutoff and discards them, so an error there surfaces exactly
+/// as the draining [`LimitExec`] raises it. The walk fuses the
+/// `filter → project → limit` stages the plan names; a
 /// `FullScan` access visits the whole index (including the NULL bucket,
 /// which sorts first — just as the generic sort puts NULL rows first), a
 /// range visits its key interval. Descending order reverses bucket order;
@@ -164,13 +168,16 @@ fn index_order_scan(
     // Row-local trees read the stored tuple in place; anything else runs
     // scoped, over an owned level per visited row.
     let rows_local = read.predicate.iter().chain(&proj.exprs).all(is_rowlocal);
+    let infallible = read.predicate.is_none()
+        && proj.exprs.iter().all(|e| matches!(e, CompiledExpr::Slot { .. } | CompiledExpr::Const(_)));
 
     let mut rows: Vec<Vec<Value>> = Vec::new();
     let mut visited: usize = 0;
     let mut matched: usize = 0;
     'walk: for (_, bucket) in walk {
         for &h in bucket {
-            if plan.limit.is_some_and(|n| rows.len() >= n) {
+            let full = plan.limit.is_some_and(|n| rows.len() >= n);
+            if full && infallible {
                 break 'walk;
             }
             visited += 1;
@@ -192,7 +199,9 @@ fn index_order_scan(
             if let Some(row) = result? {
                 stats::bump(ctx.stats, |s| s.rows_matched += 1);
                 matched += 1;
-                rows.push(row);
+                if !full {
+                    rows.push(row);
+                }
             }
         }
     }
@@ -204,9 +213,9 @@ fn index_order_scan(
     if read.predicate.is_some() {
         record_stage(ctx, "filter", visited, matched);
     }
-    record_stage(ctx, "project", matched, rows.len());
+    record_stage(ctx, "project", matched, matched);
     if plan.limit.is_some() {
-        record_stage(ctx, "limit", rows.len(), rows.len());
+        record_stage(ctx, "limit", matched, rows.len());
     }
     Ok(Relation { columns: proj.columns, rows })
 }

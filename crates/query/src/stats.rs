@@ -64,7 +64,7 @@ pub struct ExecStats {
     /// Phases that passed the exchange's gate (a thread budget above 1
     /// and at least two partitions' worth of items) but ran serially
     /// because evaluation is not row-local (correlated subqueries needing
-    /// the shared memo, interpreter fallbacks, outer references) — proof
+    /// the shared memo, unresolved names, outer references) — proof
     /// the executor never races shared state.
     pub serial_fallbacks: u64,
     /// `order by ... limit k` clauses answered by top-k selection

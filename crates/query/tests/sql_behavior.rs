@@ -227,6 +227,42 @@ fn unknown_table_and_column_errors() {
     assert!(matches!(q_err(&db, "select ghost from emp"), QueryError::UnknownColumn(_)));
     // Qualified wildcards are resolved structurally, rows or not.
     assert!(matches!(q_err(&db, "select g.* from emp"), QueryError::UnknownColumn(_)));
+
+    // The lazy-resolution contract: an unresolvable name raises its error
+    // only when evaluation reaches it, so an empty input, a short-circuit
+    // or an empty subquery hides it.
+    let mut db = Database::new();
+    for ddl in ["create table t (k int, v int)", "create table e (k int)", "create table u (k int)"]
+    {
+        let Statement::CreateTable(ct) = parse_statement(ddl).unwrap() else { panic!() };
+        let cols =
+            ct.columns.into_iter().map(|(n, ty)| setrules_storage::ColumnDef::new(n, ty)).collect();
+        db.create_table(setrules_storage::TableSchema::new(ct.name, cols)).unwrap();
+    }
+    run(&mut db, "insert into u values (1)");
+    let outcome = |db: &Database, sql: &str| {
+        let Statement::Dml(DmlOp::Select(sel)) = parse_statement(sql).unwrap() else {
+            panic!("not select: {sql}")
+        };
+        execute_query(db, &NoTransitionTables, &sel, &ExecOpts::default()).map(|r| r.rows)
+    };
+    let unknown = |name: &str| Err(QueryError::UnknownColumn(name.into()));
+    assert_eq!(outcome(&db, "select ghost from t"), Ok(vec![]));
+    assert_eq!(outcome(&db, "select k from t where ghost = 1"), Ok(vec![]));
+    run(&mut db, "insert into t values (1, 1), (2, 2)");
+    let cases = [
+        ("select ghost from t", unknown("ghost")),
+        ("select k from t where false and ghost = 1", Ok(vec![])),
+        ("select k from t where k = 1 or ghost = 1", unknown("ghost")),
+        ("select k from t where k in (select k from e where k = t.ghost)", Ok(vec![])),
+        ("select k from t where exists (select * from e where ghost = 1)", Ok(vec![])),
+        ("select k from t where exists (select * from u where ghost = 1)", unknown("ghost")),
+        ("select k from t x, t y where k = 1", Err(QueryError::AmbiguousColumn("k".into()))),
+        ("select k from t group by k having false and ghost = 1", Ok(vec![])),
+    ];
+    for (sql, want) in cases {
+        assert_eq!(outcome(&db, sql), want, "{sql}");
+    }
 }
 
 #[test]

@@ -19,14 +19,12 @@ echo "==> cargo test -q"
 # scan's pushed conjuncts, the WHERE pass) are covered by tests that pin
 # their thread budget: the adversarial differential at 1/2/8 threads,
 # the grouped and DML differentials at 1/8, and the statement-failure
-# and fault-sweep tests with parallelism forced on.
+# and fault-sweep tests with parallelism forced on. Incremental condition
+# evaluation must be a pure optimisation: tests/incremental_eval.rs runs
+# random programs, the paper's examples, the extension programs and a
+# constraint program with it pinned on and pinned off and demands the
+# same traces and state images.
 cargo test -q
-
-echo "==> cargo test -q (SETRULES_INCR=0: full re-scan condition evaluation)"
-# Incremental condition evaluation must be a pure optimisation — the whole
-# suite has to pass with the delta-driven evaluator pinned off and every
-# condition re-scanned from the composite window.
-SETRULES_INCR=0 cargo test -q
 
 echo "==> fault-injection sweep (bounded: first/middle/last site per kind)"
 # The full sweep (every (kind, n) site on the paper workloads) runs as part
@@ -74,10 +72,10 @@ echo "==> one executor (naive reference differentials + grouped shapes that once
 # unknown columns) at 1 and 8 threads, and random `update ... set` and
 # `delete ... where` statements (error-producing and `in (select ...)`
 # predicates included, at 1 and 8 threads on tables on both sides of the
-# exchange's gate) to tests/common/reference.rs -- nested loops and
-# the AST evaluator, no planner -- exactly: same rows in the same order
-# or the same error text, and the same state image after DML. The unit
-# tests run the grouped corpus at batch sizes 1, 2, 3 and 1024 under 1
+# exchange's gate) to tests/common/reference.rs -- nested loops, its own
+# name resolution and aggregate fold, no planner -- exactly: same rows in
+# the same order or the same error text, and the same state image after
+# DML. The unit tests run the grouped corpus at batch sizes 1, 2, 3 and 1024 under 1
 # and 8 threads against pinned outputs, check that every grouped
 # statement reports the partial-aggregate / final-aggregate phases and
 # no one-pass `aggregate` operator, and that delete and update report
@@ -116,7 +114,7 @@ echo "==> read pipeline allocations (rows by reference) + accumulator oracle"
 # tuple budgeted apart): each must stay under 0.1 allocations per input
 # row. The oracle folds 300 seeded random argument columns (ints near
 # the i64 edges, NaN, +-0.0, +-inf, text, booleans, NULL) through the
-# streaming accumulators and through eval::fold_aggregate, every
+# streaming accumulators and through the test-only fold_aggregate, every
 # function plain and distinct, and demands the same bits or error text.
 cargo test -q -p setrules-core --test alloc_per_row
 cargo test -q -p setrules-query --lib -- \
@@ -182,6 +180,9 @@ cargo test -q -p setrules-core \
   parallel_matches_serial_on_adversarial_queries group_by_aggregation_engages_the_pool \
   group_commit_batches_a_transaction_into_one_append_and_sync \
   shared_delta_cursor_fans_out_across_watchers
+
+echo "==> non-test lines per crate (informational)"
+./scripts/loc.sh
 
 echo "==> no address-keyed caches (pointer-to-integer casts in non-test source)"
 # A memo keyed by an AST node's address cast to an integer is sound only

@@ -1,30 +1,50 @@
 //! A deliberately naive reference executor for the differential tests.
 //!
-//! It shares nothing with the executor under test except the scalar AST
-//! evaluator (`eval_expr`, applied to subquery-free subtrees). `select`
-//! runs nested loops over every combination of its `from` items in
-//! row-index lexicographic order and evaluates the full predicate on each.
-//! Grouping partitions the survivors in first-seen order. `having`, the
-//! projection and the `order by` keys are then evaluated per group through
-//! `eval_expr` with the group's rows; `distinct`, a stable sort in the
-//! storage total order and `limit` follow. Subqueries run through this
-//! module too, in the scope of the row that reaches them. There is no
-//! planner, no index, no hashing, no pushdown and no parallelism.
-//! `delete` and `update` are a full scan in handle order followed by a
-//! statement-atomic apply.
+//! It shares nothing with the executor under test except the scalar
+//! kernels: every operator is applied to its already evaluated operands
+//! by compiling that one node over literals and evaluating it in an empty
+//! scope (`compile` + `eval_compiled`). Everything else is its own: this
+//! module walks the AST itself, resolves names by searching its own scope
+//! stack on every row, and folds aggregates over the collected values.
+//! `select` runs nested loops over every combination of its `from` items
+//! in row-index lexicographic order and evaluates the full predicate on
+//! each. Grouping partitions the survivors in first-seen order. `having`,
+//! the projection and the `order by` keys are then evaluated per group
+//! with the group's rows; `distinct`, a stable sort in the storage total
+//! order and `limit` follow. Subqueries run through this module too, in
+//! the scope of the row that reaches them. There is no planner, no index,
+//! no hashing, no pushdown and no parallelism. `delete` and `update` are a
+//! full scan in handle order followed by a statement-atomic apply.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
-use setrules_query::bindings::{Bindings, Frame, Level};
-use setrules_query::{eval_expr, has_aggregate, truth, OpEffect, QueryCtx, QueryError, Relation};
+use setrules_query::bindings::Bindings;
+use setrules_query::{
+    compile, eval_compiled, has_aggregate, truth, Layout, OpEffect, QueryCtx, QueryError, Relation,
+};
 use setrules_sql::ast::{
-    BinaryOp, DeleteStmt, Expr, SelectItem, SelectStmt, TableSource, UpdateStmt,
+    AggFunc, BinaryOp, DeleteStmt, Expr, SelectItem, SelectStmt, TableSource, UpdateStmt,
 };
 use setrules_storage::{Database, TableId, TupleHandle, Value};
 
+/// One `from`-item binding: its variable name, column names and row.
+#[derive(Clone)]
+struct Frame {
+    name: String,
+    columns: Arc<Vec<String>>,
+    row: Vec<Value>,
+}
+
+/// The frames of one query's `from` clause.
+type Level = Vec<Frame>;
+
+/// The enclosing queries' levels, innermost last.
+type Scope = Vec<Level>;
+
 /// Run a top-level `select`.
 pub fn select(db: &Database, stmt: &SelectStmt) -> Result<Relation, QueryError> {
-    select_in(db, stmt, &mut Bindings::new())
+    select_in(db, stmt, &mut Scope::new())
 }
 
 /// The tuples of `table` satisfying `predicate`, by a full scan in handle
@@ -37,15 +57,15 @@ fn matching(
 ) -> Result<Vec<(TupleHandle, Vec<Value>)>, QueryError> {
     let columns =
         Arc::new(db.schema(table).columns.iter().map(|c| c.name.clone()).collect::<Vec<_>>());
-    let mut scope = Bindings::new();
+    let mut scope = Scope::new();
     let mut matched = Vec::new();
     for (h, t) in db.table(table).scan() {
-        scope.push_level(vec![frame(name, &columns, t.0.clone())]);
+        scope.push(vec![frame(name, &columns, t.0.clone())]);
         let keep = match predicate {
             Some(p) => holds(db, &mut scope, p),
             None => Ok(true),
         };
-        scope.pop_level();
+        scope.pop();
         if keep? {
             matched.push((h, t.0.clone()));
         }
@@ -84,10 +104,10 @@ pub fn update(db: &mut Database, stmt: &UpdateStmt) -> Result<OpEffect, QueryErr
         .collect::<Result<Vec<_>, _>>()?;
     let columns = Arc::new(schema.columns.iter().map(|c| c.name.clone()).collect::<Vec<_>>());
     let matched = matching(db, table, &stmt.table, stmt.predicate.as_ref())?;
-    let mut scope = Bindings::new();
+    let mut scope = Scope::new();
     let mut planned = Vec::new();
     for (h, row) in matched {
-        scope.push_level(vec![frame(&stmt.table, &columns, row)]);
+        scope.push(vec![frame(&stmt.table, &columns, row)]);
         let mut assignments = Vec::new();
         let mut err = None;
         for (col, (_, e)) in set_cols.iter().zip(&stmt.sets) {
@@ -102,7 +122,7 @@ pub fn update(db: &mut Database, stmt: &UpdateStmt) -> Result<OpEffect, QueryErr
                 }
             }
         }
-        scope.pop_level();
+        scope.pop();
         if let Some(e) = err {
             return Err(e);
         }
@@ -130,11 +150,7 @@ fn frame(name: &str, columns: &Arc<Vec<String>>, row: Vec<Value>) -> Frame {
 }
 
 /// `select` in the scope `outer` (the enclosing rows of a subquery).
-fn select_in(
-    db: &Database,
-    stmt: &SelectStmt,
-    outer: &mut Bindings,
-) -> Result<Relation, QueryError> {
+fn select_in(db: &Database, stmt: &SelectStmt, outer: &mut Scope) -> Result<Relation, QueryError> {
     // The from items: binding, column names, rows in handle order.
     let mut items = Vec::new();
     for tref in &stmt.from {
@@ -157,12 +173,12 @@ fn select_in(
             .zip(&cursor)
             .map(|((name, columns, rows), &r)| frame(name, columns, rows[r].clone()))
             .collect();
-        outer.push_level(level);
+        outer.push(level);
         let keep = match &stmt.predicate {
             Some(p) => holds(db, outer, p),
             None => Ok(true),
         };
-        let level = outer.pop_level().expect("pushed above");
+        let level = outer.pop().expect("pushed above");
         if keep? {
             matching.push(level);
         }
@@ -212,10 +228,10 @@ fn select_in(
             groups.push((Vec::new(), matching));
         } else {
             for level in matching {
-                outer.push_level(level);
+                outer.push(level);
                 let key: Result<Vec<Value>, QueryError> =
                     stmt.group_by.iter().map(|g| eval(db, outer, None, g)).collect();
-                let level = outer.pop_level().expect("pushed above");
+                let level = outer.pop().expect("pushed above");
                 let key = key?;
                 match groups.iter_mut().find(|(k, _)| *k == key) {
                     Some((_, rows)) => rows.push(level),
@@ -230,16 +246,16 @@ fn select_in(
                 frame(name, columns, vec![Value::Null; columns.len()])
             };
             let repr = rows.first().cloned().unwrap_or_else(|| items.iter().map(nulls).collect());
-            outer.push_level(repr);
+            outer.push(repr);
             let row = finish(db, outer, Some(rows), stmt, &proj);
-            outer.pop_level();
+            outer.pop();
             out.extend(row?);
         }
     } else {
         for level in matching {
-            outer.push_level(level);
+            outer.push(level);
             let row = finish(db, outer, None, stmt, &proj);
-            outer.pop_level();
+            outer.pop();
             out.extend(row?);
         }
     }
@@ -276,7 +292,7 @@ fn select_in(
 /// first when grouped, then the projection, then the `order by` keys.
 fn finish(
     db: &Database,
-    scope: &mut Bindings,
+    scope: &mut Scope,
     group: Option<&[Level]>,
     stmt: &SelectStmt,
     proj: &[(Expr, String)],
@@ -292,28 +308,68 @@ fn finish(
     Ok(Some((key, row)))
 }
 
-fn holds(db: &Database, scope: &mut Bindings, e: &Expr) -> Result<bool, QueryError> {
+fn holds(db: &Database, scope: &mut Scope, e: &Expr) -> Result<bool, QueryError> {
     Ok(truth(&eval(db, scope, None, e)?)? == Some(true))
 }
 
-/// Evaluate `e` in `scope`. A subquery-free tree goes straight to
-/// `eval_expr`. Otherwise this walks the tree in `eval_expr`'s order:
-/// operands left to right, `and`/`or` short-circuiting, and the first
-/// error wins. Each subquery runs through [`select_in`], and each operator
-/// applies to its already evaluated operands through `eval_expr` over
-/// literals.
+/// Resolve a (possibly qualified) column reference to its value in the
+/// current rows, innermost level first. Unqualified, it must match exactly
+/// one frame of the first level that has it; qualified, the innermost
+/// frame bound to that variable must have the column.
+fn resolve(scope: &Scope, qualifier: Option<&str>, name: &str) -> Result<Value, QueryError> {
+    let position = |f: &Frame| f.columns.iter().position(|c| c == name);
+    for level in scope.iter().rev() {
+        match qualifier {
+            Some(q) => {
+                let mut bound = level.iter().filter(|f| f.name == q).peekable();
+                if bound.peek().is_none() {
+                    continue;
+                }
+                return match bound.find_map(|f| position(f).map(|i| f.row[i].clone())) {
+                    Some(v) => Ok(v),
+                    None => Err(QueryError::UnknownColumn(format!("{q}.{name}"))),
+                };
+            }
+            None => {
+                let mut hits = level.iter().filter_map(|f| position(f).map(|i| &f.row[i]));
+                match (hits.next(), hits.next()) {
+                    (Some(v), None) => return Ok(v.clone()),
+                    (Some(_), Some(_)) => return Err(QueryError::AmbiguousColumn(name.into())),
+                    _ => {}
+                }
+            }
+        }
+    }
+    Err(QueryError::UnknownColumn(match qualifier {
+        Some(q) => format!("{q}.{name}"),
+        None => name.to_string(),
+    }))
+}
+
+/// Apply one operator node whose operands are literals: compiled against
+/// the empty layout and evaluated in an empty scope.
+fn apply(db: &Database, node: &Expr) -> Result<Value, QueryError> {
+    let tree = compile(node, &Layout::new());
+    eval_compiled(QueryCtx::plain(db), &mut Bindings::new(), &tree)
+}
+
+/// Evaluate `e` in `scope`, `group` holding the rows of the current group
+/// when there is one. Operands evaluate left to right, `and`/`or`
+/// short-circuit, and the first error wins. A column is looked up in the
+/// scope, a subquery runs through [`select_in`] in the scope of this row,
+/// an aggregate folds its argument over the group's rows, and every other
+/// operator applies to its evaluated operands through [`apply`].
 fn eval(
     db: &Database,
-    scope: &mut Bindings,
+    scope: &mut Scope,
     group: Option<&[Level]>,
     e: &Expr,
 ) -> Result<Value, QueryError> {
-    if !has_subquery(e) {
-        return eval_expr(QueryCtx::plain(db), scope, group, e);
-    }
     let lit = |v: Value| Box::new(Expr::Literal(v));
     let mut sub = |e: &Expr| eval(db, scope, group, e).map(lit);
     let node = match e {
+        Expr::Literal(v) => return Ok(v.clone()),
+        Expr::Column { qualifier, name } => return resolve(scope, qualifier.as_deref(), name),
         Expr::InSubquery { expr, subquery, negated } => {
             let needle = sub(expr)?;
             let list = column0(select_in(db, subquery, scope)?)?.into_iter().map(Expr::Literal);
@@ -331,22 +387,21 @@ fn eval(
                 n => Err(QueryError::ScalarSubqueryRows(n)),
             };
         }
-        Expr::Aggregate { func, arg: Some(arg), distinct } if group.is_some() => {
-            // Evaluate the argument per group row here, then fold the
-            // values with the aggregate over a one-column stand-in group.
+        Expr::Aggregate { func, arg, distinct } => {
+            // Outside a group an aggregate is an error, raised without
+            // touching its argument.
+            let Some(rows) = group else { return apply(db, e) };
+            let Some(arg) = arg else { return Ok(Value::Int(rows.len() as i64)) };
+            // The argument per group row (aggregates do not nest); NULLs
+            // are discarded.
             let mut vals = Vec::new();
-            for level in group.expect("guarded") {
-                scope.push_level(level.clone());
+            for level in rows {
+                scope.push(level.clone());
                 let v = eval(db, scope, None, arg);
-                scope.pop_level();
-                vals.push(vec![frame("", &Arc::new(vec!["v".to_string()]), vec![v?])]);
+                scope.pop();
+                vals.extend(Some(v?).filter(|v| !v.is_null()));
             }
-            let agg = Expr::Aggregate {
-                func: *func,
-                arg: Some(Box::new(Expr::col("v"))),
-                distinct: *distinct,
-            };
-            return eval_expr(QueryCtx::plain(db), &mut Bindings::new(), Some(&vals), &agg);
+            return fold(*func, *distinct, vals);
         }
         Expr::Binary { left, op: op @ (BinaryOp::And | BinaryOp::Or), right } => {
             let l = eval(db, scope, group, left)?;
@@ -383,11 +438,65 @@ fn eval(
             escape: escape.as_deref().map(&mut sub).transpose()?,
             negated: *negated,
         },
-        // Outside a group an aggregate is an error `eval_expr` raises
-        // without touching its argument.
-        Expr::Aggregate { .. } | Expr::Literal(_) | Expr::Column { .. } => e.clone(),
     };
-    eval_expr(QueryCtx::plain(db), scope, group, &node)
+    apply(db, &node)
+}
+
+/// One aggregate over a group's non-NULL argument values, folded in
+/// encounter order: `distinct` keeps first occurrences; an all-int `sum`
+/// is checked `i64` arithmetic and an all-int `avg` one exact division,
+/// otherwise both are an `f64` running sum; `min`/`max` keep the first of
+/// tied values.
+fn fold(func: AggFunc, distinct: bool, mut vals: Vec<Value>) -> Result<Value, QueryError> {
+    if distinct {
+        let mut kept: Vec<Value> = Vec::new();
+        for v in vals {
+            if !kept.contains(&v) {
+                kept.push(v);
+            }
+        }
+        vals = kept;
+    }
+    let all_int = vals.iter().all(|v| matches!(v, Value::Int(_)));
+    let float_sum = |what: &str| -> Result<f64, QueryError> {
+        vals.iter().try_fold(0.0, |acc, v| match v.as_f64() {
+            Some(x) => Ok(acc + x),
+            None => Err(QueryError::Type(format!("{what} of non-numeric value {v}"))),
+        })
+    };
+    match func {
+        AggFunc::Count => Ok(Value::Int(vals.len() as i64)),
+        AggFunc::Sum | AggFunc::Avg if vals.is_empty() => Ok(Value::Null),
+        AggFunc::Sum if all_int => vals
+            .iter()
+            .try_fold(0i64, |acc, v| acc.checked_add(v.as_i64().expect("an int")))
+            .map(Value::Int)
+            .ok_or_else(|| QueryError::Type("integer overflow in sum".into())),
+        AggFunc::Sum => float_sum("sum").map(Value::Float),
+        AggFunc::Avg if all_int => {
+            let sum: i128 = vals.iter().map(|v| v.as_i64().expect("an int") as i128).sum();
+            Ok(Value::Float(sum as f64 / vals.len() as f64))
+        }
+        AggFunc::Avg => float_sum("avg").map(|s| Value::Float(s / vals.len() as f64)),
+        AggFunc::Min | AggFunc::Max => {
+            let mut best: Option<Value> = None;
+            for v in vals {
+                let replace = match &best {
+                    None => true,
+                    Some(b) => {
+                        let ord = b.sql_cmp(&v).ok_or_else(|| {
+                            QueryError::Type(format!("cannot compare {b} with {v}"))
+                        })?;
+                        ord == if func == AggFunc::Min { Ordering::Greater } else { Ordering::Less }
+                    }
+                };
+                if replace {
+                    best = Some(v);
+                }
+            }
+            Ok(best.unwrap_or(Value::Null))
+        }
+    }
 }
 
 /// The single column of a subquery result, or the column-count error.
@@ -396,24 +505,4 @@ fn column0(rel: Relation) -> Result<Vec<Value>, QueryError> {
         return Err(QueryError::SubqueryColumns(rel.columns.len()));
     }
     Ok(rel.rows.into_iter().map(|mut r| r.swap_remove(0)).collect())
-}
-
-/// Whether a subquery appears anywhere in `e` (outside subquery bodies).
-fn has_subquery(e: &Expr) -> bool {
-    match e {
-        Expr::InSubquery { .. } | Expr::Exists { .. } | Expr::ScalarSubquery(_) => true,
-        Expr::Literal(_) | Expr::Column { .. } => false,
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => has_subquery(expr),
-        Expr::Binary { left, right, .. } => has_subquery(left) || has_subquery(right),
-        Expr::InList { expr, list, .. } => has_subquery(expr) || list.iter().any(has_subquery),
-        Expr::Between { expr, low, high, .. } => {
-            has_subquery(expr) || has_subquery(low) || has_subquery(high)
-        }
-        Expr::Like { expr, pattern, escape, .. } => {
-            has_subquery(expr)
-                || has_subquery(pattern)
-                || escape.as_deref().is_some_and(has_subquery)
-        }
-        Expr::Aggregate { arg, .. } => arg.as_deref().is_some_and(has_subquery),
-    }
 }

@@ -9,6 +9,12 @@
 //!   span match sets, two-view equality joins (and non-equi fallbacks),
 //!   `sum`/`avg`/`min`/`max` accumulators, float-aggregate fallbacks, and
 //!   inserts from the NaN/-0.0/NULL/1e300/near-`i64::MAX` corpus.
+//! * The paper's worked examples (§3.1, §4.5), the §5 extension programs
+//!   and a constraint-compiled program, each run with incremental
+//!   evaluation pinned on and pinned off: the event traces, transaction
+//!   outcomes and `state_image()`s must be identical statement by
+//!   statement. Every other suite runs engines at the default (on), so
+//!   this is where the re-scan evaluator meets those programs.
 //! * Deterministic programs pinning the widened memo kinds: extremum
 //!   deletion, windows drained to empty, join repair from both sides,
 //!   the sum overflow guard, the shared-delta-cursor storm, and the
@@ -23,10 +29,15 @@
 //! Cases come from the deterministic `setrules-testkit` harness; a
 //! failure names the case index and seed to replay.
 
+use std::sync::Arc;
+
+use setrules_constraints::{install, Constraint, RepairPolicy};
 use setrules_core::{
-    EngineConfig, FaultKind, RetriggerSemantics, RuleError, RuleSystem, SelectionStrategy,
+    ActionCtx, EngineConfig, FaultKind, RetriggerSemantics, RuleError, RuleSystem,
+    SelectionStrategy, TxnOutcome,
 };
 use setrules_query::QueryError;
+use setrules_sql::ast::TransitionKind;
 use setrules_storage::StorageError;
 use setrules_testkit::{check, Rng};
 
@@ -297,6 +308,331 @@ fn incremental_matches_rescan_on_random_programs() {
         incr_answers > 0,
         "the sweep never exercised an authoritative incremental answer"
     );
+}
+
+// ----------------------------------------------------------------------
+// The paper's examples, the extensions and a constraint program, both ways.
+// ----------------------------------------------------------------------
+
+/// A fixed rule program: whether it tracks selects (§5.1), its setup
+/// (schema, rules, seed rows) and the transactions it runs.
+struct Program {
+    name: &'static str,
+    track_selects: bool,
+    setup: fn(&mut RuleSystem),
+    txns: &'static [&'static str],
+}
+
+const PAPER_SCHEMA: [&str; 2] = [
+    "create table emp (name text, emp_no int, salary float, dept_no int)",
+    "create table dept (dept_no int, mgr_no int)",
+];
+
+/// Example 4.1's recursive cascade (R1 of Example 4.3).
+const R41: &str = "create rule r41 when deleted from emp \
+     then delete from emp where dept_no in \
+            (select dept_no from dept where mgr_no in (select emp_no from deleted emp)); \
+          delete from dept where mgr_no in (select emp_no from deleted emp)";
+
+/// Example 4.2's salary control (R2 of Example 4.3).
+const R42: &str = "create rule r42 when updated emp.salary \
+     if (select avg(salary) from new updated emp.salary) > 50000 \
+     then delete from emp where emp_no in \
+            (select emp_no from new updated emp.salary) and salary > 80000";
+
+/// Example 4.3's organisation: Jane manages Mary and Jim; Mary manages
+/// Bill; Jim manages Sam and Sue.
+const ORG: [&str; 2] = [
+    "insert into dept values (1, 1), (2, 2), (3, 3)",
+    "insert into emp values ('Jane', 1, 100000.0, 0), ('Mary', 2, 70000.0, 1), \
+     ('Jim', 3, 60000.0, 1), ('Bill', 4, 25000.0, 2), ('Sam', 5, 40000.0, 3), \
+     ('Sue', 6, 45000.0, 3)",
+];
+
+const EXAMPLE_4_3_BLOCK: &str = "delete from emp where name = 'Jane'; \
+     update emp set salary = 30000.0 where name = 'Bill'; \
+     update emp set salary = 85000.0 where name = 'Mary'";
+
+fn run_all(sys: &mut RuleSystem, stmts: &[&str]) {
+    for sql in stmts {
+        sys.execute(sql).unwrap_or_else(|e| panic!("`{sql}`: {e}"));
+    }
+}
+
+fn programs() -> Vec<Program> {
+    vec![
+        Program {
+            name: "example_3_1",
+            track_selects: false,
+            setup: |sys| {
+                run_all(sys, &PAPER_SCHEMA);
+                run_all(sys, &[
+                    "create rule r31 when deleted from dept \
+                     then delete from emp where dept_no in (select dept_no from deleted dept)",
+                    "insert into dept values (1, 10), (2, 20), (3, 30)",
+                    "insert into emp values ('a', 1, 10.0, 1), ('b', 2, 10.0, 1), \
+                     ('c', 3, 10.0, 2), ('d', 4, 10.0, 3)",
+                ])
+            },
+            txns: &[
+                "delete from dept where dept_no = 1",
+                "delete from dept where dept_no = 99",
+                "delete from dept where dept_no in (2, 3)",
+            ],
+        },
+        Program {
+            name: "example_3_2",
+            track_selects: false,
+            setup: |sys| {
+                run_all(sys, &PAPER_SCHEMA);
+                run_all(sys, &[
+                    "create rule r32 when updated emp.salary \
+                     if (select sum(salary) from new updated emp.salary) > \
+                        (select sum(salary) from old updated emp.salary) \
+                     then update emp set salary = 0.95 * salary where dept_no = 2; \
+                          update emp set salary = 0.85 * salary where dept_no = 3",
+                    "insert into emp values ('u', 1, 1000.0, 1), ('v', 2, 1000.0, 2), \
+                     ('w', 3, 1000.0, 3)",
+                ])
+            },
+            txns: &[
+                "update emp set salary = 2000.0 where name = 'u'",
+                "update emp set salary = 1.0 where name = 'u'",
+                "update emp set salary = salary + 1.0",
+            ],
+        },
+        Program {
+            name: "example_3_3",
+            track_selects: false,
+            setup: |sys| {
+                run_all(sys, &PAPER_SCHEMA);
+                run_all(sys, &[
+                    "create rule r33 when inserted into emp or deleted from emp \
+                       or updated emp.salary or updated emp.dept_no \
+                     if exists (select * from emp e1 where salary > \
+                         2 * (select avg(salary) from emp e2 where e2.dept_no = e1.dept_no)) \
+                     then delete from emp where emp_no = \
+                         (select mgr_no from dept where dept_no = 5)",
+                    "insert into dept values (5, 50)",
+                    "insert into emp values ('mgr5', 50, 100.0, 4), ('x', 10, 100.0, 1), \
+                     ('y', 11, 100.0, 1)",
+                ])
+            },
+            txns: &[
+                "insert into emp values ('z', 12, 1000.0, 1)",
+                "insert into emp values ('mgr5b', 51, 100.0, 4)",
+                "update dept set mgr_no = 51 where dept_no = 5",
+                "update emp set dept_no = 1 where name = 'mgr5b'",
+            ],
+        },
+        Program {
+            name: "example_4_1",
+            track_selects: false,
+            setup: |sys| {
+                run_all(sys, &PAPER_SCHEMA);
+                run_all(sys, &[R41]);
+                run_all(sys, &ORG);
+            },
+            txns: &["delete from emp where name = 'Mary'", "delete from emp where name = 'Jane'"],
+        },
+        Program {
+            name: "example_4_2",
+            track_selects: false,
+            setup: |sys| {
+                run_all(sys, &PAPER_SCHEMA);
+                run_all(sys, &[R42]);
+                run_all(sys, &ORG);
+            },
+            txns: &[
+                "update emp set salary = 30000.0 where name = 'Bill'; \
+                 update emp set salary = 85000.0 where name = 'Mary'",
+                "update emp set salary = 30000.0",
+            ],
+        },
+        Program {
+            name: "example_4_3",
+            track_selects: false,
+            setup: |sys| {
+                run_all(sys, &PAPER_SCHEMA);
+                run_all(sys, &[R41, R42, "create rule priority r42 before r41"]);
+                run_all(sys, &ORG);
+            },
+            txns: &[EXAMPLE_4_3_BLOCK],
+        },
+        Program {
+            name: "example_4_3_reversed",
+            track_selects: false,
+            setup: |sys| {
+                run_all(sys, &PAPER_SCHEMA);
+                run_all(sys, &[R41, R42, "create rule priority r41 before r42"]);
+                run_all(sys, &ORG);
+            },
+            txns: &[EXAMPLE_4_3_BLOCK],
+        },
+        Program {
+            name: "selected_reads",
+            track_selects: true,
+            setup: |sys| {
+                run_all(sys, &[
+                    PAPER_SCHEMA[0],
+                    "create table audit (who text, what text)",
+                    "create rule salary_reads when selected emp.salary \
+                     if exists (select * from selected emp.salary where salary > 10.0) \
+                     then insert into audit (select name, 'salary' from selected emp.salary)",
+                    "create rule any_reads when selected emp \
+                     then insert into audit (select name, 'any' from selected emp)",
+                    "create rule summary when updated emp.salary \
+                     then select name, salary from new updated emp.salary",
+                    "insert into emp values ('Jane', 1, 95000.0, 2), ('Bill', 2, 50.0, 2)",
+                ])
+            },
+            txns: &[
+                "select name, salary from emp where dept_no = 2",
+                "select name from emp",
+                "select e1.name from emp e1, emp e2 \
+                 where e1.dept_no = e2.emp_no and e2.salary > 10.0",
+                "update emp set salary = 99000.0 where emp_no = 2",
+                "select salary from emp; delete from emp where emp_no = 1",
+            ],
+        },
+        Program {
+            name: "external_action",
+            track_selects: false,
+            setup: |sys| {
+                run_all(sys, &["create table t (k int)", "create table log (k int)"]);
+                sys.create_rule_external(
+                    "native",
+                    "inserted into t",
+                    Some("exists (select * from inserted t where k > 1)"),
+                    Arc::new(|ctx: &mut ActionCtx<'_>| {
+                        let rows = ctx
+                            .transition_table(TransitionKind::Inserted, "t", None)
+                            .map_err(RuleError::Query)?;
+                        for row in rows {
+                            let k = row[0].as_i64().unwrap();
+                            ctx.run_sql(&format!("insert into log values ({})", k * 10))?;
+                        }
+                        Ok(())
+                    }),
+                )
+                .unwrap();
+                run_all(sys, &[
+                    "create table seen (n int)",
+                    "create rule watch when inserted into log \
+                     if (select count(*) from inserted log) > 1 \
+                     then insert into seen values (1)",
+                ]);
+            },
+            txns: &["insert into t values (1)", "insert into t values (1), (2), (3)"],
+        },
+        Program {
+            name: "constraints",
+            track_selects: false,
+            setup: |sys| {
+                run_all(sys, &[PAPER_SCHEMA[1], PAPER_SCHEMA[0]]);
+                for c in [
+                    Constraint::Unique {
+                        name: "uq_emp".into(),
+                        table: "emp".into(),
+                        column: "emp_no".into(),
+                    },
+                    Constraint::NotNull {
+                        name: "nn_name".into(),
+                        table: "emp".into(),
+                        column: "name".into(),
+                    },
+                    Constraint::Check {
+                        name: "pos_salary".into(),
+                        table: "emp".into(),
+                        predicate: "salary >= 0".into(),
+                    },
+                    Constraint::referential(
+                        "fk_dept",
+                        "emp",
+                        "dept_no",
+                        "dept",
+                        "dept_no",
+                        RepairPolicy::Cascade,
+                    ),
+                ] {
+                    install(sys, &c).unwrap();
+                }
+                run_all(sys, &["insert into dept values (1, 10), (2, 20)"]);
+            },
+            txns: &[
+                "insert into emp values ('a', 1, 100.0, 1)",
+                "insert into emp values ('b', 1, 100.0, 1)",
+                "insert into emp values (NULL, 2, 100.0, 1)",
+                "insert into emp values ('b', 2, -1.0, 1)",
+                "insert into emp values ('b', 2, 100.0, 9)",
+                "insert into emp values ('b', 2, 100.0, 2); \
+                 insert into emp values ('c', 3, 5.0, 2)",
+                "delete from dept where dept_no = 1",
+                "update emp set salary = salary - 50.0",
+            ],
+        },
+    ]
+}
+
+/// The engine's events since the last call, one line each, without the
+/// execution-strategy kinds (plan cache, incremental evaluation) that
+/// legitimately differ between the evaluators.
+fn drain_trace(sys: &mut RuleSystem) -> Vec<String> {
+    let trace = sys
+        .recent_events()
+        .iter()
+        .filter(|e| e.kind() != "plan_cache" && e.kind() != "incremental_eval")
+        .map(|e| e.to_string())
+        .collect();
+    sys.clear_events();
+    trace
+}
+
+/// Every program behaves the same with incremental condition evaluation
+/// pinned on and pinned off: after the setup and after each transaction,
+/// the same outcome (or error text), the same event trace and the same
+/// `state_image()`.
+#[test]
+fn fixed_programs_match_with_incremental_evaluation_on_and_off() {
+    let mut incr_answers = 0;
+    for program in programs() {
+        let [mut inc, mut scan] = [true, false].map(|incremental| {
+            let mut sys = RuleSystem::with_config(EngineConfig {
+                incremental: Some(incremental),
+                track_selects: program.track_selects,
+                ..Default::default()
+            });
+            (program.setup)(&mut sys);
+            sys
+        });
+        let name = program.name;
+        assert_eq!(drain_trace(&mut inc), drain_trace(&mut scan), "{name}: setup trace");
+        for sql in program.txns {
+            // Work counters and timings legitimately differ; what ran,
+            // what it produced and how the transaction ended may not.
+            let outcome = |r: Result<TxnOutcome, RuleError>| match r {
+                Ok(TxnOutcome::Committed { fired, transitions, output, .. }) => {
+                    format!("committed {fired:?} after {transitions} transitions, {output:?}")
+                }
+                Ok(TxnOutcome::RolledBack { by_rule, fired, .. }) => {
+                    format!("rolled back by {by_rule} after {fired:?}")
+                }
+                Err(e) => format!("error: {e}"),
+            };
+            let (a, b) = (outcome(inc.transaction(sql)), outcome(scan.transaction(sql)));
+            assert_eq!(a, b, "{name}: outcome of `{sql}`");
+            assert_eq!(drain_trace(&mut inc), drain_trace(&mut scan), "{name}: trace of `{sql}`");
+            assert_eq!(
+                inc.database().state_image(),
+                scan.database().state_image(),
+                "{name}: state after `{sql}`"
+            );
+        }
+        let (si, ss) = (inc.stats(), scan.stats());
+        assert_eq!(ss.incr_hits + ss.incr_rebuilds + ss.incr_fallbacks, 0, "{name}");
+        incr_answers += si.incr_hits + si.incr_rebuilds;
+    }
+    assert!(incr_answers > 0, "no program reached an incremental answer");
 }
 
 // ----------------------------------------------------------------------

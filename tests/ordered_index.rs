@@ -35,13 +35,13 @@ fn sel(sql: &str) -> SelectStmt {
 }
 
 // ----------------------------------------------------------------------
-// Differential property: ordered-indexed ≡ unindexed, compiled ≡ interpreted
+// Differential property: ordered-indexed ≡ unindexed
 // ----------------------------------------------------------------------
 
-/// Literal pools per column. All predicates built from these are
-/// type-safe for every row (numeric-vs-numeric or text-vs-text), so no
-/// row's evaluation can error — required because the `limit` fast path
-/// legitimately stops before visiting every row.
+/// Literal pools per column. Predicates built from these are type-safe
+/// for every row (numeric-vs-numeric or text-vs-text); the one fallible
+/// tree the generator makes is the `10 / k` projection, which must raise
+/// its error past a `limit` cutoff whether or not the sort-free walk runs.
 const INT_LITS: &[&str] = &["-3", "0", "2", "5", "8", "1.5", "-2.5", "1e300", "-1e300", "NULL"];
 const FLOAT_LITS: &[&str] = &[
     "0.0",
@@ -126,12 +126,13 @@ fn range_conjunct(rng: &mut Rng) -> String {
 }
 
 fn random_query(rng: &mut Rng) -> String {
-    let proj = match rng.below(6) {
+    let proj = match rng.below(7) {
         0 => "*",
         1 => "count(*)",
         2 => "k, v, s",
         3 => "min(k)",
         4 => "max(v), min(v)",
+        5 => "k, 10 / k",
         _ => "min(s), max(s)",
     };
     let mut sql = format!("select {proj} from t");
@@ -145,7 +146,7 @@ fn random_query(rng: &mut Rng) -> String {
     }
     // Aggregates and order-by don't mix in this grammar; bare columns may
     // order (the sort-elision path needs exactly one order key).
-    if proj == "*" || proj == "k, v, s" {
+    if matches!(proj, "*" | "k, v, s" | "k, 10 / k") {
         if rng.chance(2, 3) {
             let col = rng.pick(&["k", "v", "s"]);
             sql.push_str(&format!(" order by {col}"));
@@ -179,6 +180,49 @@ fn ordered_index_and_full_scan_agree_on_random_queries() {
             }
         }
     });
+}
+
+/// An error on a row past the `limit` cutoff surfaces whether the sort
+/// runs or the ordered index elides it: the sort-free walk stops early
+/// only when no row can fail, and otherwise evaluates every remaining row.
+#[test]
+fn an_error_past_the_limit_surfaces_with_and_without_the_index() {
+    let build = |ordered: bool| {
+        let mut db = Database::new();
+        let t = db
+            .create_table(TableSchema::new(
+                "t".to_string(),
+                vec![ColumnDef::new("k", DataType::Int), ColumnDef::new("v", DataType::Int)],
+            ))
+            .unwrap();
+        if ordered {
+            db.create_index_of(t, ColumnId(0), IndexKind::Ordered).unwrap();
+        }
+        exec(&mut db, "insert into t values (1, 1), (2, 2), (3, 3), (4, 0)");
+        db
+    };
+    let run = |db: &Database, sql: &str| {
+        let stats = StatsCell::new();
+        let opts = ExecOpts { stats: Some(&stats), ..ExecOpts::default() };
+        let out = execute_query(db, &NoTransitionTables, &sel(sql), &opts).map(|r| r.rows);
+        (out, stats.snapshot())
+    };
+    for sql in [
+        "select 10 / v from t order by k limit 2",
+        "select k from t where 10 / v > 0 order by k limit 2",
+    ] {
+        for ordered in [false, true] {
+            let (out, s) = run(&build(ordered), sql);
+            let want = Err(setrules_query::QueryError::DivisionByZero);
+            assert_eq!(out, want, "{sql}, index {ordered}");
+            assert_eq!((s.sort_elided, s.rows_scanned), (u64::from(ordered), 4), "{sql}: {s:?}");
+        }
+    }
+    // Bare columns cannot fail, so the walk still stops at the cutoff.
+    let (out, s) = run(&build(true), "select k, v from t order by k limit 2");
+    let int = Value::Int;
+    assert_eq!(out, Ok(vec![vec![int(1), int(1)], vec![int(2), int(2)]]));
+    assert_eq!((s.sort_elided, s.rows_scanned), (1, 2), "{s:?}");
 }
 
 /// The boundary semantics the differential can only probabilistically
