@@ -20,12 +20,12 @@
 
 use setrules_json::Json;
 use setrules_query::OpEffect;
-use setrules_storage::{Database, FaultKind, StorageError, TableId, Tuple, TupleHandle};
+use setrules_storage::{ColumnSet, Database, FaultKind, StorageError, TableId, Tuple, TupleHandle};
 use setrules_wal::{
     value_from_json, value_to_json, SyncPolicy, WalConfig, WalError, WalRecord, WalWriter,
 };
 
-use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use setrules_storage::ColumnId;
 
@@ -73,7 +73,7 @@ fn bad_win(what: &str) -> RuleError {
 pub(crate) fn window_to_json(db: &Database, w: &TransInfo) -> Json {
     let name = |t: TableId| Json::Str(db.schema(t).name.clone());
     let vals = |t: &Tuple| Json::Array(t.0.iter().map(value_to_json).collect());
-    let cols = |cs: &BTreeSet<ColumnId>| {
+    let cols = |cs: &ColumnSet| {
         Json::Array(cs.iter().map(|c| Json::Int(c.0 as i64)).collect())
     };
     let ins = w.ins.iter().map(|h| Json::Int(h.0 as i64)).collect();
@@ -122,7 +122,7 @@ pub(crate) fn window_from_json(db: &Database, j: &Json) -> Result<TransInfo, Rul
         let name = v.as_str().ok_or_else(|| bad_win("table"))?;
         db.table_id(name).map_err(|_| bad_win("table"))
     };
-    let tup = |v: &Json| -> Result<Tuple, RuleError> {
+    let tup = |v: &Json| -> Result<Arc<Tuple>, RuleError> {
         let vals = v
             .as_array()
             .ok_or_else(|| bad_win("old"))?
@@ -130,9 +130,9 @@ pub(crate) fn window_from_json(db: &Database, j: &Json) -> Result<TransInfo, Rul
             .map(value_from_json)
             .collect::<Result<Vec<_>, WalError>>()
             .map_err(RuleError::Wal)?;
-        Ok(Tuple(vals))
+        Ok(Arc::new(Tuple(vals)))
     };
-    let cols = |v: &Json| -> Result<BTreeSet<ColumnId>, RuleError> {
+    let cols = |v: &Json| -> Result<ColumnSet, RuleError> {
         v.as_array()
             .ok_or_else(|| bad_win("columns"))?
             .iter()
@@ -289,9 +289,9 @@ pub(crate) fn wal_log_effect(
                 wal_append(db, wal, stats, events, &rec)?;
             }
         }
-        OpEffect::Update { table, tuples } => {
+        OpEffect::Update { table, tuples, .. } => {
             let name = db.schema(*table).name.clone();
-            for (h, _, _) in tuples {
+            for (h, _) in tuples {
                 let values = db.get(*table, *h).expect("updated tuple is live").0.clone();
                 let rec = WalRecord::Update { table: name.clone(), handle: h.0, values };
                 wal_append(db, wal, stats, events, &rec)?;

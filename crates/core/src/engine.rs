@@ -220,11 +220,17 @@ struct TxnState {
     /// Cumulative counters at transaction begin, for outcome deltas.
     base: TxnStats,
     /// Transaction-wide incremental delta log: one projected `[I, D, U]`
-    /// effect per transition, appended at the `apply_transition` choke
-    /// point. A rule's memo at cursor `seq` repairs from the composition
-    /// of `delta_log[seq..]`; that composition is rule-independent, so it
-    /// is shared through `compose_cache`.
+    /// effect per transition since `delta_log_open` was set, appended at
+    /// the `apply_transition` choke point. A rule's memo at cursor `seq`
+    /// repairs from the composition of `delta_log[seq..]`; that
+    /// composition is rule-independent, so it is shared through
+    /// `compose_cache`.
     delta_log: Vec<TransitionEffect>,
+    /// Set when the transaction's first memo refresh takes a cursor.
+    /// Until then no cursor exists, so transitions are not logged; a
+    /// cursor is taken at `delta_log.len()`, so none can point before the
+    /// first entry.
+    delta_log_open: bool,
     /// suffix start → composed effect; cleared whenever `delta_log`
     /// grows. A hit means another rule at the same cursor already folded
     /// the suffix this round (`incr_shared_hits`).
@@ -833,6 +839,7 @@ impl RuleSystem {
             last_output: None,
             base: self.full_stats(),
             delta_log: Vec::new(),
+            delta_log_open: false,
             compose_cache: HashMap::new(),
             window_gens: vec![0; self.rules.len()],
             epoch: self.incr_epoch,
@@ -889,6 +896,16 @@ impl RuleSystem {
         self.note_parallelism(&before);
         match result {
             Ok(eff) => {
+                // The redo records read only handles and heap values, so
+                // they are written first and the effect then moves into
+                // the pending window.
+                if let Err(e) =
+                    wal_log_effect(&mut self.db, &mut self.wal, &mut self.stats, &mut self.events, &eff)
+                {
+                    self.note_statement_failure(&e);
+                    self.abort_internal();
+                    return Err(e);
+                }
                 let txn = self.txn.as_mut().expect("checked above");
                 let affected = eff.cardinality();
                 let output = match &eff {
@@ -898,14 +915,7 @@ impl RuleSystem {
                     }
                     _ => None,
                 };
-                txn.pending.absorb(&eff, self.config.track_selects);
-                if let Err(e) =
-                    wal_log_effect(&mut self.db, &mut self.wal, &mut self.stats, &mut self.events, &eff)
-                {
-                    self.note_statement_failure(&e);
-                    self.abort_internal();
-                    return Err(e);
-                }
+                txn.pending.absorb(eff, self.config.track_selects);
                 Ok((affected, output))
             }
             Err(e) => {
@@ -1071,7 +1081,6 @@ impl RuleSystem {
             self.note_parallelism(&before);
             match result {
                 Ok(eff) => {
-                    window.absorb(&eff, self.config.track_selects);
                     if let Err(e) = wal_log_effect(
                         &mut self.db,
                         &mut self.wal,
@@ -1082,6 +1091,7 @@ impl RuleSystem {
                         self.fail_flat_txn(mark, &e);
                         return Err(e);
                     }
+                    window.absorb(eff, self.config.track_selects);
                 }
                 Err(e) => {
                     let e: RuleError = e.into();
@@ -1143,6 +1153,7 @@ impl RuleSystem {
             last_output: None,
             base: self.full_stats(),
             delta_log: Vec::new(),
+            delta_log_open: false,
             compose_cache: HashMap::new(),
             window_gens: vec![0; self.rules.len()],
             epoch: self.incr_epoch,
@@ -1433,7 +1444,7 @@ impl RuleSystem {
                         updated: tinfo.upd.len(),
                     };
                     self.txn.as_mut().expect("open").trace.push(fired);
-                    self.apply_transition(&tinfo, Some(rid));
+                    self.apply_transition(tinfo, Some(rid));
                     considered.fill(false);
                     triggers.invalidate_all();
                 }
@@ -1457,34 +1468,36 @@ impl RuleSystem {
             updated: pending.upd.len(),
             selected: pending.sel.len(),
         });
-        self.apply_transition(&pending, None);
+        self.apply_transition(pending, None);
     }
 
     /// Merge a new transition into the per-rule windows (§4.2): the acting
-    /// rule's window becomes exactly this transition; every other rule's
-    /// window is the composition.
-    fn apply_transition(&mut self, tinfo: &TransInfo, acting: Option<RuleId>) {
+    /// rule's window becomes exactly this transition (moved in); every
+    /// other rule's window is the composition, which shares the
+    /// transition's old images and column sets rather than copying them.
+    fn apply_transition(&mut self, tinfo: TransInfo, acting: Option<RuleId>) {
         let retrigger = self.config.retrigger;
         // Append this transition's pure `[I, D, U]` effect to the shared
         // delta log exactly once; every live memo cursor repairs from the
-        // composed suffix at its own position. Rules whose window restarts
-        // below get their generation bumped instead (stale cursors ⇒ next
-        // consideration rebuilds from the fresh window).
-        if self.incremental_enabled() {
-            let eff = tinfo.effect(|t| self.db.schema(t).arity());
-            let txn = self.txn.as_mut().expect("transaction open");
-            txn.delta_log.push(eff);
+        // composed suffix at its own position. The log starts at the
+        // transaction's first memo read: before it, no cursor exists to
+        // read an entry. Rules whose window restarts below get their
+        // generation bumped instead (stale cursors ⇒ next consideration
+        // rebuilds from the fresh window).
+        let txn = self.txn.as_mut().expect("transaction open");
+        if txn.delta_log_open {
+            let db = &self.db;
+            txn.delta_log.push(tinfo.effect(|t| db.schema(t).arity()));
             txn.compose_cache.clear();
         }
-        let txn = self.txn.as_mut().expect("transaction open");
         for rule in &self.rules {
             // Fig. 1 emits trans-info maintenance only for rules this
             // transition triggers by itself (plus the acting rule, whose
             // window always restarts).
-            let triggered_by_this = !rule.dropped && rule.triggered_by(&self.db, tinfo);
+            let triggered_by_this = !rule.dropped && rule.triggered_by(&self.db, &tinfo);
             let slot = &mut txn.rule_infos[rule.id.0];
             if Some(rule.id) == acting {
-                *slot = tinfo.clone();
+                // Filled after the loop, when the transition moves in.
                 txn.window_gens[rule.id.0] += 1;
                 self.events.emit(EngineEvent::TransInfoInit { rule: rule.name.clone() });
             } else if retrigger == RetriggerSemantics::SinceLastTriggering && triggered_by_this {
@@ -1495,7 +1508,7 @@ impl RuleSystem {
                 self.events.emit(EngineEvent::TransInfoInit { rule: rule.name.clone() });
             } else {
                 let was_empty = slot.is_empty();
-                slot.compose(tinfo);
+                slot.compose(&tinfo);
                 if triggered_by_this {
                     self.events.emit(if was_empty {
                         EngineEvent::TransInfoInit { rule: rule.name.clone() }
@@ -1504,6 +1517,9 @@ impl RuleSystem {
                     });
                 }
             }
+        }
+        if let Some(rid) = acting {
+            txn.rule_infos[rid.0] = tinfo;
         }
     }
 
@@ -1589,6 +1605,9 @@ impl RuleSystem {
             Err(reason) => return Ok(IncOutcome::Fallback(reason.label())),
         };
         let txn = self.txn.as_mut().expect("transaction open");
+        // The memo about to be refreshed takes a cursor at the log's end;
+        // from here on every transition must be logged for it.
+        txn.delta_log_open = true;
         let window = &txn.rule_infos[rid.0];
         let mut src = DeltaSource {
             log: &txn.delta_log,
@@ -1658,7 +1677,6 @@ impl RuleSystem {
                         if let OpEffect::Select { output, .. } = &eff {
                             last_output = Some(output.clone());
                         }
-                        tinfo.absorb(&eff, self.config.track_selects);
                         // Rule-action writes join the transaction's commit
                         // unit (free function: `provider` still borrows
                         // `self.txn`/`self.rules`).
@@ -1669,6 +1687,7 @@ impl RuleSystem {
                             &mut self.events,
                             &eff,
                         )?;
+                        tinfo.absorb(eff, self.config.track_selects);
                     }
                 }
             CompiledAction::External(f) => {
@@ -1693,8 +1712,8 @@ impl RuleSystem {
                     // catalog under every prepared rule's feet.
                     self.invalidate_plans();
                 }
-                for eff in &effects {
-                    if let OpEffect::Select { output, .. } = eff {
+                for eff in effects {
+                    if let OpEffect::Select { output, .. } = &eff {
                         last_output = Some(output.clone());
                     }
                     tinfo.absorb(eff, self.config.track_selects);

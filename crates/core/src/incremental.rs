@@ -15,7 +15,9 @@
 //! # Shared delta cursors
 //!
 //! Every transition appends its projected effect to the transaction-wide
-//! `delta_log` exactly once. A term at cursor `seq` needs the composition
+//! `delta_log` exactly once — from the transaction's first memo refresh
+//! on, since before it no cursor exists to read an entry, and a cursor
+//! is taken at the log's end. A term at cursor `seq` needs the composition
 //! (Definition 2.1 ⊕) of `log[seq..]`; that composition is a pure
 //! function of the suffix — independent of which rule asks — so it is
 //! memoized in a per-transaction compose cache keyed by `seq`. When N

@@ -540,7 +540,7 @@ mod tests {
         let upd = |table, cols: &[u16]| UpdEntry {
             table,
             columns: cols.iter().map(|&c| ColumnId(c)).collect(),
-            old: tuple![1, 2],
+            old: tuple![1, 2].into(),
         };
         let sel = |table, cols: Option<&[u16]>| SelEntry {
             table,
@@ -561,12 +561,12 @@ mod tests {
             ("insert u", window(&|w| _ = w.ins.insert(hu)), no),
             (
                 "delete t",
-                window(&|w| _ = w.del.insert(ht, DelEntry { table: t, old: tuple![1, 2] })),
+                window(&|w| _ = w.del.insert(ht, DelEntry { table: t, old: tuple![1, 2].into() })),
                 [false, true, false, false, false, false],
             ),
             (
                 "delete u",
-                window(&|w| _ = w.del.insert(hu, DelEntry { table: u, old: tuple![1, 2] })),
+                window(&|w| _ = w.del.insert(hu, DelEntry { table: u, old: tuple![1, 2].into() })),
                 no,
             ),
             (

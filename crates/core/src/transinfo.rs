@@ -17,15 +17,24 @@
 //!   `v`" — `v` is the whole old tuple);
 //! * `sel` — tuples read in the window (§5.1 extension; current values).
 //!
+//! Old values are never copied: each is the image the storage layer built
+//! once for its undo log, moved in from the statement's effect and shared
+//! by `Arc` with every other window that records the same change. Column
+//! sets are shared the same way ([`ColumnSet`]), copied only when a later
+//! transition adds a column to a tuple's entry. A window entry therefore
+//! costs its map node and a few reference counts, however many rules'
+//! windows hold it.
+//!
 //! [`TransInfo::absorb`] implements Fig. 1's `init-trans-info` /
 //! `modify-trans-info` generalized to compose *any* later window, so a
 //! whole operation block can be folded in at once; absorbing op-by-op or
 //! block-at-once yields identical results (property-tested).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use setrules_query::OpEffect;
-use setrules_storage::{ColumnId, TableId, Tuple, TupleHandle};
+use setrules_storage::{ColumnId, ColumnSet, TableId, Tuple, TupleHandle};
 
 use crate::effect::TransitionEffect;
 
@@ -36,7 +45,7 @@ pub struct DelEntry {
     /// The table the tuple belonged to.
     pub table: TableId,
     /// The tuple's value at the window start (before any in-window updates).
-    pub old: Tuple,
+    pub old: Arc<Tuple>,
 }
 
 /// An updated tuple recorded in a window.
@@ -46,9 +55,9 @@ pub struct UpdEntry {
     pub table: TableId,
     /// All columns updated within the window (paper: one element per
     /// updated column, even if a value was re-assigned unchanged).
-    pub columns: BTreeSet<ColumnId>,
+    pub columns: ColumnSet,
     /// The tuple's full value at the window start.
-    pub old: Tuple,
+    pub old: Arc<Tuple>,
 }
 
 /// A selected (read) tuple recorded in a window (§5.1 extension).
@@ -57,7 +66,7 @@ pub struct SelEntry {
     /// The table the tuple belongs to.
     pub table: TableId,
     /// Columns read; `None` means all columns (wildcard projection).
-    pub columns: Option<BTreeSet<ColumnId>>,
+    pub columns: Option<ColumnSet>,
 }
 
 /// Composite transition information for one window.
@@ -91,30 +100,31 @@ impl TransInfo {
 
     /// Fold the affected set of one executed operation into this window —
     /// Fig. 1's `modify-trans-info`, with `init-trans-info` being the same
-    /// operation applied to an empty window.
+    /// operation applied to an empty window. The effect's old images and
+    /// column sets move in.
     ///
     /// `track_selects` controls whether `Select` effects contribute to
     /// `sel` (the §5.1 extension is optional).
-    pub fn absorb(&mut self, eff: &OpEffect, track_selects: bool) {
+    pub fn absorb(&mut self, eff: OpEffect, track_selects: bool) {
         match eff {
             OpEffect::Insert { handles, .. } => {
                 // ins ← ins ∪ I(E).
-                self.ins.extend(handles.iter().copied());
+                self.ins.extend(handles);
             }
             OpEffect::Delete { table, tuples } => {
                 for (h, old_now) in tuples {
-                    self.absorb_delete(*table, *h, old_now);
+                    self.absorb_delete(table, h, old_now);
                 }
             }
-            OpEffect::Update { table, tuples } => {
-                for (h, cols, old_now) in tuples {
-                    self.absorb_update(*table, *h, cols.iter().copied(), old_now);
+            OpEffect::Update { table, columns, tuples } => {
+                for (h, old_now) in tuples {
+                    self.absorb_update(table, h, &columns, old_now);
                 }
             }
             OpEffect::Select { reads, .. } => {
                 if track_selects {
                     for (table, h, cols) in reads {
-                        self.absorb_select(*table, *h, cols.as_deref());
+                        self.absorb_select(table, h, cols);
                     }
                 }
             }
@@ -126,26 +136,24 @@ impl TransInfo {
     /// This is Definition 2.1 lifted to carry old values: for a tuple
     /// deleted or updated in the later window, the old value recorded for
     /// the combined window is this window's old value when one exists
-    /// (Fig. 1's `get-old-value`), otherwise the later window's.
+    /// (Fig. 1's `get-old-value`), otherwise the later window's. Old
+    /// values and column sets are shared, not copied.
     pub fn compose(&mut self, later: &TransInfo) {
         for (h, e) in &later.del {
-            self.absorb_delete(e.table, *h, &e.old);
+            self.absorb_delete(e.table, *h, Arc::clone(&e.old));
         }
         for (h, e) in &later.upd {
-            self.absorb_update(e.table, *h, e.columns.iter().copied(), &e.old);
+            self.absorb_update(e.table, *h, &e.columns, Arc::clone(&e.old));
         }
         for (h, e) in &later.sel {
-            self.absorb_select(e.table, *h, e.columns.as_ref().map(|s| {
-                // Temporarily collect to a vec for the shared helper.
-                s.iter().copied().collect::<Vec<_>>()
-            }).as_deref());
+            self.absorb_select(e.table, *h, e.columns.clone());
         }
         self.ins.extend(later.ins.iter().copied());
     }
 
     /// A tuple was deleted; `old_now` is its value just before the
     /// deletion (i.e., at the start of the *later* sub-window).
-    fn absorb_delete(&mut self, table: TableId, h: TupleHandle, old_now: &Tuple) {
+    fn absorb_delete(&mut self, table: TableId, h: TupleHandle, old_now: Arc<Tuple>) {
         if self.ins.remove(&h) {
             // Inserted then deleted within the window: no net effect.
             self.upd.remove(&h); // defensive; ins and upd are disjoint
@@ -156,7 +164,7 @@ impl TransInfo {
         // earlier in-window update.
         let old = match self.upd.remove(&h) {
             Some(u) => u.old,
-            None => old_now.clone(),
+            None => old_now,
         };
         self.del.insert(h, DelEntry { table, old });
         self.sel.remove(&h);
@@ -168,8 +176,8 @@ impl TransInfo {
         &mut self,
         table: TableId,
         h: TupleHandle,
-        cols: impl IntoIterator<Item = ColumnId>,
-        old_now: &Tuple,
+        cols: &ColumnSet,
+        old_now: Arc<Tuple>,
     ) {
         if self.ins.contains(&h) {
             // Insert-then-update is still just an insert (§2.2).
@@ -182,35 +190,30 @@ impl TransInfo {
                 // (window-start value) already covers them, because a
                 // column absent from `columns` was unchanged between the
                 // window start and now.
-                entry.columns.extend(cols);
+                entry.columns = entry.columns.union(cols);
             }
             None => {
-                self.upd.insert(
-                    h,
-                    UpdEntry { table, columns: cols.into_iter().collect(), old: old_now.clone() },
-                );
+                self.upd.insert(h, UpdEntry { table, columns: cols.clone(), old: old_now });
             }
         }
     }
 
     /// A tuple was read by a top-level select (§5.1 extension).
-    fn absorb_select(&mut self, table: TableId, h: TupleHandle, cols: Option<&[ColumnId]>) {
+    fn absorb_select(&mut self, table: TableId, h: TupleHandle, cols: Option<ColumnSet>) {
         if self.ins.contains(&h) {
             // Mirror U's composition: reads of tuples created within the
             // window do not surface (documented choice).
             return;
         }
         match self.sel.get_mut(&h) {
-            Some(entry) => match (&mut entry.columns, cols) {
-                (Some(set), Some(cs)) => set.extend(cs.iter().copied()),
-                (slot, None) => *slot = None,
-                (None, _) => {}
-            },
+            Some(entry) => {
+                entry.columns = match (entry.columns.take(), cols) {
+                    (Some(set), Some(cs)) => Some(set.union(&cs)),
+                    _ => None,
+                };
+            }
             None => {
-                self.sel.insert(
-                    h,
-                    SelEntry { table, columns: cols.map(|cs| cs.iter().copied().collect()) },
-                );
+                self.sel.insert(h, SelEntry { table, columns: cols });
             }
         }
     }
@@ -264,56 +267,100 @@ mod tests {
     fn del(ts: &[(u64, i64)]) -> OpEffect {
         OpEffect::Delete {
             table: T,
-            tuples: ts.iter().map(|(n, v)| (h(*n), tuple![*v])).collect(),
+            tuples: ts.iter().map(|(n, v)| (h(*n), Arc::new(tuple![*v]))).collect(),
         }
     }
-    fn upd(ts: &[(u64, u16, i64)]) -> OpEffect {
-        OpEffect::Update {
-            table: T,
-            tuples: ts.iter().map(|(n, col, v)| (h(*n), vec![c(*col)], tuple![*v])).collect(),
+    /// One update statement per tuple: a statement's columns are shared
+    /// by all the tuples it updates.
+    fn upd(ts: &[(u64, u16, i64)]) -> Vec<OpEffect> {
+        ts.iter()
+            .map(|(n, col, v)| OpEffect::Update {
+                table: T,
+                columns: cols(&[*col]),
+                tuples: vec![(h(*n), Arc::new(tuple![*v]))],
+            })
+            .collect()
+    }
+    fn cols(cs: &[u16]) -> ColumnSet {
+        cs.iter().map(|n| c(*n)).collect()
+    }
+    fn absorb_all(w: &mut TransInfo, effs: Vec<OpEffect>, track_selects: bool) {
+        for eff in effs {
+            w.absorb(eff, track_selects);
         }
     }
 
     #[test]
     fn init_from_single_ops() {
         let mut w = TransInfo::new();
-        w.absorb(&ins(&[1, 2]), false);
+        w.absorb(ins(&[1, 2]), false);
         assert_eq!(w.ins.len(), 2);
         let mut w = TransInfo::new();
-        w.absorb(&del(&[(3, 30)]), false);
-        assert_eq!(w.del[&h(3)].old, tuple![30]);
+        w.absorb(del(&[(3, 30)]), false);
+        assert_eq!(*w.del[&h(3)].old, tuple![30]);
         let mut w = TransInfo::new();
-        w.absorb(&upd(&[(4, 0, 40)]), false);
-        assert_eq!(w.upd[&h(4)].old, tuple![40]);
+        absorb_all(&mut w, upd(&[(4, 0, 40)]), false);
+        assert_eq!(*w.upd[&h(4)].old, tuple![40]);
         assert!(w.upd[&h(4)].columns.contains(&c(0)));
+    }
+
+    #[test]
+    fn windows_share_the_effects_images_and_column_sets() {
+        // One statement updates two tuples: both entries hold the
+        // statement's one column set, and a composed window holds the
+        // same old images, not copies.
+        let columns = cols(&[1]);
+        let olds = [Arc::new(tuple![10]), Arc::new(tuple![20])];
+        let eff = OpEffect::Update {
+            table: T,
+            columns: columns.clone(),
+            tuples: vec![(h(1), Arc::clone(&olds[0])), (h(2), Arc::clone(&olds[1]))],
+        };
+        let mut w = TransInfo::new();
+        w.absorb(eff, false);
+        let mut later = TransInfo::new();
+        later.compose(&w);
+        for (n, old) in [(1, &olds[0]), (2, &olds[1])] {
+            for win in [&w, &later] {
+                let e = &win.upd[&h(n)];
+                assert!(Arc::ptr_eq(&e.old, old), "tuple {n}: the image is shared");
+                assert_eq!(e.columns.as_slice().as_ptr(), columns.as_slice().as_ptr());
+            }
+        }
+        // A later update of an already-recorded column keeps the set; a
+        // new column makes a fresh one for that entry only.
+        absorb_all(&mut later, upd(&[(1, 1, 11), (2, 0, 21)]), false);
+        assert_eq!(later.upd[&h(1)].columns.as_slice().as_ptr(), columns.as_slice().as_ptr());
+        assert_eq!(later.upd[&h(2)].columns, cols(&[0, 1]));
+        assert_eq!(w.upd[&h(2)].columns, cols(&[1]), "the earlier window is untouched");
     }
 
     #[test]
     fn update_then_delete_keeps_window_start_value() {
         let mut w = TransInfo::new();
         // Tuple 1 was 10 at window start; update saw old=10.
-        w.absorb(&upd(&[(1, 0, 10)]), false);
+        absorb_all(&mut w, upd(&[(1, 0, 10)]), false);
         // Later it is deleted; its value just before deletion is 99.
-        w.absorb(&del(&[(1, 99)]), false);
+        w.absorb(del(&[(1, 99)]), false);
         // Fig. 1's get-old-value: the deleted-tuple value shown to rules is
         // the window-start value 10, not 99.
-        assert_eq!(w.del[&h(1)].old, tuple![10]);
+        assert_eq!(*w.del[&h(1)].old, tuple![10]);
         assert!(w.upd.is_empty());
     }
 
     #[test]
     fn insert_then_delete_cancels() {
         let mut w = TransInfo::new();
-        w.absorb(&ins(&[1]), false);
-        w.absorb(&del(&[(1, 0)]), false);
+        w.absorb(ins(&[1]), false);
+        w.absorb(del(&[(1, 0)]), false);
         assert!(w.is_empty());
     }
 
     #[test]
     fn insert_then_update_stays_insert() {
         let mut w = TransInfo::new();
-        w.absorb(&ins(&[1]), false);
-        w.absorb(&upd(&[(1, 0, 5)]), false);
+        w.absorb(ins(&[1]), false);
+        absorb_all(&mut w, upd(&[(1, 0, 5)]), false);
         assert!(w.upd.is_empty());
         assert!(w.ins.contains(&h(1)));
     }
@@ -321,72 +368,69 @@ mod tests {
     #[test]
     fn second_update_keeps_first_old_value_and_merges_columns() {
         let mut w = TransInfo::new();
-        w.absorb(&upd(&[(1, 0, 10)]), false);
-        w.absorb(&upd(&[(1, 1, 11)]), false); // the tuple now shows 11 pre-op, but col 1's window-start value is in `old`
+        absorb_all(&mut w, upd(&[(1, 0, 10)]), false);
+        absorb_all(&mut w, upd(&[(1, 1, 11)]), false); // the tuple now shows 11 pre-op, but col 1's window-start value is in `old`
         let e = &w.upd[&h(1)];
-        assert_eq!(e.old, tuple![10], "window-start tuple retained");
-        assert_eq!(e.columns, BTreeSet::from([c(0), c(1)]));
+        assert_eq!(*e.old, tuple![10], "window-start tuple retained");
+        assert_eq!(e.columns, cols(&[0, 1]));
     }
 
     #[test]
     fn compose_blocks_equals_op_by_op() {
-        let ops = [
-            ins(&[1]),
-            upd(&[(1, 0, 0), (2, 1, 20)]),
-            del(&[(2, 21)]),
-            ins(&[3]),
-            upd(&[(3, 0, 0)]),
-            del(&[(1, 1)]),
-        ];
+        let ops = || {
+            let mut ops = vec![ins(&[1])];
+            ops.extend(upd(&[(1, 0, 0), (2, 1, 20)]));
+            ops.push(del(&[(2, 21)]));
+            ops.push(ins(&[3]));
+            ops.extend(upd(&[(3, 0, 0)]));
+            ops.push(del(&[(1, 1)]));
+            ops
+        };
         // Op by op into one window.
         let mut whole = TransInfo::new();
-        for op in &ops {
-            whole.absorb(op, false);
-        }
+        absorb_all(&mut whole, ops(), false);
         // Two sub-windows composed.
+        let (first, second): (Vec<_>, Vec<_>) =
+            ops().into_iter().enumerate().partition(|(i, _)| *i < 4);
         let mut w1 = TransInfo::new();
-        for op in &ops[..3] {
-            w1.absorb(op, false);
-        }
+        absorb_all(&mut w1, first.into_iter().map(|(_, op)| op).collect(), false);
         let mut w2 = TransInfo::new();
-        for op in &ops[3..] {
-            w2.absorb(op, false);
-        }
+        absorb_all(&mut w2, second.into_iter().map(|(_, op)| op).collect(), false);
         w1.compose(&w2);
         assert_eq!(whole, w1);
         // Net effect: tuple 2 deleted (old 20 from its update capture),
         // tuple 3 inserted; tuple 1 came and went.
-        assert_eq!(whole.del[&h(2)].old, tuple![20]);
+        assert_eq!(*whole.del[&h(2)].old, tuple![20]);
         assert_eq!(whole.ins, BTreeSet::from([h(3)]));
         assert!(whole.upd.is_empty());
     }
 
     #[test]
     fn select_tracking_toggle() {
-        let reads = OpEffect::Select {
-            reads: vec![(T, h(1), Some(vec![c(0)]))],
+        let reads = || OpEffect::Select {
+            reads: vec![(T, h(1), Some(cols(&[0])))],
             output: setrules_query::Relation::empty(vec![]),
         };
         let mut w = TransInfo::new();
-        w.absorb(&reads, false);
+        w.absorb(reads(), false);
         assert!(w.sel.is_empty());
-        w.absorb(&reads, true);
-        assert_eq!(w.sel[&h(1)].columns, Some(BTreeSet::from([c(0)])));
+        w.absorb(reads(), true);
+        assert_eq!(w.sel[&h(1)].columns, Some(cols(&[0])));
     }
 
     #[test]
     fn select_column_merging_and_wildcard() {
-        let read = |cols: Option<Vec<ColumnId>>| OpEffect::Select {
-            reads: vec![(T, h(1), cols)],
+        let read = |cs: Option<&[u16]>| OpEffect::Select {
+            reads: vec![(T, h(1), cs.map(cols))],
             output: setrules_query::Relation::empty(vec![]),
         };
         let mut w = TransInfo::new();
-        w.absorb(&read(Some(vec![c(0)])), true);
-        w.absorb(&read(Some(vec![c(1)])), true);
-        assert_eq!(w.sel[&h(1)].columns, Some(BTreeSet::from([c(0), c(1)])));
-        w.absorb(&read(None), true);
+        w.absorb(read(Some(&[0])), true);
+        w.absorb(read(Some(&[1])), true);
+        assert_eq!(w.sel[&h(1)].columns, Some(cols(&[0, 1])));
+        w.absorb(read(None), true);
         assert_eq!(w.sel[&h(1)].columns, None, "wildcard read covers all columns");
-        w.absorb(&read(Some(vec![c(2)])), true);
+        w.absorb(read(Some(&[2])), true);
         assert_eq!(w.sel[&h(1)].columns, None, "stays all-columns");
     }
 
@@ -397,17 +441,17 @@ mod tests {
             output: setrules_query::Relation::empty(vec![]),
         };
         let mut w = TransInfo::new();
-        w.absorb(&read, true);
-        w.absorb(&del(&[(1, 0)]), true);
+        w.absorb(read, true);
+        w.absorb(del(&[(1, 0)]), true);
         assert!(w.sel.is_empty());
     }
 
     #[test]
     fn effect_projection() {
         let mut w = TransInfo::new();
-        w.absorb(&ins(&[1]), false);
-        w.absorb(&upd(&[(2, 0, 5), (2, 1, 5)]), false);
-        w.absorb(&del(&[(3, 7)]), false);
+        w.absorb(ins(&[1]), false);
+        absorb_all(&mut w, upd(&[(2, 0, 5), (2, 1, 5)]), false);
+        w.absorb(del(&[(3, 7)]), false);
         let eff = w.effect(|_| 2);
         assert_eq!(eff.inserted, BTreeSet::from([h(1)]));
         assert_eq!(eff.deleted, BTreeSet::from([h(3)]));

@@ -6,13 +6,15 @@
 //! `[Esw76, MD89, SJGP90]`. Trigger actions are statements that recurse
 //! through the same path, so cascades happen one row at a time.
 
+use std::sync::Arc;
+
 use setrules_query::{
     compile, eval_compiled_predicate, execute_op, execute_query, ExecOpts, ExecStats, Layout,
     NoTransitionTables, OpEffect, QueryCtx, QueryError, Relation, StatsCell,
 };
 use setrules_sql::ast::{DmlOp, Expr, Statement};
 use setrules_sql::{parse_expr, parse_op_block, parse_statement, SqlError};
-use setrules_storage::{ColumnId, Database, StorageError, TableId, TableSchema, Tuple};
+use setrules_storage::{ColumnSet, Database, StorageError, TableId, TableSchema, Tuple};
 
 use crate::stats::InstanceStats;
 use crate::subst::{bind_op, RowEnv, SubstError};
@@ -258,11 +260,12 @@ impl InstanceEngine {
                 }
                 Ok(n)
             }
-            OpEffect::Update { table, tuples } => {
+            OpEffect::Update { table, columns, tuples } => {
                 let n = tuples.len();
-                for (h, cols, old) in tuples {
+                for (h, old) in tuples {
                     let new = self.db.get(table, h).cloned();
-                    self.fire(table, TriggerSlot::Update(cols), Some(old), new, depth)?;
+                    let slot = TriggerSlot::Update(columns.clone());
+                    self.fire(table, slot, Some(old), new, depth)?;
                 }
                 Ok(n)
             }
@@ -274,13 +277,13 @@ impl InstanceEngine {
         &mut self,
         table: TableId,
         slot: TriggerSlot,
-        old: Option<Tuple>,
+        old: Option<Arc<Tuple>>,
         new: Option<Tuple>,
         depth: usize,
     ) -> Result<(), InstanceError> {
         // Collect matching triggers first (the trigger list is stable
         // during a statement); Arc clones keep per-row firing cheap.
-        let matching: Vec<std::sync::Arc<RowTrigger>> = self
+        let matching: Vec<Arc<RowTrigger>> = self
             .triggers
             .iter()
             .filter(|t| t.table == table && slot.matches(&t.event, &self.db, table))
@@ -289,7 +292,7 @@ impl InstanceEngine {
         for trig in matching {
             self.stats.triggers_considered += 1;
             let schema = self.db.schema(table).clone();
-            let env = RowEnv { schema: &schema, old: old.as_ref(), new: new.as_ref() };
+            let env = RowEnv { schema: &schema, old: old.as_deref(), new: new.as_ref() };
             if let Some(cond) = &trig.condition {
                 // The row's values are substituted as literals, so the
                 // condition compiles against the empty layout.
@@ -316,7 +319,7 @@ impl InstanceEngine {
 enum TriggerSlot {
     Insert,
     Delete,
-    Update(Vec<ColumnId>),
+    Update(ColumnSet),
 }
 
 impl TriggerSlot {

@@ -27,14 +27,16 @@
 //! The result of an operation is an [`OpEffect`]: the paper's *affected
 //! set*, enriched with the old tuple values the rule system needs for its
 //! transition information (§4.3) — so no historical database states are
-//! ever retained.
+//! ever retained. Each old value is the image the storage layer built once
+//! for its undo log, shared by reference count, and the columns an
+//! `update` assigns are one [`ColumnSet`] per statement.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use setrules_sql::ast::{
     DeleteStmt, DmlOp, InsertSource, InsertStmt, SelectStmt, TableRef, UpdateStmt,
 };
-use setrules_storage::{ColumnId, Database, TableId, Tuple, TupleHandle, Value};
+use setrules_storage::{ColumnId, ColumnSet, Database, TableId, Tuple, TupleHandle, Value};
 
 use crate::bindings::Bindings;
 use crate::compile::{self, compile, is_rowlocal, CompiledExpr, Env, Layout, RowEnv, Scoped};
@@ -64,17 +66,20 @@ pub enum OpEffect {
     Delete {
         /// Target table.
         table: TableId,
-        /// Deleted handles and the tuples' values at deletion time.
-        tuples: Vec<(TupleHandle, Tuple)>,
+        /// Deleted handles and the tuples' values at deletion time (the
+        /// undo log's image, shared).
+        tuples: Vec<(TupleHandle, Arc<Tuple>)>,
     },
     /// Tuples updated in `table`. Per the paper, a tuple/column pair is
     /// affected even if the assigned value equals the old one.
     Update {
         /// Target table.
         table: TableId,
-        /// Updated handle, the columns assigned, and the tuple's
-        /// pre-update value.
-        tuples: Vec<(TupleHandle, Vec<ColumnId>, Tuple)>,
+        /// The columns the statement assigns — the same for every tuple.
+        columns: ColumnSet,
+        /// Updated handle and the tuple's pre-update value (the undo
+        /// log's image, shared).
+        tuples: Vec<(TupleHandle, Arc<Tuple>)>,
     },
     /// A data retrieval (§5.1 extension): the tuples/columns read and the
     /// query output.
@@ -82,8 +87,9 @@ pub enum OpEffect {
         /// `(table, handle, columns)` for every stored tuple that
         /// contributed to a result row, in first-read order. The columns
         /// are the union of those referenced through each top-level `from`
-        /// item the tuple contributed through (`None` = all columns).
-        reads: Vec<(TableId, TupleHandle, Option<Vec<ColumnId>>)>,
+        /// item the tuple contributed through (`None` = all columns); a
+        /// tuple read through one item shares that item's set.
+        reads: Vec<(TableId, TupleHandle, Option<ColumnSet>)>,
         /// The materialized result.
         output: Relation,
     },
@@ -305,24 +311,24 @@ fn execute_delete(
     Ok(OpEffect::Delete { table, tuples })
 }
 
-/// One row's assignments: every `set` expression evaluated in order in
-/// `env` (so the first error surfaces as it would row by row), keeping
-/// the value of each column's last assignment.
+/// One row's assignments, appended to the statement's flat buffer:
+/// every `set` expression evaluated in order in `env` (so the first error
+/// surfaces as it would row by row), keeping the value of each column's
+/// last assignment.
 fn assign<E: Env>(
     compiled: &[CompiledExpr],
     set_cols: &[ColumnId],
     kept: &[bool],
-    width: usize,
     env: &mut E,
-) -> Result<Vec<(ColumnId, Value)>, QueryError> {
-    let mut assignments = Vec::with_capacity(width);
+    out: &mut Vec<(ColumnId, Value)>,
+) -> Result<(), QueryError> {
     for ((ce, &c), &keep) in compiled.iter().zip(set_cols).zip(kept) {
         let v = compile::eval(ce, env)?;
         if keep {
-            assignments.push((c, v));
+            out.push((c, v));
         }
     }
-    Ok(assignments)
+    Ok(())
 }
 
 fn execute_update(
@@ -342,15 +348,15 @@ fn execute_update(
         stmt.sets.iter().map(|(name, _)| schema.column_id(name)).collect::<Result<_, _>>()?;
     let kept: Vec<bool> =
         set_cols.iter().enumerate().map(|(i, c)| !set_cols[i + 1..].contains(c)).collect();
-    let cols: Vec<ColumnId> =
-        set_cols.iter().zip(&kept).filter(|(_, &k)| k).map(|(&c, _)| c).collect();
+    let width = kept.iter().filter(|&&k| k).count();
 
     // Phase 1: identify tuples and compute per-tuple assignments against
-    // the pre-update state. Every `set` expression is evaluated in order
-    // (so the first error surfaces as it would row by row), each compiled
-    // once per statement against the read's scope.
+    // the pre-update state, `width` per tuple in one flat buffer. Every
+    // `set` expression is evaluated in order (so the first error surfaces
+    // as it would row by row), each compiled once per statement against
+    // the read's scope.
     let cache = SubqueryCache::new();
-    let planned: Vec<(TupleHandle, Vec<(ColumnId, Value)>)> = {
+    let (handles, assignments) = {
         let ctx = opts.ctx(db, virt, &cache);
         let from = [TableRef::named(&stmt.table)];
         let read = plan_read(ctx, &from, stmt.predicate.as_ref(), &Layout::new())?;
@@ -360,33 +366,35 @@ fn execute_update(
         let (filter, survivors) = matching(ctx, read)?;
         let item = &filter.items()[0];
         let mut bindings = Bindings::new();
-        let mut planned = Vec::with_capacity(survivors.len());
+        let mut handles = Vec::with_capacity(survivors.len());
+        let mut assignments = Vec::with_capacity(survivors.len() * width);
         for r in survivors {
             let row = item.row(r);
-            let assignments = if rows_local {
-                assign(&compiled, &set_cols, &kept, cols.len(), &mut RowEnv(&[row]))
+            if rows_local {
+                assign(&compiled, &set_cols, &kept, &mut RowEnv(&[row]), &mut assignments)?;
             } else {
                 bindings.push_level(vec![item.frame(row.to_vec())]);
                 let scoped = &mut Scoped { ctx, bindings: &mut bindings };
-                let assignments = assign(&compiled, &set_cols, &kept, cols.len(), scoped);
+                let assigned = assign(&compiled, &set_cols, &kept, scoped, &mut assignments);
                 bindings.pop_level();
-                assignments
-            };
-            planned.push((handle_of(item, r), assignments?));
+                assigned?;
+            }
+            handles.push(handle_of(item, r));
         }
-        planned
+        (handles, assignments)
     };
 
     // Phase 2: apply (statement-atomic).
     let tuples = apply_atomically(db, |db| {
-        let mut tuples = Vec::with_capacity(planned.len());
-        for (h, assignments) in planned {
-            let old = db.update(table, h, &assignments)?;
-            tuples.push((h, cols.clone(), old));
+        let mut tuples = Vec::with_capacity(handles.len());
+        for (i, h) in handles.into_iter().enumerate() {
+            let old = db.update(table, h, &assignments[i * width..(i + 1) * width])?;
+            tuples.push((h, old));
         }
         Ok(tuples)
     })?;
-    Ok(OpEffect::Update { table, tuples })
+    let columns = set_cols.iter().copied().collect();
+    Ok(OpEffect::Update { table, columns, tuples })
 }
 
 fn execute_select_op(
@@ -405,21 +413,30 @@ fn execute_select_op(
     // those items reference (`None` = all columns). Embedded selects'
     // tuples are excluded from S by our documented choice, but their
     // column references on traced tables are counted.
-    let per_item = referenced_columns(db, stmt);
-    let mut at: BTreeMap<(TableId, TupleHandle), usize> = BTreeMap::new();
-    let mut reads: Vec<(TableId, TupleHandle, Option<BTreeSet<ColumnId>>)> = Vec::new();
-    for (item, tid, h) in trace {
-        let i = *at.entry((tid, h)).or_insert_with(|| {
-            reads.push((tid, h, Some(BTreeSet::new())));
-            reads.len() - 1
-        });
-        match (&mut reads[i].2, &per_item[item]) {
-            (Some(acc), Some(cols)) => acc.extend(cols),
-            (acc, None) => *acc = None,
-            (None, Some(_)) => {}
+    let per_item: Vec<Option<ColumnSet>> = referenced_columns(db, stmt)
+        .into_iter()
+        .map(|cols| cols.map(ColumnSet::from_iter))
+        .collect();
+    // Deduplicate by sorting: trace positions ordered by tuple (ties by
+    // position) put each tuple's reads together, first read first; one
+    // entry per tuple then goes back to first-read order.
+    let mut order: Vec<usize> = (0..trace.len()).collect();
+    order.sort_unstable_by_key(|&i| (trace[i].1, trace[i].2, i));
+    let mut firsts: Vec<(usize, TableId, TupleHandle, Option<ColumnSet>)> = Vec::new();
+    for i in order {
+        let (item, tid, h) = trace[i];
+        match firsts.last_mut() {
+            Some((_, t, u, acc)) if (*t, *u) == (tid, h) => {
+                *acc = match (acc.take(), &per_item[item]) {
+                    (Some(acc), Some(cols)) => Some(acc.union(cols)),
+                    _ => None,
+                };
+            }
+            _ => firsts.push((i, tid, h, per_item[item].clone())),
         }
     }
-    let reads = reads.into_iter().map(|(t, h, c)| (t, h, c.map(Vec::from_iter))).collect();
+    firsts.sort_unstable_by_key(|r| r.0);
+    let reads = firsts.into_iter().map(|(_, t, h, cols)| (t, h, cols)).collect();
     Ok(OpEffect::Select { reads, output })
 }
 
@@ -515,7 +532,7 @@ mod tests {
         let OpEffect::Delete { table, tuples } = eff else { panic!() };
         assert_eq!(table, emp);
         assert_eq!(tuples.len(), 1);
-        assert_eq!(tuples[0].1, tuple!["Bill", 2, 25000.0, 2]);
+        assert_eq!(*tuples[0].1, tuple!["Bill", 2, 25000.0, 2]);
         assert_eq!(db.table(emp).len(), 1);
     }
 
@@ -535,9 +552,9 @@ mod tests {
         // Assign salary to itself: value unchanged but still "affected"
         // (paper §2.1: U is not derivable from states).
         let eff = exec(&mut db, "update emp set salary = salary");
-        let OpEffect::Update { tuples, .. } = eff else { panic!() };
+        let OpEffect::Update { columns, tuples, .. } = eff else { panic!() };
         assert_eq!(tuples.len(), 1);
-        assert_eq!(tuples[0].1, vec![ColumnId(2)]);
+        assert_eq!(columns.as_slice(), &[ColumnId(2)]);
     }
 
     #[test]
@@ -562,9 +579,9 @@ mod tests {
         let (mut db, _, _) = setup();
         exec(&mut db, "insert into emp values ('Jane', 1, 95000.0, 1)");
         let eff = exec(&mut db, "update emp set salary = 1.0, dept_no = 9");
-        let OpEffect::Update { tuples, .. } = eff else { panic!() };
-        assert_eq!(tuples[0].2, tuple!["Jane", 1, 95000.0, 1]);
-        assert_eq!(tuples[0].1, vec![ColumnId(2), ColumnId(3)]);
+        let OpEffect::Update { columns, tuples, .. } = eff else { panic!() };
+        assert_eq!(*tuples[0].1, tuple!["Jane", 1, 95000.0, 1]);
+        assert_eq!(columns.as_slice(), &[ColumnId(2), ColumnId(3)]);
     }
 
     #[test]
@@ -572,8 +589,8 @@ mod tests {
         let (mut db, emp, _) = setup();
         exec(&mut db, "insert into emp values ('Jane', 1, 95000.0, 1)");
         let eff = exec(&mut db, "update emp set salary = 1.0, salary = 2.0");
-        let OpEffect::Update { tuples, .. } = eff else { panic!() };
-        assert_eq!(tuples[0].1, vec![ColumnId(2)], "column listed once");
+        let OpEffect::Update { columns, tuples, .. } = eff else { panic!() };
+        assert_eq!(columns.as_slice(), &[ColumnId(2)], "column listed once");
         let h = tuples[0].0;
         assert_eq!(db.get(emp, h).unwrap().get(ColumnId(2)), &Value::Float(2.0));
     }

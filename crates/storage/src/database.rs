@@ -8,6 +8,7 @@
 //! tuple handles are never reused (§2).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::error::StorageError;
 use crate::fault::{FaultInjector, FaultKind};
@@ -267,8 +268,8 @@ impl Database {
     }
 
     /// Delete the tuple with handle `h` from table `t`, returning its
-    /// final value.
-    pub fn delete(&mut self, t: TableId, h: TupleHandle) -> Result<Tuple, StorageError> {
+    /// final value — the one image the undo log also holds.
+    pub fn delete(&mut self, t: TableId, h: TupleHandle) -> Result<Arc<Tuple>, StorageError> {
         {
             let slot = self.tables[t.0 as usize].as_ref().expect("table was dropped");
             if slot.get(h).is_none() {
@@ -283,9 +284,9 @@ impl Database {
         }
         self.fault.check(FaultKind::UndoAppend)?;
         let slot = self.tables[t.0 as usize].as_mut().expect("checked");
-        let old = slot.remove(h).expect("checked live");
+        let old = Arc::new(slot.remove(h).expect("checked live"));
         self.stats.index_maintenance_ops += self.indexes[t.0 as usize].on_delete(h, &old.0);
-        self.undo.push(UndoRecord::Delete { table: t, handle: h, old: old.clone() });
+        self.undo.push(UndoRecord::Delete { table: t, handle: h, old: Arc::clone(&old) });
         self.stats.tuples_deleted += 1;
         self.stats.undo_records_written += 1;
         Ok(old)
@@ -293,19 +294,18 @@ impl Database {
 
     /// Apply column assignments to the tuple with handle `h` in table `t`,
     /// returning the tuple's value *before* the update (needed by the rule
-    /// system's trans-info; §4.3).
+    /// system's trans-info; §4.3) — the one image the undo log also holds.
     pub fn update(
         &mut self,
         t: TableId,
         h: TupleHandle,
         assignments: &[(ColumnId, Value)],
-    ) -> Result<Tuple, StorageError> {
+    ) -> Result<Arc<Tuple>, StorageError> {
         // Validate all assignments before mutating anything.
-        let mut checked = Vec::with_capacity(assignments.len());
         {
             let schema = &self.table(t).schema;
             for (c, v) in assignments {
-                checked.push((*c, schema.check_value(*c, v.clone())?));
+                schema.accepts(*c, v)?;
             }
         }
         {
@@ -316,20 +316,24 @@ impl Database {
         }
         // Fault sites polled after validation, before any mutation (see
         // `insert`).
+        let indexed = !self.indexes[t.0 as usize].is_empty();
         self.fault.check(FaultKind::TupleUpdate)?;
-        if !self.indexes[t.0 as usize].is_empty() {
+        if indexed {
             self.fault.check(FaultKind::IndexMaintenance)?;
         }
         self.fault.check(FaultKind::UndoAppend)?;
         let table = self.tables[t.0 as usize].as_mut().expect("checked");
-        let slot = table.get_mut(h).expect("checked live");
-        let old = slot.clone();
-        for (c, v) in checked {
-            slot.set(c, v);
+        let (schema, slot) = table.schema_and_row_mut(h);
+        let slot = slot.expect("checked live");
+        let old = Arc::new(slot.clone());
+        for (c, v) in assignments {
+            slot.set(*c, v.coerce_to(schema.column_type(*c)).expect("validated above"));
         }
-        let new_fields = slot.0.clone();
-        self.stats.index_maintenance_ops += self.indexes[t.0 as usize].on_update(h, &old.0, &new_fields);
-        self.undo.push(UndoRecord::Update { table: t, handle: h, old: old.clone() });
+        if indexed {
+            self.stats.index_maintenance_ops +=
+                self.indexes[t.0 as usize].on_update(h, &old.0, &slot.0);
+        }
+        self.undo.push(UndoRecord::Update { table: t, handle: h, old: Arc::clone(&old) });
         self.stats.tuples_updated += 1;
         self.stats.undo_records_written += 1;
         Ok(old)
@@ -462,11 +466,12 @@ impl Database {
                     self.tables[table.0 as usize]
                         .as_mut()
                         .expect("undo targets live table")
-                        .insert(handle, old);
+                        .insert(handle, Arc::unwrap_or_clone(old));
                 }
                 UndoRecord::Update { table, handle, old } => {
                     let slot = self.tables[table.0 as usize].as_mut().expect("undo targets live table");
-                    if let Some(new) = slot.replace(handle, old.clone()) {
+                    if let Some(new) = slot.replace(handle, Arc::unwrap_or_clone(old)) {
+                        let old = slot.get(handle).expect("just restored");
                         self.stats.index_maintenance_ops +=
                             self.indexes[table.0 as usize].on_update(handle, &new.0, &old.0);
                     }

@@ -43,7 +43,7 @@ pub use index::{ColumnIndex, HashIndex, IndexKind, OrderedIndex, TableIndexes};
 pub use schema::{paper_example_schemas, ColumnDef, TableSchema};
 pub use stats::StorageStats;
 pub use table::Table;
-pub use tuple::{ColumnId, TableId, Tuple, TupleHandle};
+pub use tuple::{ColumnId, ColumnSet, TableId, Tuple, TupleHandle};
 pub use undo::{UndoLog, UndoMark, UndoRecord};
 pub use value::{DataType, Value};
 

@@ -93,10 +93,15 @@ impl TableSchema {
         Ok(Tuple(out))
     }
 
-    /// Validate a single field value for column `c`, coercing if possible.
-    pub fn check_value(&self, c: ColumnId, v: Value) -> Result<Value, StorageError> {
+    /// Check that `v` can be stored in column `c`: it is `NULL`, has the
+    /// column's type, or widens to it losslessly (`Int` → `Float`; see
+    /// [`Value::coerce_to`]). The coerced value is not built.
+    pub fn accepts(&self, c: ColumnId, v: &Value) -> Result<(), StorageError> {
         let col = &self.columns[c.index()];
-        v.coerce_to(col.ty).ok_or_else(|| StorageError::TypeMismatch {
+        if v.coerces_to(col.ty) {
+            return Ok(());
+        }
+        Err(StorageError::TypeMismatch {
             table: self.name.clone(),
             column: col.name.clone(),
             expected: col.ty,

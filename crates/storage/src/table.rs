@@ -60,9 +60,13 @@ impl Table {
         self.rows.get_mut(&h).map(|slot| std::mem::replace(slot, t))
     }
 
-    /// Mutable access to the tuple with handle `h`.
-    pub(crate) fn get_mut(&mut self, h: TupleHandle) -> Option<&mut Tuple> {
-        self.rows.get_mut(&h)
+    /// The schema together with mutable access to the tuple with handle
+    /// `h`, so an update can coerce its values in place.
+    pub(crate) fn schema_and_row_mut(
+        &mut self,
+        h: TupleHandle,
+    ) -> (&TableSchema, Option<&mut Tuple>) {
+        (&self.schema, self.rows.get_mut(&h))
     }
 
     /// Scan the table in handle (= insertion) order.

@@ -6,6 +6,7 @@
 //! a deleted tuple still names that (former) tuple in transition effects.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::value::Value;
 
@@ -78,6 +79,70 @@ impl Tuple {
     }
 }
 
+/// A sorted, duplicate-free set of columns, shared by reference count.
+///
+/// One statement assigns (or reads through one `from` item) the same
+/// columns for every tuple it touches, so the statement builds the set
+/// once and every per-tuple record — the statement's effect, each rule
+/// window's entry — holds a clone of the same allocation. A union copies
+/// only when the other side adds a column.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct ColumnSet(Arc<[ColumnId]>);
+
+impl ColumnSet {
+    /// Whether `c` is in the set.
+    pub fn contains(&self, c: &ColumnId) -> bool {
+        self.0.binary_search(c).is_ok()
+    }
+
+    /// The columns in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = &ColumnId> {
+        self.0.iter()
+    }
+
+    /// The columns in ascending order, as a slice.
+    pub fn as_slice(&self) -> &[ColumnId] {
+        &self.0
+    }
+
+    /// `self ∪ other`, sharing one side's allocation when it already
+    /// covers the other.
+    pub fn union(&self, other: &ColumnSet) -> ColumnSet {
+        let covers = |a: &ColumnSet, b: &ColumnSet| b.iter().all(|c| a.contains(c));
+        if Arc::ptr_eq(&self.0, &other.0) || covers(self, other) {
+            self.clone()
+        } else if covers(other, self) {
+            other.clone()
+        } else {
+            self.iter().chain(other.iter()).copied().collect()
+        }
+    }
+}
+
+impl FromIterator<ColumnId> for ColumnSet {
+    fn from_iter<T: IntoIterator<Item = ColumnId>>(iter: T) -> Self {
+        let mut cols: Vec<ColumnId> = iter.into_iter().collect();
+        cols.sort_unstable();
+        cols.dedup();
+        ColumnSet(cols.into())
+    }
+}
+
+impl<'a> IntoIterator for &'a ColumnSet {
+    type Item = &'a ColumnId;
+    type IntoIter = std::slice::Iter<'a, ColumnId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl fmt::Debug for ColumnSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.0.iter()).finish()
+    }
+}
+
 impl fmt::Display for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "(")?;
@@ -129,6 +194,18 @@ mod tests {
     fn display() {
         let t = tuple!["Jane", 1];
         assert_eq!(t.to_string(), "('Jane', 1)");
+    }
+
+    #[test]
+    fn column_sets_share_until_a_union_adds_a_column() {
+        let ab: ColumnSet = [ColumnId(1), ColumnId(0), ColumnId(1)].into_iter().collect();
+        assert_eq!(ab.as_slice(), &[ColumnId(0), ColumnId(1)]);
+        assert!(ab.contains(&ColumnId(1)) && !ab.contains(&ColumnId(2)));
+        let b: ColumnSet = [ColumnId(1)].into_iter().collect();
+        assert!(Arc::ptr_eq(&ab.union(&b).0, &ab.0), "a covered union shares the left side");
+        assert!(Arc::ptr_eq(&b.union(&ab).0, &ab.0), "a covering right side is shared");
+        let c: ColumnSet = [ColumnId(2)].into_iter().collect();
+        assert_eq!(ab.union(&c).as_slice(), &[ColumnId(0), ColumnId(1), ColumnId(2)]);
     }
 
     #[test]

@@ -11,18 +11,23 @@
 //! any row fails, so a statement never leaves partial effects inside an
 //! otherwise-live transaction (see `docs/robustness.md`).
 
+use std::sync::Arc;
+
 use crate::tuple::{TableId, Tuple, TupleHandle};
 
-/// One logged physical mutation.
+/// One logged physical mutation. The old image of a deleted or updated
+/// tuple is built once and shared: the statement's effect and every rule
+/// window that records the change hold the same `Arc`, and rollback takes
+/// it back without a copy when no one else still holds it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[allow(missing_docs)] // field names (table/handle/old) are self-describing
 pub enum UndoRecord {
     /// A tuple was inserted; undo removes it.
     Insert { table: TableId, handle: TupleHandle },
     /// A tuple was deleted; undo re-inserts `old` under the same handle.
-    Delete { table: TableId, handle: TupleHandle, old: Tuple },
+    Delete { table: TableId, handle: TupleHandle, old: Arc<Tuple> },
     /// A tuple was replaced; undo restores `old`.
-    Update { table: TableId, handle: TupleHandle, old: Tuple },
+    Update { table: TableId, handle: TupleHandle, old: Arc<Tuple> },
 }
 
 /// A position in the undo log; rolling back to a mark undoes everything
@@ -90,7 +95,8 @@ mod tests {
         log.push(UndoRecord::Insert { table: TableId(0), handle: TupleHandle(1) });
         let m = log.mark();
         log.push(UndoRecord::Insert { table: TableId(0), handle: TupleHandle(2) });
-        log.push(UndoRecord::Delete { table: TableId(0), handle: TupleHandle(1), old: tuple![1] });
+        let old = Arc::new(tuple![1]);
+        log.push(UndoRecord::Delete { table: TableId(0), handle: TupleHandle(1), old });
         let drained: Vec<_> = log.drain_from(m).collect();
         assert_eq!(drained.len(), 2);
         // Newest first.

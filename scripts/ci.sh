@@ -104,18 +104,24 @@ cargo test -q -p setrules-core --test parallel_exec -- \
 cargo test -q -p setrules-core --test extensions -- \
   selected_columns_follow_the_items_a_tuple_joined_through
 
-echo "==> read pipeline allocations (rows by reference) + accumulator oracle"
+echo "==> read and write path allocations (rows and images by reference) + accumulator oracle"
 # Both run under `cargo test` above; named here so the CI log shows the
-# gates behind the borrowed read pipeline. The allocation test counts
-# heap allocations on the calling thread while a 1-thread engine runs a
-# filtered count, a grouped aggregate with having and a grouped hash join
-# over 20 000 rows, and while the statement executor runs a `delete ...
-# where` matching half of them (the undo log's one copy per deleted
-# tuple budgeted apart): each must stay under 0.1 allocations per input
-# row. The oracle folds 300 seeded random argument columns (ints near
-# the i64 edges, NaN, +-0.0, +-inf, text, booleans, NULL) through the
-# streaming accumulators and through the test-only fold_aggregate, every
-# function plain and distinct, and demands the same bits or error text.
+# gates behind the borrowed read pipeline and the shared old images. The
+# allocation test counts heap allocations on the calling thread while a
+# 1-thread engine runs a filtered count, a grouped aggregate with having
+# and a grouped hash join over 20 000 rows, and while the statement
+# executor runs a `delete ... where` matching half of them (the one `Arc`
+# per deleted tuple that the undo log and the effect share budgeted
+# apart): each must stay under 0.1 allocations per input row. On the
+# write path, through `RuleSystem::transaction` on the same 20 000 rows:
+# an_update_with_a_watching_rule_allocates_less_than_five_per_tuple,
+# a_delete_with_two_watching_rules_allocates_less_than_two_per_tuple and
+# a_traced_select_allocates_less_than_half_per_matched_row (the section
+# 5.1 trace, deduplicated by a sort). The oracle folds 300 seeded random
+# argument columns (ints near the i64 edges, NaN, +-0.0, +-inf, text,
+# booleans, NULL) through the streaming accumulators and through the
+# test-only fold_aggregate, every function plain and distinct, and
+# demands the same bits or error text.
 cargo test -q -p setrules-core --test alloc_per_row
 cargo test -q -p setrules-query --lib -- \
   exec::aggregate::tests::accumulators_match_fold_aggregate

@@ -1,14 +1,24 @@
-//! Allocation budget of the read pipeline: rows flow through scan, join,
-//! filter and aggregation by reference, so a statement's heap
-//! allocations must not grow with the rows it reads.
+//! Allocation budgets of the read and the write path.
+//!
+//! Reads: rows flow through scan, join, filter and aggregation by
+//! reference, so a statement's heap allocations must not grow with the
+//! rows it reads. A 1-thread engine — every phase on the calling thread —
+//! runs each query over a 20 000-row table, a `delete` runs through the
+//! serial statement executor, and each statement may allocate fewer than
+//! 0.1 times per input row. A pipeline that clones rows, builds a scope
+//! level per row, or collects aggregate arguments allocates several times
+//! per row and fails here.
+//!
+//! Writes: a changed tuple's old image is built once by the storage layer
+//! and shared by its undo log, the statement's effect and every rule
+//! window, and an `update`'s columns travel once per statement. Through
+//! `RuleSystem::transaction`, with rules watching, an updated tuple may
+//! cost fewer than 5 allocations and a deleted one fewer than 2; a copy
+//! of the image per window or a column list per tuple fails here. A
+//! traced `select` (§5.1) may cost under 0.5 per matched row.
 //!
 //! A counting global allocator tallies allocations (and reallocations)
-//! made on the current thread. A 1-thread engine — every phase on the
-//! calling thread — runs each query over a 20 000-row table, a `delete`
-//! runs through the serial statement executor, and each statement may
-//! allocate fewer than 0.1 times per input row. A pipeline
-//! that clones rows, builds a scope level per row, or collects aggregate
-//! arguments allocates several times per row and fails here.
+//! made on the current thread.
 //!
 //! Run it alone with `cargo test --test alloc_per_row`.
 
@@ -124,9 +134,10 @@ fn reads_allocate_less_than_a_tenth_per_input_row() {
 
 /// A delete identifies its targets through the same read pipeline, run
 /// here through the statement executor the engine calls per statement,
-/// serially, with `t`'s rows in a bare database. The storage layer keeps
-/// one copy of each deleted tuple in its undo log (one allocation per
-/// deleted row: every column is an `int`); that copy belongs to the apply
+/// serially, with `t`'s rows in a bare database. The storage layer wraps
+/// each deleted tuple's image once in the `Arc` its undo log and the
+/// statement's effect share (one allocation per deleted row: the values
+/// move, they are not copied); that allocation belongs to the apply
 /// phase, so it is budgeted on its own and the rest of the statement
 /// must stay under the read bar.
 #[test]
@@ -148,7 +159,73 @@ fn delete_identification_allocates_less_than_a_tenth_per_input_row() {
     let deleted = ROWS / 2;
     assert_eq!(effect.cardinality() as u64, deleted);
     assert_eq!(db.table(t).len() as u64, ROWS - deleted);
-    let undo_copies = deleted;
-    assert!(allocs >= undo_copies, "{allocs} allocations cannot cover {undo_copies} undo copies");
-    assert_under_budget("delete … where", allocs - undo_copies, ROWS);
+    let undo_images = deleted;
+    assert!(allocs >= undo_images, "{allocs} allocations cannot cover {undo_images} undo images");
+    assert_under_budget("delete … where", allocs - undo_images, ROWS);
+}
+
+/// Allocations per touched tuple of one transaction running `sql` on
+/// [`engine`] after `setup` (rules and tables), checked against `bar`:
+/// `touched` is the number of tuples the statement changes (for a
+/// `select`, the rows it matches). The transaction must commit.
+fn assert_transaction_under(what: &str, setup: &[&str], sql: &str, touched: u64, bar: f64) {
+    let mut sys = engine();
+    for stmt in setup {
+        sys.execute(stmt).unwrap();
+    }
+    let (outcome, allocs) = allocations(|| sys.transaction(sql).unwrap());
+    assert!(outcome.committed(), "{what}: the transaction commits");
+    let per_tuple = allocs as f64 / touched as f64;
+    assert!(
+        per_tuple < bar,
+        "{what}: {allocs} allocations over {touched} tuples ({per_tuple:.3} per tuple, bar {bar})"
+    );
+}
+
+#[test]
+fn an_update_with_a_watching_rule_allocates_less_than_five_per_tuple() {
+    // The old image is copied out of the table once and wrapped once;
+    // the undo log, the statement's effect, the pending block and the
+    // rule's window share it, and the statement's one column set.
+    assert_transaction_under(
+        "update with a triggered rule",
+        &[
+            "create table s (k int)",
+            "create rule r1 when updated t then delete from s where k < 0",
+        ],
+        "update t set v = v + 1",
+        ROWS,
+        5.0,
+    );
+}
+
+#[test]
+fn a_delete_with_two_watching_rules_allocates_less_than_two_per_tuple() {
+    // The deleted tuple moves out of the table into one `Arc`, shared by
+    // the undo log, the effect, the pending block and both windows.
+    assert_transaction_under(
+        "delete with two triggered rules",
+        &[
+            "create table s (k int)",
+            "create rule r1 when deleted from t then delete from s where k < 0",
+            "create rule r2 when deleted from t then delete from s where k < 1",
+        ],
+        "delete from t where k % 2 = 0",
+        ROWS / 2,
+        2.0,
+    );
+}
+
+#[test]
+fn a_traced_select_allocates_less_than_half_per_matched_row() {
+    // §5.1: the statement traces every tuple it reads; the trace is
+    // deduplicated by a sort and each tuple shares its `from` item's
+    // column set.
+    assert_transaction_under(
+        "select traced through a transaction",
+        &[],
+        "select count(*) from t where k % 2 = 0",
+        ROWS / 2,
+        0.5,
+    );
 }

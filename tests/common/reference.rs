@@ -132,14 +132,14 @@ pub fn update(db: &mut Database, stmt: &UpdateStmt) -> Result<OpEffect, QueryErr
     let mut tuples = Vec::new();
     for (h, assignments) in planned {
         match db.update(table, h, &assignments) {
-            Ok(old) => tuples.push((h, assignments.iter().map(|(c, _)| *c).collect(), old)),
+            Ok(old) => tuples.push((h, old)),
             Err(e) => {
                 db.rollback_to(mark).expect("statement mark is valid");
                 return Err(e.into());
             }
         }
     }
-    Ok(OpEffect::Update { table, tuples })
+    Ok(OpEffect::Update { table, columns: set_cols.into_iter().collect(), tuples })
 }
 
 /// One output row paired with its `order by` key: `(key, row)`.

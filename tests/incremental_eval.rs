@@ -38,7 +38,7 @@ use setrules_core::{
 };
 use setrules_query::QueryError;
 use setrules_sql::ast::TransitionKind;
-use setrules_storage::StorageError;
+use setrules_storage::{StorageError, Value};
 use setrules_testkit::{check, Rng};
 
 // ----------------------------------------------------------------------
@@ -927,6 +927,59 @@ fn shared_delta_cursor_fans_out_across_watchers() {
             assert!(si.incr_shared_hits >= reconsiderations / 2, "shape {shape}: {si:?}");
         }
     }
+}
+
+/// The delta log starts at a transaction's first memo read. Here the
+/// watchers are first considered only after a condition-free driver has
+/// made four transitions (none of which is logged, since no cursor exists
+/// yet): they rebuild then, and after the bumper's later transition they
+/// repair from the logged suffix, `w2` from `w1`'s fold. `w1` stays false
+/// and repairs once more after `w2` fires. Firings and states match
+/// re-scan evaluation, and the counters are those of a log kept from the
+/// transaction's start.
+#[test]
+fn watchers_first_considered_late_repair_from_the_log_they_opened() {
+    let rules: Vec<String> = vec![
+        "create rule driver when inserted into tick \
+         then insert into tick (select k - 1 from inserted tick where k > 0)"
+            .to_string(),
+        "create rule w1 when updated t \
+         if exists (select * from new updated t where b > 1000) \
+         then insert into sink values (1, 1)"
+            .to_string(),
+        "create rule w2 when updated t \
+         if exists (select * from new updated t where b > 450) \
+         then insert into sink values (2, 1)"
+            .to_string(),
+        "create rule bumper when inserted into tick \
+         then update t set b = b + 500 where a = 1"
+            .to_string(),
+        "create rule priority driver before w1".to_string(),
+        "create rule priority driver before w2".to_string(),
+        "create rule priority w1 before bumper".to_string(),
+        "create rule priority w2 before bumper".to_string(),
+        "create rule priority w1 before w2".to_string(),
+    ];
+    let txns = [
+        "insert into t values (1, 1, 0.0), (2, 2, 0.0), (3, 3, 0.0)",
+        "update t set b = b + 1; insert into tick values (3)",
+    ];
+    let (inc, scan) = run_pair(&rules, &txns);
+    let sink = inc.query("select r from sink order by r").unwrap();
+    assert_eq!(sink.rows, [[Value::Int(2)]], "only w2 fires after the bump");
+    let (si, ss) = (inc.stats(), scan.stats());
+    assert_eq!(
+        (si.rules_considered, si.conditions_false),
+        (ss.rules_considered, ss.conditions_false),
+        "same schedule, same verdicts"
+    );
+    assert_eq!(
+        (si.incr_rebuilds, si.incr_hits, si.incr_shared_hits, si.incr_delta_rows),
+        (2, 3, 1, 8),
+        "each watcher rebuilds once, then repairs; w2 shares w1's fold"
+    );
+    assert_eq!(si.incr_fallbacks, 0, "{:?}", si.incr_fallback_reasons);
+    assert_eq!((ss.incr_hits, ss.incr_rebuilds, ss.incr_shared_hits), (0, 0, 0));
 }
 
 /// `selected` windows stay on the full evaluator — via a real

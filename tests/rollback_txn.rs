@@ -1,6 +1,8 @@
 //! Rollback actions and transaction boundaries (§4), including explicit
 //! `begin`/`commit` with triggering points (§5.3).
 
+use std::sync::Arc;
+
 use setrules_core::{ExecOutcome, RuleError, RuleSystem, TxnOutcome};
 use setrules_storage::Value;
 
@@ -271,4 +273,63 @@ fn deferred_rollback_scope() {
         &Value::Int(0),
         "the rule's insert was undone"
     );
+}
+
+/// A changed tuple's old image is shared by the undo log and the rule
+/// windows that record the change. A `rollback` rule that runs while a
+/// window still holds those images must restore every tuple, both
+/// indexes and the handles exactly: the undo log takes the image back by
+/// copy when a window shares it.
+#[test]
+fn rollback_restores_images_a_rule_window_still_shares() {
+    let mut sys = RuleSystem::new();
+    sys.execute("create table t (k int, name text, w float)").unwrap();
+    sys.execute("create index on t (k)").unwrap();
+    sys.execute("create index on t (name) using ordered").unwrap();
+    sys.execute("create table log (k int)").unwrap();
+    sys.execute("create table alarm (k int)").unwrap();
+    sys.execute(
+        "insert into t values (1, 'ann', 1.5), (2, 'bob', 2.5), (3, 'cy', 3.5), \
+         (4, 'di', 4.5), (5, 'ed', 5.5), (6, 'flo', 6.5)",
+    )
+    .unwrap();
+    sys.execute(
+        "create rule watcher when updated t or deleted from t \
+         then insert into log (select k from deleted t)",
+    )
+    .unwrap();
+    sys.execute("create rule guard when inserted into alarm then rollback").unwrap();
+    let before = sys.database().state_image();
+
+    sys.begin().unwrap();
+    sys.run_op("update t set w = w * 2, name = 'x' where k <= 4").unwrap();
+    sys.run_op("delete from t where k >= 3").unwrap();
+    sys.run_op("update t set k = k + 10 where k = 1").unwrap();
+    let report = sys.process_rules().unwrap();
+    assert_eq!(report.fired.iter().map(|f| f.rule.as_str()).collect::<Vec<_>>(), ["watcher"]);
+
+    // The guard has not been triggered, so its window still spans the
+    // whole transaction: the update-then-delete tuples keep their
+    // window-start images, and every image is the one the undo log holds.
+    let window = sys.current_window("guard").expect("open transaction").clone();
+    assert_eq!(window.del.len(), 4, "tuples 3-6 deleted");
+    assert_eq!(window.upd.len(), 2, "tuples 1 and 2 updated");
+    let olds: Vec<_> =
+        window.del.values().map(|e| &e.old).chain(window.upd.values().map(|e| &e.old)).collect();
+    for old in &olds {
+        let shared = Arc::strong_count(old);
+        assert!(shared >= 3, "the undo log, the guard's window and this clone share {old:?}");
+    }
+    assert_eq!(window.del.values().filter(|e| e.old.0[1] == Value::Text("x".into())).count(), 0);
+
+    sys.run_op("insert into alarm values (1)").unwrap();
+    let out = sys.commit().unwrap();
+    let TxnOutcome::RolledBack { by_rule, .. } = out else { panic!("expected rollback") };
+    assert_eq!(by_rule, "guard");
+    assert_eq!(sys.database().state_image(), before);
+    // The window's clone outlived the rollback and still reads the
+    // window-start values.
+    assert!(olds.iter().all(|old| Arc::strong_count(old) == 1));
+    let upd_keys: Vec<_> = window.upd.values().map(|e| e.old.0[0].clone()).collect();
+    assert_eq!(upd_keys, [Value::Int(1), Value::Int(2)]);
 }
