@@ -11,10 +11,9 @@
 //! `rollback` action restores the transaction's start state.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Instant;
 
-use setrules_query::incremental::{analyze, CondVerdict, IncMemo, IncrState};
+use setrules_query::incremental::{analyze, CondVerdict, FallbackReason, IncrementalPlan};
 use setrules_query::{
     compile, eval_compiled_predicate, execute_op, execute_query, CompiledExpr, ExecOpts, ExecStats,
     Layout, NoTransitionTables, OpEffect, QueryError, Relation, StatsCell,
@@ -27,10 +26,9 @@ use setrules_storage::{
 use setrules_wal::{WalConfig, WalRecord};
 
 use crate::durability::{wal_log_effect, WalState};
-use crate::effect::TransitionEffect;
 use crate::error::RuleError;
 use crate::events::{EngineEvent, EventBus, EventSink};
-use crate::incremental::{refresh_term, DeltaSource};
+use crate::incremental::MemoStore;
 use crate::external::{ActionCtx, ExternalAction};
 use crate::priority::PriorityGraph;
 use crate::rule::{CompiledAction, Rule, RuleId};
@@ -219,30 +217,6 @@ struct TxnState {
     last_output: Option<Relation>,
     /// Cumulative counters at transaction begin, for outcome deltas.
     base: TxnStats,
-    /// Transaction-wide incremental delta log: one projected `[I, D, U]`
-    /// effect per transition since `delta_log_open` was set, appended at
-    /// the `apply_transition` choke point. A rule's memo at cursor `seq`
-    /// repairs from the composition of `delta_log[seq..]`; that
-    /// composition is rule-independent, so it is shared through
-    /// `compose_cache`.
-    delta_log: Vec<TransitionEffect>,
-    /// Set when the transaction's first memo refresh takes a cursor.
-    /// Until then no cursor exists, so transitions are not logged; a
-    /// cursor is taken at `delta_log.len()`, so none can point before the
-    /// first entry.
-    delta_log_open: bool,
-    /// suffix start → composed effect; cleared whenever `delta_log`
-    /// grows. A hit means another rule at the same cursor already folded
-    /// the suffix this round (`incr_shared_hits`).
-    compose_cache: HashMap<usize, Arc<TransitionEffect>>,
-    /// Per-rule window generation, parallel to `rule_infos`. Window
-    /// restarts (acting rule, `SinceLastTriggering` re-trigger, footnote-8
-    /// `SinceLastConsidered` clear) bump it, invalidating that rule's
-    /// memo cursors without touching the shared log.
-    window_gens: Vec<u64>,
-    /// Monotone transaction id (from `RuleSystem::incr_epoch`): cursors
-    /// from a previous transaction never validate against this one.
-    epoch: u64,
 }
 
 /// A rule's prepared state: its condition compiled once (an omitted
@@ -252,6 +226,15 @@ struct TxnState {
 struct Prepared {
     condition: CompiledExpr,
     incr: Option<IncrState>,
+}
+
+/// A rule's incremental analysis: the plan, or why the rule falls back
+/// (until the next DDL re-analysis), plus each term's template id in the
+/// engine's [`MemoStore`]. The memos themselves live in the store.
+struct IncrState {
+    plan: Result<IncrementalPlan, FallbackReason>,
+    /// `templates[i]` = the interned template of `plan.terms[i]`.
+    templates: Vec<u32>,
 }
 
 impl Prepared {
@@ -324,9 +307,9 @@ pub struct RuleSystem {
     /// Resolving it per statement would re-read the cgroup limits each
     /// time (about 20 µs per call on a 2-core Linux box).
     threads: usize,
-    /// Monotone transaction counter stamped into each `TxnState::epoch`,
-    /// so memo cursors from one transaction never validate in the next.
-    incr_epoch: u64,
+    /// Incremental term memos, shared by every rule that reads the same
+    /// subquery over the same window; scoped to one transaction.
+    memos: MemoStore,
     /// Event fan-out: the always-on ring plus attached sinks.
     pub(crate) events: EventBus,
     /// Write-ahead-log state; `None` unless configured durable.
@@ -380,7 +363,7 @@ impl RuleSystem {
             qstats: StatsCell::new(),
             incr_enabled,
             threads,
-            incr_epoch: 0,
+            memos: MemoStore::default(),
             events,
             wal: None,
         };
@@ -683,6 +666,7 @@ impl RuleSystem {
     /// incremental analysis its shape, both of which DDL may move.
     fn invalidate_plans(&mut self) {
         self.prepared.clear();
+        self.memos.invalidate();
     }
 
     /// Define a rule from its parsed form.
@@ -829,7 +813,7 @@ impl RuleSystem {
     pub fn begin(&mut self) -> Result<(), RuleError> {
         self.require_no_txn()?;
         self.events.emit(EngineEvent::TxnBegin);
-        self.incr_epoch += 1;
+        self.memos.begin(self.rules.len());
         self.txn = Some(TxnState {
             mark: self.db.mark(),
             rule_infos: vec![TransInfo::new(); self.rules.len()],
@@ -838,11 +822,6 @@ impl RuleSystem {
             transitions_used: 0,
             last_output: None,
             base: self.full_stats(),
-            delta_log: Vec::new(),
-            delta_log_open: false,
-            compose_cache: HashMap::new(),
-            window_gens: vec![0; self.rules.len()],
-            epoch: self.incr_epoch,
         });
         if let Err(e) = self.wal_begin() {
             self.note_statement_failure(&e);
@@ -1141,28 +1120,7 @@ impl RuleSystem {
     /// fresh transaction; a `rollback` action undoes *the rule actions
     /// only* (the deferred external transactions already committed).
     pub fn process_deferred(&mut self) -> Result<TxnOutcome, RuleError> {
-        self.require_no_txn()?;
-        self.events.emit(EngineEvent::TxnBegin);
-        self.incr_epoch += 1;
-        self.txn = Some(TxnState {
-            mark: self.db.mark(),
-            rule_infos: vec![TransInfo::new(); self.rules.len()],
-            pending: TransInfo::new(),
-            trace: Vec::new(),
-            transitions_used: 0,
-            last_output: None,
-            base: self.full_stats(),
-            delta_log: Vec::new(),
-            delta_log_open: false,
-            compose_cache: HashMap::new(),
-            window_gens: vec![0; self.rules.len()],
-            epoch: self.incr_epoch,
-        });
-        if let Err(e) = self.wal_begin() {
-            self.note_statement_failure(&e);
-            self.abort_internal();
-            return Err(e);
-        }
+        self.begin()?;
         // A committed deferred pass leaves no pending window behind: log
         // the cleared window inside this transaction, so a crash before
         // its `Commit` keeps re-presenting the old one on recovery.
@@ -1234,58 +1192,60 @@ impl RuleSystem {
         self.incr_enabled
     }
 
-    /// Per-rule incremental-evaluation status: for each live rule, either
-    /// the materialized term state the engine maintains for its condition
-    /// (with memo-size accounting) or the reason it falls back to full
-    /// re-scan, plus the cumulative fallback breakdown by reason. A
-    /// debugging aid (the REPL's `\incr`); prefers the verdict the engine
-    /// cached at first consideration and runs the same analysis otherwise.
+    /// Per-rule incremental-evaluation status — each live rule's term
+    /// plan or the reason it falls back to full re-scan — then one line
+    /// per live shared memo (its template, window start, size and the
+    /// rules reading it), plus the cumulative fallback breakdown by
+    /// reason. A debugging aid (the REPL's `\incr`); prefers the verdict
+    /// the engine cached at first consideration and runs the same
+    /// analysis otherwise.
     pub fn incremental_report(&self) -> String {
         use std::fmt::Write as _;
         let mut out = format!(
             "incremental evaluation: {}\n",
             if self.incremental_enabled() { "on" } else { "off" }
         );
-        for rule in self.rules.iter().filter(|r| !r.dropped) {
+        let live = self.rules.iter().filter(|r| !r.dropped);
+        for rule in live.clone() {
             let Some(cond) = &rule.condition else {
                 let _ = writeln!(out, "{}: no condition (always fires)", rule.name);
                 continue;
             };
-            // Prefer the engine's cached verdict + live memo; fall back
-            // to a fresh analysis for rules not yet considered.
-            let cached = self.prepared.get(&rule.id).and_then(|p| {
-                p.incr.as_ref().map(|st| {
-                    let desc = match &st.plan {
-                        Ok(plan) => format!(
-                            "incremental ({} term{})\n{}",
-                            plan.terms.len(),
-                            if plan.terms.len() == 1 { "" } else { "s" },
-                            plan.describe(),
-                        ),
-                        Err(reason) => {
-                            format!("full re-scan [{}] ({reason})\n", reason.label())
-                        }
-                    };
-                    let memo = st
-                        .memo
-                        .as_ref()
-                        .map(|m| (m.entries(), m.approx_bytes()));
-                    (desc, memo)
-                })
-            });
-            let (desc, memo) = match cached {
-                Some(v) => v,
+            let desc = match self.prepared.get(&rule.id).and_then(|p| p.incr.as_ref()) {
+                Some(IncrState { plan: Ok(plan), .. }) => format!(
+                    "incremental ({} term{})\n{}",
+                    plan.terms.len(),
+                    if plan.terms.len() == 1 { "" } else { "s" },
+                    plan.describe(),
+                ),
+                Some(IncrState { plan: Err(reason), .. }) => {
+                    format!("full re-scan [{}] ({reason})\n", reason.label())
+                }
                 None => {
                     let licensed = |kind: TransitionKind, table: &str, column: Option<&str>| {
                         self.rule_licenses(rule, kind, table, column)
                     };
-                    (setrules_query::explain_condition(&self.db, cond, &licensed), None)
+                    setrules_query::explain_condition(&self.db, cond, &licensed)
                 }
             };
             let _ = write!(out, "{}: {}", rule.name, desc);
-            if let Some((entries, bytes)) = memo {
-                let _ = writeln!(out, "  memo: {entries} entries (~{bytes} bytes)");
-            }
+        }
+        // A rule reads a memo when one of its terms has the memo's
+        // template and its window starts at the memo's transition.
+        let readers = |template, start| {
+            let reads = |r: &&Rule| {
+                self.memos.window_start(r.id) == Some(start)
+                    && self.prepared.get(&r.id).and_then(|p| p.incr.as_ref())
+                        .is_some_and(|st| st.templates.contains(&template))
+            };
+            live.clone().filter(reads).map(|r| r.name.as_str()).collect::<Vec<_>>().join(", ")
+        };
+        let memos = self.memos.describe(&readers);
+        if !memos.is_empty() {
+            let _ = writeln!(out, "shared memos:");
+        }
+        for line in memos {
+            let _ = writeln!(out, "{line}");
         }
         if !self.stats.incr_fallback_reasons.is_empty() {
             let _ = writeln!(out, "fallbacks by reason:");
@@ -1386,14 +1346,14 @@ impl RuleSystem {
                 self.stats.rule_mut(&name).condition_false += 1;
                 self.events.emit(EngineEvent::RuleConditionFalse { rule: name.clone() });
                 if self.config.retrigger == RetriggerSemantics::SinceLastConsidered {
-                    // Footnote 8: the window restarts at consideration —
-                    // the memo (built against the old window) is stale, so
-                    // bump the window generation to invalidate its cursors.
-                    // The shared delta log is untouched: other rules'
-                    // windows are unbroken and still repair from it.
+                    // Footnote 8: the window restarts at consideration, so
+                    // from now on the rule reads the memos over windows
+                    // starting at the next transition. The shared delta
+                    // log is untouched: other rules' windows are unbroken
+                    // and still repair from it.
                     let txn = self.txn.as_mut().expect("open");
                     txn.rule_infos[rid.0] = TransInfo::new();
-                    txn.window_gens[rid.0] += 1;
+                    self.memos.restart(rid);
                     triggers.invalidate(rid);
                 }
                 continue;
@@ -1477,19 +1437,10 @@ impl RuleSystem {
     /// transition's old images and column sets rather than copying them.
     fn apply_transition(&mut self, tinfo: TransInfo, acting: Option<RuleId>) {
         let retrigger = self.config.retrigger;
-        // Append this transition's pure `[I, D, U]` effect to the shared
-        // delta log exactly once; every live memo cursor repairs from the
-        // composed suffix at its own position. The log starts at the
-        // transaction's first memo read: before it, no cursor exists to
-        // read an entry. Rules whose window restarts below get their
-        // generation bumped instead (stale cursors ⇒ next consideration
-        // rebuilds from the fresh window).
+        // Rules whose window restarts below move to this transition's
+        // window start, whose memos (unless another rule holds them
+        // already) rebuild from the fresh window.
         let txn = self.txn.as_mut().expect("transaction open");
-        if txn.delta_log_open {
-            let db = &self.db;
-            txn.delta_log.push(tinfo.effect(|t| db.schema(t).arity()));
-            txn.compose_cache.clear();
-        }
         for rule in &self.rules {
             // Fig. 1 emits trans-info maintenance only for rules this
             // transition triggers by itself (plus the acting rule, whose
@@ -1498,13 +1449,13 @@ impl RuleSystem {
             let slot = &mut txn.rule_infos[rule.id.0];
             if Some(rule.id) == acting {
                 // Filled after the loop, when the transition moves in.
-                txn.window_gens[rule.id.0] += 1;
+                self.memos.restart(rule.id);
                 self.events.emit(EngineEvent::TransInfoInit { rule: rule.name.clone() });
             } else if retrigger == RetriggerSemantics::SinceLastTriggering && triggered_by_this {
                 // [WF89b]: this transition alone re-triggers the rule, so
                 // its window restarts here.
                 *slot = tinfo.clone();
-                txn.window_gens[rule.id.0] += 1;
+                self.memos.restart(rule.id);
                 self.events.emit(EngineEvent::TransInfoInit { rule: rule.name.clone() });
             } else {
                 let was_empty = slot.is_empty();
@@ -1518,6 +1469,11 @@ impl RuleSystem {
                 }
             }
         }
+        // Log this transition's pure `[I, D, U]` effect once; every live
+        // memo cursor repairs from the composed suffix at its own
+        // position.
+        let db = &self.db;
+        self.memos.transition_applied(|| tinfo.effect(|t| db.schema(t).arity()));
         if let Some(rid) = acting {
             txn.rule_infos[rid.0] = tinfo;
         }
@@ -1579,47 +1535,43 @@ impl RuleSystem {
     /// `"repair"` when every term patched from the delta log and
     /// `"rebuild"` when any memo was (re)populated from the whole window;
     /// `rows` counts probed rows either way, and `shared` reports whether
-    /// any composed delta suffix came from another rule's fold this
-    /// round.
+    /// another rule paid for any term's refresh: a composed delta suffix
+    /// from another fold this round, or a memo another rule already
+    /// brought up to date.
+    ///
+    /// Kept out of line: inlined, it bloats the Figure-1 loop that every
+    /// transaction runs (`bystander_rules`, which considers no rule, ran
+    /// about 4 % slower).
     ///
     /// [`FallbackReason`]: setrules_query::incremental::FallbackReason
+    #[inline(never)]
     fn try_incremental(&mut self, rid: RuleId) -> Result<IncOutcome, RuleError> {
-        let rule = &self.rules[rid.0];
-        let cond = rule.condition.as_ref().expect("caller checked");
-        let prepared = self.prepared.get(&rid).expect("a considered rule is prepared");
-        if prepared.incr.is_none() {
+        if self.prepared[&rid].incr.is_none() {
             // First consideration since the rule was (re)prepared:
-            // analyze once; the verdict is kept with the prepared state
-            // and dies with it on DDL.
+            // analyze once and intern each term's template; the verdict
+            // is kept with the prepared state and dies with it on DDL.
+            let rule = &self.rules[rid.0];
+            let cond = rule.condition.as_ref().expect("caller checked");
             let licensed = |kind: TransitionKind, table: &str, column: Option<&str>| {
                 self.rule_licenses(rule, kind, table, column)
             };
-            let plan = analyze(&self.db, cond, &licensed).map(Arc::new);
-            let incr = Some(IncrState { plan, memo: None });
-            self.prepared.get_mut(&rid).expect("prepared above").incr = incr;
+            let plan = analyze(&self.db, cond, &licensed);
+            let templates = match &plan {
+                Ok(p) => p.terms.iter().map(|t| self.memos.intern(&t.template)).collect(),
+                Err(_) => Vec::new(),
+            };
+            self.prepared.get_mut(&rid).expect("a considered rule is prepared").incr =
+                Some(IncrState { plan, templates });
         }
-        let prepared = self.prepared.get_mut(&rid).expect("prepared above");
-        let st = prepared.incr.as_mut().expect("just filled");
+        let st = self.prepared[&rid].incr.as_ref().expect("just filled");
         let plan = match &st.plan {
-            Ok(p) => Arc::clone(p),
+            Ok(p) => p,
             Err(reason) => return Ok(IncOutcome::Fallback(reason.label())),
         };
-        let txn = self.txn.as_mut().expect("transaction open");
-        // The memo about to be refreshed takes a cursor at the log's end;
-        // from here on every transition must be logged for it.
-        txn.delta_log_open = true;
-        let window = &txn.rule_infos[rid.0];
-        let mut src = DeltaSource {
-            log: &txn.delta_log,
-            epoch: txn.epoch,
-            wgen: txn.window_gens[rid.0],
-            cache: &mut txn.compose_cache,
-        };
-        let db = &self.db;
-        let memo = st.memo.get_or_insert_with(|| IncMemo::for_plan(&plan));
-        let outcome = plan.evaluate(memo, &mut |_, term, tstate| {
-            refresh_term(db, term, window, &mut src, tstate)
-        })?;
+        let window = &self.txn.as_ref().expect("transaction open").rule_infos[rid.0];
+        let (db, memos) = (&self.db, &mut self.memos);
+        let outcome =
+            plan.evaluate(&mut |i, term| memos.refresh(db, term, st.templates[i], rid, window))?;
         self.qstats.bump(|s| s.incr_probe_rows += outcome.rows);
         match outcome.verdict {
             CondVerdict::Truth(truth) => Ok(IncOutcome::Answer {

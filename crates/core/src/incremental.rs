@@ -1,36 +1,35 @@
-//! Delta repair for incremental rule-condition evaluation (ISSUE 7,
-//! widened by ISSUE 10).
+//! Delta repair for incremental rule-condition evaluation, with memos
+//! shared across rules.
 //!
 //! `setrules-query::incremental` decides *whether* a condition is
 //! incrementalizable and owns the memo representation; this module owns
-//! the operations that keep a term memo truthful, because they need the
-//! engine's window ([`TransInfo`]) and delta log ([`TransitionEffect`]):
+//! the [`MemoStore`] that keeps term memos truthful, because that needs
+//! the engine's windows ([`TransInfo`]) and delta log
+//! ([`TransitionEffect`]). [`MemoStore::refresh`] repairs a memo from the
+//! composed `[I, D, U]` suffix of the transaction's delta log after its
+//! cursor, or rebuilds it by one full scan of the window when it has none.
 //!
-//! * [`refresh_term`] — bring one term's memo up to date: repair it from
-//!   the composed `[I, D, U]` suffix of the transaction's delta log when
-//!   the term's [`Cursor`] is still valid, or rebuild it by one full scan
-//!   of the rule's composite window when it is not (first consideration,
-//!   new transaction, window restart, or an interrupted repair).
+//! # Shared memos
 //!
-//! # Shared delta cursors
+//! A memo is keyed by (template, window start). The template is the
+//! interned canonical text of the term's subquery: the memo depends on
+//! the subquery, never on the literal the rule compares it with, which
+//! stays with the rule's [`IncTerm::truth`]. The window start is the
+//! index of the transaction transition at which a rule's window last
+//! restarted (acting rule, `SinceLastTriggering` re-trigger or
+//! `SinceLastConsidered` clear). `apply_transition` composes every later
+//! transition into every window, so rules with equal starts have equal
+//! windows, and equal templates over equal windows give equal memos: a
+//! rule may read a memo another rule built or repaired. The store is
+//! scoped to one transaction (cleared at `begin` and on plan
+//! invalidation), so a cursor is a plain log position.
 //!
-//! Every transition appends its projected effect to the transaction-wide
-//! `delta_log` exactly once — from the transaction's first memo refresh
-//! on, since before it no cursor exists to read an entry, and a cursor
-//! is taken at the log's end. A term at cursor `seq` needs the composition
-//! (Definition 2.1 ⊕) of `log[seq..]`; that composition is a pure
-//! function of the suffix — independent of which rule asks — so it is
-//! memoized in a per-transaction compose cache keyed by `seq`. When N
-//! rules watch the same views at the same cursor (the 60-watcher storm),
-//! the first refresh folds the suffix and the other N−1 hit the cache
-//! (`shared` in [`TermRefresh::Repaired`], `incr_shared_hits` in stats).
-//! The cache is cleared whenever the log grows, keeping entries exact.
-//!
-//! Window *resets* (footnote-8 `SinceLastConsidered` clears, acting-rule
-//! restarts, `SinceLastTriggering` re-triggers) never touch the log: they
-//! bump the rule's window generation, which invalidates that rule's
-//! cursors only. Other rules' suffixes still compose the same effects
-//! over their own unbroken windows, so sharing stays sound.
+//! Every transition appends its projected effect to the delta log once
+//! (from the first memo refresh on: before it no cursor exists). The
+//! composition of `log[seq..]` is a pure function of the suffix, so it is
+//! cached per `seq` until the log grows. A refresh is `shared`
+//! (`incr_shared_hits`) when another rule paid for it: the composed
+//! suffix came from that cache, or the memo was already current.
 //!
 //! # Why repair is sound
 //!
@@ -74,21 +73,20 @@
 //! rebuilds probe exactly as the executor scans; repairs probe the
 //! delta-named handles as one ascending set per view (rows not named by
 //! the delta are unchanged and cannot error: they were probed without
-//! error when they last changed). Join pair probes run in `(left,
-//! right)`-lexicographic order — the hash join's sorted cursor emission
-//! — over exactly the changed pairs.
+//! error when they last changed, by whichever rule refreshed the memo
+//! then, since a probe error aborts the transaction). Join pair probes
+//! run in `(left, right)`-lexicographic order — the hash join's sorted
+//! cursor emission — over exactly the changed pairs.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
 
-use setrules_query::incremental::{
-    Cursor, IncTerm, TermKind, TermMemo, TermRefresh, TermState, ViewScan,
-};
+use setrules_query::incremental::{IncTerm, Term3, TermKind, TermMemo, TermRefresh, ViewScan};
 use setrules_query::QueryError;
 use setrules_sql::ast::TransitionKind;
 use setrules_storage::{ColumnId, Database, TableId, TupleHandle, Value};
 
 use crate::effect::TransitionEffect;
+use crate::rule::RuleId;
 use crate::transinfo::TransInfo;
 
 /// Resolved per-view addressing: the view's table/column names mapped to
@@ -111,71 +109,177 @@ fn view_ids(db: &Database, view: &ViewScan) -> Result<ViewIds, QueryError> {
     Ok(ViewIds { tid, col })
 }
 
-/// The transaction-wide delta source one refresh round reads from: the
-/// append-only effect log, the validity coordinates (transaction epoch
-/// and this rule's window generation), and the shared compose cache.
-pub struct DeltaSource<'a> {
-    /// One projected effect per transition, in order.
-    pub log: &'a [TransitionEffect],
-    /// The owning transaction's epoch (cursor validity).
-    pub epoch: u64,
-    /// The refreshing rule's current window generation.
-    pub wgen: u64,
-    /// suffix start → composed effect, shared across rules.
-    pub cache: &'a mut HashMap<usize, Arc<TransitionEffect>>,
+/// One shared term memo: its state, the log position proving how fresh
+/// it is, and the rule that last refreshed it.
+struct SharedMemo {
+    memo: TermMemo,
+    /// Log position: entries `[cursor..]` are not absorbed yet. `None`
+    /// means the memo cannot be trusted (a repair or rebuild was
+    /// interrupted) and must be rebuilt from the window.
+    cursor: Option<usize>,
+    /// The last rule to refresh it (a current memo another rule
+    /// refreshed is a shared hit).
+    reader: RuleId,
 }
 
-impl DeltaSource<'_> {
-    /// The composition of `log[from..]`, served from the shared cache
-    /// when another term at the same cursor already folded it. Returns
-    /// `(effect, came_from_cache)`.
-    fn composed(&mut self, from: usize) -> (Arc<TransitionEffect>, bool) {
-        if let Some(d) = self.cache.get(&from) {
-            return (Arc::clone(d), true);
-        }
-        let eff =
-            self.log[from..].iter().fold(TransitionEffect::new(), |acc, e| acc.compose(e));
-        let arc = Arc::new(eff);
-        self.cache.insert(from, Arc::clone(&arc));
-        (arc, false)
+/// The engine's term memos, shared across rules: one memo per (term
+/// template, window start), sound for the reasons the module docs give.
+#[derive(Default)]
+pub struct MemoStore {
+    /// Canonical subquery text → template id. Cleared with the prepared
+    /// plans that hold the ids.
+    templates: HashMap<String, u32>,
+    /// (template id, window start) → memo. Cleared at every transaction
+    /// start: starts and log positions are per transaction.
+    memos: HashMap<(u32, usize), SharedMemo>,
+    /// `window_start[rid]`: where rule `rid`'s window last restarted.
+    window_start: Vec<usize>,
+    /// The index the transaction's next transition will get.
+    next_transition: usize,
+    /// The delta log: one projected `[I, D, U]` effect per transition
+    /// since `log_open` was set. A memo at cursor `seq` repairs from the
+    /// composition of `log[seq..]`.
+    log: Vec<TransitionEffect>,
+    /// Set by the transaction's first memo refresh. Until then no cursor
+    /// exists, so transitions are not logged; a cursor is taken at the
+    /// log's end, so none can point before the first entry.
+    log_open: bool,
+    /// suffix start → composed effect; cleared whenever the log grows.
+    compose_cache: HashMap<usize, TransitionEffect>,
+}
+
+impl MemoStore {
+    /// The id of `template`, interning it on first sight. Called once per
+    /// term when a rule is prepared, never per consideration.
+    pub fn intern(&mut self, template: &str) -> u32 {
+        let next = self.templates.len() as u32;
+        *self.templates.entry(template.to_string()).or_insert(next)
     }
-}
 
-/// Bring one term's memo up to date against the rule's current window,
-/// repairing from the delta-log suffix when the cursor is valid and
-/// rebuilding from the window otherwise. Returns what was done and how
-/// many rows were probed.
-pub fn refresh_term(
-    db: &Database,
-    term: &IncTerm,
-    window: &TransInfo,
-    src: &mut DeltaSource<'_>,
-    state: &mut TermState,
-) -> Result<TermRefresh, QueryError> {
-    let next = Cursor { epoch: src.epoch, wgen: src.wgen, seq: src.log.len() };
-    let valid = state
-        .cursor
-        .is_some_and(|c| c.epoch == src.epoch && c.wgen == src.wgen && c.seq <= src.log.len());
-    if valid {
-        let from = state.cursor.expect("validated above").seq;
-        // Clear the cursor before patching: a probe error mid-repair
-        // leaves the memo half-patched, and the cleared cursor forces the
-        // next consideration to rebuild instead of trusting it.
-        state.cursor = None;
-        let (rows, shared) = if from == src.log.len() {
-            (0, false) // nothing happened since the last consideration
-        } else {
-            let (delta, shared) = src.composed(from);
-            (repair_term(db, term, window, &delta, &mut state.memo)?, shared)
+    /// A new transaction: every window starts at transition 0 and no memo
+    /// survives. Keeps the maps' capacity, so a warm engine does not
+    /// allocate here.
+    pub fn begin(&mut self, rules: usize) {
+        self.memos.clear();
+        self.window_start.clear();
+        self.window_start.resize(rules, 0);
+        self.next_transition = 0;
+        self.log.clear();
+        self.log_open = false;
+        self.compose_cache.clear();
+    }
+
+    /// The prepared plans died: their template ids with them.
+    pub fn invalidate(&mut self) {
+        self.memos.clear();
+        self.templates.clear();
+    }
+
+    /// `rid`'s window restarts at the next transition: it is acting or
+    /// re-triggered by that transition, or was just cleared before it.
+    pub fn restart(&mut self, rid: RuleId) {
+        self.window_start[rid.0] = self.next_transition;
+    }
+
+    /// A transition was composed into every window: log its `effect`
+    /// once the log is open, and drop the memos whose window start no rule
+    /// holds any more (starts only move forward, so none of them can be
+    /// read again).
+    pub fn transition_applied(&mut self, effect: impl FnOnce() -> TransitionEffect) {
+        if self.log_open {
+            self.log.push(effect());
+            self.compose_cache.clear();
+        }
+        self.next_transition += 1;
+        if !self.memos.is_empty() {
+            let starts = &self.window_start;
+            self.memos.retain(|(_, start), _| starts.contains(start));
+        }
+    }
+
+    /// Bring the memo of `term` (interned as `template`) over `rid`'s
+    /// window up to date, repairing from the delta-log suffix when the
+    /// memo has a cursor and rebuilding from the window otherwise, and
+    /// answer what was done plus the term's truth over the memo.
+    pub fn refresh(
+        &mut self,
+        db: &Database,
+        term: &IncTerm,
+        template: u32,
+        rid: RuleId,
+        window: &TransInfo,
+    ) -> Result<(TermRefresh, Term3), QueryError> {
+        // The memo takes a cursor at the log's end: from here on every
+        // transition must be logged for it.
+        self.log_open = true;
+        let len = self.log.len();
+        let start = self.window_start[rid.0];
+        let st = self.memos.entry((template, start)).or_insert_with(|| SharedMemo {
+            memo: TermMemo::empty_for(term),
+            cursor: None,
+            reader: rid,
+        });
+        let done = match st.cursor {
+            // Current: nothing happened since the last refresh — by
+            // another rule (shared) or by this one.
+            Some(from) if from == len => {
+                TermRefresh::Repaired { rows: 0, shared: st.reader != rid }
+            }
+            Some(from) => {
+                // Clear the cursor before patching: a probe error
+                // mid-repair leaves the memo half-patched, and the
+                // cleared cursor forces a rebuild instead of trusting it.
+                st.cursor = None;
+                // The composition of `log[from..]` is a pure function of
+                // the suffix: another memo at the same cursor may have
+                // folded it already.
+                let shared = self.compose_cache.contains_key(&from);
+                let log = &self.log;
+                let delta = self.compose_cache.entry(from).or_insert_with(|| {
+                    log[from..].iter().fold(TransitionEffect::new(), |a, e| a.compose(e))
+                });
+                TermRefresh::Repaired {
+                    rows: repair_term(db, term, window, delta, &mut st.memo)?,
+                    shared,
+                }
+            }
+            None => {
+                st.memo = TermMemo::empty_for(term);
+                TermRefresh::Rebuilt { rows: rebuild_term(db, term, window, &mut st.memo)? }
+            }
         };
-        state.cursor = Some(next);
-        Ok(TermRefresh::Repaired { rows, shared })
-    } else {
-        state.cursor = None;
-        state.memo = TermMemo::empty_for(term);
-        let rows = rebuild_term(db, term, window, &mut state.memo)?;
-        state.cursor = Some(next);
-        Ok(TermRefresh::Rebuilt { rows })
+        st.cursor = Some(len);
+        st.reader = rid;
+        Ok((done, term.truth(&st.memo)?))
+    }
+
+    /// One report line per live memo, sorted by template text and window
+    /// start: the template, the start, the memo's size, and the rules
+    /// `readers(template, start)` names.
+    pub fn describe(&self, readers: &dyn Fn(u32, usize) -> String) -> Vec<String> {
+        let text = |t: u32| {
+            self.templates.iter().find_map(|(s, id)| (*id == t).then_some(s.as_str()))
+        };
+        let mut live: Vec<_> =
+            self.memos.iter().map(|(&(t, start), st)| (text(t), start, t, st)).collect();
+        live.sort_unstable_by_key(|&(text, start, ..)| (text, start));
+        live.into_iter()
+            .map(|(text, start, t, st)| {
+                format!(
+                    "  [{}] from transition {start}: {} entries (~{} bytes), read by {}",
+                    text.unwrap_or("?"),
+                    st.memo.entries(),
+                    st.memo.approx_bytes(),
+                    readers(t, start)
+                )
+            })
+            .collect()
+    }
+
+    /// Where `rid`'s window last restarted, if the rule existed when the
+    /// current (or last) transaction began.
+    pub fn window_start(&self, rid: RuleId) -> Option<usize> {
+        self.window_start.get(rid.0).copied()
     }
 }
 

@@ -47,7 +47,7 @@ mod engine;
 mod error;
 pub mod events;
 pub mod external;
-pub mod incremental;
+mod incremental;
 pub mod priority;
 pub mod rule;
 pub mod selection;

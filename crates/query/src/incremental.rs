@@ -71,11 +71,11 @@
 //!   aggregate compares as NULL).
 //!
 //! The *repair rules* that maintain term state live with the engine
-//! (`setrules-core`), which owns the windows and deltas; this module owns
-//! the shape analysis, the memo representation, the per-row probes, and
-//! the truth evaluation. See `docs/incremental-evaluation.md` for the
-//! full repair/invalidation matrix and the shared-delta-cursor soundness
-//! argument.
+//! (`setrules-core`), which owns the windows, the deltas and the memos —
+//! one per (term template, window start), shared across rules; this
+//! module owns the shape analysis, the memo representation, the per-row
+//! probes, and the truth evaluation. See `docs/incremental-evaluation.md`
+//! for the full repair matrix and the memo-sharing soundness argument.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -325,6 +325,11 @@ pub struct IncTerm {
     pub kind: TermKind,
     /// How the memo becomes a truth value.
     pub truth: TermTruth,
+    /// The term's template: the canonical text of its subquery
+    /// (`SelectStmt`'s `Display`). The memo depends on the subquery and
+    /// the window only, never on `truth`'s literal, so terms with equal
+    /// templates over equal windows keep equal memos.
+    pub template: String,
 }
 
 impl IncTerm {
@@ -403,7 +408,7 @@ impl IncTerm {
     }
 
     /// The term's three-valued truth over its memo, or a dynamic degrade.
-    fn truth(&self, memo: &TermMemo) -> Result<Term3, QueryError> {
+    pub fn truth(&self, memo: &TermMemo) -> Result<Term3, QueryError> {
         let agg_value = match (&self.kind, memo) {
             (TermKind::Set { .. }, TermMemo::Set(s)) => return self.cardinality_truth(s.len()),
             (TermKind::Join { .. }, TermMemo::Join(j)) => {
@@ -662,87 +667,17 @@ impl TermMemo {
     }
 }
 
-/// A per-term delta cursor: which suffix of the transaction's delta log
-/// this term's memo has already absorbed. Valid only within the same
-/// transaction (`epoch`) and window incarnation (`wgen`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Cursor {
-    /// The transaction the memo was built in.
-    pub epoch: u64,
-    /// The rule-window generation the memo was built against.
-    pub wgen: u64,
-    /// Log position: entries `[seq..]` have not been absorbed yet.
-    pub seq: usize,
-}
-
-/// One term's cached state: its memo and the cursor proving how fresh it
-/// is. `cursor == None` means the memo cannot be trusted (never built,
-/// or a repair was interrupted) and must be rebuilt from the window.
-#[derive(Debug, Clone)]
-pub struct TermState {
-    /// The memoized match/join/accumulator state.
-    pub memo: TermMemo,
-    /// Freshness proof; `None` forces a rebuild.
-    pub cursor: Option<Cursor>,
-}
-
-/// Per-rule materialized condition state: one [`TermState`] per term.
-/// Lives in the rule's prepared state (see [`IncrState`]) and dies with
-/// it on DDL.
-#[derive(Debug, Clone, Default)]
-pub struct IncMemo {
-    /// `terms[i]` = term `i`'s memo and cursor.
-    pub terms: Vec<TermState>,
-}
-
-impl IncMemo {
-    /// An all-empty memo shaped for `plan`, with no cursors (every term
-    /// rebuilds on first refresh).
-    pub fn for_plan(plan: &IncrementalPlan) -> IncMemo {
-        IncMemo {
-            terms: plan
-                .terms
-                .iter()
-                .map(|t| TermState { memo: TermMemo::empty_for(t), cursor: None })
-                .collect(),
-        }
-    }
-
-    /// Total memoized entries across terms.
-    pub fn entries(&self) -> usize {
-        self.terms.iter().map(|t| t.memo.entries()).sum()
-    }
-
-    /// Approximate resident bytes across terms.
-    pub fn approx_bytes(&self) -> usize {
-        self.terms.iter().map(|t| t.memo.approx_bytes()).sum()
-    }
-}
-
-/// Per-rule incremental-evaluation state, owned by the engine's prepared
-/// state for the rule beside its compiled condition, so DDL invalidation
-/// frees both together.
-#[derive(Debug)]
-pub struct IncrState {
-    /// The one-time shape analysis: the incremental plan, or why the rule
-    /// permanently falls back (until the next DDL re-analysis).
-    pub plan: Result<Arc<IncrementalPlan>, FallbackReason>,
-    /// The materialized per-term state; `None` until the first
-    /// consideration builds it.
-    pub memo: Option<IncMemo>,
-}
-
 /// What one term refresh did, reported by the engine's refresh callback.
 #[derive(Debug, Clone, Copy)]
 pub enum TermRefresh {
-    /// The memo was patched from the composed delta suffix. `shared` is
-    /// set when the composition came from the transaction's shared
-    /// compose cache (another rule at the same cursor already paid for
-    /// it).
+    /// The memo was patched from the composed delta suffix, or was already
+    /// current. `shared` is set when another rule paid for it: the
+    /// composition came from the transaction's shared compose cache, or
+    /// another rule had already brought the memo up to date.
     Repaired {
         /// Rows probed during the patch.
         rows: u64,
-        /// Composed delta served from the shared cache?
+        /// Paid for by another rule?
         shared: bool,
     },
     /// The memo was rebuilt from the rule's whole window.
@@ -769,23 +704,27 @@ pub enum CondVerdict {
 pub struct EvalOutcome {
     /// The verdict.
     pub verdict: CondVerdict,
-    /// Terms repaired from a delta suffix.
-    pub repaired: u64,
     /// Terms rebuilt from the window.
     pub rebuilt: u64,
     /// Rows probed across all refreshed terms.
     pub rows: u64,
-    /// Terms whose composed delta came from the shared cache.
+    /// Term refreshes another rule paid for.
     pub shared: u64,
 }
 
-/// Internal three-valued node result.
-enum Term3 {
+/// A term's (or node's) three-valued truth, or a dynamic degrade.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Term3 {
     /// SQL truth (NULL = `None`).
     Known(Option<bool>),
     /// Dynamic degrade with its breakdown label.
     Degrade(&'static str),
 }
+
+/// The refresh callback of [`IncrementalPlan::evaluate`]: bring term `i`'s
+/// memo up to date, then answer what was done and the term's truth.
+pub type RefreshFn<'a> =
+    dyn FnMut(usize, &IncTerm) -> Result<(TermRefresh, Term3), QueryError> + 'a;
 
 /// The incremental evaluation plan for one rule condition.
 #[derive(Debug, Clone)]
@@ -800,15 +739,13 @@ impl IncrementalPlan {
     /// `refresh` in exactly the order — and with exactly the Kleene
     /// short-circuits — of the compiled full evaluator. A term skipped by
     /// `false and …` / `true or …` is never refreshed, so probe errors
-    /// surface if and only if the full evaluator would raise them.
-    pub fn evaluate(
-        &self,
-        memo: &mut IncMemo,
-        refresh: &mut dyn FnMut(usize, &IncTerm, &mut TermState) -> Result<TermRefresh, QueryError>,
-    ) -> Result<EvalOutcome, QueryError> {
+    /// surface if and only if the full evaluator would raise them. The
+    /// caller owns the memos: `refresh(i, term)` brings term `i`'s memo up
+    /// to date and answers what it did plus [`IncTerm::truth`] over it.
+    pub fn evaluate(&self, refresh: &mut RefreshFn<'_>) -> Result<EvalOutcome, QueryError> {
         let mut out =
-            EvalOutcome { verdict: CondVerdict::Truth(false), repaired: 0, rebuilt: 0, rows: 0, shared: 0 };
-        let v = self.node_eval(&self.root, memo, refresh, &mut out)?;
+            EvalOutcome { verdict: CondVerdict::Truth(false), rebuilt: 0, rows: 0, shared: 0 };
+        let v = self.node_eval(&self.root, refresh, &mut out)?;
         out.verdict = match v {
             Term3::Known(t) => CondVerdict::Truth(t == Some(true)),
             Term3::Degrade(label) => CondVerdict::Degrade(label),
@@ -819,17 +756,14 @@ impl IncrementalPlan {
     fn node_eval(
         &self,
         node: &IncNode,
-        memo: &mut IncMemo,
-        refresh: &mut dyn FnMut(usize, &IncTerm, &mut TermState) -> Result<TermRefresh, QueryError>,
+        refresh: &mut RefreshFn<'_>,
         out: &mut EvalOutcome,
     ) -> Result<Term3, QueryError> {
         match node {
             IncNode::Term(i) => {
-                let term = &self.terms[*i];
-                let st = &mut memo.terms[*i];
-                match refresh(*i, term, st)? {
+                let (done, truth) = refresh(*i, &self.terms[*i])?;
+                match done {
                     TermRefresh::Repaired { rows, shared } => {
-                        out.repaired += 1;
                         out.rows += rows;
                         if shared {
                             out.shared += 1;
@@ -840,10 +774,10 @@ impl IncrementalPlan {
                         out.rows += rows;
                     }
                 }
-                term.truth(&st.memo)
+                Ok(truth)
             }
             IncNode::And(l, r) => {
-                let lv = self.node_eval(l, memo, refresh, out)?;
+                let lv = self.node_eval(l, refresh, out)?;
                 let lt = match lv {
                     Term3::Degrade(_) => return Ok(lv),
                     // The compiled evaluator short-circuits `false and …`
@@ -851,25 +785,25 @@ impl IncrementalPlan {
                     Term3::Known(Some(false)) => return Ok(lv),
                     Term3::Known(t) => t,
                 };
-                match self.node_eval(r, memo, refresh, out)? {
+                match self.node_eval(r, refresh, out)? {
                     Term3::Degrade(label) => Ok(Term3::Degrade(label)),
                     Term3::Known(rt) => Ok(Term3::Known(eval::kleene_and(lt, rt))),
                 }
             }
             IncNode::Or(l, r) => {
-                let lv = self.node_eval(l, memo, refresh, out)?;
+                let lv = self.node_eval(l, refresh, out)?;
                 let lt = match lv {
                     Term3::Degrade(_) => return Ok(lv),
                     // `true or …` short-circuits likewise.
                     Term3::Known(Some(true)) => return Ok(lv),
                     Term3::Known(t) => t,
                 };
-                match self.node_eval(r, memo, refresh, out)? {
+                match self.node_eval(r, refresh, out)? {
                     Term3::Degrade(label) => Ok(Term3::Degrade(label)),
                     Term3::Known(rt) => Ok(Term3::Known(eval::kleene_or(lt, rt))),
                 }
             }
-            IncNode::Not(e) => match self.node_eval(e, memo, refresh, out)? {
+            IncNode::Not(e) => match self.node_eval(e, refresh, out)? {
                 Term3::Degrade(label) => Ok(Term3::Degrade(label)),
                 Term3::Known(t) => Ok(Term3::Known(t.map(|b| !b))),
             },
@@ -1193,9 +1127,13 @@ fn analyze_single(
     match truth {
         TermTruth::Agg { .. } => {
             let (arg, arg_name, func) = resolve_acc(db, sub, &view, tid)?;
-            Ok(IncTerm { kind: TermKind::Acc { view, arg, arg_name, func, pred }, truth })
+            Ok(IncTerm {
+                kind: TermKind::Acc { view, arg, arg_name, func, pred },
+                truth,
+                template: sub.to_string(),
+            })
         }
-        _ => Ok(IncTerm { kind: TermKind::Set { view, pred }, truth }),
+        _ => Ok(IncTerm { kind: TermKind::Set { view, pred }, truth, template: sub.to_string() }),
     }
 }
 
@@ -1338,6 +1276,7 @@ fn analyze_join(
             pred,
         },
         truth,
+        template: sub.to_string(),
     })
 }
 
@@ -1386,17 +1325,18 @@ mod tests {
         analyze(&db(), &parse_expr(src).unwrap(), &allow_all)
     }
 
-    /// A refresh that trusts the memo as-is (tests populate it by hand).
-    fn no_refresh(
-        _: usize,
-        _: &IncTerm,
-        _: &mut TermState,
-    ) -> Result<TermRefresh, QueryError> {
-        Ok(TermRefresh::Repaired { rows: 0, shared: false })
+    /// One empty memo per term; tests populate them by hand.
+    fn memos_for(p: &IncrementalPlan) -> Vec<TermMemo> {
+        p.terms.iter().map(TermMemo::empty_for).collect()
     }
 
-    fn truth_of(p: &IncrementalPlan, memo: &mut IncMemo) -> bool {
-        match p.evaluate(memo, &mut no_refresh).unwrap().verdict {
+    /// Evaluate over the memos as they stand (no refresh work).
+    fn eval_over(p: &IncrementalPlan, memos: &[TermMemo]) -> Result<EvalOutcome, QueryError> {
+        p.evaluate(&mut |i, t| Ok((TermRefresh::Repaired { rows: 0, shared: false }, t.truth(&memos[i])?)))
+    }
+
+    fn truth_of(p: &IncrementalPlan, memos: &[TermMemo]) -> bool {
+        match eval_over(p, memos).unwrap().verdict {
             CondVerdict::Truth(t) => t,
             CondVerdict::Degrade(l) => panic!("unexpected degrade {l}"),
         }
@@ -1485,6 +1425,21 @@ mod tests {
         assert_eq!(funcs, vec![AccFunc::Sum, AccFunc::Min, AccFunc::Avg, AccFunc::Max]);
         // `2.5 < avg` mirrored to `avg > 2.5`.
         assert!(matches!(p.terms[2].truth, TermTruth::Agg { op: BinaryOp::Gt, .. }));
+    }
+
+    #[test]
+    fn templates_ignore_the_compared_literal_only() {
+        let p = plan(
+            "(select sum(emp_no) from inserted emp) > 10 \
+             and 3 > (select sum(emp_no) from inserted emp) \
+             and exists (select * from inserted emp where emp_no > 1) \
+             and exists (select * from inserted emp where emp_no > 2)",
+        )
+        .unwrap();
+        let t: Vec<&str> = p.terms.iter().map(|t| t.template.as_str()).collect();
+        assert_eq!(t[0], "select sum(emp_no) from inserted emp");
+        assert_eq!(t[0], t[1], "the literal stays with the truth, not the template");
+        assert_ne!(t[2], t[3], "a literal inside `where` is part of the template");
     }
 
     #[test]
@@ -1599,19 +1554,19 @@ mod tests {
              or (select count(*) from deleted emp) >= 2",
         )
         .unwrap();
-        let mut memo = IncMemo::for_plan(&p);
-        assert!(!truth_of(&p, &mut memo));
-        let TermMemo::Set(s) = &mut memo.terms[1].memo else { panic!() };
+        let mut memo = memos_for(&p);
+        assert!(!truth_of(&p, &memo));
+        let TermMemo::Set(s) = &mut memo[1] else { panic!() };
         s.insert(TupleHandle(1));
-        assert!(!truth_of(&p, &mut memo), "count 1 < 2 and no inserts");
-        let TermMemo::Set(s) = &mut memo.terms[1].memo else { panic!() };
+        assert!(!truth_of(&p, &memo), "count 1 < 2 and no inserts");
+        let TermMemo::Set(s) = &mut memo[1] else { panic!() };
         s.insert(TupleHandle(2));
-        assert!(truth_of(&p, &mut memo), "count reached 2");
-        let TermMemo::Set(s) = &mut memo.terms[1].memo else { panic!() };
+        assert!(truth_of(&p, &memo), "count reached 2");
+        let TermMemo::Set(s) = &mut memo[1] else { panic!() };
         s.clear();
-        let TermMemo::Set(s) = &mut memo.terms[0].memo else { panic!() };
+        let TermMemo::Set(s) = &mut memo[0] else { panic!() };
         s.insert(TupleHandle(3));
-        assert!(truth_of(&p, &mut memo), "exists arm");
+        assert!(truth_of(&p, &memo), "exists arm");
     }
 
     #[test]
@@ -1621,13 +1576,13 @@ mod tests {
              and (select count(*) from deleted emp) >= 1",
         )
         .unwrap();
-        let mut memo = IncMemo::for_plan(&p);
+        let memo = memos_for(&p);
         // Left term empty ⇒ `false and …` never refreshes the right term.
         let mut touched = Vec::new();
         let out = p
-            .evaluate(&mut memo, &mut |i, _, _| {
+            .evaluate(&mut |i, t| {
                 touched.push(i);
-                Ok(TermRefresh::Rebuilt { rows: 0 })
+                Ok((TermRefresh::Rebuilt { rows: 0 }, t.truth(&memo[i])?))
             })
             .unwrap();
         assert_eq!(out.verdict, CondVerdict::Truth(false));
@@ -1640,58 +1595,58 @@ mod tests {
         // Empty window: sum is NULL, NULL > 0 is not-true, and
         // `not (NULL > 0)` is *also* not-true — Kleene, not classical.
         let p = plan("not (select sum(emp_no) from inserted emp) > 0").unwrap();
-        let mut memo = IncMemo::for_plan(&p);
-        assert!(!truth_of(&p, &mut memo), "not NULL is NULL, not true");
-        let TermMemo::Acc(a) = &mut memo.terms[0].memo else { panic!() };
+        let mut memo = memos_for(&p);
+        assert!(!truth_of(&p, &memo), "not NULL is NULL, not true");
+        let TermMemo::Acc(a) = &mut memo[0] else { panic!() };
         a.insert(TupleHandle(1), 5);
-        assert!(!truth_of(&p, &mut memo), "5 > 0 holds, negated");
-        let TermMemo::Acc(a) = &mut memo.terms[0].memo else { panic!() };
+        assert!(!truth_of(&p, &memo), "5 > 0 holds, negated");
+        let TermMemo::Acc(a) = &mut memo[0] else { panic!() };
         a.insert(TupleHandle(1), -5);
-        assert!(truth_of(&p, &mut memo), "replaced contribution flips the sum");
+        assert!(truth_of(&p, &memo), "replaced contribution flips the sum");
     }
 
     #[test]
     fn accumulator_repairs_extremum_deletion() {
         let p = plan("(select max(emp_no) from inserted emp) >= 9").unwrap();
-        let mut memo = IncMemo::for_plan(&p);
-        let TermMemo::Acc(a) = &mut memo.terms[0].memo else { panic!() };
+        let mut memo = memos_for(&p);
+        let TermMemo::Acc(a) = &mut memo[0] else { panic!() };
         a.insert(TupleHandle(1), 9);
         a.insert(TupleHandle(2), 9);
         a.insert(TupleHandle(3), 4);
-        assert!(truth_of(&p, &mut memo));
-        let TermMemo::Acc(a) = &mut memo.terms[0].memo else { panic!() };
+        assert!(truth_of(&p, &memo));
+        let TermMemo::Acc(a) = &mut memo[0] else { panic!() };
         a.remove(TupleHandle(1));
-        assert!(truth_of(&p, &mut memo), "duplicate extremum survives one removal");
-        let TermMemo::Acc(a) = &mut memo.terms[0].memo else { panic!() };
+        assert!(truth_of(&p, &memo), "duplicate extremum survives one removal");
+        let TermMemo::Acc(a) = &mut memo[0] else { panic!() };
         a.remove(TupleHandle(2));
         assert_eq!(a.sum, 4);
-        assert!(!truth_of(&p, &mut memo), "max fell to 4 without any rescan");
+        assert!(!truth_of(&p, &memo), "max fell to 4 without any rescan");
     }
 
     #[test]
     fn sum_overflow_guard_degrades_only_when_order_matters() {
         let p = plan("(select sum(emp_no) from inserted emp) > 0").unwrap();
-        let mut memo = IncMemo::for_plan(&p);
-        let TermMemo::Acc(a) = &mut memo.terms[0].memo else { panic!() };
+        let mut memo = memos_for(&p);
+        let TermMemo::Acc(a) = &mut memo[0] else { panic!() };
         a.insert(TupleHandle(1), i64::MAX);
         a.insert(TupleHandle(2), i64::MAX);
         a.insert(TupleHandle(3), -i64::MAX);
         // Total fits i64 but pos escapes: order decides, so degrade.
-        match p.evaluate(&mut memo, &mut no_refresh).unwrap().verdict {
+        match eval_over(&p, &memo).unwrap().verdict {
             CondVerdict::Degrade(l) => assert_eq!(l, SUM_OVERFLOW_GUARD),
             v => panic!("expected degrade, got {v:?}"),
         }
         // Total overflows: every order errors, exactly like the fold.
-        let TermMemo::Acc(a) = &mut memo.terms[0].memo else { panic!() };
+        let TermMemo::Acc(a) = &mut memo[0] else { panic!() };
         a.remove(TupleHandle(3));
-        let err = p.evaluate(&mut memo, &mut no_refresh).unwrap_err();
+        let err = eval_over(&p, &memo).unwrap_err();
         assert!(err.to_string().contains("integer overflow in sum"), "{err}");
         // Comfortably inside i64: authoritative truth.
-        let TermMemo::Acc(a) = &mut memo.terms[0].memo else { panic!() };
+        let TermMemo::Acc(a) = &mut memo[0] else { panic!() };
         a.remove(TupleHandle(1));
         a.remove(TupleHandle(2));
         a.insert(TupleHandle(4), 41);
-        assert!(truth_of(&p, &mut memo));
+        assert!(truth_of(&p, &memo));
     }
 
     #[test]
@@ -1701,18 +1656,18 @@ mod tests {
              where e.emp_no = d.dept_no) >= 2",
         )
         .unwrap();
-        let mut memo = IncMemo::for_plan(&p);
-        let TermMemo::Join(j) = &mut memo.terms[0].memo else { panic!() };
+        let mut memo = memos_for(&p);
+        let TermMemo::Join(j) = &mut memo[0] else { panic!() };
         j.left.insert(TupleHandle(1), Value::Int(7), vec![Value::Int(7)]);
         j.right.insert(TupleHandle(8), Value::Int(7), vec![Value::Int(7)]);
         j.right.insert(TupleHandle(9), Value::Int(7), vec![Value::Int(7)]);
         j.add_pair(TupleHandle(1), TupleHandle(8));
         j.add_pair(TupleHandle(1), TupleHandle(9));
-        assert!(truth_of(&p, &mut memo));
-        let TermMemo::Join(j) = &mut memo.terms[0].memo else { panic!() };
+        assert!(truth_of(&p, &memo));
+        let TermMemo::Join(j) = &mut memo[0] else { panic!() };
         j.purge_left(TupleHandle(1));
         assert!(j.pairs.is_empty());
-        assert!(!truth_of(&p, &mut memo));
+        assert!(!truth_of(&p, &memo));
     }
 
     #[test]
@@ -1812,14 +1767,15 @@ mod tests {
              and (select sum(emp_no) from deleted emp) > 0",
         )
         .unwrap();
-        let mut memo = IncMemo::for_plan(&p);
-        assert_eq!(memo.entries(), 0);
-        let TermMemo::Set(s) = &mut memo.terms[0].memo else { panic!() };
+        let mut memo = memos_for(&p);
+        let entries = |m: &[TermMemo]| m.iter().map(TermMemo::entries).sum::<usize>();
+        assert_eq!(entries(&memo), 0);
+        let TermMemo::Set(s) = &mut memo[0] else { panic!() };
         s.insert(TupleHandle(1));
         s.insert(TupleHandle(2));
-        let TermMemo::Acc(a) = &mut memo.terms[1].memo else { panic!() };
+        let TermMemo::Acc(a) = &mut memo[1] else { panic!() };
         a.insert(TupleHandle(3), 7);
-        assert_eq!(memo.entries(), 3);
-        assert!(memo.approx_bytes() > 0);
+        assert_eq!(entries(&memo), 3);
+        assert!(memo.iter().map(TermMemo::approx_bytes).sum::<usize>() > 0);
     }
 }

@@ -66,8 +66,9 @@ impl TableSchema {
     }
 
     /// Validate a tuple against this schema, coercing fields where a
-    /// lossless coercion exists (`Int` → `Float`, `NULL` → anything).
-    pub fn check_tuple(&self, tuple: Tuple) -> Result<Tuple, StorageError> {
+    /// lossless coercion exists (`Int` → `Float`, `NULL` → anything). The
+    /// tuple is checked and widened in place, never copied.
+    pub fn check_tuple(&self, mut tuple: Tuple) -> Result<Tuple, StorageError> {
         if tuple.arity() != self.arity() {
             return Err(StorageError::ArityMismatch {
                 table: self.name.clone(),
@@ -75,22 +76,13 @@ impl TableSchema {
                 got: tuple.arity(),
             });
         }
-        let mut out = Vec::with_capacity(tuple.arity());
-        for (i, v) in tuple.0.into_iter().enumerate() {
-            let col = &self.columns[i];
-            match v.coerce_to(col.ty) {
-                Some(cv) => out.push(cv),
-                None => {
-                    return Err(StorageError::TypeMismatch {
-                        table: self.name.clone(),
-                        column: col.name.clone(),
-                        expected: col.ty,
-                        got: v.data_type(),
-                    })
-                }
+        for (i, v) in tuple.0.iter_mut().enumerate() {
+            self.accepts(ColumnId(i as u16), v)?;
+            if let (Value::Int(n), DataType::Float) = (&*v, self.columns[i].ty) {
+                *v = Value::Float(*n as f64);
             }
         }
-        Ok(Tuple(out))
+        Ok(tuple)
     }
 
     /// Check that `v` can be stored in column `c`: it is `NULL`, has the

@@ -117,7 +117,9 @@ echo "==> read and write path allocations (rows and images by reference) + accum
 # an_update_with_a_watching_rule_allocates_less_than_five_per_tuple,
 # a_delete_with_two_watching_rules_allocates_less_than_two_per_tuple and
 # a_traced_select_allocates_less_than_half_per_matched_row (the section
-# 5.1 trace, deduplicated by a sort). The oracle folds 300 seeded random
+# 5.1 trace, deduplicated by a sort). Inserted tuples are checked and
+# widened in place: storage_insert_allocates_less_than_half_per_row and
+# a_parsed_insert_values_allocates_less_than_two_per_row. The oracle folds 300 seeded random
 # argument columns (ints near the i64 edges, NaN, +-0.0, +-inf, text,
 # booleans, NULL) through the streaming accumulators and through the
 # test-only fold_aggregate, every function plain and distinct, and
@@ -125,6 +127,16 @@ echo "==> read and write path allocations (rows and images by reference) + accum
 cargo test -q -p setrules-core --test alloc_per_row
 cargo test -q -p setrules-query --lib -- \
   exec::aggregate::tests::accumulators_match_fold_aggregate
+
+echo "==> incremental evaluation (shared memos vs re-scan, every retrigger semantics)"
+# Also run under `cargo test` above; named here so the CI log shows the
+# gate behind memos shared per (term template, window start): rule
+# programs whose rules share templates (compared to different literals,
+# over windows of different starts, with a shared rebuild that divides by
+# zero) give the same outcomes, errors, event traces and state images with
+# incremental evaluation on and off, under all three retrigger semantics.
+cargo test -q -p setrules-core --test incremental_eval -- \
+  shared_memos_are_invisible_across_retrigger_semantics
 
 echo "==> §4.4 selection (priority closure property + selection differential)"
 # Both run under `cargo test` above; named here so the CI log shows the

@@ -588,6 +588,20 @@ fn drain_trace(sys: &mut RuleSystem) -> Vec<String> {
     trace
 }
 
+/// What ran, what it produced and how the transaction ended — work
+/// counters and timings, which legitimately differ, left out.
+fn outcome(r: Result<TxnOutcome, RuleError>) -> String {
+    match r {
+        Ok(TxnOutcome::Committed { fired, transitions, output, .. }) => {
+            format!("committed {fired:?} after {transitions} transitions, {output:?}")
+        }
+        Ok(TxnOutcome::RolledBack { by_rule, fired, .. }) => {
+            format!("rolled back by {by_rule} after {fired:?}")
+        }
+        Err(e) => format!("error: {e}"),
+    }
+}
+
 /// Every program behaves the same with incremental condition evaluation
 /// pinned on and pinned off: after the setup and after each transaction,
 /// the same outcome (or error text), the same event trace and the same
@@ -608,17 +622,6 @@ fn fixed_programs_match_with_incremental_evaluation_on_and_off() {
         let name = program.name;
         assert_eq!(drain_trace(&mut inc), drain_trace(&mut scan), "{name}: setup trace");
         for sql in program.txns {
-            // Work counters and timings legitimately differ; what ran,
-            // what it produced and how the transaction ended may not.
-            let outcome = |r: Result<TxnOutcome, RuleError>| match r {
-                Ok(TxnOutcome::Committed { fired, transitions, output, .. }) => {
-                    format!("committed {fired:?} after {transitions} transitions, {output:?}")
-                }
-                Ok(TxnOutcome::RolledBack { by_rule, fired, .. }) => {
-                    format!("rolled back by {by_rule} after {fired:?}")
-                }
-                Err(e) => format!("error: {e}"),
-            };
             let (a, b) = (outcome(inc.transaction(sql)), outcome(scan.transaction(sql)));
             assert_eq!(a, b, "{name}: outcome of `{sql}`");
             assert_eq!(drain_trace(&mut inc), drain_trace(&mut scan), "{name}: trace of `{sql}`");
@@ -870,8 +873,10 @@ fn shared_delta_cursor_fans_out_across_watchers() {
     // window, then each step of a 10-step driver cascade clears the
     // considered set, so every watcher is reconsidered against a window
     // the driver never touches. For each memo kind — a match set, a
-    // two-view join memory, shared accumulators — the memo is built once
-    // per watcher and only repaired after that, and nothing falls back.
+    // two-view join memory, shared accumulators — one memo is built per
+    // (template, window start) and only repaired after that, and nothing
+    // falls back. Every watcher's window starts at the storm's first
+    // transition; the driver's restarts at each of its DEPTH actions.
     const WATCHERS: u64 = 12;
     const DEPTH: u64 = 10;
     let shapes: [fn(u64) -> String; 3] = [
@@ -915,7 +920,10 @@ fn shared_delta_cursor_fans_out_across_watchers() {
             "shape {shape}: same schedule, same verdicts"
         );
         let reconsiderations = WATCHERS * (DEPTH - 1);
-        assert!(si.incr_rebuilds >= WATCHERS, "shape {shape}: {si:?}");
+        // Shapes 0 and 1 compare inside `where`, so each watcher has its
+        // own template; shape 2 compares four aggregates to literals.
+        let templates = if shape == 2 { 4 } else { WATCHERS };
+        assert_eq!(si.incr_rebuilds, templates + DEPTH + 1, "shape {shape}: {si:?}");
         assert!(si.incr_hits >= reconsiderations, "shape {shape}: repairs, not rebuilds: {si:?}");
         assert_eq!(si.incr_fallbacks, 0, "shape {shape}: {:?}", si.incr_fallback_reasons);
         assert_eq!(
@@ -926,6 +934,92 @@ fn shared_delta_cursor_fans_out_across_watchers() {
         if shape == 2 {
             assert!(si.incr_shared_hits >= reconsiderations / 2, "shape {shape}: {si:?}");
         }
+    }
+}
+
+/// Memos are shared per (template, window start): rules reading the same
+/// subquery over the same window read one memo, whatever literal they
+/// compare it with. Three templates here — `sum(a)` compared to four
+/// literals, `exists` over `b > 5` and over `b > 7` (a literal inside
+/// `where` is part of the template), and a division that raises — under
+/// every retrigger semantics. `pump` acts while the others keep their
+/// windows, so its `sum(a)` and `a = 1` memos exist over two window
+/// starts at once; `w_div` and `w_nodiv` share a memo whose rebuild
+/// divides by zero. Both evaluators must agree on every outcome and
+/// error, every event (bar the evaluator's own kinds) and every state
+/// image.
+#[test]
+fn shared_memos_are_invisible_across_retrigger_semantics() {
+    let rules: Vec<String> = [
+        // Self-quenching: its restarted window holds only its own insert.
+        "create rule pump when inserted into t \
+         if exists (select * from inserted t where a = 1) \
+         and (select sum(a) from inserted t) < 1000 \
+         then insert into t values (99, 99, 0.0)",
+        "create rule w_hi when inserted into t \
+         if (select sum(a) from inserted t) > 150 then insert into sink values (1, 1)",
+        "create rule w_lo when inserted into t \
+         if 5 > (select sum(a) from inserted t) \
+         or exists (select * from inserted t where b > 5) \
+         then insert into sink values (2, 1)",
+        "create rule w_b7 when inserted into t \
+         if exists (select * from inserted t where b > 7) \
+         and (select sum(a) from inserted t) >= 20 \
+         then insert into sink values (3, 1)",
+        "create rule w_one when inserted into t \
+         if not exists (select * from inserted t where a = 1) \
+         then insert into sink values (4, 1)",
+        "create rule w_div when inserted into t \
+         if exists (select * from inserted t where 10 / a > 1) \
+         then insert into sink values (5, 1)",
+        "create rule w_nodiv when inserted into t \
+         if not exists (select * from inserted t where 10 / a > 1) \
+         then insert into sink values (6, 1)",
+    ]
+    .map(String::from)
+    .to_vec();
+    let txns = [
+        "insert into t values (1, 6, 0.0), (2, 8, 0.0)",
+        "insert into t values (50, 1, 0.0), (60, 9, 0.0); insert into t values (1, 2, 0.0)",
+        // `10 / 0`: the first rule to read the shared division memo
+        // raises while rebuilding it.
+        "insert into t values (0, 3, 0.0)",
+        "insert into t values (1, 9, 0.0), (70, 1, 0.0), (3, 2, 0.0)",
+        "insert into t values (4, 4, 0.0); insert into t values (5, 8, 0.0), (200, 9, 0.0)",
+        "insert into t values (1, 1, 0.0), (0, 7, 0.0)",
+        "insert into t values (2, 2, 0.0)",
+    ];
+    for retrigger in RETRIGGERS {
+        let mut inc = build(true, retrigger, &rules);
+        let mut scan = build(false, retrigger, &rules);
+        assert_eq!(drain_trace(&mut inc), drain_trace(&mut scan), "{retrigger:?}: setup");
+        let mut errors = 0;
+        for sql in txns {
+            let (a, b) = (outcome(inc.transaction(sql)), outcome(scan.transaction(sql)));
+            assert_eq!(a, b, "{retrigger:?}: outcome of `{sql}`");
+            errors += usize::from(a.contains("integer division by zero"));
+            assert_eq!(
+                drain_trace(&mut inc),
+                drain_trace(&mut scan),
+                "{retrigger:?}: trace of `{sql}`"
+            );
+            assert_eq!(
+                inc.database().state_image(),
+                scan.database().state_image(),
+                "{retrigger:?}: state after `{sql}`"
+            );
+        }
+        // In the sixth transaction `pump` acts first; under
+        // `SinceLastTriggering` its insert restarts every window, so the
+        // `0` row has left them before `w_div` reads.
+        let expected = if retrigger == RetriggerSemantics::SinceLastTriggering { 1 } else { 2 };
+        assert_eq!(errors, expected, "{retrigger:?}: transactions dividing by zero");
+        let pumped = inc.query("select count(*) from t where a = 99").unwrap();
+        assert!(pumped.scalar().unwrap().as_i64() > Some(0), "{retrigger:?}: pump never acted");
+        let (si, ss) = (inc.stats(), scan.stats());
+        assert_eq!(si.incr_fallbacks, 0, "{retrigger:?}: {:?}", si.incr_fallback_reasons);
+        assert!(si.incr_shared_hits > 0, "{retrigger:?}: no memo was shared: {si:?}");
+        assert_eq!((ss.incr_hits, ss.incr_rebuilds, ss.incr_shared_hits), (0, 0, 0));
     }
 }
 
