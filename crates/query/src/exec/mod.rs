@@ -4,8 +4,8 @@
 //! [`Executor`] trait: each call to [`Executor::next_batch`] yields the
 //! next batch of rows (up to [`BATCH_ROWS`] per batch) or `None` when the
 //! operator is exhausted. Every decision — access selection, pushdown
-//! classification, equi-join edges, the fast paths, the projection or
-//! aggregation program — is made once, before the first batch flows, by
+//! classification, equi-join edges, the ordered-index access upgrades,
+//! the projection or aggregation program — is made once, before the first batch flows, by
 //! [`crate::plan::plan_select`]; the driver in [`crate::select`] moves
 //! that plan value's parts into this tree and operators decide nothing
 //! but what depends on the rows (join order over scanned cardinalities,

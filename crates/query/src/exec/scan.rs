@@ -7,9 +7,15 @@
 //! cloned: a stored row is a slice of the database's tuple, a transition
 //! row is whatever `Cow` the provider lent. A full scan walks the table
 //! once ([`Table::snapshot`]); an index path looks up the handles it
-//! chose, or walks the table once when they are a large share of it. Its display name tracks the
-//! access path (`seq-scan`, `index-scan`, `index-range-scan`,
-//! `empty-scan`, `transition-scan`).
+//! chose, or walks the table once when they are a large ascending share
+//! of it. The two ordered-index upgrades the plan makes for a sole item
+//! are scans too: `index-order-scan` emits rows in `order by` key order,
+//! stopping early only when the plan says no row past the `limit` can
+//! fail, and `index-boundary-scan` emits just the rows holding each bare
+//! `min`/`max` column's extreme for the aggregate to fold. A scan's
+//! display name tracks the access path (`seq-scan`, `index-scan`,
+//! `index-range-scan`, `empty-scan`, `index-order-scan`,
+//! `index-boundary-scan`, `transition-scan`).
 //!
 //! This operator is also one of the two partitioned phases: with a
 //! thread budget, a big-enough stored-table scan whose pushed conjuncts
@@ -83,13 +89,14 @@ pub(crate) fn admits(conjs: &[CompiledExpr], row: &[Value]) -> bool {
 /// `WALK_SHARE`) of the table fetches its tuples by one ordered walk.
 const WALK_SHARE: usize = 16;
 
-/// The live tuples behind `handles` (ascending, as every index path
-/// returns them), in handle order. A few handles are looked up one B-tree
-/// descent each; a large share of the table is fetched by one ordered
-/// walk from the first handle, skipping the rows not asked for.
+/// The live tuples behind `handles`, in the order given. A few handles,
+/// or handles out of ascending order (a key-order walk), are looked up one
+/// B-tree descent each; a large ascending share of the table is fetched
+/// by one ordered walk from the first handle, skipping the rows not asked
+/// for.
 fn fetch<'a>(table: &'a Table, handles: &[TupleHandle]) -> Vec<(TupleHandle, &'a Tuple)> {
     let Some(&first) = handles.first() else { return Vec::new() };
-    if handles.len() * WALK_SHARE < table.len() {
+    if handles.len() * WALK_SHARE < table.len() || !handles.is_sorted() {
         let live = |h: TupleHandle| table.get(h).expect("scanned handle is live");
         return handles.iter().map(|&h| (h, live(h))).collect();
     }
@@ -117,6 +124,8 @@ pub(crate) fn access_op_name(access: &Access) -> &'static str {
         Access::IndexEq { .. } | Access::IndexIn { .. } => "index-scan",
         Access::IndexRange { .. } => "index-range-scan",
         Access::Empty => "empty-scan",
+        Access::IndexOrder { .. } => "index-order-scan",
+        Access::IndexBoundary { .. } => "index-boundary-scan",
     }
 }
 
@@ -164,17 +173,31 @@ impl<'a> ScanExec<'a> {
                     Access::IndexEq { .. } | Access::IndexIn { .. } => s.index_lookups += 1,
                     Access::IndexRange { .. } => s.range_scans += 1,
                     Access::Empty => s.empty_scans += 1,
+                    Access::IndexOrder { range, .. } => {
+                        s.sort_elided += 1;
+                        match range {
+                            None => s.full_scans += 1,
+                            Some(_) => s.range_scans += 1,
+                        }
+                    }
+                    Access::IndexBoundary { ends } => s.index_lookups += ends.len() as u64,
                 });
                 let (db, tid) = (ctx.db, item.tid);
                 let tuples: Vec<(TupleHandle, &'a Tuple)> = match access {
                     Access::FullScan => db.table(tid).snapshot(),
                     _ => fetch(db.table(tid), &scan_handles(db, tid, access)),
                 };
-                if matches!(access, Access::IndexRange { .. }) {
+                if matches!(
+                    access,
+                    Access::IndexRange { .. } | Access::IndexOrder { range: Some(_), .. }
+                ) {
                     let skipped = (db.table(tid).len() - tuples.len()) as u64;
                     stats::bump(ctx.stats, |s| s.range_rows_skipped += skipped);
                 }
-                stats::bump(ctx.stats, |s| s.rows_scanned += tuples.len() as u64);
+                // A boundary probe reads index keys, not the table.
+                if !matches!(access, Access::IndexBoundary { .. }) {
+                    stats::bump(ctx.stats, |s| s.rows_scanned += tuples.len() as u64);
+                }
                 let tuples = &tuples;
                 let fetch = |range: Range<usize>| {
                     let mut kept: Vec<ScanRow<'a>> = Vec::with_capacity(range.len());

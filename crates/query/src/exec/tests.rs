@@ -18,7 +18,7 @@ use super::project::ProjectExec;
 use super::scan::ScanExec;
 use super::sort::{DistinctExec, LimitExec, SortExec};
 use super::*;
-use crate::plan::{plan_select, Shape, Top};
+use crate::plan::{plan_select, Top};
 use crate::stats::{OpStatsCell, StatsCell};
 use crate::{execute_op, ExecOpts, NoTransitionTables};
 
@@ -336,10 +336,10 @@ fn grouped_db() -> Database {
     db
 }
 
-/// Lower `stmt` exactly as the driver does — from its plan value, with
-/// the fast paths off — but with every operator's batch size forced to
-/// `n` and a thread budget of `threads`, and pull it dry. The driver has
-/// no public batch-size knob, so this mirrors the `lower_read` +
+/// Lower `stmt` exactly as `run_select_traced` does — from its plan
+/// value — but with every operator's batch size forced to `n` and a
+/// thread budget of `threads`, and pull it dry. The executor has no
+/// public batch-size knob, so this mirrors the `lower_read` +
 /// `run_select_traced` lowering verbatim — if that lowering changes
 /// shape, this helper is the unit-level pin that must change with it.
 fn run_tiny(
@@ -351,8 +351,7 @@ fn run_tiny(
     let ctx = QueryCtx { threads, ..QueryCtx::plain(db) };
     let mut bindings = Bindings::new();
     let plan = plan_select(ctx, stmt, &bindings.layout(), true)?;
-    let Shape::Pipeline(pipeline) = plan.shape else { panic!("fast paths are off") };
-    let read = plan.read;
+    let (read, pipeline) = (plan.read, plan.pipeline);
     let op = read.join_op();
     let scans = read.items.into_iter().map(|it| ScanExec::new(it).with_batch_rows(n)).collect();
     let join = JoinExec::new(scans, read.edges, op).with_batch_rows(n);

@@ -1,5 +1,6 @@
 //! `explain`: print a select's plan value — the access path chosen for
-//! each `from` item, sort elision and top-K eligibility, the greedy join
+//! each `from` item (a key-order walk also reports the sort it elides),
+//! top-K eligibility, the greedy join
 //! order over estimated cardinalities, the operator chain and its
 //! exchange-eligible stages. It makes no planning decision of its own:
 //! the value is the one [`plan_select`] builds for execution, so the
@@ -16,7 +17,7 @@ use setrules_storage::{ColumnId, Database, Value};
 use crate::compile::{is_rowlocal, Layout};
 use crate::ctx::{QueryCtx, SubqueryCache};
 use crate::exec::scan::{access_op_name, ScanSource};
-use crate::plan::{plan_select, ItemPlan, Pipeline, SelectPlan, Shape, Top};
+use crate::plan::{plan_select, ItemPlan, SelectPlan, Top};
 use crate::planner::{build_join_plan, scan_handles, Access};
 
 /// A key interval in mathematical notation: `[4, 6]`, `(5, +inf)`. The
@@ -78,7 +79,7 @@ pub fn explain_select(ctx: QueryCtx<'_>, stmt: &SelectStmt) -> String {
     let memo = SubqueryCache::new();
     let ctx = QueryCtx { cache: ctx.cache.or(Some(&memo)), ..ctx };
     let mut out = String::new();
-    let Ok(plan) = plan_select(ctx, stmt, &Layout::new(), false) else {
+    let Ok(plan) = plan_select(ctx, stmt, &Layout::new(), true) else {
         // Planning stops at an unknown table (execution would error
         // before lowering): name the unknown ones, and nothing else.
         for tref in &stmt.from {
@@ -94,7 +95,7 @@ pub fn explain_select(ctx: QueryCtx<'_>, stmt: &SelectStmt) -> String {
     for item in &read.items {
         let name = item.table;
         let desc = match &item.source {
-            ScanSource::Named(Access::FullScan) => {
+            ScanSource::Named(Access::FullScan | Access::IndexOrder { range: None, .. }) => {
                 format!("seq scan ({} rows)", ctx.db.table(item.tid).len())
             }
             ScanSource::Named(Access::IndexEq { column, value }) => {
@@ -106,12 +107,24 @@ pub fn explain_select(ctx: QueryCtx<'_>, stmt: &SelectStmt) -> String {
                 describe_probes(values),
                 if *from_subquery { " from subquery" } else { "" }
             ),
-            ScanSource::Named(Access::IndexRange { column, lo, hi }) => format!(
+            ScanSource::Named(
+                Access::IndexRange { column, lo, hi }
+                | Access::IndexOrder { column, range: Some((lo, hi)), .. },
+            ) => format!(
                 "index range scan on {name}.{} over {}",
                 col(item, *column),
                 describe_interval(lo, hi)
             ),
             ScanSource::Named(Access::Empty) => "empty (predicate unsatisfiable)".to_string(),
+            ScanSource::Named(Access::IndexBoundary { ends }) => {
+                let ends: Vec<String> = ends
+                    .iter()
+                    .map(|&(c, is_min)| {
+                        format!("{}({name}.{})", if is_min { "min" } else { "max" }, col(item, c))
+                    })
+                    .collect();
+                format!("index boundary probe on {}", ends.join(", "))
+            }
             ScanSource::Transition { kind, column } => {
                 format!("transition table {}", crate::provider::describe(*kind, name, *column))
             }
@@ -119,22 +132,20 @@ pub fn explain_select(ctx: QueryCtx<'_>, stmt: &SelectStmt) -> String {
         let _ = writeln!(out, "{}: {desc}", item.binding);
     }
 
-    // Sort-elision report: the executor answers `order by` in
-    // ordered-index order (and short-circuits `limit`) instead of sorting.
-    if let Shape::IndexOrder(o) = &plan.shape {
-        let item = &read.items[0];
-        let column = col(item, o.column);
+    // Sort-elision report: the scan walks the ordered index in key order,
+    // so the pipeline runs no sort.
+    if let [item @ ItemPlan { source: ScanSource::Named(Access::IndexOrder { column, .. }), .. }] =
+        read.items.as_slice()
+    {
+        let column = col(item, *column);
         let _ = writeln!(out, "order by: elided via ordered index on {}.{column}", item.table);
     }
 
     // Top-K report: an ordered, limited pipeline is eligible for the
     // sort's partial-selection path; it engages at run time when the
     // limit is small relative to the result.
-    if let Shape::Pipeline(Pipeline { order, limit: Some(k), .. }) = &plan.shape {
-        if !order.is_empty() && *k > 0 {
-            let _ =
-                writeln!(out, "limit: top-{k} selection eligible (engages when {k} < rows / 4)");
-        }
+    if let Some(k) = plan.pipeline.limit.filter(|&k| k > 0 && !plan.pipeline.order.is_empty()) {
+        let _ = writeln!(out, "limit: top-{k} selection eligible (engages when {k} < rows / 4)");
     }
 
     // Join-order report: the greedy order the join operator computes at
@@ -181,9 +192,13 @@ pub fn explain_select(ctx: QueryCtx<'_>, stmt: &SelectStmt) -> String {
     }
 
     let _ = writeln!(out, "plan: {}", operator_chain(&plan).join(" -> "));
-    // Absent when nothing is eligible, so serial-only plans stay
+    // The `where` pass is exchange-eligible when its predicate is
+    // row-local: a multi-threaded run partitions it once there are enough
+    // combinations. Read off the plan — the run-time size gate cannot be
+    // decided here, so the line is identical at every thread count — and
+    // absent when nothing is eligible, so serial-only plans stay
     // byte-identical to their pre-exchange form.
-    if where_exchanges(&plan) {
+    if read.predicate.as_ref().is_some_and(is_rowlocal) {
         let _ = writeln!(out, "parallel: where");
     }
     out
@@ -197,24 +212,7 @@ fn col<'a>(item: &'a ItemPlan, c: ColumnId) -> &'a str {
 /// The operator chain of `plan` as display names in pull order — the
 /// names the operators record on the per-operator side channel.
 fn operator_chain(plan: &SelectPlan) -> Vec<String> {
-    let read = &plan.read;
-    let pipeline = match &plan.shape {
-        Shape::MinMax(_) => return vec![format!("index-minmax({})", read.items[0].table)],
-        Shape::IndexOrder(o) => {
-            let item = &read.items[0];
-            let column = col(item, o.column);
-            let mut ops = vec![format!("index-order-scan({}.{column})", item.binding)];
-            if read.predicate.is_some() {
-                ops.push("filter".into());
-            }
-            ops.push("project".into());
-            if o.limit.is_some() {
-                ops.push("limit".into());
-            }
-            return ops;
-        }
-        Shape::Pipeline(p) => p,
-    };
+    let (read, pipeline) = (&plan.read, &plan.pipeline);
     let mut ops: Vec<String> = read
         .items
         .iter()
@@ -242,17 +240,6 @@ fn operator_chain(plan: &SelectPlan) -> Vec<String> {
         ops.push("limit".into());
     }
     ops
-}
-
-/// Whether `plan`'s `where` pass is *exchange-eligible*: a pipeline
-/// (not a fast path) whose predicate is row-local, so a multi-threaded run
-/// partitions it once there are enough combinations. The scan's pushed
-/// conjuncts are the other partitioned phase; they are conjuncts of the
-/// same predicate. Shape-only — the run-time size gate cannot be decided
-/// here, so the line is identical at every thread count.
-fn where_exchanges(plan: &SelectPlan) -> bool {
-    let rowlocal = plan.read.predicate.as_ref().is_some_and(is_rowlocal);
-    matches!(plan.shape, Shape::Pipeline(_)) && rowlocal
 }
 
 #[cfg(test)]

@@ -5,13 +5,21 @@
 //! A [`SelectPlan`] holds, per `from` item, the binding, [`TableId`],
 //! columns, types and chosen [`Access`] path or transition source, with
 //! the conjuncts pushed down to its scan; the compiled full predicate and
-//! the equi-join edges ([`ReadPlan`]); and the top [`Shape`] — one of the
-//! two ordered-index fast paths, or the operator pipeline with its
-//! projection or [`GroupProgram`], `distinct`, sort directions and
-//! `limit`. Its consumers decide nothing: the lowering driver
+//! the equi-join edges ([`ReadPlan`]); and the operator [`Pipeline`] on
+//! top — its projection or [`GroupProgram`], `distinct`, sort directions
+//! and `limit`. Its consumers decide nothing: the lowering code
 //! ([`crate::select`]) moves its parts into operators, `delete`/`update`
 //! pull the read half ([`plan_read`]) through the same filter, and
 //! `explain` prints it.
+//!
+//! Ordered indexes enter a select plan only as access paths. A sole
+//! stored item ordered by one ordered-indexed column of its own is
+//! upgraded to [`Access::IndexOrder`], and the pipeline then plans no
+//! sort; bare `min`/`max` calls over ordered-indexed columns upgrade it
+//! to [`Access::IndexBoundary`], whose few rows the ordinary aggregate
+//! folds. Everything above the scan is the pipeline every statement runs,
+//! so an ordered index changes how many rows are read, never which result
+//! or which error a statement gives.
 //!
 //! A plan lives for one execution and borrows its statement. Nothing is
 //! keyed by AST address and nothing outlives a catalog change: a rule's
@@ -79,26 +87,6 @@ pub(crate) struct Projection {
     pub(crate) exprs: Vec<CompiledExpr>,
 }
 
-/// Bare `min`/`max` calls answered from ordered-index boundary keys.
-pub(crate) struct MinMax {
-    /// Per output column: the indexed column and whether it is `min`.
-    pub(crate) cols: Vec<(ColumnId, bool)>,
-    pub(crate) names: Vec<String>,
-    /// `limit 0`: the one answer row is cut.
-    pub(crate) limit_zero: bool,
-}
-
-/// A single-key `order by` answered by walking the key's ordered index
-/// through the sole item's access path (whole index, or a range on the
-/// key itself), stopping at `limit`.
-pub(crate) struct IndexOrder {
-    pub(crate) column: ColumnId,
-    pub(crate) asc: bool,
-    /// A wildcard that does not expand raises before the walk.
-    pub(crate) proj: Result<Projection, QueryError>,
-    pub(crate) limit: Option<usize>,
-}
-
 /// What sits on the filter in the operator pipeline. An expansion error
 /// is raised by the operator once the filter has surfaced its own.
 pub(crate) enum Top {
@@ -116,37 +104,33 @@ pub(crate) struct Pipeline {
     pub(crate) limit: Option<usize>,
 }
 
-/// How the rows of a planned select are produced.
-pub(crate) enum Shape {
-    MinMax(MinMax),
-    IndexOrder(IndexOrder),
-    Pipeline(Pipeline),
-}
-
 /// A planned `select`.
 pub(crate) struct SelectPlan<'q> {
     pub(crate) read: ReadPlan<'q>,
-    pub(crate) shape: Shape,
+    pub(crate) pipeline: Pipeline,
 }
 
 /// Plan `stmt` in the scope `outer` (empty for a top-level statement).
-/// A `traced` statement reports every tuple it reads, so it never takes a
-/// fast path (their early stop would change the selected-transition
-/// effects the trace feeds). Fails only on an unknown table.
+/// With `upgrade`, a sole stored item may take an ordered-index access.
+/// A traced statement plans without: it reports every tuple it reads,
+/// and the upgrades' early stop would change the selected-transition
+/// effects the trace feeds. Fails only on an unknown table.
 pub(crate) fn plan_select<'q>(
     ctx: QueryCtx<'_>,
     stmt: &'q SelectStmt,
     outer: &Layout,
-    traced: bool,
+    upgrade: bool,
 ) -> Result<SelectPlan<'q>, QueryError> {
-    let read = plan_read(ctx, &stmt.from, stmt.predicate.as_ref(), outer)?;
-    let fast = if traced {
-        None
-    } else {
-        min_max(ctx, stmt, &read).or_else(|| elidable_order_column(ctx, stmt, &read))
-    };
-    let shape = fast.unwrap_or_else(|| Shape::Pipeline(pipeline(stmt, &read)));
-    Ok(SelectPlan { read, shape })
+    let mut read = plan_read(ctx, &stmt.from, stmt.predicate.as_ref(), outer)?;
+    let mut pipeline = pipeline(stmt, &read);
+    if upgrade {
+        let access = index_boundary(ctx, stmt, &read)
+            .or_else(|| index_order(ctx, stmt, &read, &mut pipeline));
+        if let Some(access) = access {
+            read.items[0].source = ScanSource::Named(access);
+        }
+    }
+    Ok(SelectPlan { read, pipeline })
 }
 
 /// Plan the read every statement shares: per-item metadata and access
@@ -329,15 +313,14 @@ fn own_column(e: &Expr, item: &ItemPlan, schema: &TableSchema) -> Option<ColumnI
     schema.column_id(name).ok()
 }
 
-/// The min/max fast path: a projection made entirely of bare `min`/`max`
+/// The boundary upgrade: a projection made entirely of bare `min`/`max`
 /// calls over ordered-indexed, non-boolean columns of a sole stored item
-/// — with no predicate, grouping, having, ordering, or distinct — is
-/// answered from the index boundary keys without scanning a tuple.
-/// Deciding reads only the boundary keys: a stored NaN sits at an
-/// extreme of the IEEE total order, and the aggregate's fold may raise
-/// "cannot compare" on it, so such a column leaves the statement to the
-/// pipeline.
-fn min_max(ctx: QueryCtx<'_>, stmt: &SelectStmt, read: &ReadPlan) -> Option<Shape> {
+/// — with no predicate, grouping, having, ordering, or distinct — reads
+/// only the rows holding each column's extreme. Deciding reads only the
+/// boundary keys: a stored NaN sits at an extreme of the IEEE total
+/// order, and the aggregate's fold may raise "cannot compare" on it, so
+/// such a column leaves the statement to a full scan.
+fn index_boundary(ctx: QueryCtx<'_>, stmt: &SelectStmt, read: &ReadPlan) -> Option<Access> {
     if stmt.distinct
         || stmt.predicate.is_some()
         || !stmt.group_by.is_empty()
@@ -350,13 +333,9 @@ fn min_max(ctx: QueryCtx<'_>, stmt: &SelectStmt, read: &ReadPlan) -> Option<Shap
     let (item, _) = sole_stored(read)?;
     let schema = ctx.db.schema(item.tid);
     let is_nan = |k: Option<&Value>| matches!(k, Some(Value::Float(f)) if f.is_nan());
-    let mut cols = Vec::with_capacity(stmt.projection.len());
-    let mut names = Vec::with_capacity(stmt.projection.len());
+    let mut ends = Vec::with_capacity(stmt.projection.len());
     for p in &stmt.projection {
-        // `min(distinct c)` equals `min(c)`: distinct is a no-op here.
-        let SelectItem::Expr { expr: expr @ Expr::Aggregate { func, arg: Some(arg), .. }, alias } =
-            p
-        else {
+        let SelectItem::Expr { expr: Expr::Aggregate { func, arg: Some(arg), .. }, .. } = p else {
             return None;
         };
         let is_min = match func {
@@ -372,54 +351,49 @@ fn min_max(ctx: QueryCtx<'_>, stmt: &SelectStmt, read: &ReadPlan) -> Option<Shap
         if is_nan(index.first_key()) || is_nan(index.last_key()) {
             return None;
         }
-        cols.push((col, is_min));
-        names.push(alias.clone().unwrap_or_else(|| expr.to_string()));
+        ends.push((col, is_min));
     }
-    Some(Shape::MinMax(MinMax { cols, names, limit_zero: stmt.limit == Some(0) }))
+    Some(Access::IndexBoundary { ends })
 }
 
-/// The sort-elision fast path. The shape gate requires a sole stored
-/// item, a single `order by` key that is a bare column of it with an
-/// ordered index, no `distinct`/`group by`/`having`/aggregates, and an
-/// access path that emits handles in key order (the whole index, or a
+/// The sort-elision upgrade. The gate requires a sole stored item, a
+/// single `order by` key that is a bare column of it with an ordered
+/// index, an ungrouped projection with no `distinct` or `having`, and an
+/// access path that the key-order walk can replace (the whole index, or a
 /// range on the key itself). Soundness: the pipeline scans in handle
 /// order and stably sorts by the key's storage total order, which is
 /// exactly the index walk — buckets in key order, ascending handles
-/// within a bucket (descending keys reverse the bucket order only).
-fn elidable_order_column(
+/// within a bucket (descending keys reverse the bucket order only). The
+/// walk stops at the `limit` only when no row can fail: no predicate, and
+/// every projection a column or a constant; otherwise the rows past the
+/// cutoff still flow, so an error there surfaces as the sort would raise
+/// it.
+fn index_order(
     ctx: QueryCtx<'_>,
     stmt: &SelectStmt,
     read: &ReadPlan,
-) -> Option<Shape> {
-    if stmt.distinct
-        || !stmt.group_by.is_empty()
-        || stmt.having.is_some()
-        || stmt.order_by.len() != 1
-    {
+    pipeline: &mut Pipeline,
+) -> Option<Access> {
+    let Top::Project { proj, keys } = &mut pipeline.top else { return None };
+    if stmt.distinct || stmt.having.is_some() || stmt.order_by.len() != 1 {
         return None;
     }
     let (item, access) = sole_stored(read)?;
     let (key, asc) = &stmt.order_by[0];
     let column = own_column(key, item, ctx.db.schema(item.tid))?;
     ctx.db.ordered_index(item.tid, column)?;
-    if stmt
-        .projection
-        .iter()
-        .any(|it| matches!(it, SelectItem::Expr { expr, .. } if has_aggregate(expr)))
-    {
-        return None;
-    }
-    match access {
-        Access::FullScan => {}
-        Access::IndexRange { column: c, .. } if *c == column => {}
+    let range = match access {
+        Access::FullScan => None,
+        Access::IndexRange { column: c, lo, hi } if *c == column => Some((lo.clone(), hi.clone())),
         // Probe paths and ranges on a different column would emit handles
         // out of key order; `Empty` is trivial either way.
         _ => return None,
-    }
-    Some(Shape::IndexOrder(IndexOrder {
-        column,
-        asc: *asc,
-        proj: projection(stmt, read),
-        limit: stmt.limit.map(|n| n as usize),
-    }))
+    };
+    let infallible = read.predicate.is_none()
+        && proj.as_ref().is_ok_and(|p| {
+            p.exprs.iter().all(|e| matches!(e, CompiledExpr::Slot { .. } | CompiledExpr::Const(_)))
+        });
+    keys.clear();
+    pipeline.order.clear();
+    Some(Access::IndexOrder { column, asc: *asc, range, stop: pipeline.limit.filter(|_| infallible) })
 }

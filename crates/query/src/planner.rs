@@ -7,14 +7,17 @@
 //! predicates (`<`, `<=`, `>`, `>=`, `between`) on an *ordered*-indexed
 //! column turn into a single BTree range scan — whether the scan comes
 //! from a user query or from the body of a rule. Benchmarks B7 and B12
-//! measure the effects.
+//! measure the effects. The select plan (`plan.rs`) may upgrade a sole
+//! item's full scan, or its range on the `order by` key, to a key-order
+//! walk ([`Access::IndexOrder`]) or a min/max boundary probe
+//! ([`Access::IndexBoundary`]); [`scan_handles`] serves those too.
 
 use std::collections::HashSet;
 use std::ops::Bound;
 use std::sync::Arc;
 
 use setrules_sql::ast::{BinaryOp, Expr, SelectStmt};
-use setrules_storage::{ColumnId, DataType, Database, TableId, Value};
+use setrules_storage::{ColumnId, DataType, Database, OrderedIndex, TableId, TupleHandle, Value};
 
 use crate::compile::{compile, eval_const, CompiledExpr, Layout};
 use crate::ctx::QueryCtx;
@@ -58,6 +61,35 @@ pub enum Access {
     /// an equality with a fractional float on an int column, or a range
     /// with a `NULL`/NaN bound or a provably empty interval).
     Empty,
+    /// Walk the *ordered* index on `column` in key order — the whole
+    /// index, NULL bucket first, or the key interval `range` — so the
+    /// rows arrive already sorted by the statement's sole `order by` key.
+    /// Descending order reverses the bucket order only; handles inside a
+    /// bucket stay ascending. The plan's upgrade of a full scan or of a
+    /// range on the key itself; never chosen by [`choose_access`].
+    IndexOrder {
+        /// The ordered-indexed `order by` column.
+        column: ColumnId,
+        /// Ascending key order.
+        asc: bool,
+        /// The key interval walked, as [`Access::IndexRange`] bounds it;
+        /// `None` walks the whole index.
+        range: Option<(Bound<Value>, Bound<Value>)>,
+        /// Stop after this many handles: the `limit`, when no row past it
+        /// can raise an error.
+        stop: Option<usize>,
+    },
+    /// The first handle of each listed column's boundary bucket — the
+    /// smallest non-`NULL` key for `min` (`true`), the largest for `max`
+    /// — deduplicated, in handle order: the rows that hold each column's
+    /// extreme, enough for the aggregate fold over them to answer bare
+    /// `min`/`max` calls. The plan's upgrade of a full scan; never chosen
+    /// by [`choose_access`].
+    IndexBoundary {
+        /// Per bare `min`/`max` call: its ordered-indexed column and
+        /// whether it is `min`.
+        ends: Vec<(ColumnId, bool)>,
+    },
 }
 
 impl Access {
@@ -68,7 +100,7 @@ impl Access {
             Access::IndexEq { .. } => 1,
             Access::IndexIn { .. } => 2,
             Access::IndexRange { .. } => 3,
-            Access::FullScan => 4,
+            Access::FullScan | Access::IndexOrder { .. } | Access::IndexBoundary { .. } => 4,
         }
     }
 }
@@ -559,18 +591,17 @@ fn finalize_range(
     (lo, hi)
 }
 
-/// Handles matching an access path, in handle order.
+/// Handles matching an access path, in handle order — except
+/// [`Access::IndexOrder`], whose handles come in key order.
 ///
 /// Index probes return handles in index-bucket order, so they are sorted
 /// (and, for multi-probe paths, deduplicated) before returning — the
 /// executor's determinism guarantee (`select.rs` module docs) requires
 /// index-backed and full-scan plans to produce identical row order.
-/// Range scans come back already sorted by the storage layer.
-pub fn scan_handles(
-    db: &Database,
-    table: TableId,
-    access: &Access,
-) -> Vec<setrules_storage::TupleHandle> {
+/// Range scans come back already sorted by the storage layer. The
+/// key-order walk yields those handles stably sorted by the key — the
+/// order the pipeline's sort would produce.
+pub fn scan_handles(db: &Database, table: TableId, access: &Access) -> Vec<TupleHandle> {
     match access {
         Access::FullScan => db.table(table).handles().collect(),
         Access::IndexEq { column, value } => {
@@ -596,6 +627,40 @@ pub fn scan_handles(
             .index_range(table, *column, lo.clone(), hi.clone())
             .expect("planner only chooses IndexRange when the ordered index exists"),
         Access::Empty => Vec::new(),
+        Access::IndexOrder { column, asc, range, stop } => {
+            let index = db.ordered_index(table, *column).expect("planned on an ordered index");
+            let (lo, hi) = range.clone().unwrap_or((Bound::Unbounded, Bound::Unbounded));
+            let buckets = index.range(lo, hi);
+            let buckets: Box<dyn Iterator<Item = _>> =
+                if *asc { buckets } else { Box::new(buckets.rev()) };
+            let handles = buckets.flat_map(|(_, bucket)| bucket.iter().copied());
+            handles.take(stop.unwrap_or(usize::MAX)).collect()
+        }
+        Access::IndexBoundary { ends } => {
+            let index = |c| db.ordered_index(table, c).expect("planned on an ordered index");
+            let mut hs: Vec<TupleHandle> =
+                ends.iter().filter_map(|&(c, is_min)| boundary_handle(index(c), is_min)).collect();
+            hs.sort_unstable();
+            hs.dedup();
+            hs
+        }
+    }
+}
+
+/// The first handle of the index's smallest (`is_min`) or largest
+/// non-`NULL` key bucket; `None` when the index holds only `NULL`s.
+/// `-0.0` and `0.0` are distinct keys but SQL-equal, and the aggregate
+/// fold keeps the first-encountered (smallest-handle) value of a tied
+/// pair, so a zero boundary takes the smaller of the two zero buckets'
+/// first handles.
+fn boundary_handle(index: &OrderedIndex, is_min: bool) -> Option<TupleHandle> {
+    let key = if is_min { index.first_key() } else { index.last_key() }?;
+    let first = |k: Value| index.get(&k).and_then(|bucket| bucket.first().copied());
+    match key {
+        Value::Float(f) if *f == 0.0 => {
+            [-0.0, 0.0].into_iter().filter_map(|z| first(Value::Float(z))).min()
+        }
+        k => first(k.clone()),
     }
 }
 

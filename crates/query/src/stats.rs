@@ -24,7 +24,8 @@ pub struct ExecStats {
     /// Row combinations that satisfied the `where` predicate (including
     /// the rows a `delete`/`update` identifies).
     pub rows_matched: u64,
-    /// Scans answered by a hash-index probe.
+    /// Scans answered by an index probe, plus one per `min`/`max` call an
+    /// ordered-index boundary probe answers.
     pub index_lookups: u64,
     /// Scans that had to walk every live tuple.
     pub full_scans: u64,

@@ -180,8 +180,11 @@ echo "==> acceptance counters (B11-B17 work-counter bars)"
 # (EXPERIMENTS.md; their wall-clock side is rulebench): the planned 3-way
 # join visits <= half of the 80 000 combinations a nested loop would and
 # a refiring rule reuses its prepared state (B11); an ordered index
-# range-walks, elides the sort, and answers min/max without a scan -- and
-# a NaN boundary leaves min/max to one scan with no lookup counted
+# serves a sole item through two scan access paths of the one pipeline --
+# the key-order walk elides the sort and stops at the limit when no row
+# can fail, the boundary probe hands the aggregate only the rows holding
+# each min/max extreme -- a NaN boundary leaves min/max to one scan with
+# no lookup counted, and an index never changes which error surfaces
 # (B12); partitioned runs match serial ones row
 # for row, and over inputs past the gate only predicate phases exchange:
 # grouped top-K, a hash join, a sort and a bare fetch stay serial
@@ -195,6 +198,7 @@ cargo test -q -p setrules-core \
   golden_explain_three_way_join_order plan_cache_hits_on_repeated_processing_and_clears_on_ddl \
   explicit_abort_restores_ordered_index_contents \
   min_max_on_a_nan_boundary_counts_only_the_path_it_takes \
+  an_ordered_index_never_changes_which_error_surfaces \
   parallel_matches_serial_on_adversarial_queries group_by_aggregation_engages_the_pool \
   group_commit_batches_a_transaction_into_one_append_and_sync \
   shared_delta_cursor_fans_out_across_watchers

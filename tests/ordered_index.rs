@@ -2,21 +2,24 @@
 //!
 //! * **differential property**: random tables and random
 //!   range / order-by / limit / min-max queries return byte-identical
-//!   relations with and without ordered indexes — an access path is an
-//!   execution strategy, never a semantics change;
+//!   relations, or raise the same error, with and without ordered
+//!   indexes — an access path is an execution strategy, never a
+//!   semantics change;
 //! * **boundary semantics**: NULLs never match a range, NaN bounds make a
 //!   predicate unsatisfiable, NaN *values* are excluded from every range;
 //! * **prepared-rule lifecycle**: creating or dropping an ordered index
 //!   from inside a rule action mid-`process rules` drops every rule's
 //!   prepared state, exactly like hash-index DDL;
-//! * **min/max counters**: a NaN boundary leaves the statement to the
-//!   pipeline without counting the fast path's lookups;
+//! * **min/max counters**: a NaN boundary leaves the statement to a full
+//!   scan without counting the boundary probe's lookups;
 //! * **§4 abort**: rolling back a transaction (explicitly or through a
 //!   `rollback` rule action) restores the ordered index's BTree buckets
 //!   byte-identically (via `Database::state_image`).
 
 use setrules_core::{RuleSystem, TxnOutcome};
-use setrules_query::{execute_op, execute_query, ExecOpts, NoTransitionTables, StatsCell};
+use setrules_query::{
+    execute_op, execute_query, explain_select, ExecOpts, NoTransitionTables, QueryCtx, StatsCell,
+};
 use setrules_sql::ast::{DmlOp, SelectStmt, Statement};
 use setrules_sql::parse_statement;
 use setrules_storage::{ColumnDef, ColumnId, DataType, Database, IndexKind, TableSchema, Value};
@@ -38,10 +41,12 @@ fn sel(sql: &str) -> SelectStmt {
 // Differential property: ordered-indexed ≡ unindexed
 // ----------------------------------------------------------------------
 
-/// Literal pools per column. Predicates built from these are type-safe
-/// for every row (numeric-vs-numeric or text-vs-text); the one fallible
-/// tree the generator makes is the `10 / k` projection, which must raise
-/// its error past a `limit` cutoff whether or not the sort-free walk runs.
+/// Literal pools per column. Range predicates built from these are
+/// type-safe for every row (numeric-vs-numeric or text-vs-text); the
+/// fallible trees the generator makes on purpose — the `10 / k > 0`
+/// conjunct, the `10 / k` and `s + 1` projections, the unexpandable `x.*`
+/// — must raise the same error whether or not an ordered index serves
+/// the scan.
 const INT_LITS: &[&str] = &["-3", "0", "2", "5", "8", "1.5", "-2.5", "1e300", "-1e300", "NULL"];
 const FLOAT_LITS: &[&str] = &[
     "0.0",
@@ -126,51 +131,78 @@ fn range_conjunct(rng: &mut Rng) -> String {
 }
 
 fn random_query(rng: &mut Rng) -> String {
-    let proj = match rng.below(7) {
-        0 => "*",
-        1 => "count(*)",
-        2 => "k, v, s",
-        3 => "min(k)",
-        4 => "max(v), min(v)",
-        5 => "k, 10 / k",
-        _ => "min(s), max(s)",
-    };
+    let proj = *rng.pick(&[
+        "*",
+        "count(*)",
+        "k, v, s",
+        "min(k)",
+        "max(v), min(v)",
+        "k, 10 / k",
+        "min(s), max(s)",
+        "s + 1",
+        "x.*",
+        "min(k), max(v)",
+        "max(s), min(k), min(v)",
+        "min(distinct v)",
+    ]);
     let mut sql = format!("select {proj} from t");
+    let mut pred = None;
     if rng.chance(3, 4) {
-        let mut pred = range_conjunct(rng);
+        let mut p = range_conjunct(rng);
         if rng.chance(1, 3) {
             let glue = if rng.chance(2, 3) { "and" } else { "or" };
-            pred = format!("({pred}) {glue} ({})", range_conjunct(rng));
+            p = format!("({p}) {glue} ({})", range_conjunct(rng));
         }
-        sql.push_str(&format!(" where {pred}"));
+        pred = Some(p);
     }
-    // Aggregates and order-by don't mix in this grammar; bare columns may
-    // order (the sort-elision path needs exactly one order key).
-    if matches!(proj, "*" | "k, v, s" | "k, 10 / k") {
-        if rng.chance(2, 3) {
-            let col = rng.pick(&["k", "v", "s"]);
-            sql.push_str(&format!(" order by {col}"));
-            if rng.chance(1, 2) {
-                sql.push_str(" desc");
-            }
-        }
+    if rng.chance(1, 4) {
+        // Never and-ed beside a range conjunct: an index range may skip
+        // the row the division fails on, the one divergence the executor
+        // accepts (a prefilter may skip a row whose evaluation errors).
+        pred = Some(pred.map_or("10 / k > 0".to_string(), |p| format!("({p}) or 10 / k > 0")));
+    }
+    if let Some(p) = pred {
+        sql.push_str(&format!(" where {p}"));
+    }
+    if proj.contains('(') {
+        // Aggregates and order-by don't mix in this grammar; a bare
+        // aggregate row may still be cut.
         if rng.chance(1, 2) {
-            sql.push_str(&format!(" limit {}", rng.below(5)));
+            sql.push_str(&format!(" limit {}", rng.below(2)));
         }
+        return sql;
+    }
+    // Bare columns and row expressions may order (the key-order walk
+    // needs exactly one order key).
+    if rng.chance(2, 3) {
+        let col = rng.pick(&["k", "v", "s"]);
+        sql.push_str(&format!(" order by {col}"));
+        if rng.chance(1, 2) {
+            sql.push_str(" desc");
+        }
+    }
+    if rng.chance(1, 2) {
+        sql.push_str(&format!(" limit {}", rng.below(5)));
     }
     sql
 }
 
 #[test]
 fn ordered_index_and_full_scan_agree_on_random_queries() {
+    let (mut elided, mut boundary) = (0, 0);
     check("ordered_vs_scan", 300, 0x0b1204de4ed, |rng| {
         let (plain, indexed) = build_pair(rng);
         for _ in 0..4 {
             let sql = random_query(rng);
             let stmt = sel(&sql);
-            let run =
-                |db: &Database| execute_query(db, &NoTransitionTables, &stmt, &ExecOpts::default());
-            let (reference, got) = (run(&plain), run(&indexed));
+            let stats = StatsCell::new();
+            let opts = ExecOpts { stats: Some(&stats), ..ExecOpts::default() };
+            let reference = execute_query(&plain, &NoTransitionTables, &stmt, &opts);
+            let base = stats.snapshot();
+            let got = execute_query(&indexed, &NoTransitionTables, &stmt, &opts);
+            elided += usize::from(stats.snapshot().since(&base).sort_elided > 0);
+            let plan = explain_select(QueryCtx::plain(&indexed), &stmt);
+            boundary += usize::from(plan.contains(": index boundary probe on "));
             match (&reference, &got) {
                 (Ok(a), Ok(b)) => assert_eq!(a, b, "indexed diverged for: {sql}"),
                 (Err(a), Err(b)) => {
@@ -180,6 +212,12 @@ fn ordered_index_and_full_scan_agree_on_random_queries() {
             }
         }
     });
+    // The seed's corpus elides 122 sorts and answers 46 statements by the
+    // boundary probe; a gate change that starves either path fails here.
+    // The seed's corpus elides 130 sorts and answers 40 statements by the
+    // boundary probe; a gate change that starves either path fails here.
+    assert!(elided >= 65, "only {elided} statements took the key-order walk");
+    assert!(boundary >= 20, "only {boundary} statements took the boundary probe");
 }
 
 /// An error on a row past the `limit` cutoff surfaces whether the sort
@@ -223,6 +261,43 @@ fn an_error_past_the_limit_surfaces_with_and_without_the_index() {
     let int = Value::Int;
     assert_eq!(out, Ok(vec![vec![int(1), int(1)], vec![int(2), int(2)]]));
     assert_eq!((s.sort_elided, s.rows_scanned), (1, 2), "{s:?}");
+}
+
+/// A `where` error outranks every projection error, so an ordered index
+/// on the `order by` key must not let a projection fail first: neither an
+/// unexpandable `x.*` nor a row that the key order reaches before the
+/// row the predicate fails on. Every run raises the division by zero the
+/// unindexed plan raises, with and without a `limit`.
+#[test]
+fn an_ordered_index_never_changes_which_error_surfaces() {
+    let build = |second: (&str, DataType), rows: &str, ordered: bool| {
+        let mut db = Database::new();
+        let cols = vec![ColumnDef::new("k", DataType::Int), ColumnDef::new(second.0, second.1)];
+        let t = db.create_table(TableSchema::new("t", cols)).unwrap();
+        if ordered {
+            db.create_index_of(t, ColumnId(0), IndexKind::Ordered).unwrap();
+        }
+        exec(&mut db, &format!("insert into t values {rows}"));
+        db
+    };
+    let cases = [
+        (("v", DataType::Int), "(1, 1), (2, 2), (3, 3), (4, 0)", "select x.* from t where 10 / v > 0"),
+        (("s", DataType::Text), "(2, 'y'), (1, 'x')", "select s + 1 from t where 10 / (k - 2) > -100"),
+    ];
+    for (second, rows, select) in cases {
+        for ordered in [false, true] {
+            let db = build(second, rows, ordered);
+            for tail in ["order by k", "order by k limit 1"] {
+                let sql = format!("{select} {tail}");
+                let stats = StatsCell::new();
+                let opts = ExecOpts { stats: Some(&stats), ..ExecOpts::default() };
+                let out = execute_query(&db, &NoTransitionTables, &sel(&sql), &opts);
+                let want = Err(setrules_query::QueryError::DivisionByZero);
+                assert_eq!(out.map(|r| r.rows), want, "{sql}, index {ordered}");
+                assert_eq!(stats.snapshot().sort_elided, u64::from(ordered), "{sql}");
+            }
+        }
+    }
 }
 
 /// The boundary semantics the differential can only probabilistically
@@ -271,11 +346,11 @@ fn null_and_nan_range_boundaries() {
     }
 }
 
-/// The min/max fast path answers only from NaN-free boundary keys, and
-/// the plan decides that before anything is counted: a NaN stored in `f`
-/// sends `min(a), max(f)` to the pipeline — one full scan — with no index
-/// lookup counted for `a`, whose boundary was fine. Without the NaN the
-/// fast path answers with one lookup per column and no scan.
+/// The boundary probe serves only NaN-free boundary keys, and the plan
+/// decides that before anything is counted: a NaN stored in `f` sends
+/// `min(a), max(f)` to a full scan with no index lookup counted for `a`,
+/// whose boundary was fine. Without the NaN the probe answers with one
+/// lookup per column and no row scanned.
 #[test]
 fn min_max_on_a_nan_boundary_counts_only_the_path_it_takes() {
     let mut db = Database::new();
@@ -292,9 +367,51 @@ fn min_max_on_a_nan_boundary_counts_only_the_path_it_takes() {
         let s = stats.snapshot();
         (s.index_lookups, s.full_scans)
     };
-    assert_eq!(work(&db), (2, 0), "the fast path answers");
+    assert_eq!(work(&db), (2, 0), "the boundary probe answers");
     exec(&mut db, "insert into t values (3, 0.0 / 0.0)");
-    assert_eq!(work(&db), (0, 1), "the pipeline answers, and only its scan counts");
+    assert_eq!(work(&db), (0, 1), "a full scan answers, and only it counts");
+}
+
+/// `-0.0` and `0.0` are distinct index keys but SQL-equal, and the
+/// aggregate fold keeps the first-encountered of a tied pair: the boundary
+/// probe must hand the fold the zero with the smaller handle, whichever
+/// bucket holds it, for `min` and `max`, alone and beside another
+/// column's boundary row (here `k`'s, which holds no zero).
+#[test]
+fn a_signed_zero_boundary_keeps_the_smallest_handle() {
+    let build = |ordered: bool, rows: &str| {
+        let mut db = Database::new();
+        let cols = vec![ColumnDef::new("k", DataType::Int), ColumnDef::new("v", DataType::Float)];
+        let t = db.create_table(TableSchema::new("t", cols)).unwrap();
+        if ordered {
+            for c in [0, 1] {
+                db.create_index_of(t, ColumnId(c), IndexKind::Ordered).unwrap();
+            }
+        }
+        exec(&mut db, &format!("insert into t values {rows}"));
+        db
+    };
+    for (first, second) in [("0.0", "-0.0"), ("-0.0", "0.0")] {
+        for other in ["1.5", "-1.5"] {
+            let rows = format!("(5, {first}), (7, {second}), (1, {other})");
+            let (plain, indexed) = (build(false, &rows), build(true, &rows));
+            for sql in [
+                "select min(v) from t",
+                "select max(v) from t",
+                "select min(k), min(v) from t",
+                "select max(v), min(k) from t",
+            ] {
+                let stats = StatsCell::new();
+                let opts = ExecOpts { stats: Some(&stats), ..ExecOpts::default() };
+                let want = execute_query(&plain, &NoTransitionTables, &sel(sql), &opts).unwrap();
+                let base = stats.snapshot();
+                let got = execute_query(&indexed, &NoTransitionTables, &sel(sql), &opts).unwrap();
+                let s = stats.snapshot().since(&base);
+                assert_eq!(got, want, "{sql} over {rows}");
+                assert_eq!((s.rows_scanned, s.full_scans), (0, 0), "{sql}: the probe answers");
+            }
+        }
+    }
 }
 
 /// The three ordering paths — the generic sort comparator, the top-K

@@ -780,7 +780,7 @@ const EXPLAIN_QUERIES: &[&str] = &[
     "select * from emp where salary > 5.0 order by name limit 2",    // range, sort, limit
     "select * from emp where dept_no = NULL",                        // empty-scan
     "select name from emp order by salary",                          // index-order-scan
-    "select min(salary) from emp",                                   // index-minmax
+    "select min(salary) from emp",                                   // index-boundary-scan
     "select distinct dept_no from emp",                              // distinct
     "select dept_no, count(*) from emp group by dept_no",            // two-phase aggregate
     // A subquery beside the aggregate is not row-local, so this
@@ -817,8 +817,8 @@ fn every_explain_line_maps_to_an_operator_or_access_choice() {
         "index-range-scan",
         "empty-scan",
         "transition-scan",
-        "index-minmax",
         "index-order-scan",
+        "index-boundary-scan",
     ];
 
     let mut seen: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
@@ -830,6 +830,7 @@ fn every_explain_line_maps_to_an_operator_or_access_choice() {
                 ": index probe on ",
                 ": index multi-probe on ",
                 ": index range scan on ",
+                ": index boundary probe on ",
                 ": empty (predicate unsatisfiable)",
                 ": transition table ",
                 ": unknown table '",
