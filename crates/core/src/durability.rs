@@ -20,7 +20,9 @@
 
 use setrules_json::Json;
 use setrules_query::OpEffect;
-use setrules_storage::{ColumnSet, Database, FaultKind, StorageError, TableId, Tuple, TupleHandle};
+use setrules_storage::{
+    ColumnSet, Database, FaultKind, StorageError, TableId, Tuple, TupleHandle, Value,
+};
 use setrules_wal::{
     value_from_json, value_to_json, SyncPolicy, WalConfig, WalError, WalRecord, WalWriter,
 };
@@ -259,6 +261,21 @@ pub(crate) fn wal_ensure_synced(
     Ok(())
 }
 
+/// The stored values of a tuple the statement just inserted or updated.
+/// It is live unless the effect and the heap disagree, which is reported
+/// as a typed error rather than a panic in the commit path.
+fn live_values(
+    db: &Database,
+    table: TableId,
+    h: TupleHandle,
+    name: &str,
+) -> Result<Vec<Value>, RuleError> {
+    match db.get(table, h) {
+        Some(t) => Ok(t.0.clone()),
+        None => Err(StorageError::NoSuchTuple { table: name.to_string() }.into()),
+    }
+}
+
 /// Log the redo records for one executed statement's effect. Reads the
 /// *stored* (schema-coerced) tuples back out of the database so replay
 /// reproduces them bit for bit; `select` effects write nothing.
@@ -277,7 +294,7 @@ pub(crate) fn wal_log_effect(
         OpEffect::Insert { table, handles } => {
             let name = db.schema(*table).name.clone();
             for h in handles {
-                let values = db.get(*table, *h).expect("inserted tuple is live").0.clone();
+                let values = live_values(db, *table, *h, &name)?;
                 let rec = WalRecord::Insert { table: name.clone(), handle: h.0, values };
                 wal_append(db, wal, stats, events, &rec)?;
             }
@@ -292,7 +309,7 @@ pub(crate) fn wal_log_effect(
         OpEffect::Update { table, tuples, .. } => {
             let name = db.schema(*table).name.clone();
             for (h, _) in tuples {
-                let values = db.get(*table, *h).expect("updated tuple is live").0.clone();
+                let values = live_values(db, *table, *h, &name)?;
                 let rec = WalRecord::Update { table: name.clone(), handle: h.0, values };
                 wal_append(db, wal, stats, events, &rec)?;
             }

@@ -28,7 +28,7 @@ use setrules_wal::{WalConfig, WalRecord};
 use crate::durability::{wal_log_effect, WalState};
 use crate::error::RuleError;
 use crate::events::{EngineEvent, EventBus, EventSink};
-use crate::incremental::MemoStore;
+use crate::incremental::{MemoStore, TemplateIds};
 use crate::external::{ActionCtx, ExternalAction};
 use crate::priority::PriorityGraph;
 use crate::rule::{CompiledAction, Rule, RuleId};
@@ -229,12 +229,12 @@ struct Prepared {
 }
 
 /// A rule's incremental analysis: the plan, or why the rule falls back
-/// (until the next DDL re-analysis), plus each term's template id in the
+/// (until the next DDL re-analysis), plus each term's template ids in the
 /// engine's [`MemoStore`]. The memos themselves live in the store.
 struct IncrState {
     plan: Result<IncrementalPlan, FallbackReason>,
-    /// `templates[i]` = the interned template of `plan.terms[i]`.
-    templates: Vec<u32>,
+    /// `templates[i]` = the interned templates of `plan.terms[i]`.
+    templates: Vec<TemplateIds>,
 }
 
 impl Prepared {
@@ -250,7 +250,7 @@ impl Prepared {
 /// What [`RuleSystem::try_incremental`] produced for one consideration.
 enum IncOutcome {
     /// Authoritative truth value from the memoized term state.
-    Answer { truth: bool, mode: &'static str, rows: u64, shared: bool },
+    Answer { truth: bool, mode: &'static str, rows: u64, shared: bool, side_builds: u64 },
     /// Not incrementalizable (static shape fallback or dynamic degrade);
     /// the label keys the `incr_fallback_reasons` breakdown.
     Fallback(&'static str),
@@ -1194,11 +1194,11 @@ impl RuleSystem {
 
     /// Per-rule incremental-evaluation status — each live rule's term
     /// plan or the reason it falls back to full re-scan — then one line
-    /// per live shared memo (its template, window start, size and the
-    /// rules reading it), plus the cumulative fallback breakdown by
-    /// reason. A debugging aid (the REPL's `\incr`); prefers the verdict
-    /// the engine cached at first consideration and runs the same
-    /// analysis otherwise.
+    /// per live shared memo and per live join side (its template, window
+    /// start, size and the rules reading it), plus the cumulative fallback
+    /// breakdown by reason. A debugging aid (the REPL's `\incr`); prefers
+    /// the verdict the engine cached at first consideration and runs the
+    /// same analysis otherwise.
     pub fn incremental_report(&self) -> String {
         use std::fmt::Write as _;
         let mut out = format!(
@@ -1230,13 +1230,13 @@ impl RuleSystem {
             };
             let _ = write!(out, "{}: {}", rule.name, desc);
         }
-        // A rule reads a memo when one of its terms has the memo's
-        // template and its window starts at the memo's transition.
+        // A rule reads a memo (or join side) when one of its terms has the
+        // memo's template and its window starts at the memo's transition.
         let readers = |template, start| {
             let reads = |r: &&Rule| {
                 self.memos.window_start(r.id) == Some(start)
                     && self.prepared.get(&r.id).and_then(|p| p.incr.as_ref())
-                        .is_some_and(|st| st.templates.contains(&template))
+                        .is_some_and(|st| st.templates.iter().any(|ids| ids.reads(template)))
             };
             live.clone().filter(reads).map(|r| r.name.as_str()).collect::<Vec<_>>().join(", ")
         };
@@ -1488,13 +1488,14 @@ impl RuleSystem {
     fn evaluate_condition(&mut self, rid: RuleId, name: &str) -> Result<bool, RuleError> {
         if self.incr_enabled && self.rules[rid.0].condition.is_some() {
             match self.try_incremental(rid)? {
-                IncOutcome::Answer { truth, mode, rows, shared } => {
+                IncOutcome::Answer { truth, mode, rows, shared, side_builds } => {
                     if mode == "repair" {
                         self.stats.incr_hits += 1;
                     } else {
                         self.stats.incr_rebuilds += 1;
                     }
                     self.stats.incr_delta_rows += rows;
+                    self.stats.incr_side_builds += side_builds;
                     if shared {
                         self.stats.incr_shared_hits += 1;
                     }
@@ -1557,7 +1558,7 @@ impl RuleSystem {
             };
             let plan = analyze(&self.db, cond, &licensed);
             let templates = match &plan {
-                Ok(p) => p.terms.iter().map(|t| self.memos.intern(&t.template)).collect(),
+                Ok(p) => p.terms.iter().map(|t| self.memos.intern(t)).collect(),
                 Err(_) => Vec::new(),
             };
             self.prepared.get_mut(&rid).expect("a considered rule is prepared").incr =
@@ -1579,6 +1580,7 @@ impl RuleSystem {
                 mode: if outcome.rebuilt > 0 { "rebuild" } else { "repair" },
                 rows: outcome.rows,
                 shared: outcome.shared > 0,
+                side_builds: outcome.side_builds,
             }),
             // A dynamic degrade (e.g. the sum overflow guard): the memo
             // stays live — only this evaluation answers via full scan.

@@ -24,6 +24,26 @@
 //! scoped to one transaction (cleared at `begin` and on plan
 //! invalidation), so a cursor is a plain log position.
 //!
+//! # Shared join sides
+//!
+//! A join term keeps three memos here, not one. Each side is a Rete
+//! alpha memory keyed by (side template, window start): the side
+//! template is the view (kind, table, column restriction), the texts of
+//! its pushdown-mirror conjuncts and its key column, interned once when
+//! the rule is prepared. A side holds handle → join key and key →
+//! handles, never row copies: the pair probe reads each row where the
+//! window keeps it ([`probe_row`]: the window's shared old image for
+//! `old updated` / `deleted`, the heap for `inserted` / `new updated`).
+//! Equal side templates over equal windows give equal sides, whichever
+//! term or rule they belong to, by the same argument as for term memos.
+//! The term's own memo, keyed by (term template, window start), keeps
+//! only its pairs. A side has its own cursor and is repaired at most once
+//! per log suffix, by whichever term asks first. A pair memo's refresh
+//! first brings both sides to the log's end, then takes its changed
+//! handles from its *own* composed suffix (through the compose cache),
+//! purges every pair naming one of them, and re-derives candidates
+//! against the sides' current key indexes.
+//!
 //! Every transition appends its projected effect to the delta log once
 //! (from the first memo refresh on: before it no cursor exists). The
 //! composition of `log[seq..]` is a pure function of the suffix, so it is
@@ -62,8 +82,12 @@
 //! in the current-state views and `upd` entries migrate to `del`.) The
 //! same matrix drives all three memo kinds: a match set removes/probes
 //! handles, an accumulator retires/patches contributions, and a join
-//! memory applies it *per side* and then re-derives exactly the pairs
-//! involving a changed handle by probing the opposite side's key index.
+//! side applies it to its keys; the pair memo then re-derives exactly the
+//! pairs involving a handle its own suffix names by probing the opposite
+//! side's key index. A side repaired from an older cursor than the pair
+//! memo's ends in the same state (it reflects the whole current window),
+//! and a pair naming no handle of the pair memo's suffix kept both rows'
+//! values and memberships since the pair memo last judged it.
 //!
 //! # Error-order fidelity
 //!
@@ -77,10 +101,21 @@
 //! then, since a probe error aborts the transaction). Join pair probes
 //! run in `(left, right)`-lexicographic order — the hash join's sorted
 //! cursor emission — over exactly the changed pairs.
+//!
+//! Side probes never error: [`IncTerm::probe_join_side`] mirrors the scan
+//! prefilter (drop on a definite false, keep on error) and the hash
+//! step's NULL-key skip, and defers every error to the pair predicate.
+//! So a side built or repaired ahead of a term — by another rule, or by
+//! this rule before its pair probes — raises nothing and cannot move an
+//! error: every error a join can raise comes from its own pair probes,
+//! which stay per term and run in `(left, right)` order over the same
+//! candidates as before the sides were shared.
 
 use std::collections::{BTreeSet, HashMap};
 
-use setrules_query::incremental::{IncTerm, Term3, TermKind, TermMemo, TermRefresh, ViewScan};
+use setrules_query::incremental::{
+    IncTerm, JoinSide, Term3, TermKind, TermMemo, TermRefresh, ViewScan,
+};
 use setrules_query::QueryError;
 use setrules_sql::ast::TransitionKind;
 use setrules_storage::{ColumnId, Database, TableId, TupleHandle, Value};
@@ -109,8 +144,24 @@ fn view_ids(db: &Database, view: &ViewScan) -> Result<ViewIds, QueryError> {
     Ok(ViewIds { tid, col })
 }
 
-/// One shared term memo: its state, the log position proving how fresh
-/// it is, and the rule that last refreshed it.
+/// A term's interned templates: its own, and a join term's two sides'.
+#[derive(Debug, Clone, Copy)]
+pub struct TemplateIds {
+    /// The term's template (its subquery's canonical text).
+    pub term: u32,
+    /// A join term's side templates, `[left, right]`.
+    pub sides: Option<[u32; 2]>,
+}
+
+impl TemplateIds {
+    /// Does this term read the memo (term or side) interned as `id`?
+    pub fn reads(&self, id: u32) -> bool {
+        self.term == id || self.sides.is_some_and(|s| s.contains(&id))
+    }
+}
+
+/// One shared term memo (a join's pair memo): its state, the log
+/// position proving how fresh it is, and the rule that last refreshed it.
 struct SharedMemo {
     memo: TermMemo,
     /// Log position: entries `[cursor..]` are not absorbed yet. `None`
@@ -122,16 +173,29 @@ struct SharedMemo {
     reader: RuleId,
 }
 
+/// One shared join side (an alpha memory) and its own cursor, which
+/// whichever term asks first moves to the log's end.
+struct SideMemo {
+    side: JoinSide,
+    /// As [`SharedMemo::cursor`].
+    cursor: Option<usize>,
+}
+
 /// The engine's term memos, shared across rules: one memo per (term
-/// template, window start), sound for the reasons the module docs give.
+/// template, window start) and one join side per (side template, window
+/// start), sound for the reasons the module docs give.
 #[derive(Default)]
 pub struct MemoStore {
-    /// Canonical subquery text → template id. Cleared with the prepared
-    /// plans that hold the ids.
+    /// Canonical subquery text or side template → template id (the two
+    /// kinds of text cannot collide: a side template starts with its
+    /// view, a subquery with `select`). Cleared with the prepared plans
+    /// that hold the ids.
     templates: HashMap<String, u32>,
     /// (template id, window start) → memo. Cleared at every transaction
     /// start: starts and log positions are per transaction.
     memos: HashMap<(u32, usize), SharedMemo>,
+    /// (side template id, window start) → join side; cleared with `memos`.
+    sides: HashMap<(u32, usize), SideMemo>,
     /// `window_start[rid]`: where rule `rid`'s window last restarted.
     window_start: Vec<usize>,
     /// The index the transaction's next transition will get.
@@ -148,12 +212,32 @@ pub struct MemoStore {
     compose_cache: HashMap<usize, TransitionEffect>,
 }
 
+/// The composition of `log[from..]`, from `cache` when another memo at
+/// the same cursor folded it already (the composition is a pure function
+/// of the suffix).
+fn composed<'c>(
+    log: &[TransitionEffect],
+    cache: &'c mut HashMap<usize, TransitionEffect>,
+    from: usize,
+) -> &'c TransitionEffect {
+    cache
+        .entry(from)
+        .or_insert_with(|| log[from..].iter().fold(TransitionEffect::new(), |a, e| a.compose(e)))
+}
+
 impl MemoStore {
-    /// The id of `template`, interning it on first sight. Called once per
-    /// term when a rule is prepared, never per consideration.
-    pub fn intern(&mut self, template: &str) -> u32 {
-        let next = self.templates.len() as u32;
-        *self.templates.entry(template.to_string()).or_insert(next)
+    /// The ids of `term`'s template and, for a join, of its sides'
+    /// templates, interning each on first sight. Called once per term
+    /// when a rule is prepared, never per consideration.
+    pub fn intern(&mut self, term: &IncTerm) -> TemplateIds {
+        let mut intern = |text: &str| {
+            let next = self.templates.len() as u32;
+            *self.templates.entry(text.to_string()).or_insert(next)
+        };
+        TemplateIds {
+            term: intern(&term.template),
+            sides: term.join_sides().map(|[(_, l), (_, r)]| [intern(l), intern(r)]),
+        }
     }
 
     /// A new transaction: every window starts at transition 0 and no memo
@@ -161,6 +245,7 @@ impl MemoStore {
     /// allocate here.
     pub fn begin(&mut self, rules: usize) {
         self.memos.clear();
+        self.sides.clear();
         self.window_start.clear();
         self.window_start.resize(rules, 0);
         self.next_transition = 0;
@@ -172,6 +257,7 @@ impl MemoStore {
     /// The prepared plans died: their template ids with them.
     pub fn invalidate(&mut self) {
         self.memos.clear();
+        self.sides.clear();
         self.templates.clear();
     }
 
@@ -182,30 +268,34 @@ impl MemoStore {
     }
 
     /// A transition was composed into every window: log its `effect`
-    /// once the log is open, and drop the memos whose window start no rule
-    /// holds any more (starts only move forward, so none of them can be
-    /// read again).
+    /// once the log is open, and drop the memos and sides whose window
+    /// start no rule holds any more (starts only move forward, so none of
+    /// them can be read again).
     pub fn transition_applied(&mut self, effect: impl FnOnce() -> TransitionEffect) {
         if self.log_open {
             self.log.push(effect());
             self.compose_cache.clear();
         }
         self.next_transition += 1;
+        let starts = &self.window_start;
         if !self.memos.is_empty() {
-            let starts = &self.window_start;
             self.memos.retain(|(_, start), _| starts.contains(start));
+        }
+        if !self.sides.is_empty() {
+            self.sides.retain(|(_, start), _| starts.contains(start));
         }
     }
 
-    /// Bring the memo of `term` (interned as `template`) over `rid`'s
-    /// window up to date, repairing from the delta-log suffix when the
-    /// memo has a cursor and rebuilding from the window otherwise, and
-    /// answer what was done plus the term's truth over the memo.
+    /// Bring the memo of `term` (interned as `ids`) over `rid`'s window
+    /// up to date — a join first brings both its sides to the log's end —
+    /// repairing from the delta-log suffix when the memo has a cursor and
+    /// rebuilding from the window otherwise, and answer what was done
+    /// plus the term's truth over the memo.
     pub fn refresh(
         &mut self,
         db: &Database,
         term: &IncTerm,
-        template: u32,
+        ids: TemplateIds,
         rid: RuleId,
         window: &TransInfo,
     ) -> Result<(TermRefresh, Term3), QueryError> {
@@ -214,66 +304,101 @@ impl MemoStore {
         self.log_open = true;
         let len = self.log.len();
         let start = self.window_start[rid.0];
-        let st = self.memos.entry((template, start)).or_insert_with(|| SharedMemo {
+        let mut done = TermRefresh::default();
+        let st = self.memos.entry((ids.term, start)).or_insert_with(|| SharedMemo {
             memo: TermMemo::empty_for(term),
             cursor: None,
             reader: rid,
         });
-        let done = match st.cursor {
+        // Whether another rule folded this memo's suffix is judged before
+        // a join's sides (this rule's own work) can fold it.
+        let folded =
+            st.cursor.is_some_and(|from| from != len && self.compose_cache.contains_key(&from));
+        let sides = match (ids.sides, term.join_sides()) {
+            (Some(side_ids), Some(views)) => {
+                for (side, (id, (view, _))) in side_ids.into_iter().zip(views).enumerate() {
+                    let ss = self
+                        .sides
+                        .entry((id, start))
+                        .or_insert_with(|| SideMemo { side: JoinSide::default(), cursor: None });
+                    let left = side == 0;
+                    match ss.cursor {
+                        Some(from) if from == len => {}
+                        Some(from) => {
+                            ss.cursor = None;
+                            let delta = composed(&self.log, &mut self.compose_cache, from);
+                            done.rows +=
+                                repair_side(db, term, left, view, window, delta, &mut ss.side)?;
+                        }
+                        None => {
+                            ss.side = JoinSide::default();
+                            done.side_builds += 1;
+                            done.rows += build_side(db, term, left, view, window, &mut ss.side)?;
+                        }
+                    }
+                    ss.cursor = Some(len);
+                }
+                let side = |i: usize| &self.sides[&(side_ids[i], start)].side;
+                Some([side(0), side(1)])
+            }
+            _ => None,
+        };
+        match st.cursor {
             // Current: nothing happened since the last refresh — by
             // another rule (shared) or by this one.
-            Some(from) if from == len => {
-                TermRefresh::Repaired { rows: 0, shared: st.reader != rid }
-            }
+            Some(from) if from == len => done.shared = st.reader != rid,
             Some(from) => {
                 // Clear the cursor before patching: a probe error
                 // mid-repair leaves the memo half-patched, and the
                 // cleared cursor forces a rebuild instead of trusting it.
                 st.cursor = None;
-                // The composition of `log[from..]` is a pure function of
-                // the suffix: another memo at the same cursor may have
-                // folded it already.
-                let shared = self.compose_cache.contains_key(&from);
-                let log = &self.log;
-                let delta = self.compose_cache.entry(from).or_insert_with(|| {
-                    log[from..].iter().fold(TransitionEffect::new(), |a, e| a.compose(e))
-                });
-                TermRefresh::Repaired {
-                    rows: repair_term(db, term, window, delta, &mut st.memo)?,
-                    shared,
-                }
+                let delta = composed(&self.log, &mut self.compose_cache, from);
+                done.shared = folded;
+                done.rows += repair_term(db, term, window, delta, sides, &mut st.memo)?;
             }
             None => {
                 st.memo = TermMemo::empty_for(term);
-                TermRefresh::Rebuilt { rows: rebuild_term(db, term, window, &mut st.memo)? }
+                done.rebuilt = true;
+                done.rows += rebuild_term(db, term, window, sides, &mut st.memo)?;
             }
-        };
+        }
         st.cursor = Some(len);
         st.reader = rid;
         Ok((done, term.truth(&st.memo)?))
     }
 
-    /// One report line per live memo, sorted by template text and window
-    /// start: the template, the start, the memo's size, and the rules
-    /// `readers(template, start)` names.
+    /// One report line per live memo and then per live join side, each
+    /// sorted by template text and window start: the template, the
+    /// start, the size, and the rules `readers(template, start)` names.
     pub fn describe(&self, readers: &dyn Fn(u32, usize) -> String) -> Vec<String> {
         let text = |t: u32| {
             self.templates.iter().find_map(|(s, id)| (*id == t).then_some(s.as_str()))
         };
-        let mut live: Vec<_> =
-            self.memos.iter().map(|(&(t, start), st)| (text(t), start, t, st)).collect();
-        live.sort_unstable_by_key(|&(text, start, ..)| (text, start));
-        live.into_iter()
-            .map(|(text, start, t, st)| {
-                format!(
-                    "  [{}] from transition {start}: {} entries (~{} bytes), read by {}",
-                    text.unwrap_or("?"),
-                    st.memo.entries(),
-                    st.memo.approx_bytes(),
-                    readers(t, start)
-                )
+        let line = |prefix: &str, t: u32, start: usize, entries: usize, bytes: usize| {
+            format!(
+                "  {prefix}[{}] from transition {start}: {entries} entries (~{bytes} bytes), \
+                 read by {}",
+                text(t).unwrap_or("?"),
+                readers(t, start)
+            )
+        };
+        let mut memos: Vec<_> = self
+            .memos
+            .iter()
+            .map(|(&(t, start), st)| (text(t), start, t, st.memo.entries(), st.memo.approx_bytes()))
+            .collect();
+        let mut sides: Vec<_> = self
+            .sides
+            .iter()
+            .map(|(&(t, start), st)| {
+                (text(t), start, t, st.side.keys.len(), st.side.approx_bytes())
             })
-            .collect()
+            .collect();
+        memos.sort_unstable_by_key(|&(text, start, ..)| (text, start));
+        sides.sort_unstable_by_key(|&(text, start, ..)| (text, start));
+        let memos = memos.into_iter().map(|(_, start, t, n, b)| line("", t, start, n, b));
+        let sides = sides.into_iter().map(|(_, start, t, n, b)| line("join side ", t, start, n, b));
+        memos.chain(sides).collect()
     }
 
     /// Where `rid`'s window last restarted, if the rule existed when the
@@ -418,12 +543,106 @@ fn probe_row<'a>(
     }
 }
 
-/// Populate `memo` from scratch by scanning the term's view(s) of the
-/// whole window. Returns the number of rows probed.
+/// Fill `side` (the `left` or right side of `term`, scanning `view`)
+/// from the whole window. Side probes never error. Returns the number of
+/// rows scanned.
+fn build_side(
+    db: &Database,
+    term: &IncTerm,
+    left: bool,
+    view: &ViewScan,
+    window: &TransInfo,
+    side: &mut JoinSide,
+) -> Result<u64, QueryError> {
+    let ids = view_ids(db, view)?;
+    let mut rows = 0u64;
+    scan_view(db, &ids, view.kind, window, &mut |h, row| {
+        rows += 1;
+        if let Some(key) = term.probe_join_side(left, row) {
+            side.insert(h, key);
+        }
+        Ok(())
+    })?;
+    Ok(rows)
+}
+
+/// Patch `side` from the delta composed since its cursor: re-resolve
+/// each delta-named handle. Side probes never error (scan and hash both
+/// defer errors to the pair predicate). Returns the number of rows
+/// probed.
+fn repair_side(
+    db: &Database,
+    term: &IncTerm,
+    left: bool,
+    view: &ViewScan,
+    window: &TransInfo,
+    delta: &TransitionEffect,
+    side: &mut JoinSide,
+) -> Result<u64, QueryError> {
+    let ids = view_ids(db, view)?;
+    let (removed, probes) = delta_changes(db, &ids, view.kind, window, delta);
+    for h in removed {
+        side.remove(h);
+    }
+    let mut rows = 0u64;
+    for h in probes {
+        match probe_row(db, &ids, view.kind, window, h) {
+            Some(row) => {
+                rows += 1;
+                match term.probe_join_side(left, row) {
+                    Some(key) => side.insert(h, key),
+                    None => side.remove(h),
+                }
+            }
+            None => side.remove(h),
+        }
+    }
+    Ok(rows)
+}
+
+/// The pair probe of a join term over handles `l` and `r`, reading each
+/// row where its window keeps it: side memos hold keys, not rows.
+struct PairProbe<'a> {
+    db: &'a Database,
+    term: &'a IncTerm,
+    window: &'a TransInfo,
+    views: [(&'a ViewScan, ViewIds); 2],
+}
+
+impl PairProbe<'_> {
+    fn holds(&self, l: TupleHandle, r: TupleHandle) -> Result<bool, QueryError> {
+        let row = |(view, ids): &(&ViewScan, ViewIds), h| {
+            probe_row(self.db, ids, view.kind, self.window, h).ok_or_else(|| {
+                QueryError::Type("internal: a join side holds a row its window lacks".into())
+            })
+        };
+        self.term.probe_join_pair(row(&self.views[0], l)?, row(&self.views[1], r)?)
+    }
+}
+
+/// The sides of a join term and its pair probe, or the internal error a
+/// join refreshed without its sides gets.
+fn join_parts<'a>(
+    db: &'a Database,
+    term: &'a IncTerm,
+    window: &'a TransInfo,
+    sides: Option<[&'a JoinSide; 2]>,
+) -> Result<([&'a JoinSide; 2], PairProbe<'a>), QueryError> {
+    let (Some(sides), Some([(lv, _), (rv, _)])) = (sides, term.join_sides()) else {
+        return Err(QueryError::Type("internal: join term refreshed without its sides".into()));
+    };
+    let views = [(lv, view_ids(db, lv)?), (rv, view_ids(db, rv)?)];
+    Ok((sides, PairProbe { db, term, window, views }))
+}
+
+/// Populate `memo` from scratch by scanning the term's view of the whole
+/// window, or, for a join, by probing every key-matching pair of its
+/// current `sides`. Returns the number of rows probed.
 fn rebuild_term(
     db: &Database,
     term: &IncTerm,
     window: &TransInfo,
+    sides: Option<[&JoinSide; 2]>,
     memo: &mut TermMemo,
 ) -> Result<u64, QueryError> {
     let mut rows = 0u64;
@@ -448,38 +667,25 @@ fn rebuild_term(
                 Ok(())
             })?;
         }
-        (TermKind::Join { left, right, .. }, TermMemo::Join(j)) => {
-            let lids = view_ids(db, left)?;
-            let rids = view_ids(db, right)?;
-            scan_view(db, &lids, left.kind, window, &mut |h, row| {
-                rows += 1;
-                if let Some(key) = term.probe_join_side(true, row) {
-                    j.left.insert(h, key, row.to_vec());
-                }
-                Ok(())
-            })?;
-            scan_view(db, &rids, right.kind, window, &mut |h, row| {
-                rows += 1;
-                if let Some(key) = term.probe_join_side(false, row) {
-                    j.right.insert(h, key, row.to_vec());
-                }
-                Ok(())
-            })?;
-            // Probe every key-matching pair in (left, right)-lexicographic
-            // order — the hash join's sorted cursor emission feeding the
-            // filter.
-            let mut matched = Vec::new();
-            for (l, (key, lrow)) in &j.left.rows {
-                let Some(bucket) = j.right.by_key.get(key) else { continue };
-                for r in bucket {
-                    rows += 1;
-                    if term.probe_join_pair(lrow, &j.right.rows[r].1)? {
-                        matched.push((*l, *r));
-                    }
-                }
+        (TermKind::Join { .. }, TermMemo::Join(j)) => {
+            let ([left, right], probe) = join_parts(db, term, window, sides)?;
+            // Every key-matching pair (walking the smaller key index),
+            // probed in (left, right)-lexicographic order — the hash
+            // join's sorted cursor emission feeding the filter.
+            let swap = left.by_key.len() > right.by_key.len();
+            let (outer, inner) = if swap { (right, left) } else { (left, right) };
+            let mut cand = Vec::new();
+            for (key, os) in &outer.by_key {
+                let Some(is) = inner.by_key.get(key) else { continue };
+                let (ls, rs) = if swap { (is, os) } else { (os, is) };
+                cand.extend(ls.iter().flat_map(|l| rs.iter().map(move |r| (*l, *r))));
             }
-            for (l, r) in matched {
-                j.add_pair(l, r);
+            cand.sort_unstable();
+            for (l, r) in cand {
+                rows += 1;
+                if probe.holds(l, r)? {
+                    j.add_pair(l, r);
+                }
             }
         }
         _ => return Err(QueryError::Type("internal: memo kind does not match term".into())),
@@ -489,12 +695,14 @@ fn rebuild_term(
 
 /// Patch `memo` from the delta composed since the term's cursor.
 /// `window` must be the rule's *current* composite window (the delta is
-/// a suffix of its composition). Returns the number of rows probed.
+/// a suffix of its composition), and a join's `sides` must be current.
+/// Returns the number of rows probed.
 fn repair_term(
     db: &Database,
     term: &IncTerm,
     window: &TransInfo,
     delta: &TransitionEffect,
+    sides: Option<[&JoinSide; 2]>,
     memo: &mut TermMemo,
 ) -> Result<u64, QueryError> {
     let mut rows = 0u64;
@@ -536,64 +744,31 @@ fn repair_term(
                 }
             }
         }
-        (TermKind::Join { left, right, .. }, TermMemo::Join(j)) => {
-            let lids = view_ids(db, left)?;
-            let rids = view_ids(db, right)?;
-            // 1. Re-resolve each side's delta-named handles against its
-            //    own memo (side probes never error: scan and hash both
-            //    defer errors to the pair predicate).
-            let (lrem, lprobes) = delta_changes(db, &lids, left.kind, window, delta);
-            let (rrem, rprobes) = delta_changes(db, &rids, right.kind, window, delta);
-            let mut lchanged: BTreeSet<TupleHandle> = lrem.iter().copied().collect();
-            let mut rchanged: BTreeSet<TupleHandle> = rrem.iter().copied().collect();
-            for h in lrem {
-                j.left.remove(h);
-            }
-            for h in rrem {
-                j.right.remove(h);
-            }
-            for h in lprobes {
-                lchanged.insert(h);
-                match probe_row(db, &lids, left.kind, window, h)
-                    .and_then(|row| term.probe_join_side(true, row).map(|k| (k, row)))
-                {
-                    Some((key, row)) => {
-                        rows += 1;
-                        j.left.insert(h, key, row.to_vec());
-                    }
-                    None => j.left.remove(h),
-                }
-            }
-            for h in rprobes {
-                rchanged.insert(h);
-                match probe_row(db, &rids, right.kind, window, h)
-                    .and_then(|row| term.probe_join_side(false, row).map(|k| (k, row)))
-                {
-                    Some((key, row)) => {
-                        rows += 1;
-                        j.right.insert(h, key, row.to_vec());
-                    }
-                    None => j.right.remove(h),
-                }
-            }
-            // 2. Every pair involving a changed handle is stale: purge
-            //    them, then re-derive candidates by probing the opposite
-            //    side's key index (Rete beta propagation).
+        (TermKind::Join { .. }, TermMemo::Join(j)) => {
+            let ([left, right], probe) = join_parts(db, term, window, sides)?;
+            // 1. The handles this memo's own suffix names per side: any
+            //    pair involving one of them is stale. (The sides were
+            //    already repaired, possibly from another cursor.)
+            let changed = |side: usize| {
+                let (view, ids) = &probe.views[side];
+                let (removed, probes) = delta_changes(db, ids, view.kind, window, delta);
+                removed.into_iter().chain(probes).collect::<BTreeSet<_>>()
+            };
+            let (lchanged, rchanged) = (changed(0), changed(1));
+            // 2. Purge the stale pairs, then re-derive candidates by
+            //    probing the opposite side's key index (Rete beta
+            //    propagation).
             let mut cand: BTreeSet<(TupleHandle, TupleHandle)> = BTreeSet::new();
             for &h in &lchanged {
                 j.purge_left(h);
-                if let Some((key, _)) = j.left.rows.get(&h) {
-                    if let Some(bucket) = j.right.by_key.get(key) {
-                        cand.extend(bucket.iter().map(|r| (h, *r)));
-                    }
+                if let Some(bucket) = left.keys.get(&h).and_then(|k| right.by_key.get(k)) {
+                    cand.extend(bucket.iter().map(|r| (h, *r)));
                 }
             }
             for &h in &rchanged {
                 j.purge_right(h);
-                if let Some((key, _)) = j.right.rows.get(&h) {
-                    if let Some(bucket) = j.left.by_key.get(key) {
-                        cand.extend(bucket.iter().map(|l| (*l, h)));
-                    }
+                if let Some(bucket) = right.keys.get(&h).and_then(|k| left.by_key.get(k)) {
+                    cand.extend(bucket.iter().map(|l| (*l, h)));
                 }
             }
             // 3. Probe the changed pairs in (left, right)-lexicographic
@@ -602,8 +777,7 @@ fn repair_term(
             //    error order over the full combination walk.
             for (l, r) in cand {
                 rows += 1;
-                let ok = term.probe_join_pair(&j.left.rows[&l].1, &j.right.rows[&r].1)?;
-                if ok {
+                if probe.holds(l, r)? {
                     j.add_pair(l, r);
                 }
             }

@@ -115,6 +115,9 @@ pub struct EngineStats {
     /// from the shared per-transaction compose cache (another rule at the
     /// same cursor already folded it this round).
     pub incr_shared_hits: u64,
+    /// Join side memos (shared per side template and window start)
+    /// filled by one scan of the window.
+    pub incr_side_builds: u64,
     /// `incr_fallbacks` broken down by `FallbackReason` label (plus
     /// dynamic degrade labels such as the sum overflow guard).
     pub incr_fallback_reasons: BTreeMap<String, u64>,
@@ -180,6 +183,7 @@ impl EngineStats {
             incr_fallbacks: self.incr_fallbacks + other.incr_fallbacks,
             incr_delta_rows: self.incr_delta_rows + other.incr_delta_rows,
             incr_shared_hits: self.incr_shared_hits + other.incr_shared_hits,
+            incr_side_builds: self.incr_side_builds + other.incr_side_builds,
             incr_fallback_reasons: {
                 let mut m = self.incr_fallback_reasons.clone();
                 for (label, n) in &other.incr_fallback_reasons {
@@ -227,6 +231,7 @@ impl EngineStats {
             incr_fallbacks: self.incr_fallbacks - earlier.incr_fallbacks,
             incr_delta_rows: self.incr_delta_rows - earlier.incr_delta_rows,
             incr_shared_hits: self.incr_shared_hits - earlier.incr_shared_hits,
+            incr_side_builds: self.incr_side_builds - earlier.incr_side_builds,
             incr_fallback_reasons: self
                 .incr_fallback_reasons
                 .iter()
@@ -268,6 +273,7 @@ impl EngineStats {
             ("incr_fallbacks", Json::Int(self.incr_fallbacks as i64)),
             ("incr_delta_rows", Json::Int(self.incr_delta_rows as i64)),
             ("incr_shared_hits", Json::Int(self.incr_shared_hits as i64)),
+            ("incr_side_builds", Json::Int(self.incr_side_builds as i64)),
             (
                 "incr_fallback_reasons",
                 Json::Object(

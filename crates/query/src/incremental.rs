@@ -1,5 +1,4 @@
-//! TREAT-style incremental rule-condition analysis (ISSUE 7 tentpole,
-//! widened by ISSUE 10).
+//! TREAT-style incremental rule-condition analysis.
 //!
 //! A rule condition is re-evaluated at every consideration, but between
 //! two considerations the engine already knows *exactly* what changed:
@@ -20,10 +19,14 @@
 //!   as the set of window handles whose row satisfies `P`.
 //! * **Join memories** (Rete-beta style) — the same two truth forms over
 //!   a subquery joining *two* licensed transition views on exactly one
-//!   typed non-float equality key (`a.k = b.k`), memoized as per-side
-//!   keyed row memos plus the set of predicate-satisfying pairs. Each
-//!   side is repaired from the delta and new candidate pairs are probed
-//!   against the *opposite* memo — never a rescan of either window.
+//!   typed non-float equality key (`a.k = b.k`), memoized as two side
+//!   memos ([`JoinSide`]: handle → key and key → handles, no row copies)
+//!   plus the set of predicate-satisfying pairs ([`JoinMemo`]). Each side
+//!   is repaired from the delta and new candidate pairs are probed
+//!   against the *opposite* side's key index — never a rescan of either
+//!   window. A side depends only on its template (view, pushdown mirror,
+//!   key column; [`IncTerm::join_sides`]), so the engine shares it across
+//!   terms and rules.
 //! * **Aggregate accumulators** — `(select sum|avg|min|max(c) from
 //!   <transition t> [where P]) <cmp> <numeric literal>` over an *integer*
 //!   column: `sum`/`avg` as a running `(Σ, count)` pair (plus positive /
@@ -72,7 +75,8 @@
 //!
 //! The *repair rules* that maintain term state live with the engine
 //! (`setrules-core`), which owns the windows, the deltas and the memos —
-//! one per (term template, window start), shared across rules; this
+//! one per (term template, window start) and one join side per (side
+//! template, window start), shared across rules; this
 //! module owns the shape analysis, the memo representation, the per-row
 //! probes, and the truth evaluation. See `docs/incremental-evaluation.md`
 //! for the full repair matrix and the memo-sharing soundness argument.
@@ -301,6 +305,12 @@ pub enum TermKind {
         /// The full row-local predicate over both frames (includes the
         /// key equality and any residual cross conjuncts).
         pred: CompiledExpr,
+        /// Each side's template, `[left, right]`: the view, the texts of
+        /// its pushdown-mirror conjuncts and the key column. Everything
+        /// a side memo holds is a function of the template and the
+        /// window, so sides with equal templates over equal windows (in
+        /// this term or another) keep equal memos.
+        side_templates: [String; 2],
     },
     /// A running aggregate accumulator over one transition view.
     Acc {
@@ -392,6 +402,15 @@ impl IncTerm {
             Value::Null => None,
             v => Some(v.clone()),
         }
+    }
+
+    /// A `Join` term's side `[left, right]` views, with each side's
+    /// template; `None` for other terms.
+    pub fn join_sides(&self) -> Option<[(&ViewScan, &str); 2]> {
+        let TermKind::Join { left, right, side_templates: [lt, rt], .. } = &self.kind else {
+            return None;
+        };
+        Some([(left, lt.as_str()), (right, rt.as_str())])
     }
 
     /// Pair probe for `Join` terms: the full two-frame predicate, exactly
@@ -489,27 +508,30 @@ pub enum IncNode {
     Not(Box<IncNode>),
 }
 
-/// One side of a join memory: the rows currently admitted by the side's
-/// scan, addressable by handle and by join key.
+/// One side of a join memory — a Rete alpha memory: the window rows the
+/// side's scan admits, addressable by handle and by join key. It holds
+/// keys, not rows: a pair probe reads each row where the window keeps it
+/// (the shared old image, or the heap), so sides with equal templates
+/// can be shared across terms and rules.
 #[derive(Debug, Clone, Default)]
 pub struct JoinSide {
-    /// handle → (join key, row snapshot as the pair predicate sees it).
-    pub rows: BTreeMap<TupleHandle, (Value, Vec<Value>)>,
+    /// handle → join key.
+    pub keys: BTreeMap<TupleHandle, Value>,
     /// join key → handles carrying it (NULL keys never enter).
     pub by_key: BTreeMap<Value, BTreeSet<TupleHandle>>,
 }
 
 impl JoinSide {
     /// Insert or replace `h`'s entry.
-    pub fn insert(&mut self, h: TupleHandle, key: Value, row: Vec<Value>) {
+    pub fn insert(&mut self, h: TupleHandle, key: Value) {
         self.remove(h);
         self.by_key.entry(key.clone()).or_default().insert(h);
-        self.rows.insert(h, (key, row));
+        self.keys.insert(h, key);
     }
 
     /// Remove `h`'s entry if present.
     pub fn remove(&mut self, h: TupleHandle) {
-        if let Some((key, _)) = self.rows.remove(&h) {
+        if let Some(key) = self.keys.remove(&h) {
             if let Some(bucket) = self.by_key.get_mut(&key) {
                 bucket.remove(&h);
                 if bucket.is_empty() {
@@ -518,16 +540,21 @@ impl JoinSide {
             }
         }
     }
+
+    /// Rough resident size, for the `\incr` report (approximate, like
+    /// [`TermMemo::approx_bytes`]).
+    pub fn approx_bytes(&self) -> usize {
+        let entry = std::mem::size_of::<TupleHandle>() + std::mem::size_of::<Value>();
+        // Each handle sits in `keys` and in one bucket; each key heads a
+        // bucket.
+        self.keys.len() * (entry + 8 + 16) + self.by_key.len() * (entry + 24)
+    }
 }
 
-/// A Rete-beta join memory: both side memos plus the set of pairs the
-/// full predicate holds on.
+/// A Rete-beta pair memory: the pairs of two side memories (kept apart,
+/// shared per side template) on which the full predicate holds.
 #[derive(Debug, Clone, Default)]
 pub struct JoinMemo {
-    /// Left-side row memo.
-    pub left: JoinSide,
-    /// Right-side row memo.
-    pub right: JoinSide,
     /// Pairs `(l, r)` on which the pair predicate is true.
     pub pairs: BTreeSet<(TupleHandle, TupleHandle)>,
     /// The same pairs keyed `(r, l)`, for right-side purges.
@@ -622,8 +649,8 @@ impl AccMemo {
 pub enum TermMemo {
     /// Handles currently matching a `Set` term.
     Set(BTreeSet<TupleHandle>),
-    /// A `Join` term's beta memory.
-    Join(Box<JoinMemo>),
+    /// A `Join` term's pair memory (its sides are separate memos).
+    Join(JoinMemo),
     /// An `Acc` term's accumulator.
     Acc(AccMemo),
 }
@@ -633,16 +660,16 @@ impl TermMemo {
     pub fn empty_for(term: &IncTerm) -> TermMemo {
         match &term.kind {
             TermKind::Set { .. } => TermMemo::Set(BTreeSet::new()),
-            TermKind::Join { .. } => TermMemo::Join(Box::default()),
+            TermKind::Join { .. } => TermMemo::Join(JoinMemo::default()),
             TermKind::Acc { .. } => TermMemo::Acc(AccMemo::default()),
         }
     }
 
-    /// Memoized entries (match handles, side rows + pairs, contributors).
+    /// Memoized entries (match handles, pairs, contributors).
     pub fn entries(&self) -> usize {
         match self {
             TermMemo::Set(s) => s.len(),
-            TermMemo::Join(j) => j.left.rows.len() + j.right.rows.len() + j.pairs.len(),
+            TermMemo::Join(j) => j.pairs.len(),
             TermMemo::Acc(a) => a.contrib.len(),
         }
     }
@@ -652,39 +679,27 @@ impl TermMemo {
     pub fn approx_bytes(&self) -> usize {
         match self {
             TermMemo::Set(s) => s.len() * std::mem::size_of::<TupleHandle>(),
-            TermMemo::Join(j) => {
-                let side = |s: &JoinSide| {
-                    s.rows
-                        .values()
-                        .map(|(_, row)| 56 + row.len() * std::mem::size_of::<Value>())
-                        .sum::<usize>()
-                        + s.by_key.len() * 48
-                };
-                side(&j.left) + side(&j.right) + j.pairs.len() * 32 * 2
-            }
+            TermMemo::Join(j) => j.pairs.len() * 32 * 2,
             TermMemo::Acc(a) => (a.contrib.len() + a.vals.len()) * 24 + 48,
         }
     }
 }
 
 /// What one term refresh did, reported by the engine's refresh callback.
-#[derive(Debug, Clone, Copy)]
-pub enum TermRefresh {
-    /// The memo was patched from the composed delta suffix, or was already
-    /// current. `shared` is set when another rule paid for it: the
-    /// composition came from the transaction's shared compose cache, or
-    /// another rule had already brought the memo up to date.
-    Repaired {
-        /// Rows probed during the patch.
-        rows: u64,
-        /// Paid for by another rule?
-        shared: bool,
-    },
-    /// The memo was rebuilt from the rule's whole window.
-    Rebuilt {
-        /// Rows probed during the rebuild.
-        rows: u64,
-    },
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TermRefresh {
+    /// The term's memo was rebuilt from the rule's whole window (or, for
+    /// a join, its pairs re-derived from whole sides) rather than patched
+    /// from the composed delta suffix or found current.
+    pub rebuilt: bool,
+    /// Rows probed, side repairs and builds included.
+    pub rows: u64,
+    /// A repair another rule paid for: the composition came from the
+    /// transaction's shared compose cache, or another rule had already
+    /// brought the memo up to date. Never set on a rebuild.
+    pub shared: bool,
+    /// Join side memos this refresh filled from the window.
+    pub side_builds: u64,
 }
 
 /// The final verdict of an incremental condition evaluation.
@@ -710,6 +725,8 @@ pub struct EvalOutcome {
     pub rows: u64,
     /// Term refreshes another rule paid for.
     pub shared: u64,
+    /// Join side memos filled from the window.
+    pub side_builds: u64,
 }
 
 /// A term's (or node's) three-valued truth, or a dynamic degrade.
@@ -743,8 +760,13 @@ impl IncrementalPlan {
     /// caller owns the memos: `refresh(i, term)` brings term `i`'s memo up
     /// to date and answers what it did plus [`IncTerm::truth`] over it.
     pub fn evaluate(&self, refresh: &mut RefreshFn<'_>) -> Result<EvalOutcome, QueryError> {
-        let mut out =
-            EvalOutcome { verdict: CondVerdict::Truth(false), rebuilt: 0, rows: 0, shared: 0 };
+        let mut out = EvalOutcome {
+            verdict: CondVerdict::Truth(false),
+            rebuilt: 0,
+            rows: 0,
+            shared: 0,
+            side_builds: 0,
+        };
         let v = self.node_eval(&self.root, refresh, &mut out)?;
         out.verdict = match v {
             Term3::Known(t) => CondVerdict::Truth(t == Some(true)),
@@ -762,18 +784,10 @@ impl IncrementalPlan {
         match node {
             IncNode::Term(i) => {
                 let (done, truth) = refresh(*i, &self.terms[*i])?;
-                match done {
-                    TermRefresh::Repaired { rows, shared } => {
-                        out.rows += rows;
-                        if shared {
-                            out.shared += 1;
-                        }
-                    }
-                    TermRefresh::Rebuilt { rows } => {
-                        out.rebuilt += 1;
-                        out.rows += rows;
-                    }
-                }
+                out.rebuilt += u64::from(done.rebuilt);
+                out.shared += u64::from(done.shared);
+                out.rows += done.rows;
+                out.side_builds += done.side_builds;
                 Ok(truth)
             }
             IncNode::And(l, r) => {
@@ -1237,6 +1251,10 @@ fn analyze_join(
     // Pushdown mirror per side: single-frame conjuncts recompiled against
     // that side's own scan layout (resolution is innermost-first, so
     // removing the sibling frame cannot redirect a resolved reference).
+    // Their texts go into the side's template: with the side's table
+    // fixed, the text decides the compiled conjunct (a qualified column
+    // names the side's own binding, an unqualified one only its column).
+    let mut side_conjs = [Vec::new(), Vec::new()];
     for c in &conjuncts {
         let cc = compile(c, &layout);
         if !cc.slots_only() {
@@ -1256,15 +1274,34 @@ fn analyze_join(
         if !single {
             continue;
         }
-        match target {
-            Some(0) => left.conjs.push(compile(c, &Layout::of_table(db, ltid, &left.binding).1)),
-            Some(1) => right.conjs.push(compile(c, &Layout::of_table(db, rtid, &right.binding).1)),
-            _ => {}
-        }
+        let side = match target {
+            Some(0) => {
+                left.conjs.push(compile(c, &Layout::of_table(db, ltid, &left.binding).1));
+                0
+            }
+            Some(1) => {
+                right.conjs.push(compile(c, &Layout::of_table(db, rtid, &right.binding).1));
+                1
+            }
+            _ => continue,
+        };
+        side_conjs[side].push(c.to_string());
     }
     let key_ty = db.schema(ltid).columns[lkey].ty;
     let key_names =
         (db.schema(ltid).columns[lkey].name.clone(), db.schema(rtid).columns[rkey].name.clone());
+    let side_template = |view: &ViewScan, key: &str, conjs: &[String]| {
+        let mut text = format!("{} key {key}", view.describe());
+        if !conjs.is_empty() {
+            text.push_str(" where ");
+            text.push_str(&conjs.join(" and "));
+        }
+        text
+    };
+    let side_templates = [
+        side_template(&left, &key_names.0, &side_conjs[0]),
+        side_template(&right, &key_names.1, &side_conjs[1]),
+    ];
     Ok(IncTerm {
         kind: TermKind::Join {
             left,
@@ -1274,6 +1311,7 @@ fn analyze_join(
             key_names,
             key_ty,
             pred,
+            side_templates,
         },
         truth,
         template: sub.to_string(),
@@ -1332,7 +1370,7 @@ mod tests {
 
     /// Evaluate over the memos as they stand (no refresh work).
     fn eval_over(p: &IncrementalPlan, memos: &[TermMemo]) -> Result<EvalOutcome, QueryError> {
-        p.evaluate(&mut |i, t| Ok((TermRefresh::Repaired { rows: 0, shared: false }, t.truth(&memos[i])?)))
+        p.evaluate(&mut |i, t| Ok((TermRefresh::default(), t.truth(&memos[i])?)))
     }
 
     fn truth_of(p: &IncrementalPlan, memos: &[TermMemo]) -> bool {
@@ -1582,7 +1620,7 @@ mod tests {
         let out = p
             .evaluate(&mut |i, t| {
                 touched.push(i);
-                Ok((TermRefresh::Rebuilt { rows: 0 }, t.truth(&memo[i])?))
+                Ok((TermRefresh { rebuilt: true, ..Default::default() }, t.truth(&memo[i])?))
             })
             .unwrap();
         assert_eq!(out.verdict, CondVerdict::Truth(false));
@@ -1658,9 +1696,6 @@ mod tests {
         .unwrap();
         let mut memo = memos_for(&p);
         let TermMemo::Join(j) = &mut memo[0] else { panic!() };
-        j.left.insert(TupleHandle(1), Value::Int(7), vec![Value::Int(7)]);
-        j.right.insert(TupleHandle(8), Value::Int(7), vec![Value::Int(7)]);
-        j.right.insert(TupleHandle(9), Value::Int(7), vec![Value::Int(7)]);
         j.add_pair(TupleHandle(1), TupleHandle(8));
         j.add_pair(TupleHandle(1), TupleHandle(9));
         assert!(truth_of(&p, &memo));
@@ -1668,6 +1703,40 @@ mod tests {
         j.purge_left(TupleHandle(1));
         assert!(j.pairs.is_empty());
         assert!(!truth_of(&p, &memo));
+    }
+
+    #[test]
+    fn join_side_templates_name_view_pushdown_and_key() {
+        let sides = |src: &str| {
+            let p = plan(src).unwrap();
+            let [(_, l), (_, r)] = p.terms[0].join_sides().unwrap();
+            (l.to_string(), r.to_string())
+        };
+        let a = sides(
+            "exists (select * from inserted emp e, deleted dept d \
+             where e.emp_no = d.dept_no and d.head = 'x' and e.salary > d.dept_no)",
+        );
+        let b = sides(
+            "exists (select * from inserted emp e, deleted dept d \
+             where e.emp_no = d.dept_no and d.head = 'y')",
+        );
+        // The cross conjunct stays with the pair predicate: both left
+        // sides are the same alpha memory, the right pushdowns differ.
+        assert_eq!(a.0, "inserted emp key emp_no");
+        assert_eq!(a.0, b.0);
+        assert_eq!(a.1, "deleted dept key dept_no where (d.head = 'x')");
+        assert_ne!(a.1, b.1);
+        assert!(plan("exists (select * from inserted emp)").unwrap().terms[0]
+            .join_sides()
+            .is_none());
+        let mut side = JoinSide::default();
+        side.insert(TupleHandle(1), Value::Int(7));
+        side.insert(TupleHandle(2), Value::Int(7));
+        side.insert(TupleHandle(1), Value::Int(8));
+        assert_eq!(side.by_key[&Value::Int(7)].len(), 1);
+        side.remove(TupleHandle(2));
+        assert!(!side.by_key.contains_key(&Value::Int(7)));
+        assert!(side.approx_bytes() > 0);
     }
 
     #[test]

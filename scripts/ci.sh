@@ -128,15 +128,19 @@ cargo test -q -p setrules-core --test alloc_per_row
 cargo test -q -p setrules-query --lib -- \
   exec::aggregate::tests::accumulators_match_fold_aggregate
 
-echo "==> incremental evaluation (shared memos vs re-scan, every retrigger semantics)"
+echo "==> incremental evaluation (shared memos and join sides vs re-scan, every retrigger semantics)"
 # Also run under `cargo test` above; named here so the CI log shows the
-# gate behind memos shared per (term template, window start): rule
-# programs whose rules share templates (compared to different literals,
-# over windows of different starts, with a shared rebuild that divides by
-# zero) give the same outcomes, errors, event traces and state images with
-# incremental evaluation on and off, under all three retrigger semantics.
+# gates behind memos shared per (term template, window start) and join
+# sides shared per (side template, window start): rule programs whose
+# rules share templates (compared to different literals, over windows of
+# different starts, with a shared rebuild that divides by zero) and join
+# rules sharing one left side (different right pushdowns and pair
+# predicates, one dividing by zero) give the same outcomes, errors, event
+# traces and state images with incremental evaluation on and off, under
+# all three retrigger semantics.
 cargo test -q -p setrules-core --test incremental_eval -- \
-  shared_memos_are_invisible_across_retrigger_semantics
+  shared_memos_are_invisible_across_retrigger_semantics \
+  join_sides_are_shared_and_invisible
 
 echo "==> §4.4 selection (priority closure property + selection differential)"
 # Both run under `cargo test` above; named here so the CI log shows the

@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use setrules_constraints::{install, Constraint, RepairPolicy};
 use setrules_core::{
-    ActionCtx, EngineConfig, FaultKind, RetriggerSemantics, RuleError, RuleSystem,
+    ActionCtx, EngineConfig, EngineEvent, FaultKind, RetriggerSemantics, RuleError, RuleSystem,
     SelectionStrategy, TxnOutcome,
 };
 use setrules_query::QueryError;
@@ -924,6 +924,10 @@ fn shared_delta_cursor_fans_out_across_watchers() {
         // own template; shape 2 compares four aggregates to literals.
         let templates = if shape == 2 { 4 } else { WATCHERS };
         assert_eq!(si.incr_rebuilds, templates + DEPTH + 1, "shape {shape}: {si:?}");
+        // The join watchers' left sides (`old updated t o`, no pushdown)
+        // are one side memo; each right side has its own `n.b < -i`.
+        let side_builds = if shape == 1 { 1 + WATCHERS } else { 0 };
+        assert_eq!(si.incr_side_builds, side_builds, "shape {shape}: {si:?}");
         assert!(si.incr_hits >= reconsiderations, "shape {shape}: repairs, not rebuilds: {si:?}");
         assert_eq!(si.incr_fallbacks, 0, "shape {shape}: {:?}", si.incr_fallback_reasons);
         assert_eq!(
@@ -1021,6 +1025,132 @@ fn shared_memos_are_invisible_across_retrigger_semantics() {
         assert!(si.incr_shared_hits > 0, "{retrigger:?}: no memo was shared: {si:?}");
         assert_eq!((ss.incr_hits, ss.incr_rebuilds, ss.incr_shared_hits), (0, 0, 0));
     }
+}
+
+/// Join sides are shared per (side template, window start): the four
+/// `inserted t` joins below share one left side (`inserted t x`, no
+/// pushdown) and differ in their right-side pushdowns (`y.b > 5`,
+/// `y.b < 3`, `y.b = 1`, none) and in their residual pair predicates, one
+/// of which divides by zero on a row with `a = b`. `pump` acts, so while
+/// the others keep their windows its sides exist over a second window
+/// start; `bumper` updates and `reaper` deletes window rows, so shared
+/// sides repair from cursors other rules left. The two `updated t` joins
+/// share their `old updated t o` side and read old images through it.
+/// Under every retrigger semantics both evaluators must agree on every
+/// outcome and error, every event (bar the evaluator's own kinds) and
+/// every state image, and the side builds are pinned.
+#[test]
+fn join_sides_are_shared_and_invisible() {
+    let join = |pred: &str| {
+        format!("(select * from inserted t x, inserted t y where x.a = y.b and {pred})")
+    };
+    let rules: Vec<String> = vec![
+        // Self-quenching: its restarted window holds only `(99, 1)`.
+        format!(
+            "create rule pump when inserted into t if exists {} \
+             then insert into t values (99, 1, 0.0)",
+            join("y.b = 1")
+        ),
+        format!(
+            "create rule j_hi when inserted into t if exists {} \
+             then insert into sink values (1, 1)",
+            join("y.b > 5")
+        ),
+        format!(
+            "create rule j_lo when inserted into t \
+             if (select count(*) from inserted t x, inserted t y \
+                 where x.a = y.b and y.b < 3) >= 2 \
+             then insert into sink values (2, 1)"
+        ),
+        format!(
+            "create rule j_div when inserted into t if exists {} \
+             then insert into sink values (3, 1)",
+            join("10 / (x.a - y.a) > 1")
+        ),
+        "create rule bumper when inserted into t \
+         if exists (select * from inserted t where a = 60) \
+         then update t set b = b + 1 where a = 60"
+            .to_string(),
+        "create rule reaper when inserted into t \
+         if exists (select * from inserted t where b = 50) \
+         then delete from t where b = 50"
+            .to_string(),
+        "create rule u_grow when updated t \
+         if exists (select * from old updated t o, new updated t n \
+                    where o.a = n.a and n.b > o.b + 1) \
+         then insert into sink values (4, 1)"
+            .to_string(),
+        "create rule u_hit when updated t \
+         if (select count(*) from old updated t o, new updated t n \
+             where o.a = n.a and n.b = 61) >= 1 \
+         then insert into sink values (5, 1)"
+            .to_string(),
+    ];
+    let txns = [
+        "insert into t values (1, 7, 0.0), (7, 1, 0.0), (2, 6, 0.0)",
+        // `(5, 5)` pairs with itself: `10 / 0` in `j_div`'s pair probe.
+        "insert into t values (5, 5, 0.0)",
+        "insert into t values (8, 50, 0.0), (50, 8, 0.0); \
+         insert into t values (6, 1, 0.0), (1, 9, 0.0)",
+        // `bumper` turns `(60, 59)` into `(60, 60)`, a pair that divides
+        // by zero once a window that still holds the insert re-probes it.
+        "insert into t values (60, 59, 0.0), (3, 60, 0.0)",
+        "update t set b = b + 5 where a = 2; update t set b = 61 where a = 7",
+        "insert into t values (1, 1, 0.0)",
+        "insert into t values (4, 2, 0.0), (2, 4, 0.0), (9, 2, 0.0)",
+        "update t set b = b + 1 where a < 5; update t set b = 61 where a = 9",
+    ];
+    let mut builds = Vec::new();
+    for retrigger in RETRIGGERS {
+        let mut inc = build(true, retrigger, &rules);
+        let mut scan = build(false, retrigger, &rules);
+        assert_eq!(drain_trace(&mut inc), drain_trace(&mut scan), "{retrigger:?}: setup");
+        let (mut errors, mut pair_fills) = (0, 0);
+        for sql in txns {
+            let (a, b) = (outcome(inc.transaction(sql)), outcome(scan.transaction(sql)));
+            assert_eq!(a, b, "{retrigger:?}: outcome of `{sql}`");
+            errors += usize::from(a.contains("integer division by zero"));
+            // Every rule but `bumper` and `reaper` is one join term, so
+            // its answered rebuilds are its pair memos' first fills.
+            pair_fills += inc
+                .recent_events()
+                .iter()
+                .filter(|e| {
+                    matches!(e, EngineEvent::IncrementalEval { rule, mode, .. }
+                        if mode == "rebuild" && rule != "bumper" && rule != "reaper")
+                })
+                .count() as u64;
+            assert_eq!(
+                drain_trace(&mut inc),
+                drain_trace(&mut scan),
+                "{retrigger:?}: trace of `{sql}`"
+            );
+            assert_eq!(
+                inc.database().state_image(),
+                scan.database().state_image(),
+                "{retrigger:?}: state after `{sql}`"
+            );
+        }
+        assert!(errors > 0, "{retrigger:?}: no pair probe divided by zero");
+        let (si, ss) = (inc.stats(), scan.stats());
+        assert_eq!(si.incr_fallbacks, 0, "{retrigger:?}: {:?}", si.incr_fallback_reasons);
+        assert_eq!((ss.incr_hits, ss.incr_rebuilds, ss.incr_side_builds), (0, 0, 0));
+        builds.push((si.incr_side_builds, pair_fills));
+        let json = si.to_json().get("incr_side_builds").and_then(|v| v.as_i64());
+        assert_eq!(json, Some(si.incr_side_builds as i64), "{retrigger:?}: stats JSON");
+        assert_eq!(si.plus(si).since(si).incr_side_builds, si.incr_side_builds);
+        // The last transaction's store is still live: both `updated t`
+        // joins built their pair memos over one `old updated` side.
+        let report = inc.incremental_report();
+        assert_eq!(
+            report.matches("join side [old updated t key a] from transition 0: ").count(),
+            1,
+            "{retrigger:?}: one shared side in the report:\n{report}"
+        );
+    }
+    // (side builds, answered pair fills) per semantics. Unshared, every
+    // answered pair fill would have built two sides of its own.
+    assert_eq!(builds, [(40, 29), (40, 29), (41, 30)]);
 }
 
 /// The delta log starts at a transaction's first memo read. Here the
