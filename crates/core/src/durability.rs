@@ -184,7 +184,7 @@ pub(crate) fn window_from_json(db: &Database, j: &Json) -> Result<TransInfo, Rul
 //
 // These take the engine's fields separately (rather than `&mut self`) so
 // the rule-action loop — which holds immutable borrows of `self.rules`
-// and `self.txn` for its window provider — can still log each effect as
+// and `self.windows` for its window provider — can still log each effect as
 // it executes.
 
 /// Append one record: poll the `wal_append` fault site, encode into the

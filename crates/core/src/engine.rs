@@ -32,27 +32,11 @@ use crate::incremental::{MemoStore, TemplateIds};
 use crate::external::{ActionCtx, ExternalAction};
 use crate::priority::PriorityGraph;
 use crate::rule::{CompiledAction, Rule, RuleId};
-use crate::selection::{select_rule, SelectionStrategy, TriggerMemo};
+use crate::selection::{select_rule, SelectionStrategy};
 use crate::stats::{EngineStats, TxnStats};
 use crate::transinfo::TransInfo;
 use crate::transition_tables::{RuleWindowProvider, RuleWindowRef};
-
-/// Which composite window a rule is (re)considered against — the paper's
-/// default (§4.2) and the two footnote-8 alternatives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RetriggerSemantics {
-    /// §4.2 (default): a rule's window restarts when *its own action*
-    /// executes; otherwise it extends back to the start of the transaction
-    /// (or its last action).
-    #[default]
-    SinceLastAction,
-    /// Footnote 8, first alternative: the window restarts whenever the
-    /// rule is *chosen for consideration*, whether or not its action runs.
-    SinceLastConsidered,
-    /// Footnote 8, second alternative (\[WF89b\]): the window restarts at
-    /// the most recent transition that triggers the rule by itself.
-    SinceLastTriggering,
-}
+use crate::windows::{RetriggerSemantics, Windows};
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -207,11 +191,6 @@ pub enum ExecOutcome {
 
 struct TxnState {
     mark: UndoMark,
-    /// Per-rule composite windows (`R.trans-info` of Fig. 1), parallel to
-    /// `RuleSystem::rules`.
-    rule_infos: Vec<TransInfo>,
-    /// External changes since the last rule processing pass.
-    pending: TransInfo,
     trace: Vec<FiredRule>,
     transitions_used: usize,
     last_output: Option<Relation>,
@@ -310,6 +289,9 @@ pub struct RuleSystem {
     /// Incremental term memos, shared by every rule that reads the same
     /// subquery over the same window; scoped to one transaction.
     memos: MemoStore,
+    /// Every rule's window, the pending external block and the rule
+    /// processing pass's state (Fig. 1's `R.trans-info` and loop state).
+    windows: Windows,
     /// Event fan-out: the always-on ring plus attached sinks.
     pub(crate) events: EventBus,
     /// Write-ahead-log state; `None` unless configured durable.
@@ -348,6 +330,7 @@ impl RuleSystem {
         let incr_enabled = config.incremental.unwrap_or(true);
         let available = || std::thread::available_parallelism().map_or(1, |n| n.get());
         let threads = config.parallelism.unwrap_or_else(available).max(1);
+        let windows = Windows::new(config.retrigger);
         let mut sys = RuleSystem {
             db: Database::new(),
             rules: Vec::new(),
@@ -364,6 +347,7 @@ impl RuleSystem {
             incr_enabled,
             threads,
             memos: MemoStore::default(),
+            windows,
             events,
             wal: None,
         };
@@ -813,22 +797,16 @@ impl RuleSystem {
     pub fn begin(&mut self) -> Result<(), RuleError> {
         self.require_no_txn()?;
         self.events.emit(EngineEvent::TxnBegin);
-        self.memos.begin(self.rules.len());
+        self.memos.begin();
+        self.windows.begin(self.rules.len());
         self.txn = Some(TxnState {
             mark: self.db.mark(),
-            rule_infos: vec![TransInfo::new(); self.rules.len()],
-            pending: TransInfo::new(),
             trace: Vec::new(),
             transitions_used: 0,
             last_output: None,
             base: self.full_stats(),
         });
-        if let Err(e) = self.wal_begin() {
-            self.note_statement_failure(&e);
-            self.abort_internal();
-            return Err(e);
-        }
-        Ok(())
+        self.wal_begin().map_err(|e| self.fail_txn(e))
     }
 
     /// Whether a transaction is open.
@@ -860,50 +838,30 @@ impl RuleSystem {
         if self.txn.is_none() {
             return Err(RuleError::NoOpenTransaction);
         }
-        let before = self.qstats.snapshot();
-        let threads = self.threads;
-        let result = execute_op(
-            &mut self.db,
-            &NoTransitionTables,
-            op,
-            &ExecOpts {
-                stats: Some(&self.qstats),
-                threads,
-                op_stats: None,
-            },
-        );
-        self.note_parallelism(&before);
-        match result {
-            Ok(eff) => {
-                // The redo records read only handles and heap values, so
-                // they are written first and the effect then moves into
-                // the pending window.
-                if let Err(e) =
-                    wal_log_effect(&mut self.db, &mut self.wal, &mut self.stats, &mut self.events, &eff)
-                {
-                    self.note_statement_failure(&e);
-                    self.abort_internal();
-                    return Err(e);
-                }
-                let txn = self.txn.as_mut().expect("checked above");
-                let affected = eff.cardinality();
-                let output = match &eff {
-                    OpEffect::Select { output, .. } => {
-                        txn.last_output = Some(output.clone());
-                        Some(output.clone())
-                    }
-                    _ => None,
-                };
-                txn.pending.absorb(eff, self.config.track_selects);
-                Ok((affected, output))
-            }
-            Err(e) => {
-                let e: RuleError = e.into();
-                self.note_statement_failure(&e);
-                self.abort_internal();
-                Err(e)
-            }
+        let eff = self.run_external_op(op).map_err(|e| self.fail_txn(e))?;
+        let affected = eff.cardinality();
+        let output = match &eff {
+            OpEffect::Select { output, .. } => Some(output.clone()),
+            _ => None,
+        };
+        if output.is_some() {
+            self.txn.as_mut().expect("checked above").last_output = output.clone();
         }
+        self.windows.absorb(eff, self.config.track_selects);
+        Ok((affected, output))
+    }
+
+    /// Execute one externally-generated operation and log its redo
+    /// records. They read only handles and heap values, so they are
+    /// written before the effect moves into a window.
+    fn run_external_op(&mut self, op: &DmlOp) -> Result<OpEffect, RuleError> {
+        let before = self.qstats.snapshot();
+        let opts = ExecOpts { stats: Some(&self.qstats), threads: self.threads, op_stats: None };
+        let result = execute_op(&mut self.db, &NoTransitionTables, op, &opts);
+        self.note_parallelism(&before);
+        let eff = result?;
+        wal_log_effect(&mut self.db, &mut self.wal, &mut self.stats, &mut self.events, &eff)?;
+        Ok(eff)
     }
 
     /// Abandon the open transaction, restoring the start state.
@@ -911,17 +869,36 @@ impl RuleSystem {
         if self.txn.is_none() {
             return Err(RuleError::NoOpenTransaction);
         }
-        self.abort_internal();
+        self.abort_internal(None);
         Ok(())
     }
 
-    fn abort_internal(&mut self) {
+    /// Abandon the open transaction, if any: `by_rule` names the rule
+    /// whose `rollback` action asked for it.
+    fn abort_internal(&mut self, by_rule: Option<String>) {
         if let Some(txn) = self.txn.take() {
-            self.db.rollback_to(txn.mark).expect("txn mark is valid");
-            self.wal_graceful_abort();
-            self.stats.txns_rolled_back += 1;
-            self.events.emit(EngineEvent::Rollback { by_rule: None });
+            self.roll_back(txn.mark, by_rule);
         }
+    }
+
+    /// Release the rule windows, undo every change since `mark` (the open
+    /// or flat transaction's start), abort the transaction in the log,
+    /// count it and emit [`EngineEvent::Rollback`] naming the rule whose
+    /// `rollback` action asked for it, if one did.
+    fn roll_back(&mut self, mark: UndoMark, by_rule: Option<String>) {
+        self.windows.end();
+        self.db.rollback_to(mark).expect("a transaction's mark is valid until it ends");
+        self.wal_graceful_abort();
+        self.stats.txns_rolled_back += 1;
+        self.events.emit(EngineEvent::Rollback { by_rule });
+    }
+
+    /// A statement (or a log write) failed: record it, abandon the open
+    /// transaction, and hand the error back.
+    fn fail_txn(&mut self, e: RuleError) -> RuleError {
+        self.note_statement_failure(&e);
+        self.abort_internal(None);
+        e
     }
 
     /// Record a failed DML statement: the query layer has already undone
@@ -953,29 +930,12 @@ impl RuleSystem {
         let base = self.full_stats();
         let fired_before = self.txn.as_ref().expect("checked").trace.len();
         let rolled_back_by = self.run_rule_processing()?;
-        match rolled_back_by {
-            Some(name) => {
-                let txn = self.txn.take().expect("still open on rollback path");
-                self.db.rollback_to(txn.mark).expect("txn mark is valid");
-                self.wal_graceful_abort();
-                self.stats.txns_rolled_back += 1;
-                self.events.emit(EngineEvent::Rollback { by_rule: Some(name.clone()) });
-                Ok(ProcessReport {
-                    fired: txn.trace[fired_before..].to_vec(),
-                    rolled_back_by: Some(name),
-                    stats: self.full_stats().since(&base),
-                })
-            }
-            None => {
-                let stats = self.full_stats().since(&base);
-                let txn = self.txn.as_ref().expect("still open");
-                Ok(ProcessReport {
-                    fired: txn.trace[fired_before..].to_vec(),
-                    rolled_back_by: None,
-                    stats,
-                })
-            }
+        let trace = &self.txn.as_ref().expect("open unless an error aborted").trace;
+        let fired = trace[fired_before..].to_vec();
+        if rolled_back_by.is_some() {
+            self.abort_internal(rolled_back_by.clone());
         }
+        Ok(ProcessReport { fired, rolled_back_by, stats: self.full_stats().since(&base) })
     }
 
     /// Process rules (unless already done for all changes) and commit the
@@ -985,28 +945,21 @@ impl RuleSystem {
             return Err(RuleError::NoOpenTransaction);
         }
         let rolled_back_by = self.run_rule_processing()?;
+        if rolled_back_by.is_none() {
+            // Durability first: the transaction's records — including
+            // every rule-action write above — reach the sink and the
+            // fsync boundary before the in-memory commit.
+            self.wal_commit().map_err(|e| self.fail_txn(e))?;
+        }
         let txn = self.txn.take().expect("open unless an error aborted");
         match rolled_back_by {
             Some(by_rule) => {
-                self.db.rollback_to(txn.mark).expect("txn mark is valid");
-                self.wal_graceful_abort();
-                self.stats.txns_rolled_back += 1;
-                self.events.emit(EngineEvent::Rollback { by_rule: Some(by_rule.clone()) });
+                self.roll_back(txn.mark, Some(by_rule.clone()));
                 let stats = self.full_stats().since(&txn.base);
                 Ok(TxnOutcome::RolledBack { by_rule, fired: txn.trace, stats })
             }
             None => {
-                // Durability first: the transaction's records — including
-                // every rule-action write above — reach the sink and the
-                // fsync boundary before the in-memory commit.
-                if let Err(e) = self.wal_commit() {
-                    self.note_statement_failure(&e);
-                    self.db.rollback_to(txn.mark).expect("txn mark is valid");
-                    self.wal_graceful_abort();
-                    self.stats.txns_rolled_back += 1;
-                    self.events.emit(EngineEvent::Rollback { by_rule: None });
-                    return Err(e);
-                }
+                self.windows.end();
                 self.db.commit();
                 self.stats.txns_committed += 1;
                 self.events.emit(EngineEvent::TxnCommit {
@@ -1044,36 +997,10 @@ impl RuleSystem {
             return Err(e);
         }
         let mut window = TransInfo::new();
-        let threads = self.threads;
         for op in &ops {
-            let before = self.qstats.snapshot();
-            let result = execute_op(
-                &mut self.db,
-                &NoTransitionTables,
-                op,
-                &ExecOpts {
-                    stats: Some(&self.qstats),
-                    threads,
-                    op_stats: None,
-                },
-            );
-            self.note_parallelism(&before);
-            match result {
-                Ok(eff) => {
-                    if let Err(e) = wal_log_effect(
-                        &mut self.db,
-                        &mut self.wal,
-                        &mut self.stats,
-                        &mut self.events,
-                        &eff,
-                    ) {
-                        self.fail_flat_txn(mark, &e);
-                        return Err(e);
-                    }
-                    window.absorb(eff, self.config.track_selects);
-                }
+            match self.run_external_op(op) {
+                Ok(eff) => window.absorb(eff, self.config.track_selects),
                 Err(e) => {
-                    let e: RuleError = e.into();
                     self.fail_flat_txn(mark, &e);
                     return Err(e);
                 }
@@ -1109,10 +1036,7 @@ impl RuleSystem {
     /// statement, undo to the transaction's mark, and roll the log back.
     fn fail_flat_txn(&mut self, mark: UndoMark, e: &RuleError) {
         self.note_statement_failure(e);
-        self.db.rollback_to(mark).expect("mark valid");
-        self.wal_graceful_abort();
-        self.stats.txns_rolled_back += 1;
-        self.events.emit(EngineEvent::Rollback { by_rule: None });
+        self.roll_back(mark, None);
     }
 
     /// Process rules against everything accumulated by
@@ -1125,16 +1049,11 @@ impl RuleSystem {
         // the cleared window inside this transaction, so a crash before
         // its `Commit` keeps re-presenting the old one on recovery.
         if !self.deferred.is_empty() {
-            if let Err(e) = self.wal_log_deferred(&TransInfo::new()) {
-                self.note_statement_failure(&e);
-                self.abort_internal();
-                return Err(e);
-            }
+            self.wal_log_deferred(&TransInfo::new()).map_err(|e| self.fail_txn(e))?;
         }
         // Move the deferred window in only after the `Begin` is logged: a
         // failed begin must not silently drop the pending transitions.
-        let pending = std::mem::take(&mut self.deferred);
-        self.txn.as_mut().expect("just opened").pending = pending;
+        self.windows.set_pending(std::mem::take(&mut self.deferred));
         self.commit()
     }
 
@@ -1161,9 +1080,8 @@ impl RuleSystem {
     /// a debugging aid; `None` when no transaction is open or the rule
     /// does not exist.
     pub fn current_window(&self, rule: &str) -> Option<&TransInfo> {
-        let txn = self.txn.as_ref()?;
-        let id = self.by_name.get(rule)?;
-        txn.rule_infos.get(id.0)
+        self.txn.as_ref()?;
+        Some(self.windows.window(*self.by_name.get(rule)?))
     }
 
     /// Whether a name-level transition reference falls inside `rule`'s
@@ -1232,9 +1150,11 @@ impl RuleSystem {
         }
         // A rule reads a memo (or join side) when one of its terms has the
         // memo's template and its window starts at the memo's transition.
+        // (Memos exist only over windows of rules the last transaction
+        // began with: rule DDL invalidates them all.)
         let readers = |template, start| {
             let reads = |r: &&Rule| {
-                self.memos.window_start(r.id) == Some(start)
+                self.windows.start(r.id) == start
                     && self.prepared.get(&r.id).and_then(|p| p.incr.as_ref())
                         .is_some_and(|st| st.templates.iter().any(|ids| ids.reads(template)))
             };
@@ -1260,76 +1180,30 @@ impl RuleSystem {
     // The Figure 1 loop
     // ------------------------------------------------------------------
 
-    /// Process rules until quiescence. Returns `Ok(Some(rule))` if a
-    /// rollback action fired (caller rolls back), `Ok(None)` on normal
-    /// completion. Errors abort and roll back before returning.
+    /// Process rules until quiescence: the loop of Fig. 1 (§4.1–4.2).
+    /// Returns `Ok(Some(rule))` if a rollback action fired (caller rolls
+    /// back), `Ok(None)` on normal completion. Errors abort and roll back
+    /// before returning.
     fn run_rule_processing(&mut self) -> Result<Option<String>, RuleError> {
+        // Every pass (each `process rules` point and the commit, §5.3)
+        // starts with no rule considered.
+        self.windows.begin_pass();
+        // Fig. 1: the external transition initialises every rule's
+        // trans-info.
         self.flush_pending();
-        // Rules whose condition was already evaluated (false) against the
-        // current windows; cleared whenever a new transition occurs (§4.2:
-        // "rules are chosen … until one is found with a condition that
-        // holds or until there are none left").
-        let mut considered = vec![false; self.rules.len()];
-        // Rules considered at least once in this pass, for re-trigger
-        // detection (a second consideration means later transitions
-        // re-triggered the rule, §4.2).
-        let mut ever_considered = vec![false; self.rules.len()];
-        // Trigger verdicts only move when windows do; memoize them across
-        // loop iterations (most iterations consider without firing).
-        let mut triggers = TriggerMemo::new(self.rules.len());
-        // Refilled each iteration, in creation order as `select_rule`
-        // requires.
-        let mut candidates: Vec<RuleId> = Vec::with_capacity(self.rules.len());
         loop {
-            {
-                let txn = self.txn.as_ref().expect("transaction open");
-                candidates.clear();
-                candidates.extend(
-                    self.rules
-                        .iter()
-                        .filter(|r| {
-                            !considered[r.id.0]
-                                && triggers.check(r.id, || {
-                                    r.triggered_by(&self.db, &txn.rule_infos[r.id.0])
-                                })
-                        })
-                        .map(|r| r.id),
-                );
-            }
+            // Fig. 1 `select-triggered-rule` (§4.4) among the rules whose
+            // trans-info satisfies their transition predicate and that
+            // were not yet considered against it; none left ends the loop.
+            let candidates = self.windows.candidates(&self.rules, &self.db, &mut self.stats);
             let Some(rid) =
-                select_rule(self.config.strategy, &self.priorities, &candidates, &self.last_considered)
+                select_rule(self.config.strategy, &self.priorities, candidates, &self.last_considered)
             else {
                 return Ok(None);
             };
-            considered[rid.0] = true;
-            self.consider_clock += 1;
-            self.last_considered[rid.0] = Some(self.consider_clock);
+            let name = self.note_consideration(rid);
 
-            let name = self.rules[rid.0].name.clone();
-            if std::mem::replace(&mut ever_considered[rid.0], true) {
-                self.stats.rules_retriggered += 1;
-                self.stats.rule_mut(&name).retriggered += 1;
-                self.events.emit(EngineEvent::RuleRetriggered { rule: name.clone() });
-            }
-            self.stats.rules_considered += 1;
-            self.stats.rule_mut(&name).considered += 1;
-            self.events.emit(EngineEvent::RuleConsidered { rule: name.clone() });
-
-            // Prepared-state bookkeeping (reported as the plan cache): a
-            // rule considered before (since the last DDL) reuses its
-            // compiled condition and incremental state; a first
-            // consideration prepares them.
-            let hit = self.prepared.contains_key(&rid);
-            if hit {
-                self.stats.plan_cache_hits += 1;
-            } else {
-                let prepared = Prepared::new(self.rules[rid.0].condition.as_ref());
-                self.prepared.insert(rid, prepared);
-                self.stats.plan_cache_misses += 1;
-            }
-            self.events.emit(EngineEvent::PlanCache { rule: name.clone(), hit });
-
-            // Evaluate the condition against the rule's own window.
+            // Fig. 1: evaluate the rule's condition over its trans-info.
             let cond_start = Instant::now();
             let cond = self.evaluate_condition(rid, &name);
             self.stats.rule_mut(&name).condition_nanos +=
@@ -1337,7 +1211,7 @@ impl RuleSystem {
             let cond_holds = match cond {
                 Ok(b) => b,
                 Err(e) => {
-                    self.abort_internal();
+                    self.abort_internal(None);
                     return Err(e);
                 }
             };
@@ -1345,137 +1219,117 @@ impl RuleSystem {
                 self.stats.conditions_false += 1;
                 self.stats.rule_mut(&name).condition_false += 1;
                 self.events.emit(EngineEvent::RuleConditionFalse { rule: name.clone() });
-                if self.config.retrigger == RetriggerSemantics::SinceLastConsidered {
-                    // Footnote 8: the window restarts at consideration, so
-                    // from now on the rule reads the memos over windows
-                    // starting at the next transition. The shared delta
-                    // log is untouched: other rules' windows are unbroken
-                    // and still repair from it.
-                    let txn = self.txn.as_mut().expect("open");
-                    txn.rule_infos[rid.0] = TransInfo::new();
-                    self.memos.restart(rid);
-                    triggers.invalidate(rid);
-                }
+                // §4.2: choose again; footnote 8 may restart the window.
+                self.windows.condition_false(rid);
                 continue;
             }
 
-            match self.rules[rid.0].action.clone() {
-                CompiledAction::Rollback => {
-                    return Ok(Some(name));
-                }
-                action => {
-                    {
-                        let txn = self.txn.as_mut().expect("open");
-                        txn.transitions_used += 1;
-                        if txn.transitions_used > self.config.max_rule_transitions {
-                            let limit = self.config.max_rule_transitions;
-                            self.stats.loop_aborts += 1;
-                            self.events.emit(EngineEvent::LoopSafeguardAbort { limit });
-                            self.abort_internal();
-                            return Err(RuleError::LoopLimitExceeded { limit });
-                        }
-                    }
-                    let action_start = Instant::now();
-                    let tinfo = match self.execute_rule_action(rid, &action) {
-                        Ok(t) => t,
-                        Err(e) => {
-                            // §4: an aborted rule action aborts the whole
-                            // transaction — partial statement effects were
-                            // already undone at the statement boundary.
-                            self.note_statement_failure(&e);
-                            self.abort_internal();
-                            return Err(e);
-                        }
-                    };
-                    self.stats.rule_mut(&name).action_nanos +=
-                        action_start.elapsed().as_nanos() as u64;
-                    self.stats.rules_executed += 1;
-                    self.stats.rule_mut(&name).executed += 1;
-                    self.events.emit(EngineEvent::RuleExecuted {
-                        rule: name.clone(),
-                        inserted: tinfo.ins.len(),
-                        deleted: tinfo.del.len(),
-                        updated: tinfo.upd.len(),
-                    });
-                    let fired = FiredRule {
-                        rule: name,
-                        inserted: tinfo.ins.len(),
-                        deleted: tinfo.del.len(),
-                        updated: tinfo.upd.len(),
-                    };
-                    self.txn.as_mut().expect("open").trace.push(fired);
-                    self.apply_transition(tinfo, Some(rid));
-                    considered.fill(false);
-                    triggers.invalidate_all();
-                }
+            // Fig. 1: execute the action; `rollback` ends processing (§4.1).
+            let action = self.rules[rid.0].action.clone();
+            if let CompiledAction::Rollback = action {
+                return Ok(Some(name));
             }
+            let transition = self.run_action(rid, name, &action)?;
+            // Fig. 1: the acting rule's trans-info becomes the action's
+            // transition; every other rule's composes it (§4.2).
+            self.apply_transition(transition, Some(rid));
         }
     }
 
-    /// Compose the pending external window into every rule's window.
+    /// Book `rid`'s consideration — the recency clock (§4.4), re-trigger
+    /// detection (§4.2), counters and events — and prepare it on its first
+    /// consideration since the last DDL (reported as the plan cache: a
+    /// rule considered before reuses its compiled condition and
+    /// incremental state). Answers the rule's name.
+    fn note_consideration(&mut self, rid: RuleId) -> String {
+        self.consider_clock += 1;
+        self.last_considered[rid.0] = Some(self.consider_clock);
+        let name = self.rules[rid.0].name.clone();
+        if self.windows.consider(rid) {
+            self.stats.rules_retriggered += 1;
+            self.stats.rule_mut(&name).retriggered += 1;
+            self.events.emit(EngineEvent::RuleRetriggered { rule: name.clone() });
+        }
+        self.stats.rules_considered += 1;
+        self.stats.rule_mut(&name).considered += 1;
+        self.events.emit(EngineEvent::RuleConsidered { rule: name.clone() });
+        let hit = self.prepared.contains_key(&rid);
+        if hit {
+            self.stats.plan_cache_hits += 1;
+        } else {
+            let prepared = Prepared::new(self.rules[rid.0].condition.as_ref());
+            self.prepared.insert(rid, prepared);
+            self.stats.plan_cache_misses += 1;
+        }
+        self.events.emit(EngineEvent::PlanCache { rule: name.clone(), hit });
+        name
+    }
+
+    /// Run the considered rule's (non-rollback) action as one transition,
+    /// under the footnote-7 divergence guard, and record the firing.
+    fn run_action(
+        &mut self,
+        rid: RuleId,
+        name: String,
+        action: &CompiledAction,
+    ) -> Result<TransInfo, RuleError> {
+        let txn = self.txn.as_mut().expect("open");
+        txn.transitions_used += 1;
+        if txn.transitions_used > self.config.max_rule_transitions {
+            let limit = self.config.max_rule_transitions;
+            self.stats.loop_aborts += 1;
+            self.events.emit(EngineEvent::LoopSafeguardAbort { limit });
+            self.abort_internal(None);
+            return Err(RuleError::LoopLimitExceeded { limit });
+        }
+        let action_start = Instant::now();
+        // §4: an aborted rule action aborts the whole transaction — partial
+        // statement effects were already undone at the statement boundary.
+        let tinfo = self.execute_rule_action(rid, action).map_err(|e| self.fail_txn(e))?;
+        self.stats.rule_mut(&name).action_nanos += action_start.elapsed().as_nanos() as u64;
+        self.stats.rules_executed += 1;
+        self.stats.rule_mut(&name).executed += 1;
+        let (inserted, deleted, updated) = (tinfo.ins.len(), tinfo.del.len(), tinfo.upd.len());
+        self.events.emit(EngineEvent::RuleExecuted {
+            rule: name.clone(),
+            inserted,
+            deleted,
+            updated,
+        });
+        let fired = FiredRule { rule: name, inserted, deleted, updated };
+        self.txn.as_mut().expect("open").trace.push(fired);
+        Ok(tinfo)
+    }
+
+    /// Fig. 1's external transition: the pending block, if anything is
+    /// pending, becomes a transition every window takes in.
     fn flush_pending(&mut self) {
-        let pending = {
-            let txn = self.txn.as_mut().expect("transaction open");
-            if txn.pending.is_empty() {
-                return;
-            }
-            std::mem::take(&mut txn.pending)
-        };
+        let Some(block) = self.windows.take_pending() else { return };
         self.stats.external_blocks += 1;
         self.events.emit(EngineEvent::ExternalBlockAbsorbed {
-            inserted: pending.ins.len(),
-            deleted: pending.del.len(),
-            updated: pending.upd.len(),
-            selected: pending.sel.len(),
+            inserted: block.ins.len(),
+            deleted: block.del.len(),
+            updated: block.upd.len(),
+            selected: block.sel.len(),
         });
-        self.apply_transition(pending, None);
+        self.apply_transition(block, None);
     }
 
-    /// Merge a new transition into the per-rule windows (§4.2): the acting
-    /// rule's window becomes exactly this transition (moved in); every
-    /// other rule's window is the composition, which shares the
-    /// transition's old images and column sets rather than copying them.
-    fn apply_transition(&mut self, tinfo: TransInfo, acting: Option<RuleId>) {
-        let retrigger = self.config.retrigger;
-        // Rules whose window restarts below move to this transition's
-        // window start, whose memos (unless another rule holds them
-        // already) rebuild from the fresh window.
-        let txn = self.txn.as_mut().expect("transaction open");
-        for rule in &self.rules {
-            // Fig. 1 emits trans-info maintenance only for rules this
-            // transition triggers by itself (plus the acting rule, whose
-            // window always restarts).
-            let triggered_by_this = !rule.dropped && rule.triggered_by(&self.db, &tinfo);
-            let slot = &mut txn.rule_infos[rule.id.0];
-            if Some(rule.id) == acting {
-                // Filled after the loop, when the transition moves in.
-                self.memos.restart(rule.id);
-                self.events.emit(EngineEvent::TransInfoInit { rule: rule.name.clone() });
-            } else if retrigger == RetriggerSemantics::SinceLastTriggering && triggered_by_this {
-                // [WF89b]: this transition alone re-triggers the rule, so
-                // its window restarts here.
-                *slot = tinfo.clone();
-                self.memos.restart(rule.id);
-                self.events.emit(EngineEvent::TransInfoInit { rule: rule.name.clone() });
+    /// Take a new transition into every window (`Windows::apply`) and emit
+    /// the trans-info maintenance it reports, in creation order: Fig. 1
+    /// emits it only for rules the transition triggers by itself, plus
+    /// the acting rule, whose window always restarts.
+    fn apply_transition(&mut self, transition: TransInfo, acting: Option<RuleId>) {
+        let (rules, db) = (&self.rules, &self.db);
+        let changes =
+            self.windows.apply(rules, db, transition, acting, &mut self.memos, &mut self.stats);
+        for &(rid, init) in changes {
+            let rule = rules[rid.0].name.clone();
+            self.events.emit(if init {
+                EngineEvent::TransInfoInit { rule }
             } else {
-                let was_empty = slot.is_empty();
-                slot.compose(&tinfo);
-                if triggered_by_this {
-                    self.events.emit(if was_empty {
-                        EngineEvent::TransInfoInit { rule: rule.name.clone() }
-                    } else {
-                        EngineEvent::TransInfoModify { rule: rule.name.clone() }
-                    });
-                }
-            }
-        }
-        // Log this transition's pure `[I, D, U]` effect once; every live
-        // memo cursor repairs from the composed suffix at its own
-        // position.
-        let db = &self.db;
-        self.memos.transition_applied(|| tinfo.effect(|t| db.schema(t).arity()));
-        if let Some(rid) = acting {
-            txn.rule_infos[rid.0] = tinfo;
+                EngineEvent::TransInfoModify { rule }
+            });
         }
     }
 
@@ -1569,10 +1423,11 @@ impl RuleSystem {
             Ok(p) => p,
             Err(reason) => return Ok(IncOutcome::Fallback(reason.label())),
         };
-        let window = &self.txn.as_ref().expect("transaction open").rule_infos[rid.0];
+        let (window, start) = (self.windows.window(rid), self.windows.start(rid));
         let (db, memos) = (&self.db, &mut self.memos);
-        let outcome =
-            plan.evaluate(&mut |i, term| memos.refresh(db, term, st.templates[i], rid, window))?;
+        let outcome = plan.evaluate(&mut |i, term| {
+            memos.refresh(db, term, st.templates[i], rid, start, window)
+        })?;
         self.qstats.bump(|s| s.incr_probe_rows += outcome.rows);
         match outcome.verdict {
             CondVerdict::Truth(truth) => Ok(IncOutcome::Answer {
@@ -1591,8 +1446,7 @@ impl RuleSystem {
     fn check_condition(&self, rid: RuleId) -> Result<bool, RuleError> {
         let rule = &self.rules[rid.0];
         let prepared = self.prepared.get(&rid).expect("a considered rule is prepared");
-        let txn = self.txn.as_ref().expect("transaction open");
-        let provider = RuleWindowRef { info: &txn.rule_infos[rid.0], licensed: &rule.licensed };
+        let provider = RuleWindowRef { info: self.windows.window(rid), licensed: &rule.licensed };
         let cache = setrules_query::SubqueryCache::new();
         let opts = ExecOpts { stats: Some(&self.qstats), threads: self.threads, op_stats: None };
         let ctx = opts.ctx(&self.db, &provider, &cache);
@@ -1607,82 +1461,70 @@ impl RuleSystem {
         rid: RuleId,
         action: &CompiledAction,
     ) -> Result<TransInfo, RuleError> {
-        let mut tinfo = TransInfo::new();
-        let mut last_output: Option<Relation> = None;
-        let threads = self.threads;
         let before = self.qstats.snapshot();
-        let result: Result<(), RuleError> = (|| {
-            match action {
-                CompiledAction::Block(ops) => {
-                    // Borrow the rule's window directly — `self.db` (mutable)
-                    // and `self.txn`/`self.rules` (immutable) are disjoint
-                    // fields, so no O(window) clone is needed.
-                    let rule = &self.rules[rid.0];
-                    let txn = self.txn.as_ref().expect("open");
-                    let provider =
-                        RuleWindowRef { info: &txn.rule_infos[rid.0], licensed: &rule.licensed };
-                    for op in ops.iter() {
-                        let eff = execute_op(
-                            &mut self.db,
-                            &provider,
-                            op,
-                            &ExecOpts { stats: Some(&self.qstats), threads, op_stats: None },
-                        )?;
-                        if let OpEffect::Select { output, .. } = &eff {
-                            last_output = Some(output.clone());
-                        }
-                        // Rule-action writes join the transaction's commit
-                        // unit (free function: `provider` still borrows
-                        // `self.txn`/`self.rules`).
-                        wal_log_effect(
-                            &mut self.db,
-                            &mut self.wal,
-                            &mut self.stats,
-                            &mut self.events,
-                            &eff,
-                        )?;
-                        tinfo.absorb(eff, self.config.track_selects);
-                    }
+        let effects = self.action_effects(rid, action);
+        self.note_parallelism(&before);
+        let mut tinfo = TransInfo::new();
+        for eff in effects? {
+            if let (OpEffect::Select { output, .. }, Some(txn)) = (&eff, self.txn.as_mut()) {
+                txn.last_output = Some(output.clone());
+            }
+            tinfo.absorb(eff, self.config.track_selects);
+        }
+        Ok(tinfo)
+    }
+
+    /// Run a rule's action over its window and answer the effects of its
+    /// operations, in order; each write is logged as it happens.
+    fn action_effects(
+        &mut self,
+        rid: RuleId,
+        action: &CompiledAction,
+    ) -> Result<Vec<OpEffect>, RuleError> {
+        let licensed = &self.rules[rid.0].licensed;
+        match action {
+            CompiledAction::Block(ops) => {
+                // Borrow the rule's window directly — `self.db` (mutable)
+                // and `self.windows`/`self.rules` (immutable) are disjoint
+                // fields, so no O(window) clone is needed.
+                let provider = RuleWindowRef { info: self.windows.window(rid), licensed };
+                let opts =
+                    ExecOpts { stats: Some(&self.qstats), threads: self.threads, op_stats: None };
+                let mut effects = Vec::with_capacity(ops.len());
+                for op in ops.iter() {
+                    let eff = execute_op(&mut self.db, &provider, op, &opts)?;
+                    // Rule-action writes join the transaction's commit unit
+                    // (free function: `provider` still borrows
+                    // `self.windows`/`self.rules`).
+                    let (db, wal, stats, events) =
+                        (&mut self.db, &mut self.wal, &mut self.stats, &mut self.events);
+                    wal_log_effect(db, wal, stats, events, &eff)?;
+                    effects.push(eff);
                 }
+                Ok(effects)
+            }
             CompiledAction::External(f) => {
                 // External actions hold the provider across arbitrary user
                 // code; give them an owning snapshot of the window.
-                let rule = &self.rules[rid.0];
-                let provider = RuleWindowProvider::licensed(
-                    self.txn.as_ref().expect("open").rule_infos[rid.0].clone(),
-                    rule.licensed.clone(),
-                );
+                let window = self.windows.window(rid).clone();
                 let mut ctx = ActionCtx {
                     db: &mut self.db,
-                    provider,
+                    provider: RuleWindowProvider::licensed(window, licensed.clone()),
                     effects: Vec::new(),
                     track_selects: self.config.track_selects,
                     did_ddl: false,
                 };
                 f.run(&mut ctx)?;
-                let effects = ctx.effects;
-                if ctx.did_ddl {
+                let ActionCtx { effects, did_ddl, .. } = ctx;
+                if did_ddl {
                     // Mid-transaction DDL (index creation) moved the
                     // catalog under every prepared rule's feet.
                     self.invalidate_plans();
                 }
-                for eff in effects {
-                    if let OpEffect::Select { output, .. } = &eff {
-                        last_output = Some(output.clone());
-                    }
-                    tinfo.absorb(eff, self.config.track_selects);
-                }
+                Ok(effects)
             }
             CompiledAction::Rollback => unreachable!("handled by the caller"),
-            }
-            Ok(())
-        })();
-        self.note_parallelism(&before);
-        result?;
-        if last_output.is_some() {
-            self.txn.as_mut().expect("open").last_output = last_output;
         }
-        Ok(tinfo)
     }
 
     fn require_no_txn(&self) -> Result<(), RuleError> {

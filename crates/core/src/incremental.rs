@@ -17,12 +17,14 @@
 //! stays with the rule's [`IncTerm::truth`]. The window start is the
 //! index of the transaction transition at which a rule's window last
 //! restarted (acting rule, `SinceLastTriggering` re-trigger or
-//! `SinceLastConsidered` clear). `apply_transition` composes every later
-//! transition into every window, so rules with equal starts have equal
-//! windows, and equal templates over equal windows give equal memos: a
-//! rule may read a memo another rule built or repaired. The store is
-//! scoped to one transaction (cleared at `begin` and on plan
-//! invalidation), so a cursor is a plain log position.
+//! `SinceLastConsidered` clear). `Windows` (`crate::windows`) owns the
+//! starts and hands the considered rule's to [`MemoStore::refresh`].
+//! `Windows::apply` composes every later transition into every live
+//! window, so rules with equal starts have equal windows, and equal
+//! templates over equal windows give equal memos: a rule may read a memo
+//! another rule built or repaired. The store is scoped to one
+//! transaction (cleared at `begin` and on plan invalidation), so a cursor
+//! is a plain log position.
 //!
 //! # Shared join sides
 //!
@@ -60,7 +62,7 @@
 //! recorded in the window; current values change only through operations
 //! that — because every transition is composed into every rule's window
 //! and appended to the delta log at the same choke point
-//! (`apply_transition`) — are named by the delta's handle sets. Tuple
+//! (`Windows::apply`) — are named by the delta's handle sets. Tuple
 //! handles are allocated monotonically and never reused, so a handle in
 //! the delta denotes the same tuple it denoted at memo time. Hence a
 //! tuple not named by the delta cannot have changed term state, and
@@ -196,10 +198,6 @@ pub struct MemoStore {
     memos: HashMap<(u32, usize), SharedMemo>,
     /// (side template id, window start) → join side; cleared with `memos`.
     sides: HashMap<(u32, usize), SideMemo>,
-    /// `window_start[rid]`: where rule `rid`'s window last restarted.
-    window_start: Vec<usize>,
-    /// The index the transaction's next transition will get.
-    next_transition: usize,
     /// The delta log: one projected `[I, D, U]` effect per transition
     /// since `log_open` was set. A memo at cursor `seq` repairs from the
     /// composition of `log[seq..]`.
@@ -240,15 +238,11 @@ impl MemoStore {
         }
     }
 
-    /// A new transaction: every window starts at transition 0 and no memo
-    /// survives. Keeps the maps' capacity, so a warm engine does not
-    /// allocate here.
-    pub fn begin(&mut self, rules: usize) {
+    /// A new transaction: no memo survives, and the log starts empty.
+    /// Keeps the maps' capacity, so a warm engine does not allocate here.
+    pub fn begin(&mut self) {
         self.memos.clear();
         self.sides.clear();
-        self.window_start.clear();
-        self.window_start.resize(rules, 0);
-        self.next_transition = 0;
         self.log.clear();
         self.log_open = false;
         self.compose_cache.clear();
@@ -261,49 +255,46 @@ impl MemoStore {
         self.templates.clear();
     }
 
-    /// `rid`'s window restarts at the next transition: it is acting or
-    /// re-triggered by that transition, or was just cleared before it.
-    pub fn restart(&mut self, rid: RuleId) {
-        self.window_start[rid.0] = self.next_transition;
-    }
-
     /// A transition was composed into every window: log its `effect`
-    /// once the log is open, and drop the memos and sides whose window
-    /// start no rule holds any more (starts only move forward, so none of
-    /// them can be read again).
-    pub fn transition_applied(&mut self, effect: impl FnOnce() -> TransitionEffect) {
+    /// once the log is open, and drop the memos and sides over a window
+    /// start no considerable rule holds any more (`live(start)` is false;
+    /// starts only move forward, so none of them can be read again).
+    pub fn transition_applied(
+        &mut self,
+        effect: impl FnOnce() -> TransitionEffect,
+        live: impl Fn(usize) -> bool,
+    ) {
         if self.log_open {
             self.log.push(effect());
             self.compose_cache.clear();
         }
-        self.next_transition += 1;
-        let starts = &self.window_start;
         if !self.memos.is_empty() {
-            self.memos.retain(|(_, start), _| starts.contains(start));
+            self.memos.retain(|&(_, start), _| live(start));
         }
         if !self.sides.is_empty() {
-            self.sides.retain(|(_, start), _| starts.contains(start));
+            self.sides.retain(|&(_, start), _| live(start));
         }
     }
 
-    /// Bring the memo of `term` (interned as `ids`) over `rid`'s window
-    /// up to date — a join first brings both its sides to the log's end —
-    /// repairing from the delta-log suffix when the memo has a cursor and
-    /// rebuilding from the window otherwise, and answer what was done
-    /// plus the term's truth over the memo.
+    /// Bring the memo of `term` (interned as `ids`) over `rid`'s window,
+    /// which starts at transition `start`, up to date — a join first
+    /// brings both its sides to the log's end — repairing from the
+    /// delta-log suffix when the memo has a cursor and rebuilding from the
+    /// window otherwise, and answer what was done plus the term's truth
+    /// over the memo.
     pub fn refresh(
         &mut self,
         db: &Database,
         term: &IncTerm,
         ids: TemplateIds,
         rid: RuleId,
+        start: usize,
         window: &TransInfo,
     ) -> Result<(TermRefresh, Term3), QueryError> {
         // The memo takes a cursor at the log's end: from here on every
         // transition must be logged for it.
         self.log_open = true;
         let len = self.log.len();
-        let start = self.window_start[rid.0];
         let mut done = TermRefresh::default();
         let st = self.memos.entry((ids.term, start)).or_insert_with(|| SharedMemo {
             memo: TermMemo::empty_for(term),
@@ -399,12 +390,6 @@ impl MemoStore {
         let memos = memos.into_iter().map(|(_, start, t, n, b)| line("", t, start, n, b));
         let sides = sides.into_iter().map(|(_, start, t, n, b)| line("join side ", t, start, n, b));
         memos.chain(sides).collect()
-    }
-
-    /// Where `rid`'s window last restarted, if the rule existed when the
-    /// current (or last) transaction began.
-    pub fn window_start(&self, rid: RuleId) -> Option<usize> {
-        self.window_start.get(rid.0).copied()
     }
 }
 

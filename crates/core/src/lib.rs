@@ -55,11 +55,13 @@ pub mod snapshot;
 pub mod stats;
 pub mod transinfo;
 pub mod transition_tables;
+mod windows;
 
 pub use effect::TransitionEffect;
 pub use engine::{
-    EngineConfig, ExecOutcome, FiredRule, ProcessReport, RetriggerSemantics, RuleSystem, TxnOutcome,
+    EngineConfig, ExecOutcome, FiredRule, ProcessReport, RuleSystem, TxnOutcome,
 };
+pub use windows::RetriggerSemantics;
 pub use error::RuleError;
 pub use events::{EngineEvent, EventSink, JsonLinesSink, RingBufferSink};
 // Re-exported so [`EngineConfig::fault`]'s type and the injector it arms

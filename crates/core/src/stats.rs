@@ -73,80 +73,158 @@ impl RuleTiming {
     }
 }
 
-/// Cumulative engine-phase counters with a per-rule timing breakdown.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EngineStats {
+/// Declares [`EngineStats`]: its `u64` counters, listed once, and the
+/// counter-wise `plus` / `since` / `to_json` over them and the two maps.
+macro_rules! engine_stats {
+    ($($(#[doc = $doc:literal])+ $name:ident,)+) => {
+        /// Cumulative engine-phase counters with a per-rule timing
+        /// breakdown.
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct EngineStats {
+            $($(#[doc = $doc])+ pub $name: u64,)+
+            /// `incr_fallbacks` broken down by `FallbackReason` label (plus
+            /// dynamic degrade labels such as the sum overflow guard).
+            pub incr_fallback_reasons: BTreeMap<String, u64>,
+            /// Per-rule breakdown, keyed by rule name (deterministic order).
+            pub per_rule: BTreeMap<String, RuleTiming>,
+        }
+
+        impl EngineStats {
+            /// Counter-wise sum (union of per-rule maps).
+            pub fn plus(&self, other: &EngineStats) -> EngineStats {
+                let mut per_rule = self.per_rule.clone();
+                for (name, t) in &other.per_rule {
+                    let slot = per_rule.entry(name.clone()).or_default();
+                    *slot = slot.plus(t);
+                }
+                let mut incr_fallback_reasons = self.incr_fallback_reasons.clone();
+                for (label, n) in &other.incr_fallback_reasons {
+                    *incr_fallback_reasons.entry(label.clone()).or_insert(0) += n;
+                }
+                EngineStats {
+                    $($name: self.$name + other.$name,)+
+                    incr_fallback_reasons,
+                    per_rule,
+                }
+            }
+
+            /// Counter-wise difference from an earlier snapshot of the
+            /// same system. Rules whose delta is all-zero are omitted from
+            /// `per_rule`.
+            pub fn since(&self, earlier: &EngineStats) -> EngineStats {
+                let mut per_rule = BTreeMap::new();
+                for (name, t) in &self.per_rule {
+                    let base = earlier.per_rule.get(name).copied().unwrap_or_default();
+                    let d = t.since(&base);
+                    if !d.is_zero() {
+                        per_rule.insert(name.clone(), d);
+                    }
+                }
+                let incr_fallback_reasons = self
+                    .incr_fallback_reasons
+                    .iter()
+                    .filter_map(|(label, n)| {
+                        let d = n - earlier.incr_fallback_reasons.get(label).copied().unwrap_or(0);
+                        (d != 0).then(|| (label.clone(), d))
+                    })
+                    .collect();
+                EngineStats {
+                    $($name: self.$name - earlier.$name,)+
+                    incr_fallback_reasons,
+                    per_rule,
+                }
+            }
+
+            /// JSON object form: the counters, the fallback breakdown and
+            /// a `per_rule` object.
+            pub fn to_json(&self) -> Json {
+                let reasons = self.incr_fallback_reasons.iter();
+                let reasons = reasons.map(|(l, n)| (l.clone(), Json::Int(*n as i64)));
+                let per_rule = self.per_rule.iter().map(|(n, t)| (n.clone(), t.to_json()));
+                let mut pairs = vec![$((stringify!($name), Json::Int(self.$name as i64)),)+];
+                pairs.push(("incr_fallback_reasons", Json::Object(reasons.collect())));
+                pairs.push(("per_rule", Json::Object(per_rule.collect())));
+                Json::obj(pairs)
+            }
+        }
+    };
+}
+
+engine_stats! {
     /// Transactions committed.
-    pub txns_committed: u64,
+    txns_committed,
     /// Transactions rolled back (rule-requested, explicit, or on error).
-    pub txns_rolled_back: u64,
+    txns_rolled_back,
     /// Externally-generated blocks absorbed into rule windows.
-    pub external_blocks: u64,
+    external_blocks,
     /// Rule considerations (Fig. 1 selections).
-    pub rules_considered: u64,
+    rules_considered,
     /// Considerations whose condition evaluated to not-true.
-    pub conditions_false: u64,
+    conditions_false,
     /// Rule actions executed.
-    pub rules_executed: u64,
+    rules_executed,
     /// Re-considerations of an already-considered rule within one pass.
-    pub rules_retriggered: u64,
+    rules_retriggered,
     /// Footnote-7 loop-safeguard aborts.
-    pub loop_aborts: u64,
+    loop_aborts,
+    /// Trigger tests (`Rule::triggered_by` calls): one per live rule
+    /// against each new transition, plus one per candidate verdict
+    /// computed against a rule's window after it changed.
+    trigger_checks,
+    /// Compositions of a transition into a rule's window that were not a
+    /// window restart (Definition 2.1's fold, one per rule per
+    /// transition).
+    window_composes,
     /// Rule considerations that found the rule's prepared state (its
     /// compiled condition and incremental state).
-    pub plan_cache_hits: u64,
+    plan_cache_hits,
     /// Rule considerations that had to prepare the rule fresh (first
     /// consideration, or after a DDL invalidation).
-    pub plan_cache_misses: u64,
+    plan_cache_misses,
     /// Considerations answered by repairing the rule's materialized
     /// condition state from the composed `[I, D, U]` delta instead of
     /// re-scanning its transition tables.
-    pub incr_hits: u64,
+    incr_hits,
     /// Considerations that (re)built the condition state by one full
     /// window scan (first consideration, or after a window reset broke
     /// the delta chain).
-    pub incr_rebuilds: u64,
+    incr_rebuilds,
     /// Considerations of incrementally-enabled rules that fell back to
     /// full re-scan (non-incrementalizable condition shape).
-    pub incr_fallbacks: u64,
+    incr_fallbacks,
     /// Rows probed by incremental repairs and rebuilds combined.
-    pub incr_delta_rows: u64,
+    incr_delta_rows,
     /// Incremental considerations whose composed delta suffix was served
     /// from the shared per-transaction compose cache (another rule at the
     /// same cursor already folded it this round).
-    pub incr_shared_hits: u64,
+    incr_shared_hits,
     /// Join side memos (shared per side template and window start)
     /// filled by one scan of the window.
-    pub incr_side_builds: u64,
-    /// `incr_fallbacks` broken down by `FallbackReason` label (plus
-    /// dynamic degrade labels such as the sum overflow guard).
-    pub incr_fallback_reasons: BTreeMap<String, u64>,
+    incr_side_builds,
     /// Storage faults deliberately injected by an armed
     /// `setrules_storage::FaultInjector` plan.
-    pub faults_injected: u64,
+    faults_injected,
     /// Failed DML statements whose partial effects were undone to the
     /// statement savepoint (each is followed by a transaction rollback).
-    pub stmt_rollbacks: u64,
+    stmt_rollbacks,
     /// Query phases (a scan's pushed conjuncts, the `where` pass) that
     /// ran partitioned across threads (mirrors the query layer's counter).
-    pub parallel_scans: u64,
+    parallel_scans,
     /// Total partitions across those parallel phases.
-    pub parallel_partitions: u64,
+    parallel_partitions,
     /// Query phases big enough to parallelize that fell back to serial
     /// because their predicate was not row-local (correlated subqueries,
     /// unresolved names).
-    pub serial_fallbacks: u64,
+    serial_fallbacks,
     /// Write-ahead-log records appended (durable configurations only).
-    pub wal_appends: u64,
+    wal_appends,
     /// Write-ahead-log syncs — fsync-boundary crossings (durable
     /// configurations only).
-    pub wal_syncs: u64,
+    wal_syncs,
     /// Records replayed from the log when this system was opened.
-    pub wal_replayed_records: u64,
+    wal_replayed_records,
     /// Checkpoint records written to the log.
-    pub checkpoints: u64,
-    /// Per-rule breakdown, keyed by rule name (deterministic order).
-    pub per_rule: BTreeMap<String, RuleTiming>,
+    checkpoints,
 }
 
 impl EngineStats {
@@ -158,142 +236,6 @@ impl EngineStats {
             self.per_rule.insert(rule.to_string(), RuleTiming::default());
         }
         self.per_rule.get_mut(rule).expect("slot inserted above")
-    }
-
-    /// Counter-wise sum (union of per-rule maps).
-    pub fn plus(&self, other: &EngineStats) -> EngineStats {
-        let mut per_rule = self.per_rule.clone();
-        for (name, t) in &other.per_rule {
-            let slot = per_rule.entry(name.clone()).or_default();
-            *slot = slot.plus(t);
-        }
-        EngineStats {
-            txns_committed: self.txns_committed + other.txns_committed,
-            txns_rolled_back: self.txns_rolled_back + other.txns_rolled_back,
-            external_blocks: self.external_blocks + other.external_blocks,
-            rules_considered: self.rules_considered + other.rules_considered,
-            conditions_false: self.conditions_false + other.conditions_false,
-            rules_executed: self.rules_executed + other.rules_executed,
-            rules_retriggered: self.rules_retriggered + other.rules_retriggered,
-            loop_aborts: self.loop_aborts + other.loop_aborts,
-            plan_cache_hits: self.plan_cache_hits + other.plan_cache_hits,
-            plan_cache_misses: self.plan_cache_misses + other.plan_cache_misses,
-            incr_hits: self.incr_hits + other.incr_hits,
-            incr_rebuilds: self.incr_rebuilds + other.incr_rebuilds,
-            incr_fallbacks: self.incr_fallbacks + other.incr_fallbacks,
-            incr_delta_rows: self.incr_delta_rows + other.incr_delta_rows,
-            incr_shared_hits: self.incr_shared_hits + other.incr_shared_hits,
-            incr_side_builds: self.incr_side_builds + other.incr_side_builds,
-            incr_fallback_reasons: {
-                let mut m = self.incr_fallback_reasons.clone();
-                for (label, n) in &other.incr_fallback_reasons {
-                    *m.entry(label.clone()).or_insert(0) += n;
-                }
-                m
-            },
-            faults_injected: self.faults_injected + other.faults_injected,
-            stmt_rollbacks: self.stmt_rollbacks + other.stmt_rollbacks,
-            parallel_scans: self.parallel_scans + other.parallel_scans,
-            parallel_partitions: self.parallel_partitions + other.parallel_partitions,
-            serial_fallbacks: self.serial_fallbacks + other.serial_fallbacks,
-            wal_appends: self.wal_appends + other.wal_appends,
-            wal_syncs: self.wal_syncs + other.wal_syncs,
-            wal_replayed_records: self.wal_replayed_records + other.wal_replayed_records,
-            checkpoints: self.checkpoints + other.checkpoints,
-            per_rule,
-        }
-    }
-
-    /// Counter-wise difference from an earlier snapshot of the same
-    /// system. Rules whose delta is all-zero are omitted from `per_rule`.
-    pub fn since(&self, earlier: &EngineStats) -> EngineStats {
-        let mut per_rule = BTreeMap::new();
-        for (name, t) in &self.per_rule {
-            let base = earlier.per_rule.get(name).copied().unwrap_or_default();
-            let d = t.since(&base);
-            if !d.is_zero() {
-                per_rule.insert(name.clone(), d);
-            }
-        }
-        EngineStats {
-            txns_committed: self.txns_committed - earlier.txns_committed,
-            txns_rolled_back: self.txns_rolled_back - earlier.txns_rolled_back,
-            external_blocks: self.external_blocks - earlier.external_blocks,
-            rules_considered: self.rules_considered - earlier.rules_considered,
-            conditions_false: self.conditions_false - earlier.conditions_false,
-            rules_executed: self.rules_executed - earlier.rules_executed,
-            rules_retriggered: self.rules_retriggered - earlier.rules_retriggered,
-            loop_aborts: self.loop_aborts - earlier.loop_aborts,
-            plan_cache_hits: self.plan_cache_hits - earlier.plan_cache_hits,
-            plan_cache_misses: self.plan_cache_misses - earlier.plan_cache_misses,
-            incr_hits: self.incr_hits - earlier.incr_hits,
-            incr_rebuilds: self.incr_rebuilds - earlier.incr_rebuilds,
-            incr_fallbacks: self.incr_fallbacks - earlier.incr_fallbacks,
-            incr_delta_rows: self.incr_delta_rows - earlier.incr_delta_rows,
-            incr_shared_hits: self.incr_shared_hits - earlier.incr_shared_hits,
-            incr_side_builds: self.incr_side_builds - earlier.incr_side_builds,
-            incr_fallback_reasons: self
-                .incr_fallback_reasons
-                .iter()
-                .filter_map(|(label, n)| {
-                    let d = n - earlier.incr_fallback_reasons.get(label).copied().unwrap_or(0);
-                    (d != 0).then(|| (label.clone(), d))
-                })
-                .collect(),
-            faults_injected: self.faults_injected - earlier.faults_injected,
-            stmt_rollbacks: self.stmt_rollbacks - earlier.stmt_rollbacks,
-            parallel_scans: self.parallel_scans - earlier.parallel_scans,
-            parallel_partitions: self.parallel_partitions - earlier.parallel_partitions,
-            serial_fallbacks: self.serial_fallbacks - earlier.serial_fallbacks,
-            wal_appends: self.wal_appends - earlier.wal_appends,
-            wal_syncs: self.wal_syncs - earlier.wal_syncs,
-            wal_replayed_records: self.wal_replayed_records - earlier.wal_replayed_records,
-            checkpoints: self.checkpoints - earlier.checkpoints,
-            per_rule,
-        }
-    }
-
-    /// JSON object form: phase counters plus a `per_rule` object.
-    pub fn to_json(&self) -> Json {
-        let per_rule =
-            self.per_rule.iter().map(|(n, t)| (n.clone(), t.to_json())).collect::<Vec<_>>();
-        Json::obj([
-            ("txns_committed", Json::Int(self.txns_committed as i64)),
-            ("txns_rolled_back", Json::Int(self.txns_rolled_back as i64)),
-            ("external_blocks", Json::Int(self.external_blocks as i64)),
-            ("rules_considered", Json::Int(self.rules_considered as i64)),
-            ("conditions_false", Json::Int(self.conditions_false as i64)),
-            ("rules_executed", Json::Int(self.rules_executed as i64)),
-            ("rules_retriggered", Json::Int(self.rules_retriggered as i64)),
-            ("loop_aborts", Json::Int(self.loop_aborts as i64)),
-            ("plan_cache_hits", Json::Int(self.plan_cache_hits as i64)),
-            ("plan_cache_misses", Json::Int(self.plan_cache_misses as i64)),
-            ("incr_hits", Json::Int(self.incr_hits as i64)),
-            ("incr_rebuilds", Json::Int(self.incr_rebuilds as i64)),
-            ("incr_fallbacks", Json::Int(self.incr_fallbacks as i64)),
-            ("incr_delta_rows", Json::Int(self.incr_delta_rows as i64)),
-            ("incr_shared_hits", Json::Int(self.incr_shared_hits as i64)),
-            ("incr_side_builds", Json::Int(self.incr_side_builds as i64)),
-            (
-                "incr_fallback_reasons",
-                Json::Object(
-                    self.incr_fallback_reasons
-                        .iter()
-                        .map(|(label, n)| (label.clone(), Json::Int(*n as i64)))
-                        .collect(),
-                ),
-            ),
-            ("faults_injected", Json::Int(self.faults_injected as i64)),
-            ("stmt_rollbacks", Json::Int(self.stmt_rollbacks as i64)),
-            ("parallel_scans", Json::Int(self.parallel_scans as i64)),
-            ("parallel_partitions", Json::Int(self.parallel_partitions as i64)),
-            ("serial_fallbacks", Json::Int(self.serial_fallbacks as i64)),
-            ("wal_appends", Json::Int(self.wal_appends as i64)),
-            ("wal_syncs", Json::Int(self.wal_syncs as i64)),
-            ("wal_replayed_records", Json::Int(self.wal_replayed_records as i64)),
-            ("checkpoints", Json::Int(self.checkpoints as i64)),
-            ("per_rule", Json::Object(per_rule)),
-        ])
     }
 }
 

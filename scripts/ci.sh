@@ -142,6 +142,22 @@ cargo test -q -p setrules-core --test incremental_eval -- \
   shared_memos_are_invisible_across_retrigger_semantics \
   join_sides_are_shared_and_invisible
 
+echo "==> rule windows (window oracle + exact window-work counters)"
+# Both run under `cargo test` above; named here so the CI log shows the
+# gates behind the one window state machine (crates/core/src/windows.rs).
+# The oracle drives `Windows` with random transitions, acting rules,
+# consideration passes and footnote-8 clears under all three retrigger
+# semantics, and demands after every step that each window equal the
+# Definition-2.1 fold of the transitions since its start and each cached
+# trigger verdict equal a fresh `triggered_by`. The counter test pins a
+# one-block transaction over N never-triggered rules at exactly 2N
+# trigger checks and N window composes; the inert-rule test pins that a
+# dropped or deactivated rule keeps no memo alive.
+cargo test -q -p setrules-core --lib -- \
+  windows::tests::windows_are_the_fold_of_the_transitions_since_their_start
+cargo test -q -p setrules-core --test windows -- \
+  bystander_rules_cost_two_trigger_checks_and_one_compose_each inert_rules_pin_no_memo
+
 echo "==> §4.4 selection (priority closure property + selection differential)"
 # Both run under `cargo test` above; named here so the CI log shows the
 # gates behind one-pass selection. The closure property holds the
@@ -209,6 +225,21 @@ cargo test -q -p setrules-core \
 
 echo "==> non-test lines per crate (informational)"
 ./scripts/loc.sh
+
+echo "==> panic sites in non-test source (the count may only fall)"
+# `unwrap()` / `expect(` / `panic!` / `unreachable!` lines in non-test
+# source, scoped the way scripts/loc.sh scopes it. A change that removes
+# sites lowers the pin; one that adds a site turns it into a typed error
+# instead, or justifies it as an invariant and removes another.
+PANIC_SITES_MAX=152
+sites=$(find crates/*/src -name '*.rs' ! -name tests.rs -print0 | sort -z \
+  | xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile }
+      /unwrap\(\)|expect\(|panic!|unreachable!/ { n++ } END { print n + 0 }')
+if [ "$sites" -gt "$PANIC_SITES_MAX" ]; then
+  echo "error: $sites panic sites in non-test source, more than the pinned $PANIC_SITES_MAX" >&2
+  exit 1
+fi
+echo "    $sites panic sites (at most $PANIC_SITES_MAX)"
 
 echo "==> no address-keyed caches (pointer-to-integer casts in non-test source)"
 # A memo keyed by an AST node's address cast to an integer is sound only
