@@ -8,9 +8,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use setrules_core::{RuleId, RuleSystem};
-
-use crate::events::{footprint, ActionEvent, Footprint};
+use setrules_core::{ActionEvent, Footprint, RuleId, RuleSystem};
 
 /// The triggering graph over a rule set.
 #[derive(Debug, Clone)]
@@ -38,7 +36,7 @@ impl TriggerGraph {
             footprints: BTreeMap::new(),
         };
         for r in &rules {
-            g.footprints.insert(r.id, footprint(db, r));
+            g.footprints.insert(r.id, r.footprint(db));
         }
         for a in &rules {
             let fp = &g.footprints[&a.id];
@@ -48,7 +46,7 @@ impl TriggerGraph {
                     true
                 } else {
                     // Selects trigger only when the engine tracks them.
-                    fp.events.iter().any(|e| {
+                    fp.writes.iter().any(|e| {
                         (track_selects || !matches!(e, ActionEvent::Select(_)))
                             && b.when.iter().any(|p| e.satisfies(p))
                     })

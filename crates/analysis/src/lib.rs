@@ -6,6 +6,11 @@
 //! loops (footnote 7), and order-dependence warnings for unordered rule
 //! pairs whose actions interfere (§4.4/§6).
 //!
+//! What each rule may write and read comes from the engine crate's
+//! [`Rule::footprint`](setrules_core::Rule::footprint) (re-exported here
+//! with [`ActionEvent`] and [`Footprint`]); this crate only builds the
+//! graph and the warnings over those footprints.
+//!
 //! ```
 //! use setrules_core::RuleSystem;
 //! use setrules_analysis::analyze;
@@ -20,13 +25,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod events;
 pub mod graph;
 pub mod report;
 
-pub use events::{footprint, ActionEvent, Footprint};
 pub use graph::TriggerGraph;
 pub use report::{analyze, AnalysisReport, ConflictKind, ConflictWarning, LoopWarning};
+pub use setrules_core::{ActionEvent, Footprint};
 
 #[cfg(test)]
 mod tests {

@@ -7,9 +7,9 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use setrules_core::{CompiledAction, RuleId, RuleSystem};
+use setrules_core::{ActionEvent, CompiledAction, Footprint, RuleId, RuleSystem};
+use setrules_storage::TableId;
 
-use crate::events::write_targets;
 use crate::graph::TriggerGraph;
 
 /// A set of rules that may trigger each other forever.
@@ -134,7 +134,19 @@ pub fn analyze(sys: &RuleSystem) -> AnalysisReport {
     // ------------------------------------------------------------------
     let db = sys.database();
     let rules: Vec<_> = sys.rules().collect();
-    let table_name = |t: setrules_storage::TableId| db.schema(t).name.clone();
+    let table_name = |t: TableId| db.schema(t).name.clone();
+    // The tables a rule may write; an opaque action may write whatever
+    // the other rule reads.
+    let writes = |fp: &Footprint, other: &Footprint| -> BTreeSet<TableId> {
+        if fp.opaque {
+            return other.reads.clone();
+        }
+        let table = |e: &ActionEvent| match *e {
+            ActionEvent::Insert(t) | ActionEvent::Delete(t) | ActionEvent::Update(t, _) => Some(t),
+            ActionEvent::Select(_) => None,
+        };
+        fp.writes.iter().filter_map(table).collect()
+    };
     for (i, a) in rules.iter().enumerate() {
         for b in rules.iter().skip(i + 1) {
             if ordered(sys, a.id, b.id) {
@@ -161,8 +173,7 @@ pub fn analyze(sys: &RuleSystem) -> AnalysisReport {
                 continue;
             }
 
-            let wa = if fa.opaque { fb.reads.clone() } else { write_targets(fa) };
-            let wb = if fb.opaque { fa.reads.clone() } else { write_targets(fb) };
+            let (wa, wb) = (writes(fa, fb), writes(fb, fa));
             let ww: BTreeSet<_> = wa.intersection(&wb).copied().collect();
             if !ww.is_empty() {
                 report.conflicts.push(ConflictWarning {

@@ -525,7 +525,7 @@ impl RuleSystem {
             Statement::DropTable(name) => {
                 self.require_no_txn()?;
                 let tid = self.db.table_id(&name)?;
-                if let Some(r) = self.rules.iter().find(|r| r.referenced_tables.contains(&tid)) {
+                if let Some(r) = self.rules().find(|r| r.footprint(&self.db).reads.contains(&tid)) {
                     return Err(RuleError::TableReferencedByRules {
                         table: name,
                         rule: r.name.clone(),
@@ -734,8 +734,6 @@ impl RuleSystem {
         rule.active = false;
         rule.dropped = true;
         rule.when.clear();
-        rule.referenced_tables.clear();
-        rule.licensed.clear();
         self.priorities.remove_rule(id);
         self.invalidate_plans();
         Ok(())
@@ -1084,8 +1082,8 @@ impl RuleSystem {
         Some(self.windows.window(*self.by_name.get(rule)?))
     }
 
-    /// Whether a name-level transition reference falls inside `rule`'s
-    /// licence set (§3's reference restriction, resolved to catalog ids).
+    /// Whether one of `rule`'s predicates licenses a name-level transition
+    /// reference (§3's reference restriction, resolved to catalog ids).
     fn rule_licenses(
         &self,
         rule: &Rule,
@@ -1101,7 +1099,7 @@ impl RuleSystem {
             },
             None => None,
         };
-        rule.licensed.contains(&(kind, tid, col))
+        rule.when.iter().any(|p| p.licenses(kind, tid, col))
     }
 
     /// Whether incremental condition evaluation is enabled for this
@@ -1446,7 +1444,7 @@ impl RuleSystem {
     fn check_condition(&self, rid: RuleId) -> Result<bool, RuleError> {
         let rule = &self.rules[rid.0];
         let prepared = self.prepared.get(&rid).expect("a considered rule is prepared");
-        let provider = RuleWindowRef { info: self.windows.window(rid), licensed: &rule.licensed };
+        let provider = RuleWindowRef { info: self.windows.window(rid), licensed: &rule.when };
         let cache = setrules_query::SubqueryCache::new();
         let opts = ExecOpts { stats: Some(&self.qstats), threads: self.threads, op_stats: None };
         let ctx = opts.ctx(&self.db, &provider, &cache);
@@ -1481,7 +1479,7 @@ impl RuleSystem {
         rid: RuleId,
         action: &CompiledAction,
     ) -> Result<Vec<OpEffect>, RuleError> {
-        let licensed = &self.rules[rid.0].licensed;
+        let licensed = &self.rules[rid.0].when;
         match action {
             CompiledAction::Block(ops) => {
                 // Borrow the rule's window directly — `self.db` (mutable)

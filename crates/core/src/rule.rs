@@ -3,17 +3,20 @@
 //! A rule (paper §3) has a transition predicate (a disjunction of basic
 //! predicates), an optional SQL condition, and an action — an operation
 //! block, `rollback`, or (the §5.2 extension) an external procedure.
-//! Rules are compiled at creation time: table names are resolved to ids,
-//! and every transition-table reference in the condition and action is
-//! checked against the rule's predicates (the §3 syntactic restriction).
+//! Rules are compiled at creation time: predicate tables are resolved to
+//! ids, and every transition-table reference in the condition and action
+//! is checked against the predicates that license it (the §3 syntactic
+//! restriction). Stored-table names in conditions and actions resolve when
+//! they run, so what a rule touches — its [`Footprint`], which the static
+//! analyser and drop-table protection read — is worked out on demand
+//! against the current catalog, by the same one walk of the rule's AST.
 
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
 use setrules_sql::ast::{
-    BasicTransPred, CreateRule, DmlOp, Expr, InsertSource, RuleAction, SelectItem, SelectStmt,
-    TableSource, TransitionKind,
+    BasicTransPred, CreateRule, DmlOp, Expr, RuleAction, SelectStmt, TableSource, TransitionKind,
 };
 use setrules_storage::{ColumnId, Database, TableId};
 
@@ -98,19 +101,32 @@ impl CompiledPred {
         }
     }
 
-    /// The transition tables this predicate licenses (paper §3):
-    /// `inserted into t` → `inserted t`; `deleted from t` → `deleted t`;
-    /// `updated t[.c]` → `old updated t[.c]` and `new updated t[.c]`;
-    /// `selected t[.c]` → `selected t[.c]`.
-    pub fn licensed_tables(&self) -> Vec<(TransitionKind, TableId, Option<ColumnId>)> {
+    /// Whether this predicate licenses the transition-table reference
+    /// (paper §3): `inserted into t` → `inserted t`; `deleted from t` →
+    /// `deleted t`; `updated t[.c]` → `old updated t[.c]` and
+    /// `new updated t[.c]`; `selected t[.c]` → `selected t[.c]`. A rule
+    /// may reference what one of its `when` predicates licenses.
+    pub fn licenses(&self, kind: TransitionKind, table: TableId, column: Option<ColumnId>) -> bool {
+        match (self, kind) {
+            (CompiledPred::Inserted(t), TransitionKind::Inserted)
+            | (CompiledPred::Deleted(t), TransitionKind::Deleted) => {
+                *t == table && column.is_none()
+            }
+            (CompiledPred::Updated(t, c), TransitionKind::OldUpdated | TransitionKind::NewUpdated)
+            | (CompiledPred::Selected(t, c), TransitionKind::Selected) => {
+                *t == table && *c == column
+            }
+            _ => false,
+        }
+    }
+
+    /// The table the predicate watches.
+    pub fn table(&self) -> TableId {
         match self {
-            CompiledPred::Inserted(t) => vec![(TransitionKind::Inserted, *t, None)],
-            CompiledPred::Deleted(t) => vec![(TransitionKind::Deleted, *t, None)],
-            CompiledPred::Updated(t, c) => vec![
-                (TransitionKind::OldUpdated, *t, *c),
-                (TransitionKind::NewUpdated, *t, *c),
-            ],
-            CompiledPred::Selected(t, c) => vec![(TransitionKind::Selected, *t, *c)],
+            CompiledPred::Inserted(t)
+            | CompiledPred::Deleted(t)
+            | CompiledPred::Updated(t, _)
+            | CompiledPred::Selected(t, _) => *t,
         }
     }
 }
@@ -140,8 +156,9 @@ pub enum ActionEvent {
     Delete(TableId),
     /// May update the given column of the table.
     Update(TableId, ColumnId),
-    /// Contains a top-level `select` from the table (relevant when the
-    /// engine tracks selects, §5.1).
+    /// A top-level `select` names the stored table in its `from` list
+    /// (relevant when the engine tracks selects, §5.1). Transition tables
+    /// and subqueries leave no `S` entries, so they produce no event.
     Select(TableId),
 }
 
@@ -182,6 +199,24 @@ impl fmt::Debug for CompiledAction {
     }
 }
 
+/// What a rule touches, worked out from its definition against the
+/// catalog as it stands (see [`Rule::footprint`]). Syntactic and
+/// conservative: an `update t set c = …` *may* update `t.c`, whether it
+/// does depends on the data.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Footprint {
+    /// Events the action may produce.
+    pub writes: BTreeSet<ActionEvent>,
+    /// Tables the rule mentions anywhere: its predicates' tables, and
+    /// every stored or transition table its condition and action name
+    /// (write targets included).
+    pub reads: BTreeSet<TableId>,
+    /// An external action (§5.2): it may do anything.
+    pub opaque: bool,
+    /// A `rollback` action: it produces no events.
+    pub rollback: bool,
+}
+
 /// A compiled production rule.
 #[derive(Debug, Clone)]
 pub struct Rule {
@@ -189,7 +224,9 @@ pub struct Rule {
     pub name: String,
     /// Creation index.
     pub id: RuleId,
-    /// The transition predicate: a disjunction of basic predicates.
+    /// The transition predicate: a disjunction of basic predicates. Its
+    /// members also license the rule's transition-table references
+    /// ([`CompiledPred::licenses`]).
     pub when: Vec<CompiledPred>,
     /// Optional condition (omitted ⇒ `if true`).
     pub condition: Option<Expr>,
@@ -200,11 +237,6 @@ pub struct Rule {
     /// Dropped rules keep their slot (ids are creation indexes) but are
     /// inert and invisible.
     pub dropped: bool,
-    /// Transition tables the rule may reference.
-    pub licensed: BTreeSet<(TransitionKind, TableId, Option<ColumnId>)>,
-    /// Tables mentioned anywhere in the rule (predicates, condition,
-    /// action) — used to refuse dropping tables rules depend on.
-    pub referenced_tables: BTreeSet<TableId>,
 }
 
 impl Rule {
@@ -216,59 +248,26 @@ impl Rule {
     /// Compile a parsed `create rule` against the catalog, enforcing the
     /// §3 restriction on transition-table references.
     pub fn compile(db: &Database, id: RuleId, def: &CreateRule) -> Result<Rule, RuleError> {
-        let mut when = Vec::with_capacity(def.when.len());
-        for p in &def.when {
-            when.push(CompiledPred::compile(db, p)?);
-        }
-        let mut licensed = BTreeSet::new();
-        for p in &when {
-            licensed.extend(p.licensed_tables());
-        }
-
-        // Collect every transition-table reference in condition and action
-        // and check it against the licensed set.
-        let mut trefs: Vec<(TransitionKind, String, Option<String>)> = Vec::new();
-        if let Some(c) = &def.condition {
-            collect_trefs_expr(c, &mut trefs);
-        }
-        if let RuleAction::Block(ops) = &def.action {
-            for op in ops {
-                collect_trefs_op(op, &mut trefs);
+        let when: Vec<_> =
+            def.when.iter().map(|p| CompiledPred::compile(db, p)).collect::<Result<_, _>>()?;
+        let ops = match &def.action {
+            RuleAction::Block(ops) => ops.as_slice(),
+            RuleAction::Rollback => &[],
+        };
+        let mut trefs = Vec::new();
+        for_each_source(def.condition.as_ref(), ops, &mut |source| {
+            if let TableSource::Transition { kind, table, column } = source {
+                trefs.push((*kind, table, column.as_deref()));
             }
-        }
-        for (kind, table, column) in &trefs {
+        });
+        for (kind, table, column) in trefs {
             let tid = db.table_id(table)?;
-            let col = column.as_ref().map(|c| db.schema(tid).column_id(c)).transpose()?;
-            if !licensed.contains(&(*kind, tid, col)) {
+            let col = column.map(|c| db.schema(tid).column_id(c)).transpose()?;
+            if !when.iter().any(|p| p.licenses(kind, tid, col)) {
                 return Err(RuleError::IllegalTransitionTable {
                     rule: def.name.clone(),
-                    reference: setrules_query::describe(*kind, table, column.as_deref()),
+                    reference: setrules_query::describe(kind, table, column),
                 });
-            }
-        }
-
-        // Tables referenced anywhere (for drop-table protection).
-        let mut referenced_tables: BTreeSet<TableId> = BTreeSet::new();
-        for p in &when {
-            referenced_tables.insert(match p {
-                CompiledPred::Inserted(t)
-                | CompiledPred::Deleted(t)
-                | CompiledPred::Updated(t, _)
-                | CompiledPred::Selected(t, _) => *t,
-            });
-        }
-        let mut names: BTreeSet<String> = BTreeSet::new();
-        if let Some(c) = &def.condition {
-            collect_tables_expr(c, &mut names);
-        }
-        if let RuleAction::Block(ops) = &def.action {
-            for op in ops {
-                collect_tables_op(op, &mut names);
-            }
-        }
-        for n in names {
-            if let Ok(t) = db.table_id(&n) {
-                referenced_tables.insert(t);
             }
         }
 
@@ -284,207 +283,84 @@ impl Rule {
             action,
             active: true,
             dropped: false,
-            licensed,
-            referenced_tables,
         })
     }
-}
 
-// ----------------------------------------------------------------------
-// AST walkers: transition-table references and stored-table names.
-// ----------------------------------------------------------------------
-
-fn collect_trefs_select(s: &SelectStmt, out: &mut Vec<(TransitionKind, String, Option<String>)>) {
-    for t in &s.from {
-        if let TableSource::Transition { kind, table, column } = &t.source {
-            out.push((*kind, table.clone(), column.clone()));
-        }
-    }
-    for item in &s.projection {
-        if let SelectItem::Expr { expr, .. } = item {
-            collect_trefs_expr(expr, out);
-        }
-    }
-    for e in s
-        .predicate
-        .iter()
-        .chain(s.group_by.iter())
-        .chain(s.having.iter())
-        .chain(s.order_by.iter().map(|(e, _)| e))
-    {
-        collect_trefs_expr(e, out);
-    }
-}
-
-fn collect_trefs_expr(e: &Expr, out: &mut Vec<(TransitionKind, String, Option<String>)>) {
-    match e {
-        Expr::Literal(_) | Expr::Column { .. } => {}
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => collect_trefs_expr(expr, out),
-        Expr::Binary { left, right, .. } => {
-            collect_trefs_expr(left, out);
-            collect_trefs_expr(right, out);
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_trefs_expr(expr, out);
-            for i in list {
-                collect_trefs_expr(i, out);
+    /// The rule's footprint against the catalog as it stands. Computed on
+    /// demand: table names in conditions and actions resolve when they
+    /// run, so a table created after the rule joins its footprint then.
+    pub fn footprint(&self, db: &Database) -> Footprint {
+        let reads = self.when.iter().map(CompiledPred::table).collect();
+        let mut fp = Footprint { reads, ..Footprint::default() };
+        let ops = match &self.action {
+            CompiledAction::Block(ops) => ops.as_slice(),
+            CompiledAction::Rollback => {
+                fp.rollback = true;
+                &[]
             }
-        }
-        Expr::InSubquery { expr, subquery, .. } => {
-            collect_trefs_expr(expr, out);
-            collect_trefs_select(subquery, out);
-        }
-        Expr::Exists { subquery, .. } => collect_trefs_select(subquery, out),
-        Expr::ScalarSubquery(s) => collect_trefs_select(s, out),
-        Expr::Between { expr, low, high, .. } => {
-            collect_trefs_expr(expr, out);
-            collect_trefs_expr(low, out);
-            collect_trefs_expr(high, out);
-        }
-        Expr::Like { expr, pattern, escape, .. } => {
-            collect_trefs_expr(expr, out);
-            collect_trefs_expr(pattern, out);
-            if let Some(e) = escape {
-                collect_trefs_expr(e, out);
+            CompiledAction::External(_) => {
+                fp.opaque = true;
+                &[]
             }
-        }
-        Expr::Aggregate { arg, .. } => {
-            if let Some(a) = arg {
-                collect_trefs_expr(a, out);
-            }
-        }
-    }
-}
-
-fn collect_trefs_op(op: &DmlOp, out: &mut Vec<(TransitionKind, String, Option<String>)>) {
-    match op {
-        DmlOp::Select(s) => collect_trefs_select(s, out),
-        DmlOp::Insert(i) => match &i.source {
-            InsertSource::Values(rows) => {
-                for row in rows {
-                    for e in row {
-                        collect_trefs_expr(e, out);
-                    }
+        };
+        for_each_source(self.condition.as_ref(), ops, &mut |source| {
+            let (TableSource::Named(table) | TableSource::Transition { table, .. }) = source;
+            fp.reads.extend(db.table_id(table).ok());
+        });
+        for op in ops {
+            let target = op.target().and_then(|n| db.table_id(n).ok());
+            fp.reads.extend(target);
+            match (op, target) {
+                (DmlOp::Insert(_), Some(t)) => _ = fp.writes.insert(ActionEvent::Insert(t)),
+                (DmlOp::Delete(_), Some(t)) => _ = fp.writes.insert(ActionEvent::Delete(t)),
+                (DmlOp::Update(u), Some(t)) => {
+                    let schema = db.schema(t);
+                    let cols = u.sets.iter().filter_map(|(c, _)| schema.column_id(c).ok());
+                    fp.writes.extend(cols.map(|c| ActionEvent::Update(t, c)));
                 }
-            }
-            InsertSource::Select(s) => collect_trefs_select(s, out),
-        },
-        DmlOp::Delete(d) => {
-            if let Some(p) = &d.predicate {
-                collect_trefs_expr(p, out);
-            }
-        }
-        DmlOp::Update(u) => {
-            for (_, e) in &u.sets {
-                collect_trefs_expr(e, out);
-            }
-            if let Some(p) = &u.predicate {
-                collect_trefs_expr(p, out);
-            }
-        }
-    }
-}
-
-fn collect_tables_select(s: &SelectStmt, out: &mut BTreeSet<String>) {
-    for t in &s.from {
-        match &t.source {
-            TableSource::Named(n) => {
-                out.insert(n.clone());
-            }
-            TableSource::Transition { table, .. } => {
-                out.insert(table.clone());
-            }
-        }
-    }
-    for item in &s.projection {
-        if let SelectItem::Expr { expr, .. } = item {
-            collect_tables_expr(expr, out);
-        }
-    }
-    for e in s
-        .predicate
-        .iter()
-        .chain(s.group_by.iter())
-        .chain(s.having.iter())
-        .chain(s.order_by.iter().map(|(e, _)| e))
-    {
-        collect_tables_expr(e, out);
-    }
-}
-
-fn collect_tables_expr(e: &Expr, out: &mut BTreeSet<String>) {
-    match e {
-        Expr::Literal(_) | Expr::Column { .. } => {}
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => collect_tables_expr(expr, out),
-        Expr::Binary { left, right, .. } => {
-            collect_tables_expr(left, out);
-            collect_tables_expr(right, out);
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_tables_expr(expr, out);
-            for i in list {
-                collect_tables_expr(i, out);
-            }
-        }
-        Expr::InSubquery { expr, subquery, .. } => {
-            collect_tables_expr(expr, out);
-            collect_tables_select(subquery, out);
-        }
-        Expr::Exists { subquery, .. } => collect_tables_select(subquery, out),
-        Expr::ScalarSubquery(s) => collect_tables_select(s, out),
-        Expr::Between { expr, low, high, .. } => {
-            collect_tables_expr(expr, out);
-            collect_tables_expr(low, out);
-            collect_tables_expr(high, out);
-        }
-        Expr::Like { expr, pattern, escape, .. } => {
-            collect_tables_expr(expr, out);
-            collect_tables_expr(pattern, out);
-            if let Some(e) = escape {
-                collect_tables_expr(e, out);
-            }
-        }
-        Expr::Aggregate { arg, .. } => {
-            if let Some(a) = arg {
-                collect_tables_expr(a, out);
-            }
-        }
-    }
-}
-
-/// Collect stored-table names mentioned by an operation (targets and all
-/// query references). Public for use by the static analyzer.
-pub fn collect_tables_op(op: &DmlOp, out: &mut BTreeSet<String>) {
-    match op {
-        DmlOp::Select(s) => collect_tables_select(s, out),
-        DmlOp::Insert(i) => {
-            out.insert(i.table.clone());
-            match &i.source {
-                InsertSource::Values(rows) => {
-                    for row in rows {
-                        for e in row {
-                            collect_tables_expr(e, out);
-                        }
-                    }
+                (DmlOp::Select(s), _) => {
+                    // Only a top-level select's stored `from` items leave
+                    // `S` entries: transition rows carry no origin, and
+                    // subquery reads are not traced.
+                    let named = s.from.iter().filter_map(|t| match &t.source {
+                        TableSource::Named(n) => db.table_id(n).ok(),
+                        TableSource::Transition { .. } => None,
+                    });
+                    fp.writes.extend(named.map(ActionEvent::Select));
                 }
-                InsertSource::Select(s) => collect_tables_select(s, out),
+                _ => {}
             }
         }
-        DmlOp::Delete(d) => {
-            out.insert(d.table.clone());
-            if let Some(p) = &d.predicate {
-                collect_tables_expr(p, out);
-            }
+        fp
+    }
+}
+
+/// Every table source a rule's condition and action name, at any subquery
+/// depth, in the order they print — the one walk behind the §3 licence
+/// check and [`Rule::footprint`]'s reads.
+fn for_each_source<'a>(
+    condition: Option<&'a Expr>,
+    ops: &'a [DmlOp],
+    f: &mut impl FnMut(&'a TableSource),
+) {
+    fn expr<'a>(e: &'a Expr, f: &mut impl FnMut(&'a TableSource)) {
+        e.for_each_child(&mut |c| expr(c, f));
+        if let Some(s) = e.subquery() {
+            select(s, f);
         }
-        DmlOp::Update(u) => {
-            out.insert(u.table.clone());
-            for (_, e) in &u.sets {
-                collect_tables_expr(e, out);
-            }
-            if let Some(p) = &u.predicate {
-                collect_tables_expr(p, out);
-            }
+    }
+    fn select<'a>(s: &'a SelectStmt, f: &mut impl FnMut(&'a TableSource)) {
+        s.from.iter().for_each(|t| f(&t.source));
+        s.for_each_expr(&mut |e| expr(e, f));
+    }
+    if let Some(c) = condition {
+        expr(c, f);
+    }
+    for op in ops {
+        if let Some(q) = op.query() {
+            q.from.iter().for_each(|t| f(&t.source));
         }
+        op.for_each_expr(&mut |e| expr(e, f));
     }
 }
 

@@ -64,7 +64,6 @@ pub fn select_rule(
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeSet;
 
     use setrules_query::OpEffect;
     use setrules_storage::{ColumnDef, DataType, Database, TableSchema, Tuple, Value};
@@ -99,8 +98,6 @@ mod tests {
                 action: CompiledAction::Rollback,
                 active: true,
                 dropped: false,
-                licensed: BTreeSet::new(),
-                referenced_tables: BTreeSet::new(),
             })
             .collect();
         let h = db.insert(tables[0], Tuple(vec![Value::Int(1)])).unwrap();

@@ -10,17 +10,17 @@
 //! * `new updated t[.c]` — the same tuples, current values;
 //! * `selected t[.c]` — read tuples, current values (§5.1 extension).
 //!
-//! References are checked against the set licensed by the rule's
-//! transition predicates (§3's restriction); a provider without a licence
-//! set (used for debugging/analysis) allows everything.
+//! References are checked against the rule's transition predicates, which
+//! license them (§3's restriction, [`CompiledPred::licenses`]); a provider
+//! without predicates (used for debugging/analysis) allows everything.
 
 use std::borrow::Cow;
-use std::collections::BTreeSet;
 
 use setrules_query::{describe, QueryError, TransitionTableProvider};
 use setrules_sql::ast::TransitionKind;
-use setrules_storage::{ColumnId, Database, TableId, Value};
+use setrules_storage::{Database, Value};
 
+use crate::rule::CompiledPred;
 use crate::transinfo::TransInfo;
 
 /// A [`TransitionTableProvider`] over one rule's window (owning variant,
@@ -28,8 +28,9 @@ use crate::transinfo::TransInfo;
 #[derive(Debug, Clone)]
 pub struct RuleWindowProvider {
     info: TransInfo,
-    /// Licensed references; `None` = unrestricted (ad-hoc inspection).
-    licensed: Option<BTreeSet<(TransitionKind, TableId, Option<ColumnId>)>>,
+    /// The predicates licensing references; `None` = unrestricted
+    /// (ad-hoc inspection).
+    licensed: Option<Vec<CompiledPred>>,
 }
 
 /// A borrowing [`TransitionTableProvider`] over one rule's window — avoids
@@ -39,8 +40,8 @@ pub struct RuleWindowProvider {
 pub struct RuleWindowRef<'a> {
     /// The rule's composite window.
     pub info: &'a TransInfo,
-    /// The rule's licensed transition-table references (§3).
-    pub licensed: &'a BTreeSet<(TransitionKind, TableId, Option<ColumnId>)>,
+    /// The rule's transition predicates, which license its references (§3).
+    pub licensed: &'a [CompiledPred],
 }
 
 impl TransitionTableProvider for RuleWindowRef<'_> {
@@ -56,11 +57,8 @@ impl TransitionTableProvider for RuleWindowRef<'_> {
 }
 
 impl RuleWindowProvider {
-    /// Provider enforcing the §3 restriction with the given licence set.
-    pub fn licensed(
-        info: TransInfo,
-        licensed: BTreeSet<(TransitionKind, TableId, Option<ColumnId>)>,
-    ) -> Self {
+    /// Provider enforcing the §3 restriction with the given predicates.
+    pub fn licensed(info: TransInfo, licensed: Vec<CompiledPred>) -> Self {
         RuleWindowProvider { info, licensed: Some(licensed) }
     }
 
@@ -84,7 +82,7 @@ impl TransitionTableProvider for RuleWindowProvider {
         table: &str,
         column: Option<&str>,
     ) -> Result<Vec<Cow<'a, [Value]>>, QueryError> {
-        rows_impl(&self.info, self.licensed.as_ref(), db, kind, table, column)
+        rows_impl(&self.info, self.licensed.as_deref(), db, kind, table, column)
     }
 }
 
@@ -98,7 +96,7 @@ impl TransitionTableProvider for RuleWindowProvider {
 /// window used to clone every row per consideration.
 fn rows_impl<'a>(
     info: &'a TransInfo,
-    licensed: Option<&BTreeSet<(TransitionKind, TableId, Option<ColumnId>)>>,
+    licensed: Option<&[CompiledPred]>,
     db: &'a Database,
     kind: TransitionKind,
     table: &str,
@@ -115,7 +113,7 @@ fn rows_impl<'a>(
             None => None,
         };
         if let Some(lic) = licensed {
-            if !lic.contains(&(kind, tid, col)) {
+            if !lic.iter().any(|p| p.licenses(kind, tid, col)) {
                 return Err(QueryError::TransitionTableUnavailable(describe(
                     kind, table, column,
                 )));

@@ -261,7 +261,7 @@ impl Windows {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     use setrules_query::Relation;
@@ -391,8 +391,6 @@ mod tests {
                     action: CompiledAction::Rollback,
                     active: !rng.chance(1, 6),
                     dropped: rng.chance(1, 6),
-                    licensed: BTreeSet::new(),
-                    referenced_tables: BTreeSet::new(),
                 }
             })
             .collect()

@@ -11,126 +11,53 @@
 
 use std::collections::BTreeSet;
 
-use setrules_sql::ast::{Expr, SelectItem, SelectStmt, TableSource};
+use setrules_sql::ast::{Expr, SelectItem, SelectStmt, TableRef, TableSource};
 use setrules_storage::{ColumnId, Database};
 
 /// The columns of each top-level stored-table `from` item that the
 /// statement references. Entry `i` corresponds to `stmt.from[i]`; `None`
 /// means "all columns" (wildcard).
 pub fn referenced_columns(db: &Database, stmt: &SelectStmt) -> Vec<Option<BTreeSet<ColumnId>>> {
-    let mut out: Vec<Option<BTreeSet<ColumnId>>> =
-        stmt.from.iter().map(|_| Some(BTreeSet::new())).collect();
-
     // Gather raw (qualifier, name) references and wildcard coverage.
-    let mut refs: BTreeSet<(Option<String>, String)> = BTreeSet::new();
+    let mut refs: BTreeSet<(Option<&str>, &str)> = BTreeSet::new();
+    stmt.for_each_expr(&mut |e| collect(e, &mut refs));
     let mut saw_wildcard = false;
-    let mut qualified_wildcards: BTreeSet<String> = BTreeSet::new();
+    let mut qualified_wildcards: BTreeSet<&str> = BTreeSet::new();
     for item in &stmt.projection {
         match item {
             SelectItem::Wildcard => saw_wildcard = true,
-            SelectItem::QualifiedWildcard(q) => {
-                qualified_wildcards.insert(q.clone());
-            }
-            SelectItem::Expr { expr, .. } => collect_expr(expr, &mut refs),
+            SelectItem::QualifiedWildcard(q) => _ = qualified_wildcards.insert(q),
+            SelectItem::Expr { .. } => {}
         }
     }
-    for e in stmt
-        .predicate
-        .iter()
-        .chain(stmt.group_by.iter())
-        .chain(stmt.having.iter())
-        .chain(stmt.order_by.iter().map(|(e, _)| e))
-    {
-        collect_expr(e, &mut refs);
-    }
 
-    for (i, tref) in stmt.from.iter().enumerate() {
-        let TableSource::Named(table) = &tref.source else {
-            out[i] = Some(BTreeSet::new()); // transition tables carry no S entries
-            continue;
+    let per_item = |tref: &TableRef| {
+        let tid = match &tref.source {
+            TableSource::Named(table) => db.table_id(table).ok(),
+            // Transition tables carry no S entries.
+            TableSource::Transition { .. } => None,
         };
-        let Ok(tid) = db.table_id(table) else {
-            continue;
-        };
-        let schema = db.schema(tid);
+        let Some(tid) = tid else { return Some(BTreeSet::new()) };
         let binding = tref.binding_name();
         if saw_wildcard || qualified_wildcards.contains(binding) {
-            out[i] = None;
-            continue;
+            return None;
         }
-        let cols = out[i].as_mut().expect("initialized Some above");
-        for (q, name) in &refs {
-            let applies = match q {
-                Some(q) => q == binding,
-                None => true,
-            };
-            if applies {
-                if let Ok(c) = schema.column_id(name) {
-                    cols.insert(c);
-                }
-            }
-        }
-    }
-    out
+        let schema = db.schema(tid);
+        let applies = |q: &Option<&str>| q.is_none_or(|q| q == binding);
+        let cols = refs.iter().filter(|(q, _)| applies(q));
+        Some(cols.filter_map(|(_, n)| schema.column_id(n).ok()).collect())
+    };
+    stmt.from.iter().map(per_item).collect()
 }
 
-fn collect_expr(e: &Expr, out: &mut BTreeSet<(Option<String>, String)>) {
-    match e {
-        Expr::Literal(_) => {}
-        Expr::Column { qualifier, name } => {
-            out.insert((qualifier.clone(), name.clone()));
-        }
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => collect_expr(expr, out),
-        Expr::Binary { left, right, .. } => {
-            collect_expr(left, out);
-            collect_expr(right, out);
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_expr(expr, out);
-            for i in list {
-                collect_expr(i, out);
-            }
-        }
-        Expr::InSubquery { expr, subquery, .. } => {
-            collect_expr(expr, out);
-            collect_select(subquery, out);
-        }
-        Expr::Exists { subquery, .. } => collect_select(subquery, out),
-        Expr::ScalarSubquery(s) => collect_select(s, out),
-        Expr::Between { expr, low, high, .. } => {
-            collect_expr(expr, out);
-            collect_expr(low, out);
-            collect_expr(high, out);
-        }
-        Expr::Like { expr, pattern, escape, .. } => {
-            collect_expr(expr, out);
-            collect_expr(pattern, out);
-            if let Some(e) = escape {
-                collect_expr(e, out);
-            }
-        }
-        Expr::Aggregate { arg, .. } => {
-            if let Some(a) = arg {
-                collect_expr(a, out);
-            }
-        }
+/// Every column reference in `e`, subqueries included.
+fn collect<'a>(e: &'a Expr, out: &mut BTreeSet<(Option<&'a str>, &'a str)>) {
+    if let Expr::Column { qualifier, name } = e {
+        out.insert((qualifier.as_deref(), name));
     }
-}
-
-fn collect_select(s: &SelectStmt, out: &mut BTreeSet<(Option<String>, String)>) {
-    for item in &s.projection {
-        if let SelectItem::Expr { expr, .. } = item {
-            collect_expr(expr, out);
-        }
-    }
-    for e in s
-        .predicate
-        .iter()
-        .chain(s.group_by.iter())
-        .chain(s.having.iter())
-        .chain(s.order_by.iter().map(|(e, _)| e))
-    {
-        collect_expr(e, out);
+    e.for_each_child(&mut |c| collect(c, out));
+    if let Some(s) = e.subquery() {
+        s.for_each_expr(&mut |c| collect(c, out));
     }
 }
 

@@ -135,22 +135,7 @@ pub(crate) fn lower_read(read: ReadPlan<'_>, want_trace: bool) -> FilterExec<'_>
 /// Whether an expression contains an aggregate call *at this query level*
 /// (aggregates inside subqueries belong to the subquery).
 pub fn has_aggregate(e: &Expr) -> bool {
-    match e {
-        Expr::Aggregate { .. } => true,
-        Expr::Literal(_) | Expr::Column { .. } => false,
-        Expr::Unary { expr, .. } => has_aggregate(expr),
-        Expr::Binary { left, right, .. } => has_aggregate(left) || has_aggregate(right),
-        Expr::IsNull { expr, .. } => has_aggregate(expr),
-        Expr::InList { expr, list, .. } => has_aggregate(expr) || list.iter().any(has_aggregate),
-        Expr::InSubquery { expr, .. } => has_aggregate(expr),
-        Expr::Exists { .. } | Expr::ScalarSubquery(_) => false,
-        Expr::Between { expr, low, high, .. } => {
-            has_aggregate(expr) || has_aggregate(low) || has_aggregate(high)
-        }
-        Expr::Like { expr, pattern, escape, .. } => {
-            has_aggregate(expr)
-                || has_aggregate(pattern)
-                || escape.as_ref().is_some_and(|e| has_aggregate(e))
-        }
-    }
+    let mut found = matches!(e, Expr::Aggregate { .. });
+    e.for_each_child(&mut |c| found = found || has_aggregate(c));
+    found
 }

@@ -137,6 +137,43 @@ pub enum DmlOp {
     Select(SelectStmt),
 }
 
+impl DmlOp {
+    /// The stored table the operation writes (`None` for a `select`).
+    pub fn target(&self) -> Option<&str> {
+        match self {
+            DmlOp::Insert(InsertStmt { table, .. })
+            | DmlOp::Delete(DeleteStmt { table, .. })
+            | DmlOp::Update(UpdateStmt { table, .. }) => Some(table),
+            DmlOp::Select(_) => None,
+        }
+    }
+
+    /// The query the operation runs: a `select`, or an insert's
+    /// `(select …)` source.
+    pub fn query(&self) -> Option<&SelectStmt> {
+        match self {
+            DmlOp::Select(s) => Some(s),
+            DmlOp::Insert(InsertStmt { source: InsertSource::Select(s), .. }) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// Visit the operation's own expressions: insert values (or the
+    /// source query's, as [`SelectStmt::for_each_expr`]), the delete
+    /// predicate, update assignments then predicate, a select's.
+    pub fn for_each_expr<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        match self {
+            DmlOp::Insert(InsertStmt { source: InsertSource::Values(rows), .. }) => {
+                rows.iter().flatten().for_each(f)
+            }
+            DmlOp::Delete(d) => d.predicate.iter().for_each(f),
+            DmlOp::Update(u) => u.sets.iter().map(|(_, e)| e).chain(&u.predicate).for_each(f),
+            DmlOp::Insert(InsertStmt { source: InsertSource::Select(s), .. }) => s.for_each_expr(f),
+            DmlOp::Select(s) => s.for_each_expr(f),
+        }
+    }
+}
+
 /// `insert` statement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InsertStmt {
@@ -210,6 +247,20 @@ impl SelectStmt {
             order_by: vec![],
             limit: None,
         }
+    }
+
+    /// Visit this statement's own expressions: projection items, `where`,
+    /// `group by`, `having` and `order by`, in that order. `from` items
+    /// are not expressions; subquery bodies are reached through
+    /// [`Expr::subquery`].
+    pub fn for_each_expr<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        for item in &self.projection {
+            if let SelectItem::Expr { expr, .. } = item {
+                f(expr);
+            }
+        }
+        let order_by = self.order_by.iter().map(|(e, _)| e);
+        self.predicate.iter().chain(&self.group_by).chain(&self.having).chain(order_by).for_each(f);
     }
 }
 
@@ -412,6 +463,58 @@ impl Expr {
     pub fn binary(left: Expr, op: BinaryOp, right: Expr) -> Expr {
         Expr::Binary { left: Box::new(left), op, right: Box::new(right) }
     }
+
+    /// Visit the direct sub-expressions of this query level, in the order
+    /// they print. A subquery's body is not a child — reach it through
+    /// [`Expr::subquery`] and [`SelectStmt::for_each_expr`]; an
+    /// `in (select …)` needle and an aggregate's argument are.
+    pub fn for_each_child<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        match self {
+            Expr::Literal(_)
+            | Expr::Column { .. }
+            | Expr::Exists { .. }
+            | Expr::ScalarSubquery(_) => {}
+            Expr::Unary { expr, .. }
+            | Expr::IsNull { expr, .. }
+            | Expr::InSubquery { expr, .. } => f(expr),
+            Expr::Binary { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+            Expr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter().for_each(f);
+            }
+            Expr::Between { expr, low, high, .. } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
+            Expr::Like { expr, pattern, escape, .. } => {
+                f(expr);
+                f(pattern);
+                if let Some(e) = escape {
+                    f(e);
+                }
+            }
+            Expr::Aggregate { arg, .. } => {
+                if let Some(a) = arg {
+                    f(a);
+                }
+            }
+        }
+    }
+
+    /// The subquery this node embeds (`in (select …)`, `exists`, a scalar
+    /// subquery), if any.
+    pub fn subquery(&self) -> Option<&SelectStmt> {
+        match self {
+            Expr::InSubquery { subquery, .. }
+            | Expr::Exists { subquery, .. }
+            | Expr::ScalarSubquery(subquery) => Some(subquery),
+            _ => None,
+        }
+    }
 }
 
 /// Unary operators.
@@ -488,6 +591,129 @@ impl AggFunc {
             AggFunc::Avg => "avg",
             AggFunc::Min => "min",
             AggFunc::Max => "max",
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{parse_expr, parse_statement};
+
+    /// One node per `Expr` variant. Every child is a column `x<i>`; the
+    /// column sample and the subquery bodies use other names.
+    const SAMPLES: [&str; 15] = [
+        "1",
+        "k",
+        "-x0",
+        "not x0",
+        "x0 + x1",
+        "x0 is not null",
+        "x0 in (x1, x2)",
+        "x0 in (select s from t where w > 0)",
+        "exists (select s from t where w > 0)",
+        "(select max(s) from t)",
+        "x0 between x1 and x2",
+        "x0 like x1",
+        "x0 not like x1 escape x2",
+        "sum(distinct x0)",
+        "count(*)",
+    ];
+
+    /// Exhaustive over `Expr`: a new variant stops this compiling, and
+    /// then fails the coverage count until it has a sample.
+    fn variant(e: &Expr) -> &'static str {
+        match e {
+            Expr::Literal(_) => "literal",
+            Expr::Column { .. } => "column",
+            Expr::Unary { .. } => "unary",
+            Expr::Binary { .. } => "binary",
+            Expr::IsNull { .. } => "is null",
+            Expr::InList { .. } => "in list",
+            Expr::InSubquery { .. } => "in subquery",
+            Expr::Exists { .. } => "exists",
+            Expr::ScalarSubquery(_) => "scalar subquery",
+            Expr::Between { .. } => "between",
+            Expr::Like { .. } => "like",
+            Expr::Aggregate { .. } => "aggregate",
+        }
+    }
+
+    fn children(e: &Expr) -> Vec<String> {
+        let mut out = Vec::new();
+        e.for_each_child(&mut |c| out.push(c.to_string()));
+        out
+    }
+
+    fn exprs_of_select(s: &SelectStmt) -> Vec<String> {
+        let mut out = Vec::new();
+        s.for_each_expr(&mut |e| out.push(e.to_string()));
+        out
+    }
+
+    #[test]
+    fn for_each_child_yields_the_children_display_prints() {
+        let samples: Vec<Expr> = SAMPLES.iter().map(|s| parse_expr(s).unwrap()).collect();
+        let covered: std::collections::BTreeSet<_> = samples.iter().map(variant).collect();
+        assert_eq!(covered.len(), 12, "every Expr variant has a sample: {covered:?}");
+        for e in &samples {
+            // What the printer shows of this node's own level: its text
+            // with the subquery body cut out, scanned for the markers.
+            let mut printed = e.to_string();
+            if let Some(s) = e.subquery() {
+                printed = printed.replace(&s.to_string(), "");
+            }
+            let markers: Vec<String> = printed
+                .split(|c: char| !c.is_ascii_alphanumeric())
+                .filter(|t| t.len() > 1 && t.starts_with('x') && t[1..].parse::<u8>().is_ok())
+                .map(String::from)
+                .collect();
+            assert_eq!(children(e), markers, "{} prints {printed}", variant(e));
+        }
+    }
+
+    #[test]
+    fn subquery_bodies_are_reached_only_through_for_each_expr() {
+        for src in ["x0 in (select s from t where w > 0)", "exists (select s from t where w > 0)"] {
+            let e = parse_expr(src).unwrap();
+            assert!(children(&e).iter().all(|c| c == "x0"), "{src}");
+            let body = e.subquery().expect("a subquery node");
+            assert_eq!(exprs_of_select(body), ["s", "(w > 0)"], "{src}");
+        }
+        assert!(parse_expr("x0 + x1").unwrap().subquery().is_none());
+    }
+
+    #[test]
+    fn select_for_each_expr_visits_its_own_clauses_in_order() {
+        let Statement::Dml(DmlOp::Select(s)) = parse_statement(
+            "select a, t.*, b + 1 from t, u where c in (select d from v) \
+             group by e having f > 0 order by g desc",
+        )
+        .unwrap() else {
+            panic!("a select")
+        };
+        assert_eq!(
+            exprs_of_select(&s),
+            ["a", "(b + 1)", "((c) in (select d from v))", "e", "(f > 0)", "g"]
+        );
+    }
+
+    #[test]
+    fn dml_for_each_expr_visits_every_operation_kind() {
+        let cases: [(&str, &[&str]); 5] = [
+            ("insert into t values (1, a), (b, 2)", &["1", "a", "b", "2"]),
+            ("insert into t (select a from u where b > 0)", &["a", "(b > 0)"]),
+            ("delete from t where a = 1", &["(a = 1)"]),
+            ("update t set a = b, c = 1 where d", &["b", "1", "d"]),
+            ("select a from t where b", &["a", "b"]),
+        ];
+        for (sql, want) in cases {
+            let Statement::Dml(op) = parse_statement(sql).unwrap() else { panic!("{sql}") };
+            let mut got = Vec::new();
+            op.for_each_expr(&mut |e| got.push(e.to_string()));
+            assert_eq!(got, want, "{sql}");
+            assert_eq!(op.query().is_some(), sql.contains("select"), "{sql}");
+            assert_eq!(op.target(), (!sql.starts_with("select")).then_some("t"), "{sql}");
         }
     }
 }

@@ -77,6 +77,26 @@ fn rule_referencing_unknown_table_or_column_rejected() {
     );
 }
 
+/// A rule protects every table it names from `drop table`, including a
+/// table created after the rule (names in actions resolve when they run);
+/// a dropped rule protects nothing.
+#[test]
+fn drop_table_protection_covers_tables_created_after_the_rule() {
+    let mut sys = RuleSystem::new();
+    sys.execute("create table t (k int)").unwrap();
+    sys.execute("create rule a when inserted into t then insert into later values (1)").unwrap();
+    sys.execute("create table later (k int)").unwrap();
+    for table in ["later", "t"] {
+        let err = sys.execute(&format!("drop table {table}")).unwrap_err();
+        let refused = matches!(&err, RuleError::TableReferencedByRules { table: t, rule }
+            if t == table && rule == "a");
+        assert!(refused, "{err}");
+    }
+    sys.execute("drop rule a").unwrap();
+    sys.execute("drop table later").unwrap();
+    sys.execute("drop table t").unwrap();
+}
+
 #[test]
 fn introspection() {
     let mut sys = RuleSystem::new();
